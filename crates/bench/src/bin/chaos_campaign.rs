@@ -3,8 +3,7 @@
 //! delivery under worker panics, stalls, and register faults.
 //!
 //! ```text
-//! chaos_campaign [--seeds <K>] [--ops <N>] [--trials <T>]
-//!                [--min-ratio <R>] [--out <path>]
+//! chaos_campaign [--seeds <K>] [--out <path>]
 //! ```
 //!
 //! Every cell runs `K` seeded executions of a chaos-injected service:
@@ -24,20 +23,13 @@
 //!   (panic-catch → drain-loop reentry, backoff included) are reported as
 //!   `recovery_p50_ns` / `recovery_p99_ns` per cell and pooled.
 //!
-//! A final **supervision-overhead gate** reruns the throughput loop twice
-//! with an empty chaos plan — once at `restart_budget = 0` (the legacy
-//! poison-on-first-panic configuration) and once under the default
-//! supervisor — and fails unless the supervised leg sustains at least
-//! `--min-ratio` (default 0.95) of the legacy ops/sec, best of `--trials`
-//! runs per leg: supervision must cost nothing when nothing fails.
-//!
 //! Emits one machine-readable JSON line per cell on stdout and writes the
-//! pooled summary (recovery quantiles, totals, gate verdicts) to `--out`
+//! pooled summary (recovery quantiles, totals, verdict) to `--out`
 //! (default `BENCH_chaos_recovery.json`).
 
 use std::process::ExitCode;
-use std::sync::{Arc, Barrier};
-use std::time::{Duration, Instant};
+use std::sync::Arc;
+use std::time::Duration;
 
 use mc_runtime::{
     AtomicMemory, ChaosPlan, ConsensusService, FaultPlan, FaultyMemory, SupervisorOptions,
@@ -274,54 +266,6 @@ fn run_chaos(cell: &PlanCell, policy: &Policy, seed: u64, stats: &mut CellStats)
         .push(telemetry.worker_recovery_ns().snapshot());
 }
 
-/// Throughput leg for the supervision-overhead gate: 4 producers pushing
-/// `ops` proposals each through `submit_batch`, empty chaos plan, under
-/// the given supervisor. Returns ops/sec.
-fn run_throughput(ops: u64, supervisor: SupervisorOptions) -> f64 {
-    const PRODUCERS: usize = 4;
-    let service = Arc::new(
-        ConsensusService::builder()
-            .n(2)
-            .values(2)
-            .participants(1)
-            .supervisor(supervisor)
-            .build(),
-    );
-    for id in 0..256 {
-        let handle = service.submit(id, id % 2).expect("warmup admits");
-        handle.wait().expect("warmup decides");
-    }
-    let barrier = Arc::new(Barrier::new(PRODUCERS + 1));
-    let threads: Vec<_> = (0..PRODUCERS as u64)
-        .map(|p| {
-            let service = Arc::clone(&service);
-            let barrier = Arc::clone(&barrier);
-            std::thread::spawn(move || {
-                let base = 1_000 + p * ops;
-                barrier.wait();
-                let mut handles = Vec::with_capacity(ops as usize);
-                for chunk_start in (0..ops).step_by(64) {
-                    let chunk: Vec<(u64, u64)> = (chunk_start..(chunk_start + 64).min(ops))
-                        .map(|i| (base + i, i % 2))
-                        .collect();
-                    for result in service.submit_batch(&chunk) {
-                        handles.push(result.expect("Block admits every proposal"));
-                    }
-                }
-                for handle in handles {
-                    std::hint::black_box(handle.wait().expect("every proposal decides"));
-                }
-            })
-        })
-        .collect();
-    barrier.wait();
-    let start = Instant::now();
-    for t in threads {
-        t.join().expect("producer thread");
-    }
-    (PRODUCERS as u64 * ops) as f64 / start.elapsed().as_secs_f64()
-}
-
 /// Silences the default panic hook for the campaign's own injected worker
 /// panics — hundreds of identical backtraces would drown the report —
 /// while leaving every unexpected panic loud.
@@ -340,7 +284,7 @@ fn quiet_injected_panics() {
     }));
 }
 
-fn run(seeds: u64, ops: u64, trials: u64, min_ratio: f64, out_path: &str) -> Result<(), String> {
+fn run(seeds: u64, out_path: &str) -> Result<(), String> {
     quiet_injected_panics();
     eprintln!(
         "chaos campaign: {} plans x {} policies x {seeds} seeds, \
@@ -407,31 +351,6 @@ fn run(seeds: u64, ops: u64, trials: u64, min_ratio: f64, out_path: &str) -> Res
         }
     }
 
-    // Supervision-overhead gate: the supervised service with an empty
-    // chaos plan must keep pace with the legacy poison-on-first-panic
-    // configuration. Best of `trials` per leg — both are multi-threaded
-    // wall-clock measurements, and interference only slows a trial down.
-    eprintln!("supervision overhead: 4 producers x {ops} proposals, best of {trials}");
-    let legacy = SupervisorOptions {
-        restart_budget: 0,
-        ..SupervisorOptions::default()
-    };
-    let legacy_per_sec = (0..trials)
-        .map(|_| run_throughput(ops, legacy))
-        .fold(f64::MIN, f64::max);
-    let supervised_per_sec = (0..trials)
-        .map(|_| run_throughput(ops, SupervisorOptions::default()))
-        .fold(f64::MIN, f64::max);
-    let ratio = supervised_per_sec / legacy_per_sec;
-    let ratio_ok = ratio >= min_ratio;
-    if !ratio_ok {
-        pass = false;
-    }
-    eprintln!(
-        "supervised {supervised_per_sec:.0} ops/s vs legacy {legacy_per_sec:.0} ops/s \
-         (ratio {ratio:.3}, gate {min_ratio:.2})"
-    );
-
     let pooled = merge_histograms(&all_recovery);
     let mut summary = Obj::new();
     summary
@@ -449,10 +368,6 @@ fn run(seeds: u64, ops: u64, trials: u64, min_ratio: f64, out_path: &str) -> Res
         .u64_field("recovery_p50_ns", pooled.quantile_upper(0.50))
         .u64_field("recovery_p99_ns", pooled.quantile_upper(0.99))
         .u64_field("recovery_max_ns", pooled.max)
-        .f64_field("legacy_ops_per_sec", legacy_per_sec)
-        .f64_field("supervised_ops_per_sec", supervised_per_sec)
-        .f64_field("supervision_ratio", ratio)
-        .f64_field("min_ratio", min_ratio)
         .bool_field("pass", pass);
     let json = summary.finish();
     println!("{json}");
@@ -461,26 +376,15 @@ fn run(seeds: u64, ops: u64, trials: u64, min_ratio: f64, out_path: &str) -> Res
     eprintln!("report written to {out_path}");
 
     if !pass {
-        return Err(if ratio_ok {
-            "chaos campaign: decisions were lost, duplicated, or over budget".to_string()
-        } else {
-            format!(
-                "supervision overhead gate: supervised leg sustained only \
-                 {ratio:.3}x the legacy leg (gate {min_ratio:.2}x)"
-            )
-        });
+        return Err("chaos campaign: decisions were lost, duplicated, or over budget".to_string());
     }
     Ok(())
 }
 
 fn main() -> ExitCode {
     let mut seeds = 5u64;
-    let mut ops = 10_000u64;
-    let mut trials = 3u64;
-    let mut min_ratio = 0.95f64;
     let mut out_path = "BENCH_chaos_recovery.json".to_string();
-    let usage = "usage: chaos_campaign [--seeds <K>] [--ops <N>] [--trials <T>] \
-                 [--min-ratio <R>] [--out <path>]";
+    let usage = "usage: chaos_campaign [--seeds <K>] [--out <path>]";
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -489,27 +393,6 @@ fn main() -> ExitCode {
                 Some(Ok(v)) if v > 0 => seeds = v,
                 _ => {
                     eprintln!("--seeds needs a positive integer\n{usage}");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--ops" => match it.next().map(|v| v.parse::<u64>()) {
-                Some(Ok(v)) if v > 0 => ops = v,
-                _ => {
-                    eprintln!("--ops needs a positive integer\n{usage}");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--trials" => match it.next().map(|v| v.parse::<u64>()) {
-                Some(Ok(v)) if v > 0 => trials = v,
-                _ => {
-                    eprintln!("--trials needs a positive integer\n{usage}");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--min-ratio" => match it.next().map(|v| v.parse::<f64>()) {
-                Some(Ok(v)) if v > 0.0 => min_ratio = v,
-                _ => {
-                    eprintln!("--min-ratio needs a positive number\n{usage}");
                     return ExitCode::FAILURE;
                 }
             },
@@ -526,7 +409,7 @@ fn main() -> ExitCode {
             }
         }
     }
-    match run(seeds, ops, trials, min_ratio, &out_path) {
+    match run(seeds, &out_path) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");

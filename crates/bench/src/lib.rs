@@ -7,8 +7,11 @@
 //! tables. The `experiments` binary drives them; `EXPERIMENTS.md` records
 //! the results.
 //!
-//! Criterion benches (wall-clock, in `benches/`) complement the
-//! operation-count tables with real-time costs on both substrates.
+//! The other binaries are CI correctness campaigns (`lab_explore`,
+//! `check_campaign`, `chaos_campaign`, `coin_campaign`, `fault_campaign`)
+//! and the `simulate` CLI. Wall-clock performance is measured in one
+//! place only: `perf_stack`, the package under `bench/` that
+//! `BENCHMARK.json` describes (see `bench/README.md`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

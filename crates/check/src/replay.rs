@@ -10,8 +10,8 @@ use std::convert::Infallible;
 use std::fmt;
 
 use mc_model::{
-    Action, BlockAlloc, Ctx, Decision, InstantiateCtx, ObjectSpec, Op, ProcessId, RegContents,
-    Response, Session, StateSink, SymmetrySpec, Value,
+    mix_seed, Action, BlockAlloc, Ctx, Decision, InstantiateCtx, ObjectSpec, Op, ProcessId,
+    RegContents, Response, Session, StateSink, SymmetrySpec, Value,
 };
 use rand::rngs::SmallRng;
 use rand::{SeedableRng, TryRng};
@@ -164,18 +164,6 @@ impl TryRng for CheckRng {
             CheckRng::Fixed(rng) => rng.try_fill_bytes(dst),
         }
     }
-}
-
-/// Mixes a run seed with a process id into a decorrelated per-process
-/// stream seed (full SplitMix64 finalizer). Must match `mc-sim`'s
-/// `mix_seed` and the lab workers exactly: conformance legs replay a
-/// runtime execution through the checker at the same `(seed, pid)` and
-/// expect identical coin streams.
-fn mix_seed(seed: u64, pid: u64) -> u64 {
-    let mut z = seed ^ pid.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 impl CheckRng {

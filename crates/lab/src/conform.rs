@@ -27,6 +27,7 @@ use mc_runtime::{
 };
 use mc_sim::harness::run_object;
 use mc_sim::{Adversary, EngineConfig, RunError, Trace, WorkMetrics};
+use mc_store::{CommandHandle, KvCommand, KvStore, ReplicatedStore, StateMachine, StoreError};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -667,6 +668,20 @@ pub fn check_chaos_conformance(
     Ok(decisions)
 }
 
+/// Waits for a store response through [`CommandHandle::wait_timeout`]
+/// (10 s), panicking with the store's `Debug` view (learned slots, applied
+/// commands, sequencers) when none arrives — so a stalled store fails the
+/// check that drove it instead of hanging the suite.
+fn settle<S: StateMachine, M: SharedMemory, R: Clone>(
+    store: &ReplicatedStore<S, M>,
+    handle: &CommandHandle<R>,
+) -> Result<R, StoreError> {
+    match handle.wait_timeout(std::time::Duration::from_secs(10)) {
+        Err(StoreError::Timeout) => panic!("store stalled for 10 s: {store:?}"),
+        answered => answered,
+    }
+}
+
 /// Replicated-store ≡ sequential-apply conformance: drives a seeded
 /// script of KV commands from `clients` interleaved sessions through a
 /// [`ReplicatedStore`] and replays the identical stream on a bare
@@ -706,7 +721,6 @@ pub fn check_store_conformance(
     sequencers: usize,
     seed: u64,
 ) -> Result<u64, Divergence> {
-    use mc_store::{KvCommand, KvStore, ReplicatedStore, StateMachine, StoreError};
     use rand::RngExt;
 
     assert!(clients > 0, "need at least one client");
@@ -744,7 +758,7 @@ pub fn check_store_conformance(
             };
             let expected = reference.apply(&command);
             distinct += 1;
-            let got = store.submit(client, round + 1, command).wait();
+            let got = settle(&store, &store.submit(client, round + 1, command));
             if got != Ok(expected) {
                 return Err(Divergence::Store {
                     detail: format!(
@@ -759,7 +773,7 @@ pub fn check_store_conformance(
             if rng.random_bool(0.25) {
                 for copy in 0..rng.random_range(1u32..4) {
                     duplicates += 1;
-                    let again = store.submit(client, round + 1, command).wait();
+                    let again = settle(&store, &store.submit(client, round + 1, command));
                     if again != Ok(expected) {
                         return Err(Divergence::Store {
                             detail: format!(
@@ -774,7 +788,7 @@ pub fn check_store_conformance(
             // (its cached response is already overwritten).
             if round > 0 && rng.random_bool(0.1) {
                 stale_probes += 1;
-                let stale = store.submit(client, round, command).wait();
+                let stale = settle(&store, &store.submit(client, round, command));
                 if stale
                     != Err(StoreError::Stale {
                         last_seq: round + 1,

@@ -63,6 +63,21 @@ impl fmt::Display for RegisterId {
     }
 }
 
+/// Derives stream `stream`'s seed from a run seed (SplitMix64 finaliser),
+/// keeping streams decorrelated even for adjacent seeds.
+///
+/// The one mixer every substrate shares: the sim engine, the lab workers
+/// and the checker's replay seed process `pid`'s coins from
+/// `mix_seed(seed, pid)`, so coin streams line up operation for operation
+/// across them; the runtime service derives its retry-jitter, chaos-phase
+/// and per-restart streams the same way.
+pub fn mix_seed(seed: u64, stream: u64) -> u64 {
+    let mut z = seed ^ stream.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -58,7 +58,7 @@ pub mod state;
 mod value;
 
 pub use decision::Decision;
-pub use ids::{ProcessId, RegisterId};
+pub use ids::{mix_seed, ProcessId, RegisterId};
 pub use object::{BlockAlloc, DecidingObject, InstantiateCtx, ObjectSpec, RegisterAlloc};
 pub use op::{Op, OpKind, Response};
 pub use properties::PropertyViolation;

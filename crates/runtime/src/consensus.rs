@@ -1,13 +1,12 @@
 //! The full consensus object on real threads.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock};
 use std::time::Instant;
 
 use mc_core::conciliator::WriteSchedule;
 use mc_quorums::{BinomialScheme, QuorumScheme};
 use mc_telemetry::{ConciliatorKind, StageKind};
-use parking_lot::RwLock;
 use rand::Rng;
 
 use crate::coin::{CoinConciliator, CoinKind, LocalCoin, VotingCoin};
@@ -92,7 +91,7 @@ impl<M: SharedMemory> Stage<M> {
 /// proposal, with probability 1 in finite expected time (`O(log n)` expected
 /// register operations per thread, `O(n log m)` total).
 ///
-/// Stage materialization takes a short [`parking_lot::RwLock`] write lock;
+/// Stage materialization takes a short [`RwLock`] write lock;
 /// everything on the hot path is lock-free loads/stores. Strictly speaking
 /// this makes the implementation lock-based at stage boundaries — the price
 /// of unbounded lazily-allocated stages in a practical runtime.
@@ -248,7 +247,10 @@ impl<M: SharedMemory> Consensus<M> {
 
     /// Number of stages materialized so far (diagnostics).
     pub fn stages_used(&self) -> usize {
-        self.stages.read().len()
+        self.stages
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .len()
     }
 
     /// How many times this object has been recycled via
@@ -299,7 +301,10 @@ impl<M: SharedMemory> Consensus<M> {
             next_generation,
             &self.telemetry,
         );
-        let stages = self.stages.get_mut();
+        let stages = self
+            .stages
+            .get_mut()
+            .unwrap_or_else(PoisonError::into_inner);
         if next == self.active {
             for stage in stages.iter_mut() {
                 Arc::get_mut(stage)
@@ -334,10 +339,15 @@ impl<M: SharedMemory> Consensus<M> {
     }
 
     pub(crate) fn stage(&self, ix: usize) -> Arc<Stage<M>> {
-        if let Some(stage) = self.stages.read().get(ix) {
+        if let Some(stage) = self
+            .stages
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get(ix)
+        {
             return Arc::clone(stage);
         }
-        let mut stages = self.stages.write();
+        let mut stages = self.stages.write().unwrap_or_else(PoisonError::into_inner);
         while stages.len() <= ix {
             let next = stages.len();
             stages.push(Arc::new(self.make_stage(next)));

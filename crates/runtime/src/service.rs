@@ -46,26 +46,16 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use mc_model::mix_seed;
 use mc_telemetry::CircuitState;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-use crate::engine::ConsensusEngine;
+use crate::engine::{shard_index, ConsensusEngine};
 use crate::error::EngineError;
 use crate::faults::FaultPlan;
 use crate::register::{AtomicMemory, SharedMemory};
 use crate::telemetry::RuntimeTelemetry;
-
-/// SplitMix64 finalizer: decorrelates `(seed, stream)` pairs so chaos
-/// phases, retry jitter, and per-restart coin streams are deterministic
-/// per seed yet independent across streams (same construction as
-/// `mc_sim::mix_seed`, local to keep the dependency graph flat).
-fn mix(seed: u64, stream: u64) -> u64 {
-    let mut z = seed ^ stream.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// What [`ConsensusService::submit`] does when an intake ring is full.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -155,7 +145,7 @@ impl RetryPolicy {
         };
         // Jitter fraction in [0, 1): a pure function of (seed, retry), so
         // the schedule never depends on when or how often it is sampled.
-        let unit = (mix(self.seed, u64::from(retry) + 1) >> 11) as f64 / (1u64 << 53) as f64;
+        let unit = (mix_seed(self.seed, u64::from(retry) + 1) >> 11) as f64 / (1u64 << 53) as f64;
         let jitter_ns = (raw_ns as f64 * self.jitter * unit) as u128;
         let capped = (raw_ns + jitter_ns).min(max_ns);
         Duration::from_nanos(u64::try_from(capped).unwrap_or(u64::MAX))
@@ -255,7 +245,7 @@ impl Default for SupervisorOptions {
 /// abandoning a mid-decide instance: within the restart budget, every
 /// admitted proposal still gets exactly one decision. The `seed` phases
 /// each worker's injection points independently (worker `i` panics at
-/// drain counts ≡ `mix(seed, i) mod panic_every`), so multi-worker
+/// drain counts ≡ `mix_seed(seed, i) mod panic_every`), so multi-worker
 /// services do not lose every worker at once.
 ///
 /// The embedded `faults` plan is *not* applied by the service itself —
@@ -1030,10 +1020,9 @@ impl<M: SharedMemory> ConsensusService<M> {
     }
 
     fn ring_of(&self, instance_id: u64) -> &Ring {
-        // Same Fibonacci hash as the engine's shards: one instance, one
-        // ring, one worker — serial decides per instance.
-        let h = (instance_id.wrapping_mul(0x9E37_79B9_7F4A_7C15)) >> 32;
-        &self.rings[(h as usize) % self.rings.len()]
+        // Same hash as the engine's shards: one instance, one ring, one
+        // worker — serial decides per instance.
+        &self.rings[shard_index(instance_id, self.rings.len())]
     }
 
     /// Applies admission control and pushes one proposal under the ring
@@ -1428,14 +1417,14 @@ impl ChaosState {
         self.drains += 1;
         if self.plan.stall_every > 0
             && self.drains % self.plan.stall_every
-                == mix(self.plan.seed, self.stream ^ 0x0005_7A11) % self.plan.stall_every
+                == mix_seed(self.plan.seed, self.stream ^ 0x0005_7A11) % self.plan.stall_every
         {
             std::thread::sleep(self.plan.stall_for);
         }
         if self.plan.panic_every > 0
             && self.panics < self.plan.max_panics
             && self.drains % self.plan.panic_every
-                == mix(self.plan.seed, self.stream) % self.plan.panic_every
+                == mix_seed(self.plan.seed, self.stream) % self.plan.panic_every
         {
             self.panics += 1;
             panic!(
@@ -1582,7 +1571,7 @@ fn drain_loop<M: SharedMemory>(
     let mut rng = if incarnation == 0 {
         SmallRng::seed_from_u64(worker_seed)
     } else {
-        SmallRng::seed_from_u64(mix(worker_seed, u64::from(incarnation)))
+        SmallRng::seed_from_u64(mix_seed(worker_seed, u64::from(incarnation)))
     };
     let telemetry = Arc::clone(engine.telemetry_handle());
     // Single-participant engines get the zero-lock fast path: one pooled
@@ -2003,6 +1992,38 @@ mod tests {
         for (id, handle) in handles.into_iter().enumerate() {
             assert_eq!(handle.unwrap().wait(), Ok(id as u64));
         }
+    }
+
+    #[test]
+    fn multi_producer_submit_batch_enqueues_every_offered_proposal() {
+        let service = ConsensusService::builder()
+            .n(1)
+            .values(1024)
+            .participants(1)
+            .shards(1)
+            .workers(1)
+            .ring_capacity(8)
+            .batch_max(4)
+            .build();
+        // 4 producers × 4 runs of 25 through one 8-deep ring: every run
+        // overflows the ring, and the ledger still counts each offer once.
+        std::thread::scope(|s| {
+            for p in 0..4u64 {
+                let service = &service;
+                s.spawn(move || {
+                    let items: Vec<(u64, u64)> =
+                        (p * 100..(p + 1) * 100).map(|id| (id, id % 1024)).collect();
+                    for chunk in items.chunks(25) {
+                        for (handle, &(_, value)) in service.submit_batch(chunk).iter().zip(chunk) {
+                            assert_eq!(handle.as_ref().unwrap().wait(), Ok(value));
+                        }
+                    }
+                });
+            }
+        });
+        let t = service.telemetry();
+        assert_eq!(t.proposals_enqueued(), 400);
+        assert_eq!(t.decisions(), 400);
     }
 
     #[test]

@@ -4,8 +4,8 @@ use std::error::Error;
 use std::fmt;
 
 use mc_model::{
-    Action, BlockAlloc, Ctx, Decision, InstantiateCtx, ObjectSpec, Op, OpKind, ProcessId, Response,
-    Session, Value,
+    mix_seed, Action, BlockAlloc, Ctx, Decision, InstantiateCtx, ObjectSpec, Op, OpKind, ProcessId,
+    Response, Session, Value,
 };
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
@@ -443,19 +443,6 @@ pub fn observe_pending(
         }
     }
     info
-}
-
-/// Derives process `pid`'s coin-stream seed from the run seed.
-///
-/// Public so other substrates seed per-process rngs identically; coin
-/// streams then line up operation-for-operation across sim and lab runs.
-pub fn mix_seed(seed: u64, pid: u64) -> u64 {
-    // SplitMix64-style mixing keeps per-process streams decorrelated even
-    // for adjacent seeds.
-    let mut z = seed ^ pid.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 #[cfg(test)]

@@ -60,8 +60,9 @@ pub mod testutil;
 mod trace;
 
 pub use adversary::{Adversary, Capability, PendingInfo, View};
-pub use engine::{mix_seed, observe_pending, Engine, EngineConfig, RunError};
+pub use engine::{observe_pending, Engine, EngineConfig, RunError};
 pub use harness::{run_object, RunOutcome};
+pub use mc_model::mix_seed;
 pub use memory::Memory;
 pub use metrics::WorkMetrics;
 pub use trace::{Event, Trace};

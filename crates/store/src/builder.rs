@@ -5,18 +5,18 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use mc_runtime::{
-    AtomicMemory, BackpressurePolicy, ChaosPlan, CircuitOptions, ConciliatorChoice, ReplicatedLog,
-    ServiceBuilder, SharedMemory, SupervisorOptions,
+    AtomicMemory, BackpressurePolicy, ChaosPlan, ConciliatorChoice, ReplicatedLog, ServiceBuilder,
+    SharedMemory, SupervisorOptions,
 };
 use mc_telemetry::Recorder;
 
 use crate::machine::StateMachine;
-use crate::store::ReplicatedStore;
+use crate::store::{ReplicatedStore, MAX_INFLIGHT_BATCHES};
 
 /// Store-layer knobs, separate from the consensus/engine/service knobs
 /// the builder passes through.
 #[derive(Debug, Clone)]
-pub struct StoreOptions {
+pub(crate) struct StoreOptions {
     /// Proposer threads ordering batches — also the consensus `n` and the
     /// engine's `participants` (each sequencer submits exactly once per
     /// slot, retiring the instance). Default 2.
@@ -25,21 +25,14 @@ pub struct StoreOptions {
     /// commit: one consensus round orders up to this many commands.
     /// Default 512.
     pub batch_commands: usize,
-    /// Command-slab capacity: batches formed but not yet applied. Bounds
-    /// the consensus value space to `max_inflight_batches + 1` codes.
-    /// Default 1024.
-    pub max_inflight_batches: usize,
     /// Capture a state-machine snapshot every this many applied slots
     /// (riding the same pass that compacts the log). `0` disables
     /// snapshots. Default 1024.
     pub snapshot_every: u64,
     /// Read-lease lifetime for lease-gated fast reads. Default 5ms.
     pub lease_ttl: Duration,
-    /// Capacity hint for the session table. Workloads that open sessions
-    /// by the million (one per client id) pay a full-table rehash every
-    /// time the map doubles; pre-sizing to the expected session count
-    /// removes that from the apply worker's critical path. `0` (the
-    /// default) starts empty and grows on demand.
+    /// Capacity hint for the session table; see
+    /// [`StoreBuilder::expected_sessions`]. Default 0.
     pub expected_sessions: usize,
 }
 
@@ -48,7 +41,6 @@ impl Default for StoreOptions {
         StoreOptions {
             sequencers: 2,
             batch_commands: 512,
-            max_inflight_batches: 1024,
             snapshot_every: 1024,
             lease_ttl: Duration::from_millis(5),
             expected_sessions: 0,
@@ -98,56 +90,37 @@ impl<S: StateMachine + Default> Default for StoreBuilder<S> {
 impl<S: StateMachine, M: SharedMemory> StoreBuilder<S, M> {
     // ---- store knobs -------------------------------------------------
 
-    /// Proposer threads (consensus `n` / engine `participants`).
+    /// Proposer threads (consensus `n` / engine `participants`). Default 2.
     pub fn sequencers(mut self, sequencers: usize) -> Self {
         self.options.sequencers = sequencers.max(1);
         self
     }
 
-    /// Maximum commands per batch (per log slot).
+    /// Maximum commands per batch (per log slot). Default 512.
     pub fn batch_commands(mut self, commands: usize) -> Self {
         self.options.batch_commands = commands.max(1);
         self
     }
 
-    /// Command-slab capacity (batches in flight between formation and
-    /// apply).
-    pub fn max_inflight_batches(mut self, batches: usize) -> Self {
-        self.options.max_inflight_batches = batches.max(1);
-        self
-    }
-
-    /// Snapshot cadence in applied slots (`0` disables).
+    /// Snapshot cadence in applied slots (`0` disables). Default 1024.
     pub fn snapshot_every(mut self, slots: u64) -> Self {
         self.options.snapshot_every = slots;
         self
     }
 
-    /// Read-lease lifetime for fast reads.
+    /// Read-lease lifetime for fast reads. Default 5ms.
     pub fn lease_ttl(mut self, ttl: Duration) -> Self {
         self.options.lease_ttl = ttl;
         self
     }
 
     /// Pre-sizes the session table for workloads with a known client
-    /// population; see [`StoreOptions::expected_sessions`].
+    /// population. Workloads that open sessions by the million (one per
+    /// client id) otherwise pay a full-table rehash every time the map
+    /// doubles, on the apply worker's critical path. `0` (the default)
+    /// starts empty and grows on demand.
     pub fn expected_sessions(mut self, sessions: usize) -> Self {
         self.options.expected_sessions = sessions;
-        self
-    }
-
-    /// Replaces every store knob at once.
-    pub fn options(mut self, options: StoreOptions) -> Self {
-        self.options = options;
-        self.options.sequencers = self.options.sequencers.max(1);
-        self.options.batch_commands = self.options.batch_commands.max(1);
-        self.options.max_inflight_batches = self.options.max_inflight_batches.max(1);
-        self
-    }
-
-    /// Starts the machine from `initial` instead of `S::default()`.
-    pub fn initial_state(mut self, initial: S) -> Self {
-        self.initial = initial;
         self
     }
 
@@ -194,18 +167,6 @@ impl<S: StateMachine, M: SharedMemory> StoreBuilder<S, M> {
         self
     }
 
-    /// Intake-ring capacity; see [`ServiceBuilder::ring_capacity`].
-    pub fn ring_capacity(mut self, capacity: usize) -> Self {
-        self.service = self.service.ring_capacity(capacity);
-        self
-    }
-
-    /// Worker drain batch bound; see [`ServiceBuilder::batch_max`].
-    pub fn batch_max(mut self, batch: usize) -> Self {
-        self.service = self.service.batch_max(batch);
-        self
-    }
-
     /// Admission policy when the intake ring is full; see
     /// [`ServiceBuilder::backpressure`].
     pub fn backpressure(mut self, policy: BackpressurePolicy) -> Self {
@@ -225,21 +186,9 @@ impl<S: StateMachine, M: SharedMemory> StoreBuilder<S, M> {
         self
     }
 
-    /// Worker restart budget; see [`ServiceBuilder::restart_budget`].
-    pub fn restart_budget(mut self, budget: u32) -> Self {
-        self.service = self.service.restart_budget(budget);
-        self
-    }
-
     /// Fault-injection plan; see [`ServiceBuilder::chaos`].
     pub fn chaos(mut self, plan: ChaosPlan) -> Self {
         self.service = self.service.chaos(plan);
-        self
-    }
-
-    /// Circuit breaker; see [`ServiceBuilder::circuit`].
-    pub fn circuit(mut self, circuit: CircuitOptions) -> Self {
-        self.service = self.service.circuit(circuit);
         self
     }
 
@@ -250,7 +199,7 @@ impl<S: StateMachine, M: SharedMemory> StoreBuilder<S, M> {
     /// wires an externally-driven [`ReplicatedLog`], and starts the
     /// store's sequencer and apply threads.
     pub fn build(self) -> ReplicatedStore<S, M> {
-        let values = self.options.max_inflight_batches as u64 + 1;
+        let values = MAX_INFLIGHT_BATCHES as u64 + 1;
         let service = self
             .service
             .n(self.options.sequencers)
@@ -272,7 +221,6 @@ mod tests {
         let options = StoreOptions::default();
         assert_eq!(options.sequencers, 2);
         assert_eq!(options.batch_commands, 512);
-        assert_eq!(options.max_inflight_batches, 1024);
         assert_eq!(options.snapshot_every, 1024);
         assert_eq!(options.lease_ttl, Duration::from_millis(5));
         assert_eq!(options.expected_sessions, 0);
@@ -283,7 +231,6 @@ mod tests {
         let mut store = StoreBuilder::<KvStore>::new()
             .sequencers(0)
             .batch_commands(0)
-            .max_inflight_batches(0)
             .snapshot_every(0)
             .build();
         let mut client = store.client();
@@ -316,7 +263,6 @@ mod tests {
             .seed(7)
             .workers(2)
             .shards(2)
-            .ring_capacity(256)
             .sequencers(2)
             .batch_commands(4)
             .lease_ttl(Duration::from_millis(1))

@@ -60,7 +60,7 @@ mod kv;
 mod machine;
 mod store;
 
-pub use builder::{StoreBuilder, StoreOptions};
+pub use builder::StoreBuilder;
 pub use cell::CommandHandle;
 pub use error::StoreError;
 pub use kv::{KvCommand, KvResponse, KvStore};

@@ -49,8 +49,12 @@ use crate::kv::KvStore;
 use crate::machine::StateMachine;
 
 /// The reserved "empty slot" command code. Real batch codes are
-/// `1..=max_inflight_batches`.
+/// `1..=MAX_INFLIGHT_BATCHES`.
 const NOOP: u64 = 0;
+
+/// Command-slab capacity: batches formed but not yet applied. Bounds the
+/// consensus value space to `MAX_INFLIGHT_BATCHES + 1` codes.
+pub(crate) const MAX_INFLIGHT_BATCHES: usize = 1024;
 
 /// Admission-refusal retries a sequencer attempts (50µs apart) before
 /// declaring the ordering path dead. Only reachable under non-blocking
@@ -129,8 +133,10 @@ struct StoreInner<S: StateMachine, M: SharedMemory> {
     /// monotonic-clock helper.
     leases: Mutex<FastMap<u64, Instant>>,
     latest_snapshot: Mutex<Option<(u64, S::Snapshot)>>,
-    /// 1 + highest slot any sequencer has learned decided; the next fresh
-    /// slot. Idle sequencers trail this, retiring decided slots.
+    /// 1 + highest slot any sequencer has seen decided; the next fresh
+    /// slot. Advanced *before* the slot is learned into `log`, so
+    /// `frontier >= log.learned_prefix()` always. Idle sequencers trail
+    /// this, retiring decided slots.
     frontier: AtomicU64,
     apply_mx: Mutex<()>,
     apply_cv: Condvar,
@@ -266,10 +272,13 @@ impl<S: StateMachine, M: SharedMemory> StoreInner<S, M> {
             // decided, and its stale decision can equal our code from the
             // code's *previous* life in the slab — which would read as "we
             // won" and strand the batch. At `cursor >= frontier` that
-            // aliasing is impossible: the code's previous owner stopped
-            // proposing at its winning slot, which apply passed before the
-            // code was recycled to us, so `decided == code` here can only
-            // mean this very batch won.
+            // aliasing is impossible because of the invariant kept below:
+            // *a slot is learned only after `frontier` is past it*. A code
+            // is recycled only once apply has consumed its winning slot,
+            // apply consumes only learned slots, and we drew the code from
+            // the slab after that — so the `frontier` we load here is
+            // already past every slot the code ever won, and
+            // `decided == code` can only mean this very batch won.
             let proposal = if current.is_some() && cursor >= self.frontier.load(Ordering::Acquire) {
                 current.unwrap_or(NOOP)
             } else {
@@ -283,9 +292,13 @@ impl<S: StateMachine, M: SharedMemory> StoreInner<S, M> {
                     return;
                 }
             };
-            self.log.learn_decided(cursor as usize, decided);
+            // Advance `frontier` first, learn second: once the slot is
+            // learned apply may free its code, and a sequencer that draws
+            // the recycled code must already see `frontier` past this slot.
             let next = cursor + 1;
-            if self.frontier.fetch_max(next, Ordering::AcqRel) < next {
+            let advanced = self.frontier.fetch_max(next, Ordering::AcqRel) < next;
+            self.log.learn_decided(cursor as usize, decided);
+            if advanced {
                 let _g = self.lock_intake();
                 self.work_cv.notify_all();
             }
@@ -329,7 +342,13 @@ impl<S: StateMachine, M: SharedMemory> StoreInner<S, M> {
                         .unwrap_or_else(PoisonError::into_inner);
                 }
             }
+            // Prefix first, then frontier: both only grow, so this order
+            // cannot report a violation that did not happen.
             let prefix = self.log.learned_prefix() as u64;
+            debug_assert!(
+                self.frontier.load(Ordering::Acquire) >= prefix,
+                "slot learned before frontier passed it"
+            );
             while applied_slots < prefix {
                 let code = self
                     .log
@@ -483,7 +502,6 @@ impl<S: StateMachine, M: SharedMemory> ReplicatedStore<S, M> {
         initial: S,
     ) -> ReplicatedStore<S, M> {
         let sequencer_count = options.sequencers;
-        let slab_capacity = options.max_inflight_batches;
         let mut sessions = FastMap::default();
         sessions.reserve(options.expected_sessions);
         let inner = Arc::new(StoreInner {
@@ -495,7 +513,7 @@ impl<S: StateMachine, M: SharedMemory> ReplicatedStore<S, M> {
                 closed: false,
             }),
             work_cv: Condvar::new(),
-            slab: Mutex::new(Slab::with_capacity(slab_capacity)),
+            slab: Mutex::new(Slab::with_capacity(MAX_INFLIGHT_BATCHES)),
             state: Mutex::new(initial),
             sessions: Mutex::new(sessions),
             leases: Mutex::new(FastMap::default()),
@@ -757,6 +775,7 @@ impl ReplicatedStore<KvStore> {
 mod tests {
     use super::*;
     use crate::kv::{KvCommand, KvResponse};
+    use std::time::Duration;
 
     fn small_store() -> ReplicatedStore<KvStore> {
         ReplicatedStore::<KvStore>::builder()
@@ -869,6 +888,51 @@ mod tests {
         store.shutdown();
     }
 
+    /// The store deadlock of ROADMAP item 4: a slot learned before
+    /// `frontier` passed it let a recycled batch code alias the slot's
+    /// stale decision, and the batch was dropped unapplied. A watcher
+    /// samples the invariant (prefix first, then frontier, as `run_apply`
+    /// does) while closed-loop clients drive a few thousand batch-of-1
+    /// slots through three sequencers.
+    #[test]
+    fn a_slot_is_learned_only_after_frontier_passes_it() {
+        let mut store = ReplicatedStore::<KvStore>::builder().sequencers(3).build();
+        let inner = &store.inner;
+        let done = AtomicBool::new(false);
+        let (clients, violations) = std::thread::scope(|scope| {
+            let watcher = scope.spawn(|| {
+                let mut violations = 0u64;
+                while !done.load(Ordering::Acquire) {
+                    let prefix = inner.log.learned_prefix() as u64;
+                    violations += u64::from(inner.frontier.load(Ordering::Acquire) < prefix);
+                }
+                violations
+            });
+            let clients: Vec<_> = (0..2u64)
+                .map(|key| {
+                    let mut session = store.client();
+                    scope.spawn(move || {
+                        for value in 0..4_000 {
+                            session
+                                .submit(KvCommand::Put { key, value })
+                                .wait_timeout(Duration::from_secs(10))
+                                .expect("call answered");
+                        }
+                    })
+                })
+                .collect();
+            // Join before judging, so a stalled client cannot leave the
+            // watcher spinning inside the scope.
+            let clients: Vec<_> = clients.into_iter().map(|c| c.join()).collect();
+            done.store(true, Ordering::Release);
+            (clients, watcher.join().expect("watcher"))
+        });
+        assert_eq!(violations, 0, "{store:?}");
+        assert!(clients.iter().all(Result::is_ok), "{store:?}");
+        assert_eq!(store.applied_commands(), 8_000);
+        store.shutdown();
+    }
+
     #[test]
     fn fast_reads_observe_completed_writes_and_grant_leases() {
         let mut store = small_store();
@@ -927,6 +991,39 @@ mod tests {
         store.shutdown();
         store.shutdown();
         drop(store);
+    }
+
+    #[test]
+    fn open_loop_batches_over_distinct_sessions_apply_each_command_once() {
+        // Two producers pipeline `submit_batch` chunks without waiting,
+        // every command from a session of its own: nothing may be lost or
+        // double-applied, and each command opens exactly one session.
+        let mut store = ReplicatedStore::<KvStore>::builder()
+            .batch_commands(64)
+            .build();
+        let per_producer = 2_000u64;
+        std::thread::scope(|scope| {
+            for p in 0..2u64 {
+                let store = &store;
+                scope.spawn(move || {
+                    let put = |key| (key, 1, KvCommand::Put { key, value: p });
+                    let script: Vec<_> = (1 + p * per_producer..=(p + 1) * per_producer)
+                        .map(put)
+                        .collect();
+                    let handles: Vec<_> = script
+                        .chunks(256)
+                        .flat_map(|chunk| store.submit_batch(chunk.iter().copied()))
+                        .collect();
+                    for handle in handles {
+                        let answer = handle.wait_timeout(Duration::from_secs(10));
+                        assert_eq!(answer, Ok(KvResponse::Stored(None)));
+                    }
+                });
+            }
+        });
+        assert_eq!(store.applied_commands(), 2 * per_producer);
+        assert_eq!(store.telemetry().sessions_created(), 2 * per_producer);
+        store.shutdown();
     }
 
     #[test]

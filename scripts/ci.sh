@@ -11,6 +11,11 @@ echo "== api surface =="
 # snapshot is refreshed with scripts/api_surface.sh --update.
 scripts/api_surface.sh
 
+echo "== size =="
+# Rust lines, API declarations and lock packages, tracked like throughput:
+# the triple goes in the CHANGES.md line of any PR that moves it.
+scripts/size.sh
+
 echo "== clippy =="
 cargo clippy --workspace --all-targets -- -D warnings
 
@@ -37,34 +42,6 @@ echo "== lab conformance (fixed-seed campaign) =="
 # protocol over the bounded adversary matrix; any divergence exits nonzero.
 cargo run -p mc-bench --release --bin lab_explore -- --seeds 10000
 
-echo "== engine throughput (pooling smoke) =="
-# Sustained ReplicatedLog append-apply loop plus a ConsensusEngine submit
-# stream: exits nonzero unless RSS after 10x the warm-up volume stays
-# within 5% of the warm-up RSS, pool hit rate exceeds 90%, and every slot
-# instance shares the log's validated options allocation.
-cargo run -p mc-bench --release --bin engine_throughput -- --warmup 5000
-test -s BENCH_engine_throughput.json
-
-echo "== service throughput (batching gate) =="
-# Pipelined service vs per-call submit at 8 producer threads, both legs
-# with a streaming recorder attached, best of 3 trials per leg: exits
-# nonzero unless the service sustains >= 1.5x ops/sec (the gate is looser
-# than the ~4x measured on idle hardware so shared-runner noise cannot
-# flake it; the report carries the strict measured speedup) and the
-# proposal count reconciles exactly on every trial.
-cargo run -p mc-bench --release --bin service_throughput -- --ops 20000
-test -s BENCH_service_throughput.json
-
-echo "== store throughput (state-machine SLO gate) =="
-# Replicated KV store end to end: the open-loop leg must sustain >= 1M
-# applied commands/sec across 1.25M distinct client sessions (telemetry
-# reconciled exactly), and the closed-loop call p99 must stay under 20ms
-# at 8 synchronous clients. Both gates are far looser than the ~2.5-3M/s
-# and sub-millisecond p99 measured on idle hardware so shared-runner
-# noise cannot flake them; the report carries the strict figures.
-cargo run -p mc-bench --release --bin store_throughput
-test -s BENCH_store_throughput.json
-
 echo "== graph checker (n=3 sweep) =="
 # Graph-based model checker over every composed protocol at n=3 (full
 # adversary-choice tree, symmetry-reduced), the path engine as n=2
@@ -78,12 +55,9 @@ echo "== chaos campaign (exactly-once under worker failure) =="
 # Chaos plan x supervision policy sweep over the service: seeded worker
 # panics at drain boundaries, mid-drain stalls, and register faults. Every
 # submitted proposal must decide exactly once (zero lost, zero duplicate
-# ledger entries, restarts within budget), recovery latency quantiles land
-# in BENCH_chaos_recovery.json, and the supervised service with an empty
-# chaos plan must sustain >= 0.9x the legacy restart_budget=0 throughput
-# (the report carries the measured ratio; the gate is looser than the
-# ~1.0x measured on idle hardware so shared-runner noise cannot flake it).
-cargo run -p mc-bench --release --bin chaos_campaign -- --seeds 5 --min-ratio 0.9 > chaos_campaign.jsonl
+# ledger entries, restarts within budget); recovery latency quantiles land
+# in BENCH_chaos_recovery.json.
+cargo run -p mc-bench --release --bin chaos_campaign -- --seeds 5 > chaos_campaign.jsonl
 test -s chaos_campaign.jsonl
 test -s BENCH_chaos_recovery.json
 
@@ -106,5 +80,21 @@ echo "== fault campaign (degradation smoke) =="
 # stdout; nonzero exit on any violation.
 cargo run -p mc-bench --release --bin fault_campaign -- --seeds 1000 > fault_campaign.jsonl
 test -s fault_campaign.jsonl
+
+echo "== perf_stack (smoke + unit tests) =="
+# The repo's one benchmark (bench/, BENCHMARK.json): a 1/20-size pass over
+# all six workloads with the schema self-check, then the package's unit
+# tests. Timing is gated by the benchmark driver against the parent commit,
+# not here; this leg only keeps the surviving measurement path building,
+# running and verifying its outputs on every push.
+# bench/ is frozen outside benchmark PRs, but its tracked Cargo.lock still
+# names a shim this workspace no longer has and cargo prunes the entry on
+# every build: put the tracked bytes back however the leg ends (ROADMAP
+# item 3 has the refresh as a follow-up for the next benchmark PR).
+bench_lock=$(mktemp)
+cp bench/Cargo.lock "$bench_lock"
+trap 'cp "$bench_lock" bench/Cargo.lock; rm -f "$bench_lock"' EXIT
+cargo run --release --manifest-path bench/Cargo.toml --bin perf_stack -- --smoke > /dev/null
+cargo test --release --manifest-path bench/Cargo.toml
 
 echo "CI OK"

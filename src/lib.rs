@@ -108,7 +108,7 @@ pub mod prelude {
     pub use mc_sim::{adversary, harness, observe, sched, EngineConfig};
     pub use mc_store::{
         CommandHandle, KvCommand, KvResponse, KvStore, ReplicatedStore, StateMachine, StoreBuilder,
-        StoreClient, StoreError, StoreOptions,
+        StoreClient, StoreError,
     };
     pub use mc_telemetry::{
         AggregatingRecorder, JsonlRecorder, NoopRecorder, Recorder, TelemetryEvent,

@@ -4,8 +4,23 @@
 //! must round-trip — both for the bare state machine and through a store
 //! resumed from a snapshot.
 
-use modular_consensus::store::{KvCommand, KvStore, ReplicatedStore, StateMachine, StoreError};
+use modular_consensus::store::{
+    CommandHandle, KvCommand, KvResponse, KvStore, ReplicatedStore, StateMachine, StoreError,
+};
 use proptest::prelude::*;
+
+/// Bounded wait for a store response: a stalled store fails the property
+/// with its `Debug` view (learned slots, applied commands, sequencers)
+/// instead of hanging tier-1.
+fn settle(
+    store: &ReplicatedStore<KvStore>,
+    handle: &CommandHandle<KvResponse>,
+) -> Result<KvResponse, StoreError> {
+    match handle.wait_timeout(std::time::Duration::from_secs(10)) {
+        Err(StoreError::Timeout) => panic!("store stalled for 10 s: {store:?}"),
+        answered => answered,
+    }
+}
 
 /// One generated command, resolved against the reference machine at drive
 /// time (so `expect_sel == 2` produces a CAS against the *current* value —
@@ -71,7 +86,7 @@ proptest! {
             cached[client as usize] = Some(expected);
             distinct += 1;
 
-            let got = store.submit(client, seq, command).wait();
+            let got = settle(&store, &store.submit(client, seq, command));
             prop_assert_eq!(got, Ok(expected), "command {} first delivery", i);
 
             for _ in 0..dups {
@@ -85,7 +100,7 @@ proptest! {
                     pending.rotate_left(pivot);
                 }
                 for (c, s, cmd) in pending.drain(..) {
-                    let redelivered = store.submit(c, s, cmd).wait();
+                    let redelivered = settle(&store, &store.submit(c, s, cmd));
                     if s == last_seq[c as usize] {
                         dup_copies += 1;
                         let cache = cached[c as usize].expect("session has a cached response");
@@ -141,7 +156,7 @@ proptest! {
             let expected_original = original.apply(&command);
             let expected_restored = restored.apply(&command);
             prop_assert_eq!(expected_original, expected_restored);
-            prop_assert_eq!(session.call(command), Ok(expected_restored));
+            prop_assert_eq!(settle(&store, &session.submit(command)), Ok(expected_restored));
         }
         prop_assert_eq!(original.snapshot(), restored.snapshot());
         prop_assert_eq!(store.read_with(1, |kv| kv.snapshot()), restored.snapshot());
