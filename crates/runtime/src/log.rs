@@ -410,8 +410,8 @@ impl<M: SharedMemory> ReplicatedLog<M> {
     }
 
     /// Records a decision an *external* sequencer reached for `slot` —
-    /// the store layer's path, where commands are ordered through a
-    /// [`ConsensusService`](crate::ConsensusService) (one instance per
+    /// the store layer's path, where sequencers order commands on a
+    /// [`ConsensusEngine`](crate::ConsensusEngine) (one instance per
     /// slot) and this log only keeps the learned prefix, entry storage,
     /// and compaction machinery. Idempotent: re-learning a slot with the
     /// same value, or a slot already compacted away, is a no-op.

@@ -10,8 +10,10 @@
 //! The batching service additionally *amortizes* recorder traffic: while a
 //! `ConsensusService` drives an engine, per-decide events (`StageEntered`,
 //! `Decided`, …) are suppressed on that engine's telemetry and the recorder
-//! instead receives one `BatchDrained` summary per drained batch. Counters
-//! and histograms keep their per-operation fidelity either way.
+//! instead receives one `BatchDrained` summary per drained batch. The store,
+//! whose sequencers decide on the engine directly, holds the same mode
+//! through an [`AmortizedEvents`] guard. Counters and histograms keep their
+//! per-operation fidelity either way.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -86,6 +88,17 @@ pub struct RuntimeTelemetry {
     lease_grants: Counter,
     fast_reads: Counter,
     store_snapshots: Counter,
+}
+
+/// Keeps a [`RuntimeTelemetry`] in amortized recorder mode while alive;
+/// see [`RuntimeTelemetry::amortized`].
+#[derive(Debug)]
+pub struct AmortizedEvents(Arc<RuntimeTelemetry>);
+
+impl Drop for AmortizedEvents {
+    fn drop(&mut self) {
+        self.0.restore_decide_events();
+    }
 }
 
 impl std::fmt::Debug for RuntimeTelemetry {
@@ -190,6 +203,16 @@ impl RuntimeTelemetry {
         let _ =
             self.decide_event_amortizers
                 .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| v.checked_sub(1));
+    }
+
+    /// Amortized recorder mode (see
+    /// [`decide_events_on`](Self::decide_events_on)) as a guard, for a
+    /// driver outside this crate that decides on its own threads at a rate
+    /// a per-decide recorder call would dominate — the store's sequencers.
+    /// Reference-counted with the service's; lasts until the guard drops.
+    pub fn amortized(self: &Arc<Self>) -> AmortizedEvents {
+        self.amortize_decide_events();
+        AmortizedEvents(Arc::clone(self))
     }
 
     /// The attached recorder.
@@ -1040,6 +1063,13 @@ mod tests {
         assert!(t.decide_events_on());
         t.amortize_decide_events();
         assert!(!t.decide_events_on());
+        // The guard form is one more reference, released on drop.
+        t.restore_decide_events();
+        let t = Arc::new(t);
+        let guard = t.amortized();
+        assert!(!t.decide_events_on());
+        drop(guard);
+        assert!(t.decide_events_on());
     }
 
     #[test]

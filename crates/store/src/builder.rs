@@ -1,20 +1,17 @@
 //! The store end of the unified builder chain:
-//! `ConsensusBuilder → EngineBuilder → ServiceBuilder → StoreBuilder`.
+//! `ConsensusBuilder → EngineBuilder → StoreBuilder`.
 
 use std::sync::Arc;
 use std::time::Duration;
 
-use mc_runtime::{
-    AtomicMemory, BackpressurePolicy, ChaosPlan, ConciliatorChoice, ReplicatedLog, ServiceBuilder,
-    SharedMemory, SupervisorOptions,
-};
+use mc_runtime::{AtomicMemory, ConciliatorChoice, EngineBuilder, ReplicatedLog, SharedMemory};
 use mc_telemetry::Recorder;
 
 use crate::machine::StateMachine;
 use crate::store::{ReplicatedStore, MAX_INFLIGHT_BATCHES};
 
-/// Store-layer knobs, separate from the consensus/engine/service knobs
-/// the builder passes through.
+/// Store-layer knobs, separate from the consensus/engine knobs the
+/// builder passes through.
 #[derive(Debug, Clone)]
 pub(crate) struct StoreOptions {
     /// Proposer threads ordering batches — also the consensus `n` and the
@@ -34,6 +31,9 @@ pub(crate) struct StoreOptions {
     /// Capacity hint for the session table; see
     /// [`StoreBuilder::expected_sessions`]. Default 0.
     pub expected_sessions: usize,
+    /// Base seed of the sequencers' coin streams: sequencer `i` decides on
+    /// `mix_seed(seed, i)`. Default `0x5EED`.
+    pub seed: u64,
 }
 
 impl Default for StoreOptions {
@@ -44,14 +44,15 @@ impl Default for StoreOptions {
             snapshot_every: 1024,
             lease_ttl: Duration::from_millis(5),
             expected_sessions: 0,
+            seed: 0x5EED,
         }
     }
 }
 
 /// Builds a [`ReplicatedStore`]: store knobs here, everything beneath
-/// (conciliator choice, sharding, workers, backpressure, supervision,
-/// chaos, circuit breaker) passed through to the wrapped
-/// [`ServiceBuilder`] — one fluent chain from coin flips to KV responses.
+/// (conciliator choice, memory substrate, recorder, sharding) passed
+/// through to the wrapped [`EngineBuilder`] — one fluent chain from coin
+/// flips to KV responses.
 ///
 /// ```
 /// use mc_store::{KvStore, ReplicatedStore};
@@ -64,7 +65,7 @@ impl Default for StoreOptions {
 /// ```
 #[derive(Debug)]
 pub struct StoreBuilder<S: StateMachine, M: SharedMemory = AtomicMemory> {
-    service: ServiceBuilder<M>,
+    engine: EngineBuilder<M>,
     options: StoreOptions,
     initial: S,
 }
@@ -74,7 +75,7 @@ impl<S: StateMachine + Default> StoreBuilder<S> {
     /// state.
     pub fn new() -> StoreBuilder<S> {
         StoreBuilder {
-            service: ServiceBuilder::new(),
+            engine: EngineBuilder::new(),
             options: StoreOptions::default(),
             initial: S::default(),
         }
@@ -131,83 +132,62 @@ impl<S: StateMachine, M: SharedMemory> StoreBuilder<S, M> {
         self
     }
 
-    // ---- service/engine/consensus passthroughs -----------------------
+    // ---- engine/consensus passthroughs -------------------------------
 
     /// Conciliator powering each slot's consensus; see
-    /// [`ServiceBuilder::conciliator`].
+    /// [`EngineBuilder::conciliator`].
     pub fn conciliator(mut self, choice: ConciliatorChoice) -> Self {
-        self.service = self.service.conciliator(choice);
+        self.engine = self.engine.conciliator(choice);
         self
     }
 
     /// Telemetry recorder threaded down the whole stack.
     pub fn recorder(mut self, recorder: Arc<dyn Recorder>) -> Self {
-        self.service = self.service.recorder(recorder);
+        self.engine = self.engine.recorder(recorder);
         self
     }
 
     /// Swaps the shared-memory implementation (chaos memory, recorders).
     pub fn memory<M2: SharedMemory>(self, memory: M2) -> StoreBuilder<S, M2> {
         StoreBuilder {
-            service: self.service.memory(memory),
+            engine: self.engine.memory(memory),
             options: self.options,
             initial: self.initial,
         }
     }
 
-    /// Engine shard count; see [`ServiceBuilder::shards`].
+    /// Engine shard count; see [`EngineBuilder::shards`].
     pub fn shards(mut self, shards: usize) -> Self {
-        self.service = self.service.shards(shards);
-        self
-    }
-
-    /// Service worker threads; see [`ServiceBuilder::workers`].
-    pub fn workers(mut self, workers: usize) -> Self {
-        self.service = self.service.workers(workers);
-        self
-    }
-
-    /// Admission policy when the intake ring is full; see
-    /// [`ServiceBuilder::backpressure`].
-    pub fn backpressure(mut self, policy: BackpressurePolicy) -> Self {
-        self.service = self.service.backpressure(policy);
+        self.engine = self.engine.shards(shards);
         self
     }
 
     /// Seed for the stack's deterministic randomness.
     pub fn seed(mut self, seed: u64) -> Self {
-        self.service = self.service.seed(seed);
-        self
-    }
-
-    /// Worker supervision; see [`ServiceBuilder::supervisor`].
-    pub fn supervisor(mut self, supervisor: SupervisorOptions) -> Self {
-        self.service = self.service.supervisor(supervisor);
-        self
-    }
-
-    /// Fault-injection plan; see [`ServiceBuilder::chaos`].
-    pub fn chaos(mut self, plan: ChaosPlan) -> Self {
-        self.service = self.service.chaos(plan);
+        self.options.seed = seed;
         self
     }
 
     // ---- build -------------------------------------------------------
 
-    /// Builds the service (consensus `n` = engine `participants` =
+    /// Builds the engine (consensus `n` = engine `participants` =
     /// `sequencers`; value space = slab capacity + 1 for the no-op code),
     /// wires an externally-driven [`ReplicatedLog`], and starts the
     /// store's sequencer and apply threads.
     pub fn build(self) -> ReplicatedStore<S, M> {
         let values = MAX_INFLIGHT_BATCHES as u64 + 1;
-        let service = self
-            .service
+        let engine = self
+            .engine
             .n(self.options.sequencers)
             .values(values)
             .participants(self.options.sequencers)
+            // A sequencer must never park on the engine's live-instance
+            // bound: the submits that would retire the blocking instances
+            // are its peers', and a dead peer's never come.
+            .max_live_per_shard(usize::MAX)
             .build();
         let log = ReplicatedLog::new(self.options.sequencers, values);
-        ReplicatedStore::start(service, log, self.options, self.initial)
+        ReplicatedStore::start(engine, log, self.options, self.initial)
     }
 }
 
@@ -224,6 +204,7 @@ mod tests {
         assert_eq!(options.snapshot_every, 1024);
         assert_eq!(options.lease_ttl, Duration::from_millis(5));
         assert_eq!(options.expected_sessions, 0);
+        assert_eq!(options.seed, 0x5EED);
     }
 
     #[test]
@@ -261,7 +242,6 @@ mod tests {
     fn passthroughs_compose_with_store_knobs() {
         let mut store = StoreBuilder::<KvStore>::new()
             .seed(7)
-            .workers(2)
             .shards(2)
             .sequencers(2)
             .batch_commands(4)

@@ -63,6 +63,10 @@ impl<R: Clone> ResponseCell<R> {
             if let Some(result) = slot.value.as_ref() {
                 return result.clone();
             }
+            // Wait site (client). Predicate, checked above under the slot
+            // mutex: the value is present. Only `fill` makes it true, and
+            // it notifies iff `waiters`, raised here under the same mutex,
+            // is nonzero.
             slot.waiters += 1;
             slot = self.cv.wait(slot).unwrap_or_else(PoisonError::into_inner);
             slot.waiters -= 1;
@@ -80,6 +84,7 @@ impl<R: Clone> ResponseCell<R> {
             if now >= deadline {
                 return Err(StoreError::Timeout);
             }
+            // Wait site (client), as in `wait`, bounded by the deadline.
             slot.waiters += 1;
             let (next, _) = self
                 .cv

@@ -11,9 +11,9 @@ use mc_runtime::EngineError;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum StoreError {
-    /// The underlying consensus path failed to order the command's batch
-    /// (worker death past its restart budget, admission permanently
-    /// refused). The batch was abandoned; the command was never applied.
+    /// The underlying consensus path failed to order the command: a
+    /// sequencer died mid-decide ([`EngineError::Poisoned`]) and the store
+    /// stopped ordering. The command was abandoned, never applied.
     Ordering(EngineError),
     /// The command's sequence number predates the session's last applied
     /// one — the session table's cached response has already been
@@ -55,12 +55,6 @@ impl Error for StoreError {
             StoreError::Ordering(e) => Some(e),
             _ => None,
         }
-    }
-}
-
-impl From<EngineError> for StoreError {
-    fn from(e: EngineError) -> StoreError {
-        StoreError::Ordering(e)
     }
 }
 

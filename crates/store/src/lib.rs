@@ -3,7 +3,7 @@
 //! workload layer.
 //!
 //! The stack below this crate agrees on *one value at a time*:
-//! [`ConsensusService`](mc_runtime::ConsensusService) pipelines one-shot
+//! [`ConsensusEngine`](mc_runtime::ConsensusEngine) pools one-shot
 //! instances, [`ReplicatedLog`](mc_runtime::ReplicatedLog) strings their
 //! decisions into totally-ordered slots. This crate closes the loop the
 //! consensus problem exists for: a deterministic [`StateMachine`] applied
@@ -15,12 +15,16 @@
 //! - [`StateMachine`]: deterministic `apply`, plus snapshot/restore hooks.
 //! - [`KvStore`]: the reference machine — a linearizable `u64 → u64` map
 //!   with `get`/`put`/`cas`/`delete`.
-//! - [`ReplicatedStore`]: orders commands through a [`ConsensusService`]
-//!   into [`ReplicatedLog`] slots (batch at a time — group commit), applies
-//!   the learned prefix on a dedicated apply worker, and answers each
-//!   command exactly once via a viewstamped-replication-style session
-//!   table (client id + per-session sequence number; duplicates return the
-//!   cached response, never a re-apply).
+//! - [`ReplicatedStore`]: `sequencers` proposer threads order commands
+//!   into [`ReplicatedLog`] slots (batch at a time — group commit), each
+//!   deciding its proposal inline on the [`ConsensusEngine`] — the
+//!   objects are wait-free, so nobody decides on a proposer's behalf and
+//!   the store runs `sequencers + 1` threads in all. A dedicated apply
+//!   worker applies the learned prefix and answers each command exactly
+//!   once via a viewstamped-replication-style session table (client id +
+//!   per-session sequence number; duplicates return the cached response,
+//!   never a re-apply). A thread is woken only when the predicate it
+//!   waits on changed (DESIGN.md §12 has the table).
 //! - [`StoreClient`]: a client session — owns the client id, stamps
 //!   sequence numbers, supports explicit duplicate [`resend`] for retry.
 //! - Lease-gated fast reads ([`ReplicatedStore::read_with`]): served from
@@ -28,7 +32,7 @@
 //!   command's response is only released *at apply time*, so everything a
 //!   caller could have observed complete is already in the applied state.
 //!
-//! [`ConsensusService`]: mc_runtime::ConsensusService
+//! [`ConsensusEngine`]: mc_runtime::ConsensusEngine
 //! [`ReplicatedLog`]: mc_runtime::ReplicatedLog
 //! [`resend`]: StoreClient::resend
 //!

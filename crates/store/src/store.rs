@@ -1,6 +1,6 @@
 //! The replicated store: group-commit sequencers ordering command batches
-//! through the consensus service, a dedicated apply worker, and the
-//! session table that makes delivery exactly-once.
+//! on the consensus engine, a dedicated apply worker, and the session
+//! table that makes delivery exactly-once.
 //!
 //! # How a command becomes a response
 //!
@@ -9,10 +9,12 @@
 //! 2. A **sequencer** drains up to `batch_commands` pending commands into
 //!    a batch, interns it in the command slab (its index + 1 is the
 //!    batch's *code* — code 0 is the no-op), and proposes the code for
-//!    its current slot through the [`ConsensusService`]. Consensus picks
-//!    one code per slot; a losing sequencer re-proposes the same batch at
-//!    the next slot. Decisions are recorded into the [`ReplicatedLog`]
-//!    via [`learn_decided`](ReplicatedLog::learn_decided).
+//!    its current slot with [`ConsensusEngine::submit`], deciding on its
+//!    own thread: the paper's objects are wait-free, so a proposer needs
+//!    nobody to decide for it. Consensus picks one code per slot; a
+//!    losing sequencer re-proposes the same batch at the next slot.
+//!    Decisions are recorded into the [`ReplicatedLog`] via
+//!    [`learn_decided`](ReplicatedLog::learn_decided).
 //! 3. The **apply worker** walks the log's learned prefix in slot order,
 //!    resolves each code back to its batch, applies each command through
 //!    the session table (duplicates answered from the cache, never
@@ -31,15 +33,19 @@
 
 use std::collections::hash_map::Entry;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
+use mc_model::mix_seed;
 use mc_runtime::clock;
 use mc_runtime::{
-    AtomicMemory, ConsensusService, EngineError, ReplicatedLog, RuntimeTelemetry, SharedMemory,
+    AmortizedEvents, AtomicMemory, ConsensusEngine, EngineError, ReplicatedLog, RuntimeTelemetry,
+    SharedMemory,
 };
+use rand::rngs::SmallRng;
+use rand::SeedableRng;
 
 use crate::builder::{StoreBuilder, StoreOptions};
 use crate::cell::{CommandHandle, ResponseCell};
@@ -56,11 +62,6 @@ const NOOP: u64 = 0;
 /// consensus value space to `MAX_INFLIGHT_BATCHES + 1` codes.
 pub(crate) const MAX_INFLIGHT_BATCHES: usize = 1024;
 
-/// Admission-refusal retries a sequencer attempts (50µs apart) before
-/// declaring the ordering path dead. Only reachable under non-blocking
-/// backpressure policies; the default `Block` policy never refuses.
-const ORDER_RETRY_LIMIT: u32 = 2_000;
-
 /// One submitted command waiting to be ordered and applied.
 struct Pending<S: StateMachine> {
     client: u64,
@@ -72,7 +73,13 @@ struct Pending<S: StateMachine> {
 /// Intake queue: commands submitted but not yet drafted into a batch.
 struct Intake<S: StateMachine> {
     queue: VecDeque<Pending<S>>,
+    /// No new submissions: sequencers drain `queue`, then exit.
     closed: bool,
+    /// A sequencer found the slab full and parks until apply frees a code.
+    /// Kept under the intake mutex (like `ResponseCell`'s waiter count) so
+    /// the apply worker wakes sequencers only on a pass where one is
+    /// actually waiting for it — at batch-of-1, never.
+    starved: bool,
 }
 
 /// The command table: in-flight batches, addressed by code − 1. A code is
@@ -98,11 +105,14 @@ impl<S: StateMachine> Slab<S> {
         Some(ix as u64 + 1)
     }
 
-    fn take(&mut self, code: u64) -> Vec<Pending<S>> {
+    /// `None` only in a poisoned store: the dying sequencer's guard and
+    /// the apply worker can both reach for the batch it proposed last,
+    /// and the second finds it gone.
+    fn take(&mut self, code: u64) -> Option<Vec<Pending<S>>> {
         let ix = (code - 1) as usize;
-        let batch = self.entries[ix].take().expect("code maps to a live batch");
+        let batch = self.entries[ix].take()?;
         self.free.push(ix);
-        batch
+        Some(batch)
     }
 }
 
@@ -116,15 +126,21 @@ struct Session<R> {
 }
 
 struct StoreInner<S: StateMachine, M: SharedMemory> {
-    service: ConsensusService<M>,
-    /// External-drive mode: sequencers run consensus through `service`
-    /// and record outcomes with `learn_decided`; the log keeps the
-    /// learned prefix, entry storage, and compaction machinery.
+    /// One instance per slot; every sequencer submits to every slot, on
+    /// its own thread.
+    engine: ConsensusEngine<M>,
+    /// Per-decide recorder events stay off while sequencers drive the
+    /// engine, as under the batching service: at one decide per slot per
+    /// sequencer a recorder call each would dominate the slot.
+    _amortized: AmortizedEvents,
+    /// External-drive mode: sequencers run consensus on `engine` and
+    /// record outcomes with `learn_decided`; the log keeps the learned
+    /// prefix, entry storage, and compaction machinery.
     log: ReplicatedLog,
     options: StoreOptions,
     intake: Mutex<Intake<S>>,
     /// Paired with `intake`: wakes sequencers on new work, frontier
-    /// advance, apply progress (slab space), and shutdown.
+    /// advance, slab space a starved one waits for, and shutdown.
     work_cv: Condvar,
     slab: Mutex<Slab<S>>,
     state: Mutex<S>,
@@ -140,18 +156,21 @@ struct StoreInner<S: StateMachine, M: SharedMemory> {
     frontier: AtomicU64,
     apply_mx: Mutex<()>,
     apply_cv: Condvar,
-    shutdown: AtomicBool,
     sequencers_live: AtomicU64,
     next_client: AtomicU64,
 }
 
 impl<S: StateMachine, M: SharedMemory> StoreInner<S, M> {
     fn telemetry(&self) -> &RuntimeTelemetry {
-        self.service.telemetry()
+        self.engine.telemetry()
     }
 
-    fn lock_intake(&self) -> std::sync::MutexGuard<'_, Intake<S>> {
+    fn lock_intake(&self) -> MutexGuard<'_, Intake<S>> {
         self.intake.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn lock_slab(&self) -> MutexGuard<'_, Slab<S>> {
+        self.slab.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Enqueues one command, returning its handle. A closed intake
@@ -180,7 +199,7 @@ impl<S: StateMachine, M: SharedMemory> StoreInner<S, M> {
     /// returning its code — `None` when the slab is full (apply lag; the
     /// apply worker's progress will wake us).
     fn try_form_batch(&self, intake: &mut Intake<S>) -> Option<u64> {
-        let mut slab = self.slab.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut slab = self.lock_slab();
         if slab.free.is_empty() {
             return None;
         }
@@ -189,78 +208,68 @@ impl<S: StateMachine, M: SharedMemory> StoreInner<S, M> {
         slab.alloc(batch)
     }
 
-    /// Proposes `code` for `slot` through the consensus service and waits
-    /// for the slot's decision.
-    fn order(&self, slot: u64, code: u64) -> Result<u64, StoreError> {
-        let mut refusals = 0u32;
-        loop {
-            match self.service.submit(slot, code) {
-                Ok(handle) => return handle.wait().map_err(StoreError::Ordering),
-                Err(
-                    e @ (EngineError::Rejected
-                    | EngineError::Shed { .. }
-                    | EngineError::CircuitOpen
-                    | EngineError::RetriesExhausted { .. }),
-                ) => {
-                    refusals += 1;
-                    if refusals > ORDER_RETRY_LIMIT {
-                        return Err(StoreError::Ordering(e));
-                    }
-                    std::thread::sleep(std::time::Duration::from_micros(50));
-                }
-                Err(e) => return Err(StoreError::Ordering(e)),
-            }
-        }
-    }
-
-    /// Fails every command of a fatally-stranded batch and poisons the
-    /// store so later submissions are refused at intake.
-    fn fail_batch(&self, code: Option<u64>, error: StoreError) {
-        if let Some(code) = code {
-            let batch = {
-                let mut slab = self.slab.lock().unwrap_or_else(PoisonError::into_inner);
-                slab.take(code)
-            };
-            for pending in batch {
-                pending.cell.fill(Err(error));
-            }
-        }
-        self.shutdown.store(true, Ordering::Release);
-        {
+    /// A sequencer is unwinding out of a decide: refuse new commands and
+    /// fail every one its death strands — the intake queue, and the batch
+    /// it held unless its last slot was decided for that batch and apply
+    /// took it first. Surviving sequencers see their own batches through,
+    /// trail to the frontier, and leave by the closed, empty intake.
+    /// Closing comes first: with the queue drained no batch forms again,
+    /// so the code freed below cannot be redrawn while the dead
+    /// sequencer's last slot may still be learned as that code.
+    fn poison(&self, in_hand: Option<u64>) {
+        let queued: Vec<Pending<S>> = {
             let mut intake = self.lock_intake();
             intake.closed = true;
             self.work_cv.notify_all();
+            intake.queue.drain(..).collect()
+        };
+        let batch = in_hand.and_then(|code| self.lock_slab().take(code));
+        for pending in batch.into_iter().flatten().chain(queued) {
+            pending
+                .cell
+                .fill(Err(StoreError::Ordering(EngineError::Poisoned)));
         }
-        let _g = self.apply_mx.lock().unwrap_or_else(PoisonError::into_inner);
-        self.apply_cv.notify_all();
     }
 
     /// One sequencer's life: visit slots in order, proposing a real batch
-    /// when one is pending and the no-op when idle-but-behind, learning
-    /// every decision into the log.
-    fn run_sequencer(self: &Arc<Self>) {
+    /// when one is pending and the no-op when idle-but-behind, deciding on
+    /// this thread with coin stream `ix`, learning every decision into the
+    /// log.
+    fn run_sequencer(&self, ix: usize) {
+        let mut rng = SmallRng::seed_from_u64(mix_seed(self.options.seed, ix as u64));
         let mut cursor: u64 = 0;
-        let mut current: Option<u64> = None;
+        let mut current = InHand {
+            inner: self,
+            code: None,
+        };
         loop {
-            if current.is_none() {
+            if current.code.is_none() {
                 let mut intake = self.lock_intake();
                 loop {
                     if !intake.queue.is_empty() {
-                        current = self.try_form_batch(&mut intake);
-                        if current.is_some() {
+                        current.code = self.try_form_batch(&mut intake);
+                        if current.code.is_some() {
                             break;
                         }
                         // Slab full: if behind the frontier we can still
                         // do useful catch-up work; otherwise wait for the
                         // apply worker to free a code.
+                        intake.starved = true;
                     }
                     if cursor < self.frontier.load(Ordering::Acquire) {
                         break;
                     }
-                    if self.shutdown.load(Ordering::Acquire) && intake.queue.is_empty() {
-                        self.note_sequencer_exit();
+                    if intake.closed && intake.queue.is_empty() {
                         return;
                     }
+                    // Wait site (sequencer). Predicate, checked above under
+                    // the intake mutex: commands queued and a slab code
+                    // free, or `cursor < frontier`, or intake closed and
+                    // drained. Each place that can make it true notifies
+                    // `work_cv` with or after the intake mutex held:
+                    // `submit`/`submit_batch` (queue), the sequencer that
+                    // advances `frontier` (below), `run_apply` once
+                    // `starved` is set (slab), `shutdown`/`poison` (closed).
                     intake = self
                         .work_cv
                         .wait(intake)
@@ -279,35 +288,33 @@ impl<S: StateMachine, M: SharedMemory> StoreInner<S, M> {
             // the slab after that — so the `frontier` we load here is
             // already past every slot the code ever won, and
             // `decided == code` can only mean this very batch won.
-            let proposal = if current.is_some() && cursor >= self.frontier.load(Ordering::Acquire) {
-                current.unwrap_or(NOOP)
-            } else {
-                NOOP
+            let proposal = match current.code {
+                Some(code) if cursor >= self.frontier.load(Ordering::Acquire) => code,
+                _ => NOOP,
             };
-            let decided = match self.order(cursor, proposal) {
-                Ok(v) => v,
-                Err(e) => {
-                    self.fail_batch(current.take(), e);
-                    self.note_sequencer_exit();
-                    return;
-                }
-            };
+            let decided = self.engine.submit(cursor, proposal, &mut rng);
             // Advance `frontier` first, learn second: once the slot is
             // learned apply may free its code, and a sequencer that draws
             // the recycled code must already see `frontier` past this slot.
             let next = cursor + 1;
             let advanced = self.frontier.fetch_max(next, Ordering::AcqRel) < next;
+            let prefix = self.log.learned_prefix();
             self.log.learn_decided(cursor as usize, decided);
             if advanced {
                 let _g = self.lock_intake();
                 self.work_cv.notify_all();
             }
-            {
+            // Wake apply only if this learn grew the prefix it waits on —
+            // a trailing sequencer re-learning a learned slot does not.
+            // The prefix is monotone, so whichever learn grows it reads it
+            // smaller before than after; a racing learner that also sees
+            // the growth over-notifies, harmlessly.
+            if self.log.learned_prefix() > prefix {
                 let _g = self.apply_mx.lock().unwrap_or_else(PoisonError::into_inner);
                 self.apply_cv.notify_all();
             }
             if proposal != NOOP && decided == proposal {
-                current = None;
+                current.code = None;
             }
             cursor = next;
         }
@@ -322,7 +329,7 @@ impl<S: StateMachine, M: SharedMemory> StoreInner<S, M> {
     /// The apply worker: walks the learned prefix in slot order, applies
     /// batches through the session table, fills response cells, snapshots
     /// at the configured cadence, and compacts the log behind itself.
-    fn run_apply(self: &Arc<Self>) {
+    fn run_apply(&self) {
         let mut applied_slots: u64 = 0;
         let mut applied_commands: u64 = 0;
         let mut last_snapshot_slot: u64 = 0;
@@ -336,6 +343,11 @@ impl<S: StateMachine, M: SharedMemory> StoreInner<S, M> {
                     if self.sequencers_live.load(Ordering::Acquire) == 0 {
                         return;
                     }
+                    // Wait site (apply). Predicate, checked above under
+                    // `apply_mx`: `learned_prefix > applied_slots`, or no
+                    // sequencer left. Both makers notify `apply_cv` holding
+                    // `apply_mx` after the fact: the sequencer whose learn
+                    // grew the prefix, and `note_sequencer_exit`.
                     g = self
                         .apply_cv
                         .wait(g)
@@ -355,11 +367,14 @@ impl<S: StateMachine, M: SharedMemory> StoreInner<S, M> {
                     .get(applied_slots as usize)
                     .expect("slot below the learned prefix is readable");
                 if code != NOOP {
-                    let batch = {
-                        let mut slab = self.slab.lock().unwrap_or_else(PoisonError::into_inner);
-                        slab.take(code)
-                    };
-                    applied_commands += self.apply_batch(batch, applied_commands);
+                    let batch = self.lock_slab().take(code);
+                    debug_assert!(
+                        batch.is_some() || self.lock_intake().closed,
+                        "code {code} maps to no live batch"
+                    );
+                    if let Some(batch) = batch {
+                        applied_commands += self.apply_batch(batch, applied_commands);
+                    }
                 }
                 applied_slots += 1;
             }
@@ -379,9 +394,12 @@ impl<S: StateMachine, M: SharedMemory> StoreInner<S, M> {
             }
             // Retained log stays bounded by apply lag.
             self.log.compact_below(applied_slots as usize);
-            // Freed slab codes may unblock batch formation.
-            {
-                let _g = self.lock_intake();
+            // Freed slab codes unblock batch formation, which matters only
+            // to a sequencer that found the slab full. It raised `starved`
+            // under the intake mutex before parking and the codes were freed
+            // before this lock, so the flag cannot be missed.
+            let mut intake = self.lock_intake();
+            if std::mem::take(&mut intake.starved) {
                 self.work_cv.notify_all();
             }
         }
@@ -472,17 +490,36 @@ impl<S: StateMachine, M: SharedMemory> StoreInner<S, M> {
     }
 }
 
+/// The batch a sequencer holds from forming it until it wins a slot, as
+/// the sequencer's exit guard. Nothing above a sequencer catches a panic
+/// out of its decide (memory substrate, recorder), so the unwind itself
+/// [`poison`](StoreInner::poison)s the store; every exit, orderly or
+/// not, counts the sequencer out so apply and `shutdown` can finish.
+struct InHand<'a, S: StateMachine, M: SharedMemory> {
+    inner: &'a StoreInner<S, M>,
+    code: Option<u64>,
+}
+
+impl<S: StateMachine, M: SharedMemory> Drop for InHand<'_, S, M> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.inner.poison(self.code.take());
+        }
+        self.inner.note_sequencer_exit();
+    }
+}
+
 /// A linearizable replicated state machine over the consensus stack.
 ///
 /// Construct with [`ReplicatedStore::builder`] (the end of the
-/// `ConsensusBuilder → EngineBuilder → ServiceBuilder → StoreBuilder`
-/// chain), obtain sessions with [`client`](ReplicatedStore::client), and
-/// see the [crate docs](crate) for the data path. Dropping the store
-/// drains in-flight commands and joins its worker threads.
+/// `ConsensusBuilder → EngineBuilder → StoreBuilder` chain), obtain
+/// sessions with [`client`](ReplicatedStore::client), and see the
+/// [crate docs](crate) for the data path. Dropping the store drains
+/// in-flight commands and joins its worker threads.
 pub struct ReplicatedStore<S: StateMachine, M: SharedMemory = AtomicMemory> {
     inner: Arc<StoreInner<S, M>>,
-    sequencers: Vec<JoinHandle<()>>,
-    apply: Option<JoinHandle<()>>,
+    /// `mc-store-seq-*` and `mc-store-apply`; emptied by `shutdown`.
+    threads: Vec<JoinHandle<()>>,
 }
 
 impl<S: StateMachine + Default> ReplicatedStore<S> {
@@ -493,10 +530,10 @@ impl<S: StateMachine + Default> ReplicatedStore<S> {
 }
 
 impl<S: StateMachine, M: SharedMemory> ReplicatedStore<S, M> {
-    /// Wires the store over an already-built service and log and starts
-    /// its worker threads. Called by [`StoreBuilder::build`].
+    /// Wires the store over an already-built engine and log and starts
+    /// its `sequencers + 1` threads. Called by [`StoreBuilder::build`].
     pub(crate) fn start(
-        service: ConsensusService<M>,
+        engine: ConsensusEngine<M>,
         log: ReplicatedLog,
         options: StoreOptions,
         initial: S,
@@ -505,12 +542,14 @@ impl<S: StateMachine, M: SharedMemory> ReplicatedStore<S, M> {
         let mut sessions = FastMap::default();
         sessions.reserve(options.expected_sessions);
         let inner = Arc::new(StoreInner {
-            service,
+            _amortized: engine.telemetry_handle().amortized(),
+            engine,
             log,
             options,
             intake: Mutex::new(Intake {
                 queue: VecDeque::new(),
                 closed: false,
+                starved: false,
             }),
             work_cv: Condvar::new(),
             slab: Mutex::new(Slab::with_capacity(MAX_INFLIGHT_BATCHES)),
@@ -521,31 +560,26 @@ impl<S: StateMachine, M: SharedMemory> ReplicatedStore<S, M> {
             frontier: AtomicU64::new(0),
             apply_mx: Mutex::new(()),
             apply_cv: Condvar::new(),
-            shutdown: AtomicBool::new(false),
             sequencers_live: AtomicU64::new(sequencer_count as u64),
             next_client: AtomicU64::new(1),
         });
-        let sequencers = (0..sequencer_count)
+        let mut threads: Vec<_> = (0..sequencer_count)
             .map(|ix| {
                 let inner = Arc::clone(&inner);
                 std::thread::Builder::new()
                     .name(format!("mc-store-seq-{ix}"))
-                    .spawn(move || inner.run_sequencer())
+                    .spawn(move || inner.run_sequencer(ix))
                     .expect("spawn sequencer")
             })
             .collect();
-        let apply = {
-            let inner = Arc::clone(&inner);
+        let apply = Arc::clone(&inner);
+        threads.push(
             std::thread::Builder::new()
                 .name("mc-store-apply".into())
-                .spawn(move || inner.run_apply())
-                .expect("spawn apply worker")
-        };
-        ReplicatedStore {
-            inner,
-            sequencers,
-            apply: Some(apply),
-        }
+                .spawn(move || apply.run_apply())
+                .expect("spawn apply worker"),
+        );
+        ReplicatedStore { inner, threads }
     }
 
     /// A fresh client session with a store-unique client id.
@@ -630,8 +664,8 @@ impl<S: StateMachine, M: SharedMemory> ReplicatedStore<S, M> {
     }
 
     /// Aggregate metrics: the applied-index gauge, session-table
-    /// counters, lease grants, plus everything the underlying service and
-    /// engine count.
+    /// counters, lease grants, plus everything the underlying engine
+    /// counts.
     pub fn telemetry(&self) -> &RuntimeTelemetry {
         self.inner.telemetry()
     }
@@ -648,37 +682,18 @@ impl<S: StateMachine, M: SharedMemory> ReplicatedStore<S, M> {
 
     /// Drains in-flight commands and joins the worker threads. Called by
     /// `Drop`; explicit calls are idempotent. Every handle not yet
-    /// answered resolves — applied commands with their responses, never-
-    /// ordered ones with [`StoreError::Shutdown`].
+    /// answered resolves: commands already queued are ordered and applied
+    /// first, later ones refused with [`StoreError::Shutdown`].
     pub fn shutdown(&mut self) {
         {
             let mut intake = self.inner.lock_intake();
             intake.closed = true;
-            self.inner.shutdown.store(true, Ordering::Release);
             self.inner.work_cv.notify_all();
         }
-        for handle in self.sequencers.drain(..) {
+        // The last sequencer out wakes the apply worker, which leaves once
+        // the learned prefix is applied.
+        for handle in self.threads.drain(..) {
             let _ = handle.join();
-        }
-        {
-            let _g = self
-                .inner
-                .apply_mx
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            self.inner.apply_cv.notify_all();
-        }
-        if let Some(handle) = self.apply.take() {
-            let _ = handle.join();
-        }
-        // A fatal sequencer exit can strand queued commands; fail them so
-        // no waiter hangs.
-        let leftovers: Vec<Pending<S>> = {
-            let mut intake = self.inner.lock_intake();
-            intake.queue.drain(..).collect()
-        };
-        for pending in leftovers {
-            pending.cell.fill(Err(StoreError::Shutdown));
         }
     }
 }
@@ -775,7 +790,24 @@ impl ReplicatedStore<KvStore> {
 mod tests {
     use super::*;
     use crate::kv::{KvCommand, KvResponse};
+    use mc_runtime::{AtomicRegister, SharedRegister};
+    use mc_telemetry::AggregatingRecorder;
+    use std::sync::atomic::AtomicBool;
     use std::time::Duration;
+
+    /// Every wait in the tests below is bounded by this: a lost wake-up
+    /// fails its test instead of hanging tier-1.
+    const PATIENCE: Duration = Duration::from_secs(10);
+
+    /// Polls `condition` (1 ms apart) until it holds, for at most
+    /// [`PATIENCE`].
+    fn eventually(what: &str, condition: impl Fn() -> bool) {
+        let deadline = clock::deadline_within(PATIENCE);
+        while !condition() {
+            assert!(clock::now() < deadline, "timed out waiting until {what}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
 
     fn small_store() -> ReplicatedStore<KvStore> {
         ReplicatedStore::<KvStore>::builder()
@@ -998,32 +1030,206 @@ mod tests {
         // Two producers pipeline `submit_batch` chunks without waiting,
         // every command from a session of its own: nothing may be lost or
         // double-applied, and each command opens exactly one session.
+        //
+        // The second input is the slab-full path: at one command per batch
+        // and four slabs' worth of commands, with apply held back (this
+        // thread keeps the state mutex it applies under) until the
+        // sequencers have found the slab full, raised `starved`, and gone
+        // quiet. Only the apply worker's gated notify can get them going
+        // again.
+        for (batch_commands, per_producer, fill_slab) in [
+            (64, 2_000u64, false),
+            (1, 2 * MAX_INFLIGHT_BATCHES as u64, true),
+        ] {
+            let mut store = ReplicatedStore::<KvStore>::builder()
+                .batch_commands(batch_commands)
+                .build();
+            std::thread::scope(|scope| {
+                let _held = fill_slab.then(|| store.inner.state.lock().unwrap());
+                for p in 0..2u64 {
+                    let store = &store;
+                    scope.spawn(move || {
+                        let put = |key| (key, 1, KvCommand::Put { key, value: p });
+                        let script: Vec<_> = (1 + p * per_producer..=(p + 1) * per_producer)
+                            .map(put)
+                            .collect();
+                        let handles: Vec<_> = script
+                            .chunks(256)
+                            .flat_map(|chunk| store.submit_batch(chunk.iter().copied()))
+                            .collect();
+                        for handle in handles {
+                            let answer = handle.wait_timeout(PATIENCE);
+                            assert_eq!(answer, Ok(KvResponse::Stored(None)));
+                        }
+                    });
+                }
+                if fill_slab {
+                    eventually("the sequencers park on the full slab", || {
+                        let learned = store.learned_slots();
+                        std::thread::sleep(Duration::from_millis(5));
+                        store.inner.lock_intake().starved && store.learned_slots() == learned
+                    });
+                }
+            });
+            assert_eq!(store.applied_commands(), 2 * per_producer);
+            assert_eq!(store.telemetry().sessions_created(), 2 * per_producer);
+            store.shutdown();
+        }
+    }
+
+    #[test]
+    fn idle_burst_idle_cycles_rewake_every_parked_thread() {
+        // Between bursts all four threads park: the apply worker on the
+        // learned prefix, the sequencers on the intake. Each burst must get
+        // one sequencer going (client → sequencer), that one's decisions
+        // the apply worker (the prefix grew) and the two trailing
+        // sequencers (the frontier advanced) — the last shown by every
+        // instance retiring, which takes all three submits.
         let mut store = ReplicatedStore::<KvStore>::builder()
-            .batch_commands(64)
+            .sequencers(3)
+            .batch_commands(1)
             .build();
-        let per_producer = 2_000u64;
-        std::thread::scope(|scope| {
-            for p in 0..2u64 {
-                let store = &store;
-                scope.spawn(move || {
-                    let put = |key| (key, 1, KvCommand::Put { key, value: p });
-                    let script: Vec<_> = (1 + p * per_producer..=(p + 1) * per_producer)
-                        .map(put)
-                        .collect();
-                    let handles: Vec<_> = script
-                        .chunks(256)
-                        .flat_map(|chunk| store.submit_batch(chunk.iter().copied()))
-                        .collect();
-                    for handle in handles {
-                        let answer = handle.wait_timeout(Duration::from_secs(10));
-                        assert_eq!(answer, Ok(KvResponse::Stored(None)));
-                    }
-                });
+        let mut sessions: Vec<_> = (0..4).map(|_| store.client()).collect();
+        for cycle in 0..40 {
+            let burst: Vec<_> = sessions
+                .iter_mut()
+                .map(|session| {
+                    let key = session.id();
+                    session.submit(KvCommand::Put { key, value: cycle })
+                })
+                .collect();
+            for handle in burst {
+                assert!(handle.wait_timeout(PATIENCE).is_ok(), "{store:?}");
             }
-        });
-        assert_eq!(store.applied_commands(), 2 * per_producer);
-        assert_eq!(store.telemetry().sessions_created(), 2 * per_producer);
+            eventually("the trailing sequencers retire every slot", || {
+                store.inner.engine.live_instances() == 0
+            });
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(store.applied_commands(), 4 * 40);
         store.shutdown();
+    }
+
+    #[test]
+    fn a_recorder_sees_no_per_decide_events_and_the_ledger_reconciles() {
+        let recorder = Arc::new(AggregatingRecorder::new());
+        let mut store = ReplicatedStore::<KvStore>::builder()
+            .recorder(Arc::clone(&recorder) as Arc<dyn mc_telemetry::Recorder>)
+            .build();
+        let mut client = store.client();
+        for value in 0..1_000 {
+            let handle = client.submit(KvCommand::Put { key: 1, value });
+            assert!(handle.wait_timeout(PATIENCE).is_ok(), "{store:?}");
+        }
+        // Amortized mode, as under the service the store used to sit on:
+        // the recorder is attached and the counters count, but no decide
+        // pays a recorder call.
+        assert!(store.telemetry().events_on());
+        assert!(store.telemetry().decisions() >= 1_000);
+        assert_eq!(recorder.decisions(), 0);
+        assert_eq!(recorder.stage_entries(), 0);
+        assert_eq!(store.applied_commands(), 1_000);
+        store.shutdown();
+    }
+
+    /// Plain atomics until the `fuse`-th register read, which panics —
+    /// inside some sequencer's decide.
+    #[derive(Clone)]
+    struct FusedMemory {
+        reads: Arc<AtomicU64>,
+        fuse: u64,
+    }
+
+    struct FusedRegister {
+        cell: AtomicRegister,
+        memory: FusedMemory,
+    }
+
+    impl SharedMemory for FusedMemory {
+        type Reg = FusedRegister;
+
+        fn alloc_in_generation(&self, generation: u64) -> FusedRegister {
+            FusedRegister {
+                cell: AtomicRegister::in_generation(generation),
+                memory: self.clone(),
+            }
+        }
+    }
+
+    impl SharedRegister for FusedRegister {
+        fn read(&self) -> Option<u64> {
+            let read = self.memory.reads.fetch_add(1, Ordering::Relaxed) + 1;
+            assert!(read != self.memory.fuse, "fuse blown at read {read}");
+            self.cell.read()
+        }
+
+        fn write(&self, value: u64) {
+            self.cell.write(value);
+        }
+
+        fn prob_write(
+            &self,
+            value: u64,
+            prob: mc_model::Probability,
+            rng: &mut dyn rand::Rng,
+        ) -> bool {
+            SharedRegister::prob_write(&self.cell, value, prob, rng)
+        }
+
+        fn generation(&self) -> u64 {
+            SharedRegister::generation(&self.cell)
+        }
+
+        fn retire_to(&mut self, generation: u64) {
+            self.cell.retire_to(generation);
+        }
+    }
+
+    #[test]
+    fn a_sequencer_dying_mid_decide_poisons_the_store_instead_of_hanging_it() {
+        let mut store = ReplicatedStore::<KvStore>::builder()
+            .memory(FusedMemory {
+                reads: Arc::new(AtomicU64::new(0)),
+                fuse: 2_000,
+            })
+            .batch_commands(1)
+            .build();
+        // Closed-loop clients call until refused, far past the fuse.
+        // Nothing may time out: whatever the death strands is failed by
+        // the dying sequencer.
+        let refusals: Vec<StoreError> = std::thread::scope(|scope| {
+            let clients: Vec<_> = (0..3u64)
+                .map(|key| {
+                    let mut session = store.client();
+                    scope.spawn(move || {
+                        (0..10_000)
+                            .find_map(|value| {
+                                let handle = session.submit(KvCommand::Put { key, value });
+                                handle.wait_timeout(PATIENCE).err()
+                            })
+                            .expect("the store outlived its sequencer")
+                    })
+                })
+                .collect();
+            clients.into_iter().map(|c| c.join().unwrap()).collect()
+        });
+        let poisoned = StoreError::Ordering(EngineError::Poisoned);
+        for refusal in refusals {
+            assert!(
+                refusal == poisoned || refusal == StoreError::Shutdown,
+                "{refusal:?}, {store:?}"
+            );
+        }
+        // Later calls are refused at intake, and the surviving threads are
+        // joinable: shutdown on a side thread so a hang fails, not stalls.
+        let late = store.client().submit(KvCommand::Get { key: 0 });
+        assert_eq!(late.wait_timeout(PATIENCE), Err(StoreError::Shutdown));
+        let (done, joined) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            store.shutdown();
+            done.send(()).unwrap();
+        });
+        joined.recv_timeout(PATIENCE).expect("shutdown joins");
     }
 
     #[test]

@@ -31,6 +31,19 @@ RUSTFLAGS="-D deprecated" cargo check --workspace --all-targets
 echo "== tests =="
 cargo test --workspace
 
+echo "== store on one CPU (5x) =="
+# One pinned CPU is where the store's PR 12 deadlock reproduced and where a
+# wrongly gated notify would: every hand-off becomes a context switch and
+# a lost wake-up has no second core to paper over it.
+if command -v taskset > /dev/null; then
+    for round in 1 2 3 4 5; do
+        taskset -c 0 cargo test --release -p mc-store
+        taskset -c 0 cargo test --release --test store_properties
+    done
+else
+    echo "taskset not found: skipping the one-CPU store leg"
+fi
+
 echo "== docs =="
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
@@ -88,9 +101,10 @@ echo "== perf_stack (smoke + unit tests) =="
 # not here; this leg only keeps the surviving measurement path building,
 # running and verifying its outputs on every push.
 # bench/ is frozen outside benchmark PRs, but its tracked Cargo.lock still
-# names a shim this workspace no longer has and cargo prunes the entry on
-# every build: put the tracked bytes back however the leg ends (ROADMAP
-# item 3 has the refresh as a follow-up for the next benchmark PR).
+# names a shim this workspace no longer has and lacks mc-store's rand and
+# mc-model edges, so cargo rewrites it on every build: put the tracked
+# bytes back however the leg ends (ROADMAP item 3 has the refresh as a
+# follow-up for the next benchmark PR).
 bench_lock=$(mktemp)
 cp bench/Cargo.lock "$bench_lock"
 trap 'cp "$bench_lock" bench/Cargo.lock; rm -f "$bench_lock"' EXIT
