@@ -32,7 +32,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use mc_runtime::{
-    AtomicMemory, ChaosPlan, ConsensusService, FaultPlan, FaultyMemory, SupervisorOptions,
+    AtomicMemory, ChaosPlan, ConsensusService, CounterKey, FaultPlan, FaultyMemory, GaugeKey,
+    HistKey, SupervisorOptions,
 };
 use mc_telemetry::json::Obj;
 use mc_telemetry::HistogramSnapshot;
@@ -249,21 +250,21 @@ fn run_chaos(cell: &PlanCell, policy: &Policy, seed: u64, stats: &mut CellStats)
 
     // Exactly-once ledger: every submission admitted once, decided once,
     // and nothing left queued or in flight after the workers join.
-    if telemetry.proposals_enqueued() != CHAOS_OPS
-        || telemetry.decisions() != CHAOS_OPS
-        || telemetry.queue_depth() != 0
+    if telemetry.count(CounterKey::ProposalsEnqueued) != CHAOS_OPS
+        || telemetry.count(CounterKey::Decisions) != CHAOS_OPS
+        || telemetry.gauge(GaugeKey::QueueDepth) != 0
     {
         stats.duplicates += 1;
     }
-    let restarts = telemetry.worker_restarts();
+    let restarts = telemetry.count(CounterKey::WorkerRestarts);
     stats.restarts += restarts;
-    stats.resubmitted += telemetry.resubmitted_cells();
+    stats.resubmitted += telemetry.count(CounterKey::ResubmittedCells);
     if restarts > u64::from(policy.restart_budget) * WORKERS as u64 {
         stats.poisoned_runs += 1;
     }
     stats
         .recovery
-        .push(telemetry.worker_recovery_ns().snapshot());
+        .push(telemetry.hist(HistKey::WorkerRecoveryNs).snapshot());
 }
 
 /// Silences the default panic hook for the campaign's own injected worker

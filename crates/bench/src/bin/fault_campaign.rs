@@ -40,7 +40,9 @@ use mc_analysis::theory;
 use mc_core::conciliator::WriteSchedule;
 use mc_lab::Lab;
 use mc_quorums::{BinaryScheme, BinomialScheme, QuorumScheme};
-use mc_runtime::{BoundedConsensus, ConsensusOptions, FaultPlan, FaultyMemory};
+use mc_runtime::{
+    BoundedConsensus, ConsensusOptions, CounterKey, FaultPlan, FaultyMemory, HistKey,
+};
 use mc_sim::adversary::{RandomScheduler, RoundRobin};
 use mc_sim::sched::QuantumScheduler;
 use mc_sim::Adversary;
@@ -279,8 +281,8 @@ fn run_cell(cell: &Cell, proto: Proto, seeds: u64, n: usize, f: u32) -> CellStat
         // Per-run chain depth, read off the object's telemetry after all
         // workers have joined.
         let telemetry = consensus.telemetry();
-        let max_stage = telemetry.rounds_to_decide().max();
-        let fell_back = telemetry.fallbacks_taken() > 0;
+        let max_stage = telemetry.hist(HistKey::RoundsToDecide).max();
+        let fell_back = telemetry.count(CounterKey::FallbacksTaken) > 0;
         if fell_back {
             stats.entered_c1 += 1;
             stats.fell_back += 1;

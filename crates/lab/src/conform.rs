@@ -23,7 +23,8 @@ use mc_core::{CoinConciliator, ConsensusBuilder, Ratifier, VotingSharedCoin};
 use mc_model::ObjectSpec;
 use mc_runtime::{
     AtomicMemory, ChaosPlan, CoinKind, ConciliatorChoice, Consensus, ConsensusEngine,
-    ConsensusService, FaultPlan, FaultyMemory, SharedMemory, SupervisorOptions,
+    ConsensusService, CounterKey, FaultPlan, FaultyMemory, GaugeKey, SharedMemory,
+    SupervisorOptions,
 };
 use mc_sim::harness::run_object;
 use mc_sim::{Adversary, EngineConfig, RunError, Trace, WorkMetrics};
@@ -641,9 +642,9 @@ pub fn check_chaos_conformance(
     // Exactly-once reconciliation over the service's own ledger.
     let telemetry = std::sync::Arc::clone(service.engine().telemetry_handle());
     drop(service); // join workers so every counter has settled
-    let enqueued = telemetry.proposals_enqueued();
-    let decided = telemetry.decisions();
-    let restarts = telemetry.worker_restarts();
+    let enqueued = telemetry.count(CounterKey::ProposalsEnqueued);
+    let decided = telemetry.count(CounterKey::Decisions);
+    let restarts = telemetry.count(CounterKey::WorkerRestarts);
     if enqueued != proposals.len() as u64 || decided != enqueued {
         return Err(Divergence::Chaos {
             detail: format!(
@@ -652,9 +653,12 @@ pub fn check_chaos_conformance(
             ),
         });
     }
-    if telemetry.queue_depth() != 0 {
+    if telemetry.gauge(GaugeKey::QueueDepth) != 0 {
         return Err(Divergence::Chaos {
-            detail: format!("queue depth {} after full drain", telemetry.queue_depth()),
+            detail: format!(
+                "queue depth {} after full drain",
+                telemetry.gauge(GaugeKey::QueueDepth)
+            ),
         });
     }
     if restarts > u64::from(supervisor.restart_budget) {
@@ -807,35 +811,35 @@ pub fn check_store_conformance(
 
     // Exactly-once ledger.
     let telemetry = store.telemetry();
-    if telemetry.commands_applied() != distinct {
+    if telemetry.count(CounterKey::CommandsApplied) != distinct {
         return Err(Divergence::Store {
             detail: format!(
                 "{} commands applied, {distinct} distinct submitted",
-                telemetry.commands_applied()
+                telemetry.count(CounterKey::CommandsApplied)
             ),
         });
     }
-    if telemetry.duplicates_served() != duplicates {
+    if telemetry.count(CounterKey::DuplicatesServed) != duplicates {
         return Err(Divergence::Store {
             detail: format!(
                 "{} duplicates served, {duplicates} re-delivered",
-                telemetry.duplicates_served()
+                telemetry.count(CounterKey::DuplicatesServed)
             ),
         });
     }
-    if telemetry.stale_commands() != stale_probes {
+    if telemetry.count(CounterKey::StaleCommands) != stale_probes {
         return Err(Divergence::Store {
             detail: format!(
                 "{} stale commands counted, {stale_probes} probed",
-                telemetry.stale_commands()
+                telemetry.count(CounterKey::StaleCommands)
             ),
         });
     }
-    if telemetry.sessions_created() != clients {
+    if telemetry.count(CounterKey::SessionsCreated) != clients {
         return Err(Divergence::Store {
             detail: format!(
                 "{} sessions created for {clients} clients",
-                telemetry.sessions_created()
+                telemetry.count(CounterKey::SessionsCreated)
             ),
         });
     }

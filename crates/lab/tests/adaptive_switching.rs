@@ -10,7 +10,9 @@ use mc_lab::Lab;
 use mc_model::{OpKind, ProcessId, RegisterId, Value};
 use mc_runtime::{AdaptiveConsensus, AdaptiveOptions, CoinKind, ConciliatorChoice, Consensus};
 use mc_sim::{Adversary, Capability, View};
-use mc_telemetry::{AggregatingRecorder, ConciliatorKind, JsonlRecorder, MultiRecorder, Recorder};
+use mc_telemetry::{
+    AggregatingRecorder, ConciliatorKind, JsonlRecorder, MultiRecorder, Recorder, Tally,
+};
 
 /// An adaptive scheduler that splits first-mover conciliators on demand.
 ///
@@ -241,8 +243,8 @@ fn hostile_schedule_switches_to_the_coin_and_announces_it() {
 
     // The selection history reached both recorders: the initial impatient
     // resolution plus one per reset, at least one of which picked the coin.
-    assert!(agg.conciliator_selections() >= 2);
-    assert!(agg.coin_selections() >= 1);
+    assert!(agg.count(Tally::ConciliatorSelections) >= 2);
+    assert!(agg.count(Tally::CoinSelections) >= 1);
     let stream = String::from_utf8(buffer.lock().expect("buffer").clone()).expect("utf8 jsonl");
     assert!(
         stream.contains("conciliator_selected"),

@@ -30,7 +30,7 @@ use rand::Rng;
 use crate::conciliator::ConciliatorChoice;
 use crate::consensus::{Consensus, ConsensusOptions, Stage};
 use crate::register::{AtomicMemory, SharedMemory, SharedRegister};
-use crate::telemetry::RuntimeTelemetry;
+use crate::telemetry::{CounterKey, RuntimeTelemetry};
 
 /// Default conciliator bound `f` when
 /// [`ConsensusOptions::max_conciliator_rounds`] is `None`.
@@ -346,7 +346,7 @@ impl<M: SharedMemory, F: Fallback> BoundedConsensus<M, F> {
         let n = self.chain.options().n;
         assert!(pid < n, "pid {pid} out of range for n = {n}");
         let telemetry = Arc::clone(self.chain.telemetry_handle());
-        telemetry.on_decide_start();
+        telemetry.add(CounterKey::DecideCalls, 1);
         let start = Instant::now();
         let fast_prefix = if self.chain.options().fast_path { 2 } else { 0 };
         let total_stages = fast_prefix + 2 * self.rounds as usize;
@@ -452,7 +452,12 @@ mod tests {
                 "trial {trial}: {results:?}"
             );
             assert!(proposals.contains(&first));
-            assert_eq!(telemetry_check.telemetry().fallbacks_taken(), 4);
+            assert_eq!(
+                telemetry_check
+                    .telemetry()
+                    .count(CounterKey::FallbacksTaken),
+                4
+            );
         }
     }
 
@@ -461,7 +466,7 @@ mod tests {
         let c = BoundedConsensus::binary(1);
         let mut rng = SmallRng::seed_from_u64(1);
         assert_eq!(c.decide(0, 1, &mut rng), 1);
-        assert_eq!(c.telemetry().fallbacks_taken(), 0);
+        assert_eq!(c.telemetry().count(CounterKey::FallbacksTaken), 0);
     }
 
     #[test]

@@ -444,7 +444,7 @@ mod tests {
         assert!(c.telemetry().events_on());
         let mut rng = SmallRng::seed_from_u64(0);
         c.decide(1, &mut rng);
-        assert_eq!(agg.decisions(), 1);
+        assert_eq!(agg.count(mc_telemetry::Tally::Decisions), 1);
     }
 
     #[test]

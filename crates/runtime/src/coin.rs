@@ -30,7 +30,7 @@ use rand::{Rng, RngExt};
 
 use crate::conciliator::Conciliator;
 use crate::register::{AtomicMemory, SharedMemory, SharedRegister};
-use crate::telemetry::RuntimeTelemetry;
+use crate::telemetry::{HistKey, RuntimeTelemetry};
 
 /// A weak shared coin as a thread-safe runtime object.
 ///
@@ -225,7 +225,7 @@ impl<M: SharedMemory> WeakSharedCoin<M> for VotingCoin<M> {
             }
             if seen_count >= self.quorum {
                 if let Some(t) = &self.telemetry {
-                    t.on_coin_rounds(u64::from(my_count));
+                    t.record(HistKey::CoinRounds, u64::from(my_count));
                 }
                 return u64::from(seen_sum >= 0);
             }
@@ -349,7 +349,7 @@ where
         if let Some(t) = &self.telemetry {
             // The wrapper itself is round-free: 0 extra rounds when the
             // opposite camp is empty, 1 coin invocation otherwise.
-            t.on_propose_done(u64::from(deferred));
+            t.record(HistKey::ConciliatorRounds, u64::from(deferred));
         }
         out
     }

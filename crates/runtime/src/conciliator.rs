@@ -9,7 +9,7 @@ use rand::Rng;
 
 use crate::coin::CoinKind;
 use crate::register::{AtomicMemory, SharedMemory, SharedRegister};
-use crate::telemetry::RuntimeTelemetry;
+use crate::telemetry::{HistKey, RuntimeTelemetry};
 
 /// A conciliator as a thread-safe runtime object: a weak consensus object
 /// that *produces* agreement with probability at least `δ` while always
@@ -188,7 +188,7 @@ impl<M: SharedMemory> ImpatientConciliator<M> {
         loop {
             if let Some(winner) = self.reg.read() {
                 if let Some(t) = &self.telemetry {
-                    t.on_propose_done(u64::from(k));
+                    t.record(HistKey::ConciliatorRounds, u64::from(k));
                 }
                 return winner;
             }

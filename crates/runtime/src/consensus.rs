@@ -13,7 +13,7 @@ use crate::coin::{CoinConciliator, CoinKind, LocalCoin, VotingCoin};
 use crate::conciliator::{AdaptiveOptions, Conciliator, ConciliatorChoice, ImpatientConciliator};
 use crate::ratifier::AtomicRatifier;
 use crate::register::{AtomicMemory, SharedMemory};
-use crate::telemetry::RuntimeTelemetry;
+use crate::telemetry::{CounterKey, RuntimeTelemetry};
 
 /// Configuration for a thread-runtime [`Consensus`] object.
 #[derive(Clone)]
@@ -426,7 +426,7 @@ impl<M: SharedMemory> Consensus<M> {
             "value {value} exceeds consensus capacity {}",
             self.capacity()
         );
-        self.telemetry.on_decide_start();
+        self.telemetry.add(CounterKey::DecideCalls, 1);
         let start = Instant::now();
         let fast_prefix = if self.options.fast_path { 2 } else { 0 };
         let mut current = value;
@@ -782,8 +782,8 @@ mod tests {
         assert_eq!(a.selected(), ConciliatorKind::Impatient);
         assert_eq!(a.delta_hat(), None, "no samples, no estimate");
         // The selection itself was announced (counted), but never as a coin.
-        assert_eq!(a.telemetry().conciliator_selections(), 1);
-        assert_eq!(a.telemetry().coin_selections(), 0);
+        assert_eq!(a.telemetry().count(CounterKey::ConciliatorSelections), 1);
+        assert_eq!(a.telemetry().count(CounterKey::CoinSelections), 0);
     }
 
     #[test]
@@ -793,7 +793,7 @@ mod tests {
             a.reset();
             assert_eq!(a.selected(), ConciliatorKind::Impatient);
         }
-        assert_eq!(a.telemetry().coin_selections(), 0);
+        assert_eq!(a.telemetry().count(CounterKey::CoinSelections), 0);
     }
 
     #[test]
@@ -816,7 +816,7 @@ mod tests {
         assert!((d - 0.1).abs() < 1e-9, "δ̂ {d}");
         a.reset();
         assert_eq!(a.selected(), ConciliatorKind::Coin);
-        assert_eq!(a.telemetry().coin_selections(), 1);
+        assert_eq!(a.telemetry().count(CounterKey::CoinSelections), 1);
         // The impatient stages could not be recycled across the flip.
         assert_eq!(a.inner().stages_used(), 0);
         // A decide on the switched instance still works end to end.

@@ -25,7 +25,7 @@ use crate::builder::EngineBuilder;
 use crate::consensus::{Consensus, ConsensusOptions};
 use crate::error::EngineError;
 use crate::register::{AtomicMemory, SharedMemory};
-use crate::telemetry::RuntimeTelemetry;
+use crate::telemetry::{CounterKey, RuntimeTelemetry};
 
 /// Tuning for a [`ConsensusEngine`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -255,11 +255,11 @@ impl<M: SharedMemory> ConsensusEngine<M> {
         }
         let instance = match state.free.pop() {
             Some(recycled) => {
-                self.telemetry.on_pool_hit();
+                self.telemetry.add(CounterKey::PoolHits, 1);
                 recycled
             }
             None => {
-                self.telemetry.on_pool_miss();
+                self.telemetry.add(CounterKey::PoolMisses, 1);
                 Consensus::with_telemetry_in(
                     self.memory.clone(),
                     Arc::clone(&self.options),
@@ -315,7 +315,7 @@ impl<M: SharedMemory> ConsensusEngine<M> {
             done
         };
         if retired {
-            self.telemetry.on_instance_retired();
+            self.telemetry.add(CounterKey::InstancesRetired, 1);
             shard.cv.notify_all();
         }
         decided
@@ -440,7 +440,7 @@ impl<M: SharedMemory> DetachedSlot<'_, M> {
             Some(instance) => {
                 // Re-activating the object this slot already holds is a
                 // pool hit by construction.
-                engine.telemetry.on_pool_hit();
+                engine.telemetry.add(CounterKey::PoolHits, 1);
                 instance
             }
             None => {
@@ -448,11 +448,11 @@ impl<M: SharedMemory> DetachedSlot<'_, M> {
                 let recycled = { shard.lock().free.pop() };
                 let instance = match recycled {
                     Some(recycled) => {
-                        engine.telemetry.on_pool_hit();
+                        engine.telemetry.add(CounterKey::PoolHits, 1);
                         recycled
                     }
                     None => {
-                        engine.telemetry.on_pool_miss();
+                        engine.telemetry.add(CounterKey::PoolMisses, 1);
                         Consensus::with_telemetry_in(
                             engine.memory.clone(),
                             Arc::clone(&engine.options),
@@ -465,7 +465,7 @@ impl<M: SharedMemory> DetachedSlot<'_, M> {
         };
         let decided = instance.decide(proposal, rng);
         instance.reset();
-        engine.telemetry.on_instance_retired();
+        engine.telemetry.add(CounterKey::InstancesRetired, 1);
         decided
     }
 }
@@ -519,10 +519,14 @@ mod tests {
         }
         assert_eq!(engine.live_instances(), 0);
         let t = engine.telemetry();
-        assert_eq!(t.pool_hits() + t.pool_misses(), 200);
-        assert_eq!(t.instances_retired(), 200);
+        assert_eq!(t.activations(), 200);
+        assert_eq!(t.count(CounterKey::InstancesRetired), 200);
         // One miss per shard at most: after warm-up everything is a hit.
-        assert!(t.pool_misses() <= 4, "{} misses", t.pool_misses());
+        assert!(
+            t.count(CounterKey::PoolMisses) <= 4,
+            "{} misses",
+            t.count(CounterKey::PoolMisses)
+        );
         assert!(t.pool_hit_rate() > 0.9);
         assert!(engine.pooled_instances() >= 1);
     }
@@ -551,7 +555,7 @@ mod tests {
                 "trial {trial}: {results:?}"
             );
             assert_eq!(engine.live_instances(), 0, "trial {trial}");
-            assert_eq!(engine.telemetry().instances_retired(), 1);
+            assert_eq!(engine.telemetry().count(CounterKey::InstancesRetired), 1);
         }
     }
 
@@ -577,12 +581,15 @@ mod tests {
             assert!((id as u64 * 4..id as u64 * 4 + 4).contains(&decided));
         }
         assert_eq!(engine.live_instances(), 0);
-        assert_eq!(engine.telemetry().instances_retired(), 50);
+        assert_eq!(engine.telemetry().count(CounterKey::InstancesRetired), 50);
         // Hit rate depends on thread skew (a fast thread racing ahead keeps
         // more instances live at once); only the accounting is deterministic.
         let t = engine.telemetry();
-        assert_eq!(t.pool_hits() + t.pool_misses(), 50);
-        assert_eq!(engine.pooled_instances(), t.pool_misses() as usize);
+        assert_eq!(t.activations(), 50);
+        assert_eq!(
+            engine.pooled_instances(),
+            t.count(CounterKey::PoolMisses) as usize
+        );
     }
 
     #[test]
@@ -694,9 +701,9 @@ mod tests {
         let t = engine.telemetry();
         // Same per-instance accounting as 50 direct submits: one
         // activation and one retirement per logical instance.
-        assert_eq!(t.pool_hits() + t.pool_misses(), 50);
-        assert_eq!(t.instances_retired(), 50);
-        assert_eq!(t.pool_misses(), 1);
+        assert_eq!(t.activations(), 50);
+        assert_eq!(t.count(CounterKey::InstancesRetired), 50);
+        assert_eq!(t.count(CounterKey::PoolMisses), 1);
         // The slot parked its object back into the pool on drop.
         assert_eq!(engine.pooled_instances(), 1);
         assert_eq!(engine.live_instances(), 0);

@@ -71,5 +71,5 @@ pub use service::{
     BackpressurePolicy, ChaosPlan, CircuitOptions, ConsensusService, DecisionHandle, RetryPolicy,
     RingHealth, ServiceBuilder, ServiceOptions, SubmitOptions, SupervisorOptions,
 };
-pub use telemetry::{AmortizedEvents, RuntimeTelemetry};
+pub use telemetry::{AmortizedEvents, CounterKey, GaugeKey, HistKey, RuntimeTelemetry};
 pub use typed::{TypedConsensus, ValueCode};

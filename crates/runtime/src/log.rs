@@ -20,7 +20,7 @@ const DRIVE_EXTERNAL: u8 = 2;
 
 use crate::consensus::{Consensus, ConsensusOptions};
 use crate::register::{AtomicMemory, SharedMemory};
-use crate::telemetry::RuntimeTelemetry;
+use crate::telemetry::{CounterKey, RuntimeTelemetry};
 
 /// Live consensus machinery for a contiguous band of undecided (or just-
 /// decided, not-yet-retired) slots, plus the recycle pool feeding it.
@@ -259,11 +259,11 @@ impl<M: SharedMemory> ReplicatedLog<M> {
         while table.base + table.live.len() <= ix {
             let instance = match table.free.pop() {
                 Some(recycled) => {
-                    self.telemetry.on_pool_hit();
+                    self.telemetry.add(CounterKey::PoolHits, 1);
                     recycled
                 }
                 None => {
-                    self.telemetry.on_pool_miss();
+                    self.telemetry.add(CounterKey::PoolMisses, 1);
                     Consensus::with_telemetry_in(
                         self.memory.clone(),
                         Arc::clone(&self.options),
@@ -323,7 +323,7 @@ impl<M: SharedMemory> ReplicatedLog<M> {
                     instance.reset();
                     table.free.push(instance);
                     table.base += 1;
-                    self.telemetry.on_instance_retired();
+                    self.telemetry.add(CounterKey::InstancesRetired, 1);
                 }
                 Err(slot) => {
                     table.live.push_front(slot);
@@ -604,9 +604,9 @@ mod tests {
         assert_eq!(log.live_slots(), 0);
         assert_eq!(log.pooled_instances(), 1);
         let t = log.telemetry();
-        assert_eq!(t.pool_misses(), 1);
-        assert_eq!(t.pool_hits(), 99);
-        assert_eq!(t.instances_retired(), 100);
+        assert_eq!(t.count(CounterKey::PoolMisses), 1);
+        assert_eq!(t.count(CounterKey::PoolHits), 99);
+        assert_eq!(t.count(CounterKey::InstancesRetired), 100);
         assert!(t.pool_hit_rate() > 0.9);
     }
 
@@ -645,7 +645,7 @@ mod tests {
             log.append(i % 16, &mut rng);
         }
         assert_eq!(log.live_slots(), 5);
-        assert_eq!(log.telemetry().instances_retired(), 15);
+        assert_eq!(log.telemetry().count(CounterKey::InstancesRetired), 15);
         assert_eq!(log.snapshot().len(), 20);
     }
 
@@ -675,11 +675,11 @@ mod tests {
             assert_eq!(log.learned_prefix(), 100, "trial {trial}");
             // Steady state: far fewer instances than slots ever existed.
             let t = log.telemetry();
-            assert!(t.instances_retired() <= t.pool_hits() + t.pool_misses());
+            assert!(t.count(CounterKey::InstancesRetired) <= t.activations());
             assert!(
-                t.pool_misses() < 100,
+                t.count(CounterKey::PoolMisses) < 100,
                 "trial {trial}: pooling never kicked in ({} misses)",
-                t.pool_misses()
+                t.count(CounterKey::PoolMisses)
             );
         }
     }

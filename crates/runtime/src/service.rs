@@ -55,7 +55,7 @@ use crate::engine::{shard_index, ConsensusEngine};
 use crate::error::EngineError;
 use crate::faults::FaultPlan;
 use crate::register::{AtomicMemory, SharedMemory};
-use crate::telemetry::RuntimeTelemetry;
+use crate::telemetry::{AmortizedEvents, CounterKey, GaugeKey, HistKey, RuntimeTelemetry};
 
 /// What [`ConsensusService::submit`] does when an intake ring is full.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -572,50 +572,42 @@ impl DecisionHandle {
                 CellState::Done(v) => return Ok(v),
                 CellState::Poisoned => return Err(EngineError::Poisoned),
             }
-            if let Some(deadline) = deadline {
-                let now = crate::clock::now();
-                if now >= deadline {
-                    return match self.cell.read() {
-                        CellState::Done(v) => Ok(v),
-                        CellState::Poisoned => Err(EngineError::Poisoned),
-                        CellState::Waiting => Err(expired),
-                    };
+            let remaining = match deadline {
+                Some(deadline) => {
+                    let now = crate::clock::now();
+                    if now >= deadline {
+                        return match self.cell.read() {
+                            CellState::Done(v) => Ok(v),
+                            CellState::Poisoned => Err(EngineError::Poisoned),
+                            CellState::Waiting => Err(expired),
+                        };
+                    }
+                    Some(deadline - now)
                 }
-                let mut parked = self
-                    .cell
-                    .waiters
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner);
-                // Recheck under the lock: a fill between the lock-free read
-                // and the registration is ordered by the filler's own lock
-                // take.
-                if self.cell.read() != CellState::Waiting {
-                    continue;
-                }
-                *parked += 1;
-                let (mut parked, _) = self
-                    .cell
-                    .cv
-                    .wait_timeout(parked, deadline - now)
-                    .unwrap_or_else(PoisonError::into_inner);
-                *parked -= 1;
-            } else {
-                let mut parked = self
-                    .cell
-                    .waiters
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner);
-                if self.cell.read() != CellState::Waiting {
-                    continue;
-                }
-                *parked += 1;
-                let mut parked = self
-                    .cell
-                    .cv
-                    .wait(parked)
-                    .unwrap_or_else(PoisonError::into_inner);
-                *parked -= 1;
+                None => None,
+            };
+            let mut parked = self
+                .cell
+                .waiters
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner);
+            // Recheck under the lock: a fill between the lock-free read
+            // and the registration is ordered by the filler's own lock
+            // take.
+            if self.cell.read() != CellState::Waiting {
+                continue;
             }
+            *parked += 1;
+            let cv = &self.cell.cv;
+            let mut parked = match remaining {
+                Some(remaining) => {
+                    cv.wait_timeout(parked, remaining)
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .0
+                }
+                None => cv.wait(parked).unwrap_or_else(PoisonError::into_inner),
+            };
+            *parked -= 1;
         }
     }
 
@@ -907,9 +899,9 @@ pub struct ConsensusService<M: SharedMemory = AtomicMemory> {
     circuit: Option<Circuit>,
     /// Service-wide admission serial for [`Pending::submission_id`].
     next_submission: AtomicU64,
-    /// Whether shutdown already handed per-decide recorder events back to
-    /// the engine (shutdown is idempotent; the hand-back must not be).
-    events_restored: bool,
+    /// Holds the engine's telemetry in amortized recorder mode; `None`
+    /// once shutdown has handed per-decide events back.
+    amortized: Option<AmortizedEvents>,
 }
 
 impl ConsensusService {
@@ -945,7 +937,7 @@ impl<M: SharedMemory> ConsensusService<M> {
         if let BackpressurePolicy::Shed { max_queue_depth } = options.policy {
             assert!(max_queue_depth > 0, "shedding bound must be nonzero");
         }
-        engine.telemetry().amortize_decide_events();
+        let amortized = Some(engine.telemetry_handle().amortized());
         let worker_count = if options.workers == 0 {
             engine.shard_count()
         } else {
@@ -972,7 +964,7 @@ impl<M: SharedMemory> ConsensusService<M> {
             circuit: (options.circuit.overload_threshold > 0)
                 .then(|| Circuit::new(options.circuit)),
             next_submission: AtomicU64::new(0),
-            events_restored: false,
+            amortized,
         }
     }
 
@@ -1057,21 +1049,21 @@ impl<M: SharedMemory> ConsensusService<M> {
             }
             BackpressurePolicy::Reject => {
                 if state.queue.len() >= self.options.ring_capacity {
-                    telemetry.on_proposal_rejected();
+                    telemetry.add(CounterKey::ProposalsRejected, 1);
                     self.overload_signal();
                     return (state, Err(EngineError::Rejected));
                 }
             }
             BackpressurePolicy::Shed { max_queue_depth } => {
                 if state.queue.len() >= max_queue_depth {
-                    telemetry.on_proposal_shed();
+                    telemetry.add(CounterKey::ProposalsShed, 1);
                     self.overload_signal();
                     return (state, Err(EngineError::Shed { max_queue_depth }));
                 }
             }
         }
         if state.closed {
-            telemetry.on_proposal_rejected();
+            telemetry.add(CounterKey::ProposalsRejected, 1);
             return (state, Err(EngineError::Rejected));
         }
         let cell = Cell::new();
@@ -1093,7 +1085,8 @@ impl<M: SharedMemory> ConsensusService<M> {
             // trip depth still signals overload — depth pressure trips the
             // breaker before rejections start under `Block`.
             let deep = self.options.circuit.trip_queue_depth > 0
-                && telemetry.queue_depth() >= self.options.circuit.trip_queue_depth as u64;
+                && telemetry.gauge(GaugeKey::QueueDepth)
+                    >= self.options.circuit.trip_queue_depth as u64;
             if deep {
                 circuit.on_overload(telemetry);
             } else {
@@ -1318,14 +1311,11 @@ impl<M: SharedMemory> ConsensusService<M> {
             drop(state);
             self.engine
                 .telemetry()
-                .on_proposals_dequeued(orphaned as u64);
+                .lower(GaugeKey::QueueDepth, orphaned as u64);
         }
-        if !self.events_restored {
-            self.events_restored = true;
-            // Hand per-decide recorder events back: the engine outlives the
-            // service and its direct `submit` path must emit again.
-            self.engine.telemetry().restore_decide_events();
-        }
+        // Hand per-decide recorder events back: the engine outlives the
+        // service and its direct `submit` path must emit again.
+        self.amortized = None;
     }
 }
 
@@ -1362,7 +1352,7 @@ fn terminal_poison(ring: &Ring, telemetry: &RuntimeTelemetry) {
     // Settle the depth gauge BEFORE dropping the orphans: dropping a
     // still-Waiting Pending poisons its cell and wakes its waiters, and a
     // woken waiter must observe a consistent ledger.
-    telemetry.on_proposals_dequeued(orphaned.len() as u64);
+    telemetry.lower(GaugeKey::QueueDepth, orphaned.len() as u64);
     drop(orphaned);
     drop(stash);
     ring.to_producers.notify_all();
@@ -1607,7 +1597,7 @@ fn drain_loop<M: SharedMemory>(
             // The drained proposals left the ring the moment `drain` took
             // them — account for them now, not at batch completion, so the
             // aggregate gauge stays honest even if a decide panics.
-            telemetry.on_proposals_dequeued(take as u64);
+            telemetry.lower(GaugeKey::QueueDepth, take as u64);
             // Room freed: wake producers blocked under `Block`.
             ring.to_producers.notify_all();
         }
@@ -1631,7 +1621,7 @@ fn drain_loop<M: SharedMemory>(
             };
             item.complete(decided);
             let wait_ns = u64::try_from(item.enqueued_at.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            telemetry.on_service_wait(wait_ns);
+            telemetry.record(HistKey::ServiceWaitNs, wait_ns);
             done += 1;
         }
         telemetry.on_batch_drained(ring_ix as u64, done, depth_after as u64);
@@ -1800,6 +1790,7 @@ impl<M: SharedMemory> ServiceBuilder<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mc_telemetry::{AggregatingRecorder, Tally};
 
     fn single_worker_service(policy: BackpressurePolicy) -> ConsensusService {
         ConsensusService::builder()
@@ -1825,11 +1816,11 @@ mod tests {
         // `batch_drained` lands after the batch's handles complete.
         let t = Arc::clone(service.engine().telemetry_handle());
         drop(service);
-        assert_eq!(t.proposals_enqueued(), 100);
-        assert_eq!(t.decisions(), 100);
-        assert_eq!(t.instances_retired(), 100);
-        assert!(t.batches_drained() >= 1);
-        assert_eq!(t.service_wait_ns().count(), 100);
+        assert_eq!(t.count(CounterKey::ProposalsEnqueued), 100);
+        assert_eq!(t.count(CounterKey::Decisions), 100);
+        assert_eq!(t.count(CounterKey::InstancesRetired), 100);
+        assert!(t.count(CounterKey::BatchesDrained) >= 1);
+        assert_eq!(t.hist(HistKey::ServiceWaitNs).count(), 100);
     }
 
     #[test]
@@ -1900,7 +1891,7 @@ mod tests {
             service.submit(4, 4),
             Err(EngineError::Shed { max_queue_depth: 4 })
         ));
-        assert_eq!(service.telemetry().proposals_shed(), 1);
+        assert_eq!(service.telemetry().count(CounterKey::ProposalsShed), 1);
         assert_eq!(service.queue_depth(), 4);
         service.resume();
         for (id, handle) in handles.iter().enumerate() {
@@ -1925,7 +1916,7 @@ mod tests {
         service.submit(0, 0).unwrap();
         service.submit(1, 1).unwrap();
         assert!(matches!(service.submit(2, 2), Err(EngineError::Rejected)));
-        assert_eq!(service.telemetry().proposals_rejected(), 1);
+        assert_eq!(service.telemetry().count(CounterKey::ProposalsRejected), 1);
         service.resume();
     }
 
@@ -1967,10 +1958,10 @@ mod tests {
             }
         }
         let t = service.telemetry();
-        assert_eq!(t.proposals_enqueued(), 400);
-        assert_eq!(t.decisions(), 400);
-        assert_eq!(t.proposals_shed(), 0);
-        assert_eq!(t.proposals_rejected(), 0);
+        assert_eq!(t.count(CounterKey::ProposalsEnqueued), 400);
+        assert_eq!(t.count(CounterKey::Decisions), 400);
+        assert_eq!(t.count(CounterKey::ProposalsShed), 0);
+        assert_eq!(t.count(CounterKey::ProposalsRejected), 0);
     }
 
     #[test]
@@ -2022,13 +2013,13 @@ mod tests {
             }
         });
         let t = service.telemetry();
-        assert_eq!(t.proposals_enqueued(), 400);
-        assert_eq!(t.decisions(), 400);
+        assert_eq!(t.count(CounterKey::ProposalsEnqueued), 400);
+        assert_eq!(t.count(CounterKey::Decisions), 400);
     }
 
     #[test]
     fn shutdown_restores_per_decide_recorder_events() {
-        let agg = Arc::new(mc_telemetry::AggregatingRecorder::new());
+        let agg = Arc::new(AggregatingRecorder::new());
         let engine = Arc::new(
             ConsensusEngine::builder()
                 .n(1)
@@ -2046,7 +2037,7 @@ mod tests {
         assert!(engine.telemetry().decide_events_on());
         let mut rng = SmallRng::seed_from_u64(7);
         engine.submit(0, 3, &mut rng);
-        assert_eq!(agg.decisions(), 1);
+        assert_eq!(agg.count(Tally::Decisions), 1);
     }
 
     struct PanicOnBatchDrained;
@@ -2090,7 +2081,7 @@ mod tests {
         // forever against the dead ring).
         assert!(matches!(service.submit(9, 9), Err(EngineError::Rejected)));
         assert_eq!(service.queue_depth(), 0);
-        assert_eq!(service.telemetry().queue_depth(), 0);
+        assert_eq!(service.telemetry().gauge(GaugeKey::QueueDepth), 0);
         assert_eq!(service.ring_health(0), RingHealth::Poisoned);
     }
 
@@ -2121,12 +2112,12 @@ mod tests {
         }
         let t = Arc::clone(service.engine().telemetry_handle());
         drop(service);
-        assert_eq!(t.decisions(), 4);
-        assert_eq!(t.worker_restarts(), 4);
-        assert_eq!(t.worker_recovery_ns().count(), 4);
+        assert_eq!(t.count(CounterKey::Decisions), 4);
+        assert_eq!(t.count(CounterKey::WorkerRestarts), 4);
+        assert_eq!(t.hist(HistKey::WorkerRecoveryNs).count(), 4);
         // The batch events all panicked mid-record, so the proposals were
         // already decided when each panic hit: nothing to re-admit.
-        assert_eq!(t.resubmitted_cells(), 0);
+        assert_eq!(t.count(CounterKey::ResubmittedCells), 0);
     }
 
     #[test]
@@ -2161,8 +2152,8 @@ mod tests {
         }
         assert_eq!(service.ring_health(0), RingHealth::Poisoned);
         assert!(matches!(service.submit(9, 9), Err(EngineError::Rejected)));
-        assert_eq!(service.telemetry().worker_restarts(), 2);
-        assert_eq!(service.telemetry().queue_depth(), 0);
+        assert_eq!(service.telemetry().count(CounterKey::WorkerRestarts), 2);
+        assert_eq!(service.telemetry().gauge(GaugeKey::QueueDepth), 0);
     }
 
     #[test]
@@ -2194,11 +2185,19 @@ mod tests {
         }
         let t = Arc::clone(service.engine().telemetry_handle());
         drop(service);
-        assert_eq!(t.worker_restarts(), 2);
-        assert_eq!(t.resubmitted_cells(), 6, "3 proposals × 2 recoveries");
-        assert_eq!(t.decisions(), 3, "each proposal decided exactly once");
-        assert_eq!(t.proposals_enqueued(), 3);
-        assert_eq!(t.queue_depth(), 0);
+        assert_eq!(t.count(CounterKey::WorkerRestarts), 2);
+        assert_eq!(
+            t.count(CounterKey::ResubmittedCells),
+            6,
+            "3 proposals × 2 recoveries"
+        );
+        assert_eq!(
+            t.count(CounterKey::Decisions),
+            3,
+            "each proposal decided exactly once"
+        );
+        assert_eq!(t.count(CounterKey::ProposalsEnqueued), 3);
+        assert_eq!(t.gauge(GaugeKey::QueueDepth), 0);
     }
 
     #[test]
@@ -2218,7 +2217,7 @@ mod tests {
         for (id, handle) in handles.iter().enumerate() {
             assert_eq!(handle.wait(), Ok(id as u64));
         }
-        assert_eq!(service.telemetry().worker_restarts(), 0);
+        assert_eq!(service.telemetry().count(CounterKey::WorkerRestarts), 0);
     }
 
     /// Panics while recording the FIRST `WorkerRestarted` event: proves a
@@ -2269,8 +2268,8 @@ mod tests {
         }
         let t = Arc::clone(service.engine().telemetry_handle());
         drop(service);
-        assert_eq!(t.worker_restarts(), 2);
-        assert_eq!(t.decisions(), 3);
+        assert_eq!(t.count(CounterKey::WorkerRestarts), 2);
+        assert_eq!(t.count(CounterKey::Decisions), 3);
     }
 
     #[test]
@@ -2389,7 +2388,7 @@ mod tests {
             service.submit(0, 3),
             Err(EngineError::CircuitOpen)
         ));
-        assert_eq!(service.telemetry().circuit_state(), 1);
+        assert_eq!(service.telemetry().gauge(GaugeKey::CircuitState), 1);
         // Past the cooldown, one probe is admitted; the ring has drained
         // (resume), so the probe succeeds and the breaker closes.
         service.resume();
@@ -2405,7 +2404,7 @@ mod tests {
         };
         assert_eq!(handle.wait(), Ok(5));
         assert_eq!(service.circuit_state(), Some(CircuitState::Closed));
-        assert_eq!(service.telemetry().circuit_state(), 0);
+        assert_eq!(service.telemetry().gauge(GaugeKey::CircuitState), 0);
     }
 
     #[test]
@@ -2531,7 +2530,7 @@ mod tests {
 
     #[test]
     fn batch_drained_events_reach_the_recorder() {
-        let agg = Arc::new(mc_telemetry::AggregatingRecorder::new());
+        let agg = Arc::new(AggregatingRecorder::new());
         let service = ConsensusService::builder()
             .n(1)
             .values(64)
@@ -2551,12 +2550,12 @@ mod tests {
         drop(service); // join workers so the batch events have landed
                        // All 20 were in the ring when the worker woke: one batch (the
                        // default batch_max is 256), one event, 20 proposals accounted.
-        assert!(agg.batches_drained() >= 1);
-        assert_eq!(agg.batched_proposals(), 20);
+        assert!(agg.count(Tally::BatchesDrained) >= 1);
+        assert_eq!(agg.count(Tally::BatchedProposals), 20);
         // The service amortizes recorder traffic: per-decide events are
         // suppressed while it drives the engine, so the recorder sees the
         // batch summaries but not twenty Decided events.
-        assert_eq!(agg.decisions(), 0);
+        assert_eq!(agg.count(Tally::Decisions), 0);
     }
 
     #[test]

@@ -11,83 +11,191 @@
 //! `ConsensusService` drives an engine, per-decide events (`StageEntered`,
 //! `Decided`, …) are suppressed on that engine's telemetry and the recorder
 //! instead receives one `BatchDrained` summary per drained batch. The store,
-//! whose sequencers decide on the engine directly, holds the same mode
-//! through an [`AmortizedEvents`] guard. Counters and histograms keep their
-//! per-operation fidelity either way.
+//! whose sequencers decide on the engine directly, takes the same mode;
+//! both hold it as an [`AmortizedEvents`] guard. Counters and histograms
+//! keep their per-operation fidelity either way.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use mc_telemetry::{
-    thread_shard, CircuitState, ConciliatorKind, Counter, FaultClass, Gauge, Histogram,
-    NoopRecorder, Recorder, ShardedCounter, Snapshot, StageKind, TelemetryEvent,
+    metric_keys, thread_shard, CircuitState, ConciliatorKind, Counter, FaultClass, Gauge,
+    Histogram, NoopRecorder, Recorder, ShardedCounter, Snapshot, StageKind, TelemetryEvent,
 };
 
 /// Hard cap on the δ̂ sliding window: samples older than this many decides
 /// are discarded regardless of the window a caller asks for.
 const DELTA_WINDOW_CAP: usize = 256;
 
-/// Fixed-point scale for the `observed_delta_hat` gauge (δ̂ in millionths).
+/// Fixed-point scale for the `observed_delta_hat_ppm` gauge (δ̂ in
+/// millionths).
 const DELTA_HAT_SCALE: f64 = 1_000_000.0;
+
+metric_keys! {
+    /// The counters of a [`RuntimeTelemetry`]; read one with
+    /// [`RuntimeTelemetry::count`], bump one with [`RuntimeTelemetry::add`].
+    pub enum CounterKey {
+        /// `decide` calls started.
+        DecideCalls => "decide_calls",
+        /// `decide` calls completed.
+        Decisions => "decisions",
+        /// Decisions that never left the leading ratifier pair.
+        FastPathHits => "fast_path_hits",
+        /// Total stage entries across all threads.
+        StageEntries => "stage_entries",
+        /// Probabilistic writes attempted (coin flips).
+        ProbWritesAttempted => "prob_writes_attempted",
+        /// Probabilistic writes whose coin landed.
+        ProbWritesPerformed => "prob_writes_performed",
+        /// Replicated-log appends completed.
+        Appends => "appends",
+        /// Slots lost to another replica's command before an append landed.
+        SlotConflicts => "slot_conflicts",
+        /// Consensus instances served from the recycle pool.
+        PoolHits => "pool_hits",
+        /// Consensus instances constructed because the pool was empty.
+        PoolMisses => "pool_misses",
+        /// Decided instances reset and returned to the recycle pool.
+        InstancesRetired => "instances_retired",
+        /// Memory faults delivered by an attached `FaultyMemory`, all classes.
+        FaultsInjected => "faults_injected",
+        /// Probabilistic writes whose coin fired but whose store was dropped.
+        FaultsLostProbWrites => "faults_lost_prob_writes",
+        /// Reads served a stale (previous) value.
+        FaultsStaleReads => "faults_stale_reads",
+        /// Writes whose visibility was delayed.
+        FaultsDelayedCommits => "faults_delayed_commits",
+        /// Registers wiped back to ⊥.
+        FaultsRegisterResets => "faults_register_resets",
+        /// Bounded-consensus calls that exhausted every conciliator stage and
+        /// fell back to the backup protocol `K`.
+        FallbacksTaken => "fallbacks_taken",
+        /// Adaptive conciliator selections resolved (any outcome).
+        ConciliatorSelections => "conciliator_selections",
+        /// Adaptive selections that chose the coin conciliator.
+        CoinSelections => "coin_selections",
+        /// Proposals accepted into a service intake ring.
+        ProposalsEnqueued => "proposals_enqueued",
+        /// Proposals refused at admission (`BackpressurePolicy::Reject`).
+        ProposalsRejected => "proposals_rejected",
+        /// Proposals dropped at admission (`BackpressurePolicy::Shed`).
+        ProposalsShed => "proposals_shed",
+        /// Batches drained by service shard workers.
+        BatchesDrained => "batches_drained",
+        /// Worker panics a supervisor recovered from (drain loop restarted).
+        WorkerRestarts => "worker_restarts",
+        /// Queued-but-unsubmitted cells re-admitted after worker panics.
+        ResubmittedCells => "resubmitted_cells",
+        /// Commands applied to the store's state machine (duplicates
+        /// excluded).
+        CommandsApplied => "commands_applied",
+        /// Distinct client sessions the store's session table has admitted.
+        SessionsCreated => "sessions_created",
+        /// Duplicate commands (same client, same sequence number) answered
+        /// from the session table's cached response instead of re-applying.
+        DuplicatesServed => "duplicates_served",
+        /// Commands refused because their sequence number predates the
+        /// session's cached response.
+        StaleCommands => "stale_commands",
+        /// Read leases granted or renewed.
+        LeaseGrants => "lease_grants",
+        /// Reads served from the applied state under a live lease (no log
+        /// slot consumed).
+        FastReads => "fast_reads",
+        /// State-machine snapshots captured (each rides a `compact_below`).
+        StoreSnapshots => "store_snapshots",
+    }
+}
+
+impl CounterKey {
+    /// The consensus hot path bumps three counters from every thread at
+    /// once; those live in cache-line-padded per-thread shards
+    /// (`RuntimeTelemetry::sharded`) instead of the shared `counters` line.
+    const SHARDED: usize = 3;
+
+    /// This key's cell in `RuntimeTelemetry::sharded`, below
+    /// [`SHARDED`](Self::SHARDED) and unique to it, if it is a sharded key.
+    const fn shard_slot(self) -> Option<usize> {
+        match self {
+            CounterKey::StageEntries => Some(0),
+            CounterKey::ProbWritesAttempted => Some(1),
+            CounterKey::ProbWritesPerformed => Some(2),
+            _ => None,
+        }
+    }
+}
+
+metric_keys! {
+    /// The gauges of a [`RuntimeTelemetry`]; read the current value with
+    /// [`RuntimeTelemetry::gauge`] and the running maximum with
+    /// [`RuntimeTelemetry::gauge_max`].
+    pub enum GaugeKey {
+        /// Length of the store's contiguous applied prefix (entries applied
+        /// to the state machine).
+        AppliedIndex => "applied_index",
+        /// Current circuit-breaker state (numeric: closed 0, open 1,
+        /// half-open 2; see [`mc_telemetry::CircuitState::as_u64`]).
+        CircuitState => "circuit_state",
+        /// Largest probability-doubling round index any call reached. Only
+        /// its maximum moves; the current value stays 0.
+        MaxConciliatorRound => "max_conciliator_round",
+        /// Latest δ̂ published by an adaptive selection, in millionths; see
+        /// [`RuntimeTelemetry::observed_delta_hat`].
+        ObservedDeltaHatPpm => "observed_delta_hat_ppm",
+        /// Instances currently live; derived on read, see
+        /// [`RuntimeTelemetry::live_instances`].
+        LiveInstances => "live_instances",
+        /// Proposals currently enqueued across *all* intake rings
+        /// (aggregate, not any single ring's depth).
+        QueueDepth => "queue_depth",
+    }
+}
+
+metric_keys! {
+    /// The histograms of a [`RuntimeTelemetry`]; borrow one with
+    /// [`RuntimeTelemetry::hist`].
+    pub enum HistKey {
+        /// Stage index at which calls decided.
+        RoundsToDecide => "rounds_to_decide",
+        /// Wall-clock `decide` latency, nanoseconds.
+        DecideLatencyNs => "decide_latency_ns",
+        /// Probability-doubling rounds per conciliator call.
+        ConciliatorRounds => "conciliator_rounds",
+        /// Voting rounds per shared-coin flip (0 for the local coin, which
+        /// touches no shared registers).
+        CoinRounds => "coin_rounds",
+        /// Submit→decision wall-clock waits through the service,
+        /// nanoseconds.
+        ServiceWaitNs => "service_wait_ns",
+        /// Panic-catch → drain-loop-reentry recovery latency, nanoseconds.
+        WorkerRecoveryNs => "worker_recovery_ns",
+    }
+}
 
 /// Aggregated metrics plus an event sink for runtime consensus objects.
 ///
 /// Obtain one from [`Consensus::telemetry`](crate::Consensus::telemetry) or
 /// [`ReplicatedLog::telemetry`](crate::ReplicatedLog::telemetry); attach a
-/// real recorder with the `with_recorder` constructors.
+/// real recorder with `.recorder(...)` on any builder.
+///
+/// The metric set is the three key enums: cells are inline arrays indexed
+/// by `key as usize`, and [`snapshot`](Self::snapshot) walks the same
+/// tables, so a metric is declared once.
 pub struct RuntimeTelemetry {
     recorder: Arc<dyn Recorder>,
     events_on: bool,
     /// Services currently amortizing this telemetry's recorder traffic;
     /// per-decide events flow only while this is zero.
     decide_event_amortizers: AtomicU64,
-    decide_calls: Counter,
-    decisions: Counter,
-    fast_path_hits: Counter,
-    stage_entries: ShardedCounter,
-    rounds_to_decide: Histogram,
-    decide_latency_ns: Histogram,
-    conciliator_rounds: Histogram,
-    max_conciliator_round: Gauge,
-    coin_rounds: Histogram,
-    conciliator_selections: Counter,
-    coin_selections: Counter,
-    observed_delta_hat: Gauge,
+    counters: [Counter; CounterKey::COUNT],
+    /// The cells of the keys with a [`CounterKey::shard_slot`].
+    sharded: [ShardedCounter; CounterKey::SHARDED],
+    gauges: [Gauge; GaugeKey::COUNT],
+    hists: [Histogram; HistKey::COUNT],
     /// Conciliator stages entered per completed decide, newest at the back.
     /// Feeds the sliding-window δ̂ estimate for adaptive selection.
     delta_window: Mutex<VecDeque<u64>>,
-    prob_writes_attempted: ShardedCounter,
-    prob_writes_performed: ShardedCounter,
-    appends: Counter,
-    slot_conflicts: Counter,
-    pool_hits: Counter,
-    pool_misses: Counter,
-    instances_retired: Counter,
-    faults_injected: Counter,
-    lost_prob_writes: Counter,
-    stale_reads: Counter,
-    delayed_commits: Counter,
-    register_resets: Counter,
-    fallbacks_taken: Counter,
-    proposals_enqueued: Counter,
-    proposals_rejected: Counter,
-    proposals_shed: Counter,
-    batches_drained: Counter,
-    queue_depth: Gauge,
-    service_wait_ns: Histogram,
-    worker_restarts: Counter,
-    resubmitted_cells: Counter,
-    circuit_state: Gauge,
-    worker_recovery_ns: Histogram,
-    applied_index: Gauge,
-    commands_applied: Counter,
-    sessions_created: Counter,
-    duplicates_served: Counter,
-    stale_commands: Counter,
-    lease_grants: Counter,
-    fast_reads: Counter,
-    store_snapshots: Counter,
 }
 
 /// Keeps a [`RuntimeTelemetry`] in amortized recorder mode while alive;
@@ -97,17 +205,39 @@ pub struct AmortizedEvents(Arc<RuntimeTelemetry>);
 
 impl Drop for AmortizedEvents {
     fn drop(&mut self) {
-        self.0.restore_decide_events();
+        self.0
+            .decide_event_amortizers
+            .fetch_sub(1, Ordering::Relaxed);
     }
 }
 
+/// Every metric that has moved, by exported name: the ledger a stalled
+/// store or service prints when a bounded wait gives up.
 impl std::fmt::Debug for RuntimeTelemetry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RuntimeTelemetry")
-            .field("events_on", &self.events_on)
-            .field("decide_calls", &self.decide_calls.get())
-            .field("decisions", &self.decisions.get())
-            .finish_non_exhaustive()
+        let mut out = f.debug_struct("RuntimeTelemetry");
+        out.field("events_on", &self.events_on);
+        for &key in CounterKey::ALL {
+            let n = self.count(key);
+            if n > 0 {
+                out.field(key.name(), &n);
+            }
+        }
+        for &key in GaugeKey::ALL {
+            // A gauge's maximum is never below its value.
+            let (now, max) = (self.gauge(key), self.gauge_max(key));
+            if max > 0 {
+                out.field(key.name(), &format_args!("{now} (max {max})"));
+            }
+        }
+        for &key in HistKey::ALL {
+            let hist = self.hist(key);
+            if hist.count() > 0 {
+                let summary = format_args!("{} samples, max {}", hist.count(), hist.max());
+                out.field(key.name(), &summary);
+            }
+        }
+        out.finish_non_exhaustive()
     }
 }
 
@@ -119,50 +249,11 @@ impl RuntimeTelemetry {
             recorder,
             events_on,
             decide_event_amortizers: AtomicU64::new(0),
-            decide_calls: Counter::new(),
-            decisions: Counter::new(),
-            fast_path_hits: Counter::new(),
-            stage_entries: ShardedCounter::new(n),
-            rounds_to_decide: Histogram::new(),
-            decide_latency_ns: Histogram::new(),
-            conciliator_rounds: Histogram::new(),
-            max_conciliator_round: Gauge::new(),
-            coin_rounds: Histogram::new(),
-            conciliator_selections: Counter::new(),
-            coin_selections: Counter::new(),
-            observed_delta_hat: Gauge::new(),
+            counters: std::array::from_fn(|_| Counter::new()),
+            sharded: std::array::from_fn(|_| ShardedCounter::new(n)),
+            gauges: std::array::from_fn(|_| Gauge::new()),
+            hists: std::array::from_fn(|_| Histogram::new()),
             delta_window: Mutex::new(VecDeque::new()),
-            prob_writes_attempted: ShardedCounter::new(n),
-            prob_writes_performed: ShardedCounter::new(n),
-            appends: Counter::new(),
-            slot_conflicts: Counter::new(),
-            pool_hits: Counter::new(),
-            pool_misses: Counter::new(),
-            instances_retired: Counter::new(),
-            faults_injected: Counter::new(),
-            lost_prob_writes: Counter::new(),
-            stale_reads: Counter::new(),
-            delayed_commits: Counter::new(),
-            register_resets: Counter::new(),
-            fallbacks_taken: Counter::new(),
-            proposals_enqueued: Counter::new(),
-            proposals_rejected: Counter::new(),
-            proposals_shed: Counter::new(),
-            batches_drained: Counter::new(),
-            queue_depth: Gauge::new(),
-            service_wait_ns: Histogram::new(),
-            worker_restarts: Counter::new(),
-            resubmitted_cells: Counter::new(),
-            circuit_state: Gauge::new(),
-            worker_recovery_ns: Histogram::new(),
-            applied_index: Gauge::new(),
-            commands_applied: Counter::new(),
-            sessions_created: Counter::new(),
-            duplicates_served: Counter::new(),
-            stale_commands: Counter::new(),
-            lease_grants: Counter::new(),
-            fast_reads: Counter::new(),
-            store_snapshots: Counter::new(),
         }
     }
 
@@ -184,34 +275,17 @@ impl RuntimeTelemetry {
         self.events_on && self.decide_event_amortizers.load(Ordering::Relaxed) == 0
     }
 
-    /// Switches to amortized recorder traffic: per-decide events are
-    /// suppressed; batch-level events and every counter/histogram stay
-    /// live. Called by `ConsensusService` when it takes over an engine —
-    /// paying a recorder serialization per operation on the worker's hot
-    /// path would forfeit exactly the per-call overhead the service
-    /// exists to amortize. Reference-counted: each call must be paired
-    /// with one [`restore_decide_events`](Self::restore_decide_events),
-    /// and per-decide events resume once every amortizer is gone.
-    pub(crate) fn amortize_decide_events(&self) {
-        self.decide_event_amortizers.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Undoes one [`amortize_decide_events`](Self::amortize_decide_events)
-    /// (the service calls this on shutdown); per-decide events flow again
-    /// when no amortizer remains. Saturates at zero.
-    pub(crate) fn restore_decide_events(&self) {
-        let _ =
-            self.decide_event_amortizers
-                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| v.checked_sub(1));
-    }
-
-    /// Amortized recorder mode (see
-    /// [`decide_events_on`](Self::decide_events_on)) as a guard, for a
-    /// driver outside this crate that decides on its own threads at a rate
-    /// a per-decide recorder call would dominate — the store's sequencers.
-    /// Reference-counted with the service's; lasts until the guard drops.
+    /// Switches to amortized recorder traffic until the returned guard
+    /// drops: per-decide events are suppressed; batch-level events and
+    /// every counter/histogram stay live. Taken by `ConsensusService` when
+    /// it takes over an engine, and by a driver outside this crate that
+    /// decides on its own threads (the store's sequencers) — paying a
+    /// recorder serialization per operation on that hot path would forfeit
+    /// exactly the per-call overhead batching exists to amortize.
+    /// Reference-counted: per-decide events resume once every guard is
+    /// gone.
     pub fn amortized(self: &Arc<Self>) -> AmortizedEvents {
-        self.amortize_decide_events();
+        self.decide_event_amortizers.fetch_add(1, Ordering::Relaxed);
         AmortizedEvents(Arc::clone(self))
     }
 
@@ -234,16 +308,70 @@ impl RuntimeTelemetry {
         thread_shard() as u64
     }
 
-    // --- emission hooks (crate-internal) ---
+    // --- the table: one bump and one read per metric kind ---
 
+    /// Adds `n` to a counter. A relaxed atomic add at a constant offset;
+    /// the sharded keys land in the calling thread's own cache line.
     #[inline]
-    pub(crate) fn on_decide_start(&self) {
-        self.decide_calls.incr();
+    pub fn add(&self, key: CounterKey, n: u64) {
+        match key.shard_slot() {
+            Some(slot) => self.sharded[slot].add_local(n),
+            None => self.counters[key as usize].add(n),
+        }
     }
+
+    /// Records one observation in a histogram.
+    #[inline]
+    pub(crate) fn record(&self, key: HistKey, v: u64) {
+        self.hists[key as usize].record(v);
+    }
+
+    /// Lowers a gauge by `n`, saturating at zero. The one gauge move that
+    /// happens on its own: proposals leaving the intake rings — drained
+    /// into a worker's batch, or cleared (and poisoned) by shutdown or a
+    /// dying worker — take [`GaugeKey::QueueDepth`] down.
+    #[inline]
+    pub(crate) fn lower(&self, key: GaugeKey, n: u64) {
+        self.gauges[key as usize].sub(n);
+    }
+
+    /// The current value of a counter (summed over shards for the sharded
+    /// keys).
+    pub fn count(&self, key: CounterKey) -> u64 {
+        match key.shard_slot() {
+            Some(slot) => self.sharded[slot].total(),
+            None => self.counters[key as usize].get(),
+        }
+    }
+
+    /// The current value of a gauge.
+    pub fn gauge(&self, key: GaugeKey) -> u64 {
+        match key {
+            GaugeKey::LiveInstances => self.live_instances(),
+            _ => self.gauges[key as usize].get(),
+        }
+    }
+
+    /// The largest value a gauge ever held (for the derived
+    /// [`GaugeKey::LiveInstances`], its current value).
+    pub fn gauge_max(&self, key: GaugeKey) -> u64 {
+        match key {
+            GaugeKey::LiveInstances => self.live_instances(),
+            _ => self.gauges[key as usize].max(),
+        }
+    }
+
+    /// A histogram, for its count, max, quantiles or snapshot.
+    pub fn hist(&self, key: HistKey) -> &Histogram {
+        &self.hists[key as usize]
+    }
+
+    // --- emission hooks (crate-internal): every update that emits an
+    // event or moves more than one metric ---
 
     #[inline]
     pub(crate) fn on_stage_entered(&self, stage: u64, kind: StageKind) {
-        self.stage_entries.add_local(1);
+        self.add(CounterKey::StageEntries, 1);
         if self.decide_events_on() {
             self.recorder.record(&TelemetryEvent::StageEntered {
                 pid: Self::pid(),
@@ -267,11 +395,11 @@ impl RuntimeTelemetry {
 
     #[inline]
     pub(crate) fn on_decided(&self, value: u64, stage: u64, fast_path: bool, latency_ns: u64) {
-        self.decisions.incr();
-        self.rounds_to_decide.record(stage);
-        self.decide_latency_ns.record(latency_ns);
+        self.add(CounterKey::Decisions, 1);
+        self.record(HistKey::RoundsToDecide, stage);
+        self.record(HistKey::DecideLatencyNs, latency_ns);
         if fast_path {
-            self.fast_path_hits.incr();
+            self.add(CounterKey::FastPathHits, 1);
         }
         if self.decide_events_on() {
             let pid = Self::pid();
@@ -290,7 +418,7 @@ impl RuntimeTelemetry {
 
     #[inline]
     pub(crate) fn on_conciliator_round(&self, round: u64, probability: f64) {
-        self.max_conciliator_round.record_max(round);
+        self.gauges[GaugeKey::MaxConciliatorRound as usize].record_max(round);
         if self.decide_events_on() {
             self.recorder.record(&TelemetryEvent::ConciliatorRound {
                 pid: Self::pid(),
@@ -302,9 +430,9 @@ impl RuntimeTelemetry {
 
     #[inline]
     pub(crate) fn on_prob_write(&self, performed: bool, probability: f64) {
-        self.prob_writes_attempted.add_local(1);
+        self.add(CounterKey::ProbWritesAttempted, 1);
         if performed {
-            self.prob_writes_performed.add_local(1);
+            self.add(CounterKey::ProbWritesPerformed, 1);
         }
         if self.decide_events_on() {
             self.recorder.record(&TelemetryEvent::ProbWrite {
@@ -313,18 +441,6 @@ impl RuntimeTelemetry {
                 probability,
             });
         }
-    }
-
-    #[inline]
-    pub(crate) fn on_propose_done(&self, rounds: u64) {
-        self.conciliator_rounds.record(rounds);
-    }
-
-    /// A shared-coin flip completed after `rounds` voting rounds (0 for the
-    /// local coin, which touches no shared registers).
-    #[inline]
-    pub(crate) fn on_coin_rounds(&self, rounds: u64) {
-        self.coin_rounds.record(rounds);
     }
 
     /// A decide completed after entering `stages` conciliator stages; feeds
@@ -346,12 +462,12 @@ impl RuntimeTelemetry {
         delta_hat: Option<f64>,
         samples: u64,
     ) {
-        self.conciliator_selections.incr();
+        self.add(CounterKey::ConciliatorSelections, 1);
         if choice == ConciliatorKind::Coin {
-            self.coin_selections.incr();
+            self.add(CounterKey::CoinSelections, 1);
         }
         if let Some(d) = delta_hat {
-            self.observed_delta_hat
+            self.gauges[GaugeKey::ObservedDeltaHatPpm as usize]
                 .set((d.clamp(0.0, 1.0) * DELTA_HAT_SCALE) as u64);
         }
         if self.events_on {
@@ -366,13 +482,14 @@ impl RuntimeTelemetry {
 
     #[inline]
     pub(crate) fn on_fault_injected(&self, class: FaultClass, register: u64, step: u64) {
-        self.faults_injected.incr();
-        match class {
-            FaultClass::LostProbWrite => self.lost_prob_writes.incr(),
-            FaultClass::StaleRead => self.stale_reads.incr(),
-            FaultClass::DelayedVisibility => self.delayed_commits.incr(),
-            FaultClass::RegisterReset => self.register_resets.incr(),
-        }
+        self.add(CounterKey::FaultsInjected, 1);
+        let by_class = match class {
+            FaultClass::LostProbWrite => CounterKey::FaultsLostProbWrites,
+            FaultClass::StaleRead => CounterKey::FaultsStaleReads,
+            FaultClass::DelayedVisibility => CounterKey::FaultsDelayedCommits,
+            FaultClass::RegisterReset => CounterKey::FaultsRegisterResets,
+        };
+        self.add(by_class, 1);
         if self.decide_events_on() {
             self.recorder.record(&TelemetryEvent::FaultInjected {
                 class,
@@ -384,7 +501,7 @@ impl RuntimeTelemetry {
 
     #[inline]
     pub(crate) fn on_fallback_taken(&self, conciliator_stages: u64) {
-        self.fallbacks_taken.incr();
+        self.add(CounterKey::FallbacksTaken, 1);
         if self.decide_events_on() {
             self.recorder.record(&TelemetryEvent::FallbackTaken {
                 pid: Self::pid(),
@@ -395,12 +512,12 @@ impl RuntimeTelemetry {
 
     // --- service hooks ---
     //
-    // The batching service calls these from producers (enqueue/reject/shed)
-    // and workers (batch drained, per-item wait). Everything here is a
-    // relaxed-atomic counter or histogram bump except `on_batch_drained`,
-    // which is the *one* structured event per batch — that is the telemetry
-    // amortization: per-proposal costs stay O(1) stores, recorder traffic
-    // is O(batches).
+    // The batching service calls these from producers (enqueue) and workers
+    // (batch drained, requeue, restart); its single-metric updates go
+    // through `add`/`record`/`lower`. Everything is a relaxed-atomic bump
+    // except `on_batch_drained`, which is the *one* structured event per
+    // batch — that is the telemetry amortization: per-proposal costs stay
+    // O(1) stores, recorder traffic is O(batches).
 
     /// A proposal was accepted into an intake ring. The queue-depth gauge
     /// is an aggregate over all rings, maintained by add/sub so producers
@@ -408,36 +525,16 @@ impl RuntimeTelemetry {
     /// other.
     #[inline]
     pub(crate) fn on_proposal_enqueued(&self) {
-        self.proposals_enqueued.incr();
-        self.queue_depth.add(1);
-    }
-
-    /// `count` proposals left the intake rings — drained into a worker's
-    /// batch, or cleared (and poisoned) by shutdown or a dying worker.
-    #[inline]
-    pub(crate) fn on_proposals_dequeued(&self, count: u64) {
-        self.queue_depth.sub(count);
-    }
-
-    /// A proposal was refused at admission under `BackpressurePolicy::Reject`.
-    #[inline]
-    pub(crate) fn on_proposal_rejected(&self) {
-        self.proposals_rejected.incr();
-    }
-
-    /// A proposal was dropped at admission under `BackpressurePolicy::Shed`.
-    #[inline]
-    pub(crate) fn on_proposal_shed(&self) {
-        self.proposals_shed.incr();
+        self.add(CounterKey::ProposalsEnqueued, 1);
+        self.gauges[GaugeKey::QueueDepth as usize].add(1);
     }
 
     /// A shard worker drained one batch of `batch` proposals; `queue_depth`
     /// is the depth it left behind in its ring (carried on the event — the
-    /// gauge itself was already adjusted at drain time by
-    /// [`on_proposals_dequeued`](Self::on_proposals_dequeued)).
+    /// gauge itself was already lowered at drain time).
     #[inline]
     pub(crate) fn on_batch_drained(&self, shard: u64, batch: u64, queue_depth: u64) {
-        self.batches_drained.incr();
+        self.add(CounterKey::BatchesDrained, 1);
         if self.events_on {
             self.recorder.record(&TelemetryEvent::BatchDrained {
                 shard,
@@ -447,12 +544,6 @@ impl RuntimeTelemetry {
         }
     }
 
-    /// One proposal's submit→decision wall-clock wait, nanoseconds.
-    #[inline]
-    pub(crate) fn on_service_wait(&self, wait_ns: u64) {
-        self.service_wait_ns.record(wait_ns);
-    }
-
     /// `count` re-admitted proposals went back into an intake ring after a
     /// worker panic. The queue-depth gauge climbs back by `count` (the
     /// drain that preceded the panic already subtracted them);
@@ -460,8 +551,8 @@ impl RuntimeTelemetry {
     /// same submission, so the enqueued ≡ decided + poisoned ledger holds.
     #[inline]
     pub(crate) fn on_proposals_requeued(&self, count: u64) {
-        self.resubmitted_cells.add(count);
-        self.queue_depth.add(count);
+        self.add(CounterKey::ResubmittedCells, count);
+        self.gauges[GaugeKey::QueueDepth as usize].add(count);
     }
 
     /// A supervised worker recovered from a panic and restarted its drain
@@ -469,8 +560,8 @@ impl RuntimeTelemetry {
     /// to the recorder whenever events are on, amortized mode included.
     #[inline]
     pub(crate) fn on_worker_restart(&self, ring: u64, attempt: u64, resubmitted: u64, ns: u64) {
-        self.worker_restarts.incr();
-        self.worker_recovery_ns.record(ns);
+        self.add(CounterKey::WorkerRestarts, 1);
+        self.record(HistKey::WorkerRecoveryNs, ns);
         if self.events_on {
             self.recorder.record(&TelemetryEvent::WorkerRestarted {
                 ring,
@@ -484,37 +575,19 @@ impl RuntimeTelemetry {
     /// A service circuit breaker entered `state`.
     #[inline]
     pub(crate) fn on_circuit_transition(&self, state: CircuitState) {
-        self.circuit_state.set(state.as_u64());
+        self.gauges[GaugeKey::CircuitState as usize].set(state.as_u64());
         if self.events_on {
             self.recorder
                 .record(&TelemetryEvent::CircuitTransition { state });
         }
     }
 
-    /// A consensus instance was served from the recycle pool.
-    #[inline]
-    pub(crate) fn on_pool_hit(&self) {
-        self.pool_hits.incr();
-    }
-
-    /// A consensus instance had to be freshly constructed (empty pool).
-    #[inline]
-    pub(crate) fn on_pool_miss(&self) {
-        self.pool_misses.incr();
-    }
-
-    /// A decided instance was reset and returned to the recycle pool.
-    #[inline]
-    pub(crate) fn on_instance_retired(&self) {
-        self.instances_retired.incr();
-    }
-
     #[inline]
     pub(crate) fn on_append(&self, slots_walked: u64) {
-        self.appends.incr();
+        self.add(CounterKey::Appends, 1);
         // Every slot beyond the first means some other replica's command won
         // the slot this one was racing for.
-        self.slot_conflicts.add(slots_walked.saturating_sub(1));
+        self.add(CounterKey::SlotConflicts, slots_walked.saturating_sub(1));
     }
 
     // --- store-layer hooks (public: `mc-store` is a separate crate) ---
@@ -523,36 +596,15 @@ impl RuntimeTelemetry {
     /// contiguous applied prefix at `applied_index` entries.
     #[inline]
     pub fn on_commands_applied(&self, count: u64, applied_index: u64) {
-        self.commands_applied.add(count);
-        self.applied_index.set(applied_index);
-    }
-
-    /// A store session table admitted a client id it had not seen.
-    #[inline]
-    pub fn on_session_created(&self) {
-        self.sessions_created.incr();
-    }
-
-    /// A duplicate command (same client, same sequence number) was
-    /// answered from the session table's cached response without
-    /// re-applying.
-    #[inline]
-    pub fn on_duplicate_served(&self) {
-        self.duplicates_served.incr();
-    }
-
-    /// A command arrived with a sequence number *below* the session's
-    /// last applied one — too stale for even the cached response.
-    #[inline]
-    pub fn on_stale_command(&self) {
-        self.stale_commands.incr();
+        self.add(CounterKey::CommandsApplied, count);
+        self.gauges[GaugeKey::AppliedIndex as usize].set(applied_index);
     }
 
     /// A client session was granted (or re-granted) a read lease valid
     /// for `ttl_ns`; `renewed` is false for the session's first lease.
     #[inline]
     pub fn on_lease_granted(&self, client: u64, renewed: bool, ttl_ns: u64) {
-        self.lease_grants.incr();
+        self.add(CounterKey::LeaseGrants, 1);
         if self.events_on {
             self.recorder.record(&TelemetryEvent::ReadLease {
                 client,
@@ -562,91 +614,20 @@ impl RuntimeTelemetry {
         }
     }
 
-    /// A read was served from the applied state under a live lease,
-    /// without occupying a log slot.
-    #[inline]
-    pub fn on_fast_read(&self) {
-        self.fast_reads.incr();
-    }
-
-    /// The store captured a state-machine snapshot and compacted the log
-    /// below the applied index.
-    #[inline]
-    pub fn on_store_snapshot(&self) {
-        self.store_snapshots.incr();
-    }
-
-    // --- accessors ---
-
-    /// `decide` calls started.
-    pub fn decide_calls(&self) -> u64 {
-        self.decide_calls.get()
-    }
-
-    /// `decide` calls completed.
-    pub fn decisions(&self) -> u64 {
-        self.decisions.get()
-    }
-
-    /// Decisions that never left the leading ratifier pair.
-    pub fn fast_path_hits(&self) -> u64 {
-        self.fast_path_hits.get()
-    }
+    // --- derived readers ---
 
     /// Fraction of decisions that used only the fast path (0 when none).
     pub fn fast_path_rate(&self) -> f64 {
-        let decided = self.decisions();
-        if decided == 0 {
-            0.0
-        } else {
-            self.fast_path_hits() as f64 / decided as f64
-        }
-    }
-
-    /// Total stage entries across all threads.
-    pub fn stage_entries(&self) -> u64 {
-        self.stage_entries.total()
-    }
-
-    /// Distribution of the stage index at which calls decided.
-    pub fn rounds_to_decide(&self) -> &Histogram {
-        &self.rounds_to_decide
-    }
-
-    /// Distribution of wall-clock `decide` latency in nanoseconds.
-    pub fn decide_latency_ns(&self) -> &Histogram {
-        &self.decide_latency_ns
-    }
-
-    /// Distribution of probability-doubling rounds per conciliator call.
-    pub fn conciliator_rounds(&self) -> &Histogram {
-        &self.conciliator_rounds
-    }
-
-    /// Largest probability-doubling round index any call reached.
-    pub fn max_conciliator_round(&self) -> u64 {
-        self.max_conciliator_round.max()
-    }
-
-    /// Distribution of voting rounds per shared-coin flip.
-    pub fn coin_rounds(&self) -> &Histogram {
-        &self.coin_rounds
-    }
-
-    /// Adaptive conciliator selections resolved (any outcome).
-    pub fn conciliator_selections(&self) -> u64 {
-        self.conciliator_selections.get()
-    }
-
-    /// Adaptive selections that chose the coin conciliator.
-    pub fn coin_selections(&self) -> u64 {
-        self.coin_selections.get()
+        rate(
+            self.count(CounterKey::FastPathHits),
+            self.count(CounterKey::Decisions),
+        )
     }
 
     /// Latest δ̂ published by an adaptive selection, or `None` before any
     /// selection had enough samples to estimate one.
     pub fn observed_delta_hat(&self) -> Option<f64> {
-        match self.observed_delta_hat.get() {
+        match self.gauge(GaugeKey::ObservedDeltaHatPpm) {
             0 => None,
             ppm => Some(ppm as f64 / DELTA_HAT_SCALE),
         }
@@ -684,320 +665,70 @@ impl RuntimeTelemetry {
         Some(take as f64 / total as f64)
     }
 
-    /// Probabilistic writes attempted (coin flips).
-    pub fn prob_writes_attempted(&self) -> u64 {
-        self.prob_writes_attempted.total()
-    }
-
-    /// Probabilistic writes whose coin landed.
-    pub fn prob_writes_performed(&self) -> u64 {
-        self.prob_writes_performed.total()
-    }
-
-    /// Replicated-log appends completed.
-    pub fn appends(&self) -> u64 {
-        self.appends.get()
-    }
-
-    /// Slots lost to another replica's command before an append landed.
-    pub fn slot_conflicts(&self) -> u64 {
-        self.slot_conflicts.get()
-    }
-
-    /// Consensus instances served from the recycle pool.
-    pub fn pool_hits(&self) -> u64 {
-        self.pool_hits.get()
-    }
-
-    /// Consensus instances constructed because the pool was empty.
-    pub fn pool_misses(&self) -> u64 {
-        self.pool_misses.get()
+    /// Instance activations: every one is a pool hit or a pool miss.
+    pub(crate) fn activations(&self) -> u64 {
+        self.count(CounterKey::PoolHits) + self.count(CounterKey::PoolMisses)
     }
 
     /// Fraction of instance activations served from the pool (0 when no
     /// instance was ever activated).
     pub fn pool_hit_rate(&self) -> f64 {
-        let total = self.pool_hits() + self.pool_misses();
-        if total == 0 {
-            0.0
-        } else {
-            self.pool_hits() as f64 / total as f64
-        }
+        rate(self.count(CounterKey::PoolHits), self.activations())
     }
 
-    /// Decided instances reset and returned to the recycle pool.
-    pub fn instances_retired(&self) -> u64 {
-        self.instances_retired.get()
-    }
-
-    /// Instances currently live (activated but not yet retired). Every
-    /// activation is a pool hit or a pool miss, so live = hits + misses −
-    /// retired.
+    /// Instances currently live (activated but not yet retired): hits +
+    /// misses − retired.
     pub fn live_instances(&self) -> u64 {
-        (self.pool_hits() + self.pool_misses()).saturating_sub(self.instances_retired())
-    }
-
-    /// Upper bound on the median wall-clock `decide` latency, nanoseconds.
-    pub fn decide_latency_p50_ns(&self) -> u64 {
-        self.decide_latency_ns.quantile_upper(0.50)
-    }
-
-    /// Upper bound on the 99th-percentile `decide` latency, nanoseconds.
-    pub fn decide_latency_p99_ns(&self) -> u64 {
-        self.decide_latency_ns.quantile_upper(0.99)
-    }
-
-    /// Memory faults delivered by an attached `FaultyMemory`, all classes.
-    pub fn faults_injected(&self) -> u64 {
-        self.faults_injected.get()
-    }
-
-    /// Probabilistic writes whose coin fired but whose store was dropped.
-    pub fn lost_prob_writes(&self) -> u64 {
-        self.lost_prob_writes.get()
-    }
-
-    /// Reads served a stale (previous) value.
-    pub fn stale_reads(&self) -> u64 {
-        self.stale_reads.get()
-    }
-
-    /// Writes whose visibility was delayed.
-    pub fn delayed_commits(&self) -> u64 {
-        self.delayed_commits.get()
-    }
-
-    /// Registers wiped back to ⊥.
-    pub fn register_resets(&self) -> u64 {
-        self.register_resets.get()
-    }
-
-    /// Bounded-consensus calls that exhausted every conciliator stage and
-    /// fell back to the backup protocol `K`.
-    pub fn fallbacks_taken(&self) -> u64 {
-        self.fallbacks_taken.get()
-    }
-
-    /// Proposals accepted into a service intake ring.
-    pub fn proposals_enqueued(&self) -> u64 {
-        self.proposals_enqueued.get()
-    }
-
-    /// Proposals refused at admission (`BackpressurePolicy::Reject`).
-    pub fn proposals_rejected(&self) -> u64 {
-        self.proposals_rejected.get()
-    }
-
-    /// Proposals dropped at admission (`BackpressurePolicy::Shed`).
-    pub fn proposals_shed(&self) -> u64 {
-        self.proposals_shed.get()
-    }
-
-    /// Batches drained by service shard workers.
-    pub fn batches_drained(&self) -> u64 {
-        self.batches_drained.get()
-    }
-
-    /// Proposals currently enqueued across *all* intake rings (aggregate,
-    /// not any single ring's depth).
-    pub fn queue_depth(&self) -> u64 {
-        self.queue_depth.get()
-    }
-
-    /// Largest aggregate intake-ring depth ever observed.
-    pub fn max_queue_depth_seen(&self) -> u64 {
-        self.queue_depth.max()
-    }
-
-    /// Distribution of submit→decision wall-clock waits through the
-    /// service, nanoseconds.
-    pub fn service_wait_ns(&self) -> &Histogram {
-        &self.service_wait_ns
-    }
-
-    /// Upper bound on the median submit→decision wait, nanoseconds.
-    pub fn service_wait_p50_ns(&self) -> u64 {
-        self.service_wait_ns.quantile_upper(0.50)
-    }
-
-    /// Upper bound on the 99th-percentile submit→decision wait, nanoseconds.
-    pub fn service_wait_p99_ns(&self) -> u64 {
-        self.service_wait_ns.quantile_upper(0.99)
-    }
-
-    /// Worker panics a supervisor recovered from (drain loop restarted).
-    pub fn worker_restarts(&self) -> u64 {
-        self.worker_restarts.get()
-    }
-
-    /// Queued-but-unsubmitted cells re-admitted after worker panics.
-    pub fn resubmitted_cells(&self) -> u64 {
-        self.resubmitted_cells.get()
-    }
-
-    /// Current circuit-breaker state (numeric: closed 0, open 1, half-open
-    /// 2; see [`mc_telemetry::CircuitState::as_u64`]).
-    pub fn circuit_state(&self) -> u64 {
-        self.circuit_state.get()
-    }
-
-    /// Distribution of panic-catch → drain-loop-reentry recovery latency,
-    /// nanoseconds.
-    pub fn worker_recovery_ns(&self) -> &Histogram {
-        &self.worker_recovery_ns
-    }
-
-    /// Length of the store's contiguous applied prefix (entries applied to
-    /// the state machine).
-    pub fn applied_index(&self) -> u64 {
-        self.applied_index.get()
-    }
-
-    /// Commands applied to the store's state machine (duplicates excluded).
-    pub fn commands_applied(&self) -> u64 {
-        self.commands_applied.get()
-    }
-
-    /// Distinct client sessions the store's session table has admitted.
-    pub fn sessions_created(&self) -> u64 {
-        self.sessions_created.get()
-    }
-
-    /// Duplicate commands answered from the session table's cached
-    /// response instead of re-applying.
-    pub fn duplicates_served(&self) -> u64 {
-        self.duplicates_served.get()
-    }
-
-    /// Commands refused because their sequence number predates the
-    /// session's cached response.
-    pub fn stale_commands(&self) -> u64 {
-        self.stale_commands.get()
-    }
-
-    /// Read leases granted or renewed.
-    pub fn lease_grants(&self) -> u64 {
-        self.lease_grants.get()
-    }
-
-    /// Reads served from the applied state under a live lease (no log
-    /// slot consumed).
-    pub fn fast_reads(&self) -> u64 {
-        self.fast_reads.get()
-    }
-
-    /// State-machine snapshots captured (each rides a `compact_below`).
-    pub fn store_snapshots(&self) -> u64 {
-        self.store_snapshots.get()
-    }
-
-    /// Upper bound on the median worker recovery latency, nanoseconds.
-    pub fn worker_recovery_p50_ns(&self) -> u64 {
-        self.worker_recovery_ns.quantile_upper(0.50)
-    }
-
-    /// Upper bound on the 99th-percentile worker recovery latency,
-    /// nanoseconds.
-    pub fn worker_recovery_p99_ns(&self) -> u64 {
-        self.worker_recovery_ns.quantile_upper(0.99)
+        self.activations()
+            .saturating_sub(self.count(CounterKey::InstancesRetired))
     }
 
     /// A frozen copy of every metric, ready for text/JSON/Prometheus
     /// export.
     pub fn snapshot(&self) -> Snapshot {
         let mut snap = Snapshot::new();
-        snap.counter("decide_calls", self.decide_calls())
-            .counter("decisions", self.decisions())
-            .counter("fast_path_hits", self.fast_path_hits())
-            .counter("stage_entries", self.stage_entries())
-            .counter("prob_writes_attempted", self.prob_writes_attempted())
-            .counter("prob_writes_performed", self.prob_writes_performed())
-            .counter("appends", self.appends())
-            .counter("slot_conflicts", self.slot_conflicts())
-            .counter("pool_hits", self.pool_hits())
-            .counter("pool_misses", self.pool_misses())
-            .counter("instances_retired", self.instances_retired())
-            .counter("faults_injected", self.faults_injected())
-            .counter("faults_lost_prob_writes", self.lost_prob_writes())
-            .counter("faults_stale_reads", self.stale_reads())
-            .counter("faults_delayed_commits", self.delayed_commits())
-            .counter("faults_register_resets", self.register_resets())
-            .counter("fallbacks_taken", self.fallbacks_taken())
-            .counter("conciliator_selections", self.conciliator_selections())
-            .counter("coin_selections", self.coin_selections())
-            .counter("proposals_enqueued", self.proposals_enqueued())
-            .counter("proposals_rejected", self.proposals_rejected())
-            .counter("proposals_shed", self.proposals_shed())
-            .counter("batches_drained", self.batches_drained())
-            .counter("worker_restarts", self.worker_restarts())
-            .counter("resubmitted_cells", self.resubmitted_cells())
-            .counter("commands_applied", self.commands_applied())
-            .counter("sessions_created", self.sessions_created())
-            .counter("duplicates_served", self.duplicates_served())
-            .counter("stale_commands", self.stale_commands())
-            .counter("lease_grants", self.lease_grants())
-            .counter("fast_reads", self.fast_reads())
-            .counter("store_snapshots", self.store_snapshots())
-            .gauge(
-                "applied_index",
-                self.applied_index(),
-                self.applied_index.max(),
-            )
-            .gauge(
-                "circuit_state",
-                self.circuit_state(),
-                self.circuit_state.max(),
-            )
-            .gauge(
-                "max_conciliator_round",
-                self.max_conciliator_round.get(),
-                self.max_conciliator_round(),
-            )
-            .gauge(
-                "observed_delta_hat_ppm",
-                self.observed_delta_hat.get(),
-                self.observed_delta_hat.max(),
-            )
-            .gauge(
-                "live_instances",
-                self.live_instances(),
-                self.live_instances(),
-            )
-            .gauge(
-                "queue_depth",
-                self.queue_depth(),
-                self.max_queue_depth_seen(),
-            )
-            .histogram("rounds_to_decide", self.rounds_to_decide.snapshot())
-            .histogram("decide_latency_ns", self.decide_latency_ns.snapshot())
-            .histogram("conciliator_rounds", self.conciliator_rounds.snapshot())
-            .histogram("coin_rounds", self.coin_rounds.snapshot())
-            .histogram("service_wait_ns", self.service_wait_ns.snapshot())
-            .histogram("worker_recovery_ns", self.worker_recovery_ns.snapshot());
+        for &key in CounterKey::ALL {
+            snap.counter(key.name(), self.count(key));
+        }
+        for &key in GaugeKey::ALL {
+            snap.gauge(key.name(), self.gauge(key), self.gauge_max(key));
+        }
+        for &key in HistKey::ALL {
+            snap.histogram(key.name(), self.hist(key).snapshot());
+        }
         snap
+    }
+}
+
+/// `part / whole`, or 0 when nothing has been counted yet.
+fn rate(part: u64, whole: u64) -> f64 {
+    if whole == 0 {
+        0.0
+    } else {
+        part as f64 / whole as f64
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mc_telemetry::AggregatingRecorder;
+    use mc_telemetry::{AggregatingRecorder, Tally};
 
     #[test]
     fn noop_telemetry_still_counts() {
         let t = RuntimeTelemetry::noop(4);
         assert!(!t.events_on());
-        t.on_decide_start();
+        t.add(CounterKey::DecideCalls, 1);
         t.on_stage_entered(0, StageKind::Ratifier);
         t.on_prob_write(true, 0.5);
         t.on_decided(1, 2, false, 500);
-        assert_eq!(t.decide_calls(), 1);
-        assert_eq!(t.decisions(), 1);
-        assert_eq!(t.stage_entries(), 1);
-        assert_eq!(t.prob_writes_attempted(), 1);
-        assert_eq!(t.prob_writes_performed(), 1);
-        assert_eq!(t.fast_path_hits(), 0);
-        assert_eq!(t.rounds_to_decide().max(), 2);
+        assert_eq!(t.count(CounterKey::DecideCalls), 1);
+        assert_eq!(t.count(CounterKey::Decisions), 1);
+        assert_eq!(t.count(CounterKey::StageEntries), 1);
+        assert_eq!(t.count(CounterKey::ProbWritesAttempted), 1);
+        assert_eq!(t.count(CounterKey::ProbWritesPerformed), 1);
+        assert_eq!(t.count(CounterKey::FastPathHits), 0);
+        assert_eq!(t.hist(HistKey::RoundsToDecide).max(), 2);
     }
 
     #[test]
@@ -1009,66 +740,60 @@ mod tests {
         t.on_conciliator_round(3, 0.25);
         t.on_prob_write(false, 0.25);
         t.on_decided(0, 4, true, 1_000);
-        assert_eq!(agg.stage_entries(), 1);
-        assert_eq!(agg.conciliator_rounds(), 1);
-        assert_eq!(agg.max_round(), 3);
-        assert_eq!(agg.prob_writes_attempted(), 1);
-        assert_eq!(agg.prob_writes_performed(), 0);
-        assert_eq!(agg.fast_path_hits(), 1);
-        assert_eq!(agg.decisions(), 1);
+        assert_eq!(agg.count(Tally::StageEntries), 1);
+        assert_eq!(agg.count(Tally::ConciliatorRounds), 1);
+        assert_eq!(agg.count(Tally::MaxRound), 3);
+        assert_eq!(agg.count(Tally::ProbWritesAttempted), 1);
+        assert_eq!(agg.count(Tally::ProbWritesPerformed), 0);
+        assert_eq!(agg.count(Tally::FastPathHits), 1);
+        assert_eq!(agg.count(Tally::Decisions), 1);
     }
 
     #[test]
     fn amortized_mode_suppresses_decide_events_but_not_counters() {
         let agg = Arc::new(AggregatingRecorder::new());
-        let t = RuntimeTelemetry::new(2, Arc::clone(&agg) as Arc<dyn Recorder>);
+        let t = Arc::new(RuntimeTelemetry::new(
+            2,
+            Arc::clone(&agg) as Arc<dyn Recorder>,
+        ));
         assert!(t.decide_events_on());
-        t.amortize_decide_events();
+        let guard = t.amortized();
         assert!(t.events_on(), "batch-level events stay live");
         assert!(!t.decide_events_on());
-        t.on_decide_start();
+        t.add(CounterKey::DecideCalls, 1);
         t.on_stage_entered(0, StageKind::Ratifier);
         t.on_decided(1, 2, false, 500);
         // Recorder saw nothing per-decide; batch summaries still flow.
-        assert_eq!(agg.stage_entries(), 0);
-        assert_eq!(agg.decisions(), 0);
+        assert_eq!(agg.count(Tally::StageEntries), 0);
+        assert_eq!(agg.count(Tally::Decisions), 0);
         t.on_batch_drained(0, 7, 12);
-        assert_eq!(agg.batches_drained(), 1);
-        assert_eq!(agg.batched_proposals(), 7);
+        assert_eq!(agg.count(Tally::BatchesDrained), 1);
+        assert_eq!(agg.count(Tally::BatchedProposals), 7);
         // Counters and histograms never switch off.
-        assert_eq!(t.decisions(), 1);
-        assert_eq!(t.stage_entries(), 1);
-        // Restoring hands per-decide events back to the recorder.
-        t.restore_decide_events();
+        assert_eq!(t.count(CounterKey::Decisions), 1);
+        assert_eq!(t.count(CounterKey::StageEntries), 1);
+        // Dropping the guard hands per-decide events back to the recorder.
+        drop(guard);
         assert!(t.decide_events_on());
         t.on_decided(1, 2, false, 500);
-        assert_eq!(agg.decisions(), 1);
+        assert_eq!(agg.count(Tally::Decisions), 1);
     }
 
     #[test]
-    fn amortization_is_refcounted_and_saturates() {
+    fn amortization_is_refcounted() {
         let agg = Arc::new(AggregatingRecorder::new());
-        let t = RuntimeTelemetry::new(2, Arc::clone(&agg) as Arc<dyn Recorder>);
-        t.amortize_decide_events();
-        t.amortize_decide_events();
-        t.restore_decide_events();
+        let t = Arc::new(RuntimeTelemetry::new(2, agg as Arc<dyn Recorder>));
+        let (first, second) = (t.amortized(), t.amortized());
+        drop(first);
         assert!(
             !t.decide_events_on(),
             "one amortizer left: still suppressed"
         );
-        t.restore_decide_events();
+        drop(second);
         assert!(t.decide_events_on());
-        // Over-restoring saturates at zero rather than wrapping.
-        t.restore_decide_events();
-        assert!(t.decide_events_on());
-        t.amortize_decide_events();
+        let again = t.amortized();
         assert!(!t.decide_events_on());
-        // The guard form is one more reference, released on drop.
-        t.restore_decide_events();
-        let t = Arc::new(t);
-        let guard = t.amortized();
-        assert!(!t.decide_events_on());
-        drop(guard);
+        drop(again);
         assert!(t.decide_events_on());
     }
 
@@ -1080,14 +805,14 @@ mod tests {
         t.on_fault_injected(FaultClass::StaleRead, 1, 11);
         t.on_fault_injected(FaultClass::StaleRead, 1, 12);
         t.on_fallback_taken(6);
-        assert_eq!(t.faults_injected(), 3);
-        assert_eq!(t.lost_prob_writes(), 1);
-        assert_eq!(t.stale_reads(), 2);
-        assert_eq!(t.delayed_commits(), 0);
-        assert_eq!(t.register_resets(), 0);
-        assert_eq!(t.fallbacks_taken(), 1);
-        assert_eq!(agg.faults_injected(), 3);
-        assert_eq!(agg.fallbacks_taken(), 1);
+        assert_eq!(t.count(CounterKey::FaultsInjected), 3);
+        assert_eq!(t.count(CounterKey::FaultsLostProbWrites), 1);
+        assert_eq!(t.count(CounterKey::FaultsStaleReads), 2);
+        assert_eq!(t.count(CounterKey::FaultsDelayedCommits), 0);
+        assert_eq!(t.count(CounterKey::FaultsRegisterResets), 0);
+        assert_eq!(t.count(CounterKey::FallbacksTaken), 1);
+        assert_eq!(agg.count(Tally::FaultsInjected), 3);
+        assert_eq!(agg.count(Tally::FallbacksTaken), 1);
         let snap = t.snapshot();
         assert_eq!(snap.counter_value("faults_injected"), Some(3));
         assert_eq!(snap.counter_value("faults_stale_reads"), Some(2));
@@ -1099,22 +824,23 @@ mod tests {
         let t = RuntimeTelemetry::noop(2);
         t.on_append(1);
         t.on_append(3);
-        assert_eq!(t.appends(), 2);
-        assert_eq!(t.slot_conflicts(), 2);
+        assert_eq!(t.count(CounterKey::Appends), 2);
+        assert_eq!(t.count(CounterKey::SlotConflicts), 2);
     }
 
     #[test]
     fn pool_counters_track_hit_rate_and_live_instances() {
         let t = RuntimeTelemetry::noop(2);
-        t.on_pool_miss();
-        t.on_pool_hit();
-        t.on_pool_hit();
-        t.on_instance_retired();
-        assert_eq!(t.pool_hits(), 2);
-        assert_eq!(t.pool_misses(), 1);
+        t.add(CounterKey::PoolMisses, 1);
+        t.add(CounterKey::PoolHits, 1);
+        t.add(CounterKey::PoolHits, 1);
+        t.add(CounterKey::InstancesRetired, 1);
+        assert_eq!(t.count(CounterKey::PoolHits), 2);
+        assert_eq!(t.count(CounterKey::PoolMisses), 1);
         assert!((t.pool_hit_rate() - 2.0 / 3.0).abs() < 1e-9);
-        assert_eq!(t.instances_retired(), 1);
+        assert_eq!(t.count(CounterKey::InstancesRetired), 1);
         assert_eq!(t.live_instances(), 2);
+        assert_eq!(t.gauge(GaugeKey::LiveInstances), 2);
         let snap = t.snapshot();
         assert_eq!(snap.counter_value("pool_hits"), Some(2));
         assert_eq!(snap.counter_value("pool_misses"), Some(1));
@@ -1127,20 +853,20 @@ mod tests {
         let t = RuntimeTelemetry::new(2, Arc::clone(&agg) as Arc<dyn Recorder>);
         t.on_proposal_enqueued();
         t.on_proposal_enqueued();
-        t.on_proposal_rejected();
-        t.on_proposal_shed();
-        t.on_proposals_dequeued(2);
+        t.add(CounterKey::ProposalsRejected, 1);
+        t.add(CounterKey::ProposalsShed, 1);
+        t.lower(GaugeKey::QueueDepth, 2);
         t.on_batch_drained(0, 2, 0);
-        t.on_service_wait(5_000);
-        t.on_service_wait(9_000);
-        assert_eq!(t.proposals_enqueued(), 2);
-        assert_eq!(t.proposals_rejected(), 1);
-        assert_eq!(t.proposals_shed(), 1);
-        assert_eq!(t.batches_drained(), 1);
-        assert_eq!(t.queue_depth(), 0);
-        assert_eq!(t.max_queue_depth_seen(), 2);
-        assert_eq!(t.service_wait_ns().count(), 2);
-        assert_eq!(agg.batches_drained(), 1);
+        t.record(HistKey::ServiceWaitNs, 5_000);
+        t.record(HistKey::ServiceWaitNs, 9_000);
+        assert_eq!(t.count(CounterKey::ProposalsEnqueued), 2);
+        assert_eq!(t.count(CounterKey::ProposalsRejected), 1);
+        assert_eq!(t.count(CounterKey::ProposalsShed), 1);
+        assert_eq!(t.count(CounterKey::BatchesDrained), 1);
+        assert_eq!(t.gauge(GaugeKey::QueueDepth), 0);
+        assert_eq!(t.gauge_max(GaugeKey::QueueDepth), 2);
+        assert_eq!(t.hist(HistKey::ServiceWaitNs).count(), 2);
+        assert_eq!(agg.count(Tally::BatchesDrained), 1);
         let snap = t.snapshot();
         assert_eq!(snap.counter_value("proposals_enqueued"), Some(2));
         assert_eq!(snap.counter_value("batches_drained"), Some(1));
@@ -1154,22 +880,22 @@ mod tests {
         let t = RuntimeTelemetry::new(2, Arc::clone(&agg) as Arc<dyn Recorder>);
         // Requeue puts depth back without touching proposals_enqueued.
         t.on_proposal_enqueued();
-        t.on_proposals_dequeued(1);
+        t.lower(GaugeKey::QueueDepth, 1);
         t.on_proposals_requeued(1);
-        assert_eq!(t.proposals_enqueued(), 1);
-        assert_eq!(t.queue_depth(), 1);
-        assert_eq!(t.resubmitted_cells(), 1);
+        assert_eq!(t.count(CounterKey::ProposalsEnqueued), 1);
+        assert_eq!(t.gauge(GaugeKey::QueueDepth), 1);
+        assert_eq!(t.count(CounterKey::ResubmittedCells), 1);
         t.on_worker_restart(0, 1, 1, 5_000);
         t.on_circuit_transition(CircuitState::Open);
         t.on_circuit_transition(CircuitState::HalfOpen);
         t.on_circuit_transition(CircuitState::Closed);
-        assert_eq!(t.worker_restarts(), 1);
-        assert_eq!(t.worker_recovery_ns().count(), 1);
-        assert!(t.worker_recovery_p99_ns() >= 5_000);
-        assert_eq!(t.circuit_state(), 0);
-        assert_eq!(agg.worker_restarts(), 1);
-        assert_eq!(agg.resubmitted_cells(), 1);
-        assert_eq!(agg.circuit_transitions(), 3);
+        assert_eq!(t.count(CounterKey::WorkerRestarts), 1);
+        assert_eq!(t.hist(HistKey::WorkerRecoveryNs).count(), 1);
+        assert!(t.hist(HistKey::WorkerRecoveryNs).quantile_upper(0.99) >= 5_000);
+        assert_eq!(t.gauge(GaugeKey::CircuitState), 0);
+        assert_eq!(agg.count(Tally::WorkerRestarts), 1);
+        assert_eq!(agg.count(Tally::ResubmittedCells), 1);
+        assert_eq!(agg.count(Tally::CircuitTransitions), 3);
         let snap = t.snapshot();
         assert_eq!(snap.counter_value("worker_restarts"), Some(1));
         assert_eq!(snap.counter_value("resubmitted_cells"), Some(1));
@@ -1180,15 +906,17 @@ mod tests {
     #[test]
     fn restart_events_flow_even_in_amortized_mode() {
         let agg = Arc::new(AggregatingRecorder::new());
-        let t = RuntimeTelemetry::new(2, Arc::clone(&agg) as Arc<dyn Recorder>);
-        t.amortize_decide_events();
+        let t = Arc::new(RuntimeTelemetry::new(
+            2,
+            Arc::clone(&agg) as Arc<dyn Recorder>,
+        ));
+        let _amortized = t.amortized();
         t.on_worker_restart(1, 1, 4, 800);
         t.on_circuit_transition(CircuitState::Open);
         // Like batch_drained, supervision events are batch-level: they are
         // exactly what the amortized mode exists to keep.
-        assert_eq!(agg.worker_restarts(), 1);
-        assert_eq!(agg.circuit_transitions(), 1);
-        t.restore_decide_events();
+        assert_eq!(agg.count(Tally::WorkerRestarts), 1);
+        assert_eq!(agg.count(Tally::CircuitTransitions), 1);
     }
 
     #[test]
@@ -1197,8 +925,8 @@ mod tests {
         for latency in [100, 200, 400, 800, 100_000] {
             t.on_decided(1, 1, false, latency);
         }
-        let p50 = t.decide_latency_p50_ns();
-        let p99 = t.decide_latency_p99_ns();
+        let p50 = t.hist(HistKey::DecideLatencyNs).quantile_upper(0.5);
+        let p99 = t.hist(HistKey::DecideLatencyNs).quantile_upper(0.99);
         assert!(p50 >= 200, "p50 {p50}");
         assert!(p99 >= 100_000, "p99 {p99}");
         assert!(p50 <= p99);
@@ -1244,12 +972,12 @@ mod tests {
         assert_eq!(t.observed_delta_hat(), None);
         t.on_conciliator_selected(1, ConciliatorKind::Impatient, None, 0);
         t.on_conciliator_selected(2, ConciliatorKind::Coin, Some(0.125), 16);
-        assert_eq!(t.conciliator_selections(), 2);
-        assert_eq!(t.coin_selections(), 1);
+        assert_eq!(t.count(CounterKey::ConciliatorSelections), 2);
+        assert_eq!(t.count(CounterKey::CoinSelections), 1);
         let d = t.observed_delta_hat().unwrap();
         assert!((d - 0.125).abs() < 1e-6, "δ̂ {d}");
-        assert_eq!(agg.conciliator_selections(), 2);
-        assert_eq!(agg.coin_selections(), 1);
+        assert_eq!(agg.count(Tally::ConciliatorSelections), 2);
+        assert_eq!(agg.count(Tally::CoinSelections), 1);
         let snap = t.snapshot();
         assert_eq!(snap.counter_value("conciliator_selections"), Some(2));
         assert_eq!(snap.counter_value("coin_selections"), Some(1));
@@ -1259,21 +987,131 @@ mod tests {
     #[test]
     fn coin_rounds_histogram_records() {
         let t = RuntimeTelemetry::noop(2);
-        t.on_coin_rounds(9);
-        t.on_coin_rounds(12);
-        assert_eq!(t.coin_rounds().count(), 2);
-        assert!(t.coin_rounds().max() >= 12);
+        t.record(HistKey::CoinRounds, 9);
+        t.record(HistKey::CoinRounds, 12);
+        assert_eq!(t.hist(HistKey::CoinRounds).count(), 2);
+        assert!(t.hist(HistKey::CoinRounds).max() >= 12);
     }
+
+    #[test]
+    fn sharded_keys_fill_the_sharded_array_exactly() {
+        let slots: Vec<usize> = CounterKey::ALL
+            .iter()
+            .filter_map(|key| key.shard_slot())
+            .collect();
+        let mut sorted = slots.clone();
+        sorted.sort_unstable();
+        assert_eq!(sorted, (0..CounterKey::SHARDED).collect::<Vec<_>>());
+        // A bump of a sharded key is read back through the same slot.
+        let t = RuntimeTelemetry::noop(2);
+        for (i, &key) in CounterKey::ALL.iter().enumerate() {
+            t.add(key, i as u64 + 1);
+        }
+        for (i, &key) in CounterKey::ALL.iter().enumerate() {
+            assert_eq!(t.count(key), i as u64 + 1, "{}", key.name());
+        }
+    }
+
+    /// The exported names and their order at the commit before the metric
+    /// table existed; the benchmark and any scraper read them by string.
+    const COUNTERS: &str = "decide_calls decisions fast_path_hits stage_entries \
+        prob_writes_attempted prob_writes_performed appends slot_conflicts pool_hits pool_misses \
+        instances_retired faults_injected faults_lost_prob_writes faults_stale_reads \
+        faults_delayed_commits faults_register_resets fallbacks_taken conciliator_selections \
+        coin_selections proposals_enqueued proposals_rejected proposals_shed batches_drained \
+        worker_restarts resubmitted_cells commands_applied sessions_created duplicates_served \
+        stale_commands lease_grants fast_reads store_snapshots";
+    const GAUGES: &str = "applied_index circuit_state max_conciliator_round \
+        observed_delta_hat_ppm live_instances queue_depth";
+    const HISTOGRAMS: &str = "rounds_to_decide decide_latency_ns conciliator_rounds coin_rounds \
+        service_wait_ns worker_recovery_ns";
+    /// `to_json()` of the hook script below, captured at that same commit.
+    const SCRIPT_JSON: &str = r#"{"counters":{"decide_calls":1,"decisions":1,"fast_path_hits":1,"stage_entries":1,"prob_writes_attempted":2,"prob_writes_performed":1,"appends":2,"slot_conflicts":2,"pool_hits":2,"pool_misses":1,"instances_retired":1,"faults_injected":1,"faults_lost_prob_writes":0,"faults_stale_reads":1,"faults_delayed_commits":0,"faults_register_resets":0,"fallbacks_taken":1,"conciliator_selections":1,"coin_selections":1,"proposals_enqueued":2,"proposals_rejected":1,"proposals_shed":1,"batches_drained":1,"worker_restarts":1,"resubmitted_cells":1,"commands_applied":5,"sessions_created":1,"duplicates_served":1,"stale_commands":1,"lease_grants":1,"fast_reads":1,"store_snapshots":1},"gauges":{"applied_index":{"value":5,"max":5},"circuit_state":{"value":1,"max":1},"max_conciliator_round":{"value":0,"max":3},"observed_delta_hat_ppm":{"value":125000,"max":125000},"live_instances":{"value":2,"max":2},"queue_depth":{"value":1,"max":2}},"histograms":{"rounds_to_decide":{"count":1,"sum":2,"max":2,"mean":2.0,"p50":2,"p99":2,"buckets":[[3,1]]},"decide_latency_ns":{"count":1,"sum":500,"max":500,"mean":500.0,"p50":500,"p99":500,"buckets":[[511,1]]},"conciliator_rounds":{"count":1,"sum":4,"max":4,"mean":4.0,"p50":4,"p99":4,"buckets":[[7,1]]},"coin_rounds":{"count":1,"sum":9,"max":9,"mean":9.0,"p50":9,"p99":9,"buckets":[[15,1]]},"service_wait_ns":{"count":1,"sum":5000,"max":5000,"mean":5000.0,"p50":5000,"p99":5000,"buckets":[[8191,1]]},"worker_recovery_ns":{"count":1,"sum":7000,"max":7000,"mean":7000.0,"p50":7000,"p99":7000,"buckets":[[8191,1]]}}}"#;
 
     #[test]
     fn snapshot_covers_the_metric_set() {
         let t = RuntimeTelemetry::noop(2);
-        t.on_decide_start();
+        t.add(CounterKey::DecideCalls, 1);
         t.on_decided(1, 1, true, 100);
         let snap = t.snapshot();
         assert_eq!(snap.counter_value("decide_calls"), Some(1));
         assert_eq!(snap.counter_value("fast_path_hits"), Some(1));
         assert_eq!(snap.histogram_value("rounds_to_decide").unwrap().count, 1);
         mc_telemetry::json::validate(&snap.to_json()).unwrap();
+
+        // The table is the metric set: names and order are the parent's.
+        let names = [COUNTERS, GAUGES, HISTOGRAMS].map(|list| list.split(' ').collect::<Vec<_>>());
+        let table = [
+            CounterKey::ALL
+                .iter()
+                .map(|key| key.name())
+                .collect::<Vec<_>>(),
+            GaugeKey::ALL.iter().map(|key| key.name()).collect(),
+            HistKey::ALL.iter().map(|key| key.name()).collect(),
+        ];
+        assert_eq!(table, names);
+        assert_eq!(table.each_ref().map(Vec::len), [32, 6, 6]);
+
+        // A fixed script over every hook and every kind of bump exports
+        // what the hand-written metric set exported, byte for byte.
+        let t = RuntimeTelemetry::noop(2);
+        assert!(!t.events_on(), "the no-op recorder still counts");
+        t.add(CounterKey::DecideCalls, 1);
+        t.on_stage_entered(0, StageKind::Ratifier);
+        t.on_conciliator_round(3, 0.25);
+        t.on_prob_write(true, 0.5);
+        t.on_prob_write(false, 0.5);
+        t.record(HistKey::ConciliatorRounds, 4);
+        t.record(HistKey::CoinRounds, 9);
+        t.on_conciliator_selected(2, ConciliatorKind::Coin, Some(0.125), 16);
+        t.on_fault_injected(FaultClass::StaleRead, 1, 11);
+        t.on_fallback_taken(6);
+        t.on_decided(1, 2, true, 500);
+        t.add(CounterKey::PoolMisses, 1);
+        t.add(CounterKey::PoolHits, 2);
+        t.add(CounterKey::InstancesRetired, 1);
+        t.on_append(1);
+        t.on_append(3);
+        t.on_proposal_enqueued();
+        t.on_proposal_enqueued();
+        t.add(CounterKey::ProposalsRejected, 1);
+        t.add(CounterKey::ProposalsShed, 1);
+        t.lower(GaugeKey::QueueDepth, 2);
+        t.on_proposals_requeued(1);
+        t.on_batch_drained(0, 2, 0);
+        t.record(HistKey::ServiceWaitNs, 5_000);
+        t.on_worker_restart(0, 1, 1, 7_000);
+        t.on_circuit_transition(CircuitState::Open);
+        t.on_commands_applied(5, 5);
+        t.add(CounterKey::SessionsCreated, 1);
+        t.add(CounterKey::DuplicatesServed, 1);
+        t.add(CounterKey::StaleCommands, 1);
+        t.on_lease_granted(7, false, 1_000);
+        t.add(CounterKey::FastReads, 1);
+        t.add(CounterKey::StoreSnapshots, 1);
+        let snap = t.snapshot();
+        assert_eq!(snap.to_json(), SCRIPT_JSON);
+        // The derived readers: 2 hits in 3 activations, 1 fast decision in 1.
+        assert!((t.pool_hit_rate() - 2.0 / 3.0).abs() < 1e-9);
+        assert_eq!(t.fast_path_rate(), 1.0);
+        mc_telemetry::json::validate(&snap.to_json()).unwrap();
+
+        // Every key is exported exactly once, under a unique non-empty name.
+        let prometheus = snap.to_prometheus();
+        let mut seen = std::collections::HashSet::new();
+        for (kind, names) in ["counter", "gauge", "histogram"].iter().zip(&names) {
+            for name in names {
+                assert!(!name.is_empty() && seen.insert(name), "{name:?} repeats");
+                let line = format!("# TYPE {name} {kind}");
+                assert_eq!(prometheus.lines().filter(|l| *l == line).count(), 1);
+            }
+        }
+
+        // The Debug ledger names what moved and nothing else.
+        let ledger = format!("{t:?}");
+        assert!(ledger.contains("commands_applied: 5"), "{ledger}");
+        assert!(ledger.contains("queue_depth: 1 (max 2)"), "{ledger}");
+        assert!(ledger.contains("coin_rounds: 1 samples, max 9"), "{ledger}");
+        assert!(!ledger.contains("faults_lost_prob_writes"), "{ledger}");
     }
 }

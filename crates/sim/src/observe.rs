@@ -92,7 +92,7 @@ mod tests {
     use super::*;
     use crate::trace::Event;
     use mc_model::{Op, ProcessId, RegisterId};
-    use mc_telemetry::{AggregatingRecorder, NoopRecorder};
+    use mc_telemetry::{AggregatingRecorder, NoopRecorder, Tally};
 
     fn sample_trace() -> Trace {
         let mut t = Trace::new();
@@ -130,10 +130,10 @@ mod tests {
         let agg = AggregatingRecorder::new();
         let emitted = replay_trace(&sample_trace(), &agg);
         assert_eq!(emitted, 3);
-        assert_eq!(agg.ops(), 3);
+        assert_eq!(agg.count(Tally::Ops), 3);
         assert_eq!(agg.per_process_ops(), vec![1, 2]);
-        assert_eq!(agg.prob_writes_attempted(), 2);
-        assert_eq!(agg.prob_writes_performed(), 1);
+        assert_eq!(agg.count(Tally::ProbWritesAttempted), 2);
+        assert_eq!(agg.count(Tally::ProbWritesPerformed), 1);
     }
 
     #[test]
@@ -146,7 +146,7 @@ mod tests {
         metrics.registers_touched = 4;
         let agg = AggregatingRecorder::new();
         emit_summary(11, &metrics, &agg);
-        assert_eq!(agg.events(), 1);
+        assert_eq!(agg.count(Tally::Events), 1);
     }
 
     #[test]

@@ -41,8 +41,8 @@ use std::time::Instant;
 use mc_model::mix_seed;
 use mc_runtime::clock;
 use mc_runtime::{
-    AmortizedEvents, AtomicMemory, ConsensusEngine, EngineError, ReplicatedLog, RuntimeTelemetry,
-    SharedMemory,
+    AmortizedEvents, AtomicMemory, ConsensusEngine, CounterKey, EngineError, ReplicatedLog,
+    RuntimeTelemetry, SharedMemory,
 };
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -389,7 +389,7 @@ impl<S: StateMachine, M: SharedMemory> StoreInner<S, M> {
                     .latest_snapshot
                     .lock()
                     .unwrap_or_else(PoisonError::into_inner) = Some((applied_commands, snapshot));
-                self.telemetry().on_store_snapshot();
+                self.telemetry().add(CounterKey::StoreSnapshots, 1);
                 last_snapshot_slot = applied_slots;
             }
             // Retained log stays bounded by apply lag.
@@ -421,7 +421,7 @@ impl<S: StateMachine, M: SharedMemory> StoreInner<S, M> {
         for pending in batch {
             match sessions.entry(pending.client) {
                 Entry::Vacant(vacant) => {
-                    telemetry.on_session_created();
+                    telemetry.add(CounterKey::SessionsCreated, 1);
                     let response = state.apply(&pending.command);
                     vacant.insert(Session {
                         last_seq: pending.seq,
@@ -439,10 +439,10 @@ impl<S: StateMachine, M: SharedMemory> StoreInner<S, M> {
                         fills.push((pending.cell, Ok(response)));
                         applied += 1;
                     } else if pending.seq == session.last_seq {
-                        telemetry.on_duplicate_served();
+                        telemetry.add(CounterKey::DuplicatesServed, 1);
                         fills.push((pending.cell, Ok(session.last_response.clone())));
                     } else {
-                        telemetry.on_stale_command();
+                        telemetry.add(CounterKey::StaleCommands, 1);
                         fills.push((
                             pending.cell,
                             Err(StoreError::Stale {
@@ -484,7 +484,7 @@ impl<S: StateMachine, M: SharedMemory> StoreInner<S, M> {
                 }
             }
         }
-        self.telemetry().on_fast_read();
+        self.telemetry().add(CounterKey::FastReads, 1);
         let state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         f(&state)
     }
@@ -677,7 +677,7 @@ impl<S: StateMachine, M: SharedMemory> ReplicatedStore<S, M> {
 
     /// Commands applied to the state machine so far (duplicates excluded).
     pub fn applied_commands(&self) -> u64 {
-        self.telemetry().commands_applied()
+        self.telemetry().count(CounterKey::CommandsApplied)
     }
 
     /// Drains in-flight commands and joins the worker threads. Called by
@@ -710,6 +710,7 @@ impl<S: StateMachine, M: SharedMemory> std::fmt::Debug for ReplicatedStore<S, M>
             .field("learned_slots", &self.learned_slots())
             .field("applied_commands", &self.applied_commands())
             .field("sequencers", &self.inner.options.sequencers)
+            .field("telemetry", self.telemetry())
             .finish_non_exhaustive()
     }
 }
@@ -791,7 +792,7 @@ mod tests {
     use super::*;
     use crate::kv::{KvCommand, KvResponse};
     use mc_runtime::{AtomicRegister, SharedRegister};
-    use mc_telemetry::AggregatingRecorder;
+    use mc_telemetry::{AggregatingRecorder, Tally};
     use std::sync::atomic::AtomicBool;
     use std::time::Duration;
 
@@ -869,7 +870,7 @@ mod tests {
             client.call(KvCommand::Get { key: 9 }).unwrap(),
             KvResponse::Value(Some(1))
         );
-        assert_eq!(store.telemetry().duplicates_served(), 3);
+        assert_eq!(store.telemetry().count(CounterKey::DuplicatesServed), 3);
         assert_eq!(store.applied_commands(), 2);
         store.shutdown();
     }
@@ -882,7 +883,7 @@ mod tests {
         client.call(KvCommand::Put { key: 1, value: 2 }).unwrap();
         let stale = client.resend(1, KvCommand::Put { key: 1, value: 1 });
         assert_eq!(stale.wait(), Err(StoreError::Stale { last_seq: 2 }));
-        assert_eq!(store.telemetry().stale_commands(), 1);
+        assert_eq!(store.telemetry().count(CounterKey::StaleCommands), 1);
         store.shutdown();
     }
 
@@ -914,7 +915,10 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(store.applied_commands(), clients * per_client);
-        assert_eq!(store.telemetry().sessions_created(), clients);
+        assert_eq!(
+            store.telemetry().count(CounterKey::SessionsCreated),
+            clients
+        );
         let total = store.read_with(999, |kv| kv.len());
         assert_eq!(total as u64, clients * per_client);
         store.shutdown();
@@ -972,11 +976,11 @@ mod tests {
         client.call(KvCommand::Put { key: 3, value: 30 }).unwrap();
         assert_eq!(client.read(|kv| kv.get(3)), Some(30));
         let t = store.telemetry();
-        assert_eq!(t.fast_reads(), 1);
-        assert_eq!(t.lease_grants(), 1);
+        assert_eq!(t.count(CounterKey::FastReads), 1);
+        assert_eq!(t.count(CounterKey::LeaseGrants), 1);
         // Within the TTL the second read rides the same lease.
         assert_eq!(client.read(|kv| kv.get(3)), Some(30));
-        assert_eq!(store.telemetry().lease_grants(), 1);
+        assert_eq!(store.telemetry().count(CounterKey::LeaseGrants), 1);
         store.shutdown();
     }
 
@@ -991,7 +995,7 @@ mod tests {
         for i in 0..20 {
             client.call(KvCommand::Put { key: i, value: i }).unwrap();
         }
-        assert!(store.telemetry().store_snapshots() >= 1);
+        assert!(store.telemetry().count(CounterKey::StoreSnapshots) >= 1);
         let (applied_at, snapshot) = store.latest_snapshot().expect("cadence elapsed");
         assert!(applied_at >= 2);
         assert_eq!(snapshot.len() as u64, applied_at);
@@ -1072,7 +1076,10 @@ mod tests {
                 }
             });
             assert_eq!(store.applied_commands(), 2 * per_producer);
-            assert_eq!(store.telemetry().sessions_created(), 2 * per_producer);
+            assert_eq!(
+                store.telemetry().count(CounterKey::SessionsCreated),
+                2 * per_producer
+            );
             store.shutdown();
         }
     }
@@ -1125,9 +1132,9 @@ mod tests {
         // the recorder is attached and the counters count, but no decide
         // pays a recorder call.
         assert!(store.telemetry().events_on());
-        assert!(store.telemetry().decisions() >= 1_000);
-        assert_eq!(recorder.decisions(), 0);
-        assert_eq!(recorder.stage_entries(), 0);
+        assert!(store.telemetry().count(CounterKey::Decisions) >= 1_000);
+        assert_eq!(recorder.count(Tally::Decisions), 0);
+        assert_eq!(recorder.count(Tally::StageEntries), 0);
         assert_eq!(store.applied_commands(), 1_000);
         store.shutdown();
     }

@@ -27,12 +27,6 @@ impl Counter {
         self.value.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Adds one.
-    #[inline]
-    pub fn incr(&self) {
-        self.add(1);
-    }
-
     /// The current count.
     #[inline]
     pub fn get(&self) -> u64 {
@@ -218,7 +212,7 @@ mod tests {
     #[test]
     fn counter_counts() {
         let c = Counter::new();
-        c.incr();
+        c.add(1);
         c.add(4);
         assert_eq!(c.get(), 5);
     }

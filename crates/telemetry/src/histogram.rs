@@ -80,31 +80,13 @@ impl Histogram {
 
     /// Mean observation, or 0 for an empty histogram.
     pub fn mean(&self) -> f64 {
-        let count = self.count();
-        if count == 0 {
-            0.0
-        } else {
-            self.sum() as f64 / count as f64
-        }
+        self.snapshot().mean()
     }
 
-    /// An upper bound on the `q`-quantile (`0 ≤ q ≤ 1`): the upper edge of
-    /// the first bucket whose cumulative count reaches `q · count`.
+    /// An upper bound on the `q`-quantile of a point-in-time copy; see
+    /// [`HistogramSnapshot::quantile_upper`].
     pub fn quantile_upper(&self, q: f64) -> u64 {
-        let count = self.count();
-        if count == 0 {
-            return 0;
-        }
-        let rank = (q.clamp(0.0, 1.0) * count as f64).ceil() as u64;
-        let rank = rank.max(1);
-        let mut cumulative = 0u64;
-        for (k, bucket) in self.buckets.iter().enumerate() {
-            cumulative += bucket.load(Ordering::Relaxed);
-            if cumulative >= rank {
-                return bucket_upper(k).min(self.max());
-            }
-        }
-        self.max()
+        self.snapshot().quantile_upper(q)
     }
 
     /// A point-in-time copy of the distribution.
@@ -149,10 +131,9 @@ impl HistogramSnapshot {
         }
     }
 
-    /// An upper bound on the `q`-quantile (`0 ≤ q ≤ 1`), mirroring
-    /// [`Histogram::quantile_upper`] on the frozen buckets: the upper edge
-    /// of the first bucket whose cumulative count reaches `q · count`,
-    /// clamped to the observed max. 0 when empty.
+    /// An upper bound on the `q`-quantile (`0 ≤ q ≤ 1`): the upper edge of
+    /// the first bucket whose cumulative count reaches `q · count`, clamped
+    /// to the observed max. 0 when empty.
     pub fn quantile_upper(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;
@@ -215,18 +196,5 @@ mod tests {
         assert_eq!(h.quantile_upper(0.0), 1);
         let empty = Histogram::new();
         assert_eq!(empty.quantile_upper(0.5), 0);
-    }
-
-    #[test]
-    fn snapshot_quantiles_match_the_live_histogram() {
-        let h = Histogram::new();
-        for v in 1..=100u64 {
-            h.record(v);
-        }
-        let snap = h.snapshot();
-        for q in [0.0, 0.25, 0.5, 0.9, 0.99, 1.0] {
-            assert_eq!(snap.quantile_upper(q), h.quantile_upper(q), "q={q}");
-        }
-        assert_eq!(HistogramSnapshot::default().quantile_upper(0.5), 0);
     }
 }

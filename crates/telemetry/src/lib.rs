@@ -21,6 +21,8 @@
 //!   [`AggregatingRecorder`] folds events back into counters.
 //! * [`Snapshot`] — export in human text, JSON, and Prometheus
 //!   text-exposition formats.
+//! * [`metric_keys!`] — declares a metric set once: a key enum whose
+//!   variants carry their exported names ([`Tally`] is one).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -28,6 +30,7 @@
 mod counter;
 mod histogram;
 pub mod json;
+mod keys;
 mod recorder;
 mod snapshot;
 
@@ -35,6 +38,6 @@ pub use counter::{thread_shard, Counter, Gauge, ShardedCounter};
 pub use histogram::{Histogram, HistogramSnapshot};
 pub use recorder::{
     AggregatingRecorder, CircuitState, ConciliatorKind, FaultClass, JsonlRecorder, MultiRecorder,
-    NoopRecorder, OpClass, Recorder, StageKind, TelemetryEvent,
+    NoopRecorder, OpClass, Recorder, StageKind, Tally, TelemetryEvent,
 };
 pub use snapshot::Snapshot;

@@ -11,7 +11,6 @@ use std::io::{self, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use crate::counter::{Counter, Gauge};
 use crate::histogram::Histogram;
 use crate::json::Obj;
 
@@ -617,41 +616,98 @@ impl Write for SharedBuf {
     }
 }
 
+crate::metric_keys! {
+    /// What an [`AggregatingRecorder`] tallies; read one back with
+    /// [`AggregatingRecorder::count`].
+    pub enum Tally {
+        /// Total events seen.
+        Events => "events",
+        /// `stage_entered` events seen.
+        StageEntries => "stage_entries",
+        /// `fast_path_hit` events seen.
+        FastPathHits => "fast_path_hits",
+        /// `conciliator_round` events seen.
+        ConciliatorRounds => "conciliator_rounds",
+        /// Largest conciliator round index observed (a running maximum).
+        MaxRound => "max_round",
+        /// Probabilistic writes attempted (runtime `prob_write` events plus
+        /// sim `op` events of class `prob_write`).
+        ProbWritesAttempted => "prob_writes_attempted",
+        /// Probabilistic writes that landed.
+        ProbWritesPerformed => "prob_writes_performed",
+        /// `ratifier_verdict` events seen.
+        RatifierVerdicts => "ratifier_verdicts",
+        /// `decided` events seen.
+        Decisions => "decisions",
+        /// Simulated operations seen (total work).
+        Ops => "ops",
+        /// Simulated operations of class `read`.
+        Reads => "reads",
+        /// Simulated operations of class `write`.
+        Writes => "writes",
+        /// Simulated operations of class `collect`.
+        Collects => "collects",
+        /// `fault_injected` events seen.
+        FaultsInjected => "faults_injected",
+        /// `conciliator_selected` events seen.
+        ConciliatorSelections => "conciliator_selections",
+        /// `conciliator_selected` events that picked the coin conciliator.
+        CoinSelections => "coin_selections",
+        /// `fallback_taken` events seen.
+        FallbacksTaken => "fallbacks_taken",
+        /// `batch_drained` events seen.
+        BatchesDrained => "batches_drained",
+        /// Total proposals across all `batch_drained` events.
+        BatchedProposals => "batched_proposals",
+        /// `worker_restarted` events seen.
+        WorkerRestarts => "worker_restarts",
+        /// Total cells re-admitted across all `worker_restarted` events.
+        ResubmittedCells => "resubmitted_cells",
+        /// `circuit_transition` events seen.
+        CircuitTransitions => "circuit_transitions",
+        /// Last circuit state observed (numeric; see
+        /// [`CircuitState::as_u64`]) — the latest value, not a sum.
+        CircuitState => "circuit_state",
+        /// `read_lease` events seen (grants plus renewals).
+        ReadLeases => "read_leases",
+        /// `read_lease` events that were renewals of an expired lease.
+        ReadLeaseRenewals => "read_lease_renewals",
+    }
+}
+
 /// Folds events back into counters and histograms.
 ///
 /// This is the reconciliation tool: run a simulation once with its native
 /// `WorkMetrics` accounting and an `AggregatingRecorder` attached, then
 /// assert both saw the same operation counts.
-#[derive(Debug, Default)]
 pub struct AggregatingRecorder {
-    events: Counter,
-    stage_entries: Counter,
-    fast_path_hits: Counter,
-    conciliator_rounds: Counter,
-    max_round: Gauge,
-    prob_writes_attempted: Counter,
-    prob_writes_performed: Counter,
-    ratifier_verdicts: Counter,
-    decisions: Counter,
+    tallies: [AtomicU64; Tally::COUNT],
     rounds_to_decide: Histogram,
     decide_latency_ns: Histogram,
-    ops: Counter,
-    reads: Counter,
-    writes: Counter,
-    collects: Counter,
-    faults_injected: Counter,
-    conciliator_selections: Counter,
-    coin_selections: Counter,
-    fallbacks_taken: Counter,
-    batches_drained: Counter,
-    batched_proposals: Counter,
-    worker_restarts: Counter,
-    resubmitted_cells: Counter,
-    circuit_transitions: Counter,
-    circuit_state: Gauge,
-    read_leases: Counter,
-    read_lease_renewals: Counter,
     per_pid_ops: Mutex<Vec<u64>>,
+}
+
+impl Default for AggregatingRecorder {
+    fn default() -> AggregatingRecorder {
+        AggregatingRecorder {
+            tallies: std::array::from_fn(|_| AtomicU64::new(0)),
+            rounds_to_decide: Histogram::new(),
+            decide_latency_ns: Histogram::new(),
+            per_pid_ops: Mutex::default(),
+        }
+    }
+}
+
+/// Every tally that has moved, by name (as `RuntimeTelemetry` prints its
+/// ledger).
+impl std::fmt::Debug for AggregatingRecorder {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let mut out = f.debug_struct("AggregatingRecorder");
+        for &key in Tally::ALL.iter().filter(|&&key| self.count(key) > 0) {
+            out.field(key.name(), &self.count(key));
+        }
+        out.finish_non_exhaustive()
+    }
 }
 
 impl AggregatingRecorder {
@@ -660,50 +716,17 @@ impl AggregatingRecorder {
         AggregatingRecorder::default()
     }
 
-    /// Total events seen.
-    pub fn events(&self) -> u64 {
-        self.events.get()
+    /// The current value of one tally.
+    pub fn count(&self, key: Tally) -> u64 {
+        self.cell(key).load(Ordering::Relaxed)
     }
 
-    /// `stage_entered` events seen.
-    pub fn stage_entries(&self) -> u64 {
-        self.stage_entries.get()
+    fn cell(&self, key: Tally) -> &AtomicU64 {
+        &self.tallies[key as usize]
     }
 
-    /// `fast_path_hit` events seen.
-    pub fn fast_path_hits(&self) -> u64 {
-        self.fast_path_hits.get()
-    }
-
-    /// `conciliator_round` events seen.
-    pub fn conciliator_rounds(&self) -> u64 {
-        self.conciliator_rounds.get()
-    }
-
-    /// Largest conciliator round index observed.
-    pub fn max_round(&self) -> u64 {
-        self.max_round.max()
-    }
-
-    /// Probabilistic writes attempted (runtime `prob_write` events plus
-    /// sim `op` events of class `prob_write`).
-    pub fn prob_writes_attempted(&self) -> u64 {
-        self.prob_writes_attempted.get()
-    }
-
-    /// Probabilistic writes that landed.
-    pub fn prob_writes_performed(&self) -> u64 {
-        self.prob_writes_performed.get()
-    }
-
-    /// `ratifier_verdict` events seen.
-    pub fn ratifier_verdicts(&self) -> u64 {
-        self.ratifier_verdicts.get()
-    }
-
-    /// `decided` events seen.
-    pub fn decisions(&self) -> u64 {
-        self.decisions.get()
+    fn add(&self, key: Tally, n: u64) {
+        self.cell(key).fetch_add(n, Ordering::Relaxed);
     }
 
     /// Distribution of the deciding stage index, one sample per decision.
@@ -714,11 +737,6 @@ impl AggregatingRecorder {
     /// Distribution of decide latency in nanoseconds.
     pub fn decide_latency_ns(&self) -> &Histogram {
         &self.decide_latency_ns
-    }
-
-    /// Simulated operations seen (total work).
-    pub fn ops(&self) -> u64 {
-        self.ops.get()
     }
 
     /// Simulated operations per process, indexed by pid.
@@ -733,89 +751,30 @@ impl AggregatingRecorder {
     pub fn individual_ops(&self) -> u64 {
         self.per_process_ops().iter().copied().max().unwrap_or(0)
     }
-
-    /// `fault_injected` events seen.
-    pub fn faults_injected(&self) -> u64 {
-        self.faults_injected.get()
-    }
-
-    /// `conciliator_selected` events seen.
-    pub fn conciliator_selections(&self) -> u64 {
-        self.conciliator_selections.get()
-    }
-
-    /// `conciliator_selected` events that picked the coin conciliator.
-    pub fn coin_selections(&self) -> u64 {
-        self.coin_selections.get()
-    }
-
-    /// `fallback_taken` events seen.
-    pub fn fallbacks_taken(&self) -> u64 {
-        self.fallbacks_taken.get()
-    }
-
-    /// `batch_drained` events seen.
-    pub fn batches_drained(&self) -> u64 {
-        self.batches_drained.get()
-    }
-
-    /// Total proposals across all `batch_drained` events.
-    pub fn batched_proposals(&self) -> u64 {
-        self.batched_proposals.get()
-    }
-
-    /// `worker_restarted` events seen.
-    pub fn worker_restarts(&self) -> u64 {
-        self.worker_restarts.get()
-    }
-
-    /// Total cells re-admitted across all `worker_restarted` events.
-    pub fn resubmitted_cells(&self) -> u64 {
-        self.resubmitted_cells.get()
-    }
-
-    /// `circuit_transition` events seen.
-    pub fn circuit_transitions(&self) -> u64 {
-        self.circuit_transitions.get()
-    }
-
-    /// Last circuit state observed (numeric; see [`CircuitState::as_u64`]).
-    pub fn circuit_state(&self) -> u64 {
-        self.circuit_state.get()
-    }
-
-    /// `read_lease` events seen (grants plus renewals).
-    pub fn read_leases(&self) -> u64 {
-        self.read_leases.get()
-    }
-
-    /// `read_lease` events that were renewals of an expired lease.
-    pub fn read_lease_renewals(&self) -> u64 {
-        self.read_lease_renewals.get()
-    }
 }
 
 impl Recorder for AggregatingRecorder {
     fn record(&self, event: &TelemetryEvent) {
-        self.events.incr();
+        self.add(Tally::Events, 1);
         match event {
-            TelemetryEvent::StageEntered { .. } => self.stage_entries.incr(),
-            TelemetryEvent::FastPathHit { .. } => self.fast_path_hits.incr(),
+            TelemetryEvent::StageEntered { .. } => self.add(Tally::StageEntries, 1),
+            TelemetryEvent::FastPathHit { .. } => self.add(Tally::FastPathHits, 1),
             TelemetryEvent::ConciliatorRound { round, .. } => {
-                self.conciliator_rounds.incr();
-                self.max_round.record_max(*round);
+                self.add(Tally::ConciliatorRounds, 1);
+                self.cell(Tally::MaxRound)
+                    .fetch_max(*round, Ordering::Relaxed);
             }
             TelemetryEvent::ProbWrite { performed, .. } => {
-                self.prob_writes_attempted.incr();
+                self.add(Tally::ProbWritesAttempted, 1);
                 if *performed {
-                    self.prob_writes_performed.incr();
+                    self.add(Tally::ProbWritesPerformed, 1);
                 }
             }
-            TelemetryEvent::RatifierVerdict { .. } => self.ratifier_verdicts.incr(),
+            TelemetryEvent::RatifierVerdict { .. } => self.add(Tally::RatifierVerdicts, 1),
             TelemetryEvent::Decided {
                 stage, latency_ns, ..
             } => {
-                self.decisions.incr();
+                self.add(Tally::Decisions, 1);
                 self.rounds_to_decide.record(*stage);
                 self.decide_latency_ns.record(*latency_ns);
             }
@@ -825,7 +784,7 @@ impl Recorder for AggregatingRecorder {
                 performed,
                 ..
             } => {
-                self.ops.incr();
+                self.add(Tally::Ops, 1);
                 let mut per_pid = self.per_pid_ops.lock().unwrap_or_else(|e| e.into_inner());
                 let pid = *pid as usize;
                 if per_pid.len() <= pid {
@@ -834,41 +793,42 @@ impl Recorder for AggregatingRecorder {
                 per_pid[pid] += 1;
                 drop(per_pid);
                 match class {
-                    OpClass::Read => self.reads.incr(),
-                    OpClass::Write => self.writes.incr(),
-                    OpClass::Collect => self.collects.incr(),
+                    OpClass::Read => self.add(Tally::Reads, 1),
+                    OpClass::Write => self.add(Tally::Writes, 1),
+                    OpClass::Collect => self.add(Tally::Collects, 1),
                     OpClass::ProbWrite => {
-                        self.prob_writes_attempted.incr();
+                        self.add(Tally::ProbWritesAttempted, 1);
                         if *performed {
-                            self.prob_writes_performed.incr();
+                            self.add(Tally::ProbWritesPerformed, 1);
                         }
                     }
                 }
             }
-            TelemetryEvent::FaultInjected { .. } => self.faults_injected.incr(),
+            TelemetryEvent::FaultInjected { .. } => self.add(Tally::FaultsInjected, 1),
             TelemetryEvent::ConciliatorSelected { choice, .. } => {
-                self.conciliator_selections.incr();
+                self.add(Tally::ConciliatorSelections, 1);
                 if *choice == ConciliatorKind::Coin {
-                    self.coin_selections.incr();
+                    self.add(Tally::CoinSelections, 1);
                 }
             }
-            TelemetryEvent::FallbackTaken { .. } => self.fallbacks_taken.incr(),
+            TelemetryEvent::FallbackTaken { .. } => self.add(Tally::FallbacksTaken, 1),
             TelemetryEvent::BatchDrained { batch, .. } => {
-                self.batches_drained.incr();
-                self.batched_proposals.add(*batch);
+                self.add(Tally::BatchesDrained, 1);
+                self.add(Tally::BatchedProposals, *batch);
             }
             TelemetryEvent::WorkerRestarted { resubmitted, .. } => {
-                self.worker_restarts.incr();
-                self.resubmitted_cells.add(*resubmitted);
+                self.add(Tally::WorkerRestarts, 1);
+                self.add(Tally::ResubmittedCells, *resubmitted);
             }
             TelemetryEvent::CircuitTransition { state } => {
-                self.circuit_transitions.incr();
-                self.circuit_state.set(state.as_u64());
+                self.add(Tally::CircuitTransitions, 1);
+                self.cell(Tally::CircuitState)
+                    .store(state.as_u64(), Ordering::Relaxed);
             }
             TelemetryEvent::ReadLease { renewed, .. } => {
-                self.read_leases.incr();
+                self.add(Tally::ReadLeases, 1);
                 if *renewed {
-                    self.read_lease_renewals.incr();
+                    self.add(Tally::ReadLeaseRenewals, 1);
                 }
             }
             TelemetryEvent::WorkSummary { .. } => {}
@@ -1045,28 +1005,34 @@ mod tests {
         for event in sample_events() {
             agg.record(&event);
         }
-        assert_eq!(agg.events(), 16);
-        assert_eq!(agg.faults_injected(), 1);
-        assert_eq!(agg.conciliator_selections(), 1);
-        assert_eq!(agg.coin_selections(), 1);
-        assert_eq!(agg.fallbacks_taken(), 1);
-        assert_eq!(agg.batches_drained(), 1);
-        assert_eq!(agg.batched_proposals(), 8);
-        assert_eq!(agg.worker_restarts(), 1);
-        assert_eq!(agg.resubmitted_cells(), 3);
-        assert_eq!(agg.circuit_transitions(), 1);
-        assert_eq!(agg.circuit_state(), CircuitState::Open.as_u64());
-        assert_eq!(agg.stage_entries(), 1);
-        assert_eq!(agg.fast_path_hits(), 1);
-        assert_eq!(agg.conciliator_rounds(), 1);
-        assert_eq!(agg.max_round(), 3);
-        // 2 runtime prob_write events + 1 sim prob_write op.
-        assert_eq!(agg.prob_writes_attempted(), 3);
-        assert_eq!(agg.prob_writes_performed(), 1);
-        assert_eq!(agg.decisions(), 1);
+        let expected = [
+            (Tally::Events, 16),
+            (Tally::FaultsInjected, 1),
+            (Tally::ConciliatorSelections, 1),
+            (Tally::CoinSelections, 1),
+            (Tally::FallbacksTaken, 1),
+            (Tally::BatchesDrained, 1),
+            (Tally::BatchedProposals, 8),
+            (Tally::WorkerRestarts, 1),
+            (Tally::ResubmittedCells, 3),
+            (Tally::CircuitTransitions, 1),
+            (Tally::CircuitState, CircuitState::Open.as_u64()),
+            (Tally::StageEntries, 1),
+            (Tally::FastPathHits, 1),
+            (Tally::ConciliatorRounds, 1),
+            (Tally::MaxRound, 3),
+            // 2 runtime prob_write events + 1 sim prob_write op.
+            (Tally::ProbWritesAttempted, 3),
+            (Tally::ProbWritesPerformed, 1),
+            (Tally::Decisions, 1),
+            (Tally::Ops, 2),
+            (Tally::Reads, 1),
+        ];
+        for (key, count) in expected {
+            assert_eq!(agg.count(key), count, "{}", key.name());
+        }
         assert_eq!(agg.rounds_to_decide().count(), 1);
         assert_eq!(agg.decide_latency_ns().max(), 1_000);
-        assert_eq!(agg.ops(), 2);
         assert_eq!(agg.per_process_ops(), vec![1, 0, 1]);
         assert_eq!(agg.individual_ops(), 1);
     }
@@ -1089,7 +1055,7 @@ mod tests {
         assert!(multi.enabled());
         multi.record(&TelemetryEvent::FastPathHit { pid: 0, stage: 0 });
         multi.flush().unwrap();
-        assert_eq!(agg.fast_path_hits(), 1);
+        assert_eq!(agg.count(Tally::FastPathHits), 1);
 
         let empty = MultiRecorder::new(vec![Arc::new(NoopRecorder) as Arc<dyn Recorder>]);
         assert!(!empty.enabled());

@@ -13,9 +13,9 @@ use crate::json::Obj;
 /// [`to_prometheus`](Snapshot::to_prometheus) for scrapers.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Snapshot {
-    counters: Vec<(String, u64)>,
-    gauges: Vec<(String, u64, u64)>,
-    histograms: Vec<(String, HistogramSnapshot)>,
+    counters: Vec<(&'static str, u64)>,
+    gauges: Vec<(&'static str, u64, u64)>,
+    histograms: Vec<(&'static str, HistogramSnapshot)>,
 }
 
 impl Snapshot {
@@ -25,20 +25,20 @@ impl Snapshot {
     }
 
     /// Adds a counter value.
-    pub fn counter(&mut self, name: &str, value: u64) -> &mut Self {
-        self.counters.push((name.to_string(), value));
+    pub fn counter(&mut self, name: &'static str, value: u64) -> &mut Self {
+        self.counters.push((name, value));
         self
     }
 
     /// Adds a gauge with its current value and running maximum.
-    pub fn gauge(&mut self, name: &str, value: u64, max: u64) -> &mut Self {
-        self.gauges.push((name.to_string(), value, max));
+    pub fn gauge(&mut self, name: &'static str, value: u64, max: u64) -> &mut Self {
+        self.gauges.push((name, value, max));
         self
     }
 
     /// Adds a histogram snapshot.
-    pub fn histogram(&mut self, name: &str, hist: HistogramSnapshot) -> &mut Self {
-        self.histograms.push((name.to_string(), hist));
+    pub fn histogram(&mut self, name: &'static str, hist: HistogramSnapshot) -> &mut Self {
+        self.histograms.push((name, hist));
         self
     }
 
@@ -46,7 +46,7 @@ impl Snapshot {
     pub fn counter_value(&self, name: &str) -> Option<u64> {
         self.counters
             .iter()
-            .find(|(n, _)| n == name)
+            .find(|(n, _)| *n == name)
             .map(|&(_, v)| v)
     }
 
@@ -54,7 +54,7 @@ impl Snapshot {
     pub fn histogram_value(&self, name: &str) -> Option<&HistogramSnapshot> {
         self.histograms
             .iter()
-            .find(|(n, _)| n == name)
+            .find(|(n, _)| *n == name)
             .map(|(_, h)| h)
     }
 

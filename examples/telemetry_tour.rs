@@ -20,11 +20,11 @@ use std::sync::{Arc, Barrier};
 
 use modular_consensus::analysis::theory;
 use modular_consensus::core::protocol::ConsensusBuilder;
-use modular_consensus::runtime::Consensus;
+use modular_consensus::runtime::{Consensus, CounterKey};
 use modular_consensus::sim::adversary::RandomScheduler;
 use modular_consensus::sim::harness::{self, inputs};
 use modular_consensus::sim::{observe, EngineConfig};
-use modular_consensus::telemetry::{AggregatingRecorder, Recorder};
+use modular_consensus::telemetry::{AggregatingRecorder, Recorder, Tally};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -63,16 +63,19 @@ fn main() {
         assert!(decisions.windows(2).all(|w| w[0] == w[1]), "agreement");
     }
 
-    let decisions = agg.decisions();
+    let decisions = agg.count(Tally::Decisions);
     assert_eq!(decisions, rounds * n as u64);
     println!("decisions          : {decisions}");
     println!(
         "conciliator rounds : {} across {} prob-writes ({} landed)",
-        agg.conciliator_rounds(),
-        agg.prob_writes_attempted(),
-        agg.prob_writes_performed()
+        agg.count(Tally::ConciliatorRounds),
+        agg.count(Tally::ProbWritesAttempted),
+        agg.count(Tally::ProbWritesPerformed)
     );
-    assert!(agg.conciliator_rounds() > 0, "conciliators must have run");
+    assert!(
+        agg.count(Tally::ConciliatorRounds) > 0,
+        "conciliators must have run"
+    );
 
     // Theorem 7: each conciliator call costs at most 2⌈lg n⌉ + O(1)
     // operations, so the probability-doubling round index is bounded by
@@ -80,7 +83,7 @@ fn main() {
     // the adversary the bound is proved against, so a generous slack
     // suffices to catch instrumentation bugs without flaking.
     let lg_n = theory::ceil_lg(n as u64);
-    let max_round = agg.max_round();
+    let max_round = agg.count(Tally::MaxRound);
     println!("max doubling round : {max_round} (⌈lg n⌉ = {lg_n})");
     assert!(
         max_round <= 2 * lg_n + 8,
@@ -120,15 +123,15 @@ fn main() {
 
     // Exact reconciliation: the replayed event stream carries the same
     // counts the engine tallied natively.
-    assert_eq!(sim_agg.ops(), out.metrics.total_work());
+    assert_eq!(sim_agg.count(Tally::Ops), out.metrics.total_work());
     assert_eq!(sim_agg.individual_ops(), out.metrics.individual_work());
     assert_eq!(sim_agg.per_process_ops(), out.metrics.per_process);
     assert_eq!(
-        sim_agg.prob_writes_attempted(),
+        sim_agg.count(Tally::ProbWritesAttempted),
         out.metrics.prob_writes_attempted
     );
     assert_eq!(
-        sim_agg.prob_writes_performed(),
+        sim_agg.count(Tally::ProbWritesPerformed),
         out.metrics.prob_writes_performed
     );
     println!("reconciliation     : event stream == WorkMetrics ✓");
@@ -145,7 +148,10 @@ fn main() {
     for h in handles {
         h.join().unwrap();
     }
-    let snap = consensus.telemetry().snapshot();
+    // One metric by key; `snapshot()` walks the same table.
+    let telemetry = consensus.telemetry();
+    assert_eq!(telemetry.count(CounterKey::Decisions), n as u64);
+    let snap = telemetry.snapshot();
     println!("{}", snap.to_text());
     let json = snap.to_json();
     modular_consensus::telemetry::json::validate(&json).expect("snapshot JSON is valid");

@@ -50,6 +50,12 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 echo "== experiments (quick smoke) =="
 cargo run -p mc-bench --release --bin experiments -- all --quick > /dev/null
 
+echo "== telemetry smoke =="
+# The simulate CLI's JSONL export, end to end: a recorder attached through
+# the CLI must leave a non-empty event file.
+cargo run -p mc-bench --release --bin simulate -- --protocol binary --n 4 --trials 2 --telemetry target/telemetry_smoke.jsonl > /dev/null
+test -s target/telemetry_smoke.jsonl
+
 echo "== lab conformance (fixed-seed campaign) =="
 # Sim engine vs real-thread lab runtime vs mc-check replay: 10^4 seeds per
 # protocol over the bounded adversary matrix; any divergence exits nonzero.

@@ -100,9 +100,9 @@ pub mod prelude {
     pub use mc_runtime::{
         AdaptiveConsensus, AdaptiveOptions, BackpressurePolicy, BoundedConsensus, ChaosPlan,
         CircuitOptions, CoinKind, ConciliatorChoice, Consensus, ConsensusEngine, ConsensusService,
-        DecisionHandle, Election, EngineBuilder, EngineError, EngineOptions, FaultPlan,
-        FaultyMemory, LeaderFallback, LocalCoin, ReplicatedLog, ResetScope, RetryPolicy,
-        RingHealth, RuntimeTelemetry, ServiceBuilder, ServiceOptions, SubmitOptions,
+        CounterKey, DecisionHandle, Election, EngineBuilder, EngineError, EngineOptions, FaultPlan,
+        FaultyMemory, GaugeKey, HistKey, LeaderFallback, LocalCoin, ReplicatedLog, ResetScope,
+        RetryPolicy, RingHealth, RuntimeTelemetry, ServiceBuilder, ServiceOptions, SubmitOptions,
         SupervisorOptions, TestAndSet, TypedConsensus, ValueCode, VotingCoin,
     };
     pub use mc_sim::{adversary, harness, observe, sched, EngineConfig};
@@ -111,7 +111,7 @@ pub mod prelude {
         StoreClient, StoreError,
     };
     pub use mc_telemetry::{
-        AggregatingRecorder, JsonlRecorder, NoopRecorder, Recorder, TelemetryEvent,
+        AggregatingRecorder, JsonlRecorder, NoopRecorder, Recorder, Tally, TelemetryEvent,
     };
 }
 

@@ -9,7 +9,9 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use modular_consensus::lab::{check_service_conformance, Protocol};
-use modular_consensus::runtime::{BackpressurePolicy, ConsensusService, EngineError, RetryPolicy};
+use modular_consensus::runtime::{
+    BackpressurePolicy, ConsensusService, CounterKey, EngineError, RetryPolicy,
+};
 use proptest::prelude::*;
 
 #[test]
@@ -65,7 +67,7 @@ fn shed_fires_at_exactly_max_queue_depth() {
             other => panic!("proposal {i} should shed, got {other:?}"),
         }
     }
-    assert_eq!(service.telemetry().proposals_shed(), 3);
+    assert_eq!(service.telemetry().count(CounterKey::ProposalsShed), 3);
     // Once the workers drain, the admitted proposals all decide.
     service.resume();
     for (i, handle) in handles.into_iter().enumerate() {
@@ -110,11 +112,11 @@ fn block_policy_never_loses_a_proposal() {
     }
     let telemetry = service.telemetry();
     assert_eq!(
-        telemetry.proposals_enqueued(),
+        telemetry.count(CounterKey::ProposalsEnqueued),
         PRODUCERS as u64 * PER_PRODUCER
     );
-    assert_eq!(telemetry.proposals_rejected(), 0);
-    assert_eq!(telemetry.proposals_shed(), 0);
+    assert_eq!(telemetry.count(CounterKey::ProposalsRejected), 0);
+    assert_eq!(telemetry.count(CounterKey::ProposalsShed), 0);
 }
 
 #[test]

@@ -4,6 +4,7 @@
 //! must round-trip — both for the bare state machine and through a store
 //! resumed from a snapshot.
 
+use modular_consensus::runtime::CounterKey;
 use modular_consensus::store::{
     CommandHandle, KvCommand, KvResponse, KvStore, ReplicatedStore, StateMachine, StoreError,
 };
@@ -120,9 +121,9 @@ proptest! {
         // Exactly-once: the machine saw each distinct command once, and
         // every extra copy is accounted as duplicate or stale.
         let telemetry = store.telemetry();
-        prop_assert_eq!(telemetry.commands_applied(), distinct);
-        prop_assert_eq!(telemetry.duplicates_served(), dup_copies);
-        prop_assert_eq!(telemetry.stale_commands(), stale_copies);
+        prop_assert_eq!(telemetry.count(CounterKey::CommandsApplied), distinct);
+        prop_assert_eq!(telemetry.count(CounterKey::DuplicatesServed), dup_copies);
+        prop_assert_eq!(telemetry.count(CounterKey::StaleCommands), stale_copies);
         let final_state = store.read_with(u64::MAX, |kv| kv.snapshot());
         prop_assert_eq!(final_state, reference.snapshot());
         store.shutdown();

@@ -59,11 +59,11 @@ proptest! {
         let emitted = observe::export_run(seed, out.trace.as_ref(), &out.metrics, &agg);
         // One op event per trace step (the work summary is extra).
         prop_assert_eq!(emitted, out.metrics.total_work());
-        prop_assert_eq!(agg.ops(), out.metrics.total_work());
+        prop_assert_eq!(agg.count(Tally::Ops), out.metrics.total_work());
         prop_assert_eq!(agg.individual_ops(), out.metrics.individual_work());
         prop_assert_eq!(agg.per_process_ops(), out.metrics.per_process.clone());
-        prop_assert_eq!(agg.prob_writes_attempted(), out.metrics.prob_writes_attempted);
-        prop_assert_eq!(agg.prob_writes_performed(), out.metrics.prob_writes_performed);
+        prop_assert_eq!(agg.count(Tally::ProbWritesAttempted), out.metrics.prob_writes_attempted);
+        prop_assert_eq!(agg.count(Tally::ProbWritesPerformed), out.metrics.prob_writes_performed);
     }
 
     /// Every line a `JsonlRecorder` writes is a complete, valid JSON
@@ -109,11 +109,11 @@ proptest! {
         let agg = AggregatingRecorder::new();
         let emitted = observe::export_run(seed, Some(&report.trace), &report.metrics, &agg);
         prop_assert_eq!(emitted, report.metrics.total_work());
-        prop_assert_eq!(agg.ops(), report.metrics.total_work());
+        prop_assert_eq!(agg.count(Tally::Ops), report.metrics.total_work());
         prop_assert_eq!(agg.individual_ops(), report.metrics.individual_work());
         prop_assert_eq!(agg.per_process_ops(), report.metrics.per_process.clone());
-        prop_assert_eq!(agg.prob_writes_attempted(), report.metrics.prob_writes_attempted);
-        prop_assert_eq!(agg.prob_writes_performed(), report.metrics.prob_writes_performed);
+        prop_assert_eq!(agg.count(Tally::ProbWritesAttempted), report.metrics.prob_writes_attempted);
+        prop_assert_eq!(agg.count(Tally::ProbWritesPerformed), report.metrics.prob_writes_performed);
         // The trace itself accounts for every counted operation.
         prop_assert_eq!(report.trace.len() as u64, report.metrics.total_work());
     }
@@ -153,8 +153,8 @@ fn faulted_bounded_run(
     recorder: std::sync::Arc<dyn Recorder>,
 ) -> (
     modular_consensus::runtime::FaultCounts,
-    u64,      // telemetry.faults_injected()
-    u64,      // telemetry.fallbacks_taken()
+    u64,      // telemetry.count(CounterKey::FaultsInjected)
+    u64,      // telemetry.count(CounterKey::FallbacksTaken)
     [u64; 4], // per-class telemetry counters
 ) {
     use modular_consensus::lab::Lab;
@@ -189,13 +189,13 @@ fn faulted_bounded_run(
     let telemetry = consensus.telemetry();
     (
         memory.fault_counts(),
-        telemetry.faults_injected(),
-        telemetry.fallbacks_taken(),
+        telemetry.count(CounterKey::FaultsInjected),
+        telemetry.count(CounterKey::FallbacksTaken),
         [
-            telemetry.lost_prob_writes(),
-            telemetry.stale_reads(),
-            telemetry.delayed_commits(),
-            telemetry.register_resets(),
+            telemetry.count(CounterKey::FaultsLostProbWrites),
+            telemetry.count(CounterKey::FaultsStaleReads),
+            telemetry.count(CounterKey::FaultsDelayedCommits),
+            telemetry.count(CounterKey::FaultsRegisterResets),
         ],
     )
 }
@@ -220,8 +220,8 @@ proptest! {
         prop_assert_eq!(per_class[1], counts.stale_reads);
         prop_assert_eq!(per_class[2], counts.delayed_commits);
         prop_assert_eq!(per_class[3], counts.register_resets);
-        prop_assert_eq!(agg.faults_injected(), counts.total());
-        prop_assert_eq!(agg.fallbacks_taken(), tel_fallbacks);
+        prop_assert_eq!(agg.count(Tally::FaultsInjected), counts.total());
+        prop_assert_eq!(agg.count(Tally::FallbacksTaken), tel_fallbacks);
     }
 
     /// The JSONL export carries one well-formed `fault_injected` line per
@@ -331,9 +331,9 @@ fn chaos_service_run(
     let snapshot = telemetry.snapshot();
     (
         [
-            telemetry.worker_restarts(),
-            telemetry.resubmitted_cells(),
-            telemetry.circuit_state(),
+            telemetry.count(CounterKey::WorkerRestarts),
+            telemetry.count(CounterKey::ResubmittedCells),
+            telemetry.gauge(GaugeKey::CircuitState),
         ],
         snapshot,
     )
@@ -363,10 +363,10 @@ proptest! {
         prop_assert_eq!(circuit, 1, "breaker left open");
 
         // Ledger 2: the recorder folded the same events.
-        prop_assert_eq!(agg.worker_restarts(), restarts);
-        prop_assert_eq!(agg.resubmitted_cells(), resubmitted);
-        prop_assert_eq!(agg.circuit_state(), circuit);
-        prop_assert!(agg.circuit_transitions() >= 1);
+        prop_assert_eq!(agg.count(Tally::WorkerRestarts), restarts);
+        prop_assert_eq!(agg.count(Tally::ResubmittedCells), resubmitted);
+        prop_assert_eq!(agg.count(Tally::CircuitState), circuit);
+        prop_assert!(agg.count(Tally::CircuitTransitions) >= 1);
 
         // Ledger 3: the snapshot renders the same numbers everywhere.
         prop_assert_eq!(snapshot.counter_value("worker_restarts"), Some(restarts));

@@ -71,8 +71,8 @@ fn sweep_runtime(f: u32) -> Sweep {
         sweep.terminated += 1;
 
         let telemetry = consensus.telemetry();
-        let max_stage = telemetry.rounds_to_decide().max();
-        if telemetry.fallbacks_taken() > 0 {
+        let max_stage = telemetry.hist(HistKey::RoundsToDecide).max();
+        if telemetry.count(CounterKey::FallbacksTaken) > 0 {
             sweep.entered_c1 += 1;
             sweep.fell_back += 1;
             sweep.stages_entered += u64::from(f);
