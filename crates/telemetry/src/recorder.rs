@@ -341,7 +341,16 @@ impl TelemetryEvent {
     /// `seq` is an optional monotone sequence number stamped by the
     /// recorder so consumers can detect truncated streams.
     pub fn to_json(&self, seq: Option<u64>) -> String {
-        let mut obj = Obj::new();
+        let mut line = String::new();
+        self.write_json(seq, &mut line);
+        line
+    }
+
+    /// Appends what [`to_json`](TelemetryEvent::to_json) returns to `out`:
+    /// the one renderer of the event schema. It allocates only if `out`
+    /// must grow, so a recorder that reuses its buffer allocates nothing.
+    pub fn write_json(&self, seq: Option<u64>, out: &mut String) {
+        let mut obj = Obj::append_to(out);
         obj.str_field("ev", self.name());
         if let Some(seq) = seq {
             obj.u64_field("seq", seq);
@@ -487,7 +496,7 @@ impl TelemetryEvent {
                     .u64_array_field("per_process", per_process);
             }
         }
-        obj.finish()
+        obj.finish();
     }
 }
 
@@ -511,7 +520,8 @@ pub trait Recorder: Send + Sync {
     ///
     /// # Errors
     ///
-    /// Propagates I/O errors from the underlying sink.
+    /// Propagates I/O errors from the underlying sink, the first one a
+    /// `record` met since the last flush included.
     fn flush(&self) -> io::Result<()> {
         Ok(())
     }
@@ -534,17 +544,27 @@ impl Recorder for NoopRecorder {
 /// Streams events as JSON lines to any writer.
 ///
 /// Each line is one [`TelemetryEvent::to_json`] object stamped with a
-/// monotone `seq` field. Writes go through a mutex — acceptable because
-/// JSONL recording is opt-in diagnostics, not the default hot path.
+/// monotone `seq` field, assigned under the mutex that orders the writes,
+/// so line *i* carries `"seq":i`. The line is rendered into a buffer kept
+/// beside the writer and reused: in steady state an event allocates
+/// nothing and costs ~70 ns, against a budget of 120 (DESIGN.md §6).
 pub struct JsonlRecorder {
-    out: Mutex<Box<dyn Write + Send>>,
-    seq: AtomicU64,
+    sink: Mutex<JsonlSink>,
+}
+
+struct JsonlSink {
+    out: Box<dyn Write + Send>,
+    /// The line being written: one event, never more.
+    line: String,
+    seq: u64,
+    /// The first write error since the last `flush()`, which reports it.
+    error: Option<io::Error>,
 }
 
 impl std::fmt::Debug for JsonlRecorder {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("JsonlRecorder")
-            .field("seq", &self.seq.load(Ordering::Relaxed))
+            .field("seq", &self.events_written())
             .finish_non_exhaustive()
     }
 }
@@ -553,8 +573,12 @@ impl JsonlRecorder {
     /// Streams to an arbitrary writer.
     pub fn new(out: Box<dyn Write + Send>) -> JsonlRecorder {
         JsonlRecorder {
-            out: Mutex::new(out),
-            seq: AtomicU64::new(0),
+            sink: Mutex::new(JsonlSink {
+                out,
+                line: String::new(),
+                seq: 0,
+                error: None,
+            }),
         }
     }
 
@@ -578,23 +602,34 @@ impl JsonlRecorder {
 
     /// Number of events written so far.
     pub fn events_written(&self) -> u64 {
-        self.seq.load(Ordering::Relaxed)
+        self.sink().seq
+    }
+
+    fn sink(&self) -> std::sync::MutexGuard<'_, JsonlSink> {
+        // Every step of `record` leaves the sink valid (a panic mid-render
+        // loses that line only), so a poisoned lock is recovered.
+        self.sink.lock().unwrap_or_else(|e| e.into_inner())
     }
 }
 
 impl Recorder for JsonlRecorder {
     fn record(&self, event: &TelemetryEvent) {
-        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        let mut line = event.to_json(Some(seq));
-        line.push('\n');
-        let mut out = self.out.lock().unwrap_or_else(|e| e.into_inner());
-        // Telemetry must never take the protocol down: swallow I/O errors
-        // here; flush() reports them.
-        let _ = out.write_all(line.as_bytes());
+        let sink = &mut *self.sink();
+        sink.line.clear();
+        event.write_json(Some(sink.seq), &mut sink.line);
+        sink.line.push('\n');
+        sink.seq += 1;
+        // Telemetry must never take the protocol down: latch the error for
+        // flush() to report and carry on.
+        if let Err(e) = sink.out.write_all(sink.line.as_bytes()) {
+            sink.error.get_or_insert(e);
+        }
     }
 
     fn flush(&self) -> io::Result<()> {
-        self.out.lock().unwrap_or_else(|e| e.into_inner()).flush()
+        let mut sink = self.sink();
+        let flushed = sink.out.flush();
+        sink.error.take().map_or(flushed, Err)
     }
 }
 
@@ -959,6 +994,17 @@ mod tests {
             TelemetryEvent::CircuitTransition {
                 state: CircuitState::Open,
             },
+            TelemetryEvent::ReadLease {
+                client: 3,
+                renewed: true,
+                ttl_ns: 5_000_000,
+            },
+            TelemetryEvent::ConciliatorSelected {
+                generation: 0,
+                choice: ConciliatorKind::Impatient,
+                delta_hat: None,
+                samples: 2,
+            },
             TelemetryEvent::WorkSummary {
                 seed: 7,
                 total_work: 2,
@@ -970,6 +1016,89 @@ mod tests {
                 per_process: vec![1, 0, 1],
             },
         ]
+    }
+
+    /// Value edges of every field type: the widest and narrowest integers,
+    /// floats that print with and without an exponent, a non-finite float,
+    /// and an empty and a wide array.
+    fn edge_events() -> Vec<TelemetryEvent> {
+        let probability = |probability| TelemetryEvent::ConciliatorRound {
+            pid: 0,
+            round: u64::MAX,
+            probability,
+        };
+        let summary = |per_process| TelemetryEvent::WorkSummary {
+            seed: u64::MAX,
+            total_work: 0,
+            individual_work: 10,
+            prob_writes_attempted: 99,
+            prob_writes_performed: 100,
+            registers_allocated: 12_345,
+            registers_touched: 1_000_000,
+            per_process,
+        };
+        vec![
+            TelemetryEvent::Decided {
+                pid: 0,
+                value: u64::MAX,
+                stage: 9,
+                latency_ns: 18_446_744_073_709_551_614,
+            },
+            probability(0.1),
+            probability(1e-7),
+            probability(1.0),
+            probability(f64::NAN),
+            summary(Vec::new()),
+            summary((0..32).map(|pid| pid * pid * 1_009).collect()),
+        ]
+    }
+
+    /// `to_json(Some(i))` of `sample_events()` then `edge_events()`,
+    /// captured from the renderer this one replaced (commit 4e4eb71): the
+    /// schema is these bytes, and any drift must show up as a diff here.
+    const GOLDEN: &[&str] = &[
+        r#"{"ev":"stage_entered","seq":0,"pid":0,"stage":0,"kind":"ratifier"}"#,
+        r#"{"ev":"fast_path_hit","seq":1,"pid":0,"stage":1}"#,
+        r#"{"ev":"conciliator_round","seq":2,"pid":1,"round":3,"p":0.125}"#,
+        r#"{"ev":"prob_write","seq":3,"pid":1,"performed":true,"p":0.5}"#,
+        r#"{"ev":"prob_write","seq":4,"pid":1,"performed":false,"p":0.5}"#,
+        r#"{"ev":"ratifier_verdict","seq":5,"pid":1,"stage":2,"decided":true,"value":42}"#,
+        r#"{"ev":"decided","seq":6,"pid":1,"value":42,"stage":2,"latency_ns":1000}"#,
+        r#"{"ev":"op","seq":7,"step":0,"pid":0,"class":"read","performed":true}"#,
+        r#"{"ev":"op","seq":8,"step":1,"pid":2,"class":"prob_write","performed":false}"#,
+        r#"{"ev":"fault_injected","seq":9,"class":"stale_read","register":4,"step":17}"#,
+        r#"{"ev":"conciliator_selected","seq":10,"generation":2,"choice":"coin","delta_hat":0.125,"samples":16}"#,
+        r#"{"ev":"fallback_taken","seq":11,"pid":2,"conciliator_stages":6}"#,
+        r#"{"ev":"batch_drained","seq":12,"shard":1,"batch":8,"queue_depth":2}"#,
+        r#"{"ev":"worker_restarted","seq":13,"ring":0,"attempt":1,"resubmitted":3,"recovery_ns":2000}"#,
+        r#"{"ev":"circuit_transition","seq":14,"state":"open"}"#,
+        r#"{"ev":"read_lease","seq":15,"client":3,"renewed":true,"ttl_ns":5000000}"#,
+        r#"{"ev":"conciliator_selected","seq":16,"generation":0,"choice":"impatient","samples":2}"#,
+        r#"{"ev":"work_summary","seq":17,"seed":7,"total_work":2,"individual_work":1,"prob_writes_attempted":1,"prob_writes_performed":0,"registers_allocated":3,"registers_touched":2,"per_process":[1,0,1]}"#,
+        r#"{"ev":"decided","seq":18,"pid":0,"value":18446744073709551615,"stage":9,"latency_ns":18446744073709551614}"#,
+        r#"{"ev":"conciliator_round","seq":19,"pid":0,"round":18446744073709551615,"p":0.1}"#,
+        r#"{"ev":"conciliator_round","seq":20,"pid":0,"round":18446744073709551615,"p":1e-7}"#,
+        r#"{"ev":"conciliator_round","seq":21,"pid":0,"round":18446744073709551615,"p":1.0}"#,
+        r#"{"ev":"conciliator_round","seq":22,"pid":0,"round":18446744073709551615,"p":null}"#,
+        r#"{"ev":"work_summary","seq":23,"seed":18446744073709551615,"total_work":0,"individual_work":10,"prob_writes_attempted":99,"prob_writes_performed":100,"registers_allocated":12345,"registers_touched":1000000,"per_process":[]}"#,
+        r#"{"ev":"work_summary","seq":24,"seed":18446744073709551615,"total_work":0,"individual_work":10,"prob_writes_attempted":99,"prob_writes_performed":100,"registers_allocated":12345,"registers_touched":1000000,"per_process":[0,1009,4036,9081,16144,25225,36324,49441,64576,81729,100900,122089,145296,170521,197764,227025,258304,291601,326916,364249,403600,444969,488356,533761,581184,630625,682084,735561,791056,848569,908100,969649]}"#,
+    ];
+
+    #[test]
+    fn every_line_matches_its_golden_bytes() {
+        let events: Vec<_> = sample_events().into_iter().chain(edge_events()).collect();
+        assert_eq!(events.len(), GOLDEN.len());
+        // One dirty buffer for all: `write_json` appends and disturbs nothing.
+        let mut reused = String::from("dirty");
+        for (i, (event, golden)) in events.iter().zip(GOLDEN).enumerate() {
+            assert_eq!(event.to_json(Some(i as u64)), *golden);
+            reused.truncate("dirty".len());
+            event.write_json(Some(i as u64), &mut reused);
+            assert_eq!(reused.strip_prefix("dirty"), Some(*golden));
+            json::validate(golden).unwrap_or_else(|e| panic!("{golden}: {e}"));
+        }
+        let unstamped = TelemetryEvent::FastPathHit { pid: 0, stage: 1 }.to_json(None);
+        assert_eq!(unstamped, r#"{"ev":"fast_path_hit","pid":0,"stage":1}"#);
     }
 
     #[test]
@@ -1000,16 +1129,72 @@ mod tests {
     }
 
     #[test]
+    fn a_failed_write_is_reported_by_the_next_flush_once() {
+        /// Fails its second write, accepts every other.
+        struct FailsSecond(u32);
+        impl Write for FailsSecond {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                self.0 += 1;
+                if self.0 == 2 {
+                    return Err(io::Error::new(io::ErrorKind::StorageFull, "disk full"));
+                }
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let recorder = JsonlRecorder::new(Box::new(FailsSecond(0)));
+        let event = TelemetryEvent::FastPathHit { pid: 0, stage: 0 };
+        recorder.record(&event);
+        recorder.flush().unwrap();
+        recorder.record(&event); // lost
+        recorder.record(&event); // recording carries on
+        let lost = recorder.flush().unwrap_err();
+        assert_eq!(lost.kind(), io::ErrorKind::StorageFull);
+        assert_eq!(lost.to_string(), "disk full");
+        recorder.flush().unwrap();
+        assert_eq!(recorder.events_written(), 3);
+    }
+
+    #[test]
+    fn concurrent_writers_leave_lines_in_seq_order() {
+        const THREADS: u64 = 4;
+        const EVENTS: u64 = 2_000;
+        let (recorder, buf) = JsonlRecorder::in_memory();
+        let start = std::sync::Barrier::new(THREADS as usize);
+        std::thread::scope(|scope| {
+            for pid in 0..THREADS {
+                let (recorder, start) = (&recorder, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    for stage in 0..EVENTS {
+                        recorder.record(&TelemetryEvent::FastPathHit { pid, stage });
+                    }
+                });
+            }
+        });
+        let text = String::from_utf8(buf.lock().unwrap().clone()).unwrap();
+        assert_eq!(text.lines().count() as u64, THREADS * EVENTS);
+        for (i, line) in text.lines().enumerate() {
+            let stamp = format!(r#"{{"ev":"fast_path_hit","seq":{i},"#);
+            assert!(line.starts_with(&stamp), "line {i}: {line}");
+        }
+    }
+
+    #[test]
     fn aggregating_recorder_folds_counts() {
         let agg = AggregatingRecorder::new();
         for event in sample_events() {
             agg.record(&event);
         }
         let expected = [
-            (Tally::Events, 16),
+            (Tally::Events, 18),
             (Tally::FaultsInjected, 1),
-            (Tally::ConciliatorSelections, 1),
+            (Tally::ConciliatorSelections, 2),
             (Tally::CoinSelections, 1),
+            (Tally::ReadLeases, 1),
+            (Tally::ReadLeaseRenewals, 1),
             (Tally::FallbacksTaken, 1),
             (Tally::BatchesDrained, 1),
             (Tally::BatchedProposals, 8),

@@ -52,9 +52,12 @@ cargo run -p mc-bench --release --bin experiments -- all --quick > /dev/null
 
 echo "== telemetry smoke =="
 # The simulate CLI's JSONL export, end to end: a recorder attached through
-# the CLI must leave a non-empty event file.
+# the CLI must leave, byte for byte, the 55 lines tracked as the fixture
+# (deterministic at the default seed), so a drift of the event schema or of
+# the run behind it fails here. After an intended change, copy the new
+# output over the fixture and review the diff.
 cargo run -p mc-bench --release --bin simulate -- --protocol binary --n 4 --trials 2 --telemetry target/telemetry_smoke.jsonl > /dev/null
-test -s target/telemetry_smoke.jsonl
+cmp target/telemetry_smoke.jsonl tests/fixtures/telemetry_smoke.jsonl
 
 echo "== lab conformance (fixed-seed campaign) =="
 # Sim engine vs real-thread lab runtime vs mc-check replay: 10^4 seeds per

@@ -425,3 +425,155 @@ proptest! {
         );
     }
 }
+
+/// A `u64` of any digit count (a uniform draw is nearly always 19–20
+/// digits, which would leave the short forms of the integer formatter
+/// untested).
+fn any_width() -> impl Strategy<Value = u64> {
+    (any::<u64>(), 0u32..64).prop_map(|(value, shift)| value >> shift)
+}
+
+/// Any event variant over random field values; `p` is sometimes
+/// non-finite, `per_process` sometimes empty.
+fn any_event() -> impl Strategy<Value = TelemetryEvent> {
+    use modular_consensus::telemetry::{
+        CircuitState, ConciliatorKind, FaultClass, OpClass, StageKind,
+    };
+
+    (
+        (0usize..15, any_width(), any_width(), any_width()),
+        (any_width(), any::<bool>(), -1.0f64..2.0),
+        proptest::collection::vec(any_width(), 0..40),
+    )
+        .prop_map(|((variant, a, b, c), (d, flag, p), per_process)| {
+            let p = if d % 5 == 0 { f64::NAN } else { p };
+            match variant {
+                0 => TelemetryEvent::StageEntered {
+                    pid: a,
+                    stage: b,
+                    kind: [StageKind::Ratifier, StageKind::Conciliator][flag as usize],
+                },
+                1 => TelemetryEvent::FastPathHit { pid: a, stage: b },
+                2 => TelemetryEvent::ConciliatorRound {
+                    pid: a,
+                    round: b,
+                    probability: p,
+                },
+                3 => TelemetryEvent::ProbWrite {
+                    pid: a,
+                    performed: flag,
+                    probability: p,
+                },
+                4 => TelemetryEvent::RatifierVerdict {
+                    pid: a,
+                    stage: b,
+                    decided: flag,
+                    value: c,
+                },
+                5 => TelemetryEvent::Decided {
+                    pid: a,
+                    value: b,
+                    stage: c,
+                    latency_ns: d,
+                },
+                6 => TelemetryEvent::Op {
+                    step: a,
+                    pid: b,
+                    class: [
+                        OpClass::Read,
+                        OpClass::Write,
+                        OpClass::ProbWrite,
+                        OpClass::Collect,
+                    ][(c % 4) as usize],
+                    performed: flag,
+                },
+                7 => TelemetryEvent::FaultInjected {
+                    class: [
+                        FaultClass::LostProbWrite,
+                        FaultClass::StaleRead,
+                        FaultClass::DelayedVisibility,
+                        FaultClass::RegisterReset,
+                    ][(c % 4) as usize],
+                    register: a,
+                    step: b,
+                },
+                8 => TelemetryEvent::ConciliatorSelected {
+                    generation: a,
+                    choice: [ConciliatorKind::Impatient, ConciliatorKind::Coin][flag as usize],
+                    delta_hat: (c % 2 == 0).then_some(p),
+                    samples: b,
+                },
+                9 => TelemetryEvent::FallbackTaken {
+                    pid: a,
+                    conciliator_stages: b,
+                },
+                10 => TelemetryEvent::BatchDrained {
+                    shard: a,
+                    batch: b,
+                    queue_depth: c,
+                },
+                11 => TelemetryEvent::WorkerRestarted {
+                    ring: a,
+                    attempt: b,
+                    resubmitted: c,
+                    recovery_ns: d,
+                },
+                12 => TelemetryEvent::CircuitTransition {
+                    state: [
+                        CircuitState::Closed,
+                        CircuitState::Open,
+                        CircuitState::HalfOpen,
+                    ][(c % 3) as usize],
+                },
+                13 => TelemetryEvent::ReadLease {
+                    client: a,
+                    renewed: flag,
+                    ttl_ns: b,
+                },
+                _ => TelemetryEvent::WorkSummary {
+                    seed: a,
+                    total_work: b,
+                    individual_work: c,
+                    prob_writes_attempted: d,
+                    prob_writes_performed: a ^ b,
+                    registers_allocated: b ^ c,
+                    registers_touched: c ^ d,
+                    per_process,
+                },
+            }
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// `write_json` appends exactly what `to_json` returns, whatever the
+    /// buffer already holds, and the line is valid JSON. Its head, every
+    /// field of a `decided` event and the array of a `work_summary` also
+    /// equal text built by `core::fmt`: the hand-written integer formatter
+    /// against the standard one.
+    #[test]
+    fn write_json_appends_the_to_json_line(event in any_event(), seq in any_width(), stamped in any::<bool>()) {
+        let seq = stamped.then_some(seq);
+        let line = event.to_json(seq);
+        json::validate(&line).unwrap_or_else(|e| panic!("{line}: {e}"));
+
+        let mut reused = String::from("left over\n");
+        event.write_json(seq, &mut reused);
+        prop_assert_eq!(reused.strip_prefix("left over\n"), Some(line.as_str()));
+
+        let stamp = seq.map_or(String::new(), |seq| format!(r#""seq":{seq},"#));
+        let head = format!(r#"{{"ev":"{}",{stamp}"#, event.name());
+        prop_assert!(line.starts_with(&head), "{} lacks {}", line, head);
+        if let TelemetryEvent::Decided { pid, value, stage, latency_ns } = &event {
+            let tail = format!(
+                r#""pid":{pid},"value":{value},"stage":{stage},"latency_ns":{latency_ns}}}"#
+            );
+            prop_assert_eq!(line, head + &tail);
+        } else if let TelemetryEvent::WorkSummary { per_process, .. } = &event {
+            let list: Vec<String> = per_process.iter().map(u64::to_string).collect();
+            let tail = format!(r#","per_process":[{}]}}"#, list.join(","));
+            prop_assert!(line.ends_with(&tail), "{} lacks {}", line, tail);
+        }
+    }
+}
