@@ -103,11 +103,9 @@ impl<M: SharedMemory> Stage<M> {
 /// stage allocates its registers in a fixed order, so register ids are
 /// identical across substrates under identical interleavings.
 pub struct Consensus<M: SharedMemory = AtomicMemory> {
-    /// Shared, not cloned: a pooling engine (or [`ReplicatedLog`]) hands
-    /// every instance the same validated options, so per-instance setup is
-    /// a pointer bump — no quorum-scheme re-validation.
-    ///
-    /// [`ReplicatedLog`]: crate::ReplicatedLog
+    /// Shared, not cloned: a pooling engine hands every instance the same
+    /// validated options, so per-instance setup is a pointer bump — no
+    /// quorum-scheme re-validation.
     options: Arc<ConsensusOptions>,
     memory: M,
     stages: RwLock<Vec<Arc<Stage<M>>>>,
@@ -164,9 +162,9 @@ impl Consensus {
 
 impl<M: SharedMemory> Consensus<M> {
     /// Consensus whose options are *shared by reference*: repeated instance
-    /// setup (a pooling engine, one [`ReplicatedLog`](crate::ReplicatedLog)
-    /// slot per append) clones only the `Arc`, so the quorum scheme inside
-    /// is validated exactly once, at options construction.
+    /// setup (a pooling engine, one instance per log slot) clones only the
+    /// `Arc`, so the quorum scheme inside is validated exactly once, at
+    /// options construction.
     ///
     /// # Panics
     ///

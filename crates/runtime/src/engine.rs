@@ -235,12 +235,10 @@ impl<M: SharedMemory> ConsensusEngine<M> {
     /// live bound.
     fn checkout(
         &self,
-        shard: &Shard<M>,
         state: &mut ShardState<M>,
         instance_id: u64,
         bounded: bool,
     ) -> Option<Arc<Consensus<M>>> {
-        let _ = shard;
         if let Some(entry) = state.live.get_mut(&instance_id) {
             assert!(
                 entry.remaining > 0,
@@ -338,7 +336,7 @@ impl<M: SharedMemory> ConsensusEngine<M> {
         let instance = {
             let mut state = shard.lock();
             loop {
-                if let Some(instance) = self.checkout(shard, &mut state, instance_id, true) {
+                if let Some(instance) = self.checkout(&mut state, instance_id, true) {
                     break instance;
                 }
                 state = shard.cv.wait(state).unwrap_or_else(PoisonError::into_inner);
@@ -369,7 +367,7 @@ impl<M: SharedMemory> ConsensusEngine<M> {
         let shard = self.shard_of(instance_id);
         let instance = {
             let mut state = shard.lock();
-            self.checkout(shard, &mut state, instance_id, true)
+            self.checkout(&mut state, instance_id, true)
                 .ok_or(EngineError::Saturated)?
         };
         Ok(self.decide_and_release(shard, instance, instance_id, proposal, rng))
@@ -391,7 +389,7 @@ impl<M: SharedMemory> ConsensusEngine<M> {
         let shard = self.shard_of(instance_id);
         let instance = {
             let mut state = shard.lock();
-            self.checkout(shard, &mut state, instance_id, false)
+            self.checkout(&mut state, instance_id, false)
                 .expect("unbounded checkout always succeeds")
         };
         self.decide_and_release(shard, instance, instance_id, proposal, rng)

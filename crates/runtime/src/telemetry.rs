@@ -1,5 +1,5 @@
 //! Telemetry for the thread runtime: one shared handle per consensus
-//! object (or per replicated log, covering all its slots).
+//! object (or per engine, covering all its instances).
 //!
 //! Counters and histograms are always on — they are relaxed atomics, cheap
 //! next to real register contention — while structured [`TelemetryEvent`]
@@ -48,10 +48,6 @@ metric_keys! {
         ProbWritesAttempted => "prob_writes_attempted",
         /// Probabilistic writes whose coin landed.
         ProbWritesPerformed => "prob_writes_performed",
-        /// Replicated-log appends completed.
-        Appends => "appends",
-        /// Slots lost to another replica's command before an append landed.
-        SlotConflicts => "slot_conflicts",
         /// Consensus instances served from the recycle pool.
         PoolHits => "pool_hits",
         /// Consensus instances constructed because the pool was empty.
@@ -176,8 +172,8 @@ metric_keys! {
 /// Aggregated metrics plus an event sink for runtime consensus objects.
 ///
 /// Obtain one from [`Consensus::telemetry`](crate::Consensus::telemetry) or
-/// [`ReplicatedLog::telemetry`](crate::ReplicatedLog::telemetry); attach a
-/// real recorder with `.recorder(...)` on any builder.
+/// [`ConsensusEngine::telemetry`](crate::ConsensusEngine::telemetry); attach
+/// a real recorder with `.recorder(...)` on any builder.
 ///
 /// The metric set is the three key enums: cells are inline arrays indexed
 /// by `key as usize`, and [`snapshot`](Self::snapshot) walks the same
@@ -582,14 +578,6 @@ impl RuntimeTelemetry {
         }
     }
 
-    #[inline]
-    pub(crate) fn on_append(&self, slots_walked: u64) {
-        self.add(CounterKey::Appends, 1);
-        // Every slot beyond the first means some other replica's command won
-        // the slot this one was racing for.
-        self.add(CounterKey::SlotConflicts, slots_walked.saturating_sub(1));
-    }
-
     // --- store-layer hooks (public: `mc-store` is a separate crate) ---
 
     /// The store's apply worker applied `count` commands, leaving the
@@ -820,15 +808,6 @@ mod tests {
     }
 
     #[test]
-    fn append_tracking_counts_conflicts() {
-        let t = RuntimeTelemetry::noop(2);
-        t.on_append(1);
-        t.on_append(3);
-        assert_eq!(t.count(CounterKey::Appends), 2);
-        assert_eq!(t.count(CounterKey::SlotConflicts), 2);
-    }
-
-    #[test]
     fn pool_counters_track_hit_rate_and_live_instances() {
         let t = RuntimeTelemetry::noop(2);
         t.add(CounterKey::PoolMisses, 1);
@@ -1013,9 +992,11 @@ mod tests {
     }
 
     /// The exported names and their order at the commit before the metric
-    /// table existed; the benchmark and any scraper read them by string.
+    /// table existed, less `appends` and `slot_conflicts` (gone with
+    /// `ReplicatedLog::append`); the benchmark and any scraper read them by
+    /// string.
     const COUNTERS: &str = "decide_calls decisions fast_path_hits stage_entries \
-        prob_writes_attempted prob_writes_performed appends slot_conflicts pool_hits pool_misses \
+        prob_writes_attempted prob_writes_performed pool_hits pool_misses \
         instances_retired faults_injected faults_lost_prob_writes faults_stale_reads \
         faults_delayed_commits faults_register_resets fallbacks_taken conciliator_selections \
         coin_selections proposals_enqueued proposals_rejected proposals_shed batches_drained \
@@ -1026,7 +1007,7 @@ mod tests {
     const HISTOGRAMS: &str = "rounds_to_decide decide_latency_ns conciliator_rounds coin_rounds \
         service_wait_ns worker_recovery_ns";
     /// `to_json()` of the hook script below, captured at that same commit.
-    const SCRIPT_JSON: &str = r#"{"counters":{"decide_calls":1,"decisions":1,"fast_path_hits":1,"stage_entries":1,"prob_writes_attempted":2,"prob_writes_performed":1,"appends":2,"slot_conflicts":2,"pool_hits":2,"pool_misses":1,"instances_retired":1,"faults_injected":1,"faults_lost_prob_writes":0,"faults_stale_reads":1,"faults_delayed_commits":0,"faults_register_resets":0,"fallbacks_taken":1,"conciliator_selections":1,"coin_selections":1,"proposals_enqueued":2,"proposals_rejected":1,"proposals_shed":1,"batches_drained":1,"worker_restarts":1,"resubmitted_cells":1,"commands_applied":5,"sessions_created":1,"duplicates_served":1,"stale_commands":1,"lease_grants":1,"fast_reads":1,"store_snapshots":1},"gauges":{"applied_index":{"value":5,"max":5},"circuit_state":{"value":1,"max":1},"max_conciliator_round":{"value":0,"max":3},"observed_delta_hat_ppm":{"value":125000,"max":125000},"live_instances":{"value":2,"max":2},"queue_depth":{"value":1,"max":2}},"histograms":{"rounds_to_decide":{"count":1,"sum":2,"max":2,"mean":2.0,"p50":2,"p99":2,"buckets":[[3,1]]},"decide_latency_ns":{"count":1,"sum":500,"max":500,"mean":500.0,"p50":500,"p99":500,"buckets":[[511,1]]},"conciliator_rounds":{"count":1,"sum":4,"max":4,"mean":4.0,"p50":4,"p99":4,"buckets":[[7,1]]},"coin_rounds":{"count":1,"sum":9,"max":9,"mean":9.0,"p50":9,"p99":9,"buckets":[[15,1]]},"service_wait_ns":{"count":1,"sum":5000,"max":5000,"mean":5000.0,"p50":5000,"p99":5000,"buckets":[[8191,1]]},"worker_recovery_ns":{"count":1,"sum":7000,"max":7000,"mean":7000.0,"p50":7000,"p99":7000,"buckets":[[8191,1]]}}}"#;
+    const SCRIPT_JSON: &str = r#"{"counters":{"decide_calls":1,"decisions":1,"fast_path_hits":1,"stage_entries":1,"prob_writes_attempted":2,"prob_writes_performed":1,"pool_hits":2,"pool_misses":1,"instances_retired":1,"faults_injected":1,"faults_lost_prob_writes":0,"faults_stale_reads":1,"faults_delayed_commits":0,"faults_register_resets":0,"fallbacks_taken":1,"conciliator_selections":1,"coin_selections":1,"proposals_enqueued":2,"proposals_rejected":1,"proposals_shed":1,"batches_drained":1,"worker_restarts":1,"resubmitted_cells":1,"commands_applied":5,"sessions_created":1,"duplicates_served":1,"stale_commands":1,"lease_grants":1,"fast_reads":1,"store_snapshots":1},"gauges":{"applied_index":{"value":5,"max":5},"circuit_state":{"value":1,"max":1},"max_conciliator_round":{"value":0,"max":3},"observed_delta_hat_ppm":{"value":125000,"max":125000},"live_instances":{"value":2,"max":2},"queue_depth":{"value":1,"max":2}},"histograms":{"rounds_to_decide":{"count":1,"sum":2,"max":2,"mean":2.0,"p50":2,"p99":2,"buckets":[[3,1]]},"decide_latency_ns":{"count":1,"sum":500,"max":500,"mean":500.0,"p50":500,"p99":500,"buckets":[[511,1]]},"conciliator_rounds":{"count":1,"sum":4,"max":4,"mean":4.0,"p50":4,"p99":4,"buckets":[[7,1]]},"coin_rounds":{"count":1,"sum":9,"max":9,"mean":9.0,"p50":9,"p99":9,"buckets":[[15,1]]},"service_wait_ns":{"count":1,"sum":5000,"max":5000,"mean":5000.0,"p50":5000,"p99":5000,"buckets":[[8191,1]]},"worker_recovery_ns":{"count":1,"sum":7000,"max":7000,"mean":7000.0,"p50":7000,"p99":7000,"buckets":[[8191,1]]}}}"#;
 
     #[test]
     fn snapshot_covers_the_metric_set() {
@@ -1050,7 +1031,7 @@ mod tests {
             HistKey::ALL.iter().map(|key| key.name()).collect(),
         ];
         assert_eq!(table, names);
-        assert_eq!(table.each_ref().map(Vec::len), [32, 6, 6]);
+        assert_eq!(table.each_ref().map(Vec::len), [30, 6, 6]);
 
         // A fixed script over every hook and every kind of bump exports
         // what the hand-written metric set exported, byte for byte.
@@ -1070,8 +1051,6 @@ mod tests {
         t.add(CounterKey::PoolMisses, 1);
         t.add(CounterKey::PoolHits, 2);
         t.add(CounterKey::InstancesRetired, 1);
-        t.on_append(1);
-        t.on_append(3);
         t.on_proposal_enqueued();
         t.on_proposal_enqueued();
         t.add(CounterKey::ProposalsRejected, 1);

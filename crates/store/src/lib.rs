@@ -4,8 +4,9 @@
 //!
 //! The stack below this crate agrees on *one value at a time*:
 //! [`ConsensusEngine`](mc_runtime::ConsensusEngine) pools one-shot
-//! instances, [`ReplicatedLog`](mc_runtime::ReplicatedLog) strings their
-//! decisions into totally-ordered slots. This crate closes the loop the
+//! instances and decides one per slot,
+//! [`ReplicatedLog`](mc_runtime::ReplicatedLog) keeps what they decided
+//! as a totally-ordered learned prefix. This crate closes the loop the
 //! consensus problem exists for: a deterministic [`StateMachine`] applied
 //! in slot order on every replica is a linearizable shared object, and
 //! every operation — `get`, `put`, `cas` — is one command in the log.
@@ -16,8 +17,9 @@
 //! - [`KvStore`]: the reference machine — a linearizable `u64 → u64` map
 //!   with `get`/`put`/`cas`/`delete`.
 //! - [`ReplicatedStore`]: `sequencers` proposer threads order commands
-//!   into [`ReplicatedLog`] slots (batch at a time — group commit), each
-//!   deciding its proposal inline on the [`ConsensusEngine`] — the
+//!   into slots (batch at a time — group commit), each deciding its
+//!   proposal inline on the [`ConsensusEngine`] and recording the outcome
+//!   in the [`ReplicatedLog`] — the
 //!   objects are wait-free, so nobody decides on a proposer's behalf and
 //!   the store runs `sequencers + 1` threads in all. A dedicated apply
 //!   worker applies the learned prefix and answers each command exactly

@@ -800,13 +800,13 @@ mod tests {
     /// fails its test instead of hanging tier-1.
     const PATIENCE: Duration = Duration::from_secs(10);
 
-    /// Polls `condition` (1 ms apart) until it holds, for at most
-    /// [`PATIENCE`].
+    /// Polls `condition` (yielding between polls) until it holds, for at
+    /// most [`PATIENCE`].
     fn eventually(what: &str, condition: impl Fn() -> bool) {
         let deadline = clock::deadline_within(PATIENCE);
         while !condition() {
             assert!(clock::now() < deadline, "timed out waiting until {what}");
-            std::thread::sleep(Duration::from_millis(1));
+            std::thread::yield_now();
         }
     }
 
@@ -924,7 +924,7 @@ mod tests {
         store.shutdown();
     }
 
-    /// The store deadlock of ROADMAP item 4: a slot learned before
+    /// The store deadlock fixed in PR 12: a slot learned before
     /// `frontier` passed it let a recycled batch code alias the slot's
     /// stale decision, and the batch was dropped unapplied. A watcher
     /// samples the invariant (prefix first, then frontier, as `run_apply`
@@ -1004,6 +1004,42 @@ mod tests {
         // Restore is snapshot's inverse.
         let restored = KvStore::restore(&snapshot);
         assert_eq!(restored.snapshot(), snapshot);
+        store.shutdown();
+    }
+
+    #[test]
+    fn sustained_calls_keep_a_flat_instance_window() {
+        // The count-based form of the flat-memory gate, on the one pool
+        // there is: after 10x the warm-up volume of call -> apply ->
+        // `compact_below`, the engine holds no more instances than after
+        // the warm-up, nearly every slot ran on a recycled one, and the
+        // log retains only what apply has not compacted yet.
+        let mut store = ReplicatedStore::<KvStore>::builder().sequencers(2).build();
+        let mut client = store.client();
+        let inner = &store.inner;
+        let mut burst = |calls: std::ops::Range<u64>| {
+            for value in calls {
+                client.call(KvCommand::Put { key: 1, value }).unwrap();
+                // How far the trailing sequencer lags is the scheduler's
+                // choice and it is the window; pin it, so the count is
+                // about recycling: the slot is retired (both sequencers
+                // submitted) before the next call opens one.
+                eventually("the slot retires", || inner.engine.live_instances() == 0);
+                // Apply answered this call from its slot and compacts
+                // right behind it, so at most that slot is retained.
+                let retained = inner.log.learned_prefix() - inner.log.compacted_below();
+                assert!(retained <= 1, "{retained} slots retained after apply");
+            }
+            inner.engine.pooled_instances()
+        };
+        let warm = burst(0..1_000);
+        let steady = burst(1_000..11_000);
+        assert!(steady <= warm, "{steady} instances after 10x, {warm} warm");
+        // The engine and each pooled instance are the only holders of the
+        // one validated options allocation: slot setup is a pointer bump.
+        assert_eq!(Arc::strong_count(inner.engine.options_handle()), 1 + steady);
+        assert!(store.telemetry().pool_hit_rate() > 0.9, "{store:?}");
+        assert_eq!(store.learned_slots(), 11_000);
         store.shutdown();
     }
 

@@ -1,122 +1,122 @@
 //! Replicated state machine: the classic application the consensus problem
-//! motivates, on the library's [`ReplicatedLog`].
+//! motivates, on the library's [`ReplicatedStore`].
 //!
-//! A bank of threads ("replicas") each receives a local stream of client
-//! commands and must apply the *same* commands in the *same* order. Each
-//! log slot is one consensus instance; [`ReplicatedLog::append`] drives
-//! slots until the caller's command lands, learning other replicas'
-//! entries along the way.
+//! Four client threads each hold a local stream of commands, and every
+//! replica must apply the *same* commands in the *same* order. The store's
+//! sequencers decide one consensus instance per log slot; the machine
+//! below is the log itself — `apply` appends, and a command's response is
+//! the position it landed at. A command is named by its session, not its
+//! value, so identical commands from different clients each get a position.
 //!
 //! Run with: `cargo run --release --example replicated_log`
 
-use std::sync::Arc;
+use modular_consensus::store::{ReplicatedStore, StateMachine};
 
-use modular_consensus::runtime::ReplicatedLog;
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
-
-/// A command in the toy key-value machine: `set key value` with key in 0..8
-/// and value in 0..32, packed into a u64 code (3 + 5 bits).
+/// A command in the toy register machine: `set key value`, key in 0..8.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct SetCmd {
     key: u8,
     value: u8,
 }
 
-impl SetCmd {
-    fn encode(self) -> u64 {
-        u64::from(self.key) << 5 | u64::from(self.value)
-    }
-
-    fn decode(code: u64) -> SetCmd {
-        SetCmd {
-            key: (code >> 5) as u8 & 0x7,
-            value: (code & 0x1F) as u8,
-        }
-    }
-}
-
-/// The replicated state machine: 8 registers written by `set` commands.
-#[derive(Debug, Default, PartialEq, Clone)]
+/// The replicated state machine: 8 registers written by `set` commands,
+/// plus the agreed order of every command applied so far.
+#[derive(Debug, Default, PartialEq)]
 struct Machine {
     regs: [u8; 8],
+    log: Vec<SetCmd>,
 }
 
-impl Machine {
-    fn apply(&mut self, cmd: SetCmd) {
+impl StateMachine for Machine {
+    type Command = SetCmd;
+    type Response = usize;
+    type Snapshot = Vec<SetCmd>;
+
+    fn apply(&mut self, cmd: &SetCmd) -> usize {
         self.regs[cmd.key as usize] = cmd.value;
+        self.log.push(*cmd);
+        self.log.len() - 1
     }
 
-    fn replay(log: &[u64]) -> Machine {
+    fn snapshot(&self) -> Vec<SetCmd> {
+        self.log.clone()
+    }
+
+    /// A replica catching up: replay the agreed order on a fresh machine.
+    fn restore(log: &Vec<SetCmd>) -> Machine {
         let mut machine = Machine::default();
-        for &code in log {
-            machine.apply(SetCmd::decode(code));
+        for cmd in log {
+            machine.apply(cmd);
         }
         machine
     }
 }
 
 fn main() {
-    let replicas = 4;
-    let commands_per_replica = 4;
-    // 8-bit command codes => a 256-value log.
-    let log = Arc::new(ReplicatedLog::new(replicas, 256));
+    let clients = 4u8;
+    let commands_per_client = 4u8;
+    let mut store = ReplicatedStore::<Machine>::builder().sequencers(2).build();
 
-    // Each replica appends its local client's commands; placement is decided
-    // by consensus, one instance per slot.
-    let handles: Vec<_> = (0..replicas as u64)
-        .map(|replica| {
-            let log = Arc::clone(&log);
+    // Each client submits its local commands; placement is decided by
+    // consensus, one instance per slot. Everyone opens with the same
+    // command, `set r0 = 1`.
+    let handles: Vec<_> = (0..clients)
+        .map(|client| {
+            let mut session = store.client();
             std::thread::spawn(move || {
-                let mut rng = SmallRng::seed_from_u64(replica);
-                let mut placements = Vec::new();
-                for i in 0..commands_per_replica {
-                    let cmd = SetCmd {
-                        key: (replica as u8 * 3 + i) % 8,
-                        value: replica as u8 * 10 + i,
-                    };
-                    let slot = log.append(cmd.encode(), &mut rng);
-                    placements.push((slot, cmd));
-                }
-                (replica, placements)
+                let placements: Vec<(usize, SetCmd)> = (0..commands_per_client)
+                    .map(|i| {
+                        let cmd = match i {
+                            0 => SetCmd { key: 0, value: 1 },
+                            _ => SetCmd {
+                                key: (client * 3 + i) % 8,
+                                value: client * 10 + i,
+                            },
+                        };
+                        (session.call(cmd).expect("store answers"), cmd)
+                    })
+                    .collect();
+                (client, placements)
             })
         })
         .collect();
-
-    let mut placements_by_replica: Vec<(u64, Vec<(usize, SetCmd)>)> =
+    let placements_by_client: Vec<(u8, Vec<(usize, SetCmd)>)> =
         handles.into_iter().map(|h| h.join().unwrap()).collect();
-    placements_by_replica.sort_by_key(|(r, _)| *r);
 
-    // Every command landed; the shared log's decided prefix contains all of
-    // them in one agreed order.
-    let ordered = log.snapshot();
+    // Every command landed: the machine's log holds all of them in one
+    // agreed order.
+    let (ordered, regs) = store.read_with(u64::MAX, |m| (m.snapshot(), m.regs));
     println!(
-        "replicated log across {replicas} replicas ({} commands total):\n",
+        "replicated log across {clients} clients ({} commands total):\n",
         ordered.len()
     );
-    for (slot, &code) in ordered.iter().enumerate() {
-        let cmd = SetCmd::decode(code);
-        println!("  slot {slot:>2}: set r{} = {}", cmd.key, cmd.value);
+    for (position, cmd) in ordered.iter().enumerate() {
+        println!("  position {position:>2}: set r{} = {}", cmd.key, cmd.value);
     }
-    assert_eq!(ordered.len(), replicas * commands_per_replica as usize);
+    assert_eq!(ordered.len(), usize::from(clients * commands_per_client));
 
-    // Each replica's own placements agree with the shared log.
-    for (replica, placements) in &placements_by_replica {
-        for (slot, cmd) in placements {
-            assert_eq!(
-                log.get(*slot),
-                Some(cmd.encode()),
-                "replica {replica}'s command moved"
-            );
+    // Each client's own placements agree with the shared log, in the order
+    // it issued them — and the four identical openers took four positions.
+    let mut openers = Vec::new();
+    for (client, placements) in &placements_by_client {
+        for (position, cmd) in placements {
+            assert_eq!(ordered[*position], *cmd, "client {client}'s command moved");
         }
+        assert!(placements.windows(2).all(|w| w[0].0 < w[1].0));
+        openers.push(placements[0].0);
     }
+    openers.sort_unstable();
+    openers.dedup();
+    assert_eq!(openers.len(), usize::from(clients));
 
     // Replaying the agreed order on fresh machines produces identical state
     // everywhere — the whole point of the exercise.
-    let reference = Machine::replay(&ordered);
-    for _ in 0..replicas {
-        assert_eq!(Machine::replay(&ordered), reference);
+    let reference = Machine::restore(&ordered);
+    assert_eq!(reference.regs, regs);
+    for _ in 0..clients {
+        assert_eq!(Machine::restore(&ordered), reference);
     }
     println!("\nfinal registers: {:?}", reference.regs);
-    println!("all {replicas} replicas converge to the same state ✓");
+    println!("all {clients} replicas converge to the same state ✓");
+    store.shutdown();
 }

@@ -12,8 +12,10 @@ echo "== api surface =="
 scripts/api_surface.sh
 
 echo "== size =="
-# Rust lines, API declarations and lock packages, tracked like throughput:
-# the triple goes in the CHANGES.md line of any PR that moves it.
+# Rust lines, API declarations, lock packages and bench/ lines, tracked like
+# throughput: the triple goes in the CHANGES.md line of any PR that moves
+# it, and growth of the first two past docs/size.txt fails here until
+# someone runs scripts/size.sh --update on purpose.
 scripts/size.sh
 
 echo "== clippy =="
@@ -112,7 +114,7 @@ echo "== perf_stack (smoke + unit tests) =="
 # bench/ is frozen outside benchmark PRs, but its tracked Cargo.lock still
 # names a shim this workspace no longer has and lacks mc-store's rand and
 # mc-model edges, so cargo rewrites it on every build: put the tracked
-# bytes back however the leg ends (ROADMAP item 3 has the refresh as a
+# bytes back however the leg ends (ROADMAP item 1 has the refresh as a
 # follow-up for the next benchmark PR).
 bench_lock=$(mktemp)
 cp bench/Cargo.lock "$bench_lock"

@@ -1,11 +1,54 @@
 #!/usr/bin/env bash
-# Size of the tree, tracked like throughput (ROADMAP item 3): Rust lines
-# under crates/ src/ tests/ examples/, public declarations in the API
-# snapshot, and packages in Cargo.lock. A simplification should lower
-# them; a feature should be able to say what it cost.
+# Size of the tree, tracked like throughput (ROADMAP items 1 and 9): Rust
+# lines under crates/ src/ tests/ examples/, public declarations in the API
+# snapshot, packages in Cargo.lock, and Rust lines of the benchmark package
+# (bench/src, read only). A simplification should lower them; a feature
+# should be able to say what it cost.
+#
+# The default mode prints the figures and fails when rust_lines or
+# api_declarations exceed the ones tracked in docs/size.txt, so growth is a
+# reviewed diff like the API surface: after an intended change, in either
+# direction, run `scripts/size.sh --update` and commit the result.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "rust_lines $(find crates src tests examples -name '*.rs' -print0 | xargs -0 cat | wc -l)"
-echo "api_declarations $(wc -l < docs/api-surface.txt)"
-echo "lock_packages $(grep -c '^\[\[package\]\]' Cargo.lock)"
+TRACKED=docs/size.txt
+
+rust_lines() {
+    find "$@" -name '*.rs' -print0 | xargs -0 cat | wc -l
+}
+
+measure() {
+    echo "rust_lines $(rust_lines crates src tests examples)"
+    echo "api_declarations $(wc -l < docs/api-surface.txt)"
+    echo "lock_packages $(grep -c '^\[\[package\]\]' Cargo.lock)"
+    echo "bench_lines $(rust_lines bench/src)"
+}
+
+case "${1:-check}" in
+--update)
+    measure | tee "$TRACKED"
+    ;;
+check)
+    if [[ ! -f "$TRACKED" ]]; then
+        echo "size: $TRACKED missing — run scripts/size.sh --update" >&2
+        exit 1
+    fi
+    now=$(measure)
+    echo "$now"
+    grown=$(awk 'NR == FNR { tracked[$1] = $2; next }
+        ($1 == "rust_lines" || $1 == "api_declarations") && $2 > tracked[$1] {
+            printf "%s %d > %d tracked\n", $1, $2, tracked[$1] }' "$TRACKED" <(echo "$now"))
+    if [[ -n "$grown" ]]; then
+        echo >&2
+        echo "size: grew past $TRACKED:" >&2
+        echo "$grown" >&2
+        echo "If the growth is intended, run scripts/size.sh --update and commit it." >&2
+        exit 1
+    fi
+    ;;
+*)
+    echo "usage: scripts/size.sh [--update]" >&2
+    exit 2
+    ;;
+esac
