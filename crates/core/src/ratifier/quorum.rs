@@ -1,6 +1,7 @@
 //! The quorum-based deterministic ratifier (Procedure Ratifier, Theorem 8).
 
-use std::sync::Arc;
+use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex};
 
 use mc_model::{
     Action, Ctx, DecidingObject, Decision, InstantiateCtx, ObjectSpec, Op, ProcessId, RegisterId,
@@ -119,8 +120,44 @@ impl std::fmt::Debug for Ratifier {
     }
 }
 
-struct RatifierObject {
+/// Which of a value's two quorums.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Side {
+    Write,
+    Read,
+}
+
+/// Quorums derived so far.
+type Resolved = BTreeMap<(Side, Value), Arc<[u64]>>;
+
+/// One instance's quorums: `W_v` and `R_v` are derived from the scheme the
+/// first time a session of the instance needs them and shared by every
+/// session after that, so a session start costs a lookup, not an unranking
+/// and its allocations.
+struct Quorums {
     scheme: Arc<dyn QuorumScheme>,
+    resolved: Mutex<Resolved>,
+}
+
+impl Quorums {
+    fn get(&self, side: Side, v: Value) -> Arc<[u64]> {
+        let mut resolved = self
+            .resolved
+            .lock()
+            .expect("an earlier quorum derivation panicked");
+        let quorum = resolved.entry((side, v)).or_insert_with(|| {
+            match side {
+                Side::Write => self.scheme.write_quorum(v),
+                Side::Read => self.scheme.read_quorum(v),
+            }
+            .into()
+        });
+        Arc::clone(quorum)
+    }
+}
+
+struct RatifierObject {
+    quorums: Arc<Quorums>,
     /// Announcement pool base; slot `i` of the scheme is `pool.offset(i)`.
     pool: RegisterId,
     proposal: RegisterId,
@@ -129,13 +166,12 @@ struct RatifierObject {
 impl DecidingObject for RatifierObject {
     fn session(&self, _pid: ProcessId) -> Box<dyn Session + Send> {
         Box::new(RatifierSession {
-            scheme: Arc::clone(&self.scheme),
+            quorums: Arc::clone(&self.quorums),
             pool: self.pool,
             proposal: self.proposal,
             input: 0,
             preference: 0,
-            write_quorum: Vec::new(),
-            read_quorum: Vec::new(),
+            quorum: None,
             ix: 0,
             state: State::Announcing,
         })
@@ -148,7 +184,7 @@ impl DecidingObject for RatifierObject {
         // schemes all do); pool slots hold opaque announcement flags, so
         // only their *identities* swap, while the proposal register holds
         // an actual value.
-        let swap = self.scheme.binary_swap();
+        let swap = self.quorums.scheme.binary_swap();
         SymmetrySpec {
             pid_oblivious: true,
             value_symmetric: swap.is_some(),
@@ -171,51 +207,51 @@ enum State {
 }
 
 struct RatifierSession {
-    scheme: Arc<dyn QuorumScheme>,
+    quorums: Arc<Quorums>,
     pool: RegisterId,
     proposal: RegisterId,
     input: Value,
     preference: Value,
-    write_quorum: Vec<u64>,
-    read_quorum: Vec<u64>,
+    /// The quorum being walked, shared with the instance: `W_input` while
+    /// announcing, `R_preference` while scanning.
+    quorum: Option<Arc<[u64]>>,
     ix: usize,
     state: State,
 }
 
 impl RatifierSession {
-    fn announce_next(&mut self) -> Action {
-        let slot = self.write_quorum[self.ix];
-        Action::Invoke(Op::Write {
-            reg: self.pool.offset(slot),
-            value: 1,
-        })
+    /// The register at position `ix` of the quorum being walked, if any is
+    /// left.
+    fn next_register(&self) -> Option<RegisterId> {
+        let slot = *self.quorum.as_deref()?.get(self.ix)?;
+        Some(self.pool.offset(slot))
     }
 
     fn start_scan(&mut self) -> Action {
-        self.read_quorum = self.scheme.read_quorum(self.preference);
+        self.quorum = Some(self.quorums.get(Side::Read, self.preference));
         self.ix = 0;
         self.state = State::Scanning;
-        if self.read_quorum.is_empty() {
+        match self.next_register() {
+            Some(reg) => Action::Invoke(Op::Read(reg)),
             // Degenerate scheme with nothing to scan: no conflict observable.
-            return Action::Halt(Decision::decide(self.preference));
+            None => Action::Halt(Decision::decide(self.preference)),
         }
-        Action::Invoke(Op::Read(self.pool.offset(self.read_quorum[0])))
     }
 }
 
 impl Session for RatifierSession {
     fn begin(&mut self, input: Value, _ctx: &mut Ctx<'_>) -> Action {
+        let capacity = self.quorums.scheme.capacity();
         assert!(
-            input < self.scheme.capacity(),
-            "input {input} exceeds ratifier capacity {}",
-            self.scheme.capacity()
+            input < capacity,
+            "input {input} exceeds ratifier capacity {capacity}"
         );
         self.input = input;
-        self.write_quorum = self.scheme.write_quorum(input);
+        self.quorum = Some(self.quorums.get(Side::Write, input));
         self.ix = 0;
         self.state = State::Announcing;
-        debug_assert!(!self.write_quorum.is_empty());
-        self.announce_next()
+        let reg = self.next_register().expect("write quorums are non-empty");
+        Action::Invoke(Op::Write { reg, value: 1 })
     }
 
     fn poll(&mut self, response: Response, _ctx: &mut Ctx<'_>) -> Action {
@@ -223,11 +259,12 @@ impl Session for RatifierSession {
             State::Announcing => {
                 debug_assert!(matches!(response, Response::Write));
                 self.ix += 1;
-                if self.ix < self.write_quorum.len() {
-                    self.announce_next()
-                } else {
-                    self.state = State::ReadingProposal;
-                    Action::Invoke(Op::Read(self.proposal))
+                match self.next_register() {
+                    Some(reg) => Action::Invoke(Op::Write { reg, value: 1 }),
+                    None => {
+                        self.state = State::ReadingProposal;
+                        Action::Invoke(Op::Read(self.proposal))
+                    }
                 }
             }
             State::ReadingProposal => match response.expect_read() {
@@ -255,18 +292,17 @@ impl Session for RatifierSession {
                     return Action::Halt(Decision::continue_with(self.preference));
                 }
                 self.ix += 1;
-                if self.ix < self.read_quorum.len() {
-                    Action::Invoke(Op::Read(self.pool.offset(self.read_quorum[self.ix])))
-                } else {
-                    Action::Halt(Decision::decide(self.preference))
+                match self.next_register() {
+                    Some(reg) => Action::Invoke(Op::Read(reg)),
+                    None => Action::Halt(Decision::decide(self.preference)),
                 }
             }
         }
     }
 
     fn snapshot(&self, sink: &mut StateSink) {
-        // The quorum vectors are recomputed from (input, preference) at
-        // each state transition, so they are derivable and omitted.
+        // The quorum being walked is a function of (state, input,
+        // preference), so it is derivable and omitted.
         let (state, pref_set) = match self.state {
             State::Announcing => (0, false),
             State::ReadingProposal => (1, false),
@@ -288,7 +324,10 @@ impl ObjectSpec for Ratifier {
         let pool = ctx.alloc.alloc_block(self.scheme.pool_size());
         let proposal = ctx.alloc.alloc_block(1);
         Arc::new(RatifierObject {
-            scheme: Arc::clone(&self.scheme),
+            quorums: Arc::new(Quorums {
+                scheme: Arc::clone(&self.scheme),
+                resolved: Mutex::default(),
+            }),
             pool,
             proposal,
         })
@@ -302,10 +341,12 @@ impl ObjectSpec for Ratifier {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mc_model::properties;
+    use mc_model::{properties, StateAtom};
+    use mc_quorums::TableScheme;
     use mc_sim::adversary::{RandomScheduler, RoundRobin, SplitKeeper, WriteBlocker};
     use mc_sim::harness::{self, inputs};
     use mc_sim::EngineConfig;
+    use rand::SeedableRng;
 
     #[test]
     fn acceptance_on_unanimous_inputs() {
@@ -436,6 +477,104 @@ mod tests {
                 binom.register_count()
             );
             assert_eq!(bitv.register_count(), 2 * lg.max(1) + 1);
+        }
+    }
+
+    /// The atoms `snapshot()` has always produced, spelled out: the graph
+    /// checker's state count depends on them.
+    fn atoms(state: u64, ix: usize, input: Value, preference: Option<Value>) -> Vec<StateAtom> {
+        vec![
+            StateAtom::Raw(state),
+            StateAtom::Raw(ix as u64),
+            StateAtom::Value(input),
+            StateAtom::MaybeValue(preference),
+        ]
+    }
+
+    fn invoked(action: &Action) -> &Op {
+        match action {
+            Action::Invoke(op) => op,
+            Action::Halt(decision) => panic!("halted early with {decision:?}"),
+        }
+    }
+
+    /// Drives one session by hand and checks every operation and every
+    /// snapshot against quorums derived afresh from `scheme`. `earlier` is
+    /// what the session finds in the proposal register.
+    fn drive(
+        object: &dyn DecidingObject,
+        scheme: &dyn QuorumScheme,
+        input: Value,
+        earlier: Option<Value>,
+    ) {
+        let (pool, proposal) = (RegisterId(0), RegisterId(scheme.pool_size()));
+        let snapshot = |session: &dyn Session| {
+            let mut sink = StateSink::new();
+            session.snapshot(&mut sink);
+            sink.finish().expect("ratifier sessions snapshot")
+        };
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(0);
+        let mut alloc = mc_model::BlockAlloc::new();
+        let mut ctx = Ctx::new(&mut rng, &mut alloc);
+        let mut session = object.session(ProcessId(0));
+
+        let mut action = session.begin(input, &mut ctx);
+        for (ix, slot) in scheme.write_quorum(input).into_iter().enumerate() {
+            let (reg, value) = (pool.offset(slot), 1);
+            assert_eq!(invoked(&action), &Op::Write { reg, value });
+            assert_eq!(snapshot(&*session), atoms(0, ix, input, None));
+            action = session.poll(Response::Write, &mut ctx);
+        }
+        assert_eq!(invoked(&action), &Op::Read(proposal));
+        assert_eq!(snapshot(&*session)[0], StateAtom::Raw(1));
+        action = session.poll(Response::Read(earlier), &mut ctx);
+        let preference = earlier.unwrap_or(input);
+        if earlier.is_none() {
+            let (reg, value) = (proposal, input);
+            assert_eq!(invoked(&action), &Op::Write { reg, value });
+            assert_eq!(snapshot(&*session)[0], StateAtom::Raw(2));
+            action = session.poll(Response::Write, &mut ctx);
+        }
+        for (ix, slot) in scheme.read_quorum(preference).into_iter().enumerate() {
+            assert_eq!(invoked(&action), &Op::Read(pool.offset(slot)));
+            assert_eq!(snapshot(&*session), atoms(3, ix, input, Some(preference)));
+            action = session.poll(Response::Read(None), &mut ctx);
+        }
+        assert_eq!(action.halted(), Some(Decision::decide(preference)));
+    }
+
+    #[test]
+    fn sessions_of_one_instance_walk_the_schemes_quorums() {
+        let table = |m: u64| {
+            let from = BitVectorScheme::for_capacity(m).unwrap();
+            let (writes, reads) = (0..m)
+                .map(|v| (from.write_quorum(v), from.read_quorum(v)))
+                .unzip();
+            Arc::new(TableScheme::new(from.pool_size(), writes, reads).unwrap())
+        };
+        let mut schemes: Vec<Arc<dyn QuorumScheme>> =
+            vec![Arc::new(BinaryScheme::new()), table(2), table(8)];
+        for m in [2, 8, 1025, 1 << 16] {
+            schemes.push(Arc::new(BinomialScheme::for_capacity(m).unwrap()));
+            schemes.push(Arc::new(BitVectorScheme::for_capacity(m).unwrap()));
+        }
+        for scheme in schemes {
+            let mut alloc = mc_model::BlockAlloc::new();
+            let object = Ratifier::with_scheme(Arc::clone(&scheme))
+                .instantiate(&mut InstantiateCtx::new(4, &mut alloc));
+            let m = scheme.capacity();
+            // Repeats of a value are served from what the first resolved;
+            // an adopted preference scans a quorum no session wrote.
+            for (input, earlier) in [
+                (0, None),
+                (m - 1, None),
+                (0, None),
+                (m / 2, Some(m - 1)),
+                (m - 1, Some(m / 3)),
+                (m / 3, None),
+            ] {
+                drive(&*object, &*scheme, input, earlier);
+            }
         }
     }
 

@@ -97,6 +97,13 @@ impl View<'_> {
 pub trait Adversary {
     /// The information class this adversary declares; the engine builds the
     /// view accordingly.
+    ///
+    /// The class is a constant of the adversary: it must return the same
+    /// value on every call. The engine reads it once, when the run starts,
+    /// and keeps one view censored for that class up to date step by step
+    /// (debug builds assert the answer has not changed). Every
+    /// implementation in the tree returns a literal or, for a wrapper, its
+    /// inner adversary's answer.
     fn capability(&self) -> Capability;
 
     /// Chooses the next process to take a step.

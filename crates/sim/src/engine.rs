@@ -11,6 +11,7 @@ use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
 
 use crate::adversary::{Adversary, Capability, PendingInfo, View};
+use crate::harness::RunOutcome;
 use crate::memory::Memory;
 use crate::metrics::WorkMetrics;
 use crate::trace::{Event, Trace};
@@ -109,17 +110,6 @@ impl fmt::Display for RunError {
 
 impl Error for RunError {}
 
-/// The result of a completed execution.
-#[derive(Debug)]
-pub struct EngineOutput {
-    /// Each process's deciding-object output, indexed by pid.
-    pub outputs: Vec<Decision>,
-    /// Operation counts.
-    pub metrics: WorkMetrics,
-    /// The recorded trace, if enabled.
-    pub trace: Option<Trace>,
-}
-
 /// The result of a run stopped before every process halted (crash-failure
 /// executions).
 #[derive(Debug)]
@@ -138,7 +128,6 @@ struct Proc {
     rng: SmallRng,
     pending: Option<Op>,
     decision: Option<Decision>,
-    ops_done: u64,
 }
 
 /// Executes one instance of a deciding object under an adversary, one
@@ -155,6 +144,12 @@ pub struct Engine<'a> {
     step: u64,
     metrics: WorkMetrics,
     trace: Option<Trace>,
+    /// The adversary's information class, read once (see
+    /// [`Adversary::capability`]).
+    capability: Capability,
+    /// The adversary's view: one entry per live process, in pid order.
+    /// Built in [`Engine::new`]; a step rewrites or removes only the
+    /// stepped process's entry, so a step costs O(1) in `n`, not a rebuild.
     pending_buf: Vec<PendingInfo>,
 }
 
@@ -172,6 +167,8 @@ impl<'a> Engine<'a> {
         config: EngineConfig,
     ) -> Engine<'a> {
         let n = inputs.len();
+        let capability = adversary.capability();
+        let mut pending_buf = Vec::with_capacity(n);
         let mut alloc = BlockAlloc::new();
         let object = spec.instantiate(&mut InstantiateCtx::new(n, &mut alloc));
         let mut metrics = WorkMetrics::new(n);
@@ -186,7 +183,10 @@ impl<'a> Engine<'a> {
                 session.begin(input, &mut ctx)
             };
             let (pending, decision) = match action {
-                Action::Invoke(op) => (Some(op), None),
+                Action::Invoke(op) => {
+                    pending_buf.push(observe_pending(pid, 0, &op, capability));
+                    (Some(op), None)
+                }
                 Action::Halt(d) => (None, Some(d)),
             };
             procs.push(Proc {
@@ -194,7 +194,6 @@ impl<'a> Engine<'a> {
                 rng,
                 pending,
                 decision,
-                ops_done: 0,
             });
         }
         metrics.registers_allocated = alloc.allocated();
@@ -207,13 +206,19 @@ impl<'a> Engine<'a> {
             step: 0,
             metrics,
             trace,
-            pending_buf: Vec::with_capacity(n),
+            capability,
+            pending_buf,
         }
     }
 
     /// True once every process has halted.
     pub fn is_complete(&self) -> bool {
-        self.procs.iter().all(|p| p.decision.is_some())
+        self.pending_buf.is_empty()
+    }
+
+    /// The live processes, in pid order.
+    pub(crate) fn live(&self) -> impl Iterator<Item = ProcessId> + '_ {
+        self.pending_buf.iter().map(|p| p.pid)
     }
 
     /// The register file (for inspection in tests and tools).
@@ -238,8 +243,14 @@ impl<'a> Engine<'a> {
                 limit: self.config.max_steps,
             });
         }
-        let pid = self.choose_process()?;
+        let (slot, pid) = self.choose_process()?;
         let ix = pid.index();
+        // Reject before consuming the op: an error must leave the process
+        // pending and the view as the adversary saw it.
+        if matches!(self.procs[ix].pending, Some(Op::Collect { .. })) && !self.config.cheap_collect
+        {
+            return Err(RunError::CollectDisallowed { pid });
+        }
         let op = self.procs[ix]
             .pending
             .take()
@@ -273,9 +284,6 @@ impl<'a> Engine<'a> {
                 )
             }
             Op::Collect { base, len } => {
-                if !self.config.cheap_collect {
-                    return Err(RunError::CollectDisallowed { pid });
-                }
                 (Response::Collect(self.memory.collect(*base, *len)), None)
             }
         };
@@ -289,7 +297,6 @@ impl<'a> Engine<'a> {
             });
         }
 
-        self.procs[ix].ops_done += 1;
         self.metrics.per_process[ix] += 1;
         self.step += 1;
 
@@ -300,16 +307,18 @@ impl<'a> Engine<'a> {
             proc.session.poll(response, &mut ctx)
         };
         match action {
-            Action::Invoke(next) => proc.pending = Some(next),
-            Action::Halt(d) => proc.decision = Some(d),
+            Action::Invoke(next) => {
+                self.pending_buf[slot] =
+                    observe_pending(pid, self.metrics.per_process[ix], &next, self.capability);
+                proc.pending = Some(next);
+            }
+            Action::Halt(d) => {
+                self.pending_buf.remove(slot);
+                proc.decision = Some(d);
+            }
         }
         self.metrics.registers_allocated = self.alloc.allocated();
         Ok(())
-    }
-
-    /// Current per-process decisions: `None` for processes still running.
-    pub fn decisions(&self) -> Vec<Option<Decision>> {
-        self.procs.iter().map(|p| p.decision).collect()
     }
 
     /// Runs until `stop` returns true (checked before each step) or every
@@ -344,37 +353,29 @@ impl<'a> Engine<'a> {
     /// # Errors
     ///
     /// Propagates any [`RunError`] from [`step`](Engine::step).
-    pub fn run(mut self) -> Result<EngineOutput, RunError> {
-        while !self.is_complete() {
-            self.step()?;
-        }
-        let mut metrics = self.metrics;
-        metrics.registers_touched = self.memory.touched() as u64;
-        Ok(EngineOutput {
-            outputs: self
-                .procs
+    pub fn run(self) -> Result<RunOutcome, RunError> {
+        let done = self.run_until(|_| false)?;
+        Ok(RunOutcome {
+            outputs: done
+                .decisions
                 .into_iter()
-                .map(|p| p.decision.expect("complete run"))
+                .map(|d| d.expect("complete run"))
                 .collect(),
-            metrics,
-            trace: self.trace,
+            metrics: done.metrics,
+            trace: done.trace,
         })
     }
 
-    fn choose_process(&mut self) -> Result<ProcessId, RunError> {
-        let capability = self.adversary.capability();
-        self.pending_buf.clear();
-        for (ix, proc) in self.procs.iter().enumerate() {
-            let Some(op) = &proc.pending else { continue };
-            self.pending_buf.push(observe_pending(
-                ProcessId(ix),
-                proc.ops_done,
-                op,
-                capability,
-            ));
-        }
+    /// Asks the adversary for the next process; returns its slot in the
+    /// view along with its pid.
+    fn choose_process(&mut self) -> Result<(usize, ProcessId), RunError> {
         debug_assert!(!self.pending_buf.is_empty(), "no live processes");
-        let memory = match capability {
+        debug_assert_eq!(
+            self.adversary.capability(),
+            self.capability,
+            "an adversary's capability is constant"
+        );
+        let memory = match self.capability {
             Capability::LocationOblivious | Capability::Adaptive => Some(&self.memory),
             Capability::Oblivious | Capability::ValueOblivious => None,
         };
@@ -385,15 +386,10 @@ impl<'a> Engine<'a> {
             memory,
         };
         let pid = self.adversary.choose(&view);
-        let live = self
-            .procs
-            .get(pid.index())
-            .map(|p| p.pending.is_some())
-            .unwrap_or(false);
-        if !live {
-            return Err(RunError::AdversaryChoseInvalid { pid });
+        match self.pending_buf.binary_search_by_key(&pid, |p| p.pid) {
+            Ok(slot) => Ok((slot, pid)),
+            Err(_) => Err(RunError::AdversaryChoseInvalid { pid }),
         }
-        Ok(pid)
     }
 }
 
@@ -487,15 +483,26 @@ mod tests {
     #[test]
     fn collect_rejected_outside_cheap_collect_model() {
         let mut adv = RoundRobin::new();
-        let engine = Engine::new(
+        let mut engine = Engine::new(
             &CollectOnceSpec,
             &[1, 2],
             &mut adv,
             1,
             EngineConfig::default(),
         );
-        let err = engine.run().unwrap_err();
-        assert!(matches!(err, RunError::CollectDisallowed { .. }));
+        // Both processes write, then each one's collect is refused.
+        engine.step().unwrap();
+        engine.step().unwrap();
+        let view = engine.pending_buf.clone();
+        for _ in 0..2 {
+            let err = engine.step().unwrap_err();
+            assert!(matches!(err, RunError::CollectDisallowed { .. }));
+            // The refused op was not consumed: both processes are still
+            // pending and the adversary's view is what it was.
+            assert!(engine.procs.iter().all(|p| p.pending.is_some()));
+            assert_eq!(engine.pending_buf, view);
+            assert!(!engine.is_complete());
+        }
     }
 
     #[test]

@@ -61,12 +61,7 @@ pub fn run_object(
     seed: u64,
     config: &EngineConfig,
 ) -> Result<RunOutcome, RunError> {
-    let out = Engine::new(spec, inputs, adversary, seed, config.clone()).run()?;
-    Ok(RunOutcome {
-        outputs: out.outputs,
-        metrics: out.metrics,
-        trace: out.trace,
-    })
+    Engine::new(spec, inputs, adversary, seed, config.clone()).run()
 }
 
 /// The outcome of a run with crash failures: survivors' outputs plus
@@ -125,13 +120,9 @@ pub fn run_with_crashes(
     let mut wrapped = crate::adversary::CrashingAdversary::new(adversary, crashes.iter().copied());
     let doomed = wrapped.doomed();
     let engine = Engine::new(spec, inputs, &mut wrapped, seed, config.clone());
-    let output = engine.run_until(|engine| {
-        engine
-            .decisions()
-            .iter()
-            .enumerate()
-            .all(|(ix, d)| d.is_some() || doomed.contains(&mc_model::ProcessId(ix)))
-    })?;
+    // Survivors are done once every process still in the view is doomed.
+    let output =
+        engine.run_until(|engine| engine.live().all(|pid| doomed.binary_search(&pid).is_ok()))?;
     Ok(CrashRunOutcome {
         decisions: output.decisions,
         crashed: doomed,

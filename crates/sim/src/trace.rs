@@ -33,7 +33,7 @@ impl fmt::Display for Event {
 /// Traces are recorded only when
 /// [`EngineConfig::record_trace`](crate::EngineConfig) is set; they make
 /// failures reproducible and adversary behaviour inspectable, at the cost of
-/// one amortised `Vec` push per step: +2 µs on an 87 µs, 500-step run
+/// one amortised `Vec` push per step: about +2 µs on a 500-step run
 /// (`perf_stack`, `sim_sweep` against `sim_sweep_jsonl`'s `sim.simulate`).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Trace {

@@ -1,11 +1,19 @@
 //! Property-based tests of the simulator itself: the memory model, run
 //! determinism, work accounting, and adversary-view information hiding.
 
-use mc_model::{OpKind, ProcessId, RegisterId};
-use mc_sim::adversary::{Adversary, Capability, RandomScheduler, View};
+use std::sync::{Arc, Mutex};
+
+use mc_model::{
+    Action, Ctx, DecidingObject, Decision, InstantiateCtx, ObjectSpec, Op, OpKind, Probability,
+    ProcessId, RegisterId, Response, Session,
+};
+use mc_sim::adversary::{
+    Adversary, Capability, CrashingAdversary, PendingInfo, RandomScheduler, RoundRobin,
+    SplitKeeper, View,
+};
 use mc_sim::harness::{self, inputs};
 use mc_sim::testutil::{CoinFlipSpec, CollectOnceSpec, WriteThenReadSpec};
-use mc_sim::{EngineConfig, Memory};
+use mc_sim::{observe_pending, Engine, EngineConfig, Memory};
 use proptest::prelude::*;
 
 proptest! {
@@ -198,5 +206,197 @@ fn adversary_views_hide_exactly_what_each_class_may_not_see() {
             &EngineConfig::default(),
         )
         .unwrap();
+    }
+}
+
+/// Each process's pending operation as its own session last issued it,
+/// `None` once it has halted: what the engine's view must be a censored
+/// copy of.
+type Ledger = Arc<Mutex<Vec<Option<Op>>>>;
+
+/// Every third process halts in `begin`; the others issue one operation of
+/// each kind and then halt, posting each to the ledger as they go.
+struct EveryOpSpec {
+    ledger: Ledger,
+}
+
+struct EveryOp {
+    base: RegisterId,
+    n: u64,
+    ledger: Ledger,
+}
+
+struct EveryOpSession {
+    base: RegisterId,
+    n: u64,
+    pid: ProcessId,
+    input: u64,
+    issued: u32,
+    ledger: Ledger,
+}
+
+impl EveryOpSession {
+    fn next(&mut self) -> Action {
+        let (reg, value) = (self.base.offset(self.pid.index() as u64), self.input);
+        let op = match self.issued {
+            _ if self.pid.index().is_multiple_of(3) => None,
+            0 => Some(Op::ProbWrite {
+                reg,
+                value,
+                prob: Probability::new(0.5).unwrap(),
+            }),
+            1 => Some(Op::Write { reg, value }),
+            2 => Some(Op::Read(self.base)),
+            3 => Some(Op::Collect {
+                base: self.base,
+                len: self.n,
+            }),
+            _ => None,
+        };
+        self.issued += 1;
+        self.ledger.lock().unwrap()[self.pid.index()] = op.clone();
+        match op {
+            Some(op) => Action::Invoke(op),
+            None => Action::Halt(Decision::continue_with(self.input)),
+        }
+    }
+}
+
+impl Session for EveryOpSession {
+    fn begin(&mut self, input: u64, _ctx: &mut Ctx<'_>) -> Action {
+        self.input = input;
+        self.next()
+    }
+
+    fn poll(&mut self, _response: Response, _ctx: &mut Ctx<'_>) -> Action {
+        self.next()
+    }
+}
+
+impl DecidingObject for EveryOp {
+    fn session(&self, pid: ProcessId) -> Box<dyn Session + Send> {
+        Box::new(EveryOpSession {
+            base: self.base,
+            n: self.n,
+            pid,
+            input: 0,
+            issued: 0,
+            ledger: Arc::clone(&self.ledger),
+        })
+    }
+}
+
+impl ObjectSpec for EveryOpSpec {
+    fn instantiate(&self, ctx: &mut InstantiateCtx<'_>) -> Arc<dyn DecidingObject> {
+        *self.ledger.lock().unwrap() = vec![None; ctx.n];
+        Arc::new(EveryOp {
+            base: ctx.alloc.alloc_block(ctx.n as u64),
+            n: ctx.n as u64,
+            ledger: Arc::clone(&self.ledger),
+        })
+    }
+}
+
+/// Declares `capability`, checks each view it is shown against the ledger
+/// censored from scratch, and lets `inner` choose.
+struct ViewOracle {
+    capability: Capability,
+    inner: Box<dyn Adversary>,
+    ledger: Ledger,
+    ops_done: Vec<u64>,
+    views_checked: usize,
+}
+
+impl Adversary for ViewOracle {
+    fn capability(&self) -> Capability {
+        self.capability
+    }
+
+    fn choose(&mut self, view: &View<'_>) -> ProcessId {
+        let rebuilt: Vec<PendingInfo> = self
+            .ledger
+            .lock()
+            .unwrap()
+            .iter()
+            .enumerate()
+            .filter_map(|(ix, op)| {
+                let op = op.as_ref()?;
+                let pid = ProcessId(ix);
+                Some(observe_pending(pid, self.ops_done[ix], op, self.capability))
+            })
+            .collect();
+        assert_eq!(view.pending, rebuilt, "view at step {}", view.step);
+        self.views_checked += 1;
+        let pid = self.inner.choose(view);
+        self.ops_done[pid.index()] += 1;
+        pid
+    }
+}
+
+/// The engine keeps one view and rewrites only the stepped process's entry;
+/// at every step of every run that view must equal the one rebuilt from
+/// every live process, including when processes halt in `begin` (never
+/// enter the view) and when crashed ones stay in it for good.
+#[test]
+fn the_live_view_is_the_rebuilt_view_at_every_step() {
+    let n = 7;
+    let schedulers: [fn(u64) -> Box<dyn Adversary>; 3] = [
+        |_| Box::new(RoundRobin::new()),
+        |seed| Box::new(RandomScheduler::new(seed)),
+        |seed| Box::new(SplitKeeper::new(seed)),
+    ];
+    let crash_plans = [vec![], vec![(ProcessId(1), 0), (ProcessId(4), 5)]];
+    for capability in [
+        Capability::Oblivious,
+        Capability::ValueOblivious,
+        Capability::LocationOblivious,
+        Capability::Adaptive,
+    ] {
+        for scheduler in schedulers {
+            for crashes in &crash_plans {
+                for seed in 0..4 {
+                    let ledger = Ledger::default();
+                    let inner = if crashes.is_empty() {
+                        scheduler(seed)
+                    } else {
+                        Box::new(CrashingAdversary::new(scheduler(seed), crashes.clone()))
+                    };
+                    let mut oracle = ViewOracle {
+                        capability,
+                        inner,
+                        ledger: Arc::clone(&ledger),
+                        ops_done: vec![0; n],
+                        views_checked: 0,
+                    };
+                    let spec = EveryOpSpec {
+                        ledger: Arc::clone(&ledger),
+                    };
+                    let engine = Engine::new(
+                        &spec,
+                        &inputs::alternating(n, 3),
+                        &mut oracle,
+                        seed,
+                        EngineConfig::default().with_cheap_collect(),
+                    );
+                    let doomed = |ix: usize| crashes.iter().any(|(pid, _)| pid.index() == ix);
+                    let out = engine
+                        .run_until(|_| {
+                            let pending = ledger.lock().unwrap();
+                            pending
+                                .iter()
+                                .enumerate()
+                                .all(|(ix, op)| op.is_none() || doomed(ix))
+                        })
+                        .unwrap();
+                    for (ix, decision) in out.decisions.iter().enumerate() {
+                        assert!(decision.is_some() || doomed(ix));
+                        assert_eq!(decision.is_none(), ledger.lock().unwrap()[ix].is_some());
+                    }
+                    // 4 of 7 processes take 4 steps each; p1 never runs and
+                    // p4 may be cut short.
+                    assert!(oracle.views_checked >= 8, "{}", oracle.views_checked);
+                }
+            }
+        }
     }
 }

@@ -82,6 +82,74 @@ fn composition_runs_replay_identically() {
     cross_validate(&spec, &[1, 0, 1], 40);
 }
 
+/// What a seeded run is, for pinning: outputs, total and individual work,
+/// trace length, and FNV-1a over the trace's `Display` text.
+fn fingerprint(
+    spec: &dyn ObjectSpec,
+    inputs: &[Value],
+    adversary: &mut dyn adversary::Adversary,
+    seed: u64,
+) -> (Vec<Value>, u64, u64, usize, u64) {
+    let out = harness::run_object(
+        spec,
+        inputs,
+        adversary,
+        seed,
+        &EngineConfig::default().with_trace(),
+    )
+    .unwrap();
+    properties::check_consensus(inputs, &out.outputs).unwrap();
+    let trace = out.trace.as_ref().expect("trace recorded");
+    let hash = trace
+        .to_string()
+        .bytes()
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+    (
+        out.values(),
+        out.metrics.total_work(),
+        out.metrics.individual_work(),
+        trace.len(),
+        hash,
+    )
+}
+
+/// Seeded schedules are part of the interface: `lab_explore`, the telemetry
+/// fixture and every recorded experiment replay by seed. The values were
+/// captured at the commit before the engine's pending view became
+/// incremental (PR 24); `RandomScheduler` indexes `view.pending`, so any
+/// change to the view's order or contents moves them.
+#[test]
+fn seeded_schedules_are_pinned() {
+    let multivalued = ConsensusBuilder::multivalued(8).build();
+    for (seed, expected) in [
+        (7u64, (vec![3; 32], 326, 12, 326, 11985893449945270461u64)),
+        (8, (vec![5; 32], 522, 20, 522, 6478311908854024209)),
+        (9, (vec![2; 32], 610, 25, 610, 6600106429823745774)),
+    ] {
+        let inputs = harness::inputs::random(32, 8, seed);
+        let got = fingerprint(
+            &multivalued,
+            &inputs,
+            &mut adversary::RandomScheduler::new(seed),
+            seed,
+        );
+        assert_eq!(got, expected, "multivalued(8), n = 32, seed {seed}");
+    }
+    let got = fingerprint(
+        &ConsensusBuilder::binary().build(),
+        &harness::inputs::alternating(8, 2),
+        &mut adversary::SplitKeeper::new(11),
+        11,
+    );
+    assert_eq!(
+        got,
+        (vec![0; 8], 50, 7, 50, 5119515206956094415),
+        "binary(), SplitKeeper"
+    );
+}
+
 mod differential {
     //! Property-based differential testing: arbitrary chains of the
     //! library's coin-free objects must execute identically on both
