@@ -674,7 +674,7 @@ pub fn check_chaos_conformance(
 
 /// Waits for a store response through [`CommandHandle::wait_timeout`]
 /// (10 s), panicking with the store's `Debug` view (learned slots, applied
-/// commands, sequencers) when none arrives — so a stalled store fails the
+/// commands, proposers) when none arrives — so a stalled store fails the
 /// check that drove it instead of hanging the suite.
 fn settle<S: StateMachine, M: SharedMemory, R: Clone>(
     store: &ReplicatedStore<S, M>,
@@ -722,7 +722,7 @@ fn settle<S: StateMachine, M: SharedMemory, R: Clone>(
 pub fn check_store_conformance(
     clients: u64,
     commands_per_client: u64,
-    sequencers: usize,
+    proposers: usize,
     seed: u64,
 ) -> Result<u64, Divergence> {
     use rand::RngExt;
@@ -731,7 +731,7 @@ pub fn check_store_conformance(
     assert!(commands_per_client > 0, "need at least one command");
 
     let mut store = ReplicatedStore::<KvStore>::builder()
-        .sequencers(sequencers)
+        .proposers(proposers)
         .batch_commands(8)
         .snapshot_every(16)
         .seed(seed)

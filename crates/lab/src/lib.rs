@@ -242,10 +242,10 @@ mod tests {
     fn store_conforms_to_sequential_apply_on_fixed_seeds() {
         // Interleaved sessions, duplicate re-delivery, stale probes, final
         // state — all against the bare-machine oracle, on pinned seeds
-        // with single- and multi-sequencer stores.
-        for (seed, sequencers) in [(5u64, 1usize), (23, 2), (71, 3)] {
-            let applied = check_store_conformance(4, 24, sequencers, seed)
-                .unwrap_or_else(|d| panic!("seed {seed}, {sequencers} sequencers: {d}"));
+        // with single- and multi-proposer stores.
+        for (seed, proposers) in [(5u64, 1usize), (23, 2), (71, 3)] {
+            let applied = check_store_conformance(4, 24, proposers, seed)
+                .unwrap_or_else(|d| panic!("seed {seed}, {proposers} proposers: {d}"));
             assert_eq!(applied, 4 * 24, "every distinct command applies once");
         }
     }

@@ -58,6 +58,11 @@ pub enum EngineError {
         /// Admission attempts made (initial try plus retries).
         attempts: u32,
     },
+    /// The instance lies below the floor raised by
+    /// [`ConsensusEngine::retire_below`](crate::ConsensusEngine::retire_below):
+    /// it is finished, and a fresh object in its place could decide
+    /// differently, so the submit was refused.
+    Retired,
 }
 
 impl fmt::Display for EngineError {
@@ -78,6 +83,7 @@ impl fmt::Display for EngineError {
             EngineError::RetriesExhausted { attempts } => {
                 write!(f, "admission refused all {attempts} attempts")
             }
+            EngineError::Retired => write!(f, "the instance was retired below the engine's floor"),
         }
     }
 }
@@ -105,6 +111,7 @@ mod tests {
             EngineError::DeadlineExceeded,
             EngineError::CircuitOpen,
             EngineError::RetriesExhausted { attempts: 3 },
+            EngineError::Retired,
         ]
     }
 

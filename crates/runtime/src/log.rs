@@ -18,7 +18,7 @@ struct LearnedLog {
 /// An append-only, totally-ordered log of decided entries, one per slot.
 ///
 /// The log decides nothing. Whoever runs consensus for a slot — the store
-/// layer's sequencers, one [`ConsensusEngine`](crate::ConsensusEngine)
+/// layer's driving callers, one [`ConsensusEngine`](crate::ConsensusEngine)
 /// instance per slot — records the outcome with
 /// [`learn_decided`](ReplicatedLog::learn_decided); the log keeps the
 /// entries (`u64` codes below `capacity`, 8 bytes per slot), the contiguous
@@ -94,8 +94,8 @@ impl ReplicatedLog {
     /// # Panics
     ///
     /// Panics if `value ≥ capacity()`. Debug builds also catch re-learning
-    /// a slot with a *different* value, which would mean the sequencers
-    /// diverged.
+    /// a slot with a *different* value, which would mean two proposers
+    /// learned different decisions for it.
     pub fn learn_decided(&self, slot: usize, value: u64) {
         assert!(
             value < self.capacity,
@@ -253,8 +253,8 @@ mod tests {
 
     #[test]
     fn learning_a_compacted_slot_is_a_noop() {
-        // A lagging sequencer can finish deciding a slot its peers already
-        // learned, after the apply worker compacted past it — recording it
+        // A descheduled proposer can finish deciding a slot its peers
+        // already learned, after apply compacted past it — recording it
         // must not panic or disturb the retained log.
         let log = learned(10);
         assert_eq!(log.compact_below(5), 5);

@@ -11,7 +11,7 @@
 //! `ConsensusService` drives an engine, per-decide events (`StageEntered`,
 //! `Decided`, …) are suppressed on that engine's telemetry and the recorder
 //! instead receives one `BatchDrained` summary per drained batch. The store,
-//! whose sequencers decide on the engine directly, takes the same mode;
+//! whose callers decide on the engine directly, takes the same mode;
 //! both hold it as an [`AmortizedEvents`] guard. Counters and histograms
 //! keep their per-operation fidelity either way.
 
@@ -275,7 +275,7 @@ impl RuntimeTelemetry {
     /// drops: per-decide events are suppressed; batch-level events and
     /// every counter/histogram stay live. Taken by `ConsensusService` when
     /// it takes over an engine, and by a driver outside this crate that
-    /// decides on its own threads (the store's sequencers) — paying a
+    /// decides on its own threads (the store's callers) — paying a
     /// recorder serialization per operation on that hot path would forfeit
     /// exactly the per-call overhead batching exists to amortize.
     /// Reference-counted: per-decide events resume once every guard is
@@ -580,7 +580,7 @@ impl RuntimeTelemetry {
 
     // --- store-layer hooks (public: `mc-store` is a separate crate) ---
 
-    /// The store's apply worker applied `count` commands, leaving the
+    /// The store applied `count` commands, leaving the
     /// contiguous applied prefix at `applied_index` entries.
     #[inline]
     pub fn on_commands_applied(&self, count: u64, applied_index: u64) {

@@ -8,16 +8,16 @@ use mc_runtime::{AtomicMemory, ConciliatorChoice, EngineBuilder, ReplicatedLog, 
 use mc_telemetry::Recorder;
 
 use crate::machine::StateMachine;
-use crate::store::{ReplicatedStore, MAX_INFLIGHT_BATCHES};
+use crate::store::ReplicatedStore;
 
 /// Store-layer knobs, separate from the consensus/engine knobs the
 /// builder passes through.
 #[derive(Debug, Clone)]
 pub(crate) struct StoreOptions {
-    /// Proposer threads ordering batches — also the consensus `n` and the
-    /// engine's `participants` (each sequencer submits exactly once per
-    /// slot, retiring the instance). Default 2.
-    pub sequencers: usize,
+    /// Proposer identities callers lease to order batches: the consensus
+    /// `n`, the engine's `participants`, and (at least 2) the value space.
+    /// Default 2.
+    pub proposers: usize,
     /// Maximum commands drafted into one batch (one log slot). Group
     /// commit: one consensus round orders up to this many commands.
     /// Default 512.
@@ -31,7 +31,7 @@ pub(crate) struct StoreOptions {
     /// Capacity hint for the session table; see
     /// [`StoreBuilder::expected_sessions`]. Default 0.
     pub expected_sessions: usize,
-    /// Base seed of the sequencers' coin streams: sequencer `i` decides on
+    /// Base seed of the identities' coin streams: identity `i` decides on
     /// `mix_seed(seed, i)`. Default `0x5EED`.
     pub seed: u64,
 }
@@ -39,7 +39,7 @@ pub(crate) struct StoreOptions {
 impl Default for StoreOptions {
     fn default() -> StoreOptions {
         StoreOptions {
-            sequencers: 2,
+            proposers: 2,
             batch_commands: 512,
             snapshot_every: 1024,
             lease_ttl: Duration::from_millis(5),
@@ -58,7 +58,7 @@ impl Default for StoreOptions {
 /// use mc_store::{KvStore, ReplicatedStore};
 ///
 /// let store = ReplicatedStore::<KvStore>::builder()
-///     .sequencers(3)
+///     .proposers(3)
 ///     .batch_commands(64)
 ///     .build();
 /// # drop(store);
@@ -91,9 +91,10 @@ impl<S: StateMachine + Default> Default for StoreBuilder<S> {
 impl<S: StateMachine, M: SharedMemory> StoreBuilder<S, M> {
     // ---- store knobs -------------------------------------------------
 
-    /// Proposer threads (consensus `n` / engine `participants`). Default 2.
-    pub fn sequencers(mut self, sequencers: usize) -> Self {
-        self.options.sequencers = sequencers.max(1);
+    /// Proposer identities (consensus `n` / engine `participants`): how
+    /// many callers can drive the store at once. Default 2.
+    pub fn proposers(mut self, proposers: usize) -> Self {
+        self.options.proposers = proposers.max(1);
         self
     }
 
@@ -118,7 +119,7 @@ impl<S: StateMachine, M: SharedMemory> StoreBuilder<S, M> {
     /// Pre-sizes the session table for workloads with a known client
     /// population. Workloads that open sessions by the million (one per
     /// client id) otherwise pay a full-table rehash every time the map
-    /// doubles, on the apply worker's critical path. `0` (the default)
+    /// doubles, on the applying caller's critical path. `0` (the default)
     /// starts empty and grows on demand.
     pub fn expected_sessions(mut self, sessions: usize) -> Self {
         self.options.expected_sessions = sessions;
@@ -171,22 +172,22 @@ impl<S: StateMachine, M: SharedMemory> StoreBuilder<S, M> {
     // ---- build -------------------------------------------------------
 
     /// Builds the engine (consensus `n` = engine `participants` =
-    /// `sequencers`; value space = slab capacity + 1 for the no-op code),
-    /// wires an externally-driven [`ReplicatedLog`], and starts the
-    /// store's sequencer and apply threads.
+    /// `proposers`; value space = the identities, `max(proposers, 2)`) and
+    /// the [`ReplicatedLog`] that records which identity won each slot.
+    /// No thread is started: callers drive the store.
     pub fn build(self) -> ReplicatedStore<S, M> {
-        let values = MAX_INFLIGHT_BATCHES as u64 + 1;
+        let values = self.options.proposers.max(2) as u64;
         let engine = self
             .engine
-            .n(self.options.sequencers)
+            .n(self.options.proposers)
             .values(values)
-            .participants(self.options.sequencers)
-            // A sequencer must never park on the engine's live-instance
-            // bound: the submits that would retire the blocking instances
-            // are its peers', and a dead peer's never come.
+            .participants(self.options.proposers)
+            // A driver must never be refused a slot: the instances holding
+            // the bound retire only once apply passes them, which can need
+            // this very driver's decision.
             .max_live_per_shard(usize::MAX)
             .build();
-        let log = ReplicatedLog::new(self.options.sequencers, values);
+        let log = ReplicatedLog::new(self.options.proposers, values);
         ReplicatedStore::start(engine, log, self.options, self.initial)
     }
 }
@@ -199,7 +200,7 @@ mod tests {
     #[test]
     fn defaults_are_documented() {
         let options = StoreOptions::default();
-        assert_eq!(options.sequencers, 2);
+        assert_eq!(options.proposers, 2);
         assert_eq!(options.batch_commands, 512);
         assert_eq!(options.snapshot_every, 1024);
         assert_eq!(options.lease_ttl, Duration::from_millis(5));
@@ -210,7 +211,7 @@ mod tests {
     #[test]
     fn degenerate_knobs_are_clamped_to_one() {
         let mut store = StoreBuilder::<KvStore>::new()
-            .sequencers(0)
+            .proposers(0)
             .batch_commands(0)
             .snapshot_every(0)
             .build();
@@ -227,7 +228,7 @@ mod tests {
         let snapshot = vec![(1u64, 10u64), (2, 20)];
         let mut store = StoreBuilder::<KvStore>::new()
             .restore_from(&snapshot)
-            .sequencers(1)
+            .proposers(1)
             .build();
         assert_eq!(store.read_with(1, |kv| kv.get(2)), Some(20));
         let mut client = store.client();
@@ -243,7 +244,7 @@ mod tests {
         let mut store = StoreBuilder::<KvStore>::new()
             .seed(7)
             .shards(2)
-            .sequencers(2)
+            .proposers(2)
             .batch_commands(4)
             .lease_ttl(Duration::from_millis(1))
             .build();

@@ -1,22 +1,20 @@
-//! The response cell a submitted command's caller waits on.
+//! The response cell a submitted command's caller waits on, and the handle
+//! that drives the store while it waits.
 
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use mc_runtime::clock;
 
 use crate::error::StoreError;
 
-/// One command's response slot: filled exactly once by the apply worker
-/// (or by teardown), waited on by the submitting client. First fill wins;
-/// later fills are ignored, which makes teardown's blanket error fill
-/// safe against a response that raced it.
-///
-/// The waiter count lives inside the mutex so `fill` can skip the condvar
-/// notification entirely when nobody is blocked — the overwhelmingly
-/// common case under pipelined load, where responses land long before the
-/// producer reaches its `wait` call. A waiter registers itself under the
-/// same lock before blocking, so `fill` can never miss one.
+/// One command's response slot: filled once — by whichever caller applies
+/// the command's batch, or by teardown — and waited on by its submitter.
+/// A later fill is ignored and reported, so the applier can assert it
+/// never answers a cell twice. The waiter count lives inside the mutex, so a
+/// fill skips the notification when nobody is parked (the common case: a
+/// caller usually applies its own command), and a waiter registering
+/// under that lock before it blocks is never missed.
 pub(crate) struct ResponseCell<R> {
     slot: Mutex<Slot<R>>,
     cv: Condvar,
@@ -38,18 +36,22 @@ impl<R: Clone> ResponseCell<R> {
         }
     }
 
-    /// Fills the cell if still empty and wakes every waiter.
-    pub(crate) fn fill(&self, result: Result<R, StoreError>) {
+    /// Fills the cell if still empty and wakes every waiter; `false` when
+    /// it was already filled and this result was dropped.
+    pub(crate) fn fill(&self, result: Result<R, StoreError>) -> bool {
         let mut slot = self.slot.lock().unwrap_or_else(PoisonError::into_inner);
-        if slot.value.is_none() {
-            slot.value = Some(result);
-            if slot.waiters > 0 {
-                self.cv.notify_all();
-            }
+        if slot.value.is_some() {
+            return false;
         }
+        slot.value = Some(result);
+        if slot.waiters > 0 {
+            self.cv.notify_all();
+        }
+        true
     }
 
-    fn read(&self) -> Option<Result<R, StoreError>> {
+    /// The response if it already arrived.
+    pub(crate) fn get(&self) -> Option<Result<R, StoreError>> {
         self.slot
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
@@ -57,79 +59,83 @@ impl<R: Clone> ResponseCell<R> {
             .clone()
     }
 
-    fn wait(&self) -> Result<R, StoreError> {
+    /// Blocks until the cell is filled, or until `deadline` passes
+    /// (`None` then).
+    pub(crate) fn park(&self, deadline: Option<Instant>) -> Option<Result<R, StoreError>> {
         let mut slot = self.slot.lock().unwrap_or_else(PoisonError::into_inner);
         loop {
             if let Some(result) = slot.value.as_ref() {
-                return result.clone();
-            }
-            // Wait site (client). Predicate, checked above under the slot
-            // mutex: the value is present. Only `fill` makes it true, and
-            // it notifies iff `waiters`, raised here under the same mutex,
-            // is nonzero.
-            slot.waiters += 1;
-            slot = self.cv.wait(slot).unwrap_or_else(PoisonError::into_inner);
-            slot.waiters -= 1;
-        }
-    }
-
-    fn wait_timeout(&self, timeout: Duration) -> Result<R, StoreError> {
-        let deadline = clock::deadline_within(timeout);
-        let mut slot = self.slot.lock().unwrap_or_else(PoisonError::into_inner);
-        loop {
-            if let Some(result) = slot.value.as_ref() {
-                return result.clone();
+                return Some(result.clone());
             }
             let now = clock::now();
-            if now >= deadline {
-                return Err(StoreError::Timeout);
+            if deadline.is_some_and(|deadline| now >= deadline) {
+                return None;
             }
-            // Wait site (client), as in `wait`, bounded by the deadline.
+            // Wait site (parked caller). Predicate, checked above under the
+            // slot mutex: the value is present. Only `fill` makes it true,
+            // and it notifies iff `waiters`, raised here under the same
+            // mutex, is nonzero.
             slot.waiters += 1;
-            let (next, _) = self
-                .cv
-                .wait_timeout(slot, deadline - now)
-                .unwrap_or_else(PoisonError::into_inner);
-            slot = next;
+            slot = match deadline {
+                None => self.cv.wait(slot).unwrap_or_else(PoisonError::into_inner),
+                Some(deadline) => {
+                    let waited = self.cv.wait_timeout(slot, deadline - now);
+                    waited.unwrap_or_else(PoisonError::into_inner).0
+                }
+            };
             slot.waiters -= 1;
         }
     }
+}
+
+/// A handle's store: drives until `cell` is answered (parking only while
+/// another caller carries it), or [`StoreError::Timeout`] at `deadline`.
+pub(crate) trait Driver<R>: Send + Sync {
+    fn settle(&self, cell: &ResponseCell<R>, deadline: Option<Instant>) -> Result<R, StoreError>;
 }
 
 /// A handle on one submitted command's eventual response.
 ///
-/// The response is released when the apply worker applies the command
-/// (or serves it from the session table's duplicate cache) — never
-/// earlier, which is what makes lease-gated fast reads linearizable.
+/// The response is released when some caller applies the command (or
+/// serves it from the session table's duplicate cache) — never earlier,
+/// which is what makes lease-gated fast reads linearizable. There is no
+/// store thread to do that: [`wait`](CommandHandle::wait) and
+/// [`wait_timeout`](CommandHandle::wait_timeout) drive the store
+/// themselves, and [`poll`](CommandHandle::poll) does not.
 pub struct CommandHandle<R> {
     cell: Arc<ResponseCell<R>>,
+    store: Arc<dyn Driver<R>>,
 }
 
 impl<R: Clone> CommandHandle<R> {
-    pub(crate) fn new(cell: Arc<ResponseCell<R>>) -> CommandHandle<R> {
-        CommandHandle { cell }
+    pub(crate) fn new(cell: Arc<ResponseCell<R>>, store: Arc<dyn Driver<R>>) -> CommandHandle<R> {
+        CommandHandle { cell, store }
     }
 
-    /// The response if it already arrived, without blocking.
+    /// The response if it already arrived, without blocking and without
+    /// driving the store.
     pub fn poll(&self) -> Option<Result<R, StoreError>> {
-        self.cell.read()
+        self.cell.get()
     }
 
-    /// Blocks until the command is applied and its response released.
+    /// Drives the store until the command is applied and its response
+    /// released, parking only while another caller carries it.
     ///
     /// # Errors
     ///
     /// [`StoreError::Stale`] when the sequence number predates the
     /// session's cache; [`StoreError::Shutdown`] /
-    /// [`StoreError::Ordering`] when the store tore down or the consensus
-    /// path failed before the command could be applied.
+    /// [`StoreError::Ordering`] when the store tore down or was poisoned
+    /// before the command could be applied.
     pub fn wait(&self) -> Result<R, StoreError> {
-        self.cell.wait()
+        self.store.settle(&self.cell, None)
     }
 
-    /// Blocks until the response arrives or `timeout` elapses — computed
-    /// through the shared [`clock`](mc_runtime::clock) helper, like every
-    /// deadline in the runtime.
+    /// As [`wait`](CommandHandle::wait), giving up once `timeout` elapses
+    /// — computed through the shared [`clock`](mc_runtime::clock) helper,
+    /// like every deadline in the runtime. The deadline is checked between
+    /// batches, not inside one: a caller that drafted a batch sees it
+    /// decided and applied first, so the call may overrun by that much.
     ///
     /// # Errors
     ///
@@ -137,20 +143,19 @@ impl<R: Clone> CommandHandle<R> {
     /// still in flight; waiting again can succeed), otherwise as
     /// [`wait`](CommandHandle::wait).
     pub fn wait_timeout(&self, timeout: Duration) -> Result<R, StoreError> {
-        self.cell.wait_timeout(timeout)
+        self.store
+            .settle(&self.cell, Some(clock::deadline_within(timeout)))
     }
 }
 
 impl<R> std::fmt::Debug for CommandHandle<R> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let state = if self
+        let slot = self
             .cell
             .slot
             .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .value
-            .is_some()
-        {
+            .unwrap_or_else(PoisonError::into_inner);
+        let state = if slot.value.is_some() {
             "done"
         } else {
             "waiting"
@@ -165,25 +170,42 @@ impl<R> std::fmt::Debug for CommandHandle<R> {
 mod tests {
     use super::*;
 
+    /// A store with nobody to drive: handles only park.
+    struct Parked;
+
+    impl<R: Clone> Driver<R> for Parked {
+        fn settle(
+            &self,
+            cell: &ResponseCell<R>,
+            deadline: Option<Instant>,
+        ) -> Result<R, StoreError> {
+            cell.park(deadline).unwrap_or(Err(StoreError::Timeout))
+        }
+    }
+
+    fn parked_handle(cell: &Arc<ResponseCell<u64>>) -> CommandHandle<u64> {
+        CommandHandle::new(Arc::clone(cell), Arc::new(Parked))
+    }
+
     #[test]
     fn first_fill_wins_and_wakes_waiters() {
         let cell = Arc::new(ResponseCell::<u64>::new());
-        let handle = CommandHandle::new(Arc::clone(&cell));
+        let handle = parked_handle(&cell);
         assert!(handle.poll().is_none());
         let waiter = {
             let cell = Arc::clone(&cell);
-            std::thread::spawn(move || cell.wait())
+            std::thread::spawn(move || cell.park(None))
         };
-        cell.fill(Ok(7));
-        cell.fill(Err(StoreError::Shutdown));
-        assert_eq!(waiter.join().unwrap(), Ok(7));
+        assert!(cell.fill(Ok(7)));
+        assert!(!cell.fill(Err(StoreError::Shutdown)));
+        assert_eq!(waiter.join().unwrap(), Some(Ok(7)));
         assert_eq!(handle.wait(), Ok(7), "second fill was ignored");
     }
 
     #[test]
     fn wait_timeout_expires_then_succeeds_on_a_late_fill() {
         let cell = Arc::new(ResponseCell::<u64>::new());
-        let handle = CommandHandle::new(Arc::clone(&cell));
+        let handle = parked_handle(&cell);
         assert_eq!(
             handle.wait_timeout(Duration::from_millis(5)),
             Err(StoreError::Timeout)

@@ -11,8 +11,8 @@ use mc_runtime::EngineError;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum StoreError {
-    /// The underlying consensus path failed to order the command: a
-    /// sequencer died mid-decide ([`EngineError::Poisoned`]) and the store
+    /// A caller driving the store unwound mid-decide or out of
+    /// `StateMachine::apply` ([`EngineError::Poisoned`]) and the store
     /// stopped ordering. The command was abandoned, never applied.
     Ordering(EngineError),
     /// The command's sequence number predates the session's last applied

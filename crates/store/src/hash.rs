@@ -1,7 +1,7 @@
 //! A fast non-cryptographic hasher for the store's `u64`-keyed tables.
 //!
 //! The session table, lease table, and [`KvStore`](crate::KvStore) map
-//! all sit on the apply worker's critical path and are keyed by ids the
+//! all sit on the apply path's critical section and are keyed by ids the
 //! store (or its own clients) assign — SipHash's hash-flooding resistance
 //! buys nothing there, while its per-operation cost is measurable at
 //! millions of commands per second, and growth rehashes the whole table.

@@ -16,17 +16,15 @@
 //! - [`StateMachine`]: deterministic `apply`, plus snapshot/restore hooks.
 //! - [`KvStore`]: the reference machine — a linearizable `u64 → u64` map
 //!   with `get`/`put`/`cas`/`delete`.
-//! - [`ReplicatedStore`]: `sequencers` proposer threads order commands
-//!   into slots (batch at a time — group commit), each deciding its
-//!   proposal inline on the [`ConsensusEngine`] and recording the outcome
-//!   in the [`ReplicatedLog`] — the
-//!   objects are wait-free, so nobody decides on a proposer's behalf and
-//!   the store runs `sequencers + 1` threads in all. A dedicated apply
-//!   worker applies the learned prefix and answers each command exactly
-//!   once via a viewstamped-replication-style session table (client id +
-//!   per-session sequence number; duplicates return the cached response,
-//!   never a re-apply). A thread is woken only when the predicate it
-//!   waits on changed (DESIGN.md §12 has the table).
+//! - [`ReplicatedStore`]: runs no thread. A caller waiting for a response
+//!   leases one of `proposers` identities, drafts the queued commands into
+//!   a batch (group commit), proposes its identity for a slot on the
+//!   [`ConsensusEngine`] — wait-free objects need nobody to decide for a
+//!   proposer — records the winner in the [`ReplicatedLog`] and applies
+//!   the learned prefix itself; the value space is the identities, and no
+//!   slot is spent on a no-op. A viewstamped-replication-style session
+//!   table (client id + sequence number) answers each command exactly
+//!   once, duplicates from its cache. DESIGN.md §12 has the rules.
 //! - [`StoreClient`]: a client session — owns the client id, stamps
 //!   sequence numbers, supports explicit duplicate [`resend`] for retry.
 //! - Lease-gated fast reads ([`ReplicatedStore::read_with`]): served from

@@ -1,41 +1,25 @@
-//! The replicated store: group-commit sequencers ordering command batches
-//! on the consensus engine, a dedicated apply worker, and the session
-//! table that makes delivery exactly-once.
+//! The replicated store: callers that order and apply their own commands,
+//! and the session table that makes delivery exactly-once.
 //!
-//! # How a command becomes a response
-//!
-//! 1. [`ReplicatedStore::submit`] parks the command (with its client id,
-//!    sequence number, and a response cell) in the intake queue.
-//! 2. A **sequencer** drains up to `batch_commands` pending commands into
-//!    a batch, interns it in the command slab (its index + 1 is the
-//!    batch's *code* — code 0 is the no-op), and proposes the code for
-//!    its current slot with [`ConsensusEngine::submit`], deciding on its
-//!    own thread: the paper's objects are wait-free, so a proposer needs
-//!    nobody to decide for it. Consensus picks one code per slot; a
-//!    losing sequencer re-proposes the same batch at the next slot.
-//!    Decisions are recorded into the [`ReplicatedLog`] via
-//!    [`learn_decided`](ReplicatedLog::learn_decided).
-//! 3. The **apply worker** walks the log's learned prefix in slot order,
-//!    resolves each code back to its batch, applies each command through
-//!    the session table (duplicates answered from the cache, never
-//!    re-applied), fills the response cells, and compacts the log below
-//!    the applied index — capturing a state-machine snapshot at the
-//!    configured cadence.
-//!
-//! # Why every sequencer touches every slot
-//!
-//! The engine retires a consensus instance after exactly `participants`
-//! submissions, so the store runs `sequencers` proposer threads and each
-//! submits exactly once per slot — a real batch when it has one, the
-//! no-op code when idle or catching up to the decision frontier. An idle
-//! sequencer therefore trails the frontier retiring decided slots, and
-//! the whole store quiesces (no spinning) when no commands are pending.
+//! A caller that wants a response **drives** the store: it leases one of
+//! the `proposers` identities, drafts queued commands into a batch
+//! announced under `(slot, pid)`, proposes its pid for the slot with
+//! [`ConsensusEngine::try_submit`] on its own thread (the objects are
+//! wait-free), records each decision in the [`ReplicatedLog`], and applies
+//! the learned prefix under a try-locked apply cursor — each winner's batch
+//! through the session table, then snapshot, compaction and
+//! [`retire_below`](ConsensusEngine::retire_below). Consensus agrees on
+//! *who* won a slot, so the value space is `max(proposers, 2)` and no slot
+//! is spent on a no-op. With no store thread, a caller that finds every
+//! identity leased parks on its cell, and two release-then-recheck rules
+//! keep that live: the last driver out keeps draining the intake, and
+//! whoever drops the apply cursor re-reads the learned prefix. DESIGN.md
+//! §12 has the argument.
 
 use std::collections::hash_map::Entry;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
-use std::thread::JoinHandle;
+use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 use mc_model::mix_seed;
@@ -48,72 +32,78 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 use crate::builder::{StoreBuilder, StoreOptions};
-use crate::cell::{CommandHandle, ResponseCell};
+use crate::cell::{CommandHandle, Driver, ResponseCell};
 use crate::error::StoreError;
 use crate::hash::FastMap;
 use crate::kv::KvStore;
 use crate::machine::StateMachine;
 
-/// The reserved "empty slot" command code. Real batch codes are
-/// `1..=MAX_INFLIGHT_BATCHES`.
-const NOOP: u64 = 0;
-
-/// Command-slab capacity: batches formed but not yet applied. Bounds the
-/// consensus value space to `MAX_INFLIGHT_BATCHES + 1` codes.
-pub(crate) const MAX_INFLIGHT_BATCHES: usize = 1024;
+type Cell<S> = Arc<ResponseCell<<S as StateMachine>::Response>>;
 
 /// One submitted command waiting to be ordered and applied.
 struct Pending<S: StateMachine> {
     client: u64,
     seq: u64,
     command: S::Command,
-    cell: Arc<ResponseCell<S::Response>>,
+    cell: Cell<S>,
 }
 
-/// Intake queue: commands submitted but not yet drafted into a batch.
+/// One of the `proposers` identities a driver leases: pid `pid` proposes
+/// the value `pid`, on its own coin stream.
+struct Identity {
+    pid: usize,
+    /// The next slot this pid may enter. It only grows, so the pid enters
+    /// each slot at most once.
+    cursor: u64,
+    rng: SmallRng,
+}
+
+/// Intake queue: commands submitted but not yet drafted into a batch,
+/// and the identities free to draft them.
 struct Intake<S: StateMachine> {
     queue: VecDeque<Pending<S>>,
-    /// No new submissions: sequencers drain `queue`, then exit.
+    /// No new submissions. Queued commands are still ordered, unless the
+    /// store is poisoned.
     closed: bool,
-    /// A sequencer found the slab full and parks until apply frees a code.
-    /// Kept under the intake mutex (like `ResponseCell`'s waiter count) so
-    /// the apply worker wakes sequencers only on a pass where one is
-    /// actually waiting for it — at batch-of-1, never.
-    starved: bool,
+    /// Identities no driver holds. A driver takes one and returns it under
+    /// this mutex, so `idle.len() + 1 == proposers` tells a returning
+    /// driver that it is the last one out.
+    idle: Vec<Identity>,
 }
 
-/// The command table: in-flight batches, addressed by code − 1. A code is
-/// allocated when a sequencer forms a batch and freed when the apply
-/// worker consumes the batch at its decided slot — so a code can never
-/// denote two different batches among unapplied slots.
-struct Slab<S: StateMachine> {
-    entries: Vec<Option<Vec<Pending<S>>>>,
-    free: Vec<usize>,
-}
-
-impl<S: StateMachine> Slab<S> {
-    fn with_capacity(cap: usize) -> Slab<S> {
-        Slab {
-            entries: (0..cap).map(|_| None).collect(),
-            free: (0..cap).rev().collect(),
+impl<S: StateMachine> Intake<S> {
+    /// Queues one command, returning its response cell. A closed intake
+    /// answers [`StoreError::Shutdown`] immediately.
+    fn enqueue(&mut self, client: u64, seq: u64, command: S::Command) -> Cell<S> {
+        let cell = Arc::new(ResponseCell::new());
+        if self.closed {
+            cell.fill(Err(StoreError::Shutdown));
+        } else {
+            self.queue.push_back(Pending {
+                client,
+                seq,
+                command,
+                cell: Arc::clone(&cell),
+            });
         }
+        cell
     }
+}
 
-    fn alloc(&mut self, batch: Vec<Pending<S>>) -> Option<u64> {
-        let ix = self.free.pop()?;
-        self.entries[ix] = Some(batch);
-        Some(ix as u64 + 1)
-    }
+type Announced<S> = FastMap<(u64, usize), Vec<Pending<S>>>;
 
-    /// `None` only in a poisoned store: the dying sequencer's guard and
-    /// the apply worker can both reach for the batch it proposed last,
-    /// and the second finds it gone.
-    fn take(&mut self, code: u64) -> Option<Vec<Pending<S>>> {
-        let ix = (code - 1) as usize;
-        let batch = self.entries[ix].take()?;
-        self.free.push(ix);
-        Some(batch)
-    }
+/// The machine; `torn` is up while a batch is applied to it, and stays up
+/// only if `StateMachine::apply` unwound.
+struct Applied<S> {
+    machine: S,
+    torn: bool,
+}
+
+/// Where apply stands. One caller at a time holds it (try-locked).
+#[derive(Default)]
+struct ApplyCursor {
+    slots: u64,
+    commands: u64,
 }
 
 /// One client session's exactly-once state: the last applied sequence
@@ -126,37 +116,34 @@ struct Session<R> {
 }
 
 struct StoreInner<S: StateMachine, M: SharedMemory> {
-    /// One instance per slot; every sequencer submits to every slot, on
-    /// its own thread.
+    /// One instance per slot, entered by the pids that propose there.
     engine: ConsensusEngine<M>,
-    /// Per-decide recorder events stay off while sequencers drive the
-    /// engine, as under the batching service: at one decide per slot per
-    /// sequencer a recorder call each would dominate the slot.
+    /// Per-decide recorder events stay off while callers drive the engine,
+    /// as under the batching service: at one decide per slot per proposer
+    /// a recorder call each would dominate the slot.
     _amortized: AmortizedEvents,
-    /// External-drive mode: sequencers run consensus on `engine` and
-    /// record outcomes with `learn_decided`; the log keeps the learned
-    /// prefix, entry storage, and compaction machinery.
+    /// Which pid won each slot, learned in any order; apply walks its
+    /// contiguous prefix and compacts behind itself.
     log: ReplicatedLog,
     options: StoreOptions,
     intake: Mutex<Intake<S>>,
-    /// Paired with `intake`: wakes sequencers on new work, frontier
-    /// advance, slab space a starved one waits for, and shutdown.
-    work_cv: Condvar,
-    slab: Mutex<Slab<S>>,
-    state: Mutex<S>,
+    /// Batches by the `(slot, pid)` they are proposed under — won and
+    /// awaiting apply, or still proposed. A pid enters a slot at most once,
+    /// so the key names one batch.
+    announced: Mutex<Announced<S>>,
+    /// 1 + highest slot seen decided, where a batch is proposed; raised
+    /// before the slot is learned, so never below the engine's floor. A
+    /// hint: a driver behind it just loses, or is refused as retired.
+    frontier: AtomicU64,
+    apply: Mutex<ApplyCursor>,
+    state: Mutex<Applied<S>>,
     sessions: Mutex<FastMap<u64, Session<S::Response>>>,
     /// Read leases by client id: expiry instants from the shared
     /// monotonic-clock helper.
     leases: Mutex<FastMap<u64, Instant>>,
     latest_snapshot: Mutex<Option<(u64, S::Snapshot)>>,
-    /// 1 + highest slot any sequencer has seen decided; the next fresh
-    /// slot. Advanced *before* the slot is learned into `log`, so
-    /// `frontier >= log.learned_prefix()` always. Idle sequencers trail
-    /// this, retiring decided slots.
-    frontier: AtomicU64,
-    apply_mx: Mutex<()>,
-    apply_cv: Condvar,
-    sequencers_live: AtomicU64,
+    /// A driver unwound; raised under the intake mutex.
+    poisoned: AtomicBool,
     next_client: AtomicU64,
 }
 
@@ -169,240 +156,175 @@ impl<S: StateMachine, M: SharedMemory> StoreInner<S, M> {
         self.intake.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    fn lock_slab(&self) -> MutexGuard<'_, Slab<S>> {
-        self.slab.lock().unwrap_or_else(PoisonError::into_inner)
+    fn lock_announced(&self) -> MutexGuard<'_, Announced<S>> {
+        self.announced
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Enqueues one command, returning its handle. A closed intake
-    /// answers [`StoreError::Shutdown`] immediately.
-    fn submit(&self, client: u64, seq: u64, command: S::Command) -> CommandHandle<S::Response> {
-        let cell = Arc::new(ResponseCell::new());
-        let handle = CommandHandle::new(Arc::clone(&cell));
+    fn lock_state(&self) -> MutexGuard<'_, Applied<S>> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn poisoned(&self) -> bool {
+        self.poisoned.load(Ordering::Acquire)
+    }
+
+    /// [`Intake::enqueue`] behind a handle whose `wait` drives.
+    fn submit(
+        self: &Arc<Self>,
+        client: u64,
+        seq: u64,
+        command: S::Command,
+    ) -> CommandHandle<S::Response> {
+        let cell = self.lock_intake().enqueue(client, seq, command);
+        CommandHandle::new(cell, Arc::clone(self) as _)
+    }
+
+    /// Leases an idle identity and drives with it: drafts up to
+    /// `batch_commands` queued commands into a batch, sees it decided and
+    /// applied, and repeats while commands wait and either `wanted()`
+    /// still holds or no other driver holds an identity — the last driver
+    /// out must not strand queued commands, whose callers may be parked
+    /// for want of an identity. Returns `false` without leasing when
+    /// nothing is queued, every identity is leased, or the store is
+    /// poisoned.
+    fn drive(&self, wanted: &dyn Fn() -> bool) -> bool {
+        // Declared first so that, on unwind, the intake guard is gone
+        // before `poison` takes the intake mutex.
+        let _unwind = PoisonOnUnwind(self);
         let mut intake = self.lock_intake();
-        if intake.closed {
+        if intake.queue.is_empty() || self.poisoned() {
+            return false;
+        }
+        let Some(mut identity) = intake.idle.pop() else {
+            return false;
+        };
+        loop {
+            // Drafted and announced under the intake mutex, which `poison`
+            // raises its flag under: it finds every command it must fail
+            // queued or announced, and none is announced after.
+            let take = intake.queue.len().min(self.options.batch_commands);
+            let batch: Vec<Pending<S>> = intake.queue.drain(..take).collect();
+            let slot = self.next_slot(&identity);
+            self.lock_announced().insert((slot, identity.pid), batch);
             drop(intake);
-            cell.fill(Err(StoreError::Shutdown));
-            return handle;
-        }
-        intake.queue.push_back(Pending {
-            client,
-            seq,
-            command,
-            cell,
-        });
-        drop(intake);
-        self.work_cv.notify_one();
-        handle
-    }
-
-    /// Drafts up to `batch_commands` pending commands into a slab batch,
-    /// returning its code — `None` when the slab is full (apply lag; the
-    /// apply worker's progress will wake us).
-    fn try_form_batch(&self, intake: &mut Intake<S>) -> Option<u64> {
-        let mut slab = self.lock_slab();
-        if slab.free.is_empty() {
-            return None;
-        }
-        let take = intake.queue.len().min(self.options.batch_commands);
-        let batch: Vec<Pending<S>> = intake.queue.drain(..take).collect();
-        slab.alloc(batch)
-    }
-
-    /// A sequencer is unwinding out of a decide: refuse new commands and
-    /// fail every one its death strands — the intake queue, and the batch
-    /// it held unless its last slot was decided for that batch and apply
-    /// took it first. Surviving sequencers see their own batches through,
-    /// trail to the frontier, and leave by the closed, empty intake.
-    /// Closing comes first: with the queue drained no batch forms again,
-    /// so the code freed below cannot be redrawn while the dead
-    /// sequencer's last slot may still be learned as that code.
-    fn poison(&self, in_hand: Option<u64>) {
-        let queued: Vec<Pending<S>> = {
-            let mut intake = self.lock_intake();
-            intake.closed = true;
-            self.work_cv.notify_all();
-            intake.queue.drain(..).collect()
-        };
-        let batch = in_hand.and_then(|code| self.lock_slab().take(code));
-        for pending in batch.into_iter().flatten().chain(queued) {
-            pending
-                .cell
-                .fill(Err(StoreError::Ordering(EngineError::Poisoned)));
+            self.propose(&mut identity, slot);
+            let wanted = wanted();
+            intake = self.lock_intake();
+            let last_out = intake.idle.len() + 1 == self.options.proposers;
+            if intake.queue.is_empty() || self.poisoned() || !(wanted || last_out) {
+                intake.idle.push(identity);
+                return true;
+            }
         }
     }
 
-    /// One sequencer's life: visit slots in order, proposing a real batch
-    /// when one is pending and the no-op when idle-but-behind, deciding on
-    /// this thread with coin stream `ix`, learning every decision into the
-    /// log.
-    fn run_sequencer(&self, ix: usize) {
-        let mut rng = SmallRng::seed_from_u64(mix_seed(self.options.seed, ix as u64));
-        let mut cursor: u64 = 0;
-        let mut current = InHand {
-            inner: self,
-            code: None,
-        };
+    fn next_slot(&self, identity: &Identity) -> u64 {
+        identity.cursor.max(self.frontier.load(Ordering::Acquire))
+    }
+
+    /// Proposes `identity`'s pid from `slot` on until it wins a slot,
+    /// learning and applying every decision on the way, and re-announcing
+    /// its batch under each next slot it tries.
+    fn propose(&self, identity: &mut Identity, mut slot: u64) {
+        let pid = identity.pid as u64;
         loop {
-            if current.code.is_none() {
-                let mut intake = self.lock_intake();
-                loop {
-                    if !intake.queue.is_empty() {
-                        current.code = self.try_form_batch(&mut intake);
-                        if current.code.is_some() {
-                            break;
-                        }
-                        // Slab full: if behind the frontier we can still
-                        // do useful catch-up work; otherwise wait for the
-                        // apply worker to free a code.
-                        intake.starved = true;
-                    }
-                    if cursor < self.frontier.load(Ordering::Acquire) {
-                        break;
-                    }
-                    if intake.closed && intake.queue.is_empty() {
+            identity.cursor = slot + 1;
+            match self.engine.try_submit(slot, pid, &mut identity.rng) {
+                Ok(decided) => {
+                    // Frontier first, learn second: `frontier` then never
+                    // trails the learned prefix, which bounds the floor.
+                    self.frontier.fetch_max(slot + 1, Ordering::AcqRel);
+                    self.log.learn_decided(slot as usize, decided);
+                    self.apply_learned();
+                    if decided == pid {
                         return;
                     }
-                    // Wait site (sequencer). Predicate, checked above under
-                    // the intake mutex: commands queued and a slab code
-                    // free, or `cursor < frontier`, or intake closed and
-                    // drained. Each place that can make it true notifies
-                    // `work_cv` with or after the intake mutex held:
-                    // `submit`/`submit_batch` (queue), the sequencer that
-                    // advances `frontier` (below), `run_apply` once
-                    // `starved` is set (slab), `shutdown`/`poison` (closed).
-                    intake = self
-                        .work_cv
-                        .wait(intake)
-                        .unwrap_or_else(PoisonError::into_inner);
                 }
+                // Decided, applied and retired without this pid, between
+                // its frontier load and its submit.
+                Err(EngineError::Retired) => {}
+                Err(refused) => unreachable!("the store's engine is unbounded: {refused}"),
             }
-            // Propose the real batch only at a slot at (or past) the
-            // observed frontier. A slot behind the frontier is already
-            // decided, and its stale decision can equal our code from the
-            // code's *previous* life in the slab — which would read as "we
-            // won" and strand the batch. At `cursor >= frontier` that
-            // aliasing is impossible because of the invariant kept below:
-            // *a slot is learned only after `frontier` is past it*. A code
-            // is recycled only once apply has consumed its winning slot,
-            // apply consumes only learned slots, and we drew the code from
-            // the slab after that — so the `frontier` we load here is
-            // already past every slot the code ever won, and
-            // `decided == code` can only mean this very batch won.
-            let proposal = match current.code {
-                Some(code) if cursor >= self.frontier.load(Ordering::Acquire) => code,
-                _ => NOOP,
+            let next = self.next_slot(identity);
+            let mut announced = self.lock_announced();
+            let Some(batch) = announced.remove(&(slot, identity.pid)) else {
+                return; // drained by poison
             };
-            let decided = self.engine.submit(cursor, proposal, &mut rng);
-            // Advance `frontier` first, learn second: once the slot is
-            // learned apply may free its code, and a sequencer that draws
-            // the recycled code must already see `frontier` past this slot.
-            let next = cursor + 1;
-            let advanced = self.frontier.fetch_max(next, Ordering::AcqRel) < next;
-            let prefix = self.log.learned_prefix();
-            self.log.learn_decided(cursor as usize, decided);
-            if advanced {
-                let _g = self.lock_intake();
-                self.work_cv.notify_all();
-            }
-            // Wake apply only if this learn grew the prefix it waits on —
-            // a trailing sequencer re-learning a learned slot does not.
-            // The prefix is monotone, so whichever learn grows it reads it
-            // smaller before than after; a racing learner that also sees
-            // the growth over-notifies, harmlessly.
-            if self.log.learned_prefix() > prefix {
-                let _g = self.apply_mx.lock().unwrap_or_else(PoisonError::into_inner);
-                self.apply_cv.notify_all();
-            }
-            if proposal != NOOP && decided == proposal {
-                current.code = None;
-            }
-            cursor = next;
+            announced.insert((next, identity.pid), batch);
+            slot = next;
         }
     }
 
-    fn note_sequencer_exit(&self) {
-        self.sequencers_live.fetch_sub(1, Ordering::AcqRel);
-        let _g = self.apply_mx.lock().unwrap_or_else(PoisonError::into_inner);
-        self.apply_cv.notify_all();
-    }
-
-    /// The apply worker: walks the learned prefix in slot order, applies
-    /// batches through the session table, fills response cells, snapshots
-    /// at the configured cadence, and compacts the log behind itself.
-    fn run_apply(&self) {
-        let mut applied_slots: u64 = 0;
-        let mut applied_commands: u64 = 0;
-        let mut last_snapshot_slot: u64 = 0;
+    /// Applies the learned prefix unless another caller holds the apply
+    /// cursor; that one re-checks the prefix after dropping it. The two
+    /// `SeqCst` fences make the hand-off safe: a learner's fence sits
+    /// between its learn and its try-lock, the holder's between its unlock
+    /// and its re-read, so either the try-lock sees the unlock or the
+    /// re-read sees the learn.
+    fn apply_learned(&self) {
         loop {
-            {
-                let mut g = self.apply_mx.lock().unwrap_or_else(PoisonError::into_inner);
-                loop {
-                    if (self.log.learned_prefix() as u64) > applied_slots {
-                        break;
-                    }
-                    if self.sequencers_live.load(Ordering::Acquire) == 0 {
-                        return;
-                    }
-                    // Wait site (apply). Predicate, checked above under
-                    // `apply_mx`: `learned_prefix > applied_slots`, or no
-                    // sequencer left. Both makers notify `apply_cv` holding
-                    // `apply_mx` after the fact: the sequencer whose learn
-                    // grew the prefix, and `note_sequencer_exit`.
-                    g = self
-                        .apply_cv
-                        .wait(g)
-                        .unwrap_or_else(PoisonError::into_inner);
+            fence(Ordering::SeqCst);
+            if self.poisoned() {
+                return;
+            }
+            let applied = match self.apply.try_lock() {
+                Ok(mut cursor) => {
+                    self.apply_prefix(&mut cursor);
+                    cursor.slots
                 }
-            }
-            // Prefix first, then frontier: both only grow, so this order
-            // cannot report a violation that did not happen.
-            let prefix = self.log.learned_prefix() as u64;
-            debug_assert!(
-                self.frontier.load(Ordering::Acquire) >= prefix,
-                "slot learned before frontier passed it"
-            );
-            while applied_slots < prefix {
-                let code = self
-                    .log
-                    .get(applied_slots as usize)
-                    .expect("slot below the learned prefix is readable");
-                if code != NOOP {
-                    let batch = self.lock_slab().take(code);
-                    debug_assert!(
-                        batch.is_some() || self.lock_intake().closed,
-                        "code {code} maps to no live batch"
-                    );
-                    if let Some(batch) = batch {
-                        applied_commands += self.apply_batch(batch, applied_commands);
-                    }
-                }
-                applied_slots += 1;
-            }
-            if self.options.snapshot_every > 0
-                && applied_slots - last_snapshot_slot >= self.options.snapshot_every
-            {
-                let snapshot = {
-                    let state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-                    state.snapshot()
-                };
-                *self
-                    .latest_snapshot
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner) = Some((applied_commands, snapshot));
-                self.telemetry().add(CounterKey::StoreSnapshots, 1);
-                last_snapshot_slot = applied_slots;
-            }
-            // Retained log stays bounded by apply lag.
-            self.log.compact_below(applied_slots as usize);
-            // Freed slab codes unblock batch formation, which matters only
-            // to a sequencer that found the slab full. It raised `starved`
-            // under the intake mutex before parking and the codes were freed
-            // before this lock, so the flag cannot be missed.
-            let mut intake = self.lock_intake();
-            if std::mem::take(&mut intake.starved) {
-                self.work_cv.notify_all();
+                // Held: its holder re-checks. Poisoned: an applier unwound,
+                // poisoning the store.
+                Err(_) => return,
+            };
+            fence(Ordering::SeqCst);
+            if self.log.learned_prefix() as u64 <= applied {
+                return;
             }
         }
+    }
+
+    /// Applies every learned slot not yet applied — its winner's batch,
+    /// through the session table — then snapshots at the configured
+    /// cadence, compacts the log, and retires the applied slots'
+    /// instances.
+    fn apply_prefix(&self, cursor: &mut ApplyCursor) {
+        let (before, prefix) = (cursor.slots, self.log.learned_prefix() as u64);
+        if before >= prefix {
+            return;
+        }
+        while cursor.slots < prefix {
+            let winner = self
+                .log
+                .get(cursor.slots as usize)
+                .expect("slot below the learned prefix is readable");
+            // The identity invariant: the batch `winner` announced for
+            // exactly this slot. Only poison, draining them all, takes it.
+            let key = (cursor.slots, winner as usize);
+            let Some(batch) = self.lock_announced().remove(&key) else {
+                assert!(
+                    self.poisoned(),
+                    "slot {} won by pid {winner}, which announced nothing for it",
+                    cursor.slots
+                );
+                return;
+            };
+            cursor.commands += self.apply_batch(batch, cursor.commands);
+            cursor.slots += 1;
+        }
+        let every = self.options.snapshot_every;
+        if every > 0 && cursor.slots / every > before / every {
+            let snapshot = self.lock_state().machine.snapshot();
+            *self
+                .latest_snapshot
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner) = Some((cursor.commands, snapshot));
+            self.telemetry().add(CounterKey::StoreSnapshots, 1);
+        }
+        // Retained log and live instances stay bounded by apply lag.
+        self.log.compact_below(cursor.slots as usize);
+        self.engine.retire_below(cursor.slots);
     }
 
     /// Applies one decided batch through the session table, returning how
@@ -410,56 +332,74 @@ impl<S: StateMachine, M: SharedMemory> StoreInner<S, M> {
     /// retries excluded).
     fn apply_batch(&self, batch: Vec<Pending<S>>, applied_before: u64) -> u64 {
         let telemetry = self.telemetry();
+        let _unwind = Unanswered(&batch);
         // Responses are buffered and released only after every counter for
         // the batch has been bumped: a caller that has observed its
         // response (and anything it implies completed) must also observe
         // that work in the telemetry ledger.
-        let mut fills = Vec::with_capacity(batch.len());
-        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut responses = Vec::with_capacity(batch.len());
+        let mut state = self.lock_state();
         let mut sessions = self.sessions.lock().unwrap_or_else(PoisonError::into_inner);
+        state.torn = true;
         let mut applied = 0u64;
-        for pending in batch {
+        for pending in &batch {
             match sessions.entry(pending.client) {
                 Entry::Vacant(vacant) => {
                     telemetry.add(CounterKey::SessionsCreated, 1);
-                    let response = state.apply(&pending.command);
+                    let response = state.machine.apply(&pending.command);
                     vacant.insert(Session {
                         last_seq: pending.seq,
                         last_response: response.clone(),
                     });
-                    fills.push((pending.cell, Ok(response)));
+                    responses.push(Ok(response));
                     applied += 1;
                 }
                 Entry::Occupied(mut occupied) => {
                     let session = occupied.get_mut();
                     if pending.seq > session.last_seq {
-                        let response = state.apply(&pending.command);
+                        let response = state.machine.apply(&pending.command);
                         session.last_seq = pending.seq;
                         session.last_response = response.clone();
-                        fills.push((pending.cell, Ok(response)));
+                        responses.push(Ok(response));
                         applied += 1;
                     } else if pending.seq == session.last_seq {
                         telemetry.add(CounterKey::DuplicatesServed, 1);
-                        fills.push((pending.cell, Ok(session.last_response.clone())));
+                        responses.push(Ok(session.last_response.clone()));
                     } else {
                         telemetry.add(CounterKey::StaleCommands, 1);
-                        fills.push((
-                            pending.cell,
-                            Err(StoreError::Stale {
-                                last_seq: session.last_seq,
-                            }),
-                        ));
+                        responses.push(Err(StoreError::Stale {
+                            last_seq: session.last_seq,
+                        }));
                     }
                 }
             }
         }
+        state.torn = false;
         drop(sessions);
         drop(state);
         telemetry.on_commands_applied(applied, applied_before + applied);
-        for (cell, result) in fills {
-            cell.fill(result);
+        for (pending, response) in batch.iter().zip(responses) {
+            assert!(pending.cell.fill(response), "a command answered twice");
         }
         applied
+    }
+
+    /// A driver is unwinding — out of a decide or out of
+    /// `StateMachine::apply`: refuse new commands and fail every one no
+    /// applier has taken, queued or announced. Appliers check the flag,
+    /// so none of these is ever applied.
+    fn poison(&self) {
+        let queued: Vec<Pending<S>> = {
+            let mut intake = self.lock_intake();
+            intake.closed = true;
+            self.poisoned.store(true, Ordering::Release);
+            intake.queue.drain(..).collect()
+        };
+        let announced: Vec<_> = self.lock_announced().drain().collect();
+        fail_poisoned(&queued);
+        for (_, batch) in announced {
+            fail_poisoned(&batch);
+        }
     }
 
     /// Lease-gated fast read: checks (or grants) the client's read lease,
@@ -485,27 +425,71 @@ impl<S: StateMachine, M: SharedMemory> StoreInner<S, M> {
             }
         }
         self.telemetry().add(CounterKey::FastReads, 1);
-        let state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-        f(&state)
+        let state = self.lock_state();
+        assert!(
+            !state.torn,
+            "StateMachine::apply panicked mid-batch: the store is poisoned"
+        );
+        f(&state.machine)
     }
 }
 
-/// The batch a sequencer holds from forming it until it wins a slot, as
-/// the sequencer's exit guard. Nothing above a sequencer catches a panic
-/// out of its decide (memory substrate, recorder), so the unwind itself
-/// [`poison`](StoreInner::poison)s the store; every exit, orderly or
-/// not, counts the sequencer out so apply and `shutdown` can finish.
-struct InHand<'a, S: StateMachine, M: SharedMemory> {
-    inner: &'a StoreInner<S, M>,
-    code: Option<u64>,
+impl<S: StateMachine, M: SharedMemory> Driver<S::Response> for StoreInner<S, M> {
+    fn settle(
+        &self,
+        cell: &ResponseCell<S::Response>,
+        deadline: Option<Instant>,
+    ) -> Result<S::Response, StoreError> {
+        let in_time = || deadline.is_none_or(|d| clock::now() < d);
+        let wanted = || cell.get().is_none() && in_time();
+        loop {
+            if let Some(result) = cell.get() {
+                return result;
+            }
+            if !in_time() {
+                return Err(StoreError::Timeout);
+            }
+            if !self.drive(&wanted) {
+                // Nothing queued, or every identity leased: another driver
+                // carries the command, or will as the last one out.
+                return cell.park(deadline).unwrap_or(Err(StoreError::Timeout));
+            }
+        }
+    }
 }
 
-impl<S: StateMachine, M: SharedMemory> Drop for InHand<'_, S, M> {
+/// Armed while a driver holds an identity. Nothing above a driver catches
+/// a panic out of its decide (memory substrate, recorder) or out of
+/// `StateMachine::apply`, so the unwind itself
+/// [`poison`](StoreInner::poison)s the store.
+struct PoisonOnUnwind<'a, S: StateMachine, M: SharedMemory>(&'a StoreInner<S, M>);
+
+impl<S: StateMachine, M: SharedMemory> Drop for PoisonOnUnwind<'_, S, M> {
     fn drop(&mut self) {
         if std::thread::panicking() {
-            self.inner.poison(self.code.take());
+            self.0.poison();
         }
-        self.inner.note_sequencer_exit();
+    }
+}
+
+/// Armed while a batch is applied: an unwind out of `StateMachine::apply`
+/// answers the whole batch `Poisoned`, none of it having been released.
+struct Unanswered<'a, S: StateMachine>(&'a [Pending<S>]);
+
+impl<S: StateMachine> Drop for Unanswered<'_, S> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            fail_poisoned(self.0);
+        }
+    }
+}
+
+/// Answers every command of `batch` with
+/// `StoreError::Ordering(EngineError::Poisoned)`: never applied.
+fn fail_poisoned<S: StateMachine>(batch: &[Pending<S>]) {
+    for pending in batch {
+        let poisoned = Err(StoreError::Ordering(EngineError::Poisoned));
+        pending.cell.fill(poisoned);
     }
 }
 
@@ -514,12 +498,11 @@ impl<S: StateMachine, M: SharedMemory> Drop for InHand<'_, S, M> {
 /// Construct with [`ReplicatedStore::builder`] (the end of the
 /// `ConsensusBuilder → EngineBuilder → StoreBuilder` chain), obtain
 /// sessions with [`client`](ReplicatedStore::client), and see the
-/// [crate docs](crate) for the data path. Dropping the store drains
-/// in-flight commands and joins its worker threads.
+/// [crate docs](crate) for the data path. The store runs no thread of its
+/// own: callers waiting for a response drive it. Dropping the store
+/// drains the commands still queued.
 pub struct ReplicatedStore<S: StateMachine, M: SharedMemory = AtomicMemory> {
     inner: Arc<StoreInner<S, M>>,
-    /// `mc-store-seq-*` and `mc-store-apply`; emptied by `shutdown`.
-    threads: Vec<JoinHandle<()>>,
 }
 
 impl<S: StateMachine + Default> ReplicatedStore<S> {
@@ -530,56 +513,47 @@ impl<S: StateMachine + Default> ReplicatedStore<S> {
 }
 
 impl<S: StateMachine, M: SharedMemory> ReplicatedStore<S, M> {
-    /// Wires the store over an already-built engine and log and starts
-    /// its `sequencers + 1` threads. Called by [`StoreBuilder::build`].
+    /// Wires the store over an already-built engine and log, with every
+    /// proposer identity idle. Called by [`StoreBuilder::build`].
     pub(crate) fn start(
         engine: ConsensusEngine<M>,
         log: ReplicatedLog,
         options: StoreOptions,
         initial: S,
     ) -> ReplicatedStore<S, M> {
-        let sequencer_count = options.sequencers;
         let mut sessions = FastMap::default();
         sessions.reserve(options.expected_sessions);
+        let idle = (0..options.proposers)
+            .map(|pid| Identity {
+                pid,
+                cursor: 0,
+                rng: SmallRng::seed_from_u64(mix_seed(options.seed, pid as u64)),
+            })
+            .collect();
         let inner = Arc::new(StoreInner {
             _amortized: engine.telemetry_handle().amortized(),
             engine,
             log,
-            options,
             intake: Mutex::new(Intake {
                 queue: VecDeque::new(),
                 closed: false,
-                starved: false,
+                idle,
             }),
-            work_cv: Condvar::new(),
-            slab: Mutex::new(Slab::with_capacity(MAX_INFLIGHT_BATCHES)),
-            state: Mutex::new(initial),
+            announced: Mutex::default(),
+            options,
+            frontier: AtomicU64::new(0),
+            apply: Mutex::default(),
+            state: Mutex::new(Applied {
+                machine: initial,
+                torn: false,
+            }),
             sessions: Mutex::new(sessions),
             leases: Mutex::new(FastMap::default()),
             latest_snapshot: Mutex::new(None),
-            frontier: AtomicU64::new(0),
-            apply_mx: Mutex::new(()),
-            apply_cv: Condvar::new(),
-            sequencers_live: AtomicU64::new(sequencer_count as u64),
+            poisoned: AtomicBool::new(false),
             next_client: AtomicU64::new(1),
         });
-        let mut threads: Vec<_> = (0..sequencer_count)
-            .map(|ix| {
-                let inner = Arc::clone(&inner);
-                std::thread::Builder::new()
-                    .name(format!("mc-store-seq-{ix}"))
-                    .spawn(move || inner.run_sequencer(ix))
-                    .expect("spawn sequencer")
-            })
-            .collect();
-        let apply = Arc::clone(&inner);
-        threads.push(
-            std::thread::Builder::new()
-                .name("mc-store-apply".into())
-                .spawn(move || apply.run_apply())
-                .expect("spawn apply worker"),
-        );
-        ReplicatedStore { inner, threads }
+        ReplicatedStore { inner }
     }
 
     /// A fresh client session with a store-unique client id.
@@ -603,40 +577,42 @@ impl<S: StateMachine, M: SharedMemory> ReplicatedStore<S, M> {
     }
 
     /// Raw session-interface submit: enqueues `(client, seq, command)`
-    /// for ordering and returns the response handle. Duplicate
-    /// submissions of the same `(client, seq)` are answered exactly once
-    /// from the session table's cache. Prefer [`StoreClient`] — it stamps
-    /// the sequence numbers.
+    /// for ordering and returns the response handle, whose `wait` drives
+    /// the store. Duplicate submissions of the same `(client, seq)` are
+    /// answered exactly once from the session table's cache. Prefer
+    /// [`StoreClient`] — it stamps the sequence numbers.
     pub fn submit(&self, client: u64, seq: u64, command: S::Command) -> CommandHandle<S::Response> {
         self.inner.submit(client, seq, command)
     }
 
     /// Batch submit under one intake lock — the producer-side
     /// amortization benchmarks use. Handles come back in input order.
+    /// Once the intake holds `batch_commands` commands, the producer
+    /// drives the store itself (unless every identity is leased), so an
+    /// open loop that waits late still sees its commands ordered in
+    /// full batches and the intake stays bounded.
     pub fn submit_batch(
         &self,
         items: impl IntoIterator<Item = (u64, u64, S::Command)>,
     ) -> Vec<CommandHandle<S::Response>> {
-        let mut cells = Vec::new();
+        let store: Arc<dyn Driver<S::Response>> = Arc::clone(&self.inner) as _;
         let mut intake = self.inner.lock_intake();
-        let closed = intake.closed;
-        for (client, seq, command) in items {
-            let cell = Arc::new(ResponseCell::new());
-            cells.push(CommandHandle::new(Arc::clone(&cell)));
-            if closed {
-                cell.fill(Err(StoreError::Shutdown));
-            } else {
-                intake.queue.push_back(Pending {
-                    client,
-                    seq,
-                    command,
-                    cell,
-                });
-            }
-        }
+        let handles = items
+            .into_iter()
+            .map(|(client, seq, command)| {
+                let cell = intake.enqueue(client, seq, command);
+                CommandHandle::new(cell, Arc::clone(&store))
+            })
+            .collect();
+        let full = intake.queue.len() >= self.inner.options.batch_commands;
         drop(intake);
-        self.inner.work_cv.notify_all();
-        cells
+        if full && self.inner.drive(&|| false) {
+            // The batches applied carry every producer's commands, and no
+            // store thread's hand-off interleaves producers on one CPU any
+            // more: yield, so they reap at batch, not time-slice, grain.
+            std::thread::yield_now();
+        }
+        handles
     }
 
     /// Lease-gated fast read: runs `f` against the applied state under
@@ -647,14 +623,19 @@ impl<S: StateMachine, M: SharedMemory> ReplicatedStore<S, M> {
     /// read as a logged command, e.g. [`KvCommand::Get`] — is the
     /// conformance oracle for this fast path.
     ///
+    /// # Panics
+    ///
+    /// Panics if a [`StateMachine::apply`] panicked mid-batch: the store
+    /// is then poisoned, and `f` would see a half-applied batch.
+    ///
     /// [`KvCommand::Get`]: crate::KvCommand::Get
     pub fn read_with<R>(&self, client: u64, f: impl FnOnce(&S) -> R) -> R {
         self.inner.read_with(client, f)
     }
 
-    /// The latest state-machine snapshot the apply worker captured, with
-    /// the number of commands applied when it was taken. `None` before
-    /// the first snapshot cadence elapses.
+    /// The latest state-machine snapshot apply captured, with the number
+    /// of commands applied when it was taken. `None` before the first
+    /// snapshot cadence elapses.
     pub fn latest_snapshot(&self) -> Option<(u64, S::Snapshot)> {
         self.inner
             .latest_snapshot
@@ -680,21 +661,14 @@ impl<S: StateMachine, M: SharedMemory> ReplicatedStore<S, M> {
         self.telemetry().count(CounterKey::CommandsApplied)
     }
 
-    /// Drains in-flight commands and joins the worker threads. Called by
-    /// `Drop`; explicit calls are idempotent. Every handle not yet
-    /// answered resolves: commands already queued are ordered and applied
-    /// first, later ones refused with [`StoreError::Shutdown`].
+    /// Closes the intake and drains it: commands already queued are
+    /// ordered and applied — here, or by callers already driving, which
+    /// keep going while commands wait — and later ones are refused with
+    /// [`StoreError::Shutdown`]. Called by `Drop`; explicit calls are
+    /// idempotent.
     pub fn shutdown(&mut self) {
-        {
-            let mut intake = self.inner.lock_intake();
-            intake.closed = true;
-            self.inner.work_cv.notify_all();
-        }
-        // The last sequencer out wakes the apply worker, which leaves once
-        // the learned prefix is applied.
-        for handle in self.threads.drain(..) {
-            let _ = handle.join();
-        }
+        self.inner.lock_intake().closed = true;
+        self.inner.drive(&|| false);
     }
 }
 
@@ -709,7 +683,7 @@ impl<S: StateMachine, M: SharedMemory> std::fmt::Debug for ReplicatedStore<S, M>
         f.debug_struct("ReplicatedStore")
             .field("learned_slots", &self.learned_slots())
             .field("applied_commands", &self.applied_commands())
-            .field("sequencers", &self.inner.options.sequencers)
+            .field("proposers", &self.inner.options.proposers)
             .field("telemetry", self.telemetry())
             .finish_non_exhaustive()
     }
@@ -738,20 +712,26 @@ impl<S: StateMachine, M: SharedMemory> StoreClient<S, M> {
         self.seq
     }
 
-    /// Submits the next command and blocks for its response.
+    /// Submits the next command and drives the store until its response
+    /// arrives — usually deciding and applying it on this thread.
     ///
     /// # Errors
     ///
     /// As [`CommandHandle::wait`].
     pub fn call(&mut self, command: S::Command) -> Result<S::Response, StoreError> {
-        self.submit(command).wait()
+        self.seq += 1;
+        let cell = self
+            .inner
+            .lock_intake()
+            .enqueue(self.client, self.seq, command);
+        self.inner.settle(&cell, None)
     }
 
     /// Submits the next command (stamping the next sequence number) and
     /// returns without waiting.
     pub fn submit(&mut self, command: S::Command) -> CommandHandle<S::Response> {
         self.seq += 1;
-        self.inner.submit(self.client, self.seq, command)
+        self.resend(self.seq, command)
     }
 
     /// Re-submits a command under an already-used sequence number — the
@@ -793,7 +773,7 @@ mod tests {
     use crate::kv::{KvCommand, KvResponse};
     use mc_runtime::{AtomicRegister, SharedRegister};
     use mc_telemetry::{AggregatingRecorder, Tally};
-    use std::sync::atomic::AtomicBool;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::time::Duration;
 
     /// Every wait in the tests below is bounded by this: a lost wake-up
@@ -812,10 +792,28 @@ mod tests {
 
     fn small_store() -> ReplicatedStore<KvStore> {
         ReplicatedStore::<KvStore>::builder()
-            .sequencers(2)
+            .proposers(2)
             .batch_commands(8)
             .snapshot_every(4)
             .build()
+    }
+
+    /// What the `value`-th put to a key a session owns alone answers.
+    fn put_answer(value: u64) -> Result<KvResponse, StoreError> {
+        Ok(KvResponse::Stored(value.checked_sub(1)))
+    }
+
+    /// Runs `store.shutdown()` on a side thread, so a hang fails the test
+    /// instead of stalling it.
+    fn shutdown_within_patience<S: StateMachine, M: SharedMemory>(
+        mut store: ReplicatedStore<S, M>,
+    ) {
+        let (done, joined) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            store.shutdown();
+            done.send(()).unwrap();
+        });
+        joined.recv_timeout(PATIENCE).expect("shutdown returns");
     }
 
     #[test]
@@ -890,7 +888,7 @@ mod tests {
     #[test]
     fn concurrent_clients_all_get_applied_exactly_once() {
         let mut store = ReplicatedStore::<KvStore>::builder()
-            .sequencers(3)
+            .proposers(3)
             .batch_commands(16)
             .build();
         let clients = 6u64;
@@ -924,49 +922,92 @@ mod tests {
         store.shutdown();
     }
 
-    /// The store deadlock fixed in PR 12: a slot learned before
-    /// `frontier` passed it let a recycled batch code alias the slot's
-    /// stale decision, and the batch was dropped unapplied. A watcher
-    /// samples the invariant (prefix first, then frontier, as `run_apply`
-    /// does) while closed-loop clients drive a few thousand batch-of-1
-    /// slots through three sequencers.
     #[test]
-    fn a_slot_is_learned_only_after_frontier_passes_it() {
-        let mut store = ReplicatedStore::<KvStore>::builder().sequencers(3).build();
-        let inner = &store.inner;
-        let done = AtomicBool::new(false);
-        let (clients, violations) = std::thread::scope(|scope| {
-            let watcher = scope.spawn(|| {
-                let mut violations = 0u64;
-                while !done.load(Ordering::Acquire) {
-                    let prefix = inner.log.learned_prefix() as u64;
-                    violations += u64::from(inner.frontier.load(Ordering::Acquire) < prefix);
-                }
-                violations
-            });
-            let clients: Vec<_> = (0..2u64)
-                .map(|key| {
+    fn the_value_space_is_the_proposer_identities() {
+        for proposers in 1..=4 {
+            let store = ReplicatedStore::<KvStore>::builder()
+                .proposers(proposers)
+                .build();
+            let engine = &store.inner.engine;
+            assert_eq!(engine.options_handle().n, proposers);
+            assert_eq!(engine.participants(), proposers);
+            assert_eq!(store.inner.log.capacity(), proposers.max(2) as u64);
+        }
+    }
+
+    /// The identity invariant, which took over from PR 12's "a slot is
+    /// learned only after `frontier` passes it": consensus decides which
+    /// pid won a slot, and apply takes the batch that pid announced for
+    /// exactly that slot (`apply_prefix` asserts there is one) and
+    /// answers each of its cells once (`apply_batch` asserts it). Three
+    /// identities, two closed-loop clients, 4 000 batch-of-1 calls each:
+    /// every slot carries one command — no slot was spent on a no-op —
+    /// and every announcement is consumed.
+    #[test]
+    fn a_slot_applies_the_batch_its_winner_announced_for_it() {
+        let mut store = ReplicatedStore::<KvStore>::builder()
+            .proposers(3)
+            .batch_commands(1)
+            .build();
+        std::thread::scope(|scope| {
+            for key in 0..2u64 {
+                let mut session = store.client();
+                scope.spawn(move || {
+                    for value in 0..4_000 {
+                        let handle = session.submit(KvCommand::Put { key, value });
+                        assert_eq!(handle.wait_timeout(PATIENCE), put_answer(value));
+                    }
+                });
+            }
+        });
+        assert_eq!(store.applied_commands(), 8_000, "{store:?}");
+        assert_eq!(store.learned_slots(), 8_000, "{store:?}");
+        assert!(store.inner.lock_announced().is_empty());
+        store.shutdown();
+    }
+
+    #[test]
+    fn more_callers_than_identities_all_complete() {
+        for proposers in [1, 2] {
+            let mut store = ReplicatedStore::<KvStore>::builder()
+                .proposers(proposers)
+                .build();
+            std::thread::scope(|scope| {
+                for key in 0..8u64 {
                     let mut session = store.client();
                     scope.spawn(move || {
-                        for value in 0..4_000 {
-                            session
-                                .submit(KvCommand::Put { key, value })
-                                .wait_timeout(Duration::from_secs(10))
-                                .expect("call answered");
+                        for value in 0..2_000 {
+                            let handle = session.submit(KvCommand::Put { key, value });
+                            assert_eq!(handle.wait_timeout(PATIENCE), put_answer(value));
                         }
-                    })
-                })
-                .collect();
-            // Join before judging, so a stalled client cannot leave the
-            // watcher spinning inside the scope.
-            let clients: Vec<_> = clients.into_iter().map(|c| c.join()).collect();
-            done.store(true, Ordering::Release);
-            (clients, watcher.join().expect("watcher"))
+                    });
+                }
+            });
+            assert_eq!(store.applied_commands(), 16_000, "{store:?}");
+            store.shutdown();
+        }
+    }
+
+    #[test]
+    fn fire_and_forget_submits_are_answered_by_shutdown() {
+        let mut store = small_store();
+        let handles = std::thread::scope(|scope| {
+            let mut session = store.client();
+            let submitter = scope.spawn(move || {
+                (0..20)
+                    .map(|value| session.submit(KvCommand::Put { key: 1, value }))
+                    .collect::<Vec<_>>()
+            });
+            submitter.join().unwrap()
         });
-        assert_eq!(violations, 0, "{store:?}");
-        assert!(clients.iter().all(Result::is_ok), "{store:?}");
-        assert_eq!(store.applied_commands(), 8_000);
+        // Nobody waited, so nobody drove: nothing is ordered yet.
+        assert!(handles.iter().all(|handle| handle.poll().is_none()));
+        assert_eq!(store.learned_slots(), 0);
         store.shutdown();
+        for (value, handle) in (0..).zip(&handles) {
+            assert_eq!(handle.poll(), Some(put_answer(value)));
+        }
+        assert_eq!(store.applied_commands(), 20);
     }
 
     #[test]
@@ -987,7 +1028,7 @@ mod tests {
     #[test]
     fn snapshots_ride_compaction_at_the_configured_cadence() {
         let mut store = ReplicatedStore::<KvStore>::builder()
-            .sequencers(1)
+            .proposers(1)
             .batch_commands(1)
             .snapshot_every(2)
             .build();
@@ -1011,24 +1052,19 @@ mod tests {
     fn sustained_calls_keep_a_flat_instance_window() {
         // The count-based form of the flat-memory gate, on the one pool
         // there is: after 10x the warm-up volume of call -> apply ->
-        // `compact_below`, the engine holds no more instances than after
-        // the warm-up, nearly every slot ran on a recycled one, and the
-        // log retains only what apply has not compacted yet.
-        let mut store = ReplicatedStore::<KvStore>::builder().sequencers(2).build();
+        // `compact_below` -> `retire_below`, the engine holds no more
+        // instances than after the warm-up, nearly every slot ran on a
+        // recycled one, and nothing is live or retained between calls.
+        let mut store = ReplicatedStore::<KvStore>::builder().proposers(2).build();
         let mut client = store.client();
         let inner = &store.inner;
         let mut burst = |calls: std::ops::Range<u64>| {
             for value in calls {
                 client.call(KvCommand::Put { key: 1, value }).unwrap();
-                // How far the trailing sequencer lags is the scheduler's
-                // choice and it is the window; pin it, so the count is
-                // about recycling: the slot is retired (both sequencers
-                // submitted) before the next call opens one.
-                eventually("the slot retires", || inner.engine.live_instances() == 0);
-                // Apply answered this call from its slot and compacts
-                // right behind it, so at most that slot is retained.
-                let retained = inner.log.learned_prefix() - inner.log.compacted_below();
-                assert!(retained <= 1, "{retained} slots retained after apply");
+                // A lone caller decides, applies and retires its own slot
+                // before its call returns: no trailing proposer, no pin.
+                assert_eq!(inner.engine.live_instances(), 0);
+                assert_eq!(inner.log.learned_prefix(), inner.log.compacted_below());
             }
             inner.engine.pooled_instances()
         };
@@ -1070,66 +1106,46 @@ mod tests {
         // Two producers pipeline `submit_batch` chunks without waiting,
         // every command from a session of its own: nothing may be lost or
         // double-applied, and each command opens exactly one session.
-        //
-        // The second input is the slab-full path: at one command per batch
-        // and four slabs' worth of commands, with apply held back (this
-        // thread keeps the state mutex it applies under) until the
-        // sequencers have found the slab full, raised `starved`, and gone
-        // quiet. Only the apply worker's gated notify can get them going
-        // again.
-        for (batch_commands, per_producer, fill_slab) in [
-            (64, 2_000u64, false),
-            (1, 2 * MAX_INFLIGHT_BATCHES as u64, true),
-        ] {
-            let mut store = ReplicatedStore::<KvStore>::builder()
-                .batch_commands(batch_commands)
-                .build();
-            std::thread::scope(|scope| {
-                let _held = fill_slab.then(|| store.inner.state.lock().unwrap());
-                for p in 0..2u64 {
-                    let store = &store;
-                    scope.spawn(move || {
-                        let put = |key| (key, 1, KvCommand::Put { key, value: p });
-                        let script: Vec<_> = (1 + p * per_producer..=(p + 1) * per_producer)
-                            .map(put)
-                            .collect();
-                        let handles: Vec<_> = script
-                            .chunks(256)
-                            .flat_map(|chunk| store.submit_batch(chunk.iter().copied()))
-                            .collect();
-                        for handle in handles {
-                            let answer = handle.wait_timeout(PATIENCE);
-                            assert_eq!(answer, Ok(KvResponse::Stored(None)));
-                        }
-                    });
-                }
-                if fill_slab {
-                    eventually("the sequencers park on the full slab", || {
-                        let learned = store.learned_slots();
-                        std::thread::sleep(Duration::from_millis(5));
-                        store.inner.lock_intake().starved && store.learned_slots() == learned
-                    });
-                }
-            });
-            assert_eq!(store.applied_commands(), 2 * per_producer);
-            assert_eq!(
-                store.telemetry().count(CounterKey::SessionsCreated),
-                2 * per_producer
-            );
-            store.shutdown();
-        }
+        let per_producer = 2_000u64;
+        let mut store = ReplicatedStore::<KvStore>::builder()
+            .batch_commands(64)
+            .build();
+        std::thread::scope(|scope| {
+            for p in 0..2u64 {
+                let store = &store;
+                scope.spawn(move || {
+                    let put = |key| (key, 1, KvCommand::Put { key, value: p });
+                    let script: Vec<_> = (1 + p * per_producer..=(p + 1) * per_producer)
+                        .map(put)
+                        .collect();
+                    let handles: Vec<_> = script
+                        .chunks(256)
+                        .flat_map(|chunk| store.submit_batch(chunk.iter().copied()))
+                        .collect();
+                    for handle in handles {
+                        let answer = handle.wait_timeout(PATIENCE);
+                        assert_eq!(answer, Ok(KvResponse::Stored(None)));
+                    }
+                });
+            }
+        });
+        assert_eq!(store.applied_commands(), 2 * per_producer);
+        assert_eq!(
+            store.telemetry().count(CounterKey::SessionsCreated),
+            2 * per_producer
+        );
+        store.shutdown();
     }
 
     #[test]
-    fn idle_burst_idle_cycles_rewake_every_parked_thread() {
-        // Between bursts all four threads park: the apply worker on the
-        // learned prefix, the sequencers on the intake. Each burst must get
-        // one sequencer going (client → sequencer), that one's decisions
-        // the apply worker (the prefix grew) and the two trailing
-        // sequencers (the frontier advanced) — the last shown by every
-        // instance retiring, which takes all three submits.
+    fn idle_burst_idle_cycles_answer_every_burst_and_leave_nothing_live() {
+        // No store thread parks between bursts, so there is nothing to
+        // re-wake: each burst of four is driven by the waits alone (the
+        // first drives its own batch, then, as the last driver out, the
+        // other three), and the instances its slots used are retired
+        // before the waits return.
         let mut store = ReplicatedStore::<KvStore>::builder()
-            .sequencers(3)
+            .proposers(3)
             .batch_commands(1)
             .build();
         let mut sessions: Vec<_> = (0..4).map(|_| store.client()).collect();
@@ -1142,14 +1158,12 @@ mod tests {
                 })
                 .collect();
             for handle in burst {
-                assert!(handle.wait_timeout(PATIENCE).is_ok(), "{store:?}");
+                assert_eq!(handle.wait_timeout(PATIENCE), put_answer(cycle));
             }
-            eventually("the trailing sequencers retire every slot", || {
-                store.inner.engine.live_instances() == 0
-            });
+            assert_eq!(store.applied_commands(), 4 * (cycle + 1));
+            assert_eq!(store.inner.engine.live_instances(), 0, "{store:?}");
             std::thread::sleep(Duration::from_millis(1));
         }
-        assert_eq!(store.applied_commands(), 4 * 40);
         store.shutdown();
     }
 
@@ -1175,34 +1189,42 @@ mod tests {
         store.shutdown();
     }
 
-    /// Plain atomics until the `fuse`-th register read, which panics —
-    /// inside some sequencer's decide.
+    /// Plain atomics that first hand each register read's ordinal to
+    /// `on_read` — which runs inside some driver's decide.
     #[derive(Clone)]
-    struct FusedMemory {
+    struct HookedMemory {
         reads: Arc<AtomicU64>,
-        fuse: u64,
+        on_read: Arc<dyn Fn(u64) + Send + Sync>,
     }
 
-    struct FusedRegister {
+    impl HookedMemory {
+        fn new(on_read: impl Fn(u64) + Send + Sync + 'static) -> HookedMemory {
+            HookedMemory {
+                reads: Arc::new(AtomicU64::new(0)),
+                on_read: Arc::new(on_read),
+            }
+        }
+    }
+
+    struct HookedRegister {
         cell: AtomicRegister,
-        memory: FusedMemory,
+        memory: HookedMemory,
     }
 
-    impl SharedMemory for FusedMemory {
-        type Reg = FusedRegister;
+    impl SharedMemory for HookedMemory {
+        type Reg = HookedRegister;
 
-        fn alloc_in_generation(&self, generation: u64) -> FusedRegister {
-            FusedRegister {
+        fn alloc_in_generation(&self, generation: u64) -> HookedRegister {
+            HookedRegister {
                 cell: AtomicRegister::in_generation(generation),
                 memory: self.clone(),
             }
         }
     }
 
-    impl SharedRegister for FusedRegister {
+    impl SharedRegister for HookedRegister {
         fn read(&self) -> Option<u64> {
-            let read = self.memory.reads.fetch_add(1, Ordering::Relaxed) + 1;
-            assert!(read != self.memory.fuse, "fuse blown at read {read}");
+            (self.memory.on_read)(self.memory.reads.fetch_add(1, Ordering::Relaxed) + 1);
             self.cell.read()
         }
 
@@ -1229,18 +1251,19 @@ mod tests {
     }
 
     #[test]
-    fn a_sequencer_dying_mid_decide_poisons_the_store_instead_of_hanging_it() {
-        let mut store = ReplicatedStore::<KvStore>::builder()
-            .memory(FusedMemory {
-                reads: Arc::new(AtomicU64::new(0)),
-                fuse: 2_000,
-            })
+    fn a_driver_dying_mid_decide_poisons_the_store_instead_of_hanging_it() {
+        let fuse = 2_000;
+        let store = ReplicatedStore::<KvStore>::builder()
+            .memory(HookedMemory::new(move |read| {
+                assert!(read != fuse, "fuse blown at read {read}");
+            }))
             .batch_commands(1)
             .build();
-        // Closed-loop clients call until refused, far past the fuse.
-        // Nothing may time out: whatever the death strands is failed by
-        // the dying sequencer.
-        let refusals: Vec<StoreError> = std::thread::scope(|scope| {
+        // Closed-loop clients call until refused, far past the fuse. The
+        // caller whose decide blows it unwinds out of its own call: the
+        // panic is the memory substrate's, and a driver catches nothing.
+        // Every other call is answered, and nothing times out.
+        let outcomes: Vec<std::thread::Result<StoreError>> = std::thread::scope(|scope| {
             let clients: Vec<_> = (0..3u64)
                 .map(|key| {
                     let mut session = store.client();
@@ -1250,29 +1273,153 @@ mod tests {
                                 let handle = session.submit(KvCommand::Put { key, value });
                                 handle.wait_timeout(PATIENCE).err()
                             })
-                            .expect("the store outlived its sequencer")
+                            .expect("the store outlived its fuse")
                     })
                 })
                 .collect();
-            clients.into_iter().map(|c| c.join().unwrap()).collect()
+            clients.into_iter().map(|c| c.join()).collect()
         });
+        let (died, refused): (Vec<_>, Vec<_>) = outcomes.into_iter().partition(Result::is_err);
+        assert_eq!(died.len(), 1, "{store:?}");
         let poisoned = StoreError::Ordering(EngineError::Poisoned);
-        for refusal in refusals {
+        for refusal in refused.into_iter().map(Result::unwrap) {
             assert!(
                 refusal == poisoned || refusal == StoreError::Shutdown,
                 "{refusal:?}, {store:?}"
             );
         }
-        // Later calls are refused at intake, and the surviving threads are
-        // joinable: shutdown on a side thread so a hang fails, not stalls.
+        // Later calls are refused at intake, and shutdown returns.
         let late = store.client().submit(KvCommand::Get { key: 0 });
         assert_eq!(late.wait_timeout(PATIENCE), Err(StoreError::Shutdown));
-        let (done, joined) = std::sync::mpsc::channel();
-        std::thread::spawn(move || {
+        shutdown_within_patience(store);
+    }
+
+    /// Counts its commands, and panics applying command 13.
+    #[derive(Default)]
+    struct Brittle(u64);
+
+    impl StateMachine for Brittle {
+        type Command = u64;
+        type Response = u64;
+        type Snapshot = u64;
+
+        fn apply(&mut self, command: &u64) -> u64 {
+            assert!(*command != 13, "brittle machine broke on command 13");
+            self.0 += 1;
+            self.0
+        }
+
+        fn snapshot(&self) -> u64 {
+            self.0
+        }
+
+        fn restore(snapshot: &u64) -> Brittle {
+            Brittle(*snapshot)
+        }
+    }
+
+    #[test]
+    fn a_panicking_apply_poisons_the_store_instead_of_stranding_later_calls() {
+        let store = ReplicatedStore::<Brittle>::builder()
+            .batch_commands(4)
+            .build();
+        // Forty commands, each from a session of its own; the third batch
+        // of four holds the one that breaks the machine.
+        let handles: Vec<_> = (1..=40u64).map(|c| store.submit(c, 1, c)).collect();
+        // The first wait drives every batch, as the last driver out, and
+        // unwinds out of the one that panics; every handle is answered.
+        let unwound = handles
+            .iter()
+            .filter(|h| catch_unwind(AssertUnwindSafe(|| h.wait_timeout(PATIENCE))).is_err())
+            .count();
+        assert_eq!(unwound, 1);
+        for (c, handle) in (1..).zip(&handles) {
+            let expected = if c < 13 {
+                Ok(c)
+            } else {
+                Err(StoreError::Ordering(EngineError::Poisoned))
+            };
+            assert_eq!(handle.poll(), Some(expected), "command {c}");
+        }
+        assert_eq!(store.applied_commands(), 12);
+        // The machine is torn: command 13's batch went in partway. Later
+        // submissions are refused, and fast reads refuse to look at it.
+        assert_eq!(
+            store.submit(41, 1, 41).wait_timeout(PATIENCE),
+            Err(StoreError::Shutdown)
+        );
+        assert!(catch_unwind(AssertUnwindSafe(|| store.read_with(0, |m| m.0))).is_err());
+        shutdown_within_patience(store);
+    }
+
+    #[test]
+    fn a_descheduled_driver_pins_one_instance_and_holds_up_nobody() {
+        // The `nap`-th register read after arming parks its reader until
+        // the test releases it: a driver descheduled inside a decide, at
+        // its first read (its proposal not yet binding: it loses) and its
+        // second (binding: it wins while asleep).
+        let mut won_asleep = Vec::new();
+        for nap in 1..=2 {
+            let countdown = Arc::new(AtomicU64::new(0));
+            let napping = Arc::new(AtomicBool::new(false));
+            let memory = {
+                let (countdown, napping) = (Arc::clone(&countdown), Arc::clone(&napping));
+                HookedMemory::new(move |_| {
+                    let due = countdown
+                        .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |c| c.checked_sub(1));
+                    if due == Ok(1) {
+                        napping.store(true, Ordering::SeqCst);
+                        let deadline = clock::deadline_within(PATIENCE);
+                        while napping.load(Ordering::SeqCst) && clock::now() < deadline {
+                            std::thread::sleep(Duration::from_millis(1));
+                        }
+                    }
+                })
+            };
+            let mut store = ReplicatedStore::<KvStore>::builder()
+                .memory(memory)
+                .proposers(2)
+                .batch_commands(1)
+                .build();
+            let (mut sleeper, mut other) = (store.client(), store.client());
+            for value in 0..10 {
+                sleeper.call(KvCommand::Put { key: 1, value }).unwrap();
+                other.call(KvCommand::Put { key: 2, value }).unwrap();
+            }
+            countdown.store(nap, Ordering::SeqCst);
+            std::thread::scope(|scope| {
+                let asleep = scope.spawn(|| sleeper.call(KvCommand::Put { key: 1, value: 10 }));
+                eventually("the driver naps", || napping.load(Ordering::SeqCst));
+                // The other caller keeps completing, deciding the sleeper's
+                // slot without it (wait-freedom) and every slot after it.
+                for value in 10..60 {
+                    let handle = other.submit(KvCommand::Put { key: 2, value });
+                    assert_eq!(handle.wait_timeout(PATIENCE), put_answer(value));
+                }
+                let inner = &store.inner;
+                assert!(napping.load(Ordering::SeqCst), "nap {nap} ended early");
+                // Everything learned is applied; the sleeper pins only the
+                // instance it is inside, everything else retired.
+                assert_eq!(
+                    inner.apply.lock().unwrap().slots,
+                    inner.log.learned_prefix() as u64
+                );
+                assert_eq!(inner.engine.live_instances(), 1, "nap {nap}");
+                // The sleeper's batch was applied by the other caller iff it
+                // won its slot: then its announcement is gone and its put
+                // visible; otherwise it waits to be re-proposed.
+                let announced = inner.lock_announced().len();
+                let visible = store.read_with(0, |kv| kv.get(1)) == Some(10);
+                assert_eq!(announced == 0, visible, "nap {nap}");
+                won_asleep.push(visible);
+                napping.store(false, Ordering::SeqCst);
+                assert_eq!(asleep.join().unwrap(), put_answer(10));
+            });
+            assert_eq!(store.inner.engine.live_instances(), 0, "nap {nap}");
+            assert_eq!(store.applied_commands(), 71);
             store.shutdown();
-            done.send(()).unwrap();
-        });
-        joined.recv_timeout(PATIENCE).expect("shutdown joins");
+        }
+        assert_eq!(won_asleep, [false, true], "both branches exercised");
     }
 
     #[test]

@@ -2,11 +2,13 @@
 //! motivates, on the library's [`ReplicatedStore`].
 //!
 //! Four client threads each hold a local stream of commands, and every
-//! replica must apply the *same* commands in the *same* order. The store's
-//! sequencers decide one consensus instance per log slot; the machine
-//! below is the log itself — `apply` appends, and a command's response is
-//! the position it landed at. A command is named by its session, not its
-//! value, so identical commands from different clients each get a position.
+//! replica must apply the *same* commands in the *same* order. Each call
+//! drives the store itself: it leases one of the store's two proposer
+//! identities and decides which identity's batch fills the next log slot,
+//! one consensus instance per slot. The machine below is the log itself —
+//! `apply` appends, and a command's response is the position it landed
+//! at. A command is named by its session, not its value, so identical
+//! commands from different clients each get a position.
 //!
 //! Run with: `cargo run --release --example replicated_log`
 
@@ -55,7 +57,7 @@ impl StateMachine for Machine {
 fn main() {
     let clients = 4u8;
     let commands_per_client = 4u8;
-    let mut store = ReplicatedStore::<Machine>::builder().sequencers(2).build();
+    let mut store = ReplicatedStore::<Machine>::builder().proposers(2).build();
 
     // Each client submits its local commands; placement is decided by
     // consensus, one instance per slot. Everyone opens with the same

@@ -35,12 +35,15 @@ cargo test --workspace
 
 echo "== store on one CPU (5x) =="
 # One pinned CPU is where the store's PR 12 deadlock reproduced and where a
-# wrongly gated notify would: every hand-off becomes a context switch and
-# a lost wake-up has no second core to paper over it.
+# missed release-then-recheck would show: callers drive the store, a
+# descheduled driver holds what it holds until it runs again, and a lost
+# wake-up has no second core to paper over it. The sequential oracle
+# (check_store_conformance) runs pinned too.
 if command -v taskset > /dev/null; then
     for round in 1 2 3 4 5; do
         taskset -c 0 cargo test --release -p mc-store
         taskset -c 0 cargo test --release --test store_properties
+        taskset -c 0 cargo test --release -p mc-lab store_conforms
     done
 else
     echo "taskset not found: skipping the one-CPU store leg"

@@ -12,7 +12,7 @@ use modular_consensus::store::{
 use proptest::prelude::*;
 
 /// Bounded wait for a store response: a stalled store fails the property
-/// with its `Debug` view (learned slots, applied commands, sequencers)
+/// with its `Debug` view (learned slots, applied commands, proposers)
 /// instead of hanging tier-1.
 fn settle<S: StateMachine>(
     store: &ReplicatedStore<S>,
@@ -59,11 +59,11 @@ proptest! {
     fn duplicated_reordered_retries_equal_deduplicated_sequential_history(
         clients in 1u64..4,
         script in prop::collection::vec((0u8..4, 0u64..6, 0u64..50, 0u8..3, 0u8..3), 1..28),
-        sequencers in 1usize..4,
+        proposers in 1usize..4,
         rotate in any::<u64>(),
     ) {
         let mut store = ReplicatedStore::<KvStore>::builder()
-            .sequencers(sequencers)
+            .proposers(proposers)
             .batch_commands(4)
             .snapshot_every(8)
             .build();
@@ -149,7 +149,7 @@ proptest! {
         prop_assert_eq!(restored.snapshot(), snapshot.clone());
 
         let mut store = ReplicatedStore::<KvStore>::builder()
-            .sequencers(2)
+            .proposers(2)
             .restore_from(&snapshot)
             .build();
         let mut session = store.client();
@@ -200,7 +200,7 @@ impl StateMachine for AppendLog {
 fn concurrent_appends_each_get_a_position_of_their_own() {
     for seed in 0..10 {
         let mut store = ReplicatedStore::<AppendLog>::builder()
-            .sequencers(2)
+            .proposers(2)
             .batch_commands(4)
             .seed(seed)
             .build();
