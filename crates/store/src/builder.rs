@@ -133,6 +133,14 @@ impl<S: StateMachine, M: SharedMemory> StoreBuilder<S, M> {
         self
     }
 
+    /// Base seed of the proposer identities' coin streams: identity `pid`
+    /// decides on `mix_seed(seed, pid)`. Nothing else in the store or the
+    /// engine beneath reads it. Default `0x5EED`.
+    pub fn seed(mut self, seed: u64) -> Self {
+        self.options.seed = seed;
+        self
+    }
+
     // ---- engine/consensus passthroughs -------------------------------
 
     /// Conciliator powering each slot's consensus; see
@@ -160,12 +168,6 @@ impl<S: StateMachine, M: SharedMemory> StoreBuilder<S, M> {
     /// Engine shard count; see [`EngineBuilder::shards`].
     pub fn shards(mut self, shards: usize) -> Self {
         self.engine = self.engine.shards(shards);
-        self
-    }
-
-    /// Seed for the stack's deterministic randomness.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.options.seed = seed;
         self
     }
 

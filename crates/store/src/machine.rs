@@ -19,8 +19,9 @@ pub trait StateMachine: Send + 'static {
     /// One operation on the machine. Cloned into retries and batches.
     type Command: Clone + Send + 'static;
     /// What one command returns. Cached per session for duplicate
-    /// suppression, so it must be cloneable.
-    type Response: Clone + Send + 'static;
+    /// suppression, so it must be cloneable; shared through a response
+    /// block that any thread may read, so it must be `Sync`.
+    type Response: Clone + Send + Sync + 'static;
     /// A frozen copy of the whole state.
     type Snapshot: Clone + Send + 'static;
 

@@ -11,10 +11,10 @@
 //! [`retire_below`](ConsensusEngine::retire_below). Consensus agrees on
 //! *who* won a slot, so the value space is `max(proposers, 2)` and no slot
 //! is spent on a no-op. With no store thread, a caller that finds every
-//! identity leased parks on its cell, and two release-then-recheck rules
-//! keep that live: the last driver out keeps draining the intake, and
-//! whoever drops the apply cursor re-reads the learned prefix. DESIGN.md
-//! §12 has the argument.
+//! identity leased parks on its response block, and two
+//! release-then-recheck rules keep that live: the last driver out keeps
+//! draining the intake, and whoever drops the apply cursor re-reads the
+//! learned prefix. DESIGN.md §12 has the argument.
 
 use std::collections::hash_map::Entry;
 use std::collections::VecDeque;
@@ -32,20 +32,19 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 use crate::builder::{StoreBuilder, StoreOptions};
-use crate::cell::{CommandHandle, Driver, ResponseCell};
+use crate::cell::{CommandHandle, Driver, ResponseBlock};
 use crate::error::StoreError;
 use crate::hash::FastMap;
 use crate::kv::KvStore;
 use crate::machine::StateMachine;
-
-type Cell<S> = Arc<ResponseCell<<S as StateMachine>::Response>>;
 
 /// One submitted command waiting to be ordered and applied.
 struct Pending<S: StateMachine> {
     client: u64,
     seq: u64,
     command: S::Command,
-    cell: Cell<S>,
+    /// The response slot its submitter's handle names.
+    reply: CommandHandle<S::Response>,
 }
 
 /// One of the `proposers` identities a driver leases: pid `pid` proposes
@@ -72,21 +71,25 @@ struct Intake<S: StateMachine> {
 }
 
 impl<S: StateMachine> Intake<S> {
-    /// Queues one command, returning its response cell. A closed intake
+    /// Queues one command, to be answered through `reply`. A closed intake
     /// answers [`StoreError::Shutdown`] immediately.
-    fn enqueue(&mut self, client: u64, seq: u64, command: S::Command) -> Cell<S> {
-        let cell = Arc::new(ResponseCell::new());
+    fn enqueue(
+        &mut self,
+        client: u64,
+        seq: u64,
+        command: S::Command,
+        reply: CommandHandle<S::Response>,
+    ) {
         if self.closed {
-            cell.fill(Err(StoreError::Shutdown));
+            reply.fill(Err(StoreError::Shutdown));
         } else {
             self.queue.push_back(Pending {
                 client,
                 seq,
                 command,
-                cell: Arc::clone(&cell),
+                reply,
             });
         }
-        cell
     }
 }
 
@@ -167,18 +170,24 @@ impl<S: StateMachine, M: SharedMemory> StoreInner<S, M> {
     }
 
     fn poisoned(&self) -> bool {
+        // Acquire, paired with `poison`'s Release: a reader that sees the
+        // flag sees the intake closed. Where the flag decides anything
+        // (drafting, the missing-batch assert) a mutex orders it anyway,
+        // so a stale read elsewhere only delays a return.
         self.poisoned.load(Ordering::Acquire)
     }
 
-    /// [`Intake::enqueue`] behind a handle whose `wait` drives.
+    /// [`Intake::enqueue`] behind a one-slot block whose handle drives.
     fn submit(
         self: &Arc<Self>,
         client: u64,
         seq: u64,
         command: S::Command,
     ) -> CommandHandle<S::Response> {
-        let cell = self.lock_intake().enqueue(client, seq, command);
-        CommandHandle::new(cell, Arc::clone(self) as _)
+        let block = ResponseBlock::new(1, Arc::clone(self) as _);
+        let reply = CommandHandle::new(Arc::clone(&block), 0);
+        self.lock_intake().enqueue(client, seq, command, reply);
+        CommandHandle::new(block, 0)
     }
 
     /// Leases an idle identity and drives with it: drafts up to
@@ -221,6 +230,9 @@ impl<S: StateMachine, M: SharedMemory> StoreInner<S, M> {
     }
 
     fn next_slot(&self, identity: &Identity) -> u64 {
+        // Acquire, paired with `propose`'s raise. Only the value matters:
+        // a stale frontier costs a lost or `Retired` proposal, which
+        // `propose` handles.
         identity.cursor.max(self.frontier.load(Ordering::Acquire))
     }
 
@@ -235,6 +247,9 @@ impl<S: StateMachine, M: SharedMemory> StoreInner<S, M> {
                 Ok(decided) => {
                     // Frontier first, learn second: `frontier` then never
                     // trails the learned prefix, which bounds the floor.
+                    // AcqRel is more than that needs: the learn's log
+                    // lock already publishes the raise to every reader
+                    // of the prefix, and the frontier is only a hint.
                     self.frontier.fetch_max(slot + 1, Ordering::AcqRel);
                     self.log.learn_decided(slot as usize, decided);
                     self.apply_learned();
@@ -379,7 +394,7 @@ impl<S: StateMachine, M: SharedMemory> StoreInner<S, M> {
         drop(state);
         telemetry.on_commands_applied(applied, applied_before + applied);
         for (pending, response) in batch.iter().zip(responses) {
-            assert!(pending.cell.fill(response), "a command answered twice");
+            assert!(pending.reply.fill(response), "a command answered twice");
         }
         applied
     }
@@ -392,6 +407,8 @@ impl<S: StateMachine, M: SharedMemory> StoreInner<S, M> {
         let queued: Vec<Pending<S>> = {
             let mut intake = self.lock_intake();
             intake.closed = true;
+            // Release, paired with `poisoned()`: publishes the closed
+            // intake to readers outside this mutex.
             self.poisoned.store(true, Ordering::Release);
             intake.queue.drain(..).collect()
         };
@@ -437,13 +454,13 @@ impl<S: StateMachine, M: SharedMemory> StoreInner<S, M> {
 impl<S: StateMachine, M: SharedMemory> Driver<S::Response> for StoreInner<S, M> {
     fn settle(
         &self,
-        cell: &ResponseCell<S::Response>,
+        handle: &CommandHandle<S::Response>,
         deadline: Option<Instant>,
     ) -> Result<S::Response, StoreError> {
         let in_time = || deadline.is_none_or(|d| clock::now() < d);
-        let wanted = || cell.get().is_none() && in_time();
+        let wanted = || handle.poll().is_none() && in_time();
         loop {
-            if let Some(result) = cell.get() {
+            if let Some(result) = handle.poll() {
                 return result;
             }
             if !in_time() {
@@ -452,7 +469,7 @@ impl<S: StateMachine, M: SharedMemory> Driver<S::Response> for StoreInner<S, M> 
             if !self.drive(&wanted) {
                 // Nothing queued, or every identity leased: another driver
                 // carries the command, or will as the last one out.
-                return cell.park(deadline).unwrap_or(Err(StoreError::Timeout));
+                return handle.park(deadline).unwrap_or(Err(StoreError::Timeout));
             }
         }
     }
@@ -489,7 +506,7 @@ impl<S: StateMachine> Drop for Unanswered<'_, S> {
 fn fail_poisoned<S: StateMachine>(batch: &[Pending<S>]) {
     for pending in batch {
         let poisoned = Err(StoreError::Ordering(EngineError::Poisoned));
-        pending.cell.fill(poisoned);
+        pending.reply.fill(poisoned);
     }
 }
 
@@ -558,6 +575,8 @@ impl<S: StateMachine, M: SharedMemory> ReplicatedStore<S, M> {
 
     /// A fresh client session with a store-unique client id.
     pub fn client(&self) -> StoreClient<S, M> {
+        // Relaxed: the RMW alone makes ids unique, and an id publishes
+        // nothing.
         let id = self.inner.next_client.fetch_add(1, Ordering::Relaxed);
         self.client_with_id(id)
     }
@@ -586,7 +605,9 @@ impl<S: StateMachine, M: SharedMemory> ReplicatedStore<S, M> {
     }
 
     /// Batch submit under one intake lock — the producer-side
-    /// amortization benchmarks use. Handles come back in input order.
+    /// amortization benchmarks use. Handles come back in input order and
+    /// share one response block: one allocation and one store reference
+    /// for the whole batch, however many commands it holds.
     /// Once the intake holds `batch_commands` commands, the producer
     /// drives the store itself (unless every identity is leased), so an
     /// open loop that waits late still sees its commands ordered in
@@ -595,15 +616,20 @@ impl<S: StateMachine, M: SharedMemory> ReplicatedStore<S, M> {
         &self,
         items: impl IntoIterator<Item = (u64, u64, S::Command)>,
     ) -> Vec<CommandHandle<S::Response>> {
-        let store: Arc<dyn Driver<S::Response>> = Arc::clone(&self.inner) as _;
+        let items = items.into_iter();
+        // Counted first, since the block is sized to the batch. The upper
+        // size hint, where there is one (a `take` has one), makes that
+        // one allocation.
+        let mut commands = Vec::new();
+        let _ = commands.try_reserve_exact(items.size_hint().1.unwrap_or(0));
+        commands.extend(items);
+        let len = commands.len();
+        let block = ResponseBlock::new(len, Arc::clone(&self.inner) as _);
         let mut intake = self.inner.lock_intake();
-        let handles = items
-            .into_iter()
-            .map(|(client, seq, command)| {
-                let cell = intake.enqueue(client, seq, command);
-                CommandHandle::new(cell, Arc::clone(&store))
-            })
-            .collect();
+        for (index, (client, seq, command)) in commands.into_iter().enumerate() {
+            let reply = CommandHandle::new(Arc::clone(&block), index);
+            intake.enqueue(client, seq, command, reply);
+        }
         let full = intake.queue.len() >= self.inner.options.batch_commands;
         drop(intake);
         if full && self.inner.drive(&|| false) {
@@ -612,7 +638,9 @@ impl<S: StateMachine, M: SharedMemory> ReplicatedStore<S, M> {
             // more: yield, so they reap at batch, not time-slice, grain.
             std::thread::yield_now();
         }
-        handles
+        (0..len)
+            .map(|index| CommandHandle::new(Arc::clone(&block), index))
+            .collect()
     }
 
     /// Lease-gated fast read: runs `f` against the applied state under
@@ -720,11 +748,8 @@ impl<S: StateMachine, M: SharedMemory> StoreClient<S, M> {
     /// As [`CommandHandle::wait`].
     pub fn call(&mut self, command: S::Command) -> Result<S::Response, StoreError> {
         self.seq += 1;
-        let cell = self
-            .inner
-            .lock_intake()
-            .enqueue(self.client, self.seq, command);
-        self.inner.settle(&cell, None)
+        let reply = self.inner.submit(self.client, self.seq, command);
+        self.inner.settle(&reply, None)
     }
 
     /// Submits the next command (stamping the next sequence number) and
@@ -939,7 +964,7 @@ mod tests {
     /// learned only after `frontier` passes it": consensus decides which
     /// pid won a slot, and apply takes the batch that pid announced for
     /// exactly that slot (`apply_prefix` asserts there is one) and
-    /// answers each of its cells once (`apply_batch` asserts it). Three
+    /// answers each of its commands once (`apply_batch` asserts it). Three
     /// identities, two closed-loop clients, 4 000 batch-of-1 calls each:
     /// every slot carries one command — no slot was spent on a no-op —
     /// and every announcement is consumed.
@@ -1350,6 +1375,49 @@ mod tests {
         );
         assert!(catch_unwind(AssertUnwindSafe(|| store.read_with(0, |m| m.0))).is_err());
         shutdown_within_patience(store);
+    }
+
+    /// A response block holds the store, and the store's intake and
+    /// announced map hold blocks: that cycle must be broken by the time
+    /// the store and every handle are gone — after normal use, with
+    /// fire-and-forget handles that `shutdown` answers, and after a
+    /// poisoned run.
+    #[test]
+    fn no_reference_cycle_outlives_the_store_and_its_handles() {
+        let store = small_store();
+        let inner = Arc::downgrade(&store.inner);
+        let mut client = store.client();
+        client.call(KvCommand::Put { key: 1, value: 1 }).unwrap();
+        let submitted = client.submit(KvCommand::Get { key: 1 });
+        let batch = store.submit_batch((2..40u64).map(|c| (c, 1, KvCommand::Get { key: c })));
+        for handle in batch.iter().chain([&submitted]) {
+            assert!(handle.wait_timeout(PATIENCE).is_ok());
+        }
+        drop((store, client, submitted, batch));
+        assert!(inner.upgrade().is_none(), "after normal use");
+
+        let store = small_store();
+        let inner = Arc::downgrade(&store.inner);
+        let mut client = store.client();
+        let unwaited: Vec<_> = (0..20)
+            .map(|value| client.submit(KvCommand::Put { key: 1, value }))
+            .collect();
+        drop((store, client));
+        assert!(unwaited.iter().all(|handle| handle.poll().is_some()));
+        assert!(inner.upgrade().is_some(), "a handle keeps its store");
+        drop(unwaited);
+        assert!(inner.upgrade().is_none(), "after shutdown answered");
+
+        let store = ReplicatedStore::<Brittle>::builder()
+            .batch_commands(4)
+            .build();
+        let inner = Arc::downgrade(&store.inner);
+        let handles: Vec<_> = (1..=40u64).map(|c| store.submit(c, 1, c)).collect();
+        let first = catch_unwind(AssertUnwindSafe(|| handles[0].wait_timeout(PATIENCE)));
+        assert!(first.is_err(), "the first wait drives into command 13");
+        assert!(handles.iter().all(|handle| handle.poll().is_some()));
+        drop((store, handles));
+        assert!(inner.upgrade().is_none(), "after a poisoned run");
     }
 
     #[test]

@@ -1,0 +1,91 @@
+//! The response block's claim, counted rather than asserted in prose: a
+//! `submit_batch` allocates per submission, not per command. A counting
+//! global allocator watches the one thread that submits, drives and
+//! waits (the store starts no thread of its own).
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use mc_store::{KvCommand, KvResponse, KvStore, ReplicatedStore};
+
+thread_local! {
+    /// Allocations made by this thread (`realloc` and `alloc_zeroed`
+    /// default to `alloc`, so they count too).
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+struct Counting;
+
+// SAFETY: every request is passed to `System` unchanged; the only addition
+// is a bump of a thread-local `Cell<u64>`, which has no destructor and a
+// const initialiser, so touching it never allocates or re-enters.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System.alloc` above with this `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+const LARGEST: u64 = 1024;
+
+/// Allocations made by one `submit_batch` of `len` puts — sessions
+/// `1..=len`, each at sequence number `round` on its own key — with every
+/// handle waited on and dropped.
+fn allocations_of_a_batch(store: &ReplicatedStore<KvStore>, len: u64, round: u64) -> u64 {
+    let before = ALLOCATIONS.with(Cell::get);
+    let handles = store.submit_batch((1..=len).map(|client| {
+        let put = KvCommand::Put {
+            key: client,
+            value: round,
+        };
+        (client, round, put)
+    }));
+    for handle in &handles {
+        let answer = handle.wait();
+        assert!(matches!(answer, Ok(KvResponse::Stored(_))), "{answer:?}");
+    }
+    drop(handles);
+    ALLOCATIONS.with(Cell::get) - before
+}
+
+#[test]
+fn a_batch_allocates_per_submission_not_per_command() {
+    // One slot per submission (a batch fits in `batch_commands`), and no
+    // snapshot to take.
+    let mut store = ReplicatedStore::<KvStore>::builder()
+        .batch_commands(LARGEST as usize)
+        .snapshot_every(0)
+        .build();
+    // Warm-up: every session, key and table the measured rounds touch
+    // exists and has reached its size, the engine's conciliator-statistics
+    // window (one entry per decide, 256 at most) included.
+    allocations_of_a_batch(&store, LARGEST, 1);
+    for round in 2..=300 {
+        allocations_of_a_batch(&store, 1, round);
+    }
+    allocations_of_a_batch(&store, LARGEST, 301);
+    let counts: Vec<u64> = (302..308)
+        .map(|round| {
+            let len = if round % 2 == 0 { LARGEST } else { LARGEST / 4 };
+            allocations_of_a_batch(&store, len, round)
+        })
+        .collect();
+    assert!(
+        counts.iter().all(|&count| count == counts[0]),
+        "1024 vs 256 commands alternately: {counts:?}"
+    );
+    // Six are the submission's (the counted commands, the block and its
+    // slots, the handles, the drafted batch, its responses); the rest are
+    // the engine's, one slot's decide.
+    assert!(counts[0] <= 12, "{counts:?} allocations per submission");
+    store.shutdown();
+}
