@@ -28,6 +28,14 @@ pub fn subset_of_rank(k: u64, t: u64, rank: u64) -> Vec<u64> {
         "rank {rank} out of range for C({k}, {t})"
     );
     let mut subset = Vec::with_capacity(t as usize);
+    peel_subset_of_rank(k, t, rank, |c| subset.push(c));
+    subset.reverse();
+    subset
+}
+
+/// The elements of the `rank`-th `t`-subset of `{0, …, k−1}` in colex
+/// order, largest first, without allocating. Bounds are the caller's.
+pub(crate) fn peel_subset_of_rank(k: u64, t: u64, rank: u64, mut element: impl FnMut(u64)) {
     let mut remaining = rank;
     let mut size = t;
     // Greedily peel off the largest element: the biggest c with
@@ -39,12 +47,10 @@ pub fn subset_of_rank(k: u64, t: u64, rank: u64) -> Vec<u64> {
         while binomial(c, size) > remaining {
             c -= 1;
         }
-        subset.push(c);
+        element(c);
         remaining -= binomial(c, size);
         size -= 1;
     }
-    subset.reverse();
-    subset
 }
 
 /// Returns the colexicographic rank of a sorted `t`-subset of `{0, …, k−1}`.

@@ -4,7 +4,7 @@ use std::error::Error;
 use std::fmt;
 
 use crate::binomial::{central_binomial, optimal_pool_size};
-use crate::ranking::subset_of_rank;
+use crate::ranking::peel_subset_of_rank;
 
 /// Error constructing a quorum scheme.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -64,6 +64,31 @@ pub trait QuorumScheme: Send + Sync {
     ///
     /// Panics if `v ≥ capacity()`.
     fn read_quorum(&self, v: u64) -> Vec<u64>;
+
+    /// Calls `register` on each register of `W_v`, in
+    /// [`write_quorum`](QuorumScheme::write_quorum) order. The paper's
+    /// schemes walk their quorums without allocating; the default collects
+    /// `write_quorum(v)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v ≥ capacity()`.
+    fn for_each_write(&self, v: u64, register: &mut dyn FnMut(u64)) {
+        self.write_quorum(v).into_iter().for_each(register);
+    }
+
+    /// Whether `hit` holds for some register of `R_v`, visited in
+    /// [`read_quorum`](QuorumScheme::read_quorum) order and stopping at the
+    /// first hit — a ratifier's scan, which reads no register past its
+    /// first conflict. Allocation-free in the paper's schemes; the default
+    /// collects `read_quorum(v)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v ≥ capacity()`.
+    fn any_read(&self, v: u64, hit: &mut dyn FnMut(u64) -> bool) -> bool {
+        self.read_quorum(v).into_iter().any(hit)
+    }
 
     /// Worst-case operations a ratifier built on this scheme performs:
     /// `|W_v| + |R_v|` plus one proposal read and at most one proposal
@@ -169,6 +194,16 @@ impl QuorumScheme for BinaryScheme {
         vec![1 - v]
     }
 
+    fn for_each_write(&self, v: u64, register: &mut dyn FnMut(u64)) {
+        assert_in_range(v, 2);
+        register(v);
+    }
+
+    fn any_read(&self, v: u64, hit: &mut dyn FnMut(u64) -> bool) -> bool {
+        assert_in_range(v, 2);
+        hit(1 - v)
+    }
+
     fn name(&self) -> String {
         "binary".to_string()
     }
@@ -180,6 +215,10 @@ impl QuorumScheme for BinaryScheme {
 ///
 /// `k = ⌈lg m⌉ + Θ(log log m)`, which Bollobás's theorem (Theorem 9) shows
 /// is the best possible for any scheme with `|W| + |R| = k`.
+///
+/// Any `u64` capacity needs `k ≤ 68` ([`BinomialScheme::MAX_POOL`]), so a
+/// value's write quorum is a bit mask on the stack and both quorum walks
+/// allocate nothing.
 #[derive(Debug, Clone, Copy)]
 pub struct BinomialScheme {
     k: u64,
@@ -188,6 +227,11 @@ pub struct BinomialScheme {
 }
 
 impl BinomialScheme {
+    /// The largest pool: `C(67, 33) < u64::MAX ≤ C(68, 34)`, so no `u64`
+    /// capacity needs more registers, and the binomials a rank is peeled
+    /// by, `C(c, t)` for `c < 68`, all fit a `u64`.
+    pub const MAX_POOL: u64 = 68;
+
     /// Creates the smallest binomial scheme supporting at least `m` values.
     ///
     /// # Errors
@@ -205,20 +249,39 @@ impl BinomialScheme {
         })
     }
 
-    /// Creates the scheme with an explicit pool size `k ≥ 2`, supporting
-    /// `C(k, ⌊k/2⌋)` values.
+    /// Creates the scheme with an explicit pool size
+    /// `2 ≤ k ≤ MAX_POOL`, supporting `C(k, ⌊k/2⌋)` values.
     ///
     /// # Panics
     ///
-    /// Panics if `k < 2`.
+    /// Panics if `k < 2` or `k > MAX_POOL`.
     pub fn with_pool(k: u64) -> BinomialScheme {
         assert!(k >= 2, "pool must have at least 2 registers");
+        assert!(
+            k <= BinomialScheme::MAX_POOL,
+            "pool of {k} registers exceeds {}, the most a u64 capacity needs",
+            BinomialScheme::MAX_POOL
+        );
         BinomialScheme {
             k,
             t: k / 2,
             capacity: central_binomial(k),
         }
     }
+
+    /// `W_v` as a mask over the pool: bit `e` is set iff register `e` is in
+    /// the `v`-th `⌊k/2⌋`-subset in colex order.
+    fn write_mask(&self, v: u64) -> u128 {
+        assert_in_range(v, self.capacity);
+        let mut mask = 0u128;
+        peel_subset_of_rank(self.k, self.t, v, |e| mask |= 1 << e);
+        mask
+    }
+}
+
+/// The pool registers `0..k` whose bit in `mask` equals `member`, ascending.
+fn registers_of(mask: u128, member: bool, k: u64) -> impl Iterator<Item = u64> {
+    (0..k).filter(move |&e| (mask >> e) & 1 == u128::from(member))
 }
 
 impl QuorumScheme for BinomialScheme {
@@ -231,18 +294,19 @@ impl QuorumScheme for BinomialScheme {
     }
 
     fn write_quorum(&self, v: u64) -> Vec<u64> {
-        assert_in_range(v, self.capacity);
-        subset_of_rank(self.k, self.t, v)
+        registers_of(self.write_mask(v), true, self.k).collect()
     }
 
     fn read_quorum(&self, v: u64) -> Vec<u64> {
-        assert_in_range(v, self.capacity);
-        let w = subset_of_rank(self.k, self.t, v);
-        let mut in_w = vec![false; self.k as usize];
-        for &e in &w {
-            in_w[e as usize] = true;
-        }
-        (0..self.k).filter(|&e| !in_w[e as usize]).collect()
+        registers_of(self.write_mask(v), false, self.k).collect()
+    }
+
+    fn for_each_write(&self, v: u64, register: &mut dyn FnMut(u64)) {
+        registers_of(self.write_mask(v), true, self.k).for_each(register);
+    }
+
+    fn any_read(&self, v: u64, hit: &mut dyn FnMut(u64) -> bool) -> bool {
+        registers_of(self.write_mask(v), false, self.k).any(hit)
     }
 
     fn name(&self) -> String {
@@ -293,6 +357,13 @@ impl BitVectorScheme {
     fn slot(i: u32, j: u64) -> u64 {
         2 * i as u64 + j
     }
+
+    /// `W_v` (`flip` 0) or `R_v` (`flip` 1): per bit position, the register
+    /// of `v`'s bit there, XOR `flip`.
+    fn quorum(&self, v: u64, flip: u64) -> impl Iterator<Item = u64> {
+        assert_in_range(v, self.capacity());
+        (0..self.bits).map(move |i| Self::slot(i, ((v >> i) & 1) ^ flip))
+    }
 }
 
 impl QuorumScheme for BitVectorScheme {
@@ -305,17 +376,19 @@ impl QuorumScheme for BitVectorScheme {
     }
 
     fn write_quorum(&self, v: u64) -> Vec<u64> {
-        assert_in_range(v, self.capacity());
-        (0..self.bits)
-            .map(|i| Self::slot(i, (v >> i) & 1))
-            .collect()
+        self.quorum(v, 0).collect()
     }
 
     fn read_quorum(&self, v: u64) -> Vec<u64> {
-        assert_in_range(v, self.capacity());
-        (0..self.bits)
-            .map(|i| Self::slot(i, 1 - ((v >> i) & 1)))
-            .collect()
+        self.quorum(v, 1).collect()
+    }
+
+    fn for_each_write(&self, v: u64, register: &mut dyn FnMut(u64)) {
+        self.quorum(v, 0).for_each(register);
+    }
+
+    fn any_read(&self, v: u64, hit: &mut dyn FnMut(u64) -> bool) -> bool {
+        self.quorum(v, 1).any(hit)
     }
 
     fn name(&self) -> String {
@@ -427,6 +500,54 @@ mod tests {
             assert_eq!(r0, s.read_quorum(1), "{}: R_0 → R_1", s.name());
         }
         assert_eq!(BinaryScheme::new().binary_swap(), Some(vec![(0, 1)]));
+    }
+
+    #[test]
+    fn walks_visit_the_quorums_in_order_and_scans_stop_at_the_first_hit() {
+        let schemes: Vec<Box<dyn QuorumScheme>> = vec![
+            Box::new(BinaryScheme::new()),
+            Box::new(BinomialScheme::for_capacity(70).unwrap()),
+            Box::new(BinomialScheme::for_capacity(u64::MAX).unwrap()),
+            Box::new(BitVectorScheme::for_capacity(70).unwrap()),
+        ];
+        for s in &schemes {
+            let top = s.capacity() - 1;
+            for v in (0..s.capacity().min(70)).chain([top / 3, top]) {
+                let mut written = Vec::new();
+                s.for_each_write(v, &mut |slot| written.push(slot));
+                assert_eq!(written, s.write_quorum(v), "{} W_{v}", s.name());
+                let mut scanned = Vec::new();
+                assert!(!s.any_read(v, &mut |slot| {
+                    scanned.push(slot);
+                    false
+                }));
+                let read = s.read_quorum(v);
+                assert_eq!(scanned, read, "{} R_{v}", s.name());
+                // A hit on the first register ends the scan there.
+                let mut visits = 0;
+                assert!(s.any_read(v, &mut |_| {
+                    visits += 1;
+                    true
+                }));
+                assert_eq!(visits, 1);
+            }
+        }
+    }
+
+    #[test]
+    fn the_largest_u64_capacity_fits_the_largest_pool_exactly() {
+        let s = BinomialScheme::for_capacity(u64::MAX).unwrap();
+        assert_eq!(s.pool_size(), BinomialScheme::MAX_POOL);
+        for v in [0, u64::MAX / 2, u64::MAX - 1] {
+            let w = s.write_quorum(v);
+            assert_eq!(crate::rank_of_subset(s.pool_size(), &w), v);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "the most a u64 capacity needs")]
+    fn binomial_pool_beyond_u64_capacity_rejected() {
+        BinomialScheme::with_pool(BinomialScheme::MAX_POOL + 1);
     }
 
     #[test]

@@ -22,7 +22,6 @@
 //! [`LeaderFallback`] is the provided `K`.
 
 use std::sync::Arc;
-use std::time::Instant;
 
 use mc_telemetry::{Recorder, StageKind};
 use rand::Rng;
@@ -347,7 +346,7 @@ impl<M: SharedMemory, F: Fallback> BoundedConsensus<M, F> {
         assert!(pid < n, "pid {pid} out of range for n = {n}");
         let telemetry = Arc::clone(self.chain.telemetry_handle());
         telemetry.add(CounterKey::DecideCalls, 1);
-        let start = Instant::now();
+        let started = telemetry.decide_clock();
         let fast_prefix = if self.chain.options().fast_path { 2 } else { 0 };
         let total_stages = fast_prefix + 2 * self.rounds as usize;
         let mut current = value;
@@ -361,10 +360,14 @@ impl<M: SharedMemory, F: Fallback> BoundedConsensus<M, F> {
                     if d.is_decided() {
                         // Let late fallback entrants learn the decision.
                         self.fallback.publish(pid, d.value());
-                        let latency_ns =
-                            u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                        telemetry.on_conciliator_stages(conciliator_stages);
-                        telemetry.on_decided(d.value(), ix as u64, ix < fast_prefix, latency_ns);
+                        let fast_path = ix < fast_prefix;
+                        self.chain.on_decided(
+                            d.value(),
+                            ix,
+                            fast_path,
+                            conciliator_stages,
+                            started,
+                        );
                         return d.value();
                     }
                     current = d.value();
@@ -378,9 +381,8 @@ impl<M: SharedMemory, F: Fallback> BoundedConsensus<M, F> {
         }
         telemetry.on_fallback_taken(u64::from(self.rounds));
         let decided = self.fallback.decide(pid, current);
-        let latency_ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        telemetry.on_conciliator_stages(conciliator_stages);
-        telemetry.on_decided(decided, total_stages as u64, false, latency_ns);
+        self.chain
+            .on_decided(decided, total_stages, false, conciliator_stages, started);
         decided
     }
 }

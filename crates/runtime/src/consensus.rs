@@ -387,6 +387,27 @@ impl<M: SharedMemory> Consensus<M> {
         }
     }
 
+    /// Records a decide that finished at stage `stage` after entering
+    /// `conciliator_stages` conciliators, timed if `started` (from
+    /// [`RuntimeTelemetry::decide_clock`]). Only an adaptive instance feeds
+    /// the δ̂ window: adaptive selection is its one reader, and a
+    /// fixed-choice decide then takes no lock at all.
+    pub(crate) fn on_decided(
+        &self,
+        value: u64,
+        stage: usize,
+        fast_path: bool,
+        conciliator_stages: u64,
+        started: Option<Instant>,
+    ) {
+        if matches!(self.options.conciliator, ConciliatorChoice::Adaptive(_)) {
+            self.telemetry.on_conciliator_stages(conciliator_stages);
+        }
+        let latency_ns = started.map(|t| u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX));
+        self.telemetry
+            .on_decided(value, stage as u64, fast_path, latency_ns);
+    }
+
     /// Proposes `value` and returns the agreed decision.
     ///
     /// One-shot semantics: each thread calls this at most once per object.
@@ -425,7 +446,7 @@ impl<M: SharedMemory> Consensus<M> {
             self.capacity()
         );
         self.telemetry.add(CounterKey::DecideCalls, 1);
-        let start = Instant::now();
+        let started = self.telemetry.decide_clock();
         let fast_prefix = if self.options.fast_path { 2 } else { 0 };
         let mut current = value;
         let mut conciliator_stages = 0u64;
@@ -439,14 +460,12 @@ impl<M: SharedMemory> Consensus<M> {
                     self.telemetry
                         .on_ratifier_verdict(ix as u64, d.is_decided(), d.value());
                     if d.is_decided() {
-                        let latency_ns =
-                            u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                        self.telemetry.on_conciliator_stages(conciliator_stages);
-                        self.telemetry.on_decided(
+                        self.on_decided(
                             d.value(),
-                            ix as u64,
+                            ix,
                             ix < fast_prefix,
-                            latency_ns,
+                            conciliator_stages,
+                            started,
                         );
                         return d.value();
                     }

@@ -11,12 +11,17 @@
 //! live per shard at once (backpressure), so steady-state memory is flat
 //! no matter how many decisions flow through.
 //!
+//! The pool holds the `Arc` each instance is shared through: retirement
+//! resets the instance in place (`Arc::get_mut`, the sole owner once every
+//! caller has left) and parks the same `Arc`, so a checkout reuses both
+//! the object and its allocation — after warm-up a slot's lifecycle
+//! allocates nothing.
+//!
 //! The engine reports pool hits/misses, retired instances, and the live
 //! count through [`RuntimeTelemetry`], so the recycling behavior shows up
 //! in the same snapshot/Prometheus/JSONL paths as every other runtime
 //! metric.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
@@ -25,6 +30,7 @@ use rand::Rng;
 use crate::builder::EngineBuilder;
 use crate::consensus::{Consensus, ConsensusOptions};
 use crate::error::EngineError;
+use crate::hash::FastMap;
 use crate::register::{AtomicMemory, SharedMemory};
 use crate::telemetry::{CounterKey, RuntimeTelemetry};
 
@@ -65,8 +71,9 @@ struct Entry<M: SharedMemory> {
 }
 
 struct ShardState<M: SharedMemory> {
-    live: HashMap<u64, Entry<M>>,
-    free: Vec<Consensus<M>>,
+    live: FastMap<u64, Entry<M>>,
+    /// Reset instances, each still in the `Arc` it was last shared through.
+    free: Vec<Arc<Consensus<M>>>,
     /// Callers of the blocking `submit` parked on `Shard::cv` for the live
     /// bound. A retirement notifies only when this is nonzero: the
     /// notification is a syscall, and a store retires once per slot.
@@ -86,18 +93,18 @@ impl<M: SharedMemory> Shard<M> {
     /// Retires live instance `instance_id` into the free-list if no caller
     /// still holds it, returning whether it did.
     fn retire_unheld(state: &mut ShardState<M>, instance_id: u64) -> bool {
-        let unheld = state
-            .live
-            .get(&instance_id)
-            .is_some_and(|e| Arc::strong_count(&e.instance) == 1);
-        if unheld {
-            let entry = state.live.remove(&instance_id).expect("entry exists");
-            let mut instance = Arc::try_unwrap(entry.instance)
-                .unwrap_or_else(|_| unreachable!("checked sole ownership under the shard lock"));
-            instance.reset();
-            state.free.push(instance);
-        }
-        unheld
+        let Some(entry) = state.live.get_mut(&instance_id) else {
+            return false;
+        };
+        // Sole ownership: every caller has dropped its clone, and a new one
+        // is only taken under the shard lock we hold.
+        let Some(instance) = Arc::get_mut(&mut entry.instance) else {
+            return false;
+        };
+        instance.reset();
+        let entry = state.live.remove(&instance_id).expect("entry exists");
+        state.free.push(entry.instance);
+        true
     }
 
     /// After a retirement, with the shard lock released: wakes a blocked
@@ -230,7 +237,7 @@ impl<M: SharedMemory> ConsensusEngine<M> {
             shards: (0..shard_count)
                 .map(|_| Shard {
                     state: Mutex::new(ShardState {
-                        live: HashMap::new(),
+                        live: FastMap::default(),
                         free: Vec::new(),
                         blocked: 0,
                     }),
@@ -280,6 +287,16 @@ impl<M: SharedMemory> ConsensusEngine<M> {
         self.shards.iter().map(|s| s.lock().free.len()).sum()
     }
 
+    /// A new instance on the engine's memory, options and telemetry: a pool
+    /// miss.
+    fn fresh_instance(&self) -> Consensus<M> {
+        Consensus::with_telemetry_in(
+            self.memory.clone(),
+            Arc::clone(&self.options),
+            Arc::clone(&self.telemetry),
+        )
+    }
+
     fn shard_of(&self, instance_id: u64) -> &Shard<M> {
         &self.shards[shard_index(instance_id, self.shards.len())]
     }
@@ -293,6 +310,7 @@ impl<M: SharedMemory> ConsensusEngine<M> {
         instance_id: u64,
         bounded: bool,
     ) -> Result<Arc<Consensus<M>>, EngineError> {
+        // Relaxed: read under the shard lock; see `floor`.
         if instance_id < self.floor.load(Ordering::Relaxed) {
             return Err(EngineError::Retired);
         }
@@ -315,14 +333,9 @@ impl<M: SharedMemory> ConsensusEngine<M> {
             }
             None => {
                 self.telemetry.add(CounterKey::PoolMisses, 1);
-                Consensus::with_telemetry_in(
-                    self.memory.clone(),
-                    Arc::clone(&self.options),
-                    Arc::clone(&self.telemetry),
-                )
+                Arc::new(self.fresh_instance())
             }
         };
-        let instance = Arc::new(instance);
         state.live.insert(
             instance_id,
             Entry {
@@ -356,6 +369,7 @@ impl<M: SharedMemory> ConsensusEngine<M> {
         drop(instance);
         let (retired, blocked) = {
             let mut state = shard.lock();
+            // Relaxed: read under the shard lock; see `floor`.
             let finished = instance_id < self.floor.load(Ordering::Relaxed)
                 || state
                     .live
@@ -442,6 +456,8 @@ impl<M: SharedMemory> ConsensusEngine<M> {
     /// the last caller inside leaves, and later submits below it are
     /// refused. See *Floor retirement* on [`ConsensusEngine`].
     pub fn retire_below(&self, floor: u64) {
+        // Relaxed: the shard locks taken below (and by every later
+        // checkout) order this raise before any read it retires; see `floor`.
         let below = self.floor.fetch_max(floor, Ordering::Relaxed);
         for instance_id in below..floor {
             let shard = self.shard_of(instance_id);
@@ -482,8 +498,8 @@ impl<M: SharedMemory> ConsensusEngine<M> {
     /// Only valid when [`participants`](ConsensusEngine::participants) is
     /// 1: every logical instance receives exactly one submit, so one pooled
     /// object, reset between decisions, can serve an unbounded stream of
-    /// instances without ever touching the live map or wrapping in an
-    /// `Arc`. This is the amortization that makes batched draining cheap —
+    /// instances without ever touching the live map or cloning its `Arc`.
+    /// This is the amortization that makes batched draining cheap —
     /// one pool checkout per worker, zero shard-lock acquisitions per
     /// decision.
     pub(crate) fn detached_slot(&self, shard_ix: usize) -> DetachedSlot<'_, M> {
@@ -506,7 +522,8 @@ impl<M: SharedMemory> ConsensusEngine<M> {
 pub(crate) struct DetachedSlot<'e, M: SharedMemory> {
     engine: &'e ConsensusEngine<M>,
     shard_ix: usize,
-    instance: Option<Consensus<M>>,
+    /// The pooled `Arc`, held alone: reset in place through `Arc::get_mut`.
+    instance: Option<Arc<Consensus<M>>>,
 }
 
 impl<M: SharedMemory> DetachedSlot<'_, M> {
@@ -532,18 +549,16 @@ impl<M: SharedMemory> DetachedSlot<'_, M> {
                     }
                     None => {
                         engine.telemetry.add(CounterKey::PoolMisses, 1);
-                        Consensus::with_telemetry_in(
-                            engine.memory.clone(),
-                            Arc::clone(&engine.options),
-                            Arc::clone(&engine.telemetry),
-                        )
+                        Arc::new(engine.fresh_instance())
                     }
                 };
                 self.instance.insert(instance)
             }
         };
         let decided = instance.decide(proposal, rng);
-        instance.reset();
+        Arc::get_mut(instance)
+            .expect("a detached slot is its instance's only holder")
+            .reset();
         engine.telemetry.add(CounterKey::InstancesRetired, 1);
         decided
     }
@@ -922,6 +937,33 @@ mod tests {
         let t = engine.telemetry();
         assert_eq!(t.activations(), 1);
         assert_eq!(t.count(CounterKey::InstancesRetired), 1);
+    }
+
+    #[test]
+    fn a_retired_instance_is_reactivated_in_its_own_allocation() {
+        let engine = ConsensusEngine::builder()
+            .n(2)
+            .values(8)
+            .shards(1)
+            .participants(2)
+            .build();
+        let pooled = || Arc::as_ptr(&engine.shards[0].lock().free[0]);
+        let live = |id| Arc::as_ptr(&engine.shards[0].lock().live[&id].instance);
+        let mut rng = SmallRng::seed_from_u64(0);
+        assert_eq!(engine.submit(0, 3, &mut rng), 3);
+        engine.retire_below(1);
+        let allocation = pooled();
+        // Reactivated for the next id: the same allocation, reset — it
+        // decides the new proposal, not the value it held before.
+        assert_eq!(engine.submit(1, 5, &mut rng), 5);
+        assert_eq!(live(1), allocation);
+        // And retired again, into the pool, still the same allocation.
+        engine.retire_below(2);
+        assert_eq!(pooled(), allocation);
+        let t = engine.telemetry();
+        assert_eq!(t.count(CounterKey::PoolMisses), 1);
+        assert_eq!(t.count(CounterKey::PoolHits), 1);
+        assert_eq!(t.count(CounterKey::InstancesRetired), 2);
     }
 
     #[test]

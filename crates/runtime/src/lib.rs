@@ -48,6 +48,7 @@ mod derived;
 mod engine;
 mod error;
 mod faults;
+mod hash;
 mod log;
 mod ratifier;
 mod register;
@@ -64,6 +65,7 @@ pub use derived::{Election, TestAndSet};
 pub use engine::{ConsensusEngine, EngineOptions};
 pub use error::EngineError;
 pub use faults::{FaultCounts, FaultPlan, FaultyMemory, FaultyRegister, ResetScope};
+pub use hash::{FastHasher, FastMap};
 pub use log::ReplicatedLog;
 pub use ratifier::AtomicRatifier;
 pub use register::{AtomicMemory, AtomicRegister, SharedMemory, SharedRegister, GENERATION_0};

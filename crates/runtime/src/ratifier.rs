@@ -14,7 +14,9 @@ use crate::register::{AtomicMemory, SharedMemory, SharedRegister};
 /// `(d, v)`: `(1, v)` means agreement on `v` was detected and the caller
 /// must decide it; `(0, v)` means adopt `v` and continue (e.g. to the next
 /// conciliator). Deterministic, wait-free, at most
-/// `|W| + |R| + 2` register operations.
+/// `|W| + |R| + 2` register operations, and no allocation: the quorums are
+/// walked through [`QuorumScheme::for_each_write`] and
+/// [`QuorumScheme::any_read`].
 ///
 /// The announcement pool allocates before the proposal register and slots
 /// write the sentinel `1`, exactly like the model-side `Ratifier`, so an
@@ -117,9 +119,8 @@ impl<M: SharedMemory> AtomicRatifier<M> {
             self.scheme.capacity()
         );
         // Announce.
-        for slot in self.scheme.write_quorum(value) {
-            self.pool[slot as usize].write(1);
-        }
+        self.scheme
+            .for_each_write(value, &mut |slot| self.pool[slot as usize].write(1));
         // Propose or adopt.
         let preference = match self.proposal.read() {
             Some(u) => u,
@@ -129,12 +130,14 @@ impl<M: SharedMemory> AtomicRatifier<M> {
             }
         };
         // Scan for conflicting announcements.
-        for slot in self.scheme.read_quorum(preference) {
-            if self.pool[slot as usize].read().is_some() {
-                return Decision::continue_with(preference);
-            }
+        let conflict = self.scheme.any_read(preference, &mut |slot| {
+            self.pool[slot as usize].read().is_some()
+        });
+        if conflict {
+            Decision::continue_with(preference)
+        } else {
+            Decision::decide(preference)
         }
-        Decision::decide(preference)
     }
 }
 

@@ -13,11 +13,17 @@
 //! instead receives one `BatchDrained` summary per drained batch. The store,
 //! whose callers decide on the engine directly, takes the same mode;
 //! both hold it as an [`AmortizedEvents`] guard. Counters and histograms
-//! keep their per-operation fidelity either way.
+//! keep their per-operation fidelity either way, with one exception: a
+//! decide reads the clock only when it is timed — always while per-decide
+//! events flow, and one decide in [`DECIDE_SAMPLE_PERIOD`] per thread while
+//! they are amortized — so `decide_latency_ns` then holds a sample, and
+//! its count says how many decides were sampled.
 
+use std::cell::Cell;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
+use std::time::Instant;
 
 use mc_telemetry::{
     metric_keys, thread_shard, CircuitState, ConciliatorKind, Counter, FaultClass, Gauge,
@@ -31,6 +37,19 @@ const DELTA_WINDOW_CAP: usize = 256;
 /// Fixed-point scale for the `observed_delta_hat_ppm` gauge (δ̂ in
 /// millionths).
 const DELTA_HAT_SCALE: f64 = 1_000_000.0;
+
+/// While per-decide events are amortized, one decide in this many per
+/// thread is timed into [`HistKey::DecideLatencyNs`]: two clock reads cost
+/// more than a solo fast-path decide's register operations.
+const DECIDE_SAMPLE_PERIOD: u32 = 64;
+
+thread_local! {
+    /// Untimed decides this thread runs before it times the next one.
+    /// Thread-local, so no other thread reads it and no ordering applies;
+    /// shared by every telemetry the thread decides on, which only shifts
+    /// which of an engine's decides a thread samples, not how many.
+    static DECIDES_UNTIL_SAMPLE: Cell<u32> = const { Cell::new(0) };
+}
 
 metric_keys! {
     /// The counters of a [`RuntimeTelemetry`]; read one with
@@ -189,8 +208,9 @@ pub struct RuntimeTelemetry {
     sharded: [ShardedCounter; CounterKey::SHARDED],
     gauges: [Gauge; GaugeKey::COUNT],
     hists: [Histogram; HistKey::COUNT],
-    /// Conciliator stages entered per completed decide, newest at the back.
-    /// Feeds the sliding-window δ̂ estimate for adaptive selection.
+    /// Conciliator stages entered per completed decide of an adaptive
+    /// instance, newest at the back. Feeds the sliding-window δ̂ estimate
+    /// adaptive selection reads; a fixed-choice decide never locks it.
     delta_window: Mutex<VecDeque<u64>>,
 }
 
@@ -389,11 +409,43 @@ impl RuntimeTelemetry {
         }
     }
 
+    /// When a decide starts: `Some(now)` if this decide is timed — every
+    /// decide while [`decide_events_on`](Self::decide_events_on), else one
+    /// in [`DECIDE_SAMPLE_PERIOD`] per thread — and `None` otherwise.
     #[inline]
-    pub(crate) fn on_decided(&self, value: u64, stage: u64, fast_path: bool, latency_ns: u64) {
+    pub(crate) fn decide_clock(&self) -> Option<Instant> {
+        if self.decide_events_on() {
+            return Some(Instant::now());
+        }
+        DECIDES_UNTIL_SAMPLE.with(|left| match left.get() {
+            0 => {
+                left.set(DECIDE_SAMPLE_PERIOD - 1);
+                Some(Instant::now())
+            }
+            n => {
+                left.set(n - 1);
+                None
+            }
+        })
+    }
+
+    /// A decide finished at `stage`. Every counter counts it; the latency
+    /// histogram only if it was timed (`latency_ns` from a
+    /// [`decide_clock`](Self::decide_clock) reading), and a `Decided` event
+    /// carries 0 for a decide that started untimed.
+    #[inline]
+    pub(crate) fn on_decided(
+        &self,
+        value: u64,
+        stage: u64,
+        fast_path: bool,
+        latency_ns: Option<u64>,
+    ) {
         self.add(CounterKey::Decisions, 1);
         self.record(HistKey::RoundsToDecide, stage);
-        self.record(HistKey::DecideLatencyNs, latency_ns);
+        if let Some(ns) = latency_ns {
+            self.record(HistKey::DecideLatencyNs, ns);
+        }
         if fast_path {
             self.add(CounterKey::FastPathHits, 1);
         }
@@ -407,7 +459,7 @@ impl RuntimeTelemetry {
                 pid,
                 value,
                 stage,
-                latency_ns,
+                latency_ns: latency_ns.unwrap_or(0),
             });
         }
     }
@@ -439,10 +491,14 @@ impl RuntimeTelemetry {
         }
     }
 
-    /// A decide completed after entering `stages` conciliator stages; feeds
-    /// the sliding window behind [`delta_hat_over`](Self::delta_hat_over).
+    /// An adaptive instance's decide completed after entering `stages`
+    /// conciliator stages; feeds the sliding window behind
+    /// [`delta_hat_over`](Self::delta_hat_over).
     pub(crate) fn on_conciliator_stages(&self, stages: u64) {
-        let mut window = self.delta_window.lock().expect("delta window poisoned");
+        let mut window = self
+            .delta_window
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
         if window.len() == DELTA_WINDOW_CAP {
             window.pop_front();
         }
@@ -625,7 +681,7 @@ impl RuntimeTelemetry {
     pub fn delta_samples(&self) -> u64 {
         self.delta_window
             .lock()
-            .expect("delta window poisoned")
+            .unwrap_or_else(PoisonError::into_inner)
             .len() as u64
     }
 
@@ -641,7 +697,10 @@ impl RuntimeTelemetry {
     /// conciliator (pure fast path) contribute zero stages; a window of
     /// only those yields `Some(1.0)`.
     pub fn delta_hat_over(&self, window: usize, min_samples: usize) -> Option<f64> {
-        let guard = self.delta_window.lock().expect("delta window poisoned");
+        let guard = self
+            .delta_window
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
         let take = window.min(guard.len());
         if take < min_samples.max(1) {
             return None;
@@ -709,7 +768,7 @@ mod tests {
         t.add(CounterKey::DecideCalls, 1);
         t.on_stage_entered(0, StageKind::Ratifier);
         t.on_prob_write(true, 0.5);
-        t.on_decided(1, 2, false, 500);
+        t.on_decided(1, 2, false, Some(500));
         assert_eq!(t.count(CounterKey::DecideCalls), 1);
         assert_eq!(t.count(CounterKey::Decisions), 1);
         assert_eq!(t.count(CounterKey::StageEntries), 1);
@@ -727,7 +786,7 @@ mod tests {
         t.on_stage_entered(0, StageKind::Conciliator);
         t.on_conciliator_round(3, 0.25);
         t.on_prob_write(false, 0.25);
-        t.on_decided(0, 4, true, 1_000);
+        t.on_decided(0, 4, true, Some(1_000));
         assert_eq!(agg.count(Tally::StageEntries), 1);
         assert_eq!(agg.count(Tally::ConciliatorRounds), 1);
         assert_eq!(agg.count(Tally::MaxRound), 3);
@@ -750,7 +809,7 @@ mod tests {
         assert!(!t.decide_events_on());
         t.add(CounterKey::DecideCalls, 1);
         t.on_stage_entered(0, StageKind::Ratifier);
-        t.on_decided(1, 2, false, 500);
+        t.on_decided(1, 2, false, Some(500));
         // Recorder saw nothing per-decide; batch summaries still flow.
         assert_eq!(agg.count(Tally::StageEntries), 0);
         assert_eq!(agg.count(Tally::Decisions), 0);
@@ -763,7 +822,7 @@ mod tests {
         // Dropping the guard hands per-decide events back to the recorder.
         drop(guard);
         assert!(t.decide_events_on());
-        t.on_decided(1, 2, false, 500);
+        t.on_decided(1, 2, false, Some(500));
         assert_eq!(agg.count(Tally::Decisions), 1);
     }
 
@@ -902,13 +961,79 @@ mod tests {
     fn decide_latency_percentiles_are_exposed() {
         let t = RuntimeTelemetry::noop(2);
         for latency in [100, 200, 400, 800, 100_000] {
-            t.on_decided(1, 1, false, latency);
+            t.on_decided(1, 1, false, Some(latency));
         }
         let p50 = t.hist(HistKey::DecideLatencyNs).quantile_upper(0.5);
         let p99 = t.hist(HistKey::DecideLatencyNs).quantile_upper(0.99);
         assert!(p50 >= 200, "p50 {p50}");
         assert!(p99 >= 100_000, "p99 {p99}");
         assert!(p50 <= p99);
+    }
+
+    /// The latency each `Decided` event carries.
+    #[derive(Default)]
+    struct DecidedLatencies(Mutex<Vec<u64>>);
+
+    impl Recorder for DecidedLatencies {
+        fn record(&self, event: &TelemetryEvent) {
+            if let TelemetryEvent::Decided { latency_ns, .. } = event {
+                self.0.lock().unwrap().push(*latency_ns);
+            }
+        }
+    }
+
+    #[test]
+    fn every_decide_is_timed_for_events_and_one_in_64_when_amortized() {
+        use rand::{rngs::SmallRng, SeedableRng};
+        // A thread of its own: the sampling countdown is per thread.
+        std::thread::spawn(|| {
+            let recorder = Arc::new(DecidedLatencies::default());
+            let engine = crate::ConsensusEngine::builder()
+                .n(1)
+                .values(2)
+                .participants(1)
+                .recorder(Arc::clone(&recorder) as Arc<dyn Recorder>)
+                .build();
+            let t = engine.telemetry_handle();
+            let mut rng = SmallRng::seed_from_u64(0);
+            for id in 0..640 {
+                engine.submit(id, id % 2, &mut rng);
+            }
+            // Events on: every decide timed, every event its real latency.
+            let latency = t.hist(HistKey::DecideLatencyNs);
+            assert_eq!(latency.count(), t.count(CounterKey::Decisions));
+            let events = recorder.0.lock().unwrap().clone();
+            assert_eq!(events.len(), 640);
+            assert!(events.iter().all(|&ns| ns > 0), "{events:?}");
+
+            // Amortized: one decide in 64 timed, every counter still
+            // counting every decide.
+            let _amortized = t.amortized();
+            for id in 640..640 + 6_400 {
+                engine.submit(id, id % 2, &mut rng);
+            }
+            assert_eq!(latency.count(), 640 + 100);
+            assert_eq!(t.count(CounterKey::Decisions), 640 + 6_400);
+            assert_eq!(t.count(CounterKey::DecideCalls), 640 + 6_400);
+            assert_eq!(t.count(CounterKey::FastPathHits), 640 + 6_400);
+            assert_eq!(t.count(CounterKey::StageEntries), 640 + 6_400);
+            assert_eq!(recorder.0.lock().unwrap().len(), 640, "events amortized");
+        })
+        .join()
+        .unwrap();
+    }
+
+    #[test]
+    fn only_adaptive_decides_feed_the_delta_window() {
+        use rand::{rngs::SmallRng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(0);
+        let fixed = crate::Consensus::builder().n(1).build();
+        fixed.decide(1, &mut rng);
+        assert_eq!(fixed.telemetry().count(CounterKey::Decisions), 1);
+        assert_eq!(fixed.telemetry().delta_samples(), 0);
+        let adaptive = crate::AdaptiveConsensus::new(1, crate::AdaptiveOptions::default());
+        adaptive.decide(1, &mut rng);
+        assert_eq!(adaptive.telemetry().delta_samples(), 1);
     }
 
     #[test]
@@ -1013,7 +1138,7 @@ mod tests {
     fn snapshot_covers_the_metric_set() {
         let t = RuntimeTelemetry::noop(2);
         t.add(CounterKey::DecideCalls, 1);
-        t.on_decided(1, 1, true, 100);
+        t.on_decided(1, 1, true, Some(100));
         let snap = t.snapshot();
         assert_eq!(snap.counter_value("decide_calls"), Some(1));
         assert_eq!(snap.counter_value("fast_path_hits"), Some(1));
@@ -1047,7 +1172,7 @@ mod tests {
         t.on_conciliator_selected(2, ConciliatorKind::Coin, Some(0.125), 16);
         t.on_fault_injected(FaultClass::StaleRead, 1, 11);
         t.on_fallback_taken(6);
-        t.on_decided(1, 2, true, 500);
+        t.on_decided(1, 2, true, Some(500));
         t.add(CounterKey::PoolMisses, 1);
         t.add(CounterKey::PoolHits, 2);
         t.add(CounterKey::InstancesRetired, 1);

@@ -1,0 +1,77 @@
+//! A slot's lifecycle on the engine — checkout, decide, retirement —
+//! allocates nothing once the pool is warm, counted rather than asserted in
+//! prose: the quorum walks, the pooled `Arc`s and the live map all reuse
+//! what the warm-up left behind. A counting global allocator watches the
+//! one thread that submits and retires, as a store caller drives it.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use mc_runtime::ConsensusEngine;
+use rand::rngs::SmallRng;
+use rand::SeedableRng;
+
+thread_local! {
+    /// Allocations made by this thread (`realloc` and `alloc_zeroed`
+    /// default to `alloc`, so they count too).
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+struct Counting;
+
+// SAFETY: every request is passed to `System` unchanged; the only addition
+// is a bump of a thread-local `Cell<u64>`, which has no destructor and a
+// const initialiser, so touching it never allocates or re-enters.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System.alloc` above with this `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Allocations made by `slots` slots from `first` on: each one
+/// `try_submit`, then `retire_below` past it, as the store applies a slot.
+fn allocations_of_slots(
+    engine: &ConsensusEngine,
+    rng: &mut SmallRng,
+    first: u64,
+    slots: u64,
+) -> u64 {
+    let before = ALLOCATIONS.with(Cell::get);
+    for slot in first..first + slots {
+        let proposal = slot % 2;
+        assert_eq!(engine.try_submit(slot, proposal, rng), Ok(proposal));
+        engine.retire_below(slot + 1);
+    }
+    ALLOCATIONS.with(Cell::get) - before
+}
+
+#[test]
+fn a_warm_slot_lifecycle_allocates_nothing() {
+    // The store's shape (two proposer identities) over the binary scheme,
+    // and over a binomial scheme with a many-register pool.
+    for values in [2, 1_000] {
+        let engine = ConsensusEngine::builder()
+            .n(2)
+            .values(values)
+            .participants(2)
+            .build();
+        let mut rng = SmallRng::seed_from_u64(values);
+        allocations_of_slots(&engine, &mut rng, 0, 1_000);
+        let count = allocations_of_slots(&engine, &mut rng, 1_000, 10_000);
+        assert_eq!(
+            count, 0,
+            "m = {values}: {count} allocations in 10 000 slots"
+        );
+        assert_eq!(engine.live_instances(), 0);
+    }
+}

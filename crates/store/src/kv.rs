@@ -1,6 +1,7 @@
 //! The reference state machine: a linearizable `u64 → u64` map.
 
-use crate::hash::FastMap;
+use mc_runtime::FastMap;
+
 use crate::machine::StateMachine;
 
 /// One KV operation. `u64` keys and values keep the machine allocation-

@@ -59,7 +59,6 @@
 mod builder;
 mod cell;
 mod error;
-mod hash;
 mod kv;
 mod machine;
 mod store;

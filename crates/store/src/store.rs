@@ -25,8 +25,8 @@ use std::time::Instant;
 use mc_model::mix_seed;
 use mc_runtime::clock;
 use mc_runtime::{
-    AmortizedEvents, AtomicMemory, ConsensusEngine, CounterKey, EngineError, ReplicatedLog,
-    RuntimeTelemetry, SharedMemory,
+    AmortizedEvents, AtomicMemory, ConsensusEngine, CounterKey, EngineError, FastMap,
+    ReplicatedLog, RuntimeTelemetry, SharedMemory,
 };
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -34,7 +34,6 @@ use rand::SeedableRng;
 use crate::builder::{StoreBuilder, StoreOptions};
 use crate::cell::{CommandHandle, Driver, ResponseBlock};
 use crate::error::StoreError;
-use crate::hash::FastMap;
 use crate::kv::KvStore;
 use crate::machine::StateMachine;
 
@@ -57,8 +56,15 @@ struct Identity {
     rng: SmallRng,
 }
 
-/// Intake queue: commands submitted but not yet drafted into a batch,
-/// and the identities free to draft them.
+/// Intake: commands submitted but not yet drafted into a batch, the
+/// identities free to draft them, and the drafted batches announced for a
+/// slot.
+///
+/// A batch is announced, re-announced under each next slot its driver
+/// tries, and drained by `poison`, all under this one mutex; an applier
+/// takes it only to remove the batch its slot's winner announced. So
+/// `poison` fails every command no applier has taken — queued or
+/// announced — in one critical section, and none is announced after.
 struct Intake<S: StateMachine> {
     queue: VecDeque<Pending<S>>,
     /// No new submissions. Queued commands are still ordered, unless the
@@ -68,6 +74,10 @@ struct Intake<S: StateMachine> {
     /// this mutex, so `idle.len() + 1 == proposers` tells a returning
     /// driver that it is the last one out.
     idle: Vec<Identity>,
+    /// Batches by the `(slot, pid)` they are proposed under — won and
+    /// awaiting apply, or still proposed. A pid enters a slot at most once,
+    /// so the key names one batch.
+    announced: FastMap<(u64, usize), Vec<Pending<S>>>,
 }
 
 impl<S: StateMachine> Intake<S> {
@@ -93,12 +103,12 @@ impl<S: StateMachine> Intake<S> {
     }
 }
 
-type Announced<S> = FastMap<(u64, usize), Vec<Pending<S>>>;
-
-/// The machine; `torn` is up while a batch is applied to it, and stays up
-/// only if `StateMachine::apply` unwound.
-struct Applied<S> {
+/// The machine and the session table that guards it, under one mutex;
+/// `torn` is up while a batch is applied, and stays up only if
+/// `StateMachine::apply` unwound.
+struct Applied<S: StateMachine> {
     machine: S,
+    sessions: FastMap<u64, Session<S::Response>>,
     torn: bool,
 }
 
@@ -130,17 +140,12 @@ struct StoreInner<S: StateMachine, M: SharedMemory> {
     log: ReplicatedLog,
     options: StoreOptions,
     intake: Mutex<Intake<S>>,
-    /// Batches by the `(slot, pid)` they are proposed under — won and
-    /// awaiting apply, or still proposed. A pid enters a slot at most once,
-    /// so the key names one batch.
-    announced: Mutex<Announced<S>>,
     /// 1 + highest slot seen decided, where a batch is proposed; raised
     /// before the slot is learned, so never below the engine's floor. A
     /// hint: a driver behind it just loses, or is refused as retired.
     frontier: AtomicU64,
     apply: Mutex<ApplyCursor>,
     state: Mutex<Applied<S>>,
-    sessions: Mutex<FastMap<u64, Session<S::Response>>>,
     /// Read leases by client id: expiry instants from the shared
     /// monotonic-clock helper.
     leases: Mutex<FastMap<u64, Instant>>,
@@ -157,12 +162,6 @@ impl<S: StateMachine, M: SharedMemory> StoreInner<S, M> {
 
     fn lock_intake(&self) -> MutexGuard<'_, Intake<S>> {
         self.intake.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    fn lock_announced(&self) -> MutexGuard<'_, Announced<S>> {
-        self.announced
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
     }
 
     fn lock_state(&self) -> MutexGuard<'_, Applied<S>> {
@@ -216,7 +215,7 @@ impl<S: StateMachine, M: SharedMemory> StoreInner<S, M> {
             let take = intake.queue.len().min(self.options.batch_commands);
             let batch: Vec<Pending<S>> = intake.queue.drain(..take).collect();
             let slot = self.next_slot(&identity);
-            self.lock_announced().insert((slot, identity.pid), batch);
+            intake.announced.insert((slot, identity.pid), batch);
             drop(intake);
             self.propose(&mut identity, slot);
             let wanted = wanted();
@@ -263,11 +262,11 @@ impl<S: StateMachine, M: SharedMemory> StoreInner<S, M> {
                 Err(refused) => unreachable!("the store's engine is unbounded: {refused}"),
             }
             let next = self.next_slot(identity);
-            let mut announced = self.lock_announced();
-            let Some(batch) = announced.remove(&(slot, identity.pid)) else {
+            let mut intake = self.lock_intake();
+            let Some(batch) = intake.announced.remove(&(slot, identity.pid)) else {
                 return; // drained by poison
             };
-            announced.insert((next, identity.pid), batch);
+            intake.announced.insert((next, identity.pid), batch);
             slot = next;
         }
     }
@@ -317,7 +316,7 @@ impl<S: StateMachine, M: SharedMemory> StoreInner<S, M> {
             // The identity invariant: the batch `winner` announced for
             // exactly this slot. Only poison, draining them all, takes it.
             let key = (cursor.slots, winner as usize);
-            let Some(batch) = self.lock_announced().remove(&key) else {
+            let Some(batch) = self.lock_intake().announced.remove(&key) else {
                 assert!(
                     self.poisoned(),
                     "slot {} won by pid {winner}, which announced nothing for it",
@@ -353,12 +352,12 @@ impl<S: StateMachine, M: SharedMemory> StoreInner<S, M> {
         // response (and anything it implies completed) must also observe
         // that work in the telemetry ledger.
         let mut responses = Vec::with_capacity(batch.len());
-        let mut state = self.lock_state();
-        let mut sessions = self.sessions.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut guard = self.lock_state();
+        let state = &mut *guard;
         state.torn = true;
         let mut applied = 0u64;
         for pending in &batch {
-            match sessions.entry(pending.client) {
+            match state.sessions.entry(pending.client) {
                 Entry::Vacant(vacant) => {
                     telemetry.add(CounterKey::SessionsCreated, 1);
                     let response = state.machine.apply(&pending.command);
@@ -390,8 +389,7 @@ impl<S: StateMachine, M: SharedMemory> StoreInner<S, M> {
             }
         }
         state.torn = false;
-        drop(sessions);
-        drop(state);
+        drop(guard);
         telemetry.on_commands_applied(applied, applied_before + applied);
         for (pending, response) in batch.iter().zip(responses) {
             assert!(pending.reply.fill(response), "a command answered twice");
@@ -404,15 +402,16 @@ impl<S: StateMachine, M: SharedMemory> StoreInner<S, M> {
     /// applier has taken, queued or announced. Appliers check the flag,
     /// so none of these is ever applied.
     fn poison(&self) {
-        let queued: Vec<Pending<S>> = {
+        let (queued, announced) = {
             let mut intake = self.lock_intake();
             intake.closed = true;
             // Release, paired with `poisoned()`: publishes the closed
             // intake to readers outside this mutex.
             self.poisoned.store(true, Ordering::Release);
-            intake.queue.drain(..).collect()
+            let queued: Vec<Pending<S>> = intake.queue.drain(..).collect();
+            let announced: Vec<_> = intake.announced.drain().collect();
+            (queued, announced)
         };
-        let announced: Vec<_> = self.lock_announced().drain().collect();
         fail_poisoned(&queued);
         for (_, batch) in announced {
             fail_poisoned(&batch);
@@ -555,16 +554,16 @@ impl<S: StateMachine, M: SharedMemory> ReplicatedStore<S, M> {
                 queue: VecDeque::new(),
                 closed: false,
                 idle,
+                announced: FastMap::default(),
             }),
-            announced: Mutex::default(),
             options,
             frontier: AtomicU64::new(0),
             apply: Mutex::default(),
             state: Mutex::new(Applied {
                 machine: initial,
+                sessions,
                 torn: false,
             }),
-            sessions: Mutex::new(sessions),
             leases: Mutex::new(FastMap::default()),
             latest_snapshot: Mutex::new(None),
             poisoned: AtomicBool::new(false),
@@ -987,7 +986,7 @@ mod tests {
         });
         assert_eq!(store.applied_commands(), 8_000, "{store:?}");
         assert_eq!(store.learned_slots(), 8_000, "{store:?}");
-        assert!(store.inner.lock_announced().is_empty());
+        assert!(store.inner.lock_intake().announced.is_empty());
         store.shutdown();
     }
 
@@ -1476,7 +1475,7 @@ mod tests {
                 // The sleeper's batch was applied by the other caller iff it
                 // won its slot: then its announcement is gone and its put
                 // visible; otherwise it waits to be re-proposed.
-                let announced = inner.lock_announced().len();
+                let announced = inner.lock_intake().announced.len();
                 let visible = store.read_with(0, |kv| kv.get(1)) == Some(10);
                 assert_eq!(announced == 0, visible, "nap {nap}");
                 won_asleep.push(visible);

@@ -1,12 +1,13 @@
 //! The response block's claim, counted rather than asserted in prose: a
-//! `submit_batch` allocates per submission, not per command. A counting
-//! global allocator watches the one thread that submits, drives and
-//! waits (the store starts no thread of its own).
+//! `submit_batch` allocates per submission, not per command, and the slot
+//! it is decided in allocates nothing. A counting global allocator watches
+//! the one thread that submits, drives and waits (the store starts no
+//! thread of its own).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use mc_store::{KvCommand, KvResponse, KvStore, ReplicatedStore};
+use mc_store::{KvCommand, KvResponse, KvStore, ReplicatedStore, StoreClient};
 
 thread_local! {
     /// Allocations made by this thread (`realloc` and `alloc_zeroed`
@@ -66,8 +67,7 @@ fn a_batch_allocates_per_submission_not_per_command() {
         .snapshot_every(0)
         .build();
     // Warm-up: every session, key and table the measured rounds touch
-    // exists and has reached its size, the engine's conciliator-statistics
-    // window (one entry per decide, 256 at most) included.
+    // exists and has reached its size, and the engine's pool is full.
     allocations_of_a_batch(&store, LARGEST, 1);
     for round in 2..=300 {
         allocations_of_a_batch(&store, 1, round);
@@ -83,9 +83,42 @@ fn a_batch_allocates_per_submission_not_per_command() {
         counts.iter().all(|&count| count == counts[0]),
         "1024 vs 256 commands alternately: {counts:?}"
     );
-    // Six are the submission's (the counted commands, the block and its
-    // slots, the handles, the drafted batch, its responses); the rest are
-    // the engine's, one slot's decide.
-    assert!(counts[0] <= 12, "{counts:?} allocations per submission");
+    // All six are the submission's: the counted commands, the block and
+    // its slots, the handles, the drafted batch, its responses. The slot's
+    // decide adds none.
+    assert_eq!(counts[0], 6, "{counts:?} allocations per submission");
+    store.shutdown();
+}
+
+/// Allocations made by one closed-loop `call`: a put to the client's own
+/// key.
+fn allocations_of_a_call(client: &mut StoreClient<KvStore>, value: u64) -> u64 {
+    let before = ALLOCATIONS.with(Cell::get);
+    let answer = client.call(KvCommand::Put {
+        key: client.id(),
+        value,
+    });
+    assert!(matches!(answer, Ok(KvResponse::Stored(_))), "{answer:?}");
+    ALLOCATIONS.with(Cell::get) - before
+}
+
+#[test]
+fn a_call_allocates_its_block_and_batch_only() {
+    let mut store = ReplicatedStore::<KvStore>::builder()
+        .snapshot_every(0)
+        .build();
+    let mut client = store.client();
+    for value in 0..1_000 {
+        allocations_of_a_call(&mut client, value);
+    }
+    let counts: Vec<u64> = (1_000..1_100)
+        .map(|value| allocations_of_a_call(&mut client, value))
+        .collect();
+    // The one-slot block and its slot, the drafted batch, its responses.
+    assert!(
+        counts.iter().all(|&count| count <= 4),
+        "{counts:?} allocations per call"
+    );
+    drop(client);
     store.shutdown();
 }

@@ -45,6 +45,8 @@ if command -v taskset > /dev/null; then
         taskset -c 0 cargo test --release --test store_properties
         taskset -c 0 cargo test --release -p mc-lab store_conforms
     done
+    # A warm slot lifecycle (checkout, decide, retirement) allocates nothing.
+    taskset -c 0 cargo test --release -p mc-runtime --test allocations
 else
     echo "taskset not found: skipping the one-CPU store leg"
 fi
