@@ -10,9 +10,6 @@
 //! makes every deadline in one submission derive from a single clock read
 //! discipline, and centralizes the overflow handling (`now + Duration::MAX`
 //! panics with a bare `+`; [`deadline_within`] saturates instead).
-//!
-//! The store layer's read leases reuse the same helpers, so lease expiry
-//! and submission deadlines cannot drift against each other either.
 
 use std::time::{Duration, Instant};
 
@@ -37,11 +34,10 @@ pub fn deadline_within(budget: Duration) -> Instant {
     deadline_from(now(), budget)
 }
 
-/// [`deadline_within`] against a caller-supplied clock reading, for call
-/// sites that already read [`now`] and must not read it twice (the drift
-/// this module exists to remove).
+/// [`deadline_within`] against a caller-supplied clock reading, so the
+/// saturation is testable against a fixed instant.
 #[inline]
-pub fn deadline_from(now: Instant, budget: Duration) -> Instant {
+fn deadline_from(now: Instant, budget: Duration) -> Instant {
     let mut budget = budget;
     loop {
         if let Some(deadline) = now.checked_add(budget) {

@@ -1,9 +1,9 @@
 //! A fast non-cryptographic hasher for `u64`-keyed tables on hot paths.
 //!
 //! The engine's live-instance map (locked once per slot), and the store's
-//! session table, lease table and KV map (on the apply path's critical
-//! section) are keyed by ids the engine, the store or its own clients
-//! assign — SipHash's hash-flooding resistance buys nothing there, while
+//! session table and KV map (on the apply path's critical section) are
+//! keyed by ids the engine, the store or its own clients assign —
+//! SipHash's hash-flooding resistance buys nothing there, while
 //! its per-operation cost is measurable at millions of operations per
 //! second, and growth rehashes the whole table.
 //! This hasher finalizes each `u64` with the splitmix64 mixing function,

@@ -113,10 +113,7 @@ metric_keys! {
         /// Commands refused because their sequence number predates the
         /// session's cached response.
         StaleCommands => "stale_commands",
-        /// Read leases granted or renewed.
-        LeaseGrants => "lease_grants",
-        /// Reads served from the applied state under a live lease (no log
-        /// slot consumed).
+        /// Reads served from the applied state (no log slot consumed).
         FastReads => "fast_reads",
         /// State-machine snapshots captured (each rides a `compact_below`).
         StoreSnapshots => "store_snapshots",
@@ -644,20 +641,6 @@ impl RuntimeTelemetry {
         self.gauges[GaugeKey::AppliedIndex as usize].set(applied_index);
     }
 
-    /// A client session was granted (or re-granted) a read lease valid
-    /// for `ttl_ns`; `renewed` is false for the session's first lease.
-    #[inline]
-    pub fn on_lease_granted(&self, client: u64, renewed: bool, ttl_ns: u64) {
-        self.add(CounterKey::LeaseGrants, 1);
-        if self.events_on {
-            self.recorder.record(&TelemetryEvent::ReadLease {
-                client,
-                renewed,
-                ttl_ns,
-            });
-        }
-    }
-
     // --- derived readers ---
 
     /// Fraction of decisions that used only the fast path (0 when none).
@@ -1118,21 +1101,21 @@ mod tests {
 
     /// The exported names and their order at the commit before the metric
     /// table existed, less `appends` and `slot_conflicts` (gone with
-    /// `ReplicatedLog::append`); the benchmark and any scraper read them by
-    /// string.
+    /// `ReplicatedLog::append`) and `lease_grants` (gone with the read
+    /// lease); the benchmark and any scraper read them by string.
     const COUNTERS: &str = "decide_calls decisions fast_path_hits stage_entries \
         prob_writes_attempted prob_writes_performed pool_hits pool_misses \
         instances_retired faults_injected faults_lost_prob_writes faults_stale_reads \
         faults_delayed_commits faults_register_resets fallbacks_taken conciliator_selections \
         coin_selections proposals_enqueued proposals_rejected proposals_shed batches_drained \
         worker_restarts resubmitted_cells commands_applied sessions_created duplicates_served \
-        stale_commands lease_grants fast_reads store_snapshots";
+        stale_commands fast_reads store_snapshots";
     const GAUGES: &str = "applied_index circuit_state max_conciliator_round \
         observed_delta_hat_ppm live_instances queue_depth";
     const HISTOGRAMS: &str = "rounds_to_decide decide_latency_ns conciliator_rounds coin_rounds \
         service_wait_ns worker_recovery_ns";
     /// `to_json()` of the hook script below, captured at that same commit.
-    const SCRIPT_JSON: &str = r#"{"counters":{"decide_calls":1,"decisions":1,"fast_path_hits":1,"stage_entries":1,"prob_writes_attempted":2,"prob_writes_performed":1,"pool_hits":2,"pool_misses":1,"instances_retired":1,"faults_injected":1,"faults_lost_prob_writes":0,"faults_stale_reads":1,"faults_delayed_commits":0,"faults_register_resets":0,"fallbacks_taken":1,"conciliator_selections":1,"coin_selections":1,"proposals_enqueued":2,"proposals_rejected":1,"proposals_shed":1,"batches_drained":1,"worker_restarts":1,"resubmitted_cells":1,"commands_applied":5,"sessions_created":1,"duplicates_served":1,"stale_commands":1,"lease_grants":1,"fast_reads":1,"store_snapshots":1},"gauges":{"applied_index":{"value":5,"max":5},"circuit_state":{"value":1,"max":1},"max_conciliator_round":{"value":0,"max":3},"observed_delta_hat_ppm":{"value":125000,"max":125000},"live_instances":{"value":2,"max":2},"queue_depth":{"value":1,"max":2}},"histograms":{"rounds_to_decide":{"count":1,"sum":2,"max":2,"mean":2.0,"p50":2,"p99":2,"buckets":[[3,1]]},"decide_latency_ns":{"count":1,"sum":500,"max":500,"mean":500.0,"p50":500,"p99":500,"buckets":[[511,1]]},"conciliator_rounds":{"count":1,"sum":4,"max":4,"mean":4.0,"p50":4,"p99":4,"buckets":[[7,1]]},"coin_rounds":{"count":1,"sum":9,"max":9,"mean":9.0,"p50":9,"p99":9,"buckets":[[15,1]]},"service_wait_ns":{"count":1,"sum":5000,"max":5000,"mean":5000.0,"p50":5000,"p99":5000,"buckets":[[8191,1]]},"worker_recovery_ns":{"count":1,"sum":7000,"max":7000,"mean":7000.0,"p50":7000,"p99":7000,"buckets":[[8191,1]]}}}"#;
+    const SCRIPT_JSON: &str = r#"{"counters":{"decide_calls":1,"decisions":1,"fast_path_hits":1,"stage_entries":1,"prob_writes_attempted":2,"prob_writes_performed":1,"pool_hits":2,"pool_misses":1,"instances_retired":1,"faults_injected":1,"faults_lost_prob_writes":0,"faults_stale_reads":1,"faults_delayed_commits":0,"faults_register_resets":0,"fallbacks_taken":1,"conciliator_selections":1,"coin_selections":1,"proposals_enqueued":2,"proposals_rejected":1,"proposals_shed":1,"batches_drained":1,"worker_restarts":1,"resubmitted_cells":1,"commands_applied":5,"sessions_created":1,"duplicates_served":1,"stale_commands":1,"fast_reads":1,"store_snapshots":1},"gauges":{"applied_index":{"value":5,"max":5},"circuit_state":{"value":1,"max":1},"max_conciliator_round":{"value":0,"max":3},"observed_delta_hat_ppm":{"value":125000,"max":125000},"live_instances":{"value":2,"max":2},"queue_depth":{"value":1,"max":2}},"histograms":{"rounds_to_decide":{"count":1,"sum":2,"max":2,"mean":2.0,"p50":2,"p99":2,"buckets":[[3,1]]},"decide_latency_ns":{"count":1,"sum":500,"max":500,"mean":500.0,"p50":500,"p99":500,"buckets":[[511,1]]},"conciliator_rounds":{"count":1,"sum":4,"max":4,"mean":4.0,"p50":4,"p99":4,"buckets":[[7,1]]},"coin_rounds":{"count":1,"sum":9,"max":9,"mean":9.0,"p50":9,"p99":9,"buckets":[[15,1]]},"service_wait_ns":{"count":1,"sum":5000,"max":5000,"mean":5000.0,"p50":5000,"p99":5000,"buckets":[[8191,1]]},"worker_recovery_ns":{"count":1,"sum":7000,"max":7000,"mean":7000.0,"p50":7000,"p99":7000,"buckets":[[8191,1]]}}}"#;
 
     #[test]
     fn snapshot_covers_the_metric_set() {
@@ -1156,7 +1139,7 @@ mod tests {
             HistKey::ALL.iter().map(|key| key.name()).collect(),
         ];
         assert_eq!(table, names);
-        assert_eq!(table.each_ref().map(Vec::len), [30, 6, 6]);
+        assert_eq!(table.each_ref().map(Vec::len), [29, 6, 6]);
 
         // A fixed script over every hook and every kind of bump exports
         // what the hand-written metric set exported, byte for byte.
@@ -1190,7 +1173,6 @@ mod tests {
         t.add(CounterKey::SessionsCreated, 1);
         t.add(CounterKey::DuplicatesServed, 1);
         t.add(CounterKey::StaleCommands, 1);
-        t.on_lease_granted(7, false, 1_000);
         t.add(CounterKey::FastReads, 1);
         t.add(CounterKey::StoreSnapshots, 1);
         let snap = t.snapshot();

@@ -2,7 +2,6 @@
 //! `ConsensusBuilder → EngineBuilder → StoreBuilder`.
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use mc_runtime::{AtomicMemory, ConciliatorChoice, EngineBuilder, ReplicatedLog, SharedMemory};
 use mc_telemetry::Recorder;
@@ -26,8 +25,6 @@ pub(crate) struct StoreOptions {
     /// (riding the same pass that compacts the log). `0` disables
     /// snapshots. Default 1024.
     pub snapshot_every: u64,
-    /// Read-lease lifetime for lease-gated fast reads. Default 5ms.
-    pub lease_ttl: Duration,
     /// Capacity hint for the session table; see
     /// [`StoreBuilder::expected_sessions`]. Default 0.
     pub expected_sessions: usize,
@@ -42,7 +39,6 @@ impl Default for StoreOptions {
             proposers: 2,
             batch_commands: 512,
             snapshot_every: 1024,
-            lease_ttl: Duration::from_millis(5),
             expected_sessions: 0,
             seed: 0x5EED,
         }
@@ -107,12 +103,6 @@ impl<S: StateMachine, M: SharedMemory> StoreBuilder<S, M> {
     /// Snapshot cadence in applied slots (`0` disables). Default 1024.
     pub fn snapshot_every(mut self, slots: u64) -> Self {
         self.options.snapshot_every = slots;
-        self
-    }
-
-    /// Read-lease lifetime for fast reads. Default 5ms.
-    pub fn lease_ttl(mut self, ttl: Duration) -> Self {
-        self.options.lease_ttl = ttl;
         self
     }
 
@@ -205,7 +195,6 @@ mod tests {
         assert_eq!(options.proposers, 2);
         assert_eq!(options.batch_commands, 512);
         assert_eq!(options.snapshot_every, 1024);
-        assert_eq!(options.lease_ttl, Duration::from_millis(5));
         assert_eq!(options.expected_sessions, 0);
         assert_eq!(options.seed, 0x5EED);
     }
@@ -232,7 +221,7 @@ mod tests {
             .restore_from(&snapshot)
             .proposers(1)
             .build();
-        assert_eq!(store.read_with(1, |kv| kv.get(2)), Some(20));
+        assert_eq!(store.read_with(|kv| kv.get(2)), Some(20));
         let mut client = store.client();
         assert_eq!(
             client.call(KvCommand::Get { key: 1 }).unwrap(),
@@ -248,7 +237,6 @@ mod tests {
             .shards(2)
             .proposers(2)
             .batch_commands(4)
-            .lease_ttl(Duration::from_millis(1))
             .build();
         let mut client = store.client();
         for i in 0..10 {

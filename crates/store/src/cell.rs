@@ -50,7 +50,7 @@ pub(crate) trait Driver<R>: Send + Sync {
 ///
 /// The response is released when some caller applies the command (or
 /// serves it from the session table's duplicate cache) — never earlier,
-/// which is what makes lease-gated fast reads linearizable. There is no
+/// which is what makes fast reads linearizable. There is no
 /// store thread to do that: [`wait`](CommandHandle::wait) and
 /// [`wait_timeout`](CommandHandle::wait_timeout) drive the store
 /// themselves, and [`poll`](CommandHandle::poll) does not.

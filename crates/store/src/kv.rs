@@ -12,7 +12,7 @@ use crate::machine::StateMachine;
 pub enum KvCommand {
     /// Reads `key` (through the log — the slow, always-linearizable path;
     /// see [`ReplicatedStore::read_with`](crate::ReplicatedStore::read_with)
-    /// for the lease-gated fast path).
+    /// for the fast path).
     Get {
         /// Key to read.
         key: u64,
@@ -75,7 +75,7 @@ impl KvStore {
         KvStore::default()
     }
 
-    /// Direct read of `key` — used by lease-gated fast reads, where the
+    /// Direct read of `key` — used by fast reads, where the
     /// closure runs against the applied state.
     pub fn get(&self, key: u64) -> Option<u64> {
         self.map.get(&key).copied()

@@ -27,8 +27,8 @@
 //!   once, duplicates from its cache. DESIGN.md §12 has the rules.
 //! - [`StoreClient`]: a client session — owns the client id, stamps
 //!   sequence numbers, supports explicit duplicate [`resend`] for retry.
-//! - Lease-gated fast reads ([`ReplicatedStore::read_with`]): served from
-//!   the applied state without a log slot. Linearizable because a
+//! - Fast reads ([`ReplicatedStore::read_with`]): served from the applied
+//!   state under its mutex, without a log slot. Linearizable because a
 //!   command's response is only released *at apply time*, so everything a
 //!   caller could have observed complete is already in the applied state.
 //!
@@ -48,7 +48,7 @@
 //!     client.call(KvCommand::Get { key: 7 }).unwrap(),
 //!     KvResponse::Value(Some(1))
 //! );
-//! // Lease-gated fast read: no log slot consumed.
+//! // Fast read: no log slot consumed.
 //! assert_eq!(client.read(|kv: &KvStore| kv.get(7)), Some(1));
 //! store.shutdown();
 //! ```

@@ -146,9 +146,6 @@ struct StoreInner<S: StateMachine, M: SharedMemory> {
     frontier: AtomicU64,
     apply: Mutex<ApplyCursor>,
     state: Mutex<Applied<S>>,
-    /// Read leases by client id: expiry instants from the shared
-    /// monotonic-clock helper.
-    leases: Mutex<FastMap<u64, Instant>>,
     latest_snapshot: Mutex<Option<(u64, S::Snapshot)>>,
     /// A driver unwound; raised under the intake mutex.
     poisoned: AtomicBool,
@@ -418,28 +415,9 @@ impl<S: StateMachine, M: SharedMemory> StoreInner<S, M> {
         }
     }
 
-    /// Lease-gated fast read: checks (or grants) the client's read lease,
-    /// then runs `f` against the applied state — no log slot consumed.
-    fn read_with<R>(&self, client: u64, f: impl FnOnce(&S) -> R) -> R {
-        let now = clock::now();
-        let ttl = self.options.lease_ttl;
-        {
-            let mut leases = self.leases.lock().unwrap_or_else(PoisonError::into_inner);
-            match leases.entry(client) {
-                Entry::Occupied(mut occupied) => {
-                    if *occupied.get() <= now {
-                        *occupied.get_mut() = clock::deadline_from(now, ttl);
-                        self.telemetry()
-                            .on_lease_granted(client, true, ttl.as_nanos() as u64);
-                    }
-                }
-                Entry::Vacant(vacant) => {
-                    vacant.insert(clock::deadline_from(now, ttl));
-                    self.telemetry()
-                        .on_lease_granted(client, false, ttl.as_nanos() as u64);
-                }
-            }
-        }
+    /// Fast read: runs `f` against the applied state under the state
+    /// mutex — no log slot consumed.
+    fn read_with<R>(&self, f: impl FnOnce(&S) -> R) -> R {
         self.telemetry().add(CounterKey::FastReads, 1);
         let state = self.lock_state();
         assert!(
@@ -564,7 +542,6 @@ impl<S: StateMachine, M: SharedMemory> ReplicatedStore<S, M> {
                 sessions,
                 torn: false,
             }),
-            leases: Mutex::new(FastMap::default()),
             latest_snapshot: Mutex::new(None),
             poisoned: AtomicBool::new(false),
             next_client: AtomicU64::new(1),
@@ -642,12 +619,12 @@ impl<S: StateMachine, M: SharedMemory> ReplicatedStore<S, M> {
             .collect()
     }
 
-    /// Lease-gated fast read: runs `f` against the applied state under
-    /// `client`'s read lease (granting or renewing it as needed), without
-    /// consuming a log slot. Linearizable because responses are released
-    /// only at apply time: every command whose response the caller could
-    /// have observed is already in the applied state. The slow path — the
-    /// read as a logged command, e.g. [`KvCommand::Get`] — is the
+    /// Fast read: runs `f` against the applied state under the state
+    /// mutex, without consuming a log slot. Linearizable because responses
+    /// are released only at apply time: every command whose response the
+    /// caller could have observed is already in the applied state, and the
+    /// read takes effect inside the mutex that apply holds. The slow path
+    /// — the read as a logged command, e.g. [`KvCommand::Get`] — is the
     /// conformance oracle for this fast path.
     ///
     /// # Panics
@@ -656,8 +633,8 @@ impl<S: StateMachine, M: SharedMemory> ReplicatedStore<S, M> {
     /// is then poisoned, and `f` would see a half-applied batch.
     ///
     /// [`KvCommand::Get`]: crate::KvCommand::Get
-    pub fn read_with<R>(&self, client: u64, f: impl FnOnce(&S) -> R) -> R {
-        self.inner.read_with(client, f)
+    pub fn read_with<R>(&self, f: impl FnOnce(&S) -> R) -> R {
+        self.inner.read_with(f)
     }
 
     /// The latest state-machine snapshot apply captured, with the number
@@ -672,7 +649,7 @@ impl<S: StateMachine, M: SharedMemory> ReplicatedStore<S, M> {
     }
 
     /// Aggregate metrics: the applied-index gauge, session-table
-    /// counters, lease grants, plus everything the underlying engine
+    /// counters, fast reads, plus everything the underlying engine
     /// counts.
     pub fn telemetry(&self) -> &RuntimeTelemetry {
         self.inner.telemetry()
@@ -766,10 +743,9 @@ impl<S: StateMachine, M: SharedMemory> StoreClient<S, M> {
         self.inner.submit(self.client, seq, command)
     }
 
-    /// Lease-gated fast read under this session's lease; see
-    /// [`ReplicatedStore::read_with`].
+    /// Fast read; see [`ReplicatedStore::read_with`].
     pub fn read<R>(&self, f: impl FnOnce(&S) -> R) -> R {
-        self.inner.read_with(self.client, f)
+        self.inner.read_with(f)
     }
 }
 
@@ -941,7 +917,7 @@ mod tests {
             store.telemetry().count(CounterKey::SessionsCreated),
             clients
         );
-        let total = store.read_with(999, |kv| kv.len());
+        let total = store.read_with(|kv| kv.len());
         assert_eq!(total as u64, clients * per_client);
         store.shutdown();
     }
@@ -1035,17 +1011,79 @@ mod tests {
     }
 
     #[test]
-    fn fast_reads_observe_completed_writes_and_grant_leases() {
+    fn fast_reads_observe_completed_writes() {
         let mut store = small_store();
         let mut client = store.client();
         client.call(KvCommand::Put { key: 3, value: 30 }).unwrap();
-        assert_eq!(client.read(|kv| kv.get(3)), Some(30));
-        let t = store.telemetry();
-        assert_eq!(t.count(CounterKey::FastReads), 1);
-        assert_eq!(t.count(CounterKey::LeaseGrants), 1);
-        // Within the TTL the second read rides the same lease.
-        assert_eq!(client.read(|kv| kv.get(3)), Some(30));
-        assert_eq!(store.telemetry().count(CounterKey::LeaseGrants), 1);
+        let counts =
+            |t: &RuntimeTelemetry| CounterKey::ALL.iter().map(|&key| t.count(key)).collect();
+        let mut expected: Vec<u64> = counts(store.telemetry());
+        for read in 1..=3 {
+            assert_eq!(client.read(|kv| kv.get(3)), Some(30));
+            // Each read is counted, and moves nothing else.
+            expected[CounterKey::FastReads as usize] += 1;
+            assert_eq!(counts(store.telemetry()), expected, "read {read}");
+        }
+        assert_eq!(store.telemetry().count(CounterKey::FastReads), 3);
+        store.shutdown();
+    }
+
+    /// A writer's acknowledged puts bound what a concurrent fast read may
+    /// see from below, and reads by one thread never go back in time: the
+    /// read takes effect inside the state mutex, and a response is
+    /// released only after its batch left that mutex. A second session
+    /// keeps putting to another key, so with one identity the writer's put
+    /// is often applied by that session's driver while the writer parks:
+    /// a response released before its command is applied then lets the
+    /// reader see a value below `floor`.
+    #[test]
+    fn fast_reads_are_linearizable_against_a_concurrent_writer() {
+        const N: u64 = 20_000;
+        let mut store = ReplicatedStore::<KvStore>::builder().proposers(1).build();
+        let acked = AtomicU64::new(0);
+        std::thread::scope(|scope| {
+            let (mut writer, mut other) = (store.client(), store.client());
+            let acked = &acked;
+            scope.spawn(move || {
+                for value in 1.. {
+                    if acked.load(Ordering::SeqCst) == N {
+                        break;
+                    }
+                    other.call(KvCommand::Put { key: 2, value }).unwrap();
+                }
+            });
+            scope.spawn(move || {
+                for i in 1..=N {
+                    writer.call(KvCommand::Put { key: 1, value: i }).unwrap();
+                    acked.store(i, Ordering::SeqCst);
+                }
+            });
+            let reader = store.client();
+            let store = &store;
+            scope.spawn(move || {
+                let (mut previous, mut reads) = (0, 0u64);
+                let deadline = clock::deadline_within(PATIENCE);
+                loop {
+                    let floor = acked.load(Ordering::SeqCst);
+                    let seen = reader.read(|kv| kv.get(1)).unwrap_or(0);
+                    assert!(
+                        floor <= seen && seen <= N,
+                        "read {seen} after put {floor} was acknowledged, {store:?}"
+                    );
+                    assert!(seen >= previous, "read {seen} after reading {previous}");
+                    previous = seen;
+                    if floor == N {
+                        break;
+                    }
+                    reads += 1;
+                    if reads % 8 == 0 {
+                        assert!(clock::now() < deadline, "writer stalled, {store:?}");
+                        std::thread::yield_now();
+                    }
+                }
+            });
+        });
+        assert_eq!(store.read_with(|kv| kv.get(1)), Some(N));
         store.shutdown();
     }
 
@@ -1372,7 +1410,7 @@ mod tests {
             store.submit(41, 1, 41).wait_timeout(PATIENCE),
             Err(StoreError::Shutdown)
         );
-        assert!(catch_unwind(AssertUnwindSafe(|| store.read_with(0, |m| m.0))).is_err());
+        assert!(catch_unwind(AssertUnwindSafe(|| store.read_with(|m| m.0))).is_err());
         shutdown_within_patience(store);
     }
 
@@ -1476,7 +1514,7 @@ mod tests {
                 // won its slot: then its announcement is gone and its put
                 // visible; otherwise it waits to be re-proposed.
                 let announced = inner.lock_intake().announced.len();
-                let visible = store.read_with(0, |kv| kv.get(1)) == Some(10);
+                let visible = store.read_with(|kv| kv.get(1)) == Some(10);
                 assert_eq!(announced == 0, visible, "nap {nap}");
                 won_asleep.push(visible);
                 napping.store(false, Ordering::SeqCst);
@@ -1509,7 +1547,7 @@ mod tests {
                 "command {i}"
             );
         }
-        assert_eq!(store.read_with(77, |kv| kv.get(10)), Some(20));
+        assert_eq!(store.read_with(|kv| kv.get(10)), Some(20));
         store.shutdown();
     }
 }

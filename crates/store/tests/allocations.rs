@@ -1,8 +1,8 @@
 //! The response block's claim, counted rather than asserted in prose: a
 //! `submit_batch` allocates per submission, not per command, and the slot
-//! it is decided in allocates nothing. A counting global allocator watches
-//! the one thread that submits, drives and waits (the store starts no
-//! thread of its own).
+//! it is decided in allocates nothing; a fast read allocates nothing at
+//! all. A counting global allocator watches the one thread that submits,
+//! drives, waits and reads (the store starts no thread of its own).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -120,5 +120,27 @@ fn a_call_allocates_its_block_and_batch_only() {
         "{counts:?} allocations per call"
     );
     drop(client);
+    store.shutdown();
+}
+
+#[test]
+fn a_fast_read_allocates_nothing() {
+    let mut store = ReplicatedStore::<KvStore>::builder()
+        .snapshot_every(0)
+        .build();
+    let mut writer = store.client();
+    writer.call(KvCommand::Put { key: 1, value: 7 }).unwrap();
+    for _ in 0..100 {
+        assert_eq!(store.client().read(|kv| kv.get(1)), Some(7));
+    }
+    // Each read by a session that never read before: no per-client state
+    // may grow with the readers.
+    let before = ALLOCATIONS.with(Cell::get);
+    for _ in 0..10_000 {
+        assert_eq!(store.client().read(|kv| kv.get(1)), Some(7));
+    }
+    let allocations = ALLOCATIONS.with(Cell::get) - before;
+    assert_eq!(allocations, 0, "allocations by 10 000 fast reads");
+    drop(writer);
     store.shutdown();
 }

@@ -281,18 +281,6 @@ pub enum TelemetryEvent {
         /// The state entered.
         state: CircuitState,
     },
-    /// The store layer granted or renewed a client session's read lease
-    /// (lease-gated reads are then served from the applied state without
-    /// occupying a log slot).
-    ReadLease {
-        /// Client session the lease belongs to.
-        client: u64,
-        /// `false` for the session's first lease, `true` for a renewal
-        /// after expiry.
-        renewed: bool,
-        /// Lease validity from grant, nanoseconds.
-        ttl_ns: u64,
-    },
     /// End-of-run totals (mirrors `mc-sim`'s `WorkMetrics`).
     WorkSummary {
         /// Seed the run was driven with.
@@ -331,7 +319,6 @@ impl TelemetryEvent {
             TelemetryEvent::BatchDrained { .. } => "batch_drained",
             TelemetryEvent::WorkerRestarted { .. } => "worker_restarted",
             TelemetryEvent::CircuitTransition { .. } => "circuit_transition",
-            TelemetryEvent::ReadLease { .. } => "read_lease",
             TelemetryEvent::WorkSummary { .. } => "work_summary",
         }
     }
@@ -466,15 +453,6 @@ impl TelemetryEvent {
             }
             TelemetryEvent::CircuitTransition { state } => {
                 obj.str_field("state", state.as_str());
-            }
-            TelemetryEvent::ReadLease {
-                client,
-                renewed,
-                ttl_ns,
-            } => {
-                obj.u64_field("client", *client)
-                    .bool_field("renewed", *renewed)
-                    .u64_field("ttl_ns", *ttl_ns);
             }
             TelemetryEvent::WorkSummary {
                 seed,
@@ -703,10 +681,6 @@ crate::metric_keys! {
         /// Last circuit state observed (numeric; see
         /// [`CircuitState::as_u64`]) — the latest value, not a sum.
         CircuitState => "circuit_state",
-        /// `read_lease` events seen (grants plus renewals).
-        ReadLeases => "read_leases",
-        /// `read_lease` events that were renewals of an expired lease.
-        ReadLeaseRenewals => "read_lease_renewals",
     }
 }
 
@@ -860,12 +834,6 @@ impl Recorder for AggregatingRecorder {
                 self.cell(Tally::CircuitState)
                     .store(state.as_u64(), Ordering::Relaxed);
             }
-            TelemetryEvent::ReadLease { renewed, .. } => {
-                self.add(Tally::ReadLeases, 1);
-                if *renewed {
-                    self.add(Tally::ReadLeaseRenewals, 1);
-                }
-            }
             TelemetryEvent::WorkSummary { .. } => {}
         }
     }
@@ -994,11 +962,6 @@ mod tests {
             TelemetryEvent::CircuitTransition {
                 state: CircuitState::Open,
             },
-            TelemetryEvent::ReadLease {
-                client: 3,
-                renewed: true,
-                ttl_ns: 5_000_000,
-            },
             TelemetryEvent::ConciliatorSelected {
                 generation: 0,
                 choice: ConciliatorKind::Impatient,
@@ -1053,9 +1016,11 @@ mod tests {
         ]
     }
 
-    /// `to_json(Some(i))` of `sample_events()` then `edge_events()`,
+    /// `to_json(Some(seq))` of `sample_events()` then `edge_events()`,
     /// captured from the renderer this one replaced (commit 4e4eb71): the
     /// schema is these bytes, and any drift must show up as a diff here.
+    /// Stamp [`RETIRED_SEQ`] belonged to the `read_lease` event, since
+    /// removed; the lines after it keep their stamps.
     const GOLDEN: &[&str] = &[
         r#"{"ev":"stage_entered","seq":0,"pid":0,"stage":0,"kind":"ratifier"}"#,
         r#"{"ev":"fast_path_hit","seq":1,"pid":0,"stage":1}"#,
@@ -1072,7 +1037,6 @@ mod tests {
         r#"{"ev":"batch_drained","seq":12,"shard":1,"batch":8,"queue_depth":2}"#,
         r#"{"ev":"worker_restarted","seq":13,"ring":0,"attempt":1,"resubmitted":3,"recovery_ns":2000}"#,
         r#"{"ev":"circuit_transition","seq":14,"state":"open"}"#,
-        r#"{"ev":"read_lease","seq":15,"client":3,"renewed":true,"ttl_ns":5000000}"#,
         r#"{"ev":"conciliator_selected","seq":16,"generation":0,"choice":"impatient","samples":2}"#,
         r#"{"ev":"work_summary","seq":17,"seed":7,"total_work":2,"individual_work":1,"prob_writes_attempted":1,"prob_writes_performed":0,"registers_allocated":3,"registers_touched":2,"per_process":[1,0,1]}"#,
         r#"{"ev":"decided","seq":18,"pid":0,"value":18446744073709551615,"stage":9,"latency_ns":18446744073709551614}"#,
@@ -1084,16 +1048,19 @@ mod tests {
         r#"{"ev":"work_summary","seq":24,"seed":18446744073709551615,"total_work":0,"individual_work":10,"prob_writes_attempted":99,"prob_writes_performed":100,"registers_allocated":12345,"registers_touched":1000000,"per_process":[0,1009,4036,9081,16144,25225,36324,49441,64576,81729,100900,122089,145296,170521,197764,227025,258304,291601,326916,364249,403600,444969,488356,533761,581184,630625,682084,735561,791056,848569,908100,969649]}"#,
     ];
 
+    const RETIRED_SEQ: u64 = 15;
+
     #[test]
     fn every_line_matches_its_golden_bytes() {
         let events: Vec<_> = sample_events().into_iter().chain(edge_events()).collect();
         assert_eq!(events.len(), GOLDEN.len());
+        let stamps = (0..).filter(|&seq| seq != RETIRED_SEQ);
         // One dirty buffer for all: `write_json` appends and disturbs nothing.
         let mut reused = String::from("dirty");
-        for (i, (event, golden)) in events.iter().zip(GOLDEN).enumerate() {
-            assert_eq!(event.to_json(Some(i as u64)), *golden);
+        for ((seq, event), golden) in stamps.zip(&events).zip(GOLDEN) {
+            assert_eq!(event.to_json(Some(seq)), *golden);
             reused.truncate("dirty".len());
-            event.write_json(Some(i as u64), &mut reused);
+            event.write_json(Some(seq), &mut reused);
             assert_eq!(reused.strip_prefix("dirty"), Some(*golden));
             json::validate(golden).unwrap_or_else(|e| panic!("{golden}: {e}"));
         }
@@ -1189,12 +1156,10 @@ mod tests {
             agg.record(&event);
         }
         let expected = [
-            (Tally::Events, 18),
+            (Tally::Events, 17),
             (Tally::FaultsInjected, 1),
             (Tally::ConciliatorSelections, 2),
             (Tally::CoinSelections, 1),
-            (Tally::ReadLeases, 1),
-            (Tally::ReadLeaseRenewals, 1),
             (Tally::FallbacksTaken, 1),
             (Tally::BatchesDrained, 1),
             (Tally::BatchedProposals, 8),

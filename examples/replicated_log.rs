@@ -87,7 +87,7 @@ fn main() {
 
     // Every command landed: the machine's log holds all of them in one
     // agreed order.
-    let (ordered, regs) = store.read_with(u64::MAX, |m| (m.snapshot(), m.regs));
+    let (ordered, regs) = store.read_with(|m| (m.snapshot(), m.regs));
     println!(
         "replicated log across {clients} clients ({} commands total):\n",
         ordered.len()

@@ -125,7 +125,7 @@ proptest! {
         prop_assert_eq!(telemetry.count(CounterKey::CommandsApplied), distinct);
         prop_assert_eq!(telemetry.count(CounterKey::DuplicatesServed), dup_copies);
         prop_assert_eq!(telemetry.count(CounterKey::StaleCommands), stale_copies);
-        let final_state = store.read_with(u64::MAX, |kv| kv.snapshot());
+        let final_state = store.read_with(|kv| kv.snapshot());
         prop_assert_eq!(final_state, reference.snapshot());
         store.shutdown();
     }
@@ -161,7 +161,7 @@ proptest! {
             prop_assert_eq!(settle(&store, &session.submit(command)), Ok(expected_restored));
         }
         prop_assert_eq!(original.snapshot(), restored.snapshot());
-        prop_assert_eq!(store.read_with(1, |kv| kv.snapshot()), restored.snapshot());
+        prop_assert_eq!(store.read_with(|kv| kv.snapshot()), restored.snapshot());
         store.shutdown();
     }
 }
@@ -220,7 +220,7 @@ fn concurrent_appends_each_get_a_position_of_their_own() {
                 .collect();
             sessions.into_iter().map(|s| s.join().unwrap()).collect()
         });
-        let history = store.read_with(u64::MAX, |log| log.snapshot());
+        let history = store.read_with(|log| log.snapshot());
         let mut positions: Vec<usize> = placed.iter().flatten().map(|&(p, _)| p).collect();
         positions.sort_unstable();
         assert_eq!(positions, (0..100).collect::<Vec<_>>(), "seed {seed}");

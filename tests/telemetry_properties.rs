@@ -441,7 +441,7 @@ fn any_event() -> impl Strategy<Value = TelemetryEvent> {
     };
 
     (
-        (0usize..15, any_width(), any_width(), any_width()),
+        (0usize..14, any_width(), any_width(), any_width()),
         (any_width(), any::<bool>(), -1.0f64..2.0),
         proptest::collection::vec(any_width(), 0..40),
     )
@@ -524,11 +524,6 @@ fn any_event() -> impl Strategy<Value = TelemetryEvent> {
                         CircuitState::Open,
                         CircuitState::HalfOpen,
                     ][(c % 3) as usize],
-                },
-                13 => TelemetryEvent::ReadLease {
-                    client: a,
-                    renewed: flag,
-                    ttl_ns: b,
                 },
                 _ => TelemetryEvent::WorkSummary {
                     seed: a,
