@@ -215,19 +215,6 @@ struct LazyChainObject {
     limit: Option<usize>,
 }
 
-impl LazyChainObject {
-    /// Returns stage `i`, instantiating it (and any gaps) on first demand.
-    fn stage(&self, i: usize, ctx: &mut Ctx<'_>) -> Arc<dyn DecidingObject> {
-        let mut cache = self.cache.lock().expect("chain cache lock");
-        while cache.len() <= i {
-            let spec = (self.generator)(cache.len());
-            let obj = spec.instantiate(&mut InstantiateCtx::new(self.n, ctx.alloc));
-            cache.push(obj);
-        }
-        Arc::clone(&cache[i])
-    }
-}
-
 impl DecidingObject for LazyChainObject {
     fn session(&self, _pid: ProcessId) -> Box<dyn Session + Send> {
         unreachable!("LazyChain sessions are created by the spec wrapper")
@@ -383,15 +370,28 @@ enum StageSource {
 }
 
 impl StageSource {
-    /// Stage `i`, or `None` past the end of a finite chain.
-    fn get(&self, i: usize, ctx: &mut Ctx<'_>) -> Option<Arc<dyn DecidingObject>> {
+    /// A new session of stage `i` for `pid`, or `None` past the end of a
+    /// finite chain. A lazy chain instantiates the stage (and any gaps) on
+    /// first demand and creates the session under its cache lock, so
+    /// entering a stage clones no `Arc`.
+    fn session(
+        &self,
+        i: usize,
+        pid: ProcessId,
+        ctx: &mut Ctx<'_>,
+    ) -> Option<Box<dyn Session + Send>> {
         match self {
-            StageSource::Eager(stages) => stages.get(i).cloned(),
+            StageSource::Eager(stages) => Some(stages.get(i)?.session(pid)),
             StageSource::Lazy(object) => {
                 if object.limit.is_some_and(|limit| i > limit) {
                     return None;
                 }
-                Some(object.stage(i, ctx))
+                let mut cache = object.cache.lock().expect("chain cache lock");
+                while cache.len() <= i {
+                    let spec = (object.generator)(cache.len());
+                    cache.push(spec.instantiate(&mut InstantiateCtx::new(object.n, ctx.alloc)));
+                }
+                Some(cache[i].session(pid))
             }
         }
     }
@@ -427,7 +427,7 @@ impl StagedSession {
                     }
                     // Move to the next stage, if any.
                     self.cur += 1;
-                    let Some(next) = self.source.get(self.cur, ctx) else {
+                    let Some(mut session) = self.source.session(self.cur, self.pid, ctx) else {
                         // Finite chain exhausted: its output is the last
                         // stage's output.
                         if let Some(probe) = &self.probe {
@@ -438,7 +438,6 @@ impl StagedSession {
                     if let Some(probe) = &self.probe {
                         probe.record_stage(self.cur);
                     }
-                    let mut session = next.session(self.pid);
                     action = session.begin(d.value(), ctx);
                     self.inner = Some(session);
                 }
@@ -449,14 +448,13 @@ impl StagedSession {
 
 impl Session for StagedSession {
     fn begin(&mut self, input: Value, ctx: &mut Ctx<'_>) -> Action {
-        let first = self
+        let mut session = self
             .source
-            .get(0, ctx)
+            .session(0, self.pid, ctx)
             .expect("chains have at least one stage");
         if let Some(probe) = &self.probe {
             probe.record_stage(0);
         }
-        let mut session = first.session(self.pid);
         let action = session.begin(input, ctx);
         self.inner = Some(session);
         self.advance(action, ctx)

@@ -3,7 +3,7 @@
 use std::error::Error;
 use std::fmt;
 
-use crate::scheme::QuorumScheme;
+use crate::scheme::{QuorumScheme, MAX_MASK_POOL};
 use crate::verify::{check_cross_intersection, QuorumViolation};
 
 /// Error constructing a [`TableScheme`].
@@ -18,6 +18,11 @@ pub enum TableSchemeError {
     },
     /// No values were supplied.
     Empty,
+    /// The pool has more registers than a quorum mask holds (128).
+    PoolTooLarge {
+        /// The pool size requested.
+        pool: u64,
+    },
     /// A quorum entry indexes past the declared pool.
     SlotOutOfRange {
         /// The value whose quorum is malformed.
@@ -38,6 +43,10 @@ impl fmt::Display for TableSchemeError {
                 write!(f, "{writes} write quorums but {reads} read quorums")
             }
             TableSchemeError::Empty => write!(f, "a quorum table needs at least one value"),
+            TableSchemeError::PoolTooLarge { pool } => write!(
+                f,
+                "a pool of {pool} registers exceeds the {MAX_MASK_POOL} a quorum mask holds"
+            ),
             TableSchemeError::SlotOutOfRange { value, slot, pool } => {
                 write!(
                     f,
@@ -79,15 +88,15 @@ impl Error for TableSchemeError {}
 #[derive(Debug, Clone)]
 pub struct TableScheme {
     pool: u64,
-    writes: Vec<Vec<u64>>,
-    reads: Vec<Vec<u64>>,
+    writes: Vec<u128>,
+    reads: Vec<u128>,
 }
 
 impl TableScheme {
-    /// Builds and validates a table scheme over `pool` registers.
+    /// Builds and validates a table scheme over `pool ≤ 128` registers.
     ///
-    /// Quorums are sorted and deduplicated. Validation is exhaustive
-    /// (quadratic in the number of values).
+    /// A quorum is a set: the order and repeats of its slots are ignored.
+    /// Validation is exhaustive (quadratic in the number of values).
     ///
     /// # Errors
     ///
@@ -106,31 +115,41 @@ impl TableScheme {
         if writes.is_empty() {
             return Err(TableSchemeError::Empty);
         }
-        let normalize = |mut q: Vec<u64>| {
-            q.sort_unstable();
-            q.dedup();
-            q
-        };
-        let writes: Vec<Vec<u64>> = writes.into_iter().map(normalize).collect();
-        let reads: Vec<Vec<u64>> = reads.into_iter().map(normalize).collect();
-        for (value, quorum) in writes.iter().chain(reads.iter()).enumerate() {
-            if let Some(&slot) = quorum.iter().find(|&&s| s >= pool) {
-                return Err(TableSchemeError::SlotOutOfRange {
-                    value: (value % writes.len()) as u64,
-                    slot,
-                    pool,
-                });
-            }
+        if pool > MAX_MASK_POOL {
+            return Err(TableSchemeError::PoolTooLarge { pool });
         }
+        let masks = |quorums: Vec<Vec<u64>>| {
+            quorums
+                .into_iter()
+                .enumerate()
+                .map(|(value, quorum)| {
+                    quorum.into_iter().try_fold(0u128, |mask, slot| {
+                        if slot < pool {
+                            Ok(mask | 1 << slot)
+                        } else {
+                            Err(TableSchemeError::SlotOutOfRange {
+                                value: value as u64,
+                                slot,
+                                pool,
+                            })
+                        }
+                    })
+                })
+                .collect::<Result<Vec<u128>, _>>()
+        };
         let scheme = TableScheme {
             pool,
-            writes,
-            reads,
+            writes: masks(writes)?,
+            reads: masks(reads)?,
         };
         check_cross_intersection(&scheme, u64::MAX)
             .map_err(TableSchemeError::NotCrossIntersecting)?;
         Ok(scheme)
     }
+}
+
+fn index(v: u64) -> usize {
+    usize::try_from(v).expect("value fits usize")
 }
 
 impl QuorumScheme for TableScheme {
@@ -142,12 +161,12 @@ impl QuorumScheme for TableScheme {
         self.writes.len() as u64
     }
 
-    fn write_quorum(&self, v: u64) -> Vec<u64> {
-        self.writes[usize::try_from(v).expect("value fits usize")].clone()
+    fn write_mask(&self, v: u64) -> u128 {
+        self.writes[index(v)]
     }
 
-    fn read_quorum(&self, v: u64) -> Vec<u64> {
-        self.reads[usize::try_from(v).expect("value fits usize")].clone()
+    fn read_mask(&self, v: u64) -> u128 {
+        self.reads[index(v)]
     }
 
     fn name(&self) -> String {
@@ -210,6 +229,18 @@ mod tests {
             TableScheme::new(2, vec![], vec![]).unwrap_err(),
             TableSchemeError::Empty
         );
+    }
+
+    #[test]
+    fn pools_past_a_mask_rejected() {
+        let err =
+            TableScheme::new(129, vec![vec![0], vec![128]], vec![vec![128], vec![0]]).unwrap_err();
+        assert_eq!(err, TableSchemeError::PoolTooLarge { pool: 129 });
+        // 128 registers fit: the top one is bit 127.
+        let widest =
+            TableScheme::new(128, vec![vec![0], vec![127]], vec![vec![127], vec![0]]).unwrap();
+        assert_eq!(widest.write_mask(1), 1 << 127);
+        assert_eq!(widest.read_quorum(0), vec![127]);
     }
 
     #[test]

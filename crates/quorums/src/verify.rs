@@ -5,7 +5,6 @@
 //! `Σᵢ C(aᵢ + bᵢ, aᵢ)⁻¹ ≤ 1` where `aᵢ = |Wᵢ|`, `bᵢ = |Rᵢ|` — which is what
 //! makes the binomial scheme's register count optimal.
 
-use std::collections::HashSet;
 use std::error::Error;
 use std::fmt;
 
@@ -49,6 +48,12 @@ impl fmt::Display for QuorumViolation {
 
 impl Error for QuorumViolation {}
 
+/// The lowest register two quorum masks share, if any.
+fn shared(a: u128, b: u128) -> Option<u64> {
+    let both = a & b;
+    (both != 0).then(|| u64::from(both.trailing_zeros()))
+}
+
 /// Exhaustively checks the cross-intersection property over the first
 /// `limit` values of the scheme (all values if `limit ≥ capacity`).
 ///
@@ -63,26 +68,18 @@ pub fn check_cross_intersection(
     limit: u64,
 ) -> Result<(), QuorumViolation> {
     let m = scheme.capacity().min(limit);
-    let quorums: Vec<(HashSet<u64>, HashSet<u64>)> = (0..m)
-        .map(|v| {
-            (
-                scheme.write_quorum(v).into_iter().collect(),
-                scheme.read_quorum(v).into_iter().collect(),
-            )
-        })
+    let quorums: Vec<(u128, u128)> = (0..m)
+        .map(|v| (scheme.write_mask(v), scheme.read_mask(v)))
         .collect();
-    for (v, (w, r)) in quorums.iter().enumerate() {
-        if let Some(&reg) = w.intersection(r).next() {
+    for (v, &(w, r)) in quorums.iter().enumerate() {
+        if let Some(register) = shared(w, r) {
             return Err(QuorumViolation::SelfIntersection {
                 value: v as u64,
-                register: reg,
+                register,
             });
         }
-        for (other, (w_other, _)) in quorums.iter().enumerate() {
-            if other == v {
-                continue;
-            }
-            if w_other.is_disjoint(r) {
+        for (other, &(w_other, _)) in quorums.iter().enumerate() {
+            if other != v && shared(w_other, r).is_none() {
                 return Err(QuorumViolation::MissedConflict {
                     value: v as u64,
                     other: other as u64,
@@ -117,19 +114,12 @@ pub fn check_cross_intersection_sampled(
     for _ in 0..pairs {
         let v = next();
         let o = next();
-        let w: HashSet<u64> = scheme.write_quorum(v).into_iter().collect();
-        let r: HashSet<u64> = scheme.read_quorum(v).into_iter().collect();
-        if let Some(&reg) = w.intersection(&r).next() {
-            return Err(QuorumViolation::SelfIntersection {
-                value: v,
-                register: reg,
-            });
+        let (w, r) = (scheme.write_mask(v), scheme.read_mask(v));
+        if let Some(register) = shared(w, r) {
+            return Err(QuorumViolation::SelfIntersection { value: v, register });
         }
-        if o != v {
-            let w_other: HashSet<u64> = scheme.write_quorum(o).into_iter().collect();
-            if w_other.is_disjoint(&r) {
-                return Err(QuorumViolation::MissedConflict { value: v, other: o });
-            }
+        if o != v && shared(scheme.write_mask(o), r).is_none() {
+            return Err(QuorumViolation::MissedConflict { value: v, other: o });
         }
     }
     Ok(())
@@ -145,8 +135,8 @@ pub fn bollobas_sum(scheme: &dyn QuorumScheme, limit: u64) -> f64 {
     let m = scheme.capacity().min(limit);
     (0..m)
         .map(|v| {
-            let a = scheme.write_quorum(v).len() as u64;
-            let b = scheme.read_quorum(v).len() as u64;
+            let a = u64::from(scheme.write_mask(v).count_ones());
+            let b = u64::from(scheme.read_mask(v).count_ones());
             1.0 / binomial(a + b, a) as f64
         })
         .sum()
@@ -198,11 +188,11 @@ mod tests {
             fn capacity(&self) -> u64 {
                 2
             }
-            fn write_quorum(&self, v: u64) -> Vec<u64> {
-                vec![v]
+            fn write_mask(&self, v: u64) -> u128 {
+                1 << v
             }
-            fn read_quorum(&self, v: u64) -> Vec<u64> {
-                vec![v]
+            fn read_mask(&self, v: u64) -> u128 {
+                1 << v
             }
             fn name(&self) -> String {
                 "broken".into()
@@ -220,11 +210,11 @@ mod tests {
             fn capacity(&self) -> u64 {
                 2
             }
-            fn write_quorum(&self, v: u64) -> Vec<u64> {
-                vec![v]
+            fn write_mask(&self, v: u64) -> u128 {
+                1 << v
             }
-            fn read_quorum(&self, v: u64) -> Vec<u64> {
-                vec![v + 2]
+            fn read_mask(&self, v: u64) -> u128 {
+                1 << (v + 2)
             }
             fn name(&self) -> String {
                 "disjoint".into()

@@ -36,6 +36,14 @@ impl Memory {
         self.cells[ix] = Some(value);
     }
 
+    /// Makes room for registers `0..count` without materializing any, so
+    /// writing them never reallocates; [`touched`](Memory::touched) is
+    /// unchanged.
+    pub(crate) fn reserve(&mut self, count: u64) {
+        let count = index(RegisterId(count));
+        self.cells.reserve(count.saturating_sub(self.cells.len()));
+    }
+
     /// Reads a contiguous block of `len` registers starting at `base`.
     pub fn collect(&self, base: RegisterId, len: u64) -> Vec<RegContents> {
         (0..len).map(|d| self.read(base.offset(d))).collect()

@@ -45,8 +45,10 @@ if command -v taskset > /dev/null; then
         taskset -c 0 cargo test --release --test store_properties
         taskset -c 0 cargo test --release -p mc-lab store_conforms
     done
-    # A warm slot lifecycle (checkout, decide, retirement) allocates nothing.
+    # A warm slot lifecycle (checkout, decide, retirement) allocates nothing,
+    # and neither does a simulated step that enters no stage.
     taskset -c 0 cargo test --release -p mc-runtime --test allocations
+    taskset -c 0 cargo test --release -p mc-sim --test allocations
 else
     echo "taskset not found: skipping the one-CPU store leg"
 fi
