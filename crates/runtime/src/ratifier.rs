@@ -3,7 +3,7 @@
 use std::sync::Arc;
 
 use mc_model::Decision;
-use mc_quorums::{BinaryScheme, BinomialScheme, BitVectorScheme, QuorumScheme};
+use mc_quorums::{BinaryScheme, BinomialScheme, BitVectorScheme, QuorumScheme, MAX_MASK_POOL};
 
 use crate::register::{AtomicMemory, SharedMemory, SharedRegister};
 
@@ -39,6 +39,10 @@ impl<M: SharedMemory> std::fmt::Debug for AtomicRatifier<M> {
 
 impl AtomicRatifier {
     /// Builds a ratifier over an arbitrary quorum scheme.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the scheme's pool exceeds [`MAX_MASK_POOL`] registers.
     pub fn with_scheme(scheme: Arc<dyn QuorumScheme>) -> AtomicRatifier {
         AtomicRatifier::with_scheme_in(&AtomicMemory, scheme)
     }
@@ -77,8 +81,17 @@ impl<M: SharedMemory> AtomicRatifier<M> {
     ///
     /// Allocation order — pool slots in slot order, then the proposal
     /// register — matches the model object and must not change.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the scheme's pool exceeds [`MAX_MASK_POOL`] registers.
     pub fn with_scheme_in(memory: &M, scheme: Arc<dyn QuorumScheme>) -> AtomicRatifier<M> {
-        let pool = (0..scheme.pool_size()).map(|_| memory.alloc()).collect();
+        let pool = scheme.pool_size();
+        assert!(
+            pool <= MAX_MASK_POOL,
+            "a pool of {pool} registers exceeds the {MAX_MASK_POOL} a quorum mask holds"
+        );
+        let pool = (0..pool).map(|_| memory.alloc()).collect();
         AtomicRatifier {
             pool,
             proposal: memory.alloc(),
@@ -203,6 +216,31 @@ mod tests {
     #[should_panic(expected = "exceeds ratifier capacity")]
     fn oversized_value_rejected() {
         AtomicRatifier::binary().ratify(7);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the 128 a quorum mask holds")]
+    fn a_pool_past_a_mask_is_refused() {
+        /// Two values over 129 registers, one more than a mask names.
+        struct Wide;
+        impl QuorumScheme for Wide {
+            fn pool_size(&self) -> u64 {
+                MAX_MASK_POOL + 1
+            }
+            fn capacity(&self) -> u64 {
+                2
+            }
+            fn write_mask(&self, v: u64) -> u128 {
+                1 << v
+            }
+            fn read_mask(&self, v: u64) -> u128 {
+                1 << (1 - v)
+            }
+            fn name(&self) -> String {
+                "wide".into()
+            }
+        }
+        let _ = AtomicRatifier::with_scheme(Arc::new(Wide));
     }
 
     #[test]
