@@ -17,9 +17,9 @@ struct LearnedLog {
 
 /// An append-only, totally-ordered log of decided entries, one per slot.
 ///
-/// The log decides nothing. Whoever runs consensus for a slot — the store
-/// layer's driving callers, one [`ConsensusEngine`](crate::ConsensusEngine)
-/// instance per slot — records the outcome with
+/// The log decides nothing. Whoever runs consensus for a slot — one
+/// [`ConsensusEngine`](crate::ConsensusEngine) instance per slot — records
+/// the outcome with
 /// [`learn_decided`](ReplicatedLog::learn_decided); the log keeps the
 /// entries (`u64` codes below `capacity`, 8 bytes per slot), the contiguous
 /// learned prefix an applier may consume, and the compaction floor behind
@@ -31,6 +31,11 @@ struct LearnedLog {
 /// [`get`](ReplicatedLog::get) (O(1) each), then calls
 /// [`compact_below`](ReplicatedLog::compact_below) with its applied index,
 /// which bounds retained storage by the apply lag.
+///
+/// It has no production user: the store keeps its learned prefix in its
+/// own intake, under the mutex its callers already take. The type stays
+/// for the benchmark's `log.learn_ns` probe until ROADMAP item 1 deletes
+/// both.
 ///
 /// # Example
 ///

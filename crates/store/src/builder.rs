@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 
-use mc_runtime::{AtomicMemory, ConciliatorChoice, EngineBuilder, ReplicatedLog, SharedMemory};
+use mc_runtime::{AtomicMemory, ConciliatorChoice, EngineBuilder, SharedMemory};
 use mc_telemetry::Recorder;
 
 use crate::machine::StateMachine;
@@ -22,8 +22,8 @@ pub(crate) struct StoreOptions {
     /// Default 512.
     pub batch_commands: usize,
     /// Capture a state-machine snapshot every this many applied slots
-    /// (riding the same pass that compacts the log). `0` disables
-    /// snapshots. Default 1024.
+    /// (by the caller that applies that slot). `0` disables snapshots.
+    /// Default 1024.
     pub snapshot_every: u64,
     /// Capacity hint for the session table; see
     /// [`StoreBuilder::expected_sessions`]. Default 0.
@@ -165,8 +165,8 @@ impl<S: StateMachine, M: SharedMemory> StoreBuilder<S, M> {
 
     /// Builds the engine (consensus `n` = engine `participants` =
     /// `proposers`; value space = the identities, `max(proposers, 2)`) and
-    /// the [`ReplicatedLog`] that records which identity won each slot.
-    /// No thread is started: callers drive the store.
+    /// the store over it, which records which identity won each slot in
+    /// its intake. No thread is started: callers drive the store.
     pub fn build(self) -> ReplicatedStore<S, M> {
         let values = self.options.proposers.max(2) as u64;
         let engine = self
@@ -179,8 +179,7 @@ impl<S: StateMachine, M: SharedMemory> StoreBuilder<S, M> {
             // this very driver's decision.
             .max_live_per_shard(usize::MAX)
             .build();
-        let log = ReplicatedLog::new(self.options.proposers, values);
-        ReplicatedStore::start(engine, log, self.options, self.initial)
+        ReplicatedStore::start(engine, self.options, self.initial)
     }
 }
 

@@ -10,15 +10,16 @@ use mc_runtime::clock;
 use crate::error::StoreError;
 
 /// The response slots of one submission — one per command of a
-/// `submit_batch`, one for a `submit` or `call` — with one wake-up pair
-/// and one reference to the store that answers them. A slot is filled
-/// once, by whichever caller applies its command or by teardown, and read
-/// with one acquire load; a later fill is ignored and reported, so the
-/// applier can assert it never answers a command twice. A fill takes the
-/// mutex and notifies only when the waiter count says someone is parked
-/// (the common case is nobody: a caller usually applies its own command).
+/// `submit_batch`, one (held inline) for a `submit` or `call` — with one
+/// wake-up pair and one reference to the store that answers them. A slot
+/// is filled once, by whichever caller applies its command or by teardown,
+/// and read with one acquire load; a later fill is ignored and reported,
+/// so the applier can assert it never answers a command twice. A fill
+/// takes the mutex and notifies only when the waiter count says someone is
+/// parked (the common case is nobody: a caller usually applies its own
+/// command).
 pub(crate) struct ResponseBlock<R> {
-    slots: Box<[OnceLock<Result<R, StoreError>>]>,
+    slots: Slots<R>,
     /// Callers parked on any slot of this block.
     waiters: AtomicUsize,
     lock: Mutex<()>,
@@ -26,11 +27,23 @@ pub(crate) struct ResponseBlock<R> {
     store: Arc<dyn Driver<R>>,
 }
 
+/// A block's slots: a single command's inline, so a `call` allocates its
+/// block and nothing else.
+enum Slots<R> {
+    One(OnceLock<Result<R, StoreError>>),
+    Many(Box<[OnceLock<Result<R, StoreError>>]>),
+}
+
 impl<R> ResponseBlock<R> {
     /// A block of `len` empty slots answered by `store`.
     pub(crate) fn new(len: usize, store: Arc<dyn Driver<R>>) -> Arc<ResponseBlock<R>> {
+        let slots = if len == 1 {
+            Slots::One(OnceLock::new())
+        } else {
+            Slots::Many((0..len).map(|_| OnceLock::new()).collect())
+        };
         Arc::new(ResponseBlock {
-            slots: (0..len).map(|_| OnceLock::new()).collect(),
+            slots,
             waiters: AtomicUsize::new(0),
             lock: Mutex::new(()),
             cv: Condvar::new(),
@@ -71,7 +84,10 @@ impl<R> CommandHandle<R> {
     }
 
     fn slot(&self) -> &OnceLock<Result<R, StoreError>> {
-        &self.block.slots[self.index]
+        match &self.block.slots {
+            Slots::One(slot) => slot,
+            Slots::Many(slots) => &slots[self.index],
+        }
     }
 
     /// Answers this handle's slot if still empty and wakes the block's

@@ -4,9 +4,8 @@
 //!
 //! The stack below this crate agrees on *one value at a time*:
 //! [`ConsensusEngine`](mc_runtime::ConsensusEngine) pools one-shot
-//! instances and decides one per slot,
-//! [`ReplicatedLog`](mc_runtime::ReplicatedLog) keeps what they decided
-//! as a totally-ordered learned prefix. This crate closes the loop the
+//! instances and decides one per slot. This crate keeps what they
+//! decided as a totally-ordered learned prefix and closes the loop the
 //! consensus problem exists for: a deterministic [`StateMachine`] applied
 //! in slot order on every replica is a linearizable shared object, and
 //! every operation — `get`, `put`, `cas` — is one command in the log.
@@ -20,9 +19,10 @@
 //!   leases one of `proposers` identities, drafts the queued commands into
 //!   a batch (group commit), proposes its identity for a slot on the
 //!   [`ConsensusEngine`] — wait-free objects need nobody to decide for a
-//!   proposer — records the winner in the [`ReplicatedLog`] and applies
-//!   the learned prefix itself; the value space is the identities, and no
-//!   slot is spent on a no-op. A viewstamped-replication-style session
+//!   proposer — learns the winner under the intake mutex it already
+//!   takes, and applies the learned prefix itself unless another caller
+//!   is applying; the value space is the identities, and no slot is spent
+//!   on a no-op. A viewstamped-replication-style session
 //!   table (client id + sequence number) answers each command exactly
 //!   once, duplicates from its cache. DESIGN.md §12 has the rules.
 //! - [`StoreClient`]: a client session — owns the client id, stamps
@@ -33,7 +33,6 @@
 //!   caller could have observed complete is already in the applied state.
 //!
 //! [`ConsensusEngine`]: mc_runtime::ConsensusEngine
-//! [`ReplicatedLog`]: mc_runtime::ReplicatedLog
 //! [`resend`]: StoreClient::resend
 //!
 //! # Quickstart

@@ -11,8 +11,8 @@
 ///
 /// Snapshot/restore is the compaction hook: the store captures
 /// [`snapshot`](StateMachine::snapshot) at a configurable cadence and
-/// compacts the log below the applied index, so retained log stays
-/// bounded by apply lag instead of growing per command. `restore` must be
+/// keeps no applied slot, so a machine restored from a snapshot resumes
+/// without replaying the slots before it. `restore` must be
 /// `snapshot`'s exact inverse: `S::restore(&s.snapshot())` behaves
 /// identically to `s` on every future command sequence.
 pub trait StateMachine: Send + 'static {

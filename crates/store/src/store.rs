@@ -5,20 +5,21 @@
 //! the `proposers` identities, drafts queued commands into a batch
 //! announced under `(slot, pid)`, proposes its pid for the slot with
 //! [`ConsensusEngine::try_submit`] on its own thread (the objects are
-//! wait-free), records each decision in the [`ReplicatedLog`], and applies
-//! the learned prefix under a try-locked apply cursor — each winner's batch
-//! through the session table, then snapshot, compaction and
+//! wait-free), learns each decision into the intake's winners table, and
+//! applies the learned prefix unless another caller is applying — each
+//! winner's batch through the session table, then snapshot and
 //! [`retire_below`](ConsensusEngine::retire_below). Consensus agrees on
 //! *who* won a slot, so the value space is `max(proposers, 2)` and no slot
 //! is spent on a no-op. With no store thread, a caller that finds every
 //! identity leased parks on its response block, and two
 //! release-then-recheck rules keep that live: the last driver out keeps
-//! draining the intake, and whoever drops the apply cursor re-reads the
-//! learned prefix. DESIGN.md §12 has the argument.
+//! draining the intake, and the applier re-reads the learned prefix under
+//! the intake mutex before it lowers its `applying` flag. DESIGN.md §12
+//! has the argument.
 
 use std::collections::hash_map::Entry;
 use std::collections::VecDeque;
-use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
@@ -26,7 +27,7 @@ use mc_model::mix_seed;
 use mc_runtime::clock;
 use mc_runtime::{
     AmortizedEvents, AtomicMemory, ConsensusEngine, CounterKey, EngineError, FastMap,
-    ReplicatedLog, RuntimeTelemetry, SharedMemory,
+    RuntimeTelemetry, SharedMemory,
 };
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -57,14 +58,20 @@ struct Identity {
 }
 
 /// Intake: commands submitted but not yet drafted into a batch, the
-/// identities free to draft them, and the drafted batches announced for a
-/// slot.
+/// identities free to draft them, the drafted batches announced for a
+/// slot, and the learned prefix with its applier.
 ///
 /// A batch is announced, re-announced under each next slot its driver
 /// tries, and drained by `poison`, all under this one mutex; an applier
 /// takes it only to remove the batch its slot's winner announced. So
 /// `poison` fails every command no applier has taken — queued or
 /// announced — in one critical section, and none is announced after.
+///
+/// A decision is learned, and the next learned slot handed to at most one
+/// applier, under this mutex too: the applier raises `applying` in the
+/// critical section that takes its batch, and lowers it in the one that
+/// re-reads `learned`, so a slot learned while it applies is either seen
+/// by that re-read or finds the flag down and is applied by its learner.
 struct Intake<S: StateMachine> {
     queue: VecDeque<Pending<S>>,
     /// No new submissions. Queued commands are still ordered, unless the
@@ -78,6 +85,24 @@ struct Intake<S: StateMachine> {
     /// awaiting apply, or still proposed. A pid enters a slot at most once,
     /// so the key names one batch.
     announced: FastMap<(u64, usize), Vec<Pending<S>>>,
+    /// The winning pid of each slot from `applied` up, learned in any
+    /// order; `None` where a slot is not learned yet.
+    winners: VecDeque<Option<usize>>,
+    /// Slots learned decided: the contiguous prefix of `winners`.
+    learned: u64,
+    /// Slots applied: the front of `winners` is slot `applied`.
+    applied: u64,
+    /// Commands applied, duplicates and stale retries excluded.
+    commands: u64,
+    /// A caller is applying slot `applied`. It stays up if
+    /// `StateMachine::apply` unwinds: the store is poisoned by then, and
+    /// appliers check the poisoned flag as well, so no learned slot waits
+    /// on it — poison has answered every command no applier took.
+    applying: bool,
+    /// The last applied batch's buffer, emptied, for the next draft.
+    spare: Vec<Pending<S>>,
+    /// `apply_batch`'s response buffer, lent to the applier.
+    responses: Vec<Result<S::Response, StoreError>>,
 }
 
 impl<S: StateMachine> Intake<S> {
@@ -101,6 +126,30 @@ impl<S: StateMachine> Intake<S> {
             });
         }
     }
+
+    /// Records that `winner` won `slot`. Idempotent; a slot already
+    /// applied is ignored.
+    fn learn(&mut self, slot: u64, winner: usize) {
+        let Some(offset) = slot.checked_sub(self.applied) else {
+            return;
+        };
+        let offset = offset as usize;
+        if self.winners.len() <= offset {
+            self.winners.resize(offset + 1, None);
+        }
+        debug_assert!(
+            self.winners[offset].is_none_or(|won| won == winner),
+            "slot {slot} diverged"
+        );
+        self.winners[offset] = Some(winner);
+        while self
+            .winners
+            .get((self.learned - self.applied) as usize)
+            .is_some_and(Option::is_some)
+        {
+            self.learned += 1;
+        }
+    }
 }
 
 /// The machine and the session table that guards it, under one mutex;
@@ -110,13 +159,6 @@ struct Applied<S: StateMachine> {
     machine: S,
     sessions: FastMap<u64, Session<S::Response>>,
     torn: bool,
-}
-
-/// Where apply stands. One caller at a time holds it (try-locked).
-#[derive(Default)]
-struct ApplyCursor {
-    slots: u64,
-    commands: u64,
 }
 
 /// One client session's exactly-once state: the last applied sequence
@@ -135,16 +177,12 @@ struct StoreInner<S: StateMachine, M: SharedMemory> {
     /// as under the batching service: at one decide per slot per proposer
     /// a recorder call each would dominate the slot.
     _amortized: AmortizedEvents,
-    /// Which pid won each slot, learned in any order; apply walks its
-    /// contiguous prefix and compacts behind itself.
-    log: ReplicatedLog,
     options: StoreOptions,
     intake: Mutex<Intake<S>>,
     /// 1 + highest slot seen decided, where a batch is proposed; raised
     /// before the slot is learned, so never below the engine's floor. A
     /// hint: a driver behind it just loses, or is refused as retired.
     frontier: AtomicU64,
-    apply: Mutex<ApplyCursor>,
     state: Mutex<Applied<S>>,
     latest_snapshot: Mutex<Option<(u64, S::Snapshot)>>,
     /// A driver unwound; raised under the intake mutex.
@@ -210,15 +248,16 @@ impl<S: StateMachine, M: SharedMemory> StoreInner<S, M> {
             // raises its flag under: it finds every command it must fail
             // queued or announced, and none is announced after.
             let take = intake.queue.len().min(self.options.batch_commands);
-            let batch: Vec<Pending<S>> = intake.queue.drain(..take).collect();
+            let mut batch = std::mem::take(&mut intake.spare);
+            batch.extend(intake.queue.drain(..take));
             let slot = self.next_slot(&identity);
             intake.announced.insert((slot, identity.pid), batch);
             drop(intake);
-            self.propose(&mut identity, slot);
-            let wanted = wanted();
-            intake = self.lock_intake();
+            // Returns in the critical section that learned its win, which
+            // the last-out check below rides on.
+            intake = self.propose(&mut identity, slot);
             let last_out = intake.idle.len() + 1 == self.options.proposers;
-            if intake.queue.is_empty() || self.poisoned() || !(wanted || last_out) {
+            if intake.queue.is_empty() || self.poisoned() || !(last_out || wanted()) {
                 intake.idle.push(identity);
                 return true;
             }
@@ -234,126 +273,112 @@ impl<S: StateMachine, M: SharedMemory> StoreInner<S, M> {
 
     /// Proposes `identity`'s pid from `slot` on until it wins a slot,
     /// learning and applying every decision on the way, and re-announcing
-    /// its batch under each next slot it tries.
-    fn propose(&self, identity: &mut Identity, mut slot: u64) {
-        let pid = identity.pid as u64;
+    /// its batch under each next slot it tries. Returns holding the intake
+    /// mutex.
+    fn propose(&self, identity: &mut Identity, mut slot: u64) -> MutexGuard<'_, Intake<S>> {
+        let pid = identity.pid;
         loop {
             identity.cursor = slot + 1;
-            match self.engine.try_submit(slot, pid, &mut identity.rng) {
+            let decided = match self.engine.try_submit(slot, pid as u64, &mut identity.rng) {
                 Ok(decided) => {
                     // Frontier first, learn second: `frontier` then never
                     // trails the learned prefix, which bounds the floor.
-                    // AcqRel is more than that needs: the learn's log
-                    // lock already publishes the raise to every reader
-                    // of the prefix, and the frontier is only a hint.
+                    // AcqRel is more than that needs: the intake mutex the
+                    // learn takes already publishes the raise to every
+                    // reader of the prefix, and the frontier is only a
+                    // hint.
                     self.frontier.fetch_max(slot + 1, Ordering::AcqRel);
-                    self.log.learn_decided(slot as usize, decided);
-                    self.apply_learned();
-                    if decided == pid {
-                        return;
-                    }
+                    Some(decided as usize)
                 }
                 // Decided, applied and retired without this pid, between
                 // its frontier load and its submit.
-                Err(EngineError::Retired) => {}
+                Err(EngineError::Retired) => None,
                 Err(refused) => unreachable!("the store's engine is unbounded: {refused}"),
-            }
-            let next = self.next_slot(identity);
-            let mut intake = self.lock_intake();
-            let Some(batch) = intake.announced.remove(&(slot, identity.pid)) else {
-                return; // drained by poison
             };
-            intake.announced.insert((next, identity.pid), batch);
+            let mut intake = self.lock_intake();
+            if let Some(winner) = decided {
+                intake.learn(slot, winner);
+                intake = self.apply_learned(intake);
+                if winner == pid {
+                    return intake;
+                }
+            }
+            let Some(batch) = intake.announced.remove(&(slot, pid)) else {
+                return intake; // drained by poison
+            };
+            let next = self.next_slot(identity);
+            intake.announced.insert((next, pid), batch);
+            drop(intake);
             slot = next;
         }
     }
 
-    /// Applies the learned prefix unless another caller holds the apply
-    /// cursor; that one re-checks the prefix after dropping it. The two
-    /// `SeqCst` fences make the hand-off safe: a learner's fence sits
-    /// between its learn and its try-lock, the holder's between its unlock
-    /// and its re-read, so either the try-lock sees the unlock or the
-    /// re-read sees the learn.
-    fn apply_learned(&self) {
-        loop {
-            fence(Ordering::SeqCst);
-            if self.poisoned() {
-                return;
-            }
-            let applied = match self.apply.try_lock() {
-                Ok(mut cursor) => {
-                    self.apply_prefix(&mut cursor);
-                    cursor.slots
-                }
-                // Held: its holder re-checks. Poisoned: an applier unwound,
-                // poisoning the store.
-                Err(_) => return,
+    /// Applies the learned prefix, slot by slot, unless another caller is
+    /// applying: that one re-reads `learned` under this mutex before it
+    /// lowers `applying`, so it applies whatever was learned meanwhile.
+    /// Returns holding the intake mutex.
+    fn apply_learned<'a>(
+        &'a self,
+        mut intake: MutexGuard<'a, Intake<S>>,
+    ) -> MutexGuard<'a, Intake<S>> {
+        while intake.learned > intake.applied && !intake.applying && !self.poisoned() {
+            // The identity invariant: the batch the winner announced for
+            // exactly this slot. Only poison, draining them all, takes it,
+            // and poison raises its flag under this mutex.
+            let slot = intake.applied;
+            let winner = intake.winners[0].expect("a slot below `learned` is learned");
+            let Some(mut batch) = intake.announced.remove(&(slot, winner)) else {
+                panic!("slot {slot} won by pid {winner}, which announced nothing for it");
             };
-            fence(Ordering::SeqCst);
-            if self.log.learned_prefix() as u64 <= applied {
-                return;
+            intake.applying = true;
+            let before = intake.commands;
+            let mut responses = std::mem::take(&mut intake.responses);
+            drop(intake);
+            // If this unwinds, `applying` stays up; see `Intake::applying`.
+            let commands = before + self.apply_batch(&mut batch, &mut responses, before);
+            let every = self.options.snapshot_every;
+            if every > 0 && (slot + 1).is_multiple_of(every) {
+                let snapshot = self.lock_state().machine.snapshot();
+                *self
+                    .latest_snapshot
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner) = Some((commands, snapshot));
+                self.telemetry().add(CounterKey::StoreSnapshots, 1);
             }
+            // Live instances stay bounded by apply lag.
+            self.engine.retire_below(slot + 1);
+            intake = self.lock_intake();
+            intake.winners.pop_front();
+            intake.applied = slot + 1;
+            intake.commands = commands;
+            intake.spare = batch;
+            intake.responses = responses;
+            intake.applying = false;
         }
+        intake
     }
 
-    /// Applies every learned slot not yet applied — its winner's batch,
-    /// through the session table — then snapshots at the configured
-    /// cadence, compacts the log, and retires the applied slots'
-    /// instances.
-    fn apply_prefix(&self, cursor: &mut ApplyCursor) {
-        let (before, prefix) = (cursor.slots, self.log.learned_prefix() as u64);
-        if before >= prefix {
-            return;
-        }
-        while cursor.slots < prefix {
-            let winner = self
-                .log
-                .get(cursor.slots as usize)
-                .expect("slot below the learned prefix is readable");
-            // The identity invariant: the batch `winner` announced for
-            // exactly this slot. Only poison, draining them all, takes it.
-            let key = (cursor.slots, winner as usize);
-            let Some(batch) = self.lock_intake().announced.remove(&key) else {
-                assert!(
-                    self.poisoned(),
-                    "slot {} won by pid {winner}, which announced nothing for it",
-                    cursor.slots
-                );
-                return;
-            };
-            cursor.commands += self.apply_batch(batch, cursor.commands);
-            cursor.slots += 1;
-        }
-        let every = self.options.snapshot_every;
-        if every > 0 && cursor.slots / every > before / every {
-            let snapshot = self.lock_state().machine.snapshot();
-            *self
-                .latest_snapshot
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner) = Some((cursor.commands, snapshot));
-            self.telemetry().add(CounterKey::StoreSnapshots, 1);
-        }
-        // Retained log and live instances stay bounded by apply lag.
-        self.log.compact_below(cursor.slots as usize);
-        self.engine.retire_below(cursor.slots);
-    }
-
-    /// Applies one decided batch through the session table, returning how
-    /// many commands actually mutated the machine (duplicates and stale
-    /// retries excluded).
-    fn apply_batch(&self, batch: Vec<Pending<S>>, applied_before: u64) -> u64 {
+    /// Applies one decided batch through the session table, answers each
+    /// of its commands and leaves `batch` empty, returning how many
+    /// commands actually mutated the machine (duplicates and stale retries
+    /// excluded).
+    fn apply_batch(
+        &self,
+        batch: &mut Vec<Pending<S>>,
+        responses: &mut Vec<Result<S::Response, StoreError>>,
+        applied_before: u64,
+    ) -> u64 {
         let telemetry = self.telemetry();
-        let _unwind = Unanswered(&batch);
+        let unanswered = Unanswered(batch);
         // Responses are buffered and released only after every counter for
         // the batch has been bumped: a caller that has observed its
         // response (and anything it implies completed) must also observe
         // that work in the telemetry ledger.
-        let mut responses = Vec::with_capacity(batch.len());
         let mut guard = self.lock_state();
         let state = &mut *guard;
         state.torn = true;
         let mut applied = 0u64;
-        for pending in &batch {
+        for pending in unanswered.0 {
             match state.sessions.entry(pending.client) {
                 Entry::Vacant(vacant) => {
                     telemetry.add(CounterKey::SessionsCreated, 1);
@@ -388,9 +413,11 @@ impl<S: StateMachine, M: SharedMemory> StoreInner<S, M> {
         state.torn = false;
         drop(guard);
         telemetry.on_commands_applied(applied, applied_before + applied);
-        for (pending, response) in batch.iter().zip(responses) {
+        for (pending, response) in unanswered.0.iter().zip(responses.drain(..)) {
             assert!(pending.reply.fill(response), "a command answered twice");
         }
+        drop(unanswered);
+        batch.clear();
         applied
     }
 
@@ -507,11 +534,10 @@ impl<S: StateMachine + Default> ReplicatedStore<S> {
 }
 
 impl<S: StateMachine, M: SharedMemory> ReplicatedStore<S, M> {
-    /// Wires the store over an already-built engine and log, with every
-    /// proposer identity idle. Called by [`StoreBuilder::build`].
+    /// Wires the store over an already-built engine, with every proposer
+    /// identity idle. Called by [`StoreBuilder::build`].
     pub(crate) fn start(
         engine: ConsensusEngine<M>,
-        log: ReplicatedLog,
         options: StoreOptions,
         initial: S,
     ) -> ReplicatedStore<S, M> {
@@ -527,16 +553,21 @@ impl<S: StateMachine, M: SharedMemory> ReplicatedStore<S, M> {
         let inner = Arc::new(StoreInner {
             _amortized: engine.telemetry_handle().amortized(),
             engine,
-            log,
             intake: Mutex::new(Intake {
                 queue: VecDeque::new(),
                 closed: false,
                 idle,
                 announced: FastMap::default(),
+                winners: VecDeque::new(),
+                learned: 0,
+                applied: 0,
+                commands: 0,
+                applying: false,
+                spare: Vec::new(),
+                responses: Vec::new(),
             }),
             options,
             frontier: AtomicU64::new(0),
-            apply: Mutex::default(),
             state: Mutex::new(Applied {
                 machine: initial,
                 sessions,
@@ -655,9 +686,9 @@ impl<S: StateMachine, M: SharedMemory> ReplicatedStore<S, M> {
         self.inner.telemetry()
     }
 
-    /// Slots the log has learned decided (contiguous prefix).
+    /// Slots learned decided (contiguous prefix).
     pub fn learned_slots(&self) -> usize {
-        self.inner.log.learned_prefix()
+        self.inner.lock_intake().learned as usize
     }
 
     /// Commands applied to the state machine so far (duplicates excluded).
@@ -909,7 +940,14 @@ mod tests {
                 })
             })
             .collect();
+        // The callers wait with no deadline: bound the joins, so a stranded
+        // slot fails the test instead of hanging it.
+        let deadline = clock::deadline_within(PATIENCE);
         for h in handles {
+            while !h.is_finished() {
+                assert!(clock::now() < deadline, "a caller is stranded, {store:?}");
+                std::thread::sleep(Duration::from_millis(1));
+            }
             h.join().unwrap();
         }
         assert_eq!(store.applied_commands(), clients * per_client);
@@ -931,7 +969,13 @@ mod tests {
             let engine = &store.inner.engine;
             assert_eq!(engine.options_handle().n, proposers);
             assert_eq!(engine.participants(), proposers);
-            assert_eq!(store.inner.log.capacity(), proposers.max(2) as u64);
+            // The scheme `values(max(proposers, 2))` selects: room for
+            // every identity.
+            let values = proposers.max(2) as u64;
+            let scheme = &engine.options_handle().scheme;
+            let selected = mc_runtime::Consensus::builder().n(proposers).values(values);
+            assert_eq!(scheme.name(), selected.options().scheme.name());
+            assert!(scheme.capacity() >= values);
         }
     }
 
@@ -1102,8 +1146,11 @@ mod tests {
         let (applied_at, snapshot) = store.latest_snapshot().expect("cadence elapsed");
         assert!(applied_at >= 2);
         assert_eq!(snapshot.len() as u64, applied_at);
-        // Compaction kept retention bounded: the log has dropped slots.
-        assert!(store.inner.log.compacted_below() > 0);
+        // Retention stays bounded: the winners table has dropped the
+        // applied slots.
+        let intake = store.inner.lock_intake();
+        assert!(intake.applied > 0 && intake.winners.is_empty());
+        drop(intake);
         // Restore is snapshot's inverse.
         let restored = KvStore::restore(&snapshot);
         assert_eq!(restored.snapshot(), snapshot);
@@ -1113,8 +1160,8 @@ mod tests {
     #[test]
     fn sustained_calls_keep_a_flat_instance_window() {
         // The count-based form of the flat-memory gate, on the one pool
-        // there is: after 10x the warm-up volume of call -> apply ->
-        // `compact_below` -> `retire_below`, the engine holds no more
+        // there is: after 10x the warm-up volume of call -> learn ->
+        // apply -> `retire_below`, the engine holds no more
         // instances than after the warm-up, nearly every slot ran on a
         // recycled one, and nothing is live or retained between calls.
         let mut store = ReplicatedStore::<KvStore>::builder().proposers(2).build();
@@ -1126,7 +1173,9 @@ mod tests {
                 // A lone caller decides, applies and retires its own slot
                 // before its call returns: no trailing proposer, no pin.
                 assert_eq!(inner.engine.live_instances(), 0);
-                assert_eq!(inner.log.learned_prefix(), inner.log.compacted_below());
+                let intake = inner.lock_intake();
+                assert_eq!(intake.learned, intake.applied);
+                assert!(intake.winners.is_empty());
             }
             inner.engine.pooled_instances()
         };
@@ -1505,10 +1554,9 @@ mod tests {
                 assert!(napping.load(Ordering::SeqCst), "nap {nap} ended early");
                 // Everything learned is applied; the sleeper pins only the
                 // instance it is inside, everything else retired.
-                assert_eq!(
-                    inner.apply.lock().unwrap().slots,
-                    inner.log.learned_prefix() as u64
-                );
+                let intake = inner.lock_intake();
+                assert_eq!(intake.applied, intake.learned);
+                drop(intake);
                 assert_eq!(inner.engine.live_instances(), 1, "nap {nap}");
                 // The sleeper's batch was applied by the other caller iff it
                 // won its slot: then its announcement is gone and its put
@@ -1525,6 +1573,80 @@ mod tests {
             store.shutdown();
         }
         assert_eq!(won_asleep, [false, true], "both branches exercised");
+    }
+
+    /// Raised while command [`Gated::STALL`] is being applied.
+    static STALLED: AtomicBool = AtomicBool::new(false);
+    /// Lets the stalled apply finish.
+    static OPEN: AtomicBool = AtomicBool::new(false);
+
+    /// Counts its commands, and stalls applying [`Gated::STALL`] until
+    /// [`OPEN`] is raised (or [`PATIENCE`] runs out). Only
+    /// `a_stalled_applier_applies_what_others_learn_meanwhile` submits it.
+    #[derive(Default)]
+    struct Gated(u64);
+
+    impl Gated {
+        const STALL: u64 = 0;
+    }
+
+    impl StateMachine for Gated {
+        type Command = u64;
+        type Response = u64;
+        type Snapshot = u64;
+
+        fn apply(&mut self, command: &u64) -> u64 {
+            if *command == Gated::STALL {
+                STALLED.store(true, Ordering::SeqCst);
+                let deadline = clock::deadline_within(PATIENCE);
+                while !OPEN.load(Ordering::SeqCst) && clock::now() < deadline {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+            }
+            self.0 += 1;
+            self.0
+        }
+
+        fn snapshot(&self) -> u64 {
+            self.0
+        }
+
+        fn restore(snapshot: &u64) -> Gated {
+            Gated(*snapshot)
+        }
+    }
+
+    /// The applier hand-off: caller A stalls inside the apply of slot 0
+    /// with `applying` up; caller B decides and learns slot 1 meanwhile,
+    /// leaves it to A and parks. Once the gate opens, A re-reads `learned`
+    /// before it lowers the flag, so it applies slot 1 before its own call
+    /// returns, and B is answered.
+    #[test]
+    fn a_stalled_applier_applies_what_others_learn_meanwhile() {
+        let mut store = ReplicatedStore::<Gated>::builder()
+            .proposers(2)
+            .batch_commands(1)
+            .build();
+        let (mut a, mut b) = (store.client(), store.client());
+        std::thread::scope(|scope| {
+            let stalled = scope.spawn(move || a.call(Gated::STALL));
+            eventually("A stalls in apply", || STALLED.load(Ordering::SeqCst));
+            let parked = scope.spawn(move || b.submit(7).wait_timeout(PATIENCE));
+            eventually("B learns slot 1", || store.learned_slots() == 2);
+            let intake = store.inner.lock_intake();
+            assert!(intake.applying && intake.applied == 0);
+            drop(intake);
+            assert_eq!(store.applied_commands(), 0);
+            OPEN.store(true, Ordering::SeqCst);
+            assert_eq!(stalled.join().unwrap(), Ok(1));
+            // A returned only after applying what B learned.
+            let intake = store.inner.lock_intake();
+            assert_eq!((intake.applied, intake.applying), (2, false));
+            drop(intake);
+            assert_eq!(parked.join().unwrap(), Ok(2), "{store:?}");
+        });
+        assert_eq!(store.applied_commands(), 2);
+        store.shutdown();
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The response block's claim, counted rather than asserted in prose: a
-//! `submit_batch` allocates per submission, not per command, and the slot
-//! it is decided in allocates nothing; a fast read allocates nothing at
-//! all. A counting global allocator watches the one thread that submits,
+//! `submit_batch` allocates per submission, not per command, a `call`
+//! allocates its block and nothing else, and the slot either is decided
+//! in allocates nothing; a fast read allocates nothing at all. A counting global allocator watches the one thread that submits,
 //! drives, waits and reads (the store starts no thread of its own).
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -83,10 +83,11 @@ fn a_batch_allocates_per_submission_not_per_command() {
         counts.iter().all(|&count| count == counts[0]),
         "1024 vs 256 commands alternately: {counts:?}"
     );
-    // All six are the submission's: the counted commands, the block and
-    // its slots, the handles, the drafted batch, its responses. The slot's
+    // All four are the submission's: the counted commands, the block and
+    // its slots, the handles. The drafted batch reuses the last applied
+    // batch's buffer, the responses the applier's scratch, and the slot's
     // decide adds none.
-    assert_eq!(counts[0], 6, "{counts:?} allocations per submission");
+    assert_eq!(counts[0], 4, "{counts:?} allocations per submission");
     store.shutdown();
 }
 
@@ -103,7 +104,7 @@ fn allocations_of_a_call(client: &mut StoreClient<KvStore>, value: u64) -> u64 {
 }
 
 #[test]
-fn a_call_allocates_its_block_and_batch_only() {
+fn a_call_allocates_its_block_only() {
     let mut store = ReplicatedStore::<KvStore>::builder()
         .snapshot_every(0)
         .build();
@@ -114,9 +115,10 @@ fn a_call_allocates_its_block_and_batch_only() {
     let counts: Vec<u64> = (1_000..1_100)
         .map(|value| allocations_of_a_call(&mut client, value))
         .collect();
-    // The one-slot block and its slot, the drafted batch, its responses.
+    // The one-slot block, its slot inline: the draft, the responses and
+    // the decide reuse what the calls before left behind.
     assert!(
-        counts.iter().all(|&count| count <= 4),
+        counts.iter().all(|&count| count == 1),
         "{counts:?} allocations per call"
     );
     drop(client);
