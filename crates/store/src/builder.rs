@@ -18,8 +18,9 @@ pub(crate) struct StoreOptions {
     /// Default 2.
     pub proposers: usize,
     /// Maximum commands drafted into one batch (one log slot). Group
-    /// commit: one consensus round orders up to this many commands.
-    /// Default 512.
+    /// commit: one consensus round orders up to this many commands,
+    /// gathered from whole submissions; a single larger submission is a
+    /// batch of its own. Default 512.
     pub batch_commands: usize,
     /// Capture a state-machine snapshot every this many applied slots
     /// (by the caller that applies that slot). `0` disables snapshots.
@@ -94,7 +95,11 @@ impl<S: StateMachine, M: SharedMemory> StoreBuilder<S, M> {
         self
     }
 
-    /// Maximum commands per batch (per log slot). Default 512.
+    /// Maximum commands per batch (per log slot), drafted from whole
+    /// submissions. A [`submit_batch`](ReplicatedStore::submit_batch)
+    /// larger than this is never split: it is a batch of its own, one
+    /// slot and one long apply under the state mutex, which fast reads
+    /// wait behind. Default 512.
     pub fn batch_commands(mut self, commands: usize) -> Self {
         self.options.batch_commands = commands.max(1);
         self

@@ -9,46 +9,71 @@ use mc_runtime::clock;
 
 use crate::error::StoreError;
 
-/// The response slots of one submission — one per command of a
-/// `submit_batch`, one (held inline) for a `submit` or `call` — with one
-/// wake-up pair and one reference to the store that answers them. A slot
-/// is filled once, by whichever caller applies its command or by teardown,
-/// and read with one acquire load; a later fill is ignored and reported,
-/// so the applier can assert it never answers a command twice. A fill
-/// takes the mutex and notifies only when the waiter count says someone is
-/// parked (the common case is nobody: a caller usually applies its own
-/// command).
+/// The responses of one submission — every command of a `submit_batch`,
+/// the one command of a `submit` or `call` — with one wake-up pair and one
+/// reference to the store that answers them. A block is answered once, for
+/// all of its commands together, by whichever caller applies the
+/// submission or by teardown, and read with one acquire load; a later
+/// answer is refused and reported, so the applier can assert it never
+/// answers a submission twice. Answering takes the mutex and notifies only
+/// when the waiter count says someone is parked (the common case is
+/// nobody: a caller usually applies its own command).
 pub(crate) struct ResponseBlock<R> {
-    slots: Slots<R>,
-    /// Callers parked on any slot of this block.
+    /// Set once for the whole submission: `OnceLock::set` publishes it
+    /// (release) to every `get` (acquire) that sees it.
+    answers: OnceLock<Answer<R>>,
+    /// Callers parked on any command of this block. It publishes nothing:
+    /// `answer` reads it once per submission, ordered against `park`'s
+    /// raise by the pair of `SeqCst` fences.
     waiters: AtomicUsize,
     lock: Mutex<()>,
     cv: Condvar,
     store: Arc<dyn Driver<R>>,
 }
 
-/// A block's slots: a single command's inline, so a `call` allocates its
-/// block and nothing else.
-enum Slots<R> {
-    One(OnceLock<Result<R, StoreError>>),
-    Many(Box<[OnceLock<Result<R, StoreError>>]>),
+/// A submission's responses, set once for all of its commands.
+pub(crate) enum Answer<R> {
+    /// Every command answered alike: a single command's response, held
+    /// inline so a `call` allocates its block and nothing else, or one
+    /// refusal of a whole submission (shutdown, poison).
+    All(Result<R, StoreError>),
+    /// One response per command, in submission order.
+    Each(Box<[Result<R, StoreError>]>),
 }
 
 impl<R> ResponseBlock<R> {
-    /// A block of `len` empty slots answered by `store`.
-    pub(crate) fn new(len: usize, store: Arc<dyn Driver<R>>) -> Arc<ResponseBlock<R>> {
-        let slots = if len == 1 {
-            Slots::One(OnceLock::new())
-        } else {
-            Slots::Many((0..len).map(|_| OnceLock::new()).collect())
-        };
+    /// An unanswered block answered by `store`.
+    pub(crate) fn new(store: Arc<dyn Driver<R>>) -> Arc<ResponseBlock<R>> {
         Arc::new(ResponseBlock {
-            slots,
+            answers: OnceLock::new(),
             waiters: AtomicUsize::new(0),
             lock: Mutex::new(()),
             cv: Condvar::new(),
             store,
         })
+    }
+
+    /// Answers every command of the block if it is still unanswered, and
+    /// wakes its waiters; `false` when it was already answered and
+    /// `answer` was dropped.
+    pub(crate) fn answer(&self, answer: Answer<R>) -> bool {
+        if self.answers.set(answer).is_err() {
+            return false;
+        }
+        // SeqCst, the Dekker pairing with `park`'s fence: the answer set
+        // above and a parker's raised count are each before a fence, so
+        // either this load sees the count or the parker's re-check sees
+        // the answer.
+        fence(Ordering::SeqCst);
+        // Relaxed, the waiter count: the fence above and `park`'s order
+        // it against a parker's raise, and it publishes nothing else.
+        if self.waiters.load(Ordering::Relaxed) > 0 {
+            // Through the mutex, so a counted waiter is either before its
+            // re-check (which then sees the answer) or inside `wait`.
+            drop(self.lock.lock().unwrap_or_else(PoisonError::into_inner));
+            self.cv.notify_all();
+        }
+        true
     }
 }
 
@@ -70,59 +95,38 @@ pub(crate) trait Driver<R>: Send + Sync {
 ///
 /// The handles of one
 /// [`submit_batch`](crate::ReplicatedStore::submit_batch) share one
-/// response block: a slot each, one allocation and one store reference
-/// between them.
+/// response block, answered once for the whole submission: one allocation
+/// and one store reference between them, plus one for their responses
+/// when there are several.
 pub struct CommandHandle<R> {
     block: Arc<ResponseBlock<R>>,
     index: usize,
 }
 
 impl<R> CommandHandle<R> {
-    /// The handle on slot `index` of `block`.
+    /// The handle on command `index` of `block`'s submission.
     pub(crate) fn new(block: Arc<ResponseBlock<R>>, index: usize) -> CommandHandle<R> {
         CommandHandle { block, index }
     }
 
-    fn slot(&self) -> &OnceLock<Result<R, StoreError>> {
-        match &self.block.slots {
-            Slots::One(slot) => slot,
-            Slots::Many(slots) => &slots[self.index],
-        }
-    }
-
-    /// Answers this handle's slot if still empty and wakes the block's
-    /// waiters; `false` when it was already answered and this result was
-    /// dropped.
-    pub(crate) fn fill(&self, result: Result<R, StoreError>) -> bool {
-        if self.slot().set(result).is_err() {
-            return false;
-        }
-        let block = &*self.block;
-        // SeqCst, the Dekker pairing with `park`'s fence: the set above
-        // and a parker's raised count are each before a fence, so either
-        // this load sees the count or the parker's re-check sees the value.
-        fence(Ordering::SeqCst);
-        // Relaxed: the fences order it.
-        if block.waiters.load(Ordering::Relaxed) > 0 {
-            // Through the mutex, so a counted waiter is either before its
-            // re-check (which then sees the value) or inside `wait`.
-            drop(block.lock.lock().unwrap_or_else(PoisonError::into_inner));
-            block.cv.notify_all();
-        }
-        true
+    /// Whether the response arrived, without cloning it: the same
+    /// acquire load as [`poll`](CommandHandle::poll).
+    pub(crate) fn answered(&self) -> bool {
+        self.block.answers.get().is_some()
     }
 }
 
 impl<R: Clone> CommandHandle<R> {
-    /// Blocks until the slot is answered, or until `deadline` passes
+    /// Blocks until the block is answered, or until `deadline` passes
     /// (`None` then).
     pub(crate) fn park(&self, deadline: Option<Instant>) -> Option<Result<R, StoreError>> {
         let block = &*self.block;
         let mut guard = block.lock.lock().unwrap_or_else(PoisonError::into_inner);
-        // Relaxed: the fence below orders it against `fill`'s.
+        // Relaxed, the waiter count: the fence below orders the raise
+        // against `answer`'s fence and load.
         block.waiters.fetch_add(1, Ordering::Relaxed);
-        // SeqCst, `fill`'s Dekker partner: the count is raised before
-        // this fence and the slot re-checked after it, for as long as the
+        // SeqCst, `answer`'s Dekker partner: the count is raised before
+        // this fence and the block re-checked after it, for as long as the
         // count stays raised.
         fence(Ordering::SeqCst);
         let result = loop {
@@ -134,8 +138,9 @@ impl<R: Clone> CommandHandle<R> {
                 break None;
             }
             // Wait site (parked caller). Predicate, checked above under the
-            // block mutex: the slot is filled. Only `fill` makes it true,
-            // and it notifies through this mutex while the count is raised.
+            // block mutex: the block is answered. Only `answer` makes it
+            // true, and it notifies through this mutex while the count is
+            // raised.
             guard = match deadline {
                 None => block.cv.wait(guard).unwrap_or_else(PoisonError::into_inner),
                 Some(deadline) => {
@@ -144,7 +149,8 @@ impl<R: Clone> CommandHandle<R> {
                 }
             };
         };
-        // Relaxed: leaving only costs a later fill a spare notify.
+        // Relaxed, the waiter count: an answerer that misses the lowering
+        // (a timed-out parker's) only pays a spare lock and notify.
         block.waiters.fetch_sub(1, Ordering::Relaxed);
         result
     }
@@ -152,7 +158,13 @@ impl<R: Clone> CommandHandle<R> {
     /// The response if it already arrived, without blocking and without
     /// driving the store.
     pub fn poll(&self) -> Option<Result<R, StoreError>> {
-        self.slot().get().cloned()
+        // One acquire load (inside `OnceLock::get`, paired with `answer`'s
+        // set) plus an index.
+        let answer = self.block.answers.get()?;
+        Some(match answer {
+            Answer::All(result) => result.clone(),
+            Answer::Each(results) => results[self.index].clone(),
+        })
     }
 
     /// Drives the store until the command is applied and its response
@@ -187,11 +199,7 @@ impl<R: Clone> CommandHandle<R> {
 
 impl<R> std::fmt::Debug for CommandHandle<R> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let state = if self.slot().get().is_some() {
-            "done"
-        } else {
-            "waiting"
-        };
+        let state = if self.answered() { "done" } else { "waiting" };
         f.debug_struct("CommandHandle")
             .field("state", &state)
             .finish()
@@ -221,105 +229,105 @@ mod tests {
         }
     }
 
-    /// A handle on every slot of a fresh `len`-slot block nobody drives.
-    fn parked_handles(len: usize) -> Vec<CommandHandle<u64>> {
-        let block = ResponseBlock::new(len, Arc::new(Parked));
-        (0..len)
+    /// A fresh block nobody drives, and a handle on each of its `len`
+    /// commands.
+    fn parked_block(len: usize) -> (Arc<ResponseBlock<u64>>, Vec<CommandHandle<u64>>) {
+        let block = ResponseBlock::new(Arc::new(Parked));
+        let handles = (0..len)
             .map(|index| CommandHandle::new(Arc::clone(&block), index))
-            .collect()
+            .collect();
+        (block, handles)
     }
 
-    /// A second handle on `handle`'s slot, as a queued command holds one.
+    /// A second handle on `handle`'s command, as a waiting caller holds.
     fn reply(handle: &CommandHandle<u64>) -> CommandHandle<u64> {
         CommandHandle::new(Arc::clone(&handle.block), handle.index)
     }
 
     #[test]
-    fn first_fill_wins_and_wakes_waiters() {
-        let handles = parked_handles(2);
+    fn the_first_answer_wins_and_wakes_the_parked_caller() {
+        let (block, handles) = parked_block(2);
         let handle = &handles[1];
         assert!(handle.poll().is_none());
         let waiter = {
             let reply = reply(handle);
             std::thread::spawn(move || reply.park(None))
         };
-        assert!(handle.fill(Ok(7)));
-        assert!(!handle.fill(Err(StoreError::Shutdown)));
+        assert!(block.answer(Answer::Each(Box::new([Ok(6), Ok(7)]))));
+        assert!(
+            !block.answer(Answer::All(Err(StoreError::Shutdown))),
+            "a second answer is refused and reported"
+        );
         assert_eq!(waiter.join().unwrap(), Some(Ok(7)));
-        assert_eq!(handle.wait(), Ok(7), "second fill was ignored");
-        assert!(handles[0].poll().is_none(), "the other slot stays empty");
+        assert_eq!(handle.wait(), Ok(7), "the second answer was ignored");
+        assert_eq!(handles[0].poll(), Some(Ok(6)), "each command its own");
     }
 
     #[test]
     fn wait_timeout_expires_then_succeeds_on_a_late_fill() {
-        let handles = parked_handles(1);
+        let (block, handles) = parked_block(1);
         let handle = &handles[0];
         assert_eq!(
             handle.wait_timeout(Duration::from_millis(5)),
             Err(StoreError::Timeout)
         );
-        handle.fill(Ok(3));
+        block.answer(Answer::All(Ok(3)));
         assert_eq!(handle.wait_timeout(Duration::from_millis(5)), Ok(3));
     }
 
     /// Lost-wake-up stress on one block: eight callers park on distinct
-    /// slots of a 64-slot block, half of them with deadlines, while a
-    /// filler answers every slot in a seeded shuffled order, yielding
-    /// between fills so the parkers interleave even on one CPU. Each park
-    /// returns its own slot's value within `PATIENCE`; the deadlines lie
-    /// beyond it, so a missed wake-up cannot hide behind a timed-out
-    /// re-check.
+    /// commands of a 64-command block, half of them with deadlines, and
+    /// the block is answered once, after a seeded number of yields, so
+    /// the answer lands before, between and after the parkers' re-checks
+    /// even on one CPU. Each park returns its own command's value within
+    /// `PATIENCE`; the deadlines lie beyond it, so a missed wake-up cannot
+    /// hide behind a timed-out re-check.
     #[test]
     fn parked_callers_on_one_block_each_wake_to_their_own_value() {
-        const SLOTS: usize = 64;
+        const COMMANDS: usize = 64;
         const PARKERS: usize = 8;
-        let value = |slot: usize| 1_000 + slot as u64;
+        let value = |index: usize| 1_000 + index as u64;
         let mut rng = SmallRng::seed_from_u64(0xB10C);
-        let mut shuffled = || {
-            let mut slots: Vec<usize> = (0..SLOTS).collect();
-            for i in (1..SLOTS).rev() {
-                slots.swap(i, rng.random_range(0..=i));
-            }
-            slots
-        };
         for _ in 0..100 {
-            let handles = parked_handles(SLOTS);
-            let order = shuffled();
-            let mut parked = shuffled();
+            let (block, handles) = parked_block(COMMANDS);
+            let mut parked: Vec<usize> = (0..COMMANDS).collect();
+            for i in (1..COMMANDS).rev() {
+                parked.swap(i, rng.random_range(0..=i));
+            }
             parked.truncate(PARKERS);
             let start = Arc::new(std::sync::Barrier::new(PARKERS + 1));
             let (done, answers) = std::sync::mpsc::channel();
             let parkers: Vec<_> = parked
                 .iter()
                 .enumerate()
-                .map(|(parker, &slot)| {
+                .map(|(parker, &index)| {
                     let (reply, start, done) =
-                        (reply(&handles[slot]), Arc::clone(&start), done.clone());
+                        (reply(&handles[index]), Arc::clone(&start), done.clone());
                     std::thread::spawn(move || {
                         let deadline =
                             (parker % 2 == 0).then(|| clock::deadline_within(2 * PATIENCE));
                         start.wait();
-                        done.send((slot, reply.park(deadline))).unwrap();
+                        done.send((index, reply.park(deadline))).unwrap();
                     })
                 })
                 .collect();
             start.wait();
-            for &slot in &order {
-                assert!(handles[slot].fill(Ok(value(slot))));
+            for _ in 0..rng.random_range(0..2 * PARKERS) {
                 std::thread::yield_now();
             }
+            assert!(block.answer(Answer::Each((0..COMMANDS).map(|i| Ok(value(i))).collect())));
             // Received with a timeout, then joined: a parker that missed
             // its wake-up fails the test instead of hanging it.
             for _ in 0..PARKERS {
-                let (slot, answer) = answers.recv_timeout(PATIENCE).expect("a parker woke");
-                assert_eq!(answer, Some(Ok(value(slot))), "slot {slot}");
+                let (index, answer) = answers.recv_timeout(PATIENCE).expect("a parker woke");
+                assert_eq!(answer, Some(Ok(value(index))), "command {index}");
             }
             for parker in parkers {
                 parker.join().unwrap();
             }
-            for (slot, handle) in handles.iter().enumerate() {
-                assert!(!handle.fill(Err(StoreError::Shutdown)));
-                assert_eq!(handle.poll(), Some(Ok(value(slot))));
+            assert!(!block.answer(Answer::All(Err(StoreError::Shutdown))));
+            for (index, handle) in handles.iter().enumerate() {
+                assert_eq!(handle.poll(), Some(Ok(value(index))));
             }
         }
     }

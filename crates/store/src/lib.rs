@@ -16,15 +16,19 @@
 //! - [`KvStore`]: the reference machine — a linearizable `u64 → u64` map
 //!   with `get`/`put`/`cas`/`delete`.
 //! - [`ReplicatedStore`]: runs no thread. A caller waiting for a response
-//!   leases one of `proposers` identities, drafts the queued commands into
-//!   a batch (group commit), proposes its identity for a slot on the
+//!   leases one of `proposers` identities, drafts whole queued
+//!   submissions into a batch (group commit, up to `batch_commands`
+//!   commands; a larger submission is a batch, and one long apply, of its
+//!   own), proposes its identity for a slot on the
 //!   [`ConsensusEngine`] — wait-free objects need nobody to decide for a
 //!   proposer — learns the winner under the intake mutex it already
 //!   takes, and applies the learned prefix itself unless another caller
 //!   is applying; the value space is the identities, and no slot is spent
 //!   on a no-op. A viewstamped-replication-style session
 //!   table (client id + sequence number) answers each command exactly
-//!   once, duplicates from its cache. DESIGN.md §12 has the rules.
+//!   once, duplicates from its cache, and each submission's responses are
+//!   released together, through one response block. DESIGN.md §12 has
+//!   the rules.
 //! - [`StoreClient`]: a client session — owns the client id, stamps
 //!   sequence numbers, supports explicit duplicate [`resend`] for retry.
 //! - Fast reads ([`ReplicatedStore::read_with`]): served from the applied

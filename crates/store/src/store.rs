@@ -2,12 +2,13 @@
 //! and the session table that makes delivery exactly-once.
 //!
 //! A caller that wants a response **drives** the store: it leases one of
-//! the `proposers` identities, drafts queued commands into a batch
-//! announced under `(slot, pid)`, proposes its pid for the slot with
+//! the `proposers` identities, drafts whole queued submissions into a
+//! batch announced under `(slot, pid)`, proposes its pid for the slot with
 //! [`ConsensusEngine::try_submit`] on its own thread (the objects are
 //! wait-free), learns each decision into the intake's winners table, and
 //! applies the learned prefix unless another caller is applying — each
-//! winner's batch through the session table, then snapshot and
+//! winner's batch through the session table, answering each submission
+//! once, then snapshot and
 //! [`retire_below`](ConsensusEngine::retire_below). Consensus agrees on
 //! *who* won a slot, so the value space is `max(proposers, 2)` and no slot
 //! is spent on a no-op. With no store thread, a caller that finds every
@@ -33,18 +34,39 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 use crate::builder::{StoreBuilder, StoreOptions};
-use crate::cell::{CommandHandle, Driver, ResponseBlock};
+use crate::cell::{Answer, CommandHandle, Driver, ResponseBlock};
 use crate::error::StoreError;
 use crate::kv::KvStore;
 use crate::machine::StateMachine;
 
-/// One submitted command waiting to be ordered and applied.
+/// One submitted command waiting to be ordered and applied. It names no
+/// response: its submission's entry answers it.
 struct Pending<S: StateMachine> {
     client: u64,
     seq: u64,
     command: S::Command,
-    /// The response slot its submitter's handle names.
-    reply: CommandHandle<S::Response>,
+}
+
+/// One submission's intake entry: the block that answers it and how many
+/// consecutive commands of the queue (or of a batch) are its.
+struct Submission<R> {
+    block: Arc<ResponseBlock<R>>,
+    len: usize,
+}
+
+/// A drafted batch: whole submissions, their commands in FIFO order.
+struct Batch<S: StateMachine> {
+    commands: Vec<Pending<S>>,
+    submissions: Vec<Submission<S::Response>>,
+}
+
+impl<S: StateMachine> Default for Batch<S> {
+    fn default() -> Batch<S> {
+        Batch {
+            commands: Vec::new(),
+            submissions: Vec::new(),
+        }
+    }
 }
 
 /// One of the `proposers` identities a driver leases: pid `pid` proposes
@@ -57,9 +79,10 @@ struct Identity {
     rng: SmallRng,
 }
 
-/// Intake: commands submitted but not yet drafted into a batch, the
-/// identities free to draft them, the drafted batches announced for a
-/// slot, and the learned prefix with its applier.
+/// Intake: commands submitted but not yet drafted into a batch with one
+/// entry per submission beside them, the identities free to draft them,
+/// the drafted batches announced for a slot, and the learned prefix with
+/// its applier.
 ///
 /// A batch is announced, re-announced under each next slot its driver
 /// tries, and drained by `poison`, all under this one mutex; an applier
@@ -73,7 +96,12 @@ struct Identity {
 /// re-reads `learned`, so a slot learned while it applies is either seen
 /// by that re-read or finds the flag down and is applied by its learner.
 struct Intake<S: StateMachine> {
+    /// Queued commands, oldest first: the commands of `submissions`, each
+    /// submission's contiguous.
     queue: VecDeque<Pending<S>>,
+    /// One entry per queued submission, in queue order. A draft moves
+    /// whole entries, so a submission is applied in one slot.
+    submissions: VecDeque<Submission<S::Response>>,
     /// No new submissions. Queued commands are still ordered, unless the
     /// store is poisoned.
     closed: bool,
@@ -84,7 +112,7 @@ struct Intake<S: StateMachine> {
     /// Batches by the `(slot, pid)` they are proposed under — won and
     /// awaiting apply, or still proposed. A pid enters a slot at most once,
     /// so the key names one batch.
-    announced: FastMap<(u64, usize), Vec<Pending<S>>>,
+    announced: FastMap<(u64, usize), Batch<S>>,
     /// The winning pid of each slot from `applied` up, learned in any
     /// order; `None` where a slot is not learned yet.
     winners: VecDeque<Option<usize>>,
@@ -99,32 +127,46 @@ struct Intake<S: StateMachine> {
     /// appliers check the poisoned flag as well, so no learned slot waits
     /// on it — poison has answered every command no applier took.
     applying: bool,
-    /// The last applied batch's buffer, emptied, for the next draft.
-    spare: Vec<Pending<S>>,
+    /// The last applied batch's buffers, emptied, for the next draft.
+    spare: Batch<S>,
     /// `apply_batch`'s response buffer, lent to the applier.
     responses: Vec<Result<S::Response, StoreError>>,
 }
 
 impl<S: StateMachine> Intake<S> {
-    /// Queues one command, to be answered through `reply`. A closed intake
-    /// answers [`StoreError::Shutdown`] immediately.
+    /// Queues one non-empty submission's commands, to be answered through
+    /// `block`. A closed intake answers the whole submission
+    /// [`StoreError::Shutdown`] immediately.
     fn enqueue(
         &mut self,
-        client: u64,
-        seq: u64,
-        command: S::Command,
-        reply: CommandHandle<S::Response>,
+        block: &Arc<ResponseBlock<S::Response>>,
+        commands: impl ExactSizeIterator<Item = Pending<S>>,
     ) {
         if self.closed {
-            reply.fill(Err(StoreError::Shutdown));
+            block.answer(Answer::All(Err(StoreError::Shutdown)));
         } else {
-            self.queue.push_back(Pending {
-                client,
-                seq,
-                command,
-                reply,
+            let len = commands.len();
+            self.queue.extend(commands);
+            self.submissions.push_back(Submission {
+                block: Arc::clone(block),
+                len,
             });
         }
+    }
+
+    /// Moves the oldest queued submissions, whole, into `batch`: as many
+    /// as fit in `cap` commands and at least one, so a submission larger
+    /// than `cap` is a batch of its own.
+    fn draft(&mut self, cap: usize, batch: &mut Batch<S>) {
+        let mut take = 0;
+        while let Some(next) = self.submissions.front() {
+            if take > 0 && take + next.len > cap {
+                break;
+            }
+            take += next.len;
+            batch.submissions.extend(self.submissions.pop_front());
+        }
+        batch.commands.extend(self.queue.drain(..take));
     }
 
     /// Records that `winner` won `slot`. Idempotent; a slot already
@@ -211,21 +253,27 @@ impl<S: StateMachine, M: SharedMemory> StoreInner<S, M> {
         self.poisoned.load(Ordering::Acquire)
     }
 
-    /// [`Intake::enqueue`] behind a one-slot block whose handle drives.
+    /// [`Intake::enqueue`] of a one-command submission, whose handle
+    /// drives.
     fn submit(
         self: &Arc<Self>,
         client: u64,
         seq: u64,
         command: S::Command,
     ) -> CommandHandle<S::Response> {
-        let block = ResponseBlock::new(1, Arc::clone(self) as _);
-        let reply = CommandHandle::new(Arc::clone(&block), 0);
-        self.lock_intake().enqueue(client, seq, command, reply);
+        let block = ResponseBlock::new(Arc::clone(self) as _);
+        let pending = Pending {
+            client,
+            seq,
+            command,
+        };
+        self.lock_intake().enqueue(&block, std::iter::once(pending));
         CommandHandle::new(block, 0)
     }
 
-    /// Leases an idle identity and drives with it: drafts up to
-    /// `batch_commands` queued commands into a batch, sees it decided and
+    /// Leases an idle identity and drives with it: drafts whole queued
+    /// submissions, up to `batch_commands` commands (or one larger
+    /// submission), into a batch, sees it decided and
     /// applied, and repeats while commands wait and either `wanted()`
     /// still holds or no other driver holds an identity — the last driver
     /// out must not strand queued commands, whose callers may be parked
@@ -247,9 +295,8 @@ impl<S: StateMachine, M: SharedMemory> StoreInner<S, M> {
             // Drafted and announced under the intake mutex, which `poison`
             // raises its flag under: it finds every command it must fail
             // queued or announced, and none is announced after.
-            let take = intake.queue.len().min(self.options.batch_commands);
             let mut batch = std::mem::take(&mut intake.spare);
-            batch.extend(intake.queue.drain(..take));
+            intake.draft(self.options.batch_commands, &mut batch);
             let slot = self.next_slot(&identity);
             intake.announced.insert((slot, identity.pid), batch);
             drop(intake);
@@ -359,17 +406,17 @@ impl<S: StateMachine, M: SharedMemory> StoreInner<S, M> {
     }
 
     /// Applies one decided batch through the session table, answers each
-    /// of its commands and leaves `batch` empty, returning how many
-    /// commands actually mutated the machine (duplicates and stale retries
-    /// excluded).
+    /// of its submissions once and leaves `batch` empty, returning how
+    /// many commands actually mutated the machine (duplicates and stale
+    /// retries excluded).
     fn apply_batch(
         &self,
-        batch: &mut Vec<Pending<S>>,
+        batch: &mut Batch<S>,
         responses: &mut Vec<Result<S::Response, StoreError>>,
         applied_before: u64,
     ) -> u64 {
         let telemetry = self.telemetry();
-        let unanswered = Unanswered(batch);
+        let unanswered = Unanswered(&batch.submissions);
         // Responses are buffered and released only after every counter for
         // the batch has been bumped: a caller that has observed its
         // response (and anything it implies completed) must also observe
@@ -378,7 +425,7 @@ impl<S: StateMachine, M: SharedMemory> StoreInner<S, M> {
         let state = &mut *guard;
         state.torn = true;
         let mut applied = 0u64;
-        for pending in unanswered.0 {
+        for pending in &batch.commands {
             match state.sessions.entry(pending.client) {
                 Entry::Vacant(vacant) => {
                     telemetry.add(CounterKey::SessionsCreated, 1);
@@ -413,11 +460,21 @@ impl<S: StateMachine, M: SharedMemory> StoreInner<S, M> {
         state.torn = false;
         drop(guard);
         telemetry.on_commands_applied(applied, applied_before + applied);
-        for (pending, response) in unanswered.0.iter().zip(responses.drain(..)) {
-            assert!(pending.reply.fill(response), "a command answered twice");
+        let mut responses = responses.drain(..);
+        for submission in unanswered.0 {
+            let answer = if submission.len == 1 {
+                Answer::All(responses.next().expect("a response per command"))
+            } else {
+                Answer::Each(responses.by_ref().take(submission.len).collect())
+            };
+            assert!(
+                submission.block.answer(answer),
+                "a submission answered twice"
+            );
         }
         drop(unanswered);
-        batch.clear();
+        batch.commands.clear();
+        batch.submissions.clear();
         applied
     }
 
@@ -432,13 +489,14 @@ impl<S: StateMachine, M: SharedMemory> StoreInner<S, M> {
             // Release, paired with `poisoned()`: publishes the closed
             // intake to readers outside this mutex.
             self.poisoned.store(true, Ordering::Release);
-            let queued: Vec<Pending<S>> = intake.queue.drain(..).collect();
-            let announced: Vec<_> = intake.announced.drain().collect();
+            intake.queue.clear();
+            let queued: Vec<_> = intake.submissions.drain(..).collect();
+            let announced: Vec<_> = intake.announced.drain().map(|(_, batch)| batch).collect();
             (queued, announced)
         };
         fail_poisoned(&queued);
-        for (_, batch) in announced {
-            fail_poisoned(&batch);
+        for batch in &announced {
+            fail_poisoned(&batch.submissions);
         }
     }
 
@@ -462,7 +520,7 @@ impl<S: StateMachine, M: SharedMemory> Driver<S::Response> for StoreInner<S, M> 
         deadline: Option<Instant>,
     ) -> Result<S::Response, StoreError> {
         let in_time = || deadline.is_none_or(|d| clock::now() < d);
-        let wanted = || handle.poll().is_none() && in_time();
+        let wanted = || !handle.answered() && in_time();
         loop {
             if let Some(result) = handle.poll() {
                 return result;
@@ -494,10 +552,11 @@ impl<S: StateMachine, M: SharedMemory> Drop for PoisonOnUnwind<'_, S, M> {
 }
 
 /// Armed while a batch is applied: an unwind out of `StateMachine::apply`
-/// answers the whole batch `Poisoned`, none of it having been released.
-struct Unanswered<'a, S: StateMachine>(&'a [Pending<S>]);
+/// answers every submission of the batch `Poisoned`, none of it having
+/// been released.
+struct Unanswered<'a, R>(&'a [Submission<R>]);
 
-impl<S: StateMachine> Drop for Unanswered<'_, S> {
+impl<R> Drop for Unanswered<'_, R> {
     fn drop(&mut self) {
         if std::thread::panicking() {
             fail_poisoned(self.0);
@@ -505,12 +564,12 @@ impl<S: StateMachine> Drop for Unanswered<'_, S> {
     }
 }
 
-/// Answers every command of `batch` with
+/// Answers every command of each submission with
 /// `StoreError::Ordering(EngineError::Poisoned)`: never applied.
-fn fail_poisoned<S: StateMachine>(batch: &[Pending<S>]) {
-    for pending in batch {
+fn fail_poisoned<R>(submissions: &[Submission<R>]) {
+    for submission in submissions {
         let poisoned = Err(StoreError::Ordering(EngineError::Poisoned));
-        pending.reply.fill(poisoned);
+        submission.block.answer(Answer::All(poisoned));
     }
 }
 
@@ -555,6 +614,7 @@ impl<S: StateMachine, M: SharedMemory> ReplicatedStore<S, M> {
             engine,
             intake: Mutex::new(Intake {
                 queue: VecDeque::new(),
+                submissions: VecDeque::new(),
                 closed: false,
                 idle,
                 announced: FastMap::default(),
@@ -563,7 +623,7 @@ impl<S: StateMachine, M: SharedMemory> ReplicatedStore<S, M> {
                 applied: 0,
                 commands: 0,
                 applying: false,
-                spare: Vec::new(),
+                spare: Batch::default(),
                 responses: Vec::new(),
             }),
             options,
@@ -612,9 +672,21 @@ impl<S: StateMachine, M: SharedMemory> ReplicatedStore<S, M> {
     }
 
     /// Batch submit under one intake lock — the producer-side
-    /// amortization benchmarks use. Handles come back in input order and
-    /// share one response block: one allocation and one store reference
-    /// for the whole batch, however many commands it holds.
+    /// amortization benchmarks use. The items are one submission: one
+    /// intake entry, drafted whole into one slot's batch and answered at
+    /// once. Handles come back in input order and share one response
+    /// block: one allocation and one store reference for the whole
+    /// submission, however many commands it holds, plus one for the
+    /// responses when it holds more than one. No items, no handles: an
+    /// empty submission allocates nothing and takes no lock.
+    ///
+    /// A draft never splits a submission: `batch_commands` caps the
+    /// commands a batch gathers from several submissions, but one larger
+    /// submission is a batch of its own — one slot, and one long apply
+    /// under the state mutex, which fast reads wait behind. Keep
+    /// submissions near `batch_commands` or below where read latency
+    /// matters.
+    ///
     /// Once the intake holds `batch_commands` commands, the producer
     /// drives the store itself (unless every identity is leased), so an
     /// open loop that waits late still sees its commands ordered in
@@ -624,19 +696,25 @@ impl<S: StateMachine, M: SharedMemory> ReplicatedStore<S, M> {
         items: impl IntoIterator<Item = (u64, u64, S::Command)>,
     ) -> Vec<CommandHandle<S::Response>> {
         let items = items.into_iter();
-        // Counted first, since the block is sized to the batch. The upper
-        // size hint, where there is one (a `take` has one), makes that
-        // one allocation.
+        // Collected first, outside the intake lock: the caller's iterator
+        // runs unlocked, and an empty submission returns before it makes
+        // a block or takes a lock. The upper size hint, where there is one
+        // (a `take` has one), makes that one allocation.
         let mut commands = Vec::new();
         let _ = commands.try_reserve_exact(items.size_hint().1.unwrap_or(0));
         commands.extend(items);
         let len = commands.len();
-        let block = ResponseBlock::new(len, Arc::clone(&self.inner) as _);
-        let mut intake = self.inner.lock_intake();
-        for (index, (client, seq, command)) in commands.into_iter().enumerate() {
-            let reply = CommandHandle::new(Arc::clone(&block), index);
-            intake.enqueue(client, seq, command, reply);
+        if len == 0 {
+            return Vec::new();
         }
+        let block = ResponseBlock::new(Arc::clone(&self.inner) as _);
+        let mut intake = self.inner.lock_intake();
+        let pending = commands.into_iter().map(|(client, seq, command)| Pending {
+            client,
+            seq,
+            command,
+        });
+        intake.enqueue(&block, pending);
         let full = intake.queue.len() >= self.inner.options.batch_commands;
         drop(intake);
         if full && self.inner.drive(&|| false) {
@@ -1671,5 +1749,136 @@ mod tests {
         }
         assert_eq!(store.read_with(|kv| kv.get(10)), Some(20));
         store.shutdown();
+    }
+
+    /// A submission is never split: ten commands at `batch_commands(4)`
+    /// are one slot's batch, answered in input order (ten puts to one key,
+    /// each answering the value before it).
+    #[test]
+    fn a_submission_larger_than_batch_commands_is_learned_in_one_slot() {
+        let mut store = ReplicatedStore::<KvStore>::builder()
+            .batch_commands(4)
+            .build();
+        let put = |value| (7, value + 1, KvCommand::Put { key: 1, value });
+        let handles = store.submit_batch((0..10u64).map(put));
+        for (value, handle) in (0..).zip(&handles) {
+            assert_eq!(
+                handle.wait_timeout(PATIENCE),
+                put_answer(value),
+                "command {value}"
+            );
+        }
+        assert_eq!(store.learned_slots(), 1, "{store:?}");
+        assert_eq!(store.applied_commands(), 10);
+        store.shutdown();
+    }
+
+    /// Two queued submissions of three commands at `batch_commands(4)`:
+    /// the second does not fit beside the first, so each is a slot's batch
+    /// of its own.
+    #[test]
+    fn two_queued_submissions_over_the_cap_take_two_slots() {
+        let mut store = ReplicatedStore::<KvStore>::builder()
+            .batch_commands(4)
+            .build();
+        let submission = |first: u64| {
+            store.submit_batch(
+                (first..first + 3).map(|c| (c, 1, KvCommand::Put { key: c, value: c })),
+            )
+        };
+        let (a, b) = (submission(1), submission(4));
+        for handle in a.iter().chain(&b) {
+            assert_eq!(handle.wait_timeout(PATIENCE), Ok(KvResponse::Stored(None)));
+        }
+        assert_eq!(store.learned_slots(), 2, "{store:?}");
+        assert_eq!(store.applied_commands(), 6);
+        store.shutdown();
+    }
+
+    #[test]
+    fn a_duplicate_inside_one_submission_applies_once() {
+        let mut store = small_store();
+        let put = (5, 1, KvCommand::Put { key: 1, value: 9 });
+        let handles = store.submit_batch([put, put]);
+        for handle in &handles {
+            assert_eq!(handle.wait_timeout(PATIENCE), Ok(KvResponse::Stored(None)));
+        }
+        assert_eq!(store.telemetry().count(CounterKey::DuplicatesServed), 1);
+        assert_eq!(store.applied_commands(), 1);
+        store.shutdown();
+    }
+
+    /// An empty submission touches nothing: no block, no store reference,
+    /// no intake lock (it returns while the test holds that lock).
+    #[test]
+    fn an_empty_submission_returns_no_handles() {
+        let store = small_store();
+        let references = Arc::strong_count(&store.inner);
+        std::thread::scope(|scope| {
+            let intake = store.inner.lock_intake();
+            let (done, returned) = std::sync::mpsc::channel();
+            let store = &store;
+            scope.spawn(move || {
+                done.send(store.submit_batch(std::iter::empty()).len())
+                    .unwrap()
+            });
+            assert_eq!(returned.recv_timeout(PATIENCE), Ok(0));
+            drop(intake);
+        });
+        assert_eq!(Arc::strong_count(&store.inner), references);
+        shutdown_within_patience(store);
+    }
+
+    /// A driver dies mid-decide holding the only identity, with a
+    /// three-command submission announced and another queued: poison
+    /// answers all six `Ordering(Poisoned)`, whole submission by whole
+    /// submission.
+    #[test]
+    fn poison_answers_every_command_of_queued_and_announced_submissions() {
+        let armed = Arc::new(AtomicBool::new(false));
+        let napping = Arc::new(AtomicBool::new(false));
+        let memory = {
+            let (armed, napping) = (Arc::clone(&armed), Arc::clone(&napping));
+            HookedMemory::new(move |_| {
+                if armed.swap(false, Ordering::SeqCst) {
+                    napping.store(true, Ordering::SeqCst);
+                    let deadline = clock::deadline_within(PATIENCE);
+                    while napping.load(Ordering::SeqCst) && clock::now() < deadline {
+                        std::thread::sleep(Duration::from_millis(1));
+                    }
+                    panic!("fuse blown in a decide");
+                }
+            })
+        };
+        let store = ReplicatedStore::<KvStore>::builder()
+            .memory(memory)
+            .proposers(1)
+            .batch_commands(4)
+            .build();
+        let submission = |first: u64| {
+            store.submit_batch(
+                (first..first + 3).map(|c| (c, 1, KvCommand::Put { key: c, value: c })),
+            )
+        };
+        let announced = submission(1);
+        armed.store(true, Ordering::SeqCst);
+        let poisoned = Err(StoreError::Ordering(EngineError::Poisoned));
+        let queued = std::thread::scope(|scope| {
+            // Drives `announced` alone (three commands, under the cap) into
+            // the decide that naps and then dies.
+            let driver = scope.spawn(|| announced[0].wait_timeout(PATIENCE));
+            eventually("the driver naps", || napping.load(Ordering::SeqCst));
+            // The only identity is leased: this one stays queued.
+            let queued = submission(4);
+            assert!(queued.iter().all(|handle| handle.poll().is_none()));
+            napping.store(false, Ordering::SeqCst);
+            assert!(driver.join().is_err(), "the driver unwound");
+            queued
+        });
+        for handle in announced.iter().chain(&queued) {
+            assert_eq!(handle.poll(), Some(poisoned), "{store:?}");
+        }
+        assert_eq!(store.applied_commands(), 0);
+        shutdown_within_patience(store);
     }
 }

@@ -1,8 +1,10 @@
 //! The response block's claim, counted rather than asserted in prose: a
-//! `submit_batch` allocates per submission, not per command, a `call`
-//! allocates its block and nothing else, and the slot either is decided
-//! in allocates nothing; a fast read allocates nothing at all. A counting global allocator watches the one thread that submits,
-//! drives, waits and reads (the store starts no thread of its own).
+//! `submit_batch` allocates per submission, not per command, an empty one
+//! allocates nothing, a `call` allocates its block and nothing else, and
+//! the slot either is decided in allocates nothing; a fast read allocates
+//! nothing at all. A counting global allocator watches the one thread that
+//! submits, drives, waits and reads (the store starts no thread of its
+//! own).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -83,11 +85,23 @@ fn a_batch_allocates_per_submission_not_per_command() {
         counts.iter().all(|&count| count == counts[0]),
         "1024 vs 256 commands alternately: {counts:?}"
     );
-    // All four are the submission's: the counted commands, the block and
-    // its slots, the handles. The drafted batch reuses the last applied
-    // batch's buffer, the responses the applier's scratch, and the slot's
-    // decide adds none.
+    // All four are the submission's: the counted commands, the block, the
+    // handles, and the answers the block is answered with once. The
+    // drafted batch reuses the last applied batch's buffers, the responses
+    // the applier's scratch, and the slot's decide adds none.
     assert_eq!(counts[0], 4, "{counts:?} allocations per submission");
+    store.shutdown();
+}
+
+#[test]
+fn an_empty_batch_allocates_nothing() {
+    let mut store = ReplicatedStore::<KvStore>::builder().build();
+    let before = ALLOCATIONS.with(Cell::get);
+    let handles = store.submit_batch(std::iter::empty());
+    assert!(handles.is_empty());
+    drop(handles);
+    let allocations = ALLOCATIONS.with(Cell::get) - before;
+    assert_eq!(allocations, 0, "allocations by an empty submit_batch");
     store.shutdown();
 }
 
@@ -115,8 +129,8 @@ fn a_call_allocates_its_block_only() {
     let counts: Vec<u64> = (1_000..1_100)
         .map(|value| allocations_of_a_call(&mut client, value))
         .collect();
-    // The one-slot block, its slot inline: the draft, the responses and
-    // the decide reuse what the calls before left behind.
+    // The one-command block, its answer inline: the draft, the responses
+    // and the decide reuse what the calls before left behind.
     assert!(
         counts.iter().all(|&count| count == 1),
         "{counts:?} allocations per call"
