@@ -219,7 +219,6 @@ fn run_chaos(cell: &PlanCell, policy: &Policy, seed: u64, stats: &mut CellStats)
         .n(2)
         .values(VALUES)
         .participants(1)
-        .workers(WORKERS)
         .shards(WORKERS)
         .seed(seed)
         .memory(FaultyMemory::new(AtomicMemory, plan.faults))

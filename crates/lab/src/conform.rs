@@ -611,7 +611,6 @@ pub fn check_chaos_conformance(
         .values(protocol.capacity())
         .participants(1)
         .shards(1)
-        .workers(1)
         .seed(seed)
         .memory(FaultyMemory::new(AtomicMemory, plan.faults))
         .chaos(plan)

@@ -1,15 +1,12 @@
 //! The one monotonic-clock helper behind every deadline in the runtime.
 //!
-//! Before this module, [`SubmitOptions::within`](crate::SubmitOptions::within)
-//! and [`DecisionHandle::wait_timeout`](crate::DecisionHandle::wait_timeout)
-//! each computed `Instant::now() + budget` independently. Two reads of the
-//! clock microseconds apart are enough for a submission admitted under one
-//! deadline to start a wait whose separately-derived deadline has already
-//! passed — the admission says "in budget", the wait immediately answers
-//! `DeadlineExceeded`. Routing both through [`now`] + [`deadline_within`]
-//! makes every deadline in one submission derive from a single clock read
-//! discipline, and centralizes the overflow handling (`now + Duration::MAX`
-//! panics with a bare `+`; [`deadline_within`] saturates instead).
+//! Two waits take a timeout: the service's
+//! [`DecisionHandle::wait_timeout`](crate::DecisionHandle::wait_timeout)
+//! and the store's `CommandHandle::wait_timeout` in `mc-store`. Both turn
+//! it into a deadline through [`deadline_within`] and compare against
+//! [`now`], so they share one clock-read discipline and one overflow
+//! handling: `now + Duration::MAX` panics with a bare `+`, and
+//! [`deadline_within`] saturates instead.
 
 use std::time::{Duration, Instant};
 

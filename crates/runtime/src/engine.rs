@@ -474,11 +474,10 @@ impl<M: SharedMemory> ConsensusEngine<M> {
 
     /// [`submit`](ConsensusEngine::submit) minus the live-instance bound:
     /// the checkout never blocks and never refuses. Service shard workers
-    /// use this — the service applies its *own* queue-depth backpressure at
-    /// admission ([`BackpressurePolicy`](crate::BackpressurePolicy)), and a
-    /// worker that parked on the engine bound while the submissions that
-    /// would complete the blocking instances sat behind it in its own ring
-    /// would deadlock.
+    /// use this — the service applies its *own* backpressure at admission
+    /// (a full intake ring parks the producer), and a worker that parked
+    /// on the engine bound while the submissions that would complete the
+    /// blocking instances sat behind it in its own ring would deadlock.
     pub(crate) fn submit_unbounded(
         &self,
         instance_id: u64,

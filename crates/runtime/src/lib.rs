@@ -70,8 +70,7 @@ pub use log::ReplicatedLog;
 pub use ratifier::AtomicRatifier;
 pub use register::{AtomicMemory, AtomicRegister, SharedMemory, SharedRegister, GENERATION_0};
 pub use service::{
-    BackpressurePolicy, ChaosPlan, CircuitOptions, ConsensusService, DecisionHandle, RetryPolicy,
-    RingHealth, ServiceBuilder, ServiceOptions, SubmitOptions, SupervisorOptions,
+    ChaosPlan, ConsensusService, DecisionHandle, RingHealth, ServiceBuilder, SupervisorOptions,
 };
 pub use telemetry::{AmortizedEvents, CounterKey, GaugeKey, HistKey, RuntimeTelemetry};
 pub use typed::{TypedConsensus, ValueCode};

@@ -17,12 +17,14 @@
 //! run the decisions against the engine's pooled instances, and complete
 //! the handles. Telemetry is amortized to one structured
 //! [`batch_drained`](mc_telemetry::TelemetryEvent::BatchDrained) event per
-//! batch, and admission control is a configurable [`BackpressurePolicy`].
+//! batch. Admission blocks: a producer that finds its ring full parks
+//! until the worker drains room, so no accepted proposal is ever lost.
 //!
-//! Routing uses the same Fibonacci hash as the engine's shards, so every
-//! submission for one `instance_id` lands in the same ring and is decided
-//! serially by one worker — concurrent proposals for the same instance
-//! still agree, exactly as with direct `submit`.
+//! There is one ring and one worker per engine shard, and routing uses the
+//! same Fibonacci hash as the shards, so every submission for one
+//! `instance_id` lands in the same ring and is decided serially by one
+//! worker — concurrent proposals for the same instance still agree,
+//! exactly as with direct `submit`.
 //!
 //! # Failure handling
 //!
@@ -31,10 +33,9 @@
 //! death, and the drain loop restarts under a bounded
 //! [`SupervisorOptions::restart_budget`] with exponential backoff; only an
 //! exhausted budget degrades the ring to the terminal
-//! [`RingHealth::Poisoned`] state. Producers get deadline/retry machinery
-//! through [`SubmitOptions`] ([`submit_with`](ConsensusService::submit_with))
-//! and an optional [`CircuitOptions`] breaker that fast-fails admission
-//! under sustained overload. A seeded [`ChaosPlan`] injects worker panics
+//! [`RingHealth::Poisoned`] state, whose admission answers
+//! [`EngineError::Rejected`] and whose stranded handles answer
+//! [`EngineError::Poisoned`]. A seeded [`ChaosPlan`] injects worker panics
 //! and stalls at drain boundaries so all of this is testable
 //! deterministically — the mc-lab chaos conformance leg and the
 //! `chaos_campaign` bench run on it.
@@ -47,7 +48,6 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use mc_model::mix_seed;
-use mc_telemetry::CircuitState;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -56,160 +56,6 @@ use crate::error::EngineError;
 use crate::faults::FaultPlan;
 use crate::register::{AtomicMemory, SharedMemory};
 use crate::telemetry::{AmortizedEvents, CounterKey, GaugeKey, HistKey, RuntimeTelemetry};
-
-/// What [`ConsensusService::submit`] does when an intake ring is full.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BackpressurePolicy {
-    /// Block the producer until the worker drains room. No proposal is
-    /// ever lost; producers absorb the overload.
-    Block,
-    /// Refuse with [`EngineError::Rejected`]; the proposal is never
-    /// enqueued and the caller retries (or not) on its own schedule.
-    Reject,
-    /// Drop with [`EngineError::Shed`] once the ring holds
-    /// `max_queue_depth` proposals — load shedding with an explicit bound,
-    /// independent of the ring's configured capacity.
-    Shed {
-        /// Queue depth at which admission starts shedding.
-        max_queue_depth: usize,
-    },
-}
-
-/// Seeded-jitter exponential backoff for admission retries.
-///
-/// [`ConsensusService::submit_with`] retries `Rejected`/`Shed` admissions
-/// on this schedule: the delay before retry `k` (zero-based) is
-/// `min(base_delay · 2^k, max_delay)` plus a deterministic jitter of up to
-/// `jitter` times that raw delay, re-capped at `max_delay`. Because the
-/// jitter for retry `k` is a pure function of `(seed, k)`, a policy's
-/// schedule is reproducible — and because the jitter fraction is at most
-/// 1, the schedule is monotone non-decreasing (each raw delay at least
-/// doubles until the cap, outgrowing any jitter the previous step added),
-/// properties the `service_properties` proptest suite pins.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RetryPolicy {
-    /// Admission retries after the initial attempt (0 = fail fast).
-    pub max_retries: u32,
-    /// Delay before the first retry.
-    pub base_delay: Duration,
-    /// Hard cap on any single delay, jitter included.
-    pub max_delay: Duration,
-    /// Fraction of the raw delay added as seeded jitter, in `[0, 1]`.
-    pub jitter: f64,
-    /// Seed for the deterministic jitter stream.
-    pub seed: u64,
-}
-
-impl RetryPolicy {
-    /// No retries: admission failures surface immediately.
-    pub fn none() -> RetryPolicy {
-        RetryPolicy {
-            max_retries: 0,
-            base_delay: Duration::ZERO,
-            max_delay: Duration::ZERO,
-            jitter: 0.0,
-            seed: 0,
-        }
-    }
-
-    /// A sensible default schedule: 4 retries from 100µs doubling to a
-    /// 10ms cap with half-delay jitter, derandomized by `seed`.
-    pub fn seeded(seed: u64) -> RetryPolicy {
-        RetryPolicy {
-            max_retries: 4,
-            base_delay: Duration::from_micros(100),
-            max_delay: Duration::from_millis(10),
-            jitter: 0.5,
-            seed,
-        }
-    }
-
-    /// The delay before zero-based retry `retry`: capped exponential plus
-    /// seeded jitter (see the type docs for the monotonicity argument).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `jitter` is outside `[0, 1]`.
-    pub fn delay_for(&self, retry: u32) -> Duration {
-        assert!(
-            (0.0..=1.0).contains(&self.jitter),
-            "jitter fraction {} out of [0, 1]",
-            self.jitter
-        );
-        let base_ns = self.base_delay.as_nanos();
-        let max_ns = self.max_delay.as_nanos();
-        let raw_ns = if retry >= 64 {
-            max_ns
-        } else {
-            (base_ns << retry).min(max_ns)
-        };
-        // Jitter fraction in [0, 1): a pure function of (seed, retry), so
-        // the schedule never depends on when or how often it is sampled.
-        let unit = (mix_seed(self.seed, u64::from(retry) + 1) >> 11) as f64 / (1u64 << 53) as f64;
-        let jitter_ns = (raw_ns as f64 * self.jitter * unit) as u128;
-        let capped = (raw_ns + jitter_ns).min(max_ns);
-        Duration::from_nanos(u64::try_from(capped).unwrap_or(u64::MAX))
-    }
-
-    /// The full backoff schedule, one delay per allowed retry.
-    pub fn schedule(&self) -> Vec<Duration> {
-        (0..self.max_retries).map(|k| self.delay_for(k)).collect()
-    }
-}
-
-impl Default for RetryPolicy {
-    fn default() -> RetryPolicy {
-        RetryPolicy::none()
-    }
-}
-
-/// Per-submission budget for [`ConsensusService::submit_with`]: an
-/// optional absolute deadline plus a [`RetryPolicy`] applied to
-/// `Rejected`/`Shed` admissions.
-///
-/// The deadline spans the *whole* submission: admission retries stop at
-/// it ([`EngineError::DeadlineExceeded`]), and the returned
-/// [`DecisionHandle`] carries it, so
-/// [`wait`](DecisionHandle::wait) also gives up when the budget expires.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct SubmitOptions {
-    /// Absolute point past which the submission (admission *and* wait) is
-    /// abandoned. `None` means no budget.
-    pub deadline: Option<Instant>,
-    /// Backoff schedule for admission retries.
-    pub retry: RetryPolicy,
-}
-
-impl SubmitOptions {
-    /// No deadline, no retries — the behavior of plain
-    /// [`submit`](ConsensusService::submit).
-    pub fn new() -> SubmitOptions {
-        SubmitOptions::default()
-    }
-
-    /// Sets an absolute deadline.
-    #[must_use]
-    pub fn deadline(mut self, deadline: Instant) -> SubmitOptions {
-        self.deadline = Some(deadline);
-        self
-    }
-
-    /// Sets the deadline `budget` from now, via the shared
-    /// [`clock`](crate::clock) helper — the same computation
-    /// [`DecisionHandle::wait_timeout`] uses, so an admission deadline and
-    /// the wait deadline derived from the same budget cannot drift.
-    #[must_use]
-    pub fn within(self, budget: Duration) -> SubmitOptions {
-        self.deadline(crate::clock::deadline_within(budget))
-    }
-
-    /// Sets the admission retry policy.
-    #[must_use]
-    pub fn retry(mut self, retry: RetryPolicy) -> SubmitOptions {
-        self.retry = retry;
-        self
-    }
-}
 
 /// Worker supervision knobs: how many panics a ring's worker survives and
 /// how its restarts are paced.
@@ -329,45 +175,6 @@ impl Default for ChaosPlan {
     }
 }
 
-/// Circuit-breaker thresholds for service admission.
-///
-/// The breaker watches admission outcomes: every `Rejected`/`Shed` — and
-/// every admission that lands while the aggregate queue depth is at or
-/// above `trip_queue_depth` — counts as one overload signal; a successful
-/// admission below the depth threshold resets the count. After
-/// `overload_threshold` *consecutive* signals the breaker opens and
-/// admission fast-fails with [`EngineError::CircuitOpen`] without touching
-/// the rings. Once `cooldown` elapses, the next submission is let through
-/// as a half-open probe: if it admits cleanly the breaker closes, if it is
-/// refused the breaker re-opens for another cooldown.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CircuitOptions {
-    /// Consecutive overload signals that open the breaker (0 = disabled).
-    pub overload_threshold: u64,
-    /// Aggregate queue depth at which even a successful admission counts
-    /// as an overload signal (0 = depth is ignored).
-    pub trip_queue_depth: usize,
-    /// How long the breaker stays open before half-opening on a probe.
-    pub cooldown: Duration,
-}
-
-impl CircuitOptions {
-    /// No breaker: admission is never fast-failed.
-    pub fn disabled() -> CircuitOptions {
-        CircuitOptions {
-            overload_threshold: 0,
-            trip_queue_depth: 0,
-            cooldown: Duration::ZERO,
-        }
-    }
-}
-
-impl Default for CircuitOptions {
-    fn default() -> CircuitOptions {
-        CircuitOptions::disabled()
-    }
-}
-
 /// Lifecycle state of one intake ring under supervision.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RingHealth {
@@ -382,48 +189,36 @@ pub enum RingHealth {
     Poisoned,
 }
 
-/// Tuning for a [`ConsensusService`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ServiceOptions {
-    /// Admission control when a ring is full (default
-    /// [`BackpressurePolicy::Block`]).
-    pub policy: BackpressurePolicy,
-    /// Proposals a ring holds before [`BackpressurePolicy::Block`] blocks
-    /// or [`BackpressurePolicy::Reject`] refuses (default 1024). Ignored
-    /// by [`BackpressurePolicy::Shed`], which carries its own bound.
-    pub ring_capacity: usize,
+/// Tuning for a [`ConsensusService`], set through its [`ServiceBuilder`].
+#[derive(Debug, Clone, Copy)]
+struct ServiceOptions {
+    /// Proposals a ring holds before admission parks the producer
+    /// (default 1024).
+    ring_capacity: usize,
     /// Most proposals a worker takes per drain (default 256). Larger
     /// batches amortize ring locking and telemetry further but hold
     /// decisions back longer under light load.
-    pub batch_max: usize,
-    /// Worker threads / intake rings. `0` (default) means one per engine
-    /// shard.
-    pub workers: usize,
+    batch_max: usize,
     /// Base seed for the workers' deterministic RNGs; worker `i` runs on
     /// `seed + i`. Identical seeds and submission order reproduce
     /// identical coin flips.
-    pub seed: u64,
+    seed: u64,
     /// Worker supervision: restart budget and backoff pacing (default
     /// [`SupervisorOptions::default`], 4 restarts).
-    pub supervisor: SupervisorOptions,
+    supervisor: SupervisorOptions,
     /// Seeded fault injection at drain boundaries (default
     /// [`ChaosPlan::none`]).
-    pub chaos: ChaosPlan,
-    /// Admission circuit breaker (default [`CircuitOptions::disabled`]).
-    pub circuit: CircuitOptions,
+    chaos: ChaosPlan,
 }
 
 impl Default for ServiceOptions {
     fn default() -> ServiceOptions {
         ServiceOptions {
-            policy: BackpressurePolicy::Block,
             ring_capacity: 1024,
             batch_max: 256,
-            workers: 0,
             seed: 0x5EED,
             supervisor: SupervisorOptions::default(),
             chaos: ChaosPlan::none(),
-            circuit: CircuitOptions::disabled(),
         }
     }
 }
@@ -514,10 +309,6 @@ impl Cell {
 #[derive(Clone)]
 pub struct DecisionHandle {
     cell: Arc<Cell>,
-    /// Absolute budget carried over from [`SubmitOptions::deadline`]:
-    /// [`wait`](DecisionHandle::wait) gives up at this point with
-    /// [`EngineError::DeadlineExceeded`].
-    deadline: Option<Instant>,
 }
 
 impl DecisionHandle {
@@ -532,40 +323,18 @@ impl DecisionHandle {
         }
     }
 
-    /// Attaches (or tightens) an absolute deadline:
-    /// [`wait`](DecisionHandle::wait) on the returned handle gives up at
-    /// that point with [`EngineError::DeadlineExceeded`].
-    /// [`submit_with`](ConsensusService::submit_with) attaches its
-    /// [`SubmitOptions::deadline`] automatically.
-    #[must_use]
-    pub fn with_deadline(mut self, deadline: Instant) -> DecisionHandle {
-        self.deadline = Some(match self.deadline {
-            Some(existing) => existing.min(deadline),
-            None => deadline,
-        });
-        self
-    }
-
-    /// The deadline this handle carries, if any.
-    pub fn deadline(&self) -> Option<Instant> {
-        self.deadline
-    }
-
     /// The one wait loop behind [`wait`](DecisionHandle::wait) and
     /// [`wait_timeout`](DecisionHandle::wait_timeout): park until the cell
-    /// fills or `deadline` (if any) passes, answering `expired` then.
+    /// fills or `deadline` (if any) passes, answering
+    /// [`EngineError::Timeout`] then.
     ///
     /// The deadline check re-reads the cell before reporting expiry: a
     /// decision (or poison) that raced the clock — filled between the
     /// loop-top read and the expiry check, or while the condvar wait timed
-    /// out — is reported as itself, never as `expired`. A `Poisoned` cell
+    /// out — is reported as itself, never as `Timeout`. A `Poisoned` cell
     /// in particular must not surface as `Timeout`, which would invite a
     /// retry loop against a proposal that can never complete.
-    fn wait_core(
-        &self,
-        deadline: Option<Instant>,
-        expired: EngineError,
-    ) -> Result<u64, EngineError> {
+    fn wait_core(&self, deadline: Option<Instant>) -> Result<u64, EngineError> {
         loop {
             match self.cell.read() {
                 CellState::Waiting => {}
@@ -579,7 +348,7 @@ impl DecisionHandle {
                         return match self.cell.read() {
                             CellState::Done(v) => Ok(v),
                             CellState::Poisoned => Err(EngineError::Poisoned),
-                            CellState::Waiting => Err(expired),
+                            CellState::Waiting => Err(EngineError::Timeout),
                         };
                     }
                     Some(deadline - now)
@@ -617,11 +386,9 @@ impl DecisionHandle {
     /// # Errors
     ///
     /// [`EngineError::Poisoned`] if the proposal's worker died before
-    /// deciding it; [`EngineError::DeadlineExceeded`] if the handle
-    /// carries a [deadline](DecisionHandle::with_deadline) and it passes
-    /// first.
+    /// deciding it.
     pub fn wait(&self) -> Result<u64, EngineError> {
-        self.wait_core(self.deadline, EngineError::DeadlineExceeded)
+        self.wait_core(None)
     }
 
     /// Blocks until the decision arrives or `timeout` elapses.
@@ -630,19 +397,10 @@ impl DecisionHandle {
     ///
     /// [`EngineError::Timeout`] when the wait elapsed — the proposal is
     /// still in flight and waiting again can succeed;
-    /// [`EngineError::DeadlineExceeded`] instead when the handle's own
-    /// [deadline](DecisionHandle::with_deadline) is the earlier bound (the
-    /// budget is spent; retrying needs a new deadline);
     /// [`EngineError::Poisoned`] as [`wait`](DecisionHandle::wait) — a
     /// poison that races the timeout reports `Poisoned`, not `Timeout`.
     pub fn wait_timeout(&self, timeout: Duration) -> Result<u64, EngineError> {
-        let candidate = crate::clock::deadline_within(timeout);
-        match self.deadline {
-            Some(own) if own <= candidate => {
-                self.wait_core(Some(own), EngineError::DeadlineExceeded)
-            }
-            _ => self.wait_core(Some(candidate), EngineError::Timeout),
-        }
+        self.wait_core(Some(crate::clock::deadline_within(timeout)))
     }
 }
 
@@ -710,8 +468,7 @@ struct Ring {
     inflight: Mutex<VecDeque<Pending>>,
     /// Signals the worker: items available, unpaused, or closed.
     to_worker: Condvar,
-    /// Signals blocked producers ([`BackpressurePolicy::Block`]): room
-    /// available or closed.
+    /// Signals producers parked on a full ring: room available or closed.
     to_producers: Condvar,
 }
 
@@ -739,129 +496,9 @@ impl Ring {
     }
 }
 
-/// Runtime state of the admission circuit breaker (semantics on
-/// [`CircuitOptions`]). Encodes [`CircuitState`] in an `AtomicU8` using
-/// `CircuitState::as_u64` values so the gate is a single acquire load on
-/// the happy path.
-struct Circuit {
-    opts: CircuitOptions,
-    /// Reference point for `opened_at`.
-    epoch: Instant,
-    /// `CircuitState` encoding: 0 closed, 1 open, 2 half-open.
-    state: AtomicU8,
-    /// Consecutive overload signals observed while closed.
-    overloads: AtomicU64,
-    /// When the breaker last opened, in nanos since `epoch`.
-    opened_at: AtomicU64,
-}
-
-const CIRCUIT_CLOSED: u8 = 0;
-const CIRCUIT_OPEN: u8 = 1;
-const CIRCUIT_HALF_OPEN: u8 = 2;
-
-impl Circuit {
-    fn new(opts: CircuitOptions) -> Circuit {
-        Circuit {
-            opts,
-            epoch: Instant::now(),
-            state: AtomicU8::new(CIRCUIT_CLOSED),
-            overloads: AtomicU64::new(0),
-            opened_at: AtomicU64::new(0),
-        }
-    }
-
-    fn now_ns(&self) -> u64 {
-        u64::try_from(self.epoch.elapsed().as_nanos()).unwrap_or(u64::MAX)
-    }
-
-    fn open(&self, from: u8, telemetry: &RuntimeTelemetry) {
-        // Stamp the open time BEFORE publishing the state: a gate that
-        // acquires `state == open` must see a fresh `opened_at`, or it
-        // could half-open before any cooldown elapsed. A losing racer's
-        // stray stamp is harmless (both racers stamp "now").
-        self.opened_at.store(self.now_ns(), Ordering::Release);
-        if self
-            .state
-            .compare_exchange(from, CIRCUIT_OPEN, Ordering::AcqRel, Ordering::Acquire)
-            .is_ok()
-        {
-            self.overloads.store(0, Ordering::Release);
-            telemetry.on_circuit_transition(CircuitState::Open);
-        }
-    }
-
-    /// The admission gate. From open, the first caller past the cooldown
-    /// wins a CAS to half-open and becomes the probe; everyone else
-    /// fast-fails without touching the rings.
-    fn check(&self, telemetry: &RuntimeTelemetry) -> Result<(), EngineError> {
-        match self.state.load(Ordering::Acquire) {
-            CIRCUIT_CLOSED => Ok(()),
-            CIRCUIT_OPEN => {
-                let cooldown = u64::try_from(self.opts.cooldown.as_nanos()).unwrap_or(u64::MAX);
-                let elapsed = self
-                    .now_ns()
-                    .saturating_sub(self.opened_at.load(Ordering::Acquire));
-                if elapsed >= cooldown
-                    && self
-                        .state
-                        .compare_exchange(
-                            CIRCUIT_OPEN,
-                            CIRCUIT_HALF_OPEN,
-                            Ordering::AcqRel,
-                            Ordering::Acquire,
-                        )
-                        .is_ok()
-                {
-                    telemetry.on_circuit_transition(CircuitState::HalfOpen);
-                    Ok(())
-                } else {
-                    Err(EngineError::CircuitOpen)
-                }
-            }
-            _ => Err(EngineError::CircuitOpen),
-        }
-    }
-
-    /// A clean admission below the trip depth: reset the consecutive
-    /// count, and close the breaker if this was the half-open probe.
-    fn on_success(&self, telemetry: &RuntimeTelemetry) {
-        self.overloads.store(0, Ordering::Release);
-        if self
-            .state
-            .compare_exchange(
-                CIRCUIT_HALF_OPEN,
-                CIRCUIT_CLOSED,
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            )
-            .is_ok()
-        {
-            telemetry.on_circuit_transition(CircuitState::Closed);
-        }
-    }
-
-    /// One overload signal: a `Rejected`/`Shed` admission, or one that
-    /// succeeded with the aggregate queue at/above the trip depth. A
-    /// failed half-open probe re-opens immediately; a closed breaker opens
-    /// at the consecutive threshold.
-    fn on_overload(&self, telemetry: &RuntimeTelemetry) {
-        match self.state.load(Ordering::Acquire) {
-            CIRCUIT_HALF_OPEN => self.open(CIRCUIT_HALF_OPEN, telemetry),
-            CIRCUIT_CLOSED => {
-                let seen = self.overloads.fetch_add(1, Ordering::AcqRel) + 1;
-                if seen >= self.opts.overload_threshold {
-                    self.open(CIRCUIT_CLOSED, telemetry);
-                }
-            }
-            _ => {}
-        }
-    }
-}
-
 /// A pipelined batch-submission service over a [`ConsensusEngine`].
 ///
-/// Build one with [`ConsensusService::builder`] (or wrap an existing
-/// engine with [`ConsensusService::over`]). Submit with
+/// Build one with [`ConsensusService::builder`]. Submit with
 /// [`submit`](ConsensusService::submit) /
 /// [`submit_batch`](ConsensusService::submit_batch) and collect decisions
 /// through the returned [`DecisionHandle`]s:
@@ -892,11 +529,9 @@ pub struct ConsensusService<M: SharedMemory = AtomicMemory> {
     engine: Arc<ConsensusEngine<M>>,
     rings: Arc<Vec<Ring>>,
     workers: Vec<JoinHandle<()>>,
-    options: ServiceOptions,
+    /// Proposals a ring holds before admission parks the producer.
+    ring_capacity: usize,
     capacity: u64,
-    /// The admission breaker, present when
-    /// [`CircuitOptions::overload_threshold`] is nonzero.
-    circuit: Option<Circuit>,
     /// Service-wide admission serial for [`Pending::submission_id`].
     next_submission: AtomicU64,
     /// Holds the engine's telemetry in amortized recorder mode; `None`
@@ -913,9 +548,8 @@ impl ConsensusService {
 }
 
 impl<M: SharedMemory> ConsensusService<M> {
-    /// Runs a service over an engine you already hold — the engine remains
-    /// usable directly (the conformance tests exploit this to compare both
-    /// paths).
+    /// Runs a service over `engine`, one ring and one worker per engine
+    /// shard; the engine remains usable directly.
     ///
     /// Taking over an engine switches its telemetry to amortized recorder
     /// traffic: per-decide events are suppressed in favor of one
@@ -929,20 +563,12 @@ impl<M: SharedMemory> ConsensusService<M> {
     ///
     /// # Panics
     ///
-    /// Panics if `options.ring_capacity == 0`, `options.batch_max == 0`,
-    /// or `options.policy` is `Shed { max_queue_depth: 0 }`.
-    pub fn over(engine: Arc<ConsensusEngine<M>>, options: ServiceOptions) -> ConsensusService<M> {
+    /// Panics if `options.ring_capacity == 0` or `options.batch_max == 0`.
+    fn over(engine: Arc<ConsensusEngine<M>>, options: ServiceOptions) -> ConsensusService<M> {
         assert!(options.ring_capacity > 0, "ring capacity must be nonzero");
         assert!(options.batch_max > 0, "batch size must be nonzero");
-        if let BackpressurePolicy::Shed { max_queue_depth } = options.policy {
-            assert!(max_queue_depth > 0, "shedding bound must be nonzero");
-        }
         let amortized = Some(engine.telemetry_handle().amortized());
-        let worker_count = if options.workers == 0 {
-            engine.shard_count()
-        } else {
-            options.workers
-        };
+        let worker_count = engine.shard_count();
         let rings = Arc::new((0..worker_count).map(|_| Ring::new()).collect::<Vec<_>>());
         let capacity = engine.options_handle().scheme.capacity();
         let workers = (0..worker_count)
@@ -959,10 +585,8 @@ impl<M: SharedMemory> ConsensusService<M> {
             engine,
             rings,
             workers,
-            options,
+            ring_capacity: options.ring_capacity,
             capacity,
-            circuit: (options.circuit.overload_threshold > 0)
-                .then(|| Circuit::new(options.circuit)),
             next_submission: AtomicU64::new(0),
             amortized,
         }
@@ -999,27 +623,16 @@ impl<M: SharedMemory> ConsensusService<M> {
         self.rings[ring].lock().health
     }
 
-    /// The breaker's current state, when one is configured
-    /// ([`CircuitOptions::overload_threshold`] nonzero).
-    pub fn circuit_state(&self) -> Option<CircuitState> {
-        self.circuit
-            .as_ref()
-            .map(|c| match c.state.load(Ordering::Acquire) {
-                CIRCUIT_CLOSED => CircuitState::Closed,
-                CIRCUIT_OPEN => CircuitState::Open,
-                _ => CircuitState::HalfOpen,
-            })
-    }
-
     fn ring_of(&self, instance_id: u64) -> &Ring {
         // Same hash as the engine's shards: one instance, one ring, one
         // worker — serial decides per instance.
         &self.rings[shard_index(instance_id, self.rings.len())]
     }
 
-    /// Applies admission control and pushes one proposal under the ring
-    /// lock; threads the guard back so a batch can admit a whole run of
-    /// proposals without re-locking. The caller notifies the worker.
+    /// Pushes one proposal under the ring lock, parking the producer while
+    /// the ring is full; threads the guard back so a batch can admit a
+    /// whole run of proposals without re-locking. The caller notifies the
+    /// worker.
     fn admit<'g>(
         &self,
         ring: &'g Ring,
@@ -1031,37 +644,19 @@ impl<M: SharedMemory> ConsensusService<M> {
         MutexGuard<'g, RingState>,
         Result<DecisionHandle, EngineError>,
     ) {
-        let telemetry = self.engine.telemetry();
-        match self.options.policy {
-            BackpressurePolicy::Block => {
-                while state.queue.len() >= self.options.ring_capacity && !state.closed {
-                    // A full ring is a non-empty ring, but its worker may
-                    // still be parked: `submit_batch` notifies only after a
-                    // whole run is admitted, so when one run overfills the
-                    // ring the wake-up this producer is waiting on would
-                    // never be sent. Wake the worker before parking.
-                    ring.to_worker.notify_one();
-                    state = ring
-                        .to_producers
-                        .wait(state)
-                        .unwrap_or_else(PoisonError::into_inner);
-                }
-            }
-            BackpressurePolicy::Reject => {
-                if state.queue.len() >= self.options.ring_capacity {
-                    telemetry.add(CounterKey::ProposalsRejected, 1);
-                    self.overload_signal();
-                    return (state, Err(EngineError::Rejected));
-                }
-            }
-            BackpressurePolicy::Shed { max_queue_depth } => {
-                if state.queue.len() >= max_queue_depth {
-                    telemetry.add(CounterKey::ProposalsShed, 1);
-                    self.overload_signal();
-                    return (state, Err(EngineError::Shed { max_queue_depth }));
-                }
-            }
+        while state.queue.len() >= self.ring_capacity && !state.closed {
+            // A full ring is a non-empty ring, but its worker may still be
+            // parked: `submit_batch` notifies only after a whole run is
+            // admitted, so when one run overfills the ring the wake-up this
+            // producer is waiting on would never be sent. Wake the worker
+            // before parking.
+            ring.to_worker.notify_one();
+            state = ring
+                .to_producers
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
         }
+        let telemetry = self.engine.telemetry();
         if state.closed {
             telemetry.add(CounterKey::ProposalsRejected, 1);
             return (state, Err(EngineError::Rejected));
@@ -1069,10 +664,11 @@ impl<M: SharedMemory> ConsensusService<M> {
         let cell = Cell::new();
         let handle = DecisionHandle {
             cell: Arc::clone(&cell),
-            deadline: None,
         };
         state.queue.push_back(Pending {
-            // Under the ring lock, so ids are strictly increasing per ring.
+            // Relaxed is enough: the ring lock orders this bump against
+            // the ring's other admissions, so ids are strictly increasing
+            // per ring, and nothing else reads the counter.
             submission_id: self.next_submission.fetch_add(1, Ordering::Relaxed),
             instance_id,
             proposal,
@@ -1080,37 +676,18 @@ impl<M: SharedMemory> ConsensusService<M> {
             cell,
         });
         telemetry.on_proposal_enqueued();
-        if let Some(circuit) = &self.circuit {
-            // A clean admission while the aggregate queue sits at/above the
-            // trip depth still signals overload — depth pressure trips the
-            // breaker before rejections start under `Block`.
-            let deep = self.options.circuit.trip_queue_depth > 0
-                && telemetry.gauge(GaugeKey::QueueDepth)
-                    >= self.options.circuit.trip_queue_depth as u64;
-            if deep {
-                circuit.on_overload(telemetry);
-            } else {
-                circuit.on_success(telemetry);
-            }
-        }
         (state, Ok(handle))
     }
 
-    /// Feeds one refused admission into the breaker, if one is configured.
-    fn overload_signal(&self) {
-        if let Some(circuit) = &self.circuit {
-            circuit.on_overload(self.engine.telemetry());
-        }
-    }
-
     /// Enqueues one proposal for `instance_id` and returns its handle
-    /// immediately; the decision arrives through the handle.
+    /// immediately; the decision arrives through the handle. A full ring
+    /// parks the caller until its worker drains room.
     ///
     /// # Errors
     ///
-    /// [`EngineError::Rejected`] / [`EngineError::Shed`] per the
-    /// configured [`BackpressurePolicy`], and [`EngineError::Rejected`]
-    /// after [`shutdown`](ConsensusService::shutdown).
+    /// [`EngineError::Rejected`] when the ring is closed: after
+    /// [`shutdown`](ConsensusService::shutdown), or once its worker is
+    /// [`RingHealth::Poisoned`].
     ///
     /// # Panics
     ///
@@ -1118,86 +695,18 @@ impl<M: SharedMemory> ConsensusService<M> {
     /// here, at admission, so an invalid proposal can never kill a
     /// worker).
     pub fn submit(&self, instance_id: u64, proposal: u64) -> Result<DecisionHandle, EngineError> {
-        self.submit_with(instance_id, proposal, &SubmitOptions::new())
-    }
-
-    /// [`submit`](ConsensusService::submit) with a per-submission budget:
-    /// an optional absolute deadline and a seeded-jitter [`RetryPolicy`]
-    /// applied to `Rejected`/`Shed` admissions. The returned handle
-    /// carries the deadline, so [`wait`](DecisionHandle::wait) honors the
-    /// same budget.
-    ///
-    /// # Errors
-    ///
-    /// [`EngineError::Rejected`] / [`EngineError::Shed`] when admission
-    /// refuses and the policy allows no retries;
-    /// [`EngineError::RetriesExhausted`] when every allowed retry was
-    /// refused; [`EngineError::DeadlineExceeded`] when the deadline passes
-    /// before an admission succeeds; [`EngineError::CircuitOpen`] when the
-    /// configured breaker is open (or a half-open probe is already in
-    /// flight).
-    ///
-    /// # Panics
-    ///
-    /// As [`submit`](ConsensusService::submit).
-    pub fn submit_with(
-        &self,
-        instance_id: u64,
-        proposal: u64,
-        opts: &SubmitOptions,
-    ) -> Result<DecisionHandle, EngineError> {
         assert!(
             proposal < self.capacity,
             "value {proposal} exceeds consensus capacity {}",
             self.capacity
         );
-        let mut attempts: u32 = 0;
-        loop {
-            if let Some(circuit) = &self.circuit {
-                circuit.check(self.engine.telemetry())?;
-            }
-            let ring = self.ring_of(instance_id);
-            let (state, result) =
-                self.admit(ring, ring.lock(), instance_id, proposal, Instant::now());
-            drop(state);
-            attempts += 1;
-            match result {
-                Ok(handle) => {
-                    ring.to_worker.notify_one();
-                    return Ok(match opts.deadline {
-                        Some(deadline) => handle.with_deadline(deadline),
-                        None => handle,
-                    });
-                }
-                Err(err @ (EngineError::Rejected | EngineError::Shed { .. })) => {
-                    if attempts > opts.retry.max_retries {
-                        // With no retry budget at all, surface the raw
-                        // admission error (plain `submit` semantics);
-                        // otherwise report the spent budget.
-                        return Err(if opts.retry.max_retries == 0 {
-                            err
-                        } else {
-                            EngineError::RetriesExhausted { attempts }
-                        });
-                    }
-                    let delay = opts.retry.delay_for(attempts - 1);
-                    match opts.deadline {
-                        None => std::thread::sleep(delay),
-                        Some(deadline) => {
-                            let now = crate::clock::now();
-                            if now >= deadline {
-                                return Err(EngineError::DeadlineExceeded);
-                            }
-                            std::thread::sleep(delay.min(deadline - now));
-                            if crate::clock::now() >= deadline {
-                                return Err(EngineError::DeadlineExceeded);
-                            }
-                        }
-                    }
-                }
-                Err(other) => return Err(other),
-            }
+        let ring = self.ring_of(instance_id);
+        let (state, result) = self.admit(ring, ring.lock(), instance_id, proposal, Instant::now());
+        drop(state);
+        if result.is_ok() {
+            ring.to_worker.notify_one();
         }
+        result
     }
 
     /// Enqueues a batch of `(instance_id, proposal)` pairs, taking each
@@ -1205,8 +714,8 @@ impl<M: SharedMemory> ConsensusService<M> {
     /// producer-side half of the pipeline's amortization. Results come
     /// back in input order.
     ///
-    /// Admission control applies per proposal, so one full ring rejects or
-    /// sheds only its own items.
+    /// Admission applies per proposal: a full ring parks the producer
+    /// until it drains, and a closed ring refuses only its own items.
     ///
     /// # Panics
     ///
@@ -1218,14 +727,6 @@ impl<M: SharedMemory> ConsensusService<M> {
                 "value {proposal} exceeds consensus capacity {}",
                 self.capacity
             );
-        }
-        if let Some(circuit) = &self.circuit {
-            // One gate per batch: an open breaker fast-fails the whole
-            // batch; a half-open breaker lets the batch through as its
-            // probe (its admissions feed success/overload per proposal).
-            if let Err(e) = circuit.check(self.engine.telemetry()) {
-                return items.iter().map(|_| Err(e)).collect();
-            }
         }
         let mut results: Vec<Option<Result<DecisionHandle, EngineError>>> =
             (0..items.len()).map(|_| None).collect();
@@ -1261,8 +762,8 @@ impl<M: SharedMemory> ConsensusService<M> {
     }
 
     /// Stops workers from draining, leaving submissions to pile up in the
-    /// rings — the deterministic-saturation hook the backpressure tests
-    /// use. Batches already taken finish first.
+    /// rings — the deterministic-saturation hook the admission and
+    /// supervision tests use. Batches already taken finish first.
     pub fn pause(&self) {
         for ring in self.rings.iter() {
             ring.lock().paused = true;
@@ -1285,7 +786,7 @@ impl<M: SharedMemory> ConsensusService<M> {
             let mut state = ring.lock();
             state.closed = true;
             // A paused, closed service must still drain: shutdown's
-            // contract (Block never loses a proposal) outranks the test
+            // contract (no accepted proposal is lost) outranks the test
             // hook.
             state.paused = false;
             drop(state);
@@ -1330,14 +831,13 @@ impl<M: SharedMemory> std::fmt::Debug for ConsensusService<M> {
         f.debug_struct("ConsensusService")
             .field("workers", &self.worker_count())
             .field("queue_depth", &self.queue_depth())
-            .field("policy", &self.options.policy)
             .finish_non_exhaustive()
     }
 }
 
 /// Degrades a ring to the terminal [`RingHealth::Poisoned`] state:
 /// admission flips to [`EngineError::Rejected`], producers parked under
-/// [`BackpressurePolicy::Block`] are released, and every proposal still
+/// on a full ring are released, and every proposal still
 /// queued or in flight is poisoned — without this, a dead ring would keep
 /// accepting proposals that nothing will ever drain.
 fn terminal_poison(ring: &Ring, telemetry: &RuntimeTelemetry) {
@@ -1712,14 +1212,8 @@ impl<M: SharedMemory> ServiceBuilder<M> {
         self
     }
 
-    /// Admission control (default [`BackpressurePolicy::Block`]).
-    #[must_use]
-    pub fn backpressure(mut self, policy: BackpressurePolicy) -> Self {
-        self.service.policy = policy;
-        self
-    }
-
-    /// Ring capacity (default 1024); see [`ServiceOptions::ring_capacity`].
+    /// Proposals a ring holds before admission parks the producer
+    /// (default 1024).
     #[must_use]
     pub fn ring_capacity(mut self, capacity: usize) -> Self {
         self.service.ring_capacity = capacity;
@@ -1730,13 +1224,6 @@ impl<M: SharedMemory> ServiceBuilder<M> {
     #[must_use]
     pub fn batch_max(mut self, batch: usize) -> Self {
         self.service.batch_max = batch;
-        self
-    }
-
-    /// Worker threads / rings (default: one per engine shard).
-    #[must_use]
-    pub fn workers(mut self, workers: usize) -> Self {
-        self.service.workers = workers;
         self
     }
 
@@ -1754,14 +1241,6 @@ impl<M: SharedMemory> ServiceBuilder<M> {
         self
     }
 
-    /// Shorthand for setting just [`SupervisorOptions::restart_budget`]
-    /// (0 = first panic poisons the ring, the pre-supervision behavior).
-    #[must_use]
-    pub fn restart_budget(mut self, budget: u32) -> Self {
-        self.service.supervisor.restart_budget = budget;
-        self
-    }
-
     /// Seeded service-level fault injection (default [`ChaosPlan::none`]).
     #[must_use]
     pub fn chaos(mut self, plan: ChaosPlan) -> Self {
@@ -1769,19 +1248,13 @@ impl<M: SharedMemory> ServiceBuilder<M> {
         self
     }
 
-    /// Admission circuit breaker (default [`CircuitOptions::disabled`]).
-    #[must_use]
-    pub fn circuit(mut self, circuit: CircuitOptions) -> Self {
-        self.service.circuit = circuit;
-        self
-    }
-
-    /// Builds the engine and starts the service's workers over it.
+    /// Builds the engine and starts the service's workers over it, one
+    /// ring and one worker per engine shard.
     ///
     /// # Panics
     ///
-    /// As [`EngineBuilder::build`](crate::EngineBuilder::build) and
-    /// [`ConsensusService::over`].
+    /// As [`EngineBuilder::build`](crate::EngineBuilder::build), and if
+    /// `ring_capacity` or `batch_max` is 0.
     pub fn build(self) -> ConsensusService<M> {
         ConsensusService::over(Arc::new(self.engine.build()), self.service)
     }
@@ -1792,20 +1265,18 @@ mod tests {
     use super::*;
     use mc_telemetry::{AggregatingRecorder, Tally};
 
-    fn single_worker_service(policy: BackpressurePolicy) -> ConsensusService {
+    fn single_worker_service() -> ConsensusService {
         ConsensusService::builder()
             .n(1)
             .values(1024)
             .participants(1)
             .shards(1)
-            .workers(1)
-            .backpressure(policy)
             .build()
     }
 
     #[test]
     fn decisions_flow_back_through_handles() {
-        let service = single_worker_service(BackpressurePolicy::Block);
+        let service = single_worker_service();
         let handles: Vec<DecisionHandle> = (0..100u64)
             .map(|id| service.submit(id, id % 1024).unwrap())
             .collect();
@@ -1825,7 +1296,7 @@ mod tests {
 
     #[test]
     fn submit_batch_matches_per_call_submit() {
-        let service = single_worker_service(BackpressurePolicy::Block);
+        let service = single_worker_service();
         let items: Vec<(u64, u64)> = (0..64u64).map(|id| (id, (id * 7) % 1024)).collect();
         let handles = service.submit_batch(&items);
         for (handle, (_, proposal)) in handles.into_iter().zip(&items) {
@@ -1840,7 +1311,6 @@ mod tests {
             .values(8)
             .participants(3)
             .shards(1)
-            .workers(1)
             .build();
         let handles: Vec<DecisionHandle> = (0..3u64)
             .map(|p| service.submit(7, p + 1).unwrap())
@@ -1856,7 +1326,7 @@ mod tests {
 
     #[test]
     fn poll_sees_waiting_then_done() {
-        let service = single_worker_service(BackpressurePolicy::Block);
+        let service = single_worker_service();
         service.pause();
         let handle = service.submit(0, 5).unwrap();
         assert_eq!(handle.poll(), None);
@@ -1867,7 +1337,7 @@ mod tests {
 
     #[test]
     fn wait_timeout_times_out_then_succeeds() {
-        let service = single_worker_service(BackpressurePolicy::Block);
+        let service = single_worker_service();
         service.pause();
         let handle = service.submit(0, 9).unwrap();
         assert_eq!(
@@ -1879,48 +1349,6 @@ mod tests {
     }
 
     #[test]
-    fn shed_fires_at_exactly_the_bound() {
-        let service = single_worker_service(BackpressurePolicy::Shed { max_queue_depth: 4 });
-        service.pause();
-        let handles: Vec<DecisionHandle> = (0..4u64)
-            .map(|id| service.submit(id, id).unwrap())
-            .collect();
-        // The fifth proposal is the first past the bound: shed, never
-        // enqueued.
-        assert!(matches!(
-            service.submit(4, 4),
-            Err(EngineError::Shed { max_queue_depth: 4 })
-        ));
-        assert_eq!(service.telemetry().count(CounterKey::ProposalsShed), 1);
-        assert_eq!(service.queue_depth(), 4);
-        service.resume();
-        for (id, handle) in handles.iter().enumerate() {
-            assert_eq!(handle.wait(), Ok(id as u64));
-        }
-        // Depth drained: admission works again.
-        assert_eq!(service.submit(4, 4).unwrap().wait(), Ok(4));
-    }
-
-    #[test]
-    fn reject_refuses_when_the_ring_is_full() {
-        let service = ConsensusService::builder()
-            .n(1)
-            .values(64)
-            .participants(1)
-            .shards(1)
-            .workers(1)
-            .backpressure(BackpressurePolicy::Reject)
-            .ring_capacity(2)
-            .build();
-        service.pause();
-        service.submit(0, 0).unwrap();
-        service.submit(1, 1).unwrap();
-        assert!(matches!(service.submit(2, 2), Err(EngineError::Rejected)));
-        assert_eq!(service.telemetry().count(CounterKey::ProposalsRejected), 1);
-        service.resume();
-    }
-
-    #[test]
     fn block_policy_never_loses_a_proposal() {
         let service = Arc::new(
             ConsensusService::builder()
@@ -1928,8 +1356,6 @@ mod tests {
                 .values(1024)
                 .participants(1)
                 .shards(1)
-                .workers(1)
-                .backpressure(BackpressurePolicy::Block)
                 .ring_capacity(8)
                 .batch_max(4)
                 .build(),
@@ -1960,7 +1386,6 @@ mod tests {
         let t = service.telemetry();
         assert_eq!(t.count(CounterKey::ProposalsEnqueued), 400);
         assert_eq!(t.count(CounterKey::Decisions), 400);
-        assert_eq!(t.count(CounterKey::ProposalsShed), 0);
         assert_eq!(t.count(CounterKey::ProposalsRejected), 0);
     }
 
@@ -1971,7 +1396,6 @@ mod tests {
             .values(1024)
             .participants(1)
             .shards(1)
-            .workers(1)
             .ring_capacity(2)
             .batch_max(2)
             .build();
@@ -1992,7 +1416,6 @@ mod tests {
             .values(1024)
             .participants(1)
             .shards(1)
-            .workers(1)
             .ring_capacity(8)
             .batch_max(4)
             .build();
@@ -2059,9 +1482,11 @@ mod tests {
             .values(64)
             .participants(1)
             .shards(1)
-            .workers(1)
             .batch_max(1)
-            .restart_budget(0)
+            .supervisor(SupervisorOptions {
+                restart_budget: 0,
+                ..SupervisorOptions::default()
+            })
             .recorder(Arc::new(PanicOnBatchDrained) as Arc<dyn mc_telemetry::Recorder>)
             .build();
         service.pause();
@@ -2080,6 +1505,7 @@ mod tests {
         // nothing will ever drain (a Block producer would otherwise park
         // forever against the dead ring).
         assert!(matches!(service.submit(9, 9), Err(EngineError::Rejected)));
+        assert_eq!(service.telemetry().count(CounterKey::ProposalsRejected), 1);
         assert_eq!(service.queue_depth(), 0);
         assert_eq!(service.telemetry().gauge(GaugeKey::QueueDepth), 0);
         assert_eq!(service.ring_health(0), RingHealth::Poisoned);
@@ -2095,7 +1521,6 @@ mod tests {
             .values(64)
             .participants(1)
             .shards(1)
-            .workers(1)
             .batch_max(1)
             .supervisor(SupervisorOptions {
                 restart_budget: 4,
@@ -2127,7 +1552,6 @@ mod tests {
             .values(64)
             .participants(1)
             .shards(1)
-            .workers(1)
             .batch_max(1)
             .supervisor(SupervisorOptions {
                 restart_budget: 2,
@@ -2167,7 +1591,6 @@ mod tests {
             .values(64)
             .participants(1)
             .shards(1)
-            .workers(1)
             .chaos(plan)
             .supervisor(SupervisorOptions {
                 restart_budget: 4,
@@ -2208,7 +1631,6 @@ mod tests {
             .values(64)
             .participants(1)
             .shards(1)
-            .workers(1)
             .chaos(plan)
             .build();
         let handles: Vec<DecisionHandle> = (0..8u64)
@@ -2245,7 +1667,6 @@ mod tests {
             .values(64)
             .participants(1)
             .shards(1)
-            .workers(1)
             .chaos(plan)
             .supervisor(SupervisorOptions {
                 restart_budget: 3,
@@ -2273,185 +1694,12 @@ mod tests {
     }
 
     #[test]
-    fn submit_with_deadline_flows_into_the_handle() {
-        let service = single_worker_service(BackpressurePolicy::Block);
-        service.pause();
-        let opts = SubmitOptions::new().within(Duration::from_millis(20));
-        let handle = service.submit_with(0, 9, &opts).unwrap();
-        assert!(handle.deadline().is_some());
-        // The ring is paused: the deadline expires and wait() reports the
-        // spent budget, not Timeout.
-        assert_eq!(handle.wait(), Err(EngineError::DeadlineExceeded));
-        // wait_timeout under an earlier handle deadline also reports it.
-        assert_eq!(
-            handle.wait_timeout(Duration::from_secs(5)),
-            Err(EngineError::DeadlineExceeded)
-        );
-        service.resume();
-        assert_eq!(handle.wait_core(None, EngineError::Timeout), Ok(9));
-    }
-
-    #[test]
-    fn submit_with_retries_until_the_worker_drains() {
-        let service = ConsensusService::builder()
-            .n(1)
-            .values(64)
-            .participants(1)
-            .shards(1)
-            .workers(1)
-            .backpressure(BackpressurePolicy::Reject)
-            .ring_capacity(1)
-            .build();
-        service.pause();
-        service.submit(0, 1).unwrap();
-        // Plain submit fails fast against the full ring…
-        assert!(matches!(service.submit(1, 2), Err(EngineError::Rejected)));
-        // …and a retrying submit keeps failing while paused, reporting the
-        // spent budget.
-        let opts = SubmitOptions::new().retry(RetryPolicy {
-            max_retries: 2,
-            base_delay: Duration::from_micros(200),
-            max_delay: Duration::from_millis(1),
-            jitter: 0.5,
-            seed: 11,
-        });
-        assert!(matches!(
-            service.submit_with(1, 2, &opts),
-            Err(EngineError::RetriesExhausted { attempts: 3 })
-        ));
-        // Resume: a drain happens within the retry schedule and the
-        // submission lands.
-        service.resume();
-        let retry = SubmitOptions::new().retry(RetryPolicy::seeded(11));
-        let handle = service.submit_with(1, 2, &retry).unwrap();
-        assert_eq!(handle.wait(), Ok(2));
-    }
-
-    #[test]
-    fn submit_with_deadline_bounds_the_retry_loop() {
-        let service = ConsensusService::builder()
-            .n(1)
-            .values(64)
-            .participants(1)
-            .shards(1)
-            .workers(1)
-            .backpressure(BackpressurePolicy::Reject)
-            .ring_capacity(1)
-            .build();
-        service.pause();
-        service.submit(0, 1).unwrap();
-        let opts = SubmitOptions::new()
-            .within(Duration::from_millis(5))
-            .retry(RetryPolicy {
-                max_retries: u32::MAX,
-                base_delay: Duration::from_millis(1),
-                max_delay: Duration::from_millis(1),
-                jitter: 0.0,
-                seed: 0,
-            });
-        // Unbounded retries, bounded budget: the deadline ends the loop.
-        assert!(matches!(
-            service.submit_with(1, 2, &opts),
-            Err(EngineError::DeadlineExceeded)
-        ));
-        service.resume();
-    }
-
-    #[test]
-    fn circuit_trips_half_opens_and_closes() {
-        let service = ConsensusService::builder()
-            .n(1)
-            .values(64)
-            .participants(1)
-            .shards(1)
-            .workers(1)
-            .backpressure(BackpressurePolicy::Shed { max_queue_depth: 1 })
-            .circuit(CircuitOptions {
-                overload_threshold: 3,
-                trip_queue_depth: 0,
-                cooldown: Duration::from_millis(10),
-            })
-            .build();
-        assert_eq!(service.circuit_state(), Some(CircuitState::Closed));
-        service.pause();
-        service.submit(0, 1).unwrap();
-        // Three consecutive sheds trip the breaker…
-        for _ in 0..3 {
-            assert!(matches!(
-                service.submit(0, 2),
-                Err(EngineError::Shed { .. })
-            ));
-        }
-        assert_eq!(service.circuit_state(), Some(CircuitState::Open));
-        // …after which admission fast-fails without touching the ring.
-        assert!(matches!(
-            service.submit(0, 3),
-            Err(EngineError::CircuitOpen)
-        ));
-        assert_eq!(service.telemetry().gauge(GaugeKey::CircuitState), 1);
-        // Past the cooldown, one probe is admitted; the ring has drained
-        // (resume), so the probe succeeds and the breaker closes.
-        service.resume();
-        std::thread::sleep(Duration::from_millis(15));
-        let handle = loop {
-            // The first post-cooldown submit becomes the half-open probe;
-            // its own admission may still shed if the worker has not
-            // drained yet, re-opening — retry until the probe lands.
-            match service.submit(0, 5) {
-                Ok(handle) => break handle,
-                Err(_) => std::thread::sleep(Duration::from_millis(5)),
-            }
-        };
-        assert_eq!(handle.wait(), Ok(5));
-        assert_eq!(service.circuit_state(), Some(CircuitState::Closed));
-        assert_eq!(service.telemetry().gauge(GaugeKey::CircuitState), 0);
-    }
-
-    #[test]
-    fn failed_probe_reopens_the_circuit() {
-        let service = ConsensusService::builder()
-            .n(1)
-            .values(64)
-            .participants(1)
-            .shards(1)
-            .workers(1)
-            .backpressure(BackpressurePolicy::Shed { max_queue_depth: 1 })
-            .circuit(CircuitOptions {
-                overload_threshold: 1,
-                trip_queue_depth: 0,
-                cooldown: Duration::from_millis(5),
-            })
-            .build();
-        service.pause();
-        service.submit(0, 1).unwrap();
-        assert!(matches!(
-            service.submit(0, 2),
-            Err(EngineError::Shed { .. })
-        ));
-        assert_eq!(service.circuit_state(), Some(CircuitState::Open));
-        std::thread::sleep(Duration::from_millis(8));
-        // Still paused: the half-open probe sheds again and the breaker
-        // re-opens for another cooldown.
-        assert!(matches!(
-            service.submit(0, 3),
-            Err(EngineError::Shed { .. })
-        ));
-        assert_eq!(service.circuit_state(), Some(CircuitState::Open));
-        assert!(matches!(
-            service.submit(0, 4),
-            Err(EngineError::CircuitOpen)
-        ));
-        service.resume();
-    }
-
-    #[test]
     fn wait_timeout_reports_poison_not_timeout_when_racing() {
         // Deterministic half: an already-poisoned cell must never report
         // Timeout, even with a zero timeout.
         let cell = Cell::new();
         let handle = DecisionHandle {
             cell: Arc::clone(&cell),
-            deadline: None,
         };
         cell.fill(CellState::Poisoned);
         assert_eq!(
@@ -2467,7 +1715,6 @@ mod tests {
             let cell = Cell::new();
             let handle = DecisionHandle {
                 cell: Arc::clone(&cell),
-                deadline: None,
             };
             let poisoner = {
                 let cell = Arc::clone(&cell);
@@ -2495,27 +1742,8 @@ mod tests {
     }
 
     #[test]
-    fn retry_policy_schedule_is_deterministic_monotone_and_capped() {
-        let policy = RetryPolicy {
-            max_retries: 12,
-            base_delay: Duration::from_micros(100),
-            max_delay: Duration::from_millis(10),
-            jitter: 0.5,
-            seed: 0xDECAF,
-        };
-        let a = policy.schedule();
-        let b = policy.schedule();
-        assert_eq!(a, b, "same seed, same schedule");
-        assert!(a.windows(2).all(|w| w[0] <= w[1]), "monotone: {a:?}");
-        assert!(a.iter().all(|d| *d <= policy.max_delay), "capped: {a:?}");
-        assert!(a[0] >= policy.base_delay);
-        let reseeded = RetryPolicy { seed: 1, ..policy };
-        assert_ne!(a, reseeded.schedule(), "seed changes the jitter stream");
-    }
-
-    #[test]
     fn shutdown_drains_accepted_proposals() {
-        let mut service = single_worker_service(BackpressurePolicy::Block);
+        let mut service = single_worker_service();
         service.pause();
         let handles: Vec<DecisionHandle> = (0..10u64)
             .map(|id| service.submit(id, id).unwrap())
@@ -2526,6 +1754,7 @@ mod tests {
             assert_eq!(handle.wait(), Ok(id as u64));
         }
         assert!(matches!(service.submit(99, 0), Err(EngineError::Rejected)));
+        assert_eq!(service.telemetry().count(CounterKey::ProposalsRejected), 1);
     }
 
     #[test]
@@ -2536,7 +1765,6 @@ mod tests {
             .values(64)
             .participants(1)
             .shards(1)
-            .workers(1)
             .recorder(Arc::clone(&agg) as Arc<dyn mc_telemetry::Recorder>)
             .build();
         service.pause();
@@ -2560,7 +1788,7 @@ mod tests {
 
     #[test]
     fn oversized_proposal_is_refused_at_admission() {
-        let service = single_worker_service(BackpressurePolicy::Block);
+        let service = single_worker_service();
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             service.submit(0, 9999).ok();
         }));
@@ -2573,7 +1801,7 @@ mod tests {
     #[test]
     fn handles_survive_the_service_when_decided() {
         let handle = {
-            let service = single_worker_service(BackpressurePolicy::Block);
+            let service = single_worker_service();
             let handle = service.submit(0, 7).unwrap();
             handle.wait().unwrap();
             handle

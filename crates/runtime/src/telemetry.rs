@@ -26,8 +26,8 @@ use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
 use mc_telemetry::{
-    metric_keys, thread_shard, CircuitState, ConciliatorKind, Counter, FaultClass, Gauge,
-    Histogram, NoopRecorder, Recorder, ShardedCounter, Snapshot, StageKind, TelemetryEvent,
+    metric_keys, thread_shard, ConciliatorKind, Counter, FaultClass, Gauge, Histogram,
+    NoopRecorder, Recorder, ShardedCounter, Snapshot, StageKind, TelemetryEvent,
 };
 
 /// Hard cap on the δ̂ sliding window: samples older than this many decides
@@ -92,10 +92,9 @@ metric_keys! {
         CoinSelections => "coin_selections",
         /// Proposals accepted into a service intake ring.
         ProposalsEnqueued => "proposals_enqueued",
-        /// Proposals refused at admission (`BackpressurePolicy::Reject`).
+        /// Proposals refused at admission because their intake ring was
+        /// closed (shutdown, or a poisoned worker).
         ProposalsRejected => "proposals_rejected",
-        /// Proposals dropped at admission (`BackpressurePolicy::Shed`).
-        ProposalsShed => "proposals_shed",
         /// Batches drained by service shard workers.
         BatchesDrained => "batches_drained",
         /// Worker panics a supervisor recovered from (drain loop restarted).
@@ -146,9 +145,6 @@ metric_keys! {
         /// Length of the store's contiguous applied prefix (entries applied
         /// to the state machine).
         AppliedIndex => "applied_index",
-        /// Current circuit-breaker state (numeric: closed 0, open 1,
-        /// half-open 2; see [`mc_telemetry::CircuitState::as_u64`]).
-        CircuitState => "circuit_state",
         /// Largest probability-doubling round index any call reached. Only
         /// its maximum moves; the current value stays 0.
         MaxConciliatorRound => "max_conciliator_round",
@@ -621,16 +617,6 @@ impl RuntimeTelemetry {
         }
     }
 
-    /// A service circuit breaker entered `state`.
-    #[inline]
-    pub(crate) fn on_circuit_transition(&self, state: CircuitState) {
-        self.gauges[GaugeKey::CircuitState as usize].set(state.as_u64());
-        if self.events_on {
-            self.recorder
-                .record(&TelemetryEvent::CircuitTransition { state });
-        }
-    }
-
     // --- store-layer hooks (public: `mc-store` is a separate crate) ---
 
     /// The store applied `count` commands, leaving the
@@ -875,14 +861,12 @@ mod tests {
         t.on_proposal_enqueued();
         t.on_proposal_enqueued();
         t.add(CounterKey::ProposalsRejected, 1);
-        t.add(CounterKey::ProposalsShed, 1);
         t.lower(GaugeKey::QueueDepth, 2);
         t.on_batch_drained(0, 2, 0);
         t.record(HistKey::ServiceWaitNs, 5_000);
         t.record(HistKey::ServiceWaitNs, 9_000);
         assert_eq!(t.count(CounterKey::ProposalsEnqueued), 2);
         assert_eq!(t.count(CounterKey::ProposalsRejected), 1);
-        assert_eq!(t.count(CounterKey::ProposalsShed), 1);
         assert_eq!(t.count(CounterKey::BatchesDrained), 1);
         assert_eq!(t.gauge(GaugeKey::QueueDepth), 0);
         assert_eq!(t.gauge_max(GaugeKey::QueueDepth), 2);
@@ -907,16 +891,11 @@ mod tests {
         assert_eq!(t.gauge(GaugeKey::QueueDepth), 1);
         assert_eq!(t.count(CounterKey::ResubmittedCells), 1);
         t.on_worker_restart(0, 1, 1, 5_000);
-        t.on_circuit_transition(CircuitState::Open);
-        t.on_circuit_transition(CircuitState::HalfOpen);
-        t.on_circuit_transition(CircuitState::Closed);
         assert_eq!(t.count(CounterKey::WorkerRestarts), 1);
         assert_eq!(t.hist(HistKey::WorkerRecoveryNs).count(), 1);
         assert!(t.hist(HistKey::WorkerRecoveryNs).quantile_upper(0.99) >= 5_000);
-        assert_eq!(t.gauge(GaugeKey::CircuitState), 0);
         assert_eq!(agg.count(Tally::WorkerRestarts), 1);
         assert_eq!(agg.count(Tally::ResubmittedCells), 1);
-        assert_eq!(agg.count(Tally::CircuitTransitions), 3);
         let snap = t.snapshot();
         assert_eq!(snap.counter_value("worker_restarts"), Some(1));
         assert_eq!(snap.counter_value("resubmitted_cells"), Some(1));
@@ -933,11 +912,9 @@ mod tests {
         ));
         let _amortized = t.amortized();
         t.on_worker_restart(1, 1, 4, 800);
-        t.on_circuit_transition(CircuitState::Open);
         // Like batch_drained, supervision events are batch-level: they are
         // exactly what the amortized mode exists to keep.
         assert_eq!(agg.count(Tally::WorkerRestarts), 1);
-        assert_eq!(agg.count(Tally::CircuitTransitions), 1);
     }
 
     #[test]
@@ -1101,21 +1078,23 @@ mod tests {
 
     /// The exported names and their order at the commit before the metric
     /// table existed, less `appends` and `slot_conflicts` (gone with
-    /// `ReplicatedLog::append`) and `lease_grants` (gone with the read
-    /// lease); the benchmark and any scraper read them by string.
+    /// `ReplicatedLog::append`), `lease_grants` (gone with the read
+    /// lease), and `proposals_shed` and `circuit_state` (gone with the
+    /// service's shedding and circuit breaker); the benchmark and any
+    /// scraper read them by string.
     const COUNTERS: &str = "decide_calls decisions fast_path_hits stage_entries \
         prob_writes_attempted prob_writes_performed pool_hits pool_misses \
         instances_retired faults_injected faults_lost_prob_writes faults_stale_reads \
         faults_delayed_commits faults_register_resets fallbacks_taken conciliator_selections \
-        coin_selections proposals_enqueued proposals_rejected proposals_shed batches_drained \
+        coin_selections proposals_enqueued proposals_rejected batches_drained \
         worker_restarts resubmitted_cells commands_applied sessions_created duplicates_served \
         stale_commands fast_reads store_snapshots";
-    const GAUGES: &str = "applied_index circuit_state max_conciliator_round \
+    const GAUGES: &str = "applied_index max_conciliator_round \
         observed_delta_hat_ppm live_instances queue_depth";
     const HISTOGRAMS: &str = "rounds_to_decide decide_latency_ns conciliator_rounds coin_rounds \
         service_wait_ns worker_recovery_ns";
     /// `to_json()` of the hook script below, captured at that same commit.
-    const SCRIPT_JSON: &str = r#"{"counters":{"decide_calls":1,"decisions":1,"fast_path_hits":1,"stage_entries":1,"prob_writes_attempted":2,"prob_writes_performed":1,"pool_hits":2,"pool_misses":1,"instances_retired":1,"faults_injected":1,"faults_lost_prob_writes":0,"faults_stale_reads":1,"faults_delayed_commits":0,"faults_register_resets":0,"fallbacks_taken":1,"conciliator_selections":1,"coin_selections":1,"proposals_enqueued":2,"proposals_rejected":1,"proposals_shed":1,"batches_drained":1,"worker_restarts":1,"resubmitted_cells":1,"commands_applied":5,"sessions_created":1,"duplicates_served":1,"stale_commands":1,"fast_reads":1,"store_snapshots":1},"gauges":{"applied_index":{"value":5,"max":5},"circuit_state":{"value":1,"max":1},"max_conciliator_round":{"value":0,"max":3},"observed_delta_hat_ppm":{"value":125000,"max":125000},"live_instances":{"value":2,"max":2},"queue_depth":{"value":1,"max":2}},"histograms":{"rounds_to_decide":{"count":1,"sum":2,"max":2,"mean":2.0,"p50":2,"p99":2,"buckets":[[3,1]]},"decide_latency_ns":{"count":1,"sum":500,"max":500,"mean":500.0,"p50":500,"p99":500,"buckets":[[511,1]]},"conciliator_rounds":{"count":1,"sum":4,"max":4,"mean":4.0,"p50":4,"p99":4,"buckets":[[7,1]]},"coin_rounds":{"count":1,"sum":9,"max":9,"mean":9.0,"p50":9,"p99":9,"buckets":[[15,1]]},"service_wait_ns":{"count":1,"sum":5000,"max":5000,"mean":5000.0,"p50":5000,"p99":5000,"buckets":[[8191,1]]},"worker_recovery_ns":{"count":1,"sum":7000,"max":7000,"mean":7000.0,"p50":7000,"p99":7000,"buckets":[[8191,1]]}}}"#;
+    const SCRIPT_JSON: &str = r#"{"counters":{"decide_calls":1,"decisions":1,"fast_path_hits":1,"stage_entries":1,"prob_writes_attempted":2,"prob_writes_performed":1,"pool_hits":2,"pool_misses":1,"instances_retired":1,"faults_injected":1,"faults_lost_prob_writes":0,"faults_stale_reads":1,"faults_delayed_commits":0,"faults_register_resets":0,"fallbacks_taken":1,"conciliator_selections":1,"coin_selections":1,"proposals_enqueued":2,"proposals_rejected":1,"batches_drained":1,"worker_restarts":1,"resubmitted_cells":1,"commands_applied":5,"sessions_created":1,"duplicates_served":1,"stale_commands":1,"fast_reads":1,"store_snapshots":1},"gauges":{"applied_index":{"value":5,"max":5},"max_conciliator_round":{"value":0,"max":3},"observed_delta_hat_ppm":{"value":125000,"max":125000},"live_instances":{"value":2,"max":2},"queue_depth":{"value":1,"max":2}},"histograms":{"rounds_to_decide":{"count":1,"sum":2,"max":2,"mean":2.0,"p50":2,"p99":2,"buckets":[[3,1]]},"decide_latency_ns":{"count":1,"sum":500,"max":500,"mean":500.0,"p50":500,"p99":500,"buckets":[[511,1]]},"conciliator_rounds":{"count":1,"sum":4,"max":4,"mean":4.0,"p50":4,"p99":4,"buckets":[[7,1]]},"coin_rounds":{"count":1,"sum":9,"max":9,"mean":9.0,"p50":9,"p99":9,"buckets":[[15,1]]},"service_wait_ns":{"count":1,"sum":5000,"max":5000,"mean":5000.0,"p50":5000,"p99":5000,"buckets":[[8191,1]]},"worker_recovery_ns":{"count":1,"sum":7000,"max":7000,"mean":7000.0,"p50":7000,"p99":7000,"buckets":[[8191,1]]}}}"#;
 
     #[test]
     fn snapshot_covers_the_metric_set() {
@@ -1139,7 +1118,7 @@ mod tests {
             HistKey::ALL.iter().map(|key| key.name()).collect(),
         ];
         assert_eq!(table, names);
-        assert_eq!(table.each_ref().map(Vec::len), [29, 6, 6]);
+        assert_eq!(table.each_ref().map(Vec::len), [28, 5, 6]);
 
         // A fixed script over every hook and every kind of bump exports
         // what the hand-written metric set exported, byte for byte.
@@ -1162,13 +1141,11 @@ mod tests {
         t.on_proposal_enqueued();
         t.on_proposal_enqueued();
         t.add(CounterKey::ProposalsRejected, 1);
-        t.add(CounterKey::ProposalsShed, 1);
         t.lower(GaugeKey::QueueDepth, 2);
         t.on_proposals_requeued(1);
         t.on_batch_drained(0, 2, 0);
         t.record(HistKey::ServiceWaitNs, 5_000);
         t.on_worker_restart(0, 1, 1, 7_000);
-        t.on_circuit_transition(CircuitState::Open);
         t.on_commands_applied(5, 5);
         t.add(CounterKey::SessionsCreated, 1);
         t.add(CounterKey::DuplicatesServed, 1);

@@ -85,41 +85,6 @@ impl FaultClass {
     }
 }
 
-/// State of a service-level circuit breaker.
-///
-/// Mirrors `mc-runtime`'s breaker: `Closed` admits normally, `Open`
-/// fast-fails admission after sustained overload, and `HalfOpen` lets a
-/// single probe submission through to test recovery.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CircuitState {
-    /// Admitting normally.
-    Closed,
-    /// Fast-failing admission after sustained overload.
-    Open,
-    /// Cooldown elapsed; one probe is in flight to test recovery.
-    HalfOpen,
-}
-
-impl CircuitState {
-    /// Stable lowercase name used in JSON output.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            CircuitState::Closed => "closed",
-            CircuitState::Open => "open",
-            CircuitState::HalfOpen => "half_open",
-        }
-    }
-
-    /// Stable numeric encoding for gauges: closed 0, open 1, half-open 2.
-    pub fn as_u64(self) -> u64 {
-        match self {
-            CircuitState::Closed => 0,
-            CircuitState::Open => 1,
-            CircuitState::HalfOpen => 2,
-        }
-    }
-}
-
 /// Classification of a single shared-memory operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OpClass {
@@ -276,11 +241,6 @@ pub enum TelemetryEvent {
         /// Wall-clock panic-catch → drain-loop-reentry latency, nanoseconds.
         recovery_ns: u64,
     },
-    /// A service circuit breaker changed state.
-    CircuitTransition {
-        /// The state entered.
-        state: CircuitState,
-    },
     /// End-of-run totals (mirrors `mc-sim`'s `WorkMetrics`).
     WorkSummary {
         /// Seed the run was driven with.
@@ -318,7 +278,6 @@ impl TelemetryEvent {
             TelemetryEvent::FallbackTaken { .. } => "fallback_taken",
             TelemetryEvent::BatchDrained { .. } => "batch_drained",
             TelemetryEvent::WorkerRestarted { .. } => "worker_restarted",
-            TelemetryEvent::CircuitTransition { .. } => "circuit_transition",
             TelemetryEvent::WorkSummary { .. } => "work_summary",
         }
     }
@@ -450,9 +409,6 @@ impl TelemetryEvent {
                     .u64_field("attempt", *attempt)
                     .u64_field("resubmitted", *resubmitted)
                     .u64_field("recovery_ns", *recovery_ns);
-            }
-            TelemetryEvent::CircuitTransition { state } => {
-                obj.str_field("state", state.as_str());
             }
             TelemetryEvent::WorkSummary {
                 seed,
@@ -676,11 +632,6 @@ crate::metric_keys! {
         WorkerRestarts => "worker_restarts",
         /// Total cells re-admitted across all `worker_restarted` events.
         ResubmittedCells => "resubmitted_cells",
-        /// `circuit_transition` events seen.
-        CircuitTransitions => "circuit_transitions",
-        /// Last circuit state observed (numeric; see
-        /// [`CircuitState::as_u64`]) — the latest value, not a sum.
-        CircuitState => "circuit_state",
     }
 }
 
@@ -829,11 +780,6 @@ impl Recorder for AggregatingRecorder {
                 self.add(Tally::WorkerRestarts, 1);
                 self.add(Tally::ResubmittedCells, *resubmitted);
             }
-            TelemetryEvent::CircuitTransition { state } => {
-                self.add(Tally::CircuitTransitions, 1);
-                self.cell(Tally::CircuitState)
-                    .store(state.as_u64(), Ordering::Relaxed);
-            }
             TelemetryEvent::WorkSummary { .. } => {}
         }
     }
@@ -959,9 +905,6 @@ mod tests {
                 resubmitted: 3,
                 recovery_ns: 2_000,
             },
-            TelemetryEvent::CircuitTransition {
-                state: CircuitState::Open,
-            },
             TelemetryEvent::ConciliatorSelected {
                 generation: 0,
                 choice: ConciliatorKind::Impatient,
@@ -1019,8 +962,9 @@ mod tests {
     /// `to_json(Some(seq))` of `sample_events()` then `edge_events()`,
     /// captured from the renderer this one replaced (commit 4e4eb71): the
     /// schema is these bytes, and any drift must show up as a diff here.
-    /// Stamp [`RETIRED_SEQ`] belonged to the `read_lease` event, since
-    /// removed; the lines after it keep their stamps.
+    /// The [`RETIRED_SEQ`] stamps belonged to the `circuit_transition` and
+    /// `read_lease` events, since removed; the lines after them keep their
+    /// stamps.
     const GOLDEN: &[&str] = &[
         r#"{"ev":"stage_entered","seq":0,"pid":0,"stage":0,"kind":"ratifier"}"#,
         r#"{"ev":"fast_path_hit","seq":1,"pid":0,"stage":1}"#,
@@ -1036,7 +980,6 @@ mod tests {
         r#"{"ev":"fallback_taken","seq":11,"pid":2,"conciliator_stages":6}"#,
         r#"{"ev":"batch_drained","seq":12,"shard":1,"batch":8,"queue_depth":2}"#,
         r#"{"ev":"worker_restarted","seq":13,"ring":0,"attempt":1,"resubmitted":3,"recovery_ns":2000}"#,
-        r#"{"ev":"circuit_transition","seq":14,"state":"open"}"#,
         r#"{"ev":"conciliator_selected","seq":16,"generation":0,"choice":"impatient","samples":2}"#,
         r#"{"ev":"work_summary","seq":17,"seed":7,"total_work":2,"individual_work":1,"prob_writes_attempted":1,"prob_writes_performed":0,"registers_allocated":3,"registers_touched":2,"per_process":[1,0,1]}"#,
         r#"{"ev":"decided","seq":18,"pid":0,"value":18446744073709551615,"stage":9,"latency_ns":18446744073709551614}"#,
@@ -1048,13 +991,13 @@ mod tests {
         r#"{"ev":"work_summary","seq":24,"seed":18446744073709551615,"total_work":0,"individual_work":10,"prob_writes_attempted":99,"prob_writes_performed":100,"registers_allocated":12345,"registers_touched":1000000,"per_process":[0,1009,4036,9081,16144,25225,36324,49441,64576,81729,100900,122089,145296,170521,197764,227025,258304,291601,326916,364249,403600,444969,488356,533761,581184,630625,682084,735561,791056,848569,908100,969649]}"#,
     ];
 
-    const RETIRED_SEQ: u64 = 15;
+    const RETIRED_SEQ: [u64; 2] = [14, 15];
 
     #[test]
     fn every_line_matches_its_golden_bytes() {
         let events: Vec<_> = sample_events().into_iter().chain(edge_events()).collect();
         assert_eq!(events.len(), GOLDEN.len());
-        let stamps = (0..).filter(|&seq| seq != RETIRED_SEQ);
+        let stamps = (0..).filter(|seq| !RETIRED_SEQ.contains(seq));
         // One dirty buffer for all: `write_json` appends and disturbs nothing.
         let mut reused = String::from("dirty");
         for ((seq, event), golden) in stamps.zip(&events).zip(GOLDEN) {
@@ -1156,7 +1099,7 @@ mod tests {
             agg.record(&event);
         }
         let expected = [
-            (Tally::Events, 17),
+            (Tally::Events, 16),
             (Tally::FaultsInjected, 1),
             (Tally::ConciliatorSelections, 2),
             (Tally::CoinSelections, 1),
@@ -1165,8 +1108,6 @@ mod tests {
             (Tally::BatchedProposals, 8),
             (Tally::WorkerRestarts, 1),
             (Tally::ResubmittedCells, 3),
-            (Tally::CircuitTransitions, 1),
-            (Tally::CircuitState, CircuitState::Open.as_u64()),
             (Tally::StageEntries, 1),
             (Tally::FastPathHits, 1),
             (Tally::ConciliatorRounds, 1),

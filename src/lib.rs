@@ -84,6 +84,12 @@ pub use mc_sim as sim;
 pub use mc_store as store;
 pub use mc_telemetry as telemetry;
 
+// Compiles and runs every Rust block of `README.md` as a doctest, so the
+// README's examples cannot drift from the API.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+struct ReadmeDoctests;
+
 /// Convenience re-exports of the most commonly used items.
 pub mod prelude {
     pub use mc_core::protocol::ConsensusBuilder;
@@ -98,12 +104,12 @@ pub mod prelude {
     };
     pub use mc_model::{properties, Decision, ObjectSpec, ProcessId, Value};
     pub use mc_runtime::{
-        AdaptiveConsensus, AdaptiveOptions, BackpressurePolicy, BoundedConsensus, ChaosPlan,
-        CircuitOptions, CoinKind, ConciliatorChoice, Consensus, ConsensusEngine, ConsensusService,
-        CounterKey, DecisionHandle, Election, EngineBuilder, EngineError, EngineOptions, FaultPlan,
+        AdaptiveConsensus, AdaptiveOptions, BoundedConsensus, ChaosPlan, CoinKind,
+        ConciliatorChoice, Consensus, ConsensusEngine, ConsensusService, CounterKey,
+        DecisionHandle, Election, EngineBuilder, EngineError, EngineOptions, FaultPlan,
         FaultyMemory, GaugeKey, HistKey, LeaderFallback, LocalCoin, ReplicatedLog, ResetScope,
-        RetryPolicy, RingHealth, RuntimeTelemetry, ServiceBuilder, ServiceOptions, SubmitOptions,
-        SupervisorOptions, TestAndSet, TypedConsensus, ValueCode, VotingCoin,
+        RingHealth, RuntimeTelemetry, ServiceBuilder, SupervisorOptions, TestAndSet,
+        TypedConsensus, ValueCode, VotingCoin,
     };
     pub use mc_sim::{adversary, harness, observe, sched, EngineConfig};
     pub use mc_store::{

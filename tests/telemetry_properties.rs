@@ -255,19 +255,16 @@ proptest! {
 }
 
 /// One seeded chaos-service run: drain-boundary panics force worker
-/// restarts with cell re-admission, then deterministic shedding with the
-/// workers paused trips the circuit breaker. Returns the runtime
-/// telemetry's own view — `[worker_restarts, resubmitted_cells,
-/// circuit_state]` — plus its rendered snapshot; the recorder's view stays
-/// with the caller.
+/// restarts with cell re-admission. Returns the runtime telemetry's own
+/// view — `[worker_restarts, resubmitted_cells]` and the queue-depth
+/// gauge's `[value, max]` — plus its rendered snapshot; the recorder's view
+/// stays with the caller.
 fn chaos_service_run(
     seed: u64,
     panics: u32,
     recorder: std::sync::Arc<dyn Recorder>,
-) -> ([u64; 3], modular_consensus::telemetry::Snapshot) {
-    use modular_consensus::runtime::{
-        BackpressurePolicy, ChaosPlan, CircuitOptions, ConsensusService, SupervisorOptions,
-    };
+) -> ([u64; 2], [u64; 2], modular_consensus::telemetry::Snapshot) {
+    use modular_consensus::runtime::{ChaosPlan, ConsensusService, SupervisorOptions};
     use std::time::Duration;
 
     let service = ConsensusService::builder()
@@ -275,7 +272,6 @@ fn chaos_service_run(
         .values(64)
         .participants(1)
         .shards(1)
-        .workers(1)
         .seed(seed)
         .chaos(ChaosPlan::seeded(seed).panic_every(1, panics))
         .supervisor(SupervisorOptions {
@@ -283,47 +279,17 @@ fn chaos_service_run(
             base_backoff: Duration::from_micros(50),
             max_backoff: Duration::from_micros(200),
         })
-        .backpressure(BackpressurePolicy::Shed {
-            max_queue_depth: 16,
-        })
-        .circuit(CircuitOptions {
-            overload_threshold: 3,
-            trip_queue_depth: 0,
-            cooldown: Duration::from_secs(3600),
-        })
         .recorder(recorder)
         .build();
 
-    // Phase 1 — decide through the chaos: every drain panics until the
-    // plan's budget is spent, so the worker restarts exactly `panics`
-    // times, re-admitting each drained batch exactly once.
+    // Decide through the chaos: every drain panics until the plan's budget
+    // is spent, so the worker restarts exactly `panics` times, re-admitting
+    // each drained batch exactly once.
     let handles: Vec<_> = (0..8u64)
         .map(|i| service.submit(i, i).expect("queue has room"))
         .collect();
     for (i, handle) in handles.into_iter().enumerate() {
-        assert_eq!(handle.wait(), Ok(i as u64), "seed {seed}: phase 1");
-    }
-
-    // Phase 2 — trip the breaker: with draining paused, admission alone
-    // decides each submission's fate. Fill the queue, then shed three
-    // consecutive proposals to cross the overload threshold.
-    service.pause();
-    let queued: Vec<_> = (0..16u64)
-        .map(|i| service.submit(1000 + i, i).expect("fills to the bound"))
-        .collect();
-    for i in 0..3u64 {
-        assert!(
-            service.submit(2000 + i, i).is_err(),
-            "seed {seed}: over-bound submit {i} must shed"
-        );
-    }
-    assert!(
-        matches!(service.submit(3000, 0), Err(EngineError::CircuitOpen)),
-        "seed {seed}: breaker must be open after sustained shedding"
-    );
-    service.resume();
-    for (i, handle) in queued.into_iter().enumerate() {
-        assert_eq!(handle.wait(), Ok(i as u64), "seed {seed}: phase 2");
+        assert_eq!(handle.wait(), Ok(i as u64), "seed {seed}");
     }
 
     let telemetry = std::sync::Arc::clone(service.engine().telemetry_handle());
@@ -333,7 +299,10 @@ fn chaos_service_run(
         [
             telemetry.count(CounterKey::WorkerRestarts),
             telemetry.count(CounterKey::ResubmittedCells),
-            telemetry.gauge(GaugeKey::CircuitState),
+        ],
+        [
+            telemetry.gauge(GaugeKey::QueueDepth),
+            telemetry.gauge_max(GaugeKey::QueueDepth),
         ],
         snapshot,
     )
@@ -342,10 +311,11 @@ fn chaos_service_run(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Supervision and circuit-breaker activity is triple-accounted: the
-    /// runtime telemetry counters, the recorder's aggregated event stream,
-    /// and the rendered snapshot (JSON and Prometheus included) agree on
-    /// restarts, re-admitted cells, and the final breaker state.
+    /// Supervision activity is triple-accounted: the runtime telemetry
+    /// counters, the recorder's aggregated event stream, and the rendered
+    /// snapshot (JSON and Prometheus included) agree on restarts and
+    /// re-admitted cells, and the snapshot renders the queue-depth gauge
+    /// the run left behind.
     #[test]
     fn chaos_metrics_reconcile_across_all_three_ledgers(
         seed in 0u64..10_000,
@@ -354,33 +324,35 @@ proptest! {
         use std::sync::Arc;
 
         let agg = Arc::new(AggregatingRecorder::new());
-        let ([restarts, resubmitted, circuit], snapshot) =
+        let ([restarts, resubmitted], [depth, max_depth], snapshot) =
             chaos_service_run(seed, panics, Arc::clone(&agg) as Arc<dyn Recorder>);
 
         // The run is deterministic in shape: the chaos plan spends its full
-        // panic budget, and phase 2 leaves the breaker open.
+        // panic budget, and the drained service leaves an empty queue that
+        // did hold proposals.
         prop_assert_eq!(restarts, u64::from(panics));
-        prop_assert_eq!(circuit, 1, "breaker left open");
+        prop_assert_eq!(depth, 0, "queue left non-empty");
+        prop_assert!(max_depth > 0, "queue never held a proposal");
 
         // Ledger 2: the recorder folded the same events.
         prop_assert_eq!(agg.count(Tally::WorkerRestarts), restarts);
         prop_assert_eq!(agg.count(Tally::ResubmittedCells), resubmitted);
-        prop_assert_eq!(agg.count(Tally::CircuitState), circuit);
-        prop_assert!(agg.count(Tally::CircuitTransitions) >= 1);
 
         // Ledger 3: the snapshot renders the same numbers everywhere.
         prop_assert_eq!(snapshot.counter_value("worker_restarts"), Some(restarts));
         prop_assert_eq!(snapshot.counter_value("resubmitted_cells"), Some(resubmitted));
         let json = snapshot.to_json();
         prop_assert!(
-            json.contains(&format!("\"circuit_state\":{{\"value\":{circuit},")),
-            "snapshot JSON lacks the circuit gauge: {json}"
+            json.contains(&format!("\"queue_depth\":{{\"value\":0,\"max\":{max_depth}}}")),
+            "snapshot JSON lacks the queue-depth gauge: {json}"
         );
         let prom = snapshot.to_prometheus();
         prop_assert!(
-            prom.contains(&format!("\ncircuit_state {circuit}\n")),
-            "Prometheus export lacks the circuit gauge: {prom}"
+            prom.contains("\nqueue_depth 0\n"),
+            "Prometheus export lacks the queue-depth gauge: {prom}"
         );
+        let max_line = format!("\nqueue_depth_max {max_depth}\n");
+        prop_assert!(prom.contains(&max_line), "missing {}", max_line.trim());
         let restart_line = format!("\nworker_restarts {restarts}\n");
         prop_assert!(prom.contains(&restart_line), "missing {}", restart_line.trim());
         let resubmit_line = format!("\nresubmitted_cells {resubmitted}\n");
@@ -388,8 +360,7 @@ proptest! {
     }
 
     /// The JSONL export carries one well-formed `worker_restarted` line per
-    /// restart — attempts numbered consecutively from 1 — and a
-    /// `circuit_transition` line whose final state is `open`.
+    /// restart, attempts numbered consecutively from 1.
     #[test]
     fn chaos_events_export_one_jsonl_line_each(
         seed in 0u64..10_000,
@@ -398,13 +369,12 @@ proptest! {
         use std::sync::Arc;
 
         let (recorder, buf) = JsonlRecorder::in_memory();
-        let ([restarts, _, _], _) =
+        let ([restarts, _], _, _) =
             chaos_service_run(seed, panics, Arc::new(recorder) as Arc<dyn Recorder>);
 
         let bytes = buf.lock().unwrap().clone();
         let text = String::from_utf8(bytes).expect("JSONL is UTF-8");
         let mut restart_lines = 0u64;
-        let mut last_circuit_state = None;
         for (ix, line) in text.lines().enumerate() {
             json::validate(line)
                 .unwrap_or_else(|e| panic!("line {ix} is not valid JSON ({e}): {line}"));
@@ -413,16 +383,8 @@ proptest! {
                 let stamp = format!("\"attempt\":{restart_lines}");
                 prop_assert!(line.contains(&stamp), "line {} lacks {}: {}", ix, stamp, line);
             }
-            if line.contains("\"ev\":\"circuit_transition\"") {
-                last_circuit_state = Some(line.contains("\"state\":\"open\""));
-            }
         }
         prop_assert_eq!(restart_lines, restarts);
-        prop_assert_eq!(
-            last_circuit_state,
-            Some(true),
-            "final circuit_transition line must record the open state"
-        );
     }
 }
 
@@ -436,12 +398,10 @@ fn any_width() -> impl Strategy<Value = u64> {
 /// Any event variant over random field values; `p` is sometimes
 /// non-finite, `per_process` sometimes empty.
 fn any_event() -> impl Strategy<Value = TelemetryEvent> {
-    use modular_consensus::telemetry::{
-        CircuitState, ConciliatorKind, FaultClass, OpClass, StageKind,
-    };
+    use modular_consensus::telemetry::{ConciliatorKind, FaultClass, OpClass, StageKind};
 
     (
-        (0usize..14, any_width(), any_width(), any_width()),
+        (0usize..13, any_width(), any_width(), any_width()),
         (any_width(), any::<bool>(), -1.0f64..2.0),
         proptest::collection::vec(any_width(), 0..40),
     )
@@ -517,13 +477,6 @@ fn any_event() -> impl Strategy<Value = TelemetryEvent> {
                     attempt: b,
                     resubmitted: c,
                     recovery_ns: d,
-                },
-                12 => TelemetryEvent::CircuitTransition {
-                    state: [
-                        CircuitState::Closed,
-                        CircuitState::Open,
-                        CircuitState::HalfOpen,
-                    ][(c % 3) as usize],
                 },
                 _ => TelemetryEvent::WorkSummary {
                     seed: a,
