@@ -672,8 +672,8 @@ pub fn check_chaos_conformance(
 }
 
 /// Waits for a store response through [`CommandHandle::wait_timeout`]
-/// (10 s), panicking with the store's `Debug` view (learned slots, applied
-/// commands, proposers) when none arrives — so a stalled store fails the
+/// (10 s), panicking with the store's `Debug` view (its slot table,
+/// instance pool, applied commands and telemetry) when none arrives — so a stalled store fails the
 /// check that drove it instead of hanging the suite.
 fn settle<S: StateMachine, M: SharedMemory, R: Clone>(
     store: &ReplicatedStore<S, M>,

@@ -22,7 +22,6 @@
 //! in the same snapshot/Prometheus/JSONL paths as every other runtime
 //! metric.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 use rand::Rng;
@@ -76,7 +75,7 @@ struct ShardState<M: SharedMemory> {
     free: Vec<Arc<Consensus<M>>>,
     /// Callers of the blocking `submit` parked on `Shard::cv` for the live
     /// bound. A retirement notifies only when this is nonzero: the
-    /// notification is a syscall, and a store retires once per slot.
+    /// notification is a syscall, and a retirement happens once per instance.
     blocked: usize,
 }
 
@@ -143,26 +142,13 @@ pub(crate) fn shard_index(instance_id: u64, len: usize) -> usize {
 /// # Contract
 ///
 /// Each instance id must receive **exactly**
-/// [`EngineOptions::participants`] submits, or be retired by
-/// [`retire_below`](ConsensusEngine::retire_below), and ids must not be
-/// reused after completion — a reused id would silently activate a fresh
-/// instance, which can decide differently. Under-submitted instances
-/// below no floor stay live forever and eat into their shard's
-/// backpressure budget.
-///
-/// # Floor retirement
-///
-/// [`retire_below(floor)`](ConsensusEngine::retire_below) is the second
-/// retirement rule, for callers that know a prefix of ids is finished
-/// (the store, once it has applied a slot) although fewer than
-/// `participants` submitted to them. Every instance below the floor is
-/// retired as soon as no caller is inside it — at once if none is,
-/// otherwise when the last caller inside leaves, having decided on the
-/// same object as everyone before it. A submit below the floor is refused
-/// ([`EngineError::Retired`]) rather than activating a fresh object that
-/// could decide differently. An engine whose floor is never raised
-/// (the service, every other caller) behaves exactly as count retirement
-/// alone.
+/// [`EngineOptions::participants`] submits, and ids must not be reused
+/// after completion — a reused id would silently activate a fresh
+/// instance, which can decide differently. Under-submitted instances stay
+/// live forever and eat into their shard's backpressure budget. A caller
+/// that knows better when an instance is finished keeps its own
+/// instances, built by [`fresh_instance`](ConsensusEngine::fresh_instance)
+/// (the store's slot table does).
 ///
 /// # Backpressure
 ///
@@ -178,12 +164,6 @@ pub struct ConsensusEngine<M: SharedMemory = AtomicMemory> {
     max_live_per_shard: usize,
     shards: Vec<Shard<M>>,
     telemetry: Arc<RuntimeTelemetry>,
-    /// Ids below this are retired; see
-    /// [`retire_below`](ConsensusEngine::retire_below). Raised by
-    /// `fetch_max` *before* `retire_below` takes any shard lock, and read
-    /// only under a shard lock: the lock hand-off orders every read after
-    /// the raise that retired its id, so `Relaxed` suffices.
-    floor: AtomicU64,
 }
 
 impl ConsensusEngine {
@@ -245,7 +225,6 @@ impl<M: SharedMemory> ConsensusEngine<M> {
                 })
                 .collect(),
             telemetry,
-            floor: AtomicU64::new(0),
         }
     }
 
@@ -287,9 +266,10 @@ impl<M: SharedMemory> ConsensusEngine<M> {
         self.shards.iter().map(|s| s.lock().free.len()).sum()
     }
 
-    /// A new instance on the engine's memory, options and telemetry: a pool
-    /// miss.
-    fn fresh_instance(&self) -> Consensus<M> {
+    /// A new instance on the engine's memory, options and telemetry, outside
+    /// the engine's pools: its caller counts its activations and
+    /// retirement.
+    pub fn fresh_instance(&self) -> Consensus<M> {
         Consensus::with_telemetry_in(
             self.memory.clone(),
             Arc::clone(&self.options),
@@ -302,18 +282,14 @@ impl<M: SharedMemory> ConsensusEngine<M> {
     }
 
     /// Claims this caller's submit slot on `instance_id`, activating the
-    /// instance if needed. Refuses with `Retired` below the floor, and with
-    /// `Saturated` when activation would exceed the shard's live bound.
+    /// instance if needed. Refuses (`None`) when activation would exceed
+    /// the shard's live bound.
     fn checkout(
         &self,
         state: &mut ShardState<M>,
         instance_id: u64,
         bounded: bool,
-    ) -> Result<Arc<Consensus<M>>, EngineError> {
-        // Relaxed: read under the shard lock; see `floor`.
-        if instance_id < self.floor.load(Ordering::Relaxed) {
-            return Err(EngineError::Retired);
-        }
+    ) -> Option<Arc<Consensus<M>>> {
         if let Some(entry) = state.live.get_mut(&instance_id) {
             assert!(
                 entry.remaining > 0,
@@ -321,10 +297,10 @@ impl<M: SharedMemory> ConsensusEngine<M> {
                 self.participants
             );
             entry.remaining -= 1;
-            return Ok(Arc::clone(&entry.instance));
+            return Some(Arc::clone(&entry.instance));
         }
         if bounded && state.live.len() >= self.max_live_per_shard {
-            return Err(EngineError::Saturated);
+            return None;
         }
         let instance = match state.free.pop() {
             Some(recycled) => {
@@ -343,12 +319,12 @@ impl<M: SharedMemory> ConsensusEngine<M> {
                 remaining: self.participants - 1,
             },
         );
-        Ok(instance)
+        Some(instance)
     }
 
     /// Runs the decision and, if this caller was the last participant out
-    /// or the instance is below the floor and nobody else is inside it,
-    /// retires the instance into the shard's pool.
+    /// and nobody else is inside it, retires the instance into the shard's
+    /// pool.
     ///
     /// The retire path keeps its critical section minimal: only the map
     /// removal, the reset, and the free-list push happen under the shard
@@ -369,12 +345,10 @@ impl<M: SharedMemory> ConsensusEngine<M> {
         drop(instance);
         let (retired, blocked) = {
             let mut state = shard.lock();
-            // Relaxed: read under the shard lock; see `floor`.
-            let finished = instance_id < self.floor.load(Ordering::Relaxed)
-                || state
-                    .live
-                    .get(&instance_id)
-                    .is_some_and(|e| e.remaining == 0);
+            let finished = state
+                .live
+                .get(&instance_id)
+                .is_some_and(|e| e.remaining == 0);
             (
                 finished && Shard::retire_unheld(&mut state, instance_id),
                 state.blocked,
@@ -397,18 +371,16 @@ impl<M: SharedMemory> ConsensusEngine<M> {
     ///
     /// # Panics
     ///
-    /// Panics if `proposal` exceeds the options' value capacity, if the
-    /// instance has already received all its participants' submits, or if
-    /// it lies below the [`retire_below`](ConsensusEngine::retire_below)
-    /// floor.
+    /// Panics if `proposal` exceeds the options' value capacity, or if the
+    /// instance has already received all its participants' submits.
     pub fn submit(&self, instance_id: u64, proposal: u64, rng: &mut dyn Rng) -> u64 {
         let shard = self.shard_of(instance_id);
         let instance = {
             let mut state = shard.lock();
             loop {
                 match self.checkout(&mut state, instance_id, true) {
-                    Ok(instance) => break instance,
-                    Err(EngineError::Saturated) => {
+                    Some(instance) => break instance,
+                    None => {
                         // Wait site (blocked submit). Predicate, checked by
                         // `checkout` under the shard lock: room under the
                         // live bound. Only a retirement makes it true, and
@@ -418,7 +390,6 @@ impl<M: SharedMemory> ConsensusEngine<M> {
                         state = shard.cv.wait(state).unwrap_or_else(PoisonError::into_inner);
                         state.blocked -= 1;
                     }
-                    Err(_) => panic!("instance {instance_id} is below the retirement floor"),
                 }
             }
         };
@@ -427,15 +398,13 @@ impl<M: SharedMemory> ConsensusEngine<M> {
 
     /// Non-blocking [`submit`](ConsensusEngine::submit): refuses with
     /// [`EngineError::Saturated`] instead of waiting when the shard is at
-    /// its live-instance bound, and with [`EngineError::Retired`] instead
-    /// of panicking below the floor.
+    /// its live-instance bound.
     ///
     /// # Errors
     ///
     /// [`EngineError::Saturated`] when activating the instance would
     /// exceed `max_live_per_shard` (joining an already-live instance never
-    /// saturates); [`EngineError::Retired`] when `instance_id` lies below
-    /// the [`retire_below`](ConsensusEngine::retire_below) floor.
+    /// saturates).
     ///
     /// # Panics
     ///
@@ -447,29 +416,10 @@ impl<M: SharedMemory> ConsensusEngine<M> {
         rng: &mut dyn Rng,
     ) -> Result<u64, EngineError> {
         let shard = self.shard_of(instance_id);
-        let instance = self.checkout(&mut shard.lock(), instance_id, true)?;
+        let instance = self
+            .checkout(&mut shard.lock(), instance_id, true)
+            .ok_or(EngineError::Saturated)?;
         Ok(self.decide_and_release(shard, instance, instance_id, proposal, rng))
-    }
-
-    /// Raises the retirement floor to `floor` (it never falls): every
-    /// instance below it is retired now if no caller is inside it, or when
-    /// the last caller inside leaves, and later submits below it are
-    /// refused. See *Floor retirement* on [`ConsensusEngine`].
-    pub fn retire_below(&self, floor: u64) {
-        // Relaxed: the shard locks taken below (and by every later
-        // checkout) order this raise before any read it retires; see `floor`.
-        let below = self.floor.fetch_max(floor, Ordering::Relaxed);
-        for instance_id in below..floor {
-            let shard = self.shard_of(instance_id);
-            let (retired, blocked) = {
-                let mut state = shard.lock();
-                (Shard::retire_unheld(&mut state, instance_id), state.blocked)
-            };
-            if retired {
-                self.telemetry.add(CounterKey::InstancesRetired, 1);
-                shard.notify_retired(blocked);
-            }
-        }
     }
 
     /// [`submit`](ConsensusEngine::submit) minus the live-instance bound:
@@ -487,7 +437,7 @@ impl<M: SharedMemory> ConsensusEngine<M> {
         let shard = self.shard_of(instance_id);
         let instance = self
             .checkout(&mut shard.lock(), instance_id, false)
-            .expect("the service never raises the floor, and its checkout is unbounded");
+            .expect("an unbounded checkout never refuses");
         self.decide_and_release(shard, instance, instance_id, proposal, rng)
     }
 
@@ -595,10 +545,8 @@ impl<M: SharedMemory> std::fmt::Debug for ConsensusEngine<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::register::{AtomicRegister, SharedRegister};
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
-    use std::sync::atomic::AtomicBool;
 
     #[test]
     fn single_participant_stream_recycles_instances() {
@@ -812,133 +760,6 @@ mod tests {
     }
 
     #[test]
-    fn try_submit_below_the_floor_is_refused_as_retired() {
-        let engine = ConsensusEngine::builder()
-            .n(2)
-            .values(8)
-            .shards(2)
-            .participants(2)
-            .build();
-        let mut rng = SmallRng::seed_from_u64(0);
-        // Instance 0 gets one of its two submits, instance 1 none.
-        assert_eq!(engine.submit(0, 3, &mut rng), 3);
-        assert_eq!(engine.live_instances(), 1);
-        engine.retire_below(2);
-        // Nobody was inside the under-submitted instance: retired at once.
-        assert_eq!(engine.live_instances(), 0);
-        assert_eq!(engine.pooled_instances(), 1);
-        for id in [0, 1] {
-            assert_eq!(
-                engine.try_submit(id, 5, &mut rng),
-                Err(EngineError::Retired)
-            );
-        }
-        // The floor never falls, and ids at or above it work as before.
-        engine.retire_below(1);
-        assert_eq!(engine.try_submit(1, 5, &mut rng), Err(EngineError::Retired));
-        assert_eq!(engine.try_submit(2, 5, &mut rng), Ok(5));
-        assert_eq!(engine.telemetry().count(CounterKey::InstancesRetired), 1);
-    }
-
-    /// Atomics whose reads park while `closed` is up, counting the parked:
-    /// a caller held inside its decide.
-    #[derive(Clone, Default)]
-    struct GatedMemory {
-        closed: Arc<AtomicBool>,
-        parked: Arc<AtomicU64>,
-    }
-
-    struct GatedRegister {
-        cell: AtomicRegister,
-        memory: GatedMemory,
-    }
-
-    impl SharedMemory for GatedMemory {
-        type Reg = GatedRegister;
-
-        fn alloc_in_generation(&self, generation: u64) -> GatedRegister {
-            GatedRegister {
-                cell: AtomicRegister::in_generation(generation),
-                memory: self.clone(),
-            }
-        }
-    }
-
-    impl SharedRegister for GatedRegister {
-        fn read(&self) -> Option<u64> {
-            if self.memory.closed.load(Ordering::SeqCst) {
-                self.memory.parked.fetch_add(1, Ordering::SeqCst);
-                while self.memory.closed.load(Ordering::SeqCst) {
-                    std::thread::yield_now();
-                }
-            }
-            self.cell.read()
-        }
-
-        fn write(&self, value: u64) {
-            self.cell.write(value);
-        }
-
-        fn prob_write(&self, value: u64, prob: mc_model::Probability, rng: &mut dyn Rng) -> bool {
-            SharedRegister::prob_write(&self.cell, value, prob, rng)
-        }
-
-        fn generation(&self) -> u64 {
-            SharedRegister::generation(&self.cell)
-        }
-
-        fn retire_to(&mut self, generation: u64) {
-            self.cell.retire_to(generation);
-        }
-    }
-
-    #[test]
-    fn a_caller_inside_an_instance_the_floor_passes_finishes_on_it() {
-        let memory = GatedMemory::default();
-        let engine = Arc::new(
-            ConsensusEngine::builder()
-                .n(3)
-                .values(8)
-                .shards(1)
-                .participants(3)
-                .memory(memory.clone())
-                .build(),
-        );
-        let mut rng = SmallRng::seed_from_u64(0);
-        // The first of three participants decides 3 and leaves.
-        assert_eq!(engine.submit(0, 3, &mut rng), 3);
-        // The second parks inside its decide.
-        memory.closed.store(true, Ordering::SeqCst);
-        let inside = {
-            let engine = Arc::clone(&engine);
-            std::thread::spawn(move || engine.try_submit(0, 6, &mut SmallRng::seed_from_u64(1)))
-        };
-        let deadline = crate::clock::deadline_within(std::time::Duration::from_secs(10));
-        while memory.parked.load(Ordering::SeqCst) == 0 {
-            assert!(
-                crate::clock::now() < deadline,
-                "the caller never got inside"
-            );
-            std::thread::yield_now();
-        }
-        // The floor passes the instance with a caller inside: it stays
-        // live, and a newcomer is refused instead of handed a fresh object.
-        engine.retire_below(1);
-        assert_eq!(engine.live_instances(), 1);
-        assert_eq!(engine.try_submit(0, 7, &mut rng), Err(EngineError::Retired));
-        memory.closed.store(false, Ordering::SeqCst);
-        // The caller inside finishes on the same object — the slot's real
-        // decision — and the instance, one submit short of the count rule,
-        // is pooled by the floor rule as it leaves.
-        assert_eq!(inside.join().unwrap(), Ok(3));
-        assert_eq!(engine.live_instances(), 0);
-        assert_eq!(engine.pooled_instances(), 1);
-        let t = engine.telemetry();
-        assert_eq!(t.activations(), 1);
-        assert_eq!(t.count(CounterKey::InstancesRetired), 1);
-    }
-
-    #[test]
     fn a_retired_instance_is_reactivated_in_its_own_allocation() {
         let engine = ConsensusEngine::builder()
             .n(2)
@@ -949,53 +770,20 @@ mod tests {
         let pooled = || Arc::as_ptr(&engine.shards[0].lock().free[0]);
         let live = |id| Arc::as_ptr(&engine.shards[0].lock().live[&id].instance);
         let mut rng = SmallRng::seed_from_u64(0);
+        // Both participants submit, and the second out retires it.
         assert_eq!(engine.submit(0, 3, &mut rng), 3);
-        engine.retire_below(1);
+        assert_eq!(engine.submit(0, 4, &mut rng), 3);
         let allocation = pooled();
         // Reactivated for the next id: the same allocation, reset — it
         // decides the new proposal, not the value it held before.
         assert_eq!(engine.submit(1, 5, &mut rng), 5);
         assert_eq!(live(1), allocation);
         // And retired again, into the pool, still the same allocation.
-        engine.retire_below(2);
+        assert_eq!(engine.submit(1, 6, &mut rng), 5);
         assert_eq!(pooled(), allocation);
         let t = engine.telemetry();
         assert_eq!(t.count(CounterKey::PoolMisses), 1);
         assert_eq!(t.count(CounterKey::PoolHits), 1);
         assert_eq!(t.count(CounterKey::InstancesRetired), 2);
-    }
-
-    #[test]
-    fn pool_counters_reconcile_under_floor_retirement() {
-        let engine = ConsensusEngine::builder()
-            .n(2)
-            .values(8)
-            .shards(4)
-            .participants(2)
-            .build();
-        let mut rng = SmallRng::seed_from_u64(0);
-        // One submit each, the floor right behind: the floor rule alone.
-        for id in 0..200u64 {
-            assert_eq!(engine.submit(id, id % 8, &mut rng), id % 8);
-            engine.retire_below(id + 1);
-            assert_eq!(engine.live_instances(), 0);
-        }
-        // Both rules: even ids get both submits, odd ids one, and a
-        // single floor raise retires the odd ones at the end.
-        for id in 200..300u64 {
-            for _ in 0..=(1 - id % 2) {
-                engine.submit(id, 1, &mut rng);
-            }
-        }
-        assert_eq!(engine.live_instances(), 50);
-        engine.retire_below(300);
-        let t = engine.telemetry();
-        assert_eq!(engine.live_instances(), 0);
-        assert_eq!(t.activations(), 300);
-        assert_eq!(t.count(CounterKey::InstancesRetired), 300);
-        assert_eq!(
-            engine.pooled_instances(),
-            t.count(CounterKey::PoolMisses) as usize
-        );
     }
 }

@@ -1,8 +1,8 @@
 //! The one error type for the engine/service submission surface.
 //!
-//! The engine's bounded submit can find a shard saturated or an instance
-//! retired; the batching service layer adds a closed-ring refusal
-//! (`Rejected`), handle-wait timeouts, and worker-death poisoning. Rather
+//! The engine's bounded submit can find a shard saturated; the batching
+//! service layer adds a closed-ring refusal (`Rejected`), handle-wait
+//! timeouts, and worker-death poisoning. Rather
 //! than grow a zoo of per-layer error enums, every way a proposal can fail
 //! to produce a decision is one payload-free variant of [`EngineError`],
 //! hand-rolled over `std` only.
@@ -35,11 +35,6 @@ pub enum EngineError {
     /// completing it (worker panic or service teardown with the proposal
     /// unprocessed). The decision will never arrive.
     Poisoned,
-    /// The instance lies below the floor raised by
-    /// [`ConsensusEngine::retire_below`](crate::ConsensusEngine::retire_below):
-    /// it is finished, and a fresh object in its place could decide
-    /// differently, so the submit was refused.
-    Retired,
 }
 
 impl fmt::Display for EngineError {
@@ -49,7 +44,6 @@ impl fmt::Display for EngineError {
             EngineError::Rejected => write!(f, "intake ring is closed"),
             EngineError::Timeout => write!(f, "timed out waiting for the decision"),
             EngineError::Poisoned => write!(f, "the shard worker died before deciding"),
-            EngineError::Retired => write!(f, "the instance was retired below the engine's floor"),
         }
     }
 }
@@ -71,7 +65,6 @@ mod tests {
             EngineError::Rejected,
             EngineError::Timeout,
             EngineError::Poisoned,
-            EngineError::Retired,
         ]
     }
 

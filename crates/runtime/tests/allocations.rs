@@ -2,7 +2,7 @@
 //! allocates nothing once the pool is warm, counted rather than asserted in
 //! prose: the quorum walks, the pooled `Arc`s and the live map all reuse
 //! what the warm-up left behind. A counting global allocator watches the
-//! one thread that submits and retires, as a store caller drives it.
+//! one thread that makes both participants' submits.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -38,8 +38,8 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// Allocations made by `slots` slots from `first` on: each one
-/// `try_submit`, then `retire_below` past it, as the store applies a slot.
+/// Allocations made by `slots` slots from `first` on: both participants
+/// submit each one, and the second out retires it.
 fn allocations_of_slots(
     engine: &ConsensusEngine,
     rng: &mut SmallRng,
@@ -50,7 +50,7 @@ fn allocations_of_slots(
     for slot in first..first + slots {
         let proposal = slot % 2;
         assert_eq!(engine.try_submit(slot, proposal, rng), Ok(proposal));
-        engine.retire_below(slot + 1);
+        assert_eq!(engine.try_submit(slot, 1 - proposal, rng), Ok(proposal));
     }
     ALLOCATIONS.with(Cell::get) - before
 }

@@ -14,7 +14,7 @@ use crate::store::ReplicatedStore;
 #[derive(Debug, Clone)]
 pub(crate) struct StoreOptions {
     /// Proposer identities callers lease to order batches: the consensus
-    /// `n`, the engine's `participants`, and (at least 2) the value space.
+    /// `n` and (at least 2) the value space.
     /// Default 2.
     pub proposers: usize,
     /// Maximum commands drafted into one batch (one log slot). Group
@@ -47,8 +47,7 @@ impl Default for StoreOptions {
 }
 
 /// Builds a [`ReplicatedStore`]: store knobs here, everything beneath
-/// (conciliator choice, memory substrate, recorder, sharding) passed
-/// through to the wrapped [`EngineBuilder`] — one fluent chain from coin
+/// (conciliator choice, memory substrate, recorder) passed through to the wrapped [`EngineBuilder`] — one fluent chain from coin
 /// flips to KV responses.
 ///
 /// ```
@@ -88,7 +87,7 @@ impl<S: StateMachine + Default> Default for StoreBuilder<S> {
 impl<S: StateMachine, M: SharedMemory> StoreBuilder<S, M> {
     // ---- store knobs -------------------------------------------------
 
-    /// Proposer identities (consensus `n` / engine `participants`): how
+    /// Proposer identities (consensus `n`): how
     /// many callers can drive the store at once. Default 2.
     pub fn proposers(mut self, proposers: usize) -> Self {
         self.options.proposers = proposers.max(1);
@@ -160,30 +159,16 @@ impl<S: StateMachine, M: SharedMemory> StoreBuilder<S, M> {
         }
     }
 
-    /// Engine shard count; see [`EngineBuilder::shards`].
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.engine = self.engine.shards(shards);
-        self
-    }
-
     // ---- build -------------------------------------------------------
 
-    /// Builds the engine (consensus `n` = engine `participants` =
-    /// `proposers`; value space = the identities, `max(proposers, 2)`) and
-    /// the store over it, which records which identity won each slot in
-    /// its intake. No thread is started: callers drive the store.
+    /// Builds the engine (consensus `n` = `proposers`; value space = the
+    /// identities, `max(proposers, 2)`) and the store over it, which keeps
+    /// each slot's instance and winning identity in its intake; the engine
+    /// only builds the instances. No thread is started: callers drive the
+    /// store.
     pub fn build(self) -> ReplicatedStore<S, M> {
         let values = self.options.proposers.max(2) as u64;
-        let engine = self
-            .engine
-            .n(self.options.proposers)
-            .values(values)
-            .participants(self.options.proposers)
-            // A driver must never be refused a slot: the instances holding
-            // the bound retire only once apply passes them, which can need
-            // this very driver's decision.
-            .max_live_per_shard(usize::MAX)
-            .build();
+        let engine = self.engine.n(self.options.proposers).values(values).build();
         ReplicatedStore::start(engine, self.options, self.initial)
     }
 }
@@ -238,7 +223,6 @@ mod tests {
     fn passthroughs_compose_with_store_knobs() {
         let mut store = StoreBuilder::<KvStore>::new()
             .seed(7)
-            .shards(2)
             .proposers(2)
             .batch_commands(4)
             .build();

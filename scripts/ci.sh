@@ -45,8 +45,10 @@ if command -v taskset > /dev/null; then
         taskset -c 0 cargo test --release --test store_properties
         taskset -c 0 cargo test --release -p mc-lab store_conforms
     done
-    # A warm slot lifecycle (checkout, decide, retirement) allocates nothing,
-    # and neither does a simulated step that enters no stage.
+    # A warm engine slot (checkout, decide, retirement by count: both
+    # participants submit) allocates nothing, and neither does a simulated
+    # step that enters no stage. The store's warm call, on its own slot
+    # pool, is pinned by the five -p mc-store rounds above.
     taskset -c 0 cargo test --release -p mc-runtime --test allocations
     taskset -c 0 cargo test --release -p mc-sim --test allocations
 else
