@@ -10,6 +10,14 @@
 //! schedule/coin script is then replayed through `mc-check`'s replayer to
 //! close the triangle with the third substrate.
 //!
+//! Every check runs a *reference* leg and a *subject* leg and hands both to
+//! one of three comparators, each written once here: the **execution
+//! comparator** (decisions, trace, work, schedule/coin script) for sim vs
+//! lab and fresh vs recycled; the **direct-leg comparison** (an inline
+//! engine vs a service's handles) for the service and chaos checks; the
+//! **counter-ledger reconciliation** (telemetry counters vs what the check
+//! submitted) for the chaos and store checks.
+//!
 //! Any inequality is a bug in one of the substrates (or a real divergence
 //! between the model protocol and the runtime implementation) and is
 //! reported as a [`Divergence`].
@@ -18,22 +26,24 @@ use std::error::Error;
 use std::fmt;
 use std::sync::Arc;
 
-use mc_check::{replay_to_completion, CoinPolicy};
+use mc_check::{replay_to_completion, CoinPolicy, PathEvent};
 use mc_core::{CoinConciliator, ConsensusBuilder, Ratifier, VotingSharedCoin};
 use mc_model::ObjectSpec;
 use mc_runtime::{
     AtomicMemory, ChaosPlan, CoinKind, ConciliatorChoice, Consensus, ConsensusEngine,
-    ConsensusService, CounterKey, FaultPlan, FaultyMemory, GaugeKey, SharedMemory,
-    SupervisorOptions,
+    ConsensusService, CounterKey, FaultPlan, FaultyMemory, GaugeKey, RuntimeTelemetry,
+    SharedMemory, SupervisorOptions,
 };
 use mc_sim::harness::run_object;
 use mc_sim::{Adversary, EngineConfig, RunError, Trace, WorkMetrics};
-use mc_store::{CommandHandle, KvCommand, KvStore, ReplicatedStore, StateMachine, StoreError};
+use mc_store::{
+    CommandHandle, KvCommand, KvResponse, KvStore, ReplicatedStore, StateMachine, StoreError,
+};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 use crate::control::LabError;
-use crate::harness::Lab;
+use crate::harness::{Lab, LabReport};
 
 /// A consensus protocol with equivalent constructions on every substrate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,7 +59,10 @@ pub enum Protocol {
     /// Aspnes–Herlihy voting coin (vote quorum `quorum_factor · n²`) + the
     /// 3-register binary ratifier. Unlike the impatient protocols, the coin
     /// draws session-local randomness (its ±1 votes), which every substrate
-    /// takes from the same per-process `mix_seed(seed, pid)` streams.
+    /// takes from the same per-process `mix_seed(seed, pid)` streams, so the
+    /// runtime's [`CoinConciliator`](mc_runtime::CoinConciliator) +
+    /// [`VotingCoin`](mc_runtime::VotingCoin) must match the model's specs
+    /// operation for operation and replay under [`CoinPolicy::Fixed`].
     Coin {
         /// Vote quorum as a multiple of `n²`. Must be positive.
         quorum_factor: u32,
@@ -61,9 +74,8 @@ impl Protocol {
     pub fn spec(&self) -> Arc<dyn ObjectSpec> {
         match self {
             Protocol::Binary => Arc::new(ConsensusBuilder::binary().build()),
-            Protocol::Multivalued(m) => {
-                assert!(*m > 2, "use Protocol::Binary for m = 2");
-                Arc::new(ConsensusBuilder::multivalued(*m).build())
+            Protocol::Multivalued(_) => {
+                Arc::new(ConsensusBuilder::multivalued(self.capacity()).build())
             }
             Protocol::Coin { quorum_factor } => {
                 let coin = VotingSharedCoin::with_quorum_factor(*quorum_factor)
@@ -79,35 +91,31 @@ impl Protocol {
         }
     }
 
-    /// The runtime-side object over the lab's instrumented memory.
-    pub fn runtime(&self, lab: &Lab, n: usize) -> Consensus<crate::LabMemory> {
-        self.runtime_in(lab.memory(), n)
-    }
-
-    /// The runtime-side object over an arbitrary register substrate (e.g.
-    /// the lab's memory wrapped in a [`FaultyMemory`] layer).
+    /// The runtime-side object over a register substrate: the lab's
+    /// [`Lab::memory`], or that memory wrapped in a [`FaultyMemory`] layer.
     pub fn runtime_in<M: SharedMemory>(&self, memory: M, n: usize) -> Consensus<M> {
-        match self {
-            Protocol::Binary => Consensus::builder().n(n).memory(memory).build(),
-            Protocol::Multivalued(m) => {
-                assert!(*m > 2, "use Protocol::Binary for m = 2");
-                Consensus::builder().n(n).values(*m).memory(memory).build()
-            }
-            Protocol::Coin { quorum_factor } => Consensus::builder()
-                .n(n)
+        let builder = Consensus::builder().n(n).values(self.capacity());
+        match *self {
+            Protocol::Coin { quorum_factor } => builder
+                .conciliator(ConciliatorChoice::Coin(CoinKind::Voting { quorum_factor }))
                 .memory(memory)
-                .conciliator(ConciliatorChoice::Coin(CoinKind::Voting {
-                    quorum_factor: *quorum_factor,
-                }))
                 .build(),
+            _ => builder.memory(memory).build(),
         }
     }
 
     /// Capacity of the protocol's value domain.
+    ///
+    /// # Panics
+    ///
+    /// Panics for [`Protocol::Multivalued`] with `m ≤ 2`.
     pub fn capacity(&self) -> u64 {
         match self {
             Protocol::Binary | Protocol::Coin { .. } => 2,
-            Protocol::Multivalued(m) => *m,
+            Protocol::Multivalued(m) => {
+                assert!(*m > 2, "use Protocol::Binary for m = 2");
+                *m
+            }
         }
     }
 
@@ -124,6 +132,14 @@ impl Protocol {
             _ => CoinPolicy::Forbid,
         }
     }
+
+    /// Panics unless the `what`s a check proposes are non-empty and in range.
+    fn assert_domain(&self, what: &str, values: impl ExactSizeIterator<Item = u64>) {
+        assert!(values.len() > 0, "need at least one {what}");
+        for value in values {
+            assert!(value < self.capacity(), "{what} out of range");
+        }
+    }
 }
 
 impl fmt::Display for Protocol {
@@ -136,43 +152,50 @@ impl fmt::Display for Protocol {
     }
 }
 
-/// How sim and lab disagreed. Constructing one of these from a conformance
-/// run is always a bug somewhere.
+/// How a check's reference leg and subject leg disagreed. Constructing one
+/// of these from a conformance run is always a bug somewhere.
+///
+/// The legs are, per check: the sim engine and the lab runtime
+/// ([`check_conformance`], [`check_conformance_with_plan`]); the fresh and
+/// the recycled lab run ([`check_recycled_conformance`]); the direct engine
+/// and the service ([`check_service_conformance`],
+/// [`check_chaos_conformance`]); sequential apply on a bare [`KvStore`] and
+/// the replicated store ([`check_store_conformance`]).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Divergence {
-    /// One substrate hit the step limit, the other completed.
+    /// One leg hit the step limit (or failed), the other completed.
     Completion {
-        /// Error from the sim side, if any.
-        sim: Option<String>,
-        /// Error from the lab side, if any.
-        lab: Option<String>,
+        /// Error from the reference leg, if any.
+        reference: Option<String>,
+        /// Error from the subject leg, if any.
+        subject: Option<String>,
     },
-    /// A process decided different values on the two substrates.
+    /// A process decided different values on the two legs.
     Decisions {
-        /// Per-process values from the sim engine.
-        sim: Vec<u64>,
-        /// Per-process values from the lab runtime.
-        lab: Vec<u64>,
+        /// Per-process values from the reference leg.
+        reference: Vec<u64>,
+        /// Per-process values from the subject leg.
+        subject: Vec<u64>,
     },
     /// The operation traces differ; the index of the first differing event.
     Trace {
         /// First event index where the traces differ (or the shorter
         /// length, when one is a prefix of the other).
         at: usize,
-        /// The sim event at that index, rendered.
-        sim: Option<String>,
-        /// The lab event at that index, rendered.
-        lab: Option<String>,
+        /// The reference leg's event at that index, rendered.
+        reference: Option<String>,
+        /// The subject leg's event at that index, rendered.
+        subject: Option<String>,
     },
     /// Work accounting differs.
     Metrics {
-        /// The sim engine's accounting.
-        sim: WorkMetrics,
-        /// The lab's accounting.
-        lab: WorkMetrics,
+        /// The reference leg's accounting.
+        reference: WorkMetrics,
+        /// The subject leg's accounting.
+        subject: WorkMetrics,
     },
-    /// Replaying the lab's schedule/coin script through `mc-check` failed
-    /// or produced different decisions.
+    /// The two legs' schedule/coin scripts differ, or replaying the lab's
+    /// script through `mc-check` failed or produced different decisions.
     Replay {
         /// What the replayer reported.
         detail: String,
@@ -206,24 +229,30 @@ pub enum Divergence {
 impl fmt::Display for Divergence {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Divergence::Completion { sim, lab } => write!(
+            Divergence::Completion { reference, subject } => write!(
                 f,
-                "completion divergence: sim={}, lab={}",
-                sim.as_deref().unwrap_or("ok"),
-                lab.as_deref().unwrap_or("ok"),
+                "completion divergence: reference={}, subject={}",
+                reference.as_deref().unwrap_or("ok"),
+                subject.as_deref().unwrap_or("ok"),
             ),
-            Divergence::Decisions { sim, lab } => {
-                write!(f, "decision divergence: sim={sim:?}, lab={lab:?}")
-            }
-            Divergence::Trace { at, sim, lab } => write!(
+            Divergence::Decisions { reference, subject } => write!(
                 f,
-                "trace divergence at event {at}: sim={}, lab={}",
-                sim.as_deref().unwrap_or("<end>"),
-                lab.as_deref().unwrap_or("<end>"),
+                "decision divergence: reference={reference:?}, subject={subject:?}"
             ),
-            Divergence::Metrics { sim, lab } => {
-                write!(f, "metrics divergence: sim={sim:?}, lab={lab:?}")
-            }
+            Divergence::Trace {
+                at,
+                reference,
+                subject,
+            } => write!(
+                f,
+                "trace divergence at event {at}: reference={}, subject={}",
+                reference.as_deref().unwrap_or("<end>"),
+                subject.as_deref().unwrap_or("<end>"),
+            ),
+            Divergence::Metrics { reference, subject } => write!(
+                f,
+                "metrics divergence: reference={reference:?}, subject={subject:?}"
+            ),
             Divergence::Replay { detail } => write!(f, "replay divergence: {detail}"),
             Divergence::Service {
                 at,
@@ -244,22 +273,127 @@ impl Error for Divergence {}
 /// What a conformance check concluded when it did *not* find a divergence.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Conformance {
-    /// Both substrates completed and agreed on everything.
+    /// Both legs completed and agreed on everything.
     Agreed {
-        /// The per-process decision values (identical on both substrates).
+        /// The per-process decision values (identical on both legs).
         decisions: Vec<u64>,
         /// The shared operation trace.
         trace: Trace,
         /// The shared work accounting.
         metrics: WorkMetrics,
     },
-    /// Both substrates hit the step limit — agreement about non-completion.
+    /// Both legs hit the step limit — agreement about non-completion.
     BothStepLimited,
 }
 
+/// One leg's completed execution, as the execution comparator sees it:
+/// per-process decisions, the operation trace, the work accounting, and the
+/// schedule/coin script on legs that record one (the lab's).
+#[derive(Debug, Clone)]
+pub(crate) struct Execution {
+    pub(crate) decisions: Vec<u64>,
+    pub(crate) trace: Trace,
+    pub(crate) metrics: WorkMetrics,
+    pub(crate) path: Option<Vec<PathEvent>>,
+}
+
+impl From<LabReport> for Execution {
+    fn from(report: LabReport) -> Execution {
+        Execution {
+            decisions: report
+                .decisions
+                .into_iter()
+                .map(|d| d.expect("no crashes configured"))
+                .collect(),
+            trace: report.trace,
+            metrics: report.metrics,
+            path: Some(report.path),
+        }
+    }
+}
+
+impl Execution {
+    fn agreed(self) -> Conformance {
+        Conformance::Agreed {
+            decisions: self.decisions,
+            trace: self.trace,
+            metrics: self.metrics,
+        }
+    }
+}
+
+/// The execution comparator: decisions, then the trace (reporting its first
+/// differing event), then the work accounting, then the schedule/coin
+/// script where both legs recorded one.
+pub(crate) fn compare_executions(
+    reference: &Execution,
+    subject: &Execution,
+) -> Result<(), Divergence> {
+    if reference.decisions != subject.decisions {
+        return Err(Divergence::Decisions {
+            reference: reference.decisions.clone(),
+            subject: subject.decisions.clone(),
+        });
+    }
+    let (ours, theirs) = (reference.trace.events(), subject.trace.events());
+    if ours != theirs {
+        let at = first_difference(ours, theirs);
+        return Err(Divergence::Trace {
+            at,
+            reference: ours.get(at).map(ToString::to_string),
+            subject: theirs.get(at).map(ToString::to_string),
+        });
+    }
+    if reference.metrics != subject.metrics {
+        return Err(Divergence::Metrics {
+            reference: reference.metrics.clone(),
+            subject: subject.metrics.clone(),
+        });
+    }
+    if let (Some(ours), Some(theirs)) = (&reference.path, &subject.path) {
+        if ours != theirs {
+            return Err(Divergence::Replay {
+                detail: format!(
+                    "schedule/coin script differs at event {} (reference has {} events, \
+                     subject {})",
+                    first_difference(ours, theirs),
+                    ours.len(),
+                    theirs.len()
+                ),
+            });
+        }
+    }
+    Ok(())
+}
+
+/// Index of the first differing element, or the shorter length when one
+/// slice is a prefix of the other.
+fn first_difference<T: PartialEq>(a: &[T], b: &[T]) -> usize {
+    a.iter()
+        .zip(b)
+        .position(|(x, y)| x != y)
+        .unwrap_or_else(|| a.len().min(b.len()))
+}
+
+/// The lab leg: each process `pid` decides `inputs[pid]` on `consensus`
+/// under the lab's schedule. `decide_as` binds the lab worker's pid to the
+/// runtime thread slot — the model's sessions are pid-addressed (the voting
+/// coin writes its own tally register), so the pairing must be explicit,
+/// not ticketed.
+fn lab_leg<M: SharedMemory>(
+    lab: &Lab,
+    consensus: &Consensus<M>,
+    inputs: &[u64],
+    seed: u64,
+) -> Result<Execution, LabError> {
+    lab.run(seed, |pid, rng| consensus.decide_as(pid, inputs[pid], rng))
+        .map(Execution::from)
+}
+
 /// Runs `protocol` on `inputs` under identically-constructed adversaries on
-/// the sim engine and the lab runtime and checks the executions are equal;
-/// then replays the lab's script on the model via `mc-check`.
+/// the sim engine (reference) and the lab runtime (subject) and checks the
+/// executions are equal; then replays the lab's script on the model via
+/// `mc-check`.
 ///
 /// `make_adversary` is called once per substrate so each side gets a fresh
 /// adversary in its initial state (same construction + same view sequence ⇒
@@ -276,41 +410,6 @@ pub fn check_conformance(
     max_steps: u64,
 ) -> Result<Conformance, Divergence> {
     check_conformance_wrapped(protocol, inputs, make_adversary, seed, max_steps, |m| m)
-}
-
-/// [`check_conformance`] for the Theorem 6 protocol [`Protocol::Coin`]:
-/// binary consensus whose conciliator stages wrap the Aspnes–Herlihy voting
-/// coin with vote quorum `quorum_factor · n²`.
-///
-/// This is the coin-portfolio pin: the runtime's
-/// [`CoinConciliator`](mc_runtime::CoinConciliator) +
-/// [`VotingCoin`](mc_runtime::VotingCoin) must be operation-for-operation
-/// identical to the model's [`CoinConciliator`] +
-/// [`VotingSharedCoin`] specs, decisions, traces, work accounting and all —
-/// and the recorded schedule must replay through `mc-check` under
-/// [`CoinPolicy::Fixed`] to the same decisions.
-///
-/// # Errors
-///
-/// Returns the first [`Divergence`] found.
-///
-/// # Panics
-///
-/// Panics if `quorum_factor` is 0.
-pub fn check_coin_conformance(
-    quorum_factor: u32,
-    inputs: &[u64],
-    make_adversary: &dyn Fn() -> Box<dyn Adversary + Send>,
-    seed: u64,
-    max_steps: u64,
-) -> Result<Conformance, Divergence> {
-    check_conformance(
-        Protocol::Coin { quorum_factor },
-        inputs,
-        make_adversary,
-        seed,
-        max_steps,
-    )
 }
 
 /// [`check_conformance`] with the lab side running through a
@@ -339,21 +438,89 @@ pub fn check_conformance_with_plan(
     })
 }
 
+fn check_conformance_wrapped<M: SharedMemory>(
+    protocol: Protocol,
+    inputs: &[u64],
+    make_adversary: &dyn Fn() -> Box<dyn Adversary + Send>,
+    seed: u64,
+    max_steps: u64,
+    wrap: impl FnOnce(crate::LabMemory) -> M,
+) -> Result<Conformance, Divergence> {
+    protocol.assert_domain("input", inputs.iter().copied());
+    let n = inputs.len();
+    let spec = protocol.spec();
+
+    let sim = run_object(
+        spec.as_ref(),
+        inputs,
+        &mut *make_adversary(),
+        seed,
+        &EngineConfig::default()
+            .with_max_steps(max_steps)
+            .with_trace(),
+    )
+    .map(|outcome| Execution {
+        decisions: outcome.values(),
+        trace: outcome.trace.expect("trace recording was enabled"),
+        metrics: outcome.metrics,
+        path: None,
+    });
+
+    let lab = Lab::new(n, make_adversary(), &[], max_steps);
+    let consensus = protocol.runtime_in(wrap(lab.memory()), n);
+    let (sim, lab) = match (sim, lab_leg(&lab, &consensus, inputs, seed)) {
+        (Ok(sim), Ok(lab)) => (sim, lab),
+        (Err(RunError::StepLimitExceeded { .. }), Err(LabError::StepLimitExceeded { .. })) => {
+            return Ok(Conformance::BothStepLimited)
+        }
+        (sim, lab) => {
+            return Err(Divergence::Completion {
+                reference: sim.err().map(|e| e.to_string()),
+                subject: lab.err().map(|e| e.to_string()),
+            })
+        }
+    };
+    compare_executions(&sim, &lab)?;
+
+    // Close the triangle: the recorded schedule/coin script must drive the
+    // *model* to the same decisions. The per-protocol policy decides how
+    // session-local randomness replays (forbidden for the impatient
+    // protocols, pid-seeded streams for the voting coin).
+    let replayed = replay_to_completion(
+        spec.as_ref(),
+        inputs,
+        protocol.replay_policy(seed),
+        max_steps as usize,
+        lab.path.as_deref().expect("the lab records its script"),
+    )
+    .map_err(|err| Divergence::Replay {
+        detail: err.to_string(),
+    })?;
+    let replayed: Vec<u64> = replayed.iter().map(|d| d.value()).collect();
+    if replayed != lab.decisions {
+        return Err(Divergence::Replay {
+            detail: format!(
+                "replayed decisions {replayed:?} != lab decisions {:?}",
+                lab.decisions
+            ),
+        });
+    }
+    Ok(lab.agreed())
+}
+
 /// Runs `protocol` twice on the lab substrate at the same `(adversary,
-/// seed)`: once on a freshly built object, then again on the *same* object
-/// after [`Consensus::reset`], over a register file rearmed by
-/// [`Lab::reset_epoch`]. The two executions must be identical in every
-/// observable — per-process decisions, the operation trace event-for-event,
-/// the schedule/coin script, and the `WorkMetrics` — which is the ground
+/// seed)`: once on a freshly built object (reference), then again on the
+/// *same* object after [`Consensus::reset`], over a register file rearmed
+/// by [`Lab::reset_epoch`] (subject). The two executions must be identical
+/// in every observable the execution comparator reads, which is the ground
 /// truth that a recycled generation-tagged object is indistinguishable from
-/// a fresh one: every stale register reads as initial, so the adversary sees
-/// the same views and makes the same choices.
+/// a fresh one: every stale register reads as initial, so the adversary
+/// sees the same views and makes the same choices.
 ///
-/// In a returned [`Divergence`], the `sim` fields hold the *fresh* run's
-/// view and the `lab` fields the *recycled* run's. A fresh run that hits the
-/// step limit returns [`Conformance::BothStepLimited`]: a step-limited epoch
-/// ends with operations still posted, so its register file cannot be
-/// rearmed mid-flight and there is nothing to recycle.
+/// A fresh run that hits the step limit returns
+/// [`Conformance::BothStepLimited`]: a step-limited epoch ends with
+/// operations still posted, so its register file cannot be rearmed
+/// mid-flight and there is nothing to recycle.
 ///
 /// # Errors
 ///
@@ -365,100 +532,92 @@ pub fn check_recycled_conformance(
     seed: u64,
     max_steps: u64,
 ) -> Result<Conformance, Divergence> {
+    protocol.assert_domain("input", inputs.iter().copied());
     let n = inputs.len();
-    assert!(n > 0, "need at least one process");
-    for &input in inputs {
-        assert!(input < protocol.capacity(), "input out of range");
-    }
 
     let mut lab = Lab::new(n, make_adversary(), &[], max_steps);
-    let mut consensus = protocol.runtime(&lab, n);
-    let fresh = match lab.run(seed, |pid, rng| consensus.decide_as(pid, inputs[pid], rng)) {
-        Ok(report) => report,
+    let mut consensus = protocol.runtime_in(lab.memory(), n);
+    let fresh = match lab_leg(&lab, &consensus, inputs, seed) {
+        Ok(execution) => execution,
         Err(LabError::StepLimitExceeded { .. }) => return Ok(Conformance::BothStepLimited),
         Err(err) => {
             return Err(Divergence::Completion {
-                sim: Some(err.to_string()),
-                lab: None,
+                reference: Some(err.to_string()),
+                subject: None,
             })
         }
     };
 
     consensus.reset();
     lab.reset_epoch(make_adversary(), &[]);
-    let recycled = match lab.run(seed, |pid, rng| consensus.decide_as(pid, inputs[pid], rng)) {
-        Ok(report) => report,
-        Err(err) => {
-            // The fresh run completed at this (adversary, seed), so the
-            // recycled run failing — even on the step limit — is divergence.
-            return Err(Divergence::Completion {
-                sim: None,
-                lab: Some(err.to_string()),
-            });
+    // The fresh run completed at this (adversary, seed), so the recycled
+    // run failing — even on the step limit — is divergence.
+    let recycled =
+        lab_leg(&lab, &consensus, inputs, seed).map_err(|err| Divergence::Completion {
+            reference: None,
+            subject: Some(err.to_string()),
+        })?;
+    compare_executions(&fresh, &recycled)?;
+    Ok(recycled.agreed())
+}
+
+/// The direct-leg and handle comparison shared by the service checks. The
+/// reference leg decides each proposal inline on the caller's thread, on a
+/// fault-free engine; the subject leg submits the same stream to `service`
+/// and waits on each handle. Both run single-participant instances
+/// (`participants = 1`), where a decision is deterministic, so the
+/// comparison is exact, index by index.
+///
+/// Returns the shared decision vector, in submission order.
+fn compare_with_direct<M: SharedMemory>(
+    protocol: Protocol,
+    proposals: &[(u64, u64)],
+    seed: u64,
+    service: &ConsensusService<M>,
+) -> Result<Vec<u64>, Divergence> {
+    let engine = ConsensusEngine::builder()
+        .n(2)
+        .values(protocol.capacity())
+        .participants(1)
+        .build();
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let direct: Vec<u64> = proposals
+        .iter()
+        .map(|&(id, proposal)| engine.submit(id, proposal, &mut rng))
+        .collect();
+
+    let handles = service.submit_batch(proposals);
+    direct
+        .into_iter()
+        .zip(handles)
+        .enumerate()
+        .map(
+            |(at, (submit, handle))| match handle.and_then(|h| h.wait()) {
+                Ok(value) if value == submit => Ok(value),
+                outcome => Err(Divergence::Service {
+                    at,
+                    submit,
+                    service: outcome.map_or_else(|err| err.to_string(), |value| value.to_string()),
+                }),
+            },
+        )
+        .collect()
+}
+
+/// The counter-ledger reconciliation shared by the chaos and store checks:
+/// every `(counter, expected)` entry must read exactly `expected` in
+/// `telemetry`. Returns the first mismatch, rendered.
+fn reconcile(telemetry: &RuntimeTelemetry, ledger: &[(CounterKey, u64)]) -> Result<(), String> {
+    for &(key, expected) in ledger {
+        let counted = telemetry.count(key);
+        if counted != expected {
+            return Err(format!(
+                "{} counted {counted}, expected {expected}",
+                key.name()
+            ));
         }
-    };
-
-    let fresh_decisions: Vec<u64> = fresh
-        .decisions
-        .iter()
-        .map(|d| d.expect("no crashes configured"))
-        .collect();
-    let recycled_decisions: Vec<u64> = recycled
-        .decisions
-        .iter()
-        .map(|d| d.expect("no crashes configured"))
-        .collect();
-    if fresh_decisions != recycled_decisions {
-        return Err(Divergence::Decisions {
-            sim: fresh_decisions,
-            lab: recycled_decisions,
-        });
     }
-
-    if fresh.trace != recycled.trace {
-        let at = fresh
-            .trace
-            .events()
-            .iter()
-            .zip(recycled.trace.events())
-            .position(|(a, b)| a != b)
-            .unwrap_or_else(|| fresh.trace.len().min(recycled.trace.len()));
-        return Err(Divergence::Trace {
-            at,
-            sim: fresh.trace.events().get(at).map(|e| e.to_string()),
-            lab: recycled.trace.events().get(at).map(|e| e.to_string()),
-        });
-    }
-
-    if fresh.metrics != recycled.metrics {
-        return Err(Divergence::Metrics {
-            sim: fresh.metrics,
-            lab: recycled.metrics,
-        });
-    }
-
-    if fresh.path != recycled.path {
-        let at = fresh
-            .path
-            .iter()
-            .zip(recycled.path.iter())
-            .position(|(a, b)| a != b)
-            .unwrap_or_else(|| fresh.path.len().min(recycled.path.len()));
-        return Err(Divergence::Replay {
-            detail: format!(
-                "recycled schedule/coin script differs from fresh at event {at} \
-                 (fresh has {} events, recycled {})",
-                fresh.path.len(),
-                recycled.path.len()
-            ),
-        });
-    }
-
-    Ok(Conformance::Agreed {
-        decisions: recycled_decisions,
-        trace: recycled.trace,
-        metrics: recycled.metrics,
-    })
+    Ok(())
 }
 
 /// Runs the same `(instance_id, proposal)` stream through two
@@ -467,15 +626,12 @@ pub fn check_recycled_conformance(
 /// [`ConsensusService`] — and checks that every proposal decides the same
 /// value on both.
 ///
-/// Both legs run single-participant instances (`participants = 1`), where a
-/// decision is deterministic, so the comparison is exact: the batching
-/// frontend (intake rings, worker threads, detached slots, handle
-/// completion) must be observationally identical to calling the engine
-/// inline. Any inequality is a bug in the service pipeline — an item
-/// reordered within an instance, a decision delivered to the wrong handle,
-/// or a proposal lost or poisoned in flight.
-///
-/// Returns the shared decision vector, in submission order.
+/// The batching frontend (intake rings, worker threads, detached slots,
+/// handle completion) must be observationally identical to calling the
+/// engine inline. Any inequality is a bug in the service pipeline — an
+/// item reordered within an instance, a decision delivered to the wrong
+/// handle, or a proposal lost or poisoned in flight. Returns the shared
+/// decision vector, in submission order.
 ///
 /// # Errors
 ///
@@ -490,53 +646,14 @@ pub fn check_service_conformance(
     proposals: &[(u64, u64)],
     seed: u64,
 ) -> Result<Vec<u64>, Divergence> {
-    assert!(!proposals.is_empty(), "need at least one proposal");
-    for &(_, proposal) in proposals {
-        assert!(proposal < protocol.capacity(), "proposal out of range");
-    }
-
-    // Direct leg: decide each proposal inline on the caller's thread.
-    let engine = ConsensusEngine::builder()
-        .n(2)
-        .values(protocol.capacity())
-        .participants(1)
-        .build();
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let direct: Vec<u64> = proposals
-        .iter()
-        .map(|&(id, proposal)| engine.submit(id, proposal, &mut rng))
-        .collect();
-
-    // Service leg: the same stream through the intake rings and workers.
+    protocol.assert_domain("proposal", proposals.iter().map(|&(_, p)| p));
     let service = ConsensusService::builder()
         .n(2)
         .values(protocol.capacity())
         .participants(1)
         .seed(seed)
         .build();
-    let handles = service.submit_batch(proposals);
-    let mut decisions = Vec::with_capacity(proposals.len());
-    for (at, handle) in handles.into_iter().enumerate() {
-        let outcome = handle.and_then(|h| h.wait());
-        match outcome {
-            Ok(value) if value == direct[at] => decisions.push(value),
-            Ok(value) => {
-                return Err(Divergence::Service {
-                    at,
-                    submit: direct[at],
-                    service: value.to_string(),
-                })
-            }
-            Err(err) => {
-                return Err(Divergence::Service {
-                    at,
-                    submit: direct[at],
-                    service: err.to_string(),
-                })
-            }
-        }
-    }
-    Ok(decisions)
+    compare_with_direct(protocol, proposals, seed, &service)
 }
 
 /// [`check_service_conformance`] under fire: runs the same
@@ -551,12 +668,10 @@ pub fn check_service_conformance(
 ///   resolve to a decision (no `Poisoned`, no hang), and the service's
 ///   telemetry ledger must reconcile: `proposals_enqueued == decisions`,
 ///   queue depth back to zero, restarts within the supervisor budget.
-/// * **Service ≡ sequential.** Both legs run single-participant
-///   instances, where the decided value is deterministic, so each decision
-///   must equal what the direct engine decided — across however many
-///   worker restarts the plan forced. (Register faults can cost retries,
-///   never change a single-participant decision, so the comparison stays
-///   exact under the fault plan too.)
+/// * **Service ≡ sequential.** Each decision must equal what the direct
+///   engine decided — across however many worker restarts the plan forced.
+///   (Register faults can cost retries, never change a single-participant
+///   decision, so the comparison stays exact under the fault plan too.)
 ///
 /// Returns the shared decision vector, in submission order.
 ///
@@ -580,10 +695,7 @@ pub fn check_chaos_conformance(
     supervisor: SupervisorOptions,
     seed: u64,
 ) -> Result<Vec<u64>, Divergence> {
-    assert!(!proposals.is_empty(), "need at least one proposal");
-    for &(_, proposal) in proposals {
-        assert!(proposal < protocol.capacity(), "proposal out of range");
-    }
+    protocol.assert_domain("proposal", proposals.iter().map(|&(_, p)| p));
     assert!(
         plan.max_panics <= supervisor.restart_budget,
         "chaos plan ({} panics) exceeds the restart budget ({})",
@@ -591,21 +703,9 @@ pub fn check_chaos_conformance(
         supervisor.restart_budget
     );
 
-    // Direct leg: fault-free, inline — the reference decisions.
-    let engine = ConsensusEngine::builder()
-        .n(2)
-        .values(protocol.capacity())
-        .participants(1)
-        .build();
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let direct: Vec<u64> = proposals
-        .iter()
-        .map(|&(id, proposal)| engine.submit(id, proposal, &mut rng))
-        .collect();
-
-    // Chaos leg: one worker (so the plan's drain schedule is
-    // deterministic), the plan's register faults under the engine, its
-    // panics/stalls inside the service.
+    // One worker (so the plan's drain schedule is deterministic), the
+    // plan's register faults under the engine, its panics/stalls inside
+    // the service.
     let service = ConsensusService::builder()
         .n(2)
         .values(protocol.capacity())
@@ -616,50 +716,24 @@ pub fn check_chaos_conformance(
         .chaos(plan)
         .supervisor(supervisor)
         .build();
-    let handles = service.submit_batch(proposals);
-    let mut decisions = Vec::with_capacity(proposals.len());
-    for (at, handle) in handles.into_iter().enumerate() {
-        match handle.and_then(|h| h.wait()) {
-            Ok(value) if value == direct[at] => decisions.push(value),
-            Ok(value) => {
-                return Err(Divergence::Service {
-                    at,
-                    submit: direct[at],
-                    service: value.to_string(),
-                })
-            }
-            Err(err) => {
-                return Err(Divergence::Service {
-                    at,
-                    submit: direct[at],
-                    service: err.to_string(),
-                })
-            }
-        }
-    }
+    let decisions = compare_with_direct(protocol, proposals, seed, &service)?;
 
     // Exactly-once reconciliation over the service's own ledger.
-    let telemetry = std::sync::Arc::clone(service.engine().telemetry_handle());
+    let telemetry = Arc::clone(service.engine().telemetry_handle());
     drop(service); // join workers so every counter has settled
-    let enqueued = telemetry.count(CounterKey::ProposalsEnqueued);
-    let decided = telemetry.count(CounterKey::Decisions);
+    let admitted = proposals.len() as u64;
+    let ledger = [
+        (CounterKey::ProposalsEnqueued, admitted),
+        (CounterKey::Decisions, admitted),
+    ];
+    reconcile(&telemetry, &ledger).map_err(|detail| Divergence::Chaos { detail })?;
+    let depth = telemetry.gauge(GaugeKey::QueueDepth);
+    if depth != 0 {
+        return Err(Divergence::Chaos {
+            detail: format!("queue depth {depth} after full drain"),
+        });
+    }
     let restarts = telemetry.count(CounterKey::WorkerRestarts);
-    if enqueued != proposals.len() as u64 || decided != enqueued {
-        return Err(Divergence::Chaos {
-            detail: format!(
-                "expected {} enqueued == decided, got enqueued={enqueued} decided={decided}",
-                proposals.len()
-            ),
-        });
-    }
-    if telemetry.gauge(GaugeKey::QueueDepth) != 0 {
-        return Err(Divergence::Chaos {
-            detail: format!(
-                "queue depth {} after full drain",
-                telemetry.gauge(GaugeKey::QueueDepth)
-            ),
-        });
-    }
     if restarts > u64::from(supervisor.restart_budget) {
         return Err(Divergence::Chaos {
             detail: format!(
@@ -672,9 +746,8 @@ pub fn check_chaos_conformance(
 }
 
 /// Waits for a store response through [`CommandHandle::wait_timeout`]
-/// (10 s), panicking with the store's `Debug` view (its slot table,
-/// instance pool, applied commands and telemetry) when none arrives — so a stalled store fails the
-/// check that drove it instead of hanging the suite.
+/// (10 s), panicking with the store's `Debug` view when none arrives — so a
+/// stalled store fails the check that drove it instead of hanging the suite.
 fn settle<S: StateMachine, M: SharedMemory, R: Clone>(
     store: &ReplicatedStore<S, M>,
     handle: &CommandHandle<R>,
@@ -696,7 +769,9 @@ fn settle<S: StateMachine, M: SharedMemory, R: Clone>(
 ///
 /// * **Responses.** Every store response must equal the sequential
 ///   machine's response for the same command — `Get`s observing earlier
-///   writes, `Cas` outcomes, previous values on `Put`/`Delete`.
+///   writes, `Cas` outcomes (its expected value drawn from the current
+///   value, absent, or another value, so swaps both apply and fail),
+///   previous values on `Put`/`Delete`.
 /// * **Duplicate delivery.** A seeded subset of commands is re-delivered
 ///   (several extra copies under the same sequence number, the client
 ///   retry path). Every copy must return the originally-cached response,
@@ -706,8 +781,7 @@ fn settle<S: StateMachine, M: SharedMemory, R: Clone>(
 ///   *previous* sequence number must be refused as
 ///   [`StoreError::Stale`].
 /// * **Final state.** The store's machine (read through a fast read)
-///   must equal the sequential machine, snapshot for
-///   snapshot.
+///   must equal the sequential machine, snapshot for snapshot.
 ///
 /// Returns the number of distinct commands applied.
 ///
@@ -746,102 +820,66 @@ pub fn check_store_conformance(
     for round in 0..commands_per_client {
         for client in 1..=clients {
             let key = rng.random_range(0..keys);
+            let value = rng.random_range(0u64..1_000);
             let command = match rng.random_range(0u32..4) {
                 0 => KvCommand::Get { key },
-                1 => KvCommand::Put {
-                    key,
-                    value: rng.random_range(0u64..1_000),
-                },
+                1 => KvCommand::Put { key, value },
                 2 => KvCommand::Cas {
                     key,
-                    expect: reference.get(key),
-                    value: rng.random_range(0u64..1_000),
+                    expect: match rng.random_range(0u32..3) {
+                        0 => reference.get(key),
+                        1 => None,
+                        _ => Some(rng.random_range(0u64..1_000)),
+                    },
+                    value,
                 },
                 _ => KvCommand::Delete { key },
             };
             let expected = reference.apply(&command);
             distinct += 1;
-            let got = settle(&store, &store.submit(client, round + 1, command));
-            if got != Ok(expected) {
-                return Err(Divergence::Store {
+            // Every answer below has one right value; the first wrong one
+            // is the divergence.
+            let answer = |what: &str, seq: u64, want: Result<KvResponse, StoreError>| {
+                let got = settle(&store, &store.submit(client, seq, command));
+                if got == want {
+                    return Ok(());
+                }
+                Err(Divergence::Store {
                     detail: format!(
-                        "client {client} round {round}: store answered {got:?}, \
-                         sequential apply {expected:?} for {command:?}"
+                        "client {client} round {round} {what} ({command:?}): store \
+                         answered {got:?}, expected {want:?}"
                     ),
-                });
-            }
+                })
+            };
+            answer("command", round + 1, Ok(expected))?;
             // Duplicate-delivery leg: re-deliver this command a few more
             // times under the same sequence number; every copy must be
             // served from the session cache with the original response.
             if rng.random_bool(0.25) {
                 for copy in 0..rng.random_range(1u32..4) {
                     duplicates += 1;
-                    let again = settle(&store, &store.submit(client, round + 1, command));
-                    if again != Ok(expected) {
-                        return Err(Divergence::Store {
-                            detail: format!(
-                                "client {client} round {round} duplicate copy {copy}: \
-                                 got {again:?}, cached response was {expected:?}"
-                            ),
-                        });
-                    }
+                    answer(&format!("duplicate copy {copy}"), round + 1, Ok(expected))?;
                 }
             }
             // Stale leg: a copy of the *previous* command must be refused
             // (its cached response is already overwritten).
             if round > 0 && rng.random_bool(0.1) {
                 stale_probes += 1;
-                let stale = settle(&store, &store.submit(client, round, command));
-                if stale
-                    != Err(StoreError::Stale {
-                        last_seq: round + 1,
-                    })
-                {
-                    return Err(Divergence::Store {
-                        detail: format!(
-                            "client {client} round {round}: stale re-delivery \
-                             answered {stale:?} instead of Stale"
-                        ),
-                    });
-                }
+                let stale = Err(StoreError::Stale {
+                    last_seq: round + 1,
+                });
+                answer("stale re-delivery", round, stale)?;
             }
         }
     }
 
-    // Exactly-once ledger.
-    let telemetry = store.telemetry();
-    if telemetry.count(CounterKey::CommandsApplied) != distinct {
-        return Err(Divergence::Store {
-            detail: format!(
-                "{} commands applied, {distinct} distinct submitted",
-                telemetry.count(CounterKey::CommandsApplied)
-            ),
-        });
-    }
-    if telemetry.count(CounterKey::DuplicatesServed) != duplicates {
-        return Err(Divergence::Store {
-            detail: format!(
-                "{} duplicates served, {duplicates} re-delivered",
-                telemetry.count(CounterKey::DuplicatesServed)
-            ),
-        });
-    }
-    if telemetry.count(CounterKey::StaleCommands) != stale_probes {
-        return Err(Divergence::Store {
-            detail: format!(
-                "{} stale commands counted, {stale_probes} probed",
-                telemetry.count(CounterKey::StaleCommands)
-            ),
-        });
-    }
-    if telemetry.count(CounterKey::SessionsCreated) != clients {
-        return Err(Divergence::Store {
-            detail: format!(
-                "{} sessions created for {clients} clients",
-                telemetry.count(CounterKey::SessionsCreated)
-            ),
-        });
-    }
+    let ledger = [
+        (CounterKey::CommandsApplied, distinct),
+        (CounterKey::DuplicatesServed, duplicates),
+        (CounterKey::StaleCommands, stale_probes),
+        (CounterKey::SessionsCreated, clients),
+    ];
+    reconcile(store.telemetry(), &ledger).map_err(|detail| Divergence::Store { detail })?;
 
     // Final state, observed through the fast-read path.
     let store_snapshot = store.read_with(|kv| kv.snapshot());
@@ -858,295 +896,210 @@ pub fn check_store_conformance(
     Ok(distinct)
 }
 
-fn check_conformance_wrapped<M: SharedMemory>(
-    protocol: Protocol,
-    inputs: &[u64],
-    make_adversary: &dyn Fn() -> Box<dyn Adversary + Send>,
-    seed: u64,
-    max_steps: u64,
-    wrap: impl FnOnce(crate::LabMemory) -> M,
-) -> Result<Conformance, Divergence> {
-    let n = inputs.len();
-    assert!(n > 0, "need at least one process");
-    for &input in inputs {
-        assert!(input < protocol.capacity(), "input out of range");
-    }
-    let spec = protocol.spec();
-
-    let sim_outcome = run_object(
-        spec.as_ref(),
-        inputs,
-        &mut *make_adversary(),
-        seed,
-        &EngineConfig::default()
-            .with_max_steps(max_steps)
-            .with_trace(),
-    );
-
-    let lab = Lab::new(n, make_adversary(), &[], max_steps);
-    let consensus = protocol.runtime_in(wrap(lab.memory()), n);
-    // `decide_as` binds the lab worker's pid to the runtime thread slot —
-    // the model's sessions are pid-addressed (the voting coin writes its
-    // own tally register), so the pairing must be explicit, not ticketed.
-    let lab_report = lab.run(seed, |pid, rng| consensus.decide_as(pid, inputs[pid], rng));
-
-    let (sim_outcome, lab_report) = match (sim_outcome, lab_report) {
-        (Ok(sim), Ok(lab)) => (sim, lab),
-        (Err(RunError::StepLimitExceeded { .. }), Err(LabError::StepLimitExceeded { .. })) => {
-            return Ok(Conformance::BothStepLimited)
-        }
-        (sim, lab) => {
-            return Err(Divergence::Completion {
-                sim: sim.err().map(|e| e.to_string()),
-                lab: lab.err().map(|e| e.to_string()),
-            })
-        }
-    };
-
-    let sim_decisions = sim_outcome.values();
-    let lab_decisions: Vec<u64> = lab_report
-        .decisions
-        .iter()
-        .map(|d| d.expect("no crashes configured"))
-        .collect();
-    if sim_decisions != lab_decisions {
-        return Err(Divergence::Decisions {
-            sim: sim_decisions,
-            lab: lab_decisions,
-        });
-    }
-
-    let sim_trace = sim_outcome.trace.expect("trace recording was enabled");
-    if sim_trace != lab_report.trace {
-        let at = sim_trace
-            .events()
-            .iter()
-            .zip(lab_report.trace.events())
-            .position(|(a, b)| a != b)
-            .unwrap_or_else(|| sim_trace.len().min(lab_report.trace.len()));
-        return Err(Divergence::Trace {
-            at,
-            sim: sim_trace.events().get(at).map(|e| e.to_string()),
-            lab: lab_report.trace.events().get(at).map(|e| e.to_string()),
-        });
-    }
-
-    if sim_outcome.metrics != lab_report.metrics {
-        return Err(Divergence::Metrics {
-            sim: sim_outcome.metrics,
-            lab: lab_report.metrics,
-        });
-    }
-
-    // Close the triangle: the recorded schedule/coin script must drive the
-    // *model* to the same decisions. The per-protocol policy decides how
-    // session-local randomness replays (forbidden for the impatient
-    // protocols, pid-seeded streams for the voting coin).
-    match replay_to_completion(
-        spec.as_ref(),
-        inputs,
-        protocol.replay_policy(seed),
-        max_steps as usize,
-        &lab_report.path,
-    ) {
-        Ok(replayed) => {
-            let replay_values: Vec<u64> = replayed.iter().map(|d| d.value()).collect();
-            if replay_values != lab_decisions {
-                return Err(Divergence::Replay {
-                    detail: format!(
-                        "replayed decisions {replay_values:?} != lab decisions {lab_decisions:?}"
-                    ),
-                });
-            }
-        }
-        Err(err) => {
-            return Err(Divergence::Replay {
-                detail: err.to_string(),
-            })
-        }
-    }
-
-    Ok(Conformance::Agreed {
-        decisions: lab_decisions,
-        trace: lab_report.trace,
-        metrics: lab_report.metrics,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use mc_sim::adversary::{ImpatienceExploiter, RandomScheduler, RoundRobin, SplitKeeper};
     use mc_sim::sched::PctScheduler;
 
-    fn adversary_menu(seed: u64) -> Vec<Box<dyn Fn() -> Box<dyn Adversary + Send>>> {
+    type MakeAdversary = dyn Fn() -> Box<dyn Adversary + Send>;
+    type Check = fn(Protocol, &[u64], &MakeAdversary, u64, u64) -> Result<Conformance, Divergence>;
+
+    const BINARY: Protocol = Protocol::Binary;
+    const MULTI: Protocol = Protocol::Multivalued(5);
+    const COIN: Protocol = Protocol::Coin { quorum_factor: 1 };
+
+    fn adversary_menu(seed: u64) -> Vec<Box<MakeAdversary>> {
         vec![
-            Box::new(move || Box::new(RandomScheduler::new(seed)) as Box<dyn Adversary + Send>),
-            Box::new(move || {
-                Box::new(PctScheduler::new(3, 500, seed)) as Box<dyn Adversary + Send>
-            }),
-            Box::new(|| Box::new(RoundRobin::new()) as Box<dyn Adversary + Send>),
-            Box::new(move || Box::new(SplitKeeper::new(seed)) as Box<dyn Adversary + Send>),
-            Box::new(|| Box::new(ImpatienceExploiter::new()) as Box<dyn Adversary + Send>),
+            Box::new(move || Box::new(RandomScheduler::new(seed))),
+            Box::new(move || Box::new(PctScheduler::new(3, 500, seed))),
+            Box::new(|| Box::new(RoundRobin::new())),
+            Box::new(move || Box::new(SplitKeeper::new(seed))),
+            Box::new(|| Box::new(ImpatienceExploiter::new())),
         ]
+    }
+
+    /// Runs `check` over `seeds` × the adversary menu, panicking at the
+    /// first divergence, and returns the decisions of every run that
+    /// completed (each checked for agreement).
+    fn sweep(
+        check: Check,
+        protocol: Protocol,
+        inputs: &[u64],
+        seeds: std::ops::Range<u64>,
+        max_steps: u64,
+    ) -> Vec<Vec<u64>> {
+        let mut agreed = Vec::new();
+        for seed in seeds {
+            for make in adversary_menu(seed) {
+                match check(protocol, inputs, &make, seed, max_steps) {
+                    Ok(Conformance::Agreed { decisions, .. }) => {
+                        assert!(
+                            decisions.iter().all(|&d| d == decisions[0]),
+                            "{protocol} seed {seed}: {decisions:?}"
+                        );
+                        agreed.push(decisions);
+                    }
+                    Ok(Conformance::BothStepLimited) => {}
+                    Err(d) => panic!("{protocol} seed {seed}: {d}"),
+                }
+            }
+        }
+        agreed
     }
 
     #[test]
     fn binary_consensus_conforms_across_seeds_and_adversaries() {
-        for seed in 0..20 {
-            for make in adversary_menu(seed) {
-                let outcome = check_conformance(Protocol::Binary, &[0, 1, 1], &make, seed, 100_000)
-                    .unwrap_or_else(|d| panic!("seed {seed}: {d}"));
-                if let Conformance::Agreed { decisions, .. } = outcome {
-                    assert!(decisions.iter().all(|&d| d == decisions[0]));
-                }
-            }
-        }
+        sweep(check_conformance, BINARY, &[0, 1, 1], 0..20, 100_000);
     }
 
     #[test]
     fn multivalued_consensus_conforms() {
-        for seed in 0..10 {
-            for make in adversary_menu(seed) {
-                check_conformance(Protocol::Multivalued(5), &[4, 0, 2], &make, seed, 100_000)
-                    .unwrap_or_else(|d| panic!("seed {seed}: {d}"));
-            }
-        }
+        sweep(check_conformance, MULTI, &[4, 0, 2], 0..10, 100_000);
     }
 
     #[test]
     fn coin_consensus_conforms_across_seeds_and_adversaries() {
-        for seed in 0..8 {
-            for make in adversary_menu(seed) {
-                let outcome = check_coin_conformance(1, &[0, 1, 1], &make, seed, 200_000)
-                    .unwrap_or_else(|d| panic!("seed {seed}: {d}"));
-                if let Conformance::Agreed { decisions, .. } = outcome {
-                    assert!(decisions.iter().all(|&d| d == decisions[0]));
-                }
-            }
-        }
+        sweep(check_conformance, COIN, &[0, 1, 1], 0..8, 200_000);
     }
 
     #[test]
     fn coin_consensus_unanimous_inputs_conform_on_the_fast_path() {
-        for seed in 0..5 {
-            for make in adversary_menu(seed) {
-                let outcome = check_coin_conformance(1, &[1, 1, 1], &make, seed, 200_000)
-                    .unwrap_or_else(|d| panic!("seed {seed}: {d}"));
-                let Conformance::Agreed { decisions, .. } = outcome else {
-                    panic!("seed {seed}: unanimous run hit the step limit");
-                };
-                assert_eq!(decisions, vec![1, 1, 1], "seed {seed}");
-            }
-        }
+        // All 5 × 5 runs complete and decide the common input.
+        let agreed = sweep(check_conformance, COIN, &[1, 1, 1], 0..5, 200_000);
+        assert_eq!(agreed, vec![vec![1, 1, 1]; 25]);
     }
 
     #[test]
     fn recycled_coin_object_is_identical_to_fresh() {
-        for seed in 0..5 {
-            for make in adversary_menu(seed) {
-                check_recycled_conformance(
-                    Protocol::Coin { quorum_factor: 1 },
-                    &[0, 1, 1],
-                    &make,
-                    seed,
-                    200_000,
-                )
-                .unwrap_or_else(|d| panic!("seed {seed}: {d}"));
-            }
-        }
+        sweep(check_recycled_conformance, COIN, &[0, 1, 1], 0..5, 200_000);
     }
 
     #[test]
     fn empty_fault_plan_is_conformance_identical_to_bare_memory() {
-        for seed in 0..10 {
-            for make in adversary_menu(seed) {
-                let bare = check_conformance(Protocol::Binary, &[0, 1, 1], &make, seed, 100_000)
-                    .unwrap_or_else(|d| panic!("bare seed {seed}: {d}"));
-                let layered = check_conformance_with_plan(
-                    Protocol::Binary,
-                    &[0, 1, 1],
-                    &make,
-                    seed,
-                    100_000,
-                    FaultPlan::none(),
-                )
-                .unwrap_or_else(|d| panic!("layered seed {seed}: {d}"));
-                assert_eq!(bare, layered, "seed {seed}");
-            }
-        }
+        let bare_then_layered: Check = |protocol, inputs, make, seed, max_steps| {
+            let bare = check_conformance(protocol, inputs, make, seed, max_steps)?;
+            let plan = FaultPlan::none();
+            let layered =
+                check_conformance_with_plan(protocol, inputs, make, seed, max_steps, plan)?;
+            assert_eq!(bare, layered, "seed {seed}");
+            Ok(layered)
+        };
+        sweep(bare_then_layered, BINARY, &[0, 1, 1], 0..10, 100_000);
     }
 
     #[test]
     fn empty_fault_plan_conforms_on_multivalued_too() {
         for seed in 0..5 {
-            check_conformance_with_plan(
-                Protocol::Multivalued(5),
-                &[4, 0, 2],
-                &(Box::new(move || Box::new(SplitKeeper::new(seed)) as Box<dyn Adversary + Send>)
-                    as Box<dyn Fn() -> Box<dyn Adversary + Send>>),
-                seed,
-                100_000,
-                FaultPlan::none(),
-            )
-            .unwrap_or_else(|d| panic!("seed {seed}: {d}"));
+            let make: Box<MakeAdversary> = Box::new(move || Box::new(SplitKeeper::new(seed)));
+            let plan = FaultPlan::none();
+            check_conformance_with_plan(MULTI, &[4, 0, 2], &make, seed, 100_000, plan)
+                .unwrap_or_else(|d| panic!("seed {seed}: {d}"));
         }
     }
 
     #[test]
     fn recycled_binary_object_is_identical_to_fresh() {
-        for seed in 0..20 {
-            for make in adversary_menu(seed) {
-                let outcome =
-                    check_recycled_conformance(Protocol::Binary, &[0, 1, 1], &make, seed, 100_000)
-                        .unwrap_or_else(|d| panic!("seed {seed}: {d}"));
-                if let Conformance::Agreed { decisions, .. } = outcome {
-                    assert!(decisions.iter().all(|&d| d == decisions[0]));
-                }
-            }
-        }
+        sweep(
+            check_recycled_conformance,
+            BINARY,
+            &[0, 1, 1],
+            0..20,
+            100_000,
+        );
     }
 
     #[test]
     fn recycled_multivalued_object_is_identical_to_fresh() {
-        for seed in 0..10 {
-            for make in adversary_menu(seed) {
-                check_recycled_conformance(
-                    Protocol::Multivalued(5),
-                    &[4, 0, 2],
-                    &make,
-                    seed,
-                    100_000,
-                )
-                .unwrap_or_else(|d| panic!("seed {seed}: {d}"));
-            }
-        }
+        sweep(
+            check_recycled_conformance,
+            MULTI,
+            &[4, 0, 2],
+            0..10,
+            100_000,
+        );
     }
 
     #[test]
     fn twice_recycled_object_still_matches_fresh() {
-        use mc_sim::adversary::RandomScheduler;
-
         let seed = 17;
         let mut lab = Lab::new(3, Box::new(RandomScheduler::new(seed)), &[], 100_000);
-        let mut consensus = Protocol::Binary.runtime(&lab, 3);
-        let mut reports = Vec::new();
+        let mut consensus = Protocol::Binary.runtime_in(lab.memory(), 3);
+        let mut runs = Vec::new();
         for _ in 0..3 {
-            let report = lab
-                .run(seed, |pid, rng| consensus.decide(pid as u64 % 2, rng))
-                .unwrap();
-            reports.push(report);
+            let report = lab.run(seed, |pid, rng| consensus.decide(pid as u64 % 2, rng));
+            runs.push(Execution::from(report.unwrap()));
             consensus.reset();
             lab.reset_epoch(Box::new(RandomScheduler::new(seed)), &[]);
         }
-        for epoch in 1..reports.len() {
-            assert_eq!(
-                reports[0].decisions, reports[epoch].decisions,
-                "epoch {epoch}"
-            );
-            assert_eq!(reports[0].trace, reports[epoch].trace, "epoch {epoch}");
-            assert_eq!(reports[0].path, reports[epoch].path, "epoch {epoch}");
-            assert_eq!(reports[0].metrics, reports[epoch].metrics, "epoch {epoch}");
+        for epoch in 1..runs.len() {
+            compare_executions(&runs[0], &runs[epoch])
+                .unwrap_or_else(|d| panic!("epoch {epoch}: {d}"));
+        }
+    }
+
+    #[test]
+    fn comparator_reports_work_and_script_differences() {
+        // No plan reaches these two variants (the trace differs first), so
+        // the comparator is fed doctored copies of one real execution.
+        let lab = Lab::new(3, Box::new(RoundRobin::new()), &[], 10_000);
+        let consensus = Protocol::Binary.runtime_in(lab.memory(), 3);
+        let reference = lab_leg(&lab, &consensus, &[0, 1, 1], 5).unwrap();
+        assert_eq!(compare_executions(&reference, &reference), Ok(()));
+
+        let mut metrics_only = reference.clone();
+        metrics_only.metrics.registers_touched += 1;
+        assert_eq!(
+            compare_executions(&reference, &metrics_only),
+            Err(Divergence::Metrics {
+                reference: reference.metrics.clone(),
+                subject: metrics_only.metrics.clone(),
+            })
+        );
+
+        let mut path_only = reference.clone();
+        let len = reference.path.as_ref().unwrap().len() - 1;
+        path_only.path.as_mut().unwrap().truncate(len);
+        assert_eq!(
+            compare_executions(&reference, &path_only),
+            Err(Divergence::Replay {
+                detail: format!(
+                    "schedule/coin script differs at event {len} (reference has {} events, \
+                     subject {len})",
+                    len + 1
+                ),
+            })
+        );
+        // A leg that records no script (the sim engine) is not compared on one.
+        path_only.path = None;
+        assert_eq!(compare_executions(&reference, &path_only), Ok(()));
+    }
+
+    #[test]
+    fn fault_plans_make_the_execution_comparator_diverge() {
+        // Negative controls: a fault plan perturbs the lab leg only, and on
+        // these pinned seeds the sim engine's fault-free execution tells
+        // the difference. A comparator that always agreed would pass every
+        // positive test in this module; it fails these.
+        let run = |seed: u64, plan: FaultPlan| {
+            let make: Box<MakeAdversary> = Box::new(move || Box::new(RandomScheduler::new(seed)));
+            check_conformance_with_plan(Protocol::Binary, &[0, 1, 1], &make, seed, 100_000, plan)
+        };
+        // The fault layer decides a fault before posting the operation to
+        // the lab: inside the thread's exclusive window for every operation
+        // but its first, which all workers reach at once. A probabilistic
+        // write is never a first operation, so lost-write runs replay as
+        // exactly as fault-free ones. (Stale reads do not: they hang on the
+        // write windows that every worker's first write opens concurrently.)
+        let lost = |seed| FaultPlan::seeded(seed).lost_prob_writes(0.5);
+        // (seed, plan, the trace event it diverges at, or None for decisions)
+        let cases = [(24, lost(24), None), (0, lost(0), Some(19))];
+        for (seed, plan, trace_at) in cases {
+            match (run(seed, plan), trace_at) {
+                (Err(Divergence::Decisions { .. }), None) => {}
+                (Err(Divergence::Trace { at, .. }), Some(expected)) if at == expected => {}
+                (other, _) => panic!("seed {seed}: {other:?}"),
+            }
         }
     }
 
@@ -1159,9 +1112,21 @@ mod tests {
                 .unwrap_or_else(|d| panic!("seed {seed}: {d}"));
             // Single-participant instances decide their own proposal, so
             // conformance here is exact and predictable.
-            for (ix, &(_, proposal)) in proposals.iter().enumerate() {
-                assert_eq!(decisions[ix], proposal, "seed {seed} proposal {ix}");
-            }
+            assert_eq!(decisions, own_proposals(&proposals), "seed {seed}");
+        }
+    }
+
+    fn own_proposals(proposals: &[(u64, u64)]) -> Vec<u64> {
+        proposals.iter().map(|&(_, proposal)| proposal).collect()
+    }
+
+    /// A supervisor with `restart_budget` restarts and sub-millisecond
+    /// backoff, so a test's restarts cost little time.
+    fn fast_supervisor(restart_budget: u32) -> SupervisorOptions {
+        SupervisorOptions {
+            restart_budget,
+            base_backoff: std::time::Duration::from_micros(50),
+            max_backoff: std::time::Duration::from_millis(1),
         }
     }
 
@@ -1170,26 +1135,14 @@ mod tests {
         // Panic at every drain, up to 3 times: the supervisor re-admits
         // the stash each time and the fourth incarnation decides — still
         // exactly the direct leg's decisions.
-        let supervisor = SupervisorOptions {
-            restart_budget: 4,
-            base_backoff: std::time::Duration::from_micros(50),
-            max_backoff: std::time::Duration::from_millis(1),
-        };
+        let (six, supervisor) = (Protocol::Multivalued(6), fast_supervisor(4));
         for seed in 0..5 {
             let proposals: Vec<(u64, u64)> =
                 (0..48u64).map(|i| (i % 5, (i * 13 + seed) % 6)).collect();
             let plan = ChaosPlan::seeded(seed).panic_every(1, 3);
-            let decisions = check_chaos_conformance(
-                Protocol::Multivalued(6),
-                &proposals,
-                plan,
-                supervisor,
-                seed,
-            )
-            .unwrap_or_else(|d| panic!("seed {seed}: {d}"));
-            for (ix, &(_, proposal)) in proposals.iter().enumerate() {
-                assert_eq!(decisions[ix], proposal, "seed {seed} proposal {ix}");
-            }
+            let decisions = check_chaos_conformance(six, &proposals, plan, supervisor, seed)
+                .unwrap_or_else(|d| panic!("seed {seed}: {d}"));
+            assert_eq!(decisions, own_proposals(&proposals), "seed {seed}");
         }
     }
 
@@ -1197,11 +1150,7 @@ mod tests {
     fn chaos_conformance_with_stalls_and_register_faults() {
         // Stalls plus the PR 3 fault layer (lost probabilistic writes and
         // stale reads): decisions cost retries but never change.
-        let supervisor = SupervisorOptions {
-            restart_budget: 3,
-            base_backoff: std::time::Duration::from_micros(50),
-            max_backoff: std::time::Duration::from_millis(1),
-        };
+        let supervisor = fast_supervisor(3);
         let plan = ChaosPlan::seeded(21)
             .panic_every(3, 2)
             .stall_every(2, std::time::Duration::from_micros(200))
@@ -1215,14 +1164,9 @@ mod tests {
     #[test]
     fn chaos_conformance_with_empty_plan_is_plain_service_conformance() {
         let proposals: Vec<(u64, u64)> = (0..16u64).map(|i| (i % 3, i % 2)).collect();
-        let chaos = check_chaos_conformance(
-            Protocol::Binary,
-            &proposals,
-            ChaosPlan::none(),
-            SupervisorOptions::default(),
-            9,
-        )
-        .unwrap_or_else(|d| panic!("{d}"));
+        let (plan, supervisor) = (ChaosPlan::none(), SupervisorOptions::default());
+        let chaos = check_chaos_conformance(Protocol::Binary, &proposals, plan, supervisor, 9)
+            .unwrap_or_else(|d| panic!("{d}"));
         let plain = check_service_conformance(Protocol::Binary, &proposals, 9)
             .unwrap_or_else(|d| panic!("{d}"));
         assert_eq!(chaos, plain);
@@ -1231,13 +1175,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "exceeds the restart budget")]
     fn chaos_plan_beyond_the_budget_is_refused_up_front() {
-        let _ = check_chaos_conformance(
-            Protocol::Binary,
-            &[(0, 1)],
-            ChaosPlan::seeded(1).panic_every(1, 9),
-            SupervisorOptions::default(),
-            1,
-        );
+        let plan = ChaosPlan::seeded(1).panic_every(1, 9);
+        let _ = check_chaos_conformance(BINARY, &[(0, 1)], plan, SupervisorOptions::default(), 1);
     }
 
     #[test]
@@ -1252,8 +1191,7 @@ mod tests {
 
     #[test]
     fn single_process_fast_path_conforms() {
-        let make: Box<dyn Fn() -> Box<dyn Adversary + Send>> =
-            Box::new(|| Box::new(RoundRobin::new()) as Box<dyn Adversary + Send>);
+        let make: Box<MakeAdversary> = Box::new(|| Box::new(RoundRobin::new()));
         let outcome = check_conformance(Protocol::Binary, &[1], &make, 0, 1_000).unwrap();
         assert!(matches!(
             outcome,

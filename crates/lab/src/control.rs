@@ -98,10 +98,40 @@ struct LabState {
     error: Option<LabError>,
 }
 
-pub(crate) enum Outcome {
-    Read(Option<u64>),
-    Write,
-    Prob(bool),
+impl LabState {
+    /// The state a run starts from, over a register file whose next id is
+    /// `next_reg` (and whose allocation count the run starts charged with).
+    fn fresh(
+        n: usize,
+        adversary: Box<dyn Adversary + Send>,
+        doomed_pids: &[ProcessId],
+        next_reg: u64,
+    ) -> LabState {
+        let mut doomed = vec![false; n];
+        for pid in doomed_pids {
+            doomed[pid.index()] = true;
+        }
+        let mut metrics = WorkMetrics::new(n);
+        metrics.registers_allocated = next_reg;
+        LabState {
+            adversary,
+            pending: vec![None; n],
+            ops_done: vec![0; n],
+            finished: vec![false; n],
+            doomed,
+            granted: None,
+            memory: Memory::new(),
+            next_reg,
+            step: 0,
+            unfinished: n,
+            metrics,
+            trace: Trace::new(),
+            path: Vec::new(),
+            forced_coins: VecDeque::new(),
+            terminated: false,
+            error: None,
+        }
+    }
 }
 
 /// Serializes every register operation of a lab run and delegates each
@@ -121,31 +151,10 @@ impl LabController {
         max_steps: u64,
     ) -> Arc<LabController> {
         assert!(n > 0, "need at least one process");
-        let mut doomed = vec![false; n];
-        for pid in doomed_pids {
-            doomed[pid.index()] = true;
-        }
         Arc::new(LabController {
             n,
             max_steps,
-            state: Mutex::new(LabState {
-                adversary,
-                pending: vec![None; n],
-                ops_done: vec![0; n],
-                finished: vec![false; n],
-                doomed,
-                granted: None,
-                memory: Memory::new(),
-                next_reg: 0,
-                step: 0,
-                unfinished: n,
-                metrics: WorkMetrics::new(n),
-                trace: Trace::new(),
-                path: Vec::new(),
-                forced_coins: VecDeque::new(),
-                terminated: false,
-                error: None,
-            }),
+            state: Mutex::new(LabState::fresh(n, adversary, doomed_pids, 0)),
             cv: Condvar::new(),
         })
     }
@@ -178,11 +187,7 @@ impl LabController {
     }
 
     /// Rearms the controller for a fresh run ("epoch") over the *same*
-    /// register file identity: register ids and the allocation high-water
-    /// mark survive — pooled objects keep their `LabRegister`s — while every
-    /// piece of per-run state (mirror memory, schedule, trace, path, work
-    /// metrics, crash bookkeeping) is reset as if the lab were newly built.
-    ///
+    /// register file; see [`Lab::reset_epoch`](crate::Lab::reset_epoch).
     /// The fresh epoch's `registers_allocated` is pre-charged with the
     /// existing high-water mark: a recycled run materializes no new
     /// registers, and this is exactly the count a fresh-object run at the
@@ -191,35 +196,18 @@ impl LabController {
     /// # Panics
     ///
     /// Panics if called while a run is in progress.
-    pub(crate) fn reset_epoch(&self, adversary: Box<dyn Adversary + Send>, doomed_pids: &[usize]) {
+    pub(crate) fn reset_epoch(
+        &self,
+        adversary: Box<dyn Adversary + Send>,
+        doomed_pids: &[ProcessId],
+    ) {
         let mut state = self.lock();
         assert!(
             state.pending.iter().all(Option::is_none) && state.granted.is_none(),
             "reset_epoch during a run"
         );
-        let n = self.n;
-        state.adversary = adversary;
-        state.pending = vec![None; n];
-        state.ops_done = vec![0; n];
-        state.finished = vec![false; n];
-        state.doomed = {
-            let mut doomed = vec![false; n];
-            for &pid in doomed_pids {
-                doomed[pid] = true;
-            }
-            doomed
-        };
-        state.granted = None;
-        state.memory = Memory::new();
-        state.step = 0;
-        state.unfinished = n;
-        state.metrics = WorkMetrics::new(n);
-        state.metrics.registers_allocated = state.next_reg;
-        state.trace = Trace::new();
-        state.path = Vec::new();
-        state.forced_coins = VecDeque::new();
-        state.terminated = false;
-        state.error = None;
+        let next_reg = state.next_reg;
+        *state = LabState::fresh(self.n, adversary, doomed_pids, next_reg);
     }
 
     /// Queues coin outcomes for replay; consumed in schedule order by the
@@ -234,8 +222,10 @@ impl LabController {
     }
 
     /// Posts `op` for the calling worker, waits until the adversary grants
-    /// it, executes it against the mirror memory, and returns its result.
-    pub(crate) fn perform(&self, op: Op, rng: Option<&mut dyn Rng>) -> Outcome {
+    /// it, executes it against the mirror memory, and returns what it
+    /// observed, as the trace records it: a read's contents, a
+    /// probabilistic write's coin (1 if it landed), nothing for a write.
+    pub(crate) fn perform(&self, op: Op, rng: Option<&mut dyn Rng>) -> Option<u64> {
         let pid = current_pid();
         let mut guard = self.lock();
         debug_assert!(guard.pending[pid].is_none(), "one pending op per process");
@@ -256,14 +246,11 @@ impl LabController {
         let op = state.pending[pid]
             .take()
             .expect("granted process has an op");
-        let (outcome, observed) = match &op {
-            Op::Read(reg) => {
-                let contents = state.memory.read(*reg);
-                (Outcome::Read(contents), contents)
-            }
+        let observed = match &op {
+            Op::Read(reg) => state.memory.read(*reg),
             Op::Write { reg, value } => {
                 state.memory.write(*reg, *value);
-                (Outcome::Write, None)
+                None
             }
             Op::ProbWrite { reg, value, prob } => {
                 // The adversary committed to this operation before the coin
@@ -274,9 +261,8 @@ impl LabController {
                 // only; degenerate probabilities keep drawing so streams
                 // stay aligned with the engine's.
                 let p = prob.get();
-                let scripted = (p > 0.0 && p < 1.0)
-                    .then(|| state.forced_coins.pop_front())
-                    .flatten();
+                let random = p > 0.0 && p < 1.0;
+                let scripted = random.then(|| state.forced_coins.pop_front()).flatten();
                 let performed = match scripted {
                     Some(forced) => forced,
                     None => {
@@ -284,19 +270,17 @@ impl LabController {
                         rng.random_bool(p)
                     }
                 };
-                if performed {
-                    state.memory.write(*reg, *value);
-                }
                 state.metrics.prob_writes_attempted += 1;
                 if performed {
+                    state.memory.write(*reg, *value);
                     state.metrics.prob_writes_performed += 1;
                 }
                 // mc-check's replay vocabulary: a coin event follows the
                 // schedule event only when the outcome is genuinely random.
-                if p > 0.0 && p < 1.0 {
+                if random {
                     state.path.push(PathEvent::Coin(performed));
                 }
-                (Outcome::Prob(performed), Some(u64::from(performed)))
+                Some(u64::from(performed))
             }
             Op::Collect { .. } => unreachable!("runtime objects never issue collects"),
         };
@@ -309,7 +293,7 @@ impl LabController {
         state.ops_done[pid] += 1;
         state.metrics.per_process[pid] += 1;
         state.step += 1;
-        outcome
+        observed
     }
 
     /// Marks the calling worker finished and hands control onward.
@@ -482,36 +466,18 @@ impl SharedRegister for LabRegister {
     }
 
     fn read(&self) -> Option<u64> {
-        match self.ctrl.perform(Op::Read(self.reg), None) {
-            Outcome::Read(contents) => contents,
-            _ => unreachable!(),
-        }
+        self.ctrl.perform(Op::Read(self.reg), None)
     }
 
     fn write(&self, value: u64) {
-        match self.ctrl.perform(
-            Op::Write {
-                reg: self.reg,
-                value,
-            },
-            None,
-        ) {
-            Outcome::Write => {}
-            _ => unreachable!(),
-        }
+        let reg = self.reg;
+        self.ctrl.perform(Op::Write { reg, value }, None);
     }
 
     fn prob_write(&self, value: u64, prob: mc_model::Probability, rng: &mut dyn Rng) -> bool {
-        match self.ctrl.perform(
-            Op::ProbWrite {
-                reg: self.reg,
-                value,
-                prob,
-            },
-            Some(rng),
-        ) {
-            Outcome::Prob(performed) => performed,
-            _ => unreachable!(),
-        }
+        let reg = self.reg;
+        self.ctrl
+            .perform(Op::ProbWrite { reg, value, prob }, Some(rng))
+            == Some(1)
     }
 }

@@ -67,19 +67,7 @@ impl Lab {
         crashes: &[(ProcessId, u64)],
         max_steps: u64,
     ) -> Lab {
-        let crashed: Vec<ProcessId> = crashes.iter().map(|&(pid, _)| pid).collect();
-        for pid in &crashed {
-            assert!(pid.index() < n, "crash target {pid} out of range");
-        }
-        assert!(
-            crashed.len() < n,
-            "at least one process must survive the crash plan"
-        );
-        let adversary: Box<dyn Adversary + Send> = if crashes.is_empty() {
-            adversary
-        } else {
-            Box::new(CrashingAdversary::new(adversary, crashes.iter().copied()))
-        };
+        let (adversary, crashed) = with_crashes(n, adversary, crashes);
         Lab {
             ctrl: LabController::new(n, adversary, &crashed, max_steps),
             crashed,
@@ -143,22 +131,8 @@ impl Lab {
         adversary: Box<dyn Adversary + Send>,
         crashes: &[(ProcessId, u64)],
     ) {
-        let n = self.ctrl.n();
-        let crashed: Vec<ProcessId> = crashes.iter().map(|&(pid, _)| pid).collect();
-        for pid in &crashed {
-            assert!(pid.index() < n, "crash target {pid} out of range");
-        }
-        assert!(
-            crashed.len() < n,
-            "at least one process must survive the crash plan"
-        );
-        let adversary: Box<dyn Adversary + Send> = if crashes.is_empty() {
-            adversary
-        } else {
-            Box::new(CrashingAdversary::new(adversary, crashes.iter().copied()))
-        };
-        let doomed: Vec<usize> = crashed.iter().map(|pid| pid.index()).collect();
-        self.ctrl.reset_epoch(adversary, &doomed);
+        let (adversary, crashed) = with_crashes(self.ctrl.n(), adversary, crashes);
+        self.ctrl.reset_epoch(adversary, &crashed);
         self.crashed = crashed;
     }
 
@@ -224,6 +198,30 @@ impl Lab {
             trace,
             path,
         })
+    }
+}
+
+/// Checks a crash plan against `n` processes and wraps `adversary` so it
+/// never schedules a crashed process past its step; also returns the
+/// crashed pids.
+fn with_crashes(
+    n: usize,
+    adversary: Box<dyn Adversary + Send>,
+    crashes: &[(ProcessId, u64)],
+) -> (Box<dyn Adversary + Send>, Vec<ProcessId>) {
+    let crashed: Vec<ProcessId> = crashes.iter().map(|&(pid, _)| pid).collect();
+    for pid in &crashed {
+        assert!(pid.index() < n, "crash target {pid} out of range");
+    }
+    assert!(
+        crashed.len() < n,
+        "at least one process must survive the crash plan"
+    );
+    if crashes.is_empty() {
+        (adversary, crashed)
+    } else {
+        let adversary = CrashingAdversary::new(adversary, crashes.iter().copied());
+        (Box::new(adversary), crashed)
     }
 }
 

@@ -89,6 +89,16 @@ mod tests {
         }
     }
 
+    fn view(step: u64, pending: &[mc_sim::PendingInfo]) -> View<'_> {
+        let n = pending.len();
+        View {
+            step,
+            n,
+            pending,
+            memory: None,
+        }
+    }
+
     fn view_of(pids: &[usize]) -> Vec<mc_sim::PendingInfo> {
         pids.iter()
             .map(|&p| {
@@ -106,33 +116,14 @@ mod tests {
     fn stalled_process_is_skipped_until_release() {
         let mut adv = StallingAdversary::new(FirstPending, [(ProcessId(0), 5)]);
         let infos = view_of(&[0, 1]);
-        let view = View {
-            step: 0,
-            n: 2,
-            pending: &infos,
-            memory: None,
-        };
-        assert_eq!(adv.choose(&view), ProcessId(1));
-        let view = View {
-            step: 5,
-            n: 2,
-            pending: &infos,
-            memory: None,
-        };
-        assert_eq!(adv.choose(&view), ProcessId(0));
+        assert_eq!(adv.choose(&view(0, &infos)), ProcessId(1));
+        assert_eq!(adv.choose(&view(5, &infos)), ProcessId(0));
     }
 
     #[test]
     fn stall_lapses_when_it_would_empty_the_schedule() {
         let mut adv = StallingAdversary::new(FirstPending, [(ProcessId(0), 100)]);
-        let infos = view_of(&[0]);
-        let view = View {
-            step: 0,
-            n: 1,
-            pending: &infos,
-            memory: None,
-        };
-        assert_eq!(adv.choose(&view), ProcessId(0));
+        assert_eq!(adv.choose(&view(0, &view_of(&[0]))), ProcessId(0));
     }
 
     // Liveness regression for the all-stalled lapse path at the Lab
@@ -141,6 +132,7 @@ mod tests {
     // and the run must still terminate.
     #[test]
     fn all_stalled_run_still_terminates_under_the_lab() {
+        use crate::conform::{compare_executions, Execution};
         use crate::Lab;
         use mc_runtime::Consensus;
         use mc_sim::adversary::RandomScheduler;
@@ -154,23 +146,20 @@ mod tests {
             let lab = Lab::new(3, Box::new(adversary), &[], 50_000);
             let consensus = Consensus::builder().n(3).memory(lab.memory()).build();
             lab.run(seed, |pid, rng| consensus.decide(pid as u64 % 2, rng))
+                .map(Execution::from)
                 .expect("all-stalled run must stay live, not wedge")
         };
         for seed in [3, 17, 29] {
-            let report = run(seed);
-            let first = report.decisions[0].expect("decided");
+            let execution = run(seed);
+            let first = execution.decisions[0];
             assert!(first < 2, "validity");
             assert!(
-                report.decisions.iter().all(|&d| d == Some(first)),
+                execution.decisions.iter().all(|&d| d == first),
                 "agreement: {:?}",
-                report.decisions
+                execution.decisions
             );
             // Seed replay: the lapse path is deterministic too.
-            let replay = run(seed);
-            assert_eq!(report.decisions, replay.decisions);
-            assert_eq!(report.trace, replay.trace);
-            assert_eq!(report.path, replay.path);
-            assert_eq!(report.metrics, replay.metrics);
+            compare_executions(&execution, &run(seed)).unwrap_or_else(|d| panic!("{d}"));
         }
     }
 }

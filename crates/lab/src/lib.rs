@@ -43,9 +43,9 @@ pub mod inject;
 pub mod toy;
 
 pub use conform::{
-    check_chaos_conformance, check_coin_conformance, check_conformance,
-    check_conformance_with_plan, check_recycled_conformance, check_service_conformance,
-    check_store_conformance, Conformance, Divergence, Protocol,
+    check_chaos_conformance, check_conformance, check_conformance_with_plan,
+    check_recycled_conformance, check_service_conformance, check_store_conformance, Conformance,
+    Divergence, Protocol,
 };
 pub use control::{LabError, LabMemory, LabRegister};
 pub use harness::{Lab, LabReport};
@@ -55,11 +55,18 @@ pub use toy::{RacyConsensus, RacySpec};
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::conform::{compare_executions, Execution};
     use mc_model::ProcessId;
     use mc_runtime::Consensus;
     use mc_sim::adversary::{RandomScheduler, RoundRobin};
     use mc_sim::sched::PctScheduler;
     use mc_sim::Adversary;
+
+    /// Binary consensus on `n` lab threads, process `pid` proposing `pid % 2`.
+    fn run_binary(lab: &Lab, n: usize, seed: u64) -> Result<LabReport, LabError> {
+        let consensus = Consensus::builder().n(n).memory(lab.memory()).build();
+        lab.run(seed, |pid, rng| consensus.decide(pid as u64 % 2, rng))
+    }
 
     fn adversaries(seed: u64) -> Vec<Box<dyn Adversary + Send>> {
         vec![
@@ -72,16 +79,10 @@ mod tests {
     #[test]
     fn lab_consensus_decides_and_agrees() {
         for adversary in adversaries(11) {
-            let lab = Lab::new(3, adversary, &[], 50_000);
-            let consensus = Consensus::builder().n(3).memory(lab.memory()).build();
-            let report = lab
-                .run(11, |pid, rng| consensus.decide(pid as u64 % 2, rng))
-                .unwrap();
+            let report = run_binary(&Lab::new(3, adversary, &[], 50_000), 3, 11).unwrap();
             let first = report.decisions[0].unwrap();
             assert!(first < 2);
-            for d in &report.decisions {
-                assert_eq!(*d, Some(first));
-            }
+            assert!(report.decisions.iter().all(|&d| d == Some(first)));
             assert!(!report.trace.is_empty());
             assert!(!report.path.is_empty());
             assert!(report.metrics.total_work() > 0);
@@ -92,16 +93,9 @@ mod tests {
     fn same_seed_reproduces_the_exact_run() {
         let run = |seed: u64| {
             let lab = Lab::new(3, Box::new(RandomScheduler::new(seed)), &[], 50_000);
-            let consensus = Consensus::builder().n(3).memory(lab.memory()).build();
-            lab.run(seed, |pid, rng| consensus.decide(pid as u64 % 2, rng))
-                .unwrap()
+            run_binary(&lab, 3, seed).map(Execution::from).unwrap()
         };
-        let a = run(42);
-        let b = run(42);
-        assert_eq!(a.decisions, b.decisions);
-        assert_eq!(a.trace, b.trace);
-        assert_eq!(a.path, b.path);
-        assert_eq!(a.metrics, b.metrics);
+        compare_executions(&run(42), &run(42)).unwrap_or_else(|d| panic!("{d}"));
     }
 
     #[test]
@@ -112,10 +106,7 @@ mod tests {
             &[(ProcessId(2), 4)],
             50_000,
         );
-        let consensus = Consensus::builder().n(3).memory(lab.memory()).build();
-        let report = lab
-            .run(5, |pid, rng| consensus.decide(pid as u64 % 2, rng))
-            .unwrap();
+        let report = run_binary(&lab, 3, 5).unwrap();
         assert_eq!(report.decisions[2], None);
         assert_eq!(report.crashed, vec![ProcessId(2)]);
         let d0 = report.decisions[0].unwrap();
@@ -128,11 +119,7 @@ mod tests {
     fn stalled_process_still_decides() {
         let inner = RandomScheduler::new(9);
         let adversary = StallingAdversary::new(inner, [(ProcessId(0), 30)]);
-        let lab = Lab::new(2, Box::new(adversary), &[], 50_000);
-        let consensus = Consensus::builder().n(2).memory(lab.memory()).build();
-        let report = lab
-            .run(9, |pid, rng| consensus.decide(pid as u64, rng))
-            .unwrap();
+        let report = run_binary(&Lab::new(2, Box::new(adversary), &[], 50_000), 2, 9).unwrap();
         let d0 = report.decisions[0].unwrap();
         assert_eq!(report.decisions[1], Some(d0));
     }
@@ -154,24 +141,22 @@ mod tests {
             let report = lab
                 .run(seed, |pid, rng| consensus.decide(pid, pid as u64 % 2, rng))
                 .expect("bounded consensus must terminate under faults");
-            (report, counts.fault_counts())
+            (Execution::from(report), counts.fault_counts())
         };
         for seed in [2, 13, 31] {
-            let (report, counts) = run(seed);
-            let first = report.decisions[0].expect("decided");
+            let (execution, counts) = run(seed);
+            let first = execution.decisions[0];
             assert!(first < 2, "validity under faults");
             assert!(
-                report.decisions.iter().all(|&d| d == Some(first)),
+                execution.decisions.iter().all(|&d| d == first),
                 "agreement under faults: {:?}",
-                report.decisions
+                execution.decisions
             );
             // Same (adversary, seed, plan) ⇒ bit-identical run, faults and
             // all: fault decisions land in each thread's exclusive
             // scheduling window.
             let (replay, replay_counts) = run(seed);
-            assert_eq!(report.decisions, replay.decisions);
-            assert_eq!(report.trace, replay.trace);
-            assert_eq!(report.path, replay.path);
+            compare_executions(&execution, &replay).unwrap_or_else(|d| panic!("seed {seed}: {d}"));
             assert_eq!(counts, replay_counts);
         }
     }
@@ -193,17 +178,15 @@ mod tests {
                 lab.run(seed, |pid, rng| {
                     u64::from(typed.decide(proposals[pid], rng))
                 })
+                .map(Execution::from)
                 .unwrap()
             };
             let fresh = run(&lab, &typed);
             typed.reset();
             lab.reset_epoch(Box::new(RandomScheduler::new(seed)), &[]);
             let recycled = run(&lab, &typed);
-            assert_eq!(fresh.decisions, recycled.decisions, "seed {seed}");
-            assert_eq!(fresh.trace, recycled.trace, "seed {seed}");
-            assert_eq!(fresh.path, recycled.path, "seed {seed}");
-            assert_eq!(fresh.metrics, recycled.metrics, "seed {seed}");
-            let decided = fresh.decisions[0].unwrap() as u16;
+            compare_executions(&fresh, &recycled).unwrap_or_else(|d| panic!("seed {seed}: {d}"));
+            let decided = fresh.decisions[0] as u16;
             assert!(proposals.contains(&decided), "seed {seed}: validity");
         }
     }
@@ -211,10 +194,7 @@ mod tests {
     #[test]
     fn step_limit_is_reported() {
         let lab = Lab::new(2, Box::new(RandomScheduler::new(1)), &[], 3);
-        let consensus = Consensus::builder().n(2).memory(lab.memory()).build();
-        let err = lab
-            .run(1, |pid, rng| consensus.decide(pid as u64, rng))
-            .unwrap_err();
+        let err = run_binary(&lab, 2, 1).unwrap_err();
         assert_eq!(err, LabError::StepLimitExceeded { limit: 3 });
     }
 

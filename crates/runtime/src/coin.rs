@@ -22,7 +22,7 @@
 //! The shared-memory objects mirror their model-side specs operation for
 //! operation and coin-draw for coin-draw, so lab runs on an instrumented
 //! [`SharedMemory`] substrate are directly comparable to simulator and
-//! model-checker executions (see `mc-lab`'s `check_coin_conformance`).
+//! model-checker executions (see `mc-lab`'s `check_conformance` on `Protocol::Coin`).
 
 use std::sync::Arc;
 

@@ -318,6 +318,9 @@ impl<M: SharedMemory> Consensus<M> {
             self.active = next;
         }
         self.generation = next_generation;
+        // Relaxed: `&mut self` rules out a decide in flight, and whatever
+        // hands the object to the next instance's callers (a mutex, a spawn
+        // or a join) orders this store before their tickets.
         self.ticket.store(0, Ordering::Relaxed);
     }
 
@@ -420,6 +423,10 @@ impl<M: SharedMemory> Consensus<M> {
     ///
     /// Panics if `value ≥ capacity()`.
     pub fn decide(&self, value: u64, rng: &mut dyn Rng) -> u64 {
+        // Relaxed: the ticket only hands out distinct slots, and read-modify-
+        // writes on one atomic are totally ordered whatever their ordering,
+        // so no two calls draw the same ticket. It publishes nothing: what a
+        // decide shares lives in the registers, which order themselves.
         let pid = self.ticket.fetch_add(1, Ordering::Relaxed);
         self.decide_as(pid % self.options.n, value, rng)
     }

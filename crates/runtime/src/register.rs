@@ -173,6 +173,12 @@ impl AtomicRegister {
     /// current-generation write — exactly like a fresh register.
     #[inline]
     pub fn read(&self) -> Option<u64> {
+        // SeqCst, paired with `write`'s: the paper's registers are atomic,
+        // and its objects write one register and then read another (a
+        // ratifier announces, then scans for a conflict). Store-then-load
+        // across two locations needs one total order over every access;
+        // Acquire/Release would let two proposers each miss the other's
+        // announcement and decide different values, breaking coherence.
         match self.cell.load(Ordering::SeqCst) {
             EMPTY => None,
             v => Some(v),
@@ -187,6 +193,7 @@ impl AtomicRegister {
     #[inline]
     pub fn write(&self, value: u64) {
         assert_ne!(value, EMPTY, "u64::MAX is reserved for the null value");
+        // SeqCst: see `read`.
         self.cell.store(value, Ordering::SeqCst);
     }
 }

@@ -98,9 +98,9 @@ pub mod prelude {
         FirstMoverConciliator, LazyChain, Ratifier, VotingSharedCoin, WriteSchedule,
     };
     pub use mc_lab::{
-        check_chaos_conformance, check_coin_conformance, check_conformance,
-        check_conformance_with_plan, check_recycled_conformance, check_service_conformance,
-        check_store_conformance, Conformance, Lab, Protocol as LabProtocol,
+        check_chaos_conformance, check_conformance, check_conformance_with_plan,
+        check_recycled_conformance, check_service_conformance, check_store_conformance,
+        Conformance, Lab, Protocol as LabProtocol,
     };
     pub use mc_model::{properties, Decision, ObjectSpec, ProcessId, Value};
     pub use mc_runtime::{
