@@ -1085,15 +1085,21 @@ mod tests {
             let make: Box<MakeAdversary> = Box::new(move || Box::new(RandomScheduler::new(seed)));
             check_conformance_with_plan(Protocol::Binary, &[0, 1, 1], &make, seed, 100_000, plan)
         };
-        // The fault layer decides a fault before posting the operation to
-        // the lab: inside the thread's exclusive window for every operation
-        // but its first, which all workers reach at once. A probabilistic
-        // write is never a first operation, so lost-write runs replay as
-        // exactly as fault-free ones. (Stale reads do not: they hang on the
-        // write windows that every worker's first write opens concurrently.)
+        // The fault layer decides a fault after the lab grants the
+        // operation, inside the thread's exclusive window even on its first
+        // operation, so every plan replays as exactly as a fault-free run.
+        // (Before that rule, a stale-read run moved its first differing
+        // event between runs: every worker's first write opened its window
+        // concurrently.)
         let lost = |seed| FaultPlan::seeded(seed).lost_prob_writes(0.5);
+        let stale = |seed| FaultPlan::seeded(seed).stale_reads(0.3);
         // (seed, plan, the trace event it diverges at, or None for decisions)
-        let cases = [(24, lost(24), None), (0, lost(0), Some(19))];
+        let cases = [
+            (24, lost(24), None),
+            (0, lost(0), Some(19)),
+            (18, stale(18), None),
+            (10, stale(10), Some(17)),
+        ];
         for (seed, plan, trace_at) in cases {
             match (run(seed, plan), trace_at) {
                 (Err(Divergence::Decisions { .. }), None) => {}

@@ -33,9 +33,14 @@
 //! an empty plan the layer is pure passthrough: one branch per operation,
 //! no locks, no allocation — conformance-identical to the bare substrate.
 //!
-//! Under `mc-lab`, every fault decision happens in the window between two
-//! of the calling thread's serialized register operations, so a lab run
-//! with faults is still a pure function of (adversary, seed, plan).
+//! Every fault decision is taken after the substrate performs the
+//! operation, so under `mc-lab` it falls in the calling thread's exclusive
+//! window between its grant and its next operation — on its first
+//! operation too — and a lab run with faults is still a pure function of
+//! (adversary, seed, plan). The one decision that must precede the
+//! operation is whether a probabilistic write is lost (a lost write never
+//! reaches the substrate); no protocol opens with a probabilistic write,
+//! so that decision, too, follows an earlier grant.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
@@ -258,6 +263,11 @@ impl FaultShared {
             FaultClass::DelayedVisibility => &self.delayed_commits,
             FaultClass::RegisterReset => &self.register_resets,
         };
+        // Relaxed: each counter is a standalone tally that publishes no
+        // other memory, and the state lock already orders the decisions
+        // themselves. A reader wanting every fault of a run reads after
+        // joining the run's threads, and the join is its happens-before
+        // edge.
         counter.fetch_add(1, Ordering::Relaxed);
         if let Some(telemetry) = self.telemetry.get() {
             telemetry.on_fault_injected(class, register, step);
@@ -318,6 +328,38 @@ impl FaultState {
             self.open_windows.retain(|&ri| ri != victim);
         }
         Some(victim)
+    }
+
+    /// Records a write of `value` that has landed in register `index`'s
+    /// substrate: it clears a pending wipe and replaces the register's
+    /// window with a fresh one, delayed with the plan's probability.
+    /// Returns whether the write was delayed.
+    fn land(
+        &mut self,
+        plan: &FaultPlan,
+        index: usize,
+        writer: ThreadId,
+        value: u64,
+        now: u64,
+    ) -> bool {
+        let delayed =
+            plan.delayed_visibility > 0.0 && self.rng.random_bool(plan.delayed_visibility);
+        let reg = &mut self.regs[index];
+        reg.reset = false;
+        let prev = reg.cur.replace(value);
+        let had_window = reg.window.is_some();
+        reg.window = (delayed || plan.stale_read > 0.0).then(|| Window {
+            writer,
+            prev,
+            expires_at: delayed.then_some(now + plan.delay_ops),
+            delayed,
+        });
+        match (had_window, reg.window.is_some()) {
+            (false, true) => self.open_windows.push(index),
+            (true, false) => self.open_windows.retain(|&ri| ri != index),
+            _ => {}
+        }
+        delayed
     }
 }
 
@@ -395,6 +437,11 @@ impl<M: SharedMemory> FaultyMemory<M> {
 
     /// Faults delivered so far, by class. Shared across clones.
     pub fn fault_counts(&self) -> FaultCounts {
+        // Relaxed, as in `FaultShared::deliver`: each load reads one tally
+        // and synchronises with nothing. Read while the run's threads are
+        // live, the four loads are not one snapshot (a class may lag
+        // another by the faults in flight); read after joining them, the
+        // counts are exact.
         match &self.shared {
             Some(s) => FaultCounts {
                 lost_prob_writes: s.lost_prob_writes.load(Ordering::Relaxed),
@@ -438,7 +485,7 @@ impl<M: SharedMemory> SharedMemory for FaultyMemory<M> {
 
 /// One register of a [`FaultyMemory`]: passthrough to the wrapped
 /// substrate's register, with fault decisions drawn from the shared plan
-/// stream around each operation.
+/// stream after each operation.
 pub struct FaultyRegister<R: SharedRegister> {
     inner: R,
     shared: Option<Arc<FaultShared>>,
@@ -486,10 +533,11 @@ impl<R: SharedRegister> SharedRegister for FaultyRegister<R> {
         let Some(shared) = &self.shared else {
             return self.inner.read();
         };
+        // The substrate operation first, then the decisions: under the lab
+        // they fall in this thread's exclusive window after its grant, even
+        // on its first operation, so faulted runs stay deterministic.
+        let observed = self.inner.read();
         let me = std::thread::current().id();
-        // Decide the observation before the substrate operation; under the
-        // lab the decision then falls in this thread's exclusive window, so
-        // faulted runs stay deterministic.
         let mut faults: Vec<(FaultClass, u64)> = Vec::new();
         let (override_value, step): (Option<Option<u64>>, u64) = {
             let mut state = shared.lock();
@@ -521,17 +569,14 @@ impl<R: SharedRegister> SharedRegister for FaultyRegister<R> {
         for (class, register) in faults {
             shared.deliver(class, register, step);
         }
-        let observed = self.inner.read();
-        match override_value {
-            Some(v) => v,
-            None => observed,
-        }
+        override_value.unwrap_or(observed)
     }
 
     fn write(&self, value: u64) {
         let Some(shared) = &self.shared else {
             return self.inner.write(value);
         };
+        self.inner.write(value);
         let me = std::thread::current().id();
         let mut faults: Vec<(FaultClass, u64)> = Vec::new();
         let step = {
@@ -540,30 +585,7 @@ impl<R: SharedRegister> SharedRegister for FaultyRegister<R> {
             if let Some(victim) = state.maybe_reset(&shared.plan) {
                 faults.push((FaultClass::RegisterReset, victim as u64));
             }
-            let plan = shared.plan;
-            let delayed =
-                plan.delayed_visibility > 0.0 && state.rng.random_bool(plan.delayed_visibility);
-            let reg = &mut state.regs[self.index];
-            reg.reset = false;
-            let prev = reg.cur;
-            let had_window = reg.window.is_some();
-            reg.window = None;
-            if delayed || plan.stale_read > 0.0 {
-                reg.window = Some(Window {
-                    writer: me,
-                    prev,
-                    expires_at: delayed.then_some(now + plan.delay_ops),
-                    delayed,
-                });
-            }
-            reg.cur = Some(value);
-            let open = reg.window.is_some();
-            match (had_window, open) {
-                (false, true) => state.open_windows.push(self.index),
-                (true, false) => state.open_windows.retain(|&ri| ri != self.index),
-                _ => {}
-            }
-            if delayed {
+            if state.land(&shared.plan, self.index, me, value, now) {
                 faults.push((FaultClass::DelayedVisibility, self.index as u64));
             }
             now
@@ -571,78 +593,53 @@ impl<R: SharedRegister> SharedRegister for FaultyRegister<R> {
         for (class, register) in faults {
             shared.deliver(class, register, step);
         }
-        self.inner.write(value);
     }
 
     fn prob_write(&self, value: u64, prob: Probability, rng: &mut dyn Rng) -> bool {
         let Some(shared) = &self.shared else {
             return self.inner.prob_write(value, prob, rng);
         };
+        let plan = shared.plan;
+        // A lost write never reaches the substrate, so whether it is lost is
+        // the one decision taken before the operation. Under the lab it
+        // falls in the thread's exclusive window as long as a probabilistic
+        // write is not the thread's first operation, which it is in no
+        // protocol here: every chain opens with a ratifier.
+        let lose =
+            plan.lost_prob_write > 0.0 && shared.lock().rng.random_bool(plan.lost_prob_write);
+        let fired = if lose {
+            // The write fires per the schedule — one coin from the caller's
+            // rng, exactly as the substrate would draw — but never lands.
+            rng.random_bool(prob.get())
+        } else {
+            self.inner.prob_write(value, prob, rng)
+        };
         let me = std::thread::current().id();
         let mut faults: Vec<(FaultClass, u64)> = Vec::new();
-        let (step, lose) = {
+        let step = {
             let mut state = shared.lock();
             let now = state.tick(me);
-            if let Some(victim) = state.maybe_reset(&shared.plan) {
+            if let Some(victim) = state.maybe_reset(&plan) {
                 faults.push((FaultClass::RegisterReset, victim as u64));
             }
-            let plan = shared.plan;
             if !state.regs[self.index].prob_target {
                 state.regs[self.index].prob_target = true;
                 state.prob_targets.push(self.index);
             }
-            let lose = plan.lost_prob_write > 0.0 && state.rng.random_bool(plan.lost_prob_write);
-            (now, lose)
-        };
-        if lose {
-            // The write fires per the schedule — one coin from the caller's
-            // rng, exactly as the substrate would draw — but never lands.
-            let fired = rng.random_bool(prob.get());
-            if fired {
+            if lose && fired {
                 faults.push((FaultClass::LostProbWrite, self.index as u64));
             }
-            for (class, register) in faults {
-                shared.deliver(class, register, step);
-            }
-            return fired;
-        }
-        let landed = self.inner.prob_write(value, prob, rng);
-        if landed {
-            // A landed probabilistic write is a write: supersede the
-            // register's window and open a fresh one.
-            let mut state = shared.lock();
-            let now = state.ops;
-            let plan = shared.plan;
-            let delayed =
-                plan.delayed_visibility > 0.0 && state.rng.random_bool(plan.delayed_visibility);
-            let reg = &mut state.regs[self.index];
-            reg.reset = false;
-            let prev = reg.cur;
-            let had_window = reg.window.is_some();
-            reg.window = None;
-            if delayed || plan.stale_read > 0.0 {
-                reg.window = Some(Window {
-                    writer: me,
-                    prev,
-                    expires_at: delayed.then_some(now + plan.delay_ops),
-                    delayed,
-                });
-            }
-            reg.cur = Some(value);
-            let open = reg.window.is_some();
-            match (had_window, open) {
-                (false, true) => state.open_windows.push(self.index),
-                (true, false) => state.open_windows.retain(|&ri| ri != self.index),
-                _ => {}
-            }
-            if delayed {
+            // A landed probabilistic write is a write: it supersedes the
+            // register's window and opens a fresh one.
+            if !lose && fired && state.land(&plan, self.index, me, value, now) {
                 faults.push((FaultClass::DelayedVisibility, self.index as u64));
             }
-        }
+            now
+        };
         for (class, register) in faults {
             shared.deliver(class, register, step);
         }
-        landed
+        fired
     }
 }
 

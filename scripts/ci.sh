@@ -113,6 +113,11 @@ echo "== fault campaign (degradation smoke) =="
 # stdout; nonzero exit on any violation.
 cargo run -p mc-bench --release --bin fault_campaign -- --seeds 1000 > fault_campaign.jsonl
 test -s fault_campaign.jsonl
+# A faulted lab run is a pure function of (adversary, seed, plan), so a
+# second campaign must print the same bytes; a fault decision taken outside
+# the lab's schedule shows up here as a differing faults_injected.
+cargo run -p mc-bench --release --bin fault_campaign -- --seeds 1000 > target/fault_campaign_rerun.jsonl
+cmp fault_campaign.jsonl target/fault_campaign_rerun.jsonl
 
 echo "== perf_stack (smoke + unit tests) =="
 # The repo's one benchmark (bench/, BENCHMARK.json): a 1/20-size pass over
