@@ -37,12 +37,9 @@ use std::process::ExitCode;
 use std::sync::Arc;
 
 use mc_analysis::theory;
-use mc_core::conciliator::WriteSchedule;
 use mc_lab::Lab;
 use mc_quorums::{BinaryScheme, BinomialScheme, QuorumScheme};
-use mc_runtime::{
-    BoundedConsensus, ConsensusOptions, CounterKey, FaultPlan, FaultyMemory, HistKey,
-};
+use mc_runtime::{Consensus, CounterKey, FaultPlan, FaultyMemory, HistKey};
 use mc_sim::adversary::{RandomScheduler, RoundRobin};
 use mc_sim::sched::QuantumScheduler;
 use mc_sim::Adversary;
@@ -245,15 +242,12 @@ fn run_cell(cell: &Cell, proto: Proto, seeds: u64, n: usize, f: u32) -> CellStat
         let lab = Lab::new(n, adversary, &[], MAX_STEPS);
         let memory = FaultyMemory::new(lab.memory(), cell.plan(seed));
         let fault_counts = memory.clone();
-        let options = ConsensusOptions {
-            n,
-            scheme: proto.scheme(),
-            schedule: WriteSchedule::impatient(),
-            fast_path: true,
-            max_conciliator_rounds: Some(f),
-            conciliator: mc_runtime::ConciliatorChoice::Impatient,
-        };
-        let consensus = BoundedConsensus::with_options_in(memory, options);
+        let consensus = Consensus::builder()
+            .n(n)
+            .scheme(proto.scheme())
+            .max_conciliator_rounds(f)
+            .memory(memory)
+            .build_bounded();
         let inputs = inputs_for(proto.capacity(), seed, n);
         stats.runs += 1;
         let report = match lab.run(seed, |pid, rng| consensus.decide(pid, inputs[pid], rng)) {

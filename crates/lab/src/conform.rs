@@ -1088,9 +1088,9 @@ mod tests {
         // The fault layer decides a fault after the lab grants the
         // operation, inside the thread's exclusive window even on its first
         // operation, so every plan replays as exactly as a fault-free run.
-        // (Before that rule, a stale-read run moved its first differing
-        // event between runs: every worker's first write opened its window
-        // concurrently.)
+        // A decision taken before the grant would race on the first
+        // operations, which all workers reach at once, and move a
+        // stale-read run's first differing event from run to run.
         let lost = |seed| FaultPlan::seeded(seed).lost_prob_writes(0.5);
         let stale = |seed| FaultPlan::seeded(seed).stale_reads(0.3);
         // (seed, plan, the trace event it diverges at, or None for decisions)

@@ -407,8 +407,8 @@ impl fmt::Debug for LabController {
 }
 
 /// The instrumented register substrate: plugs into any `mc-runtime` object
-/// via its `*_in` constructor, turning every register operation into a
-/// controller yield point.
+/// through its builder's `memory` call, turning every register operation
+/// into a controller yield point.
 #[derive(Clone, Debug)]
 pub struct LabMemory {
     ctrl: Arc<LabController>,

@@ -105,8 +105,8 @@ impl Lab {
         lab
     }
 
-    /// The instrumented memory: pass it to an `mc-runtime` object's `*_in`
-    /// constructor *before* calling [`run`](Lab::run). Register allocation
+    /// The instrumented memory: pass it to an `mc-runtime` builder's
+    /// `memory` call *before* calling [`run`](Lab::run). Register allocation
     /// does not yield, so construction is safe outside worker threads.
     pub fn memory(&self) -> LabMemory {
         LabMemory::new(Arc::clone(&self.ctrl))

@@ -126,7 +126,7 @@ mod tests {
 
     #[test]
     fn faulty_memory_over_lab_memory_is_deterministic_and_safe() {
-        use mc_runtime::{BoundedConsensus, FaultPlan, FaultyMemory};
+        use mc_runtime::{Consensus, FaultPlan, FaultyMemory};
 
         let run = |seed: u64| {
             let lab = Lab::new(3, Box::new(RandomScheduler::new(seed)), &[], 400_000);
@@ -137,7 +137,7 @@ mod tests {
                 .register_resets(0.02);
             let memory = FaultyMemory::new(lab.memory(), plan);
             let counts = memory.clone();
-            let consensus = BoundedConsensus::binary_in(memory, 3);
+            let consensus = Consensus::builder().n(3).memory(memory).build_bounded();
             let report = lab
                 .run(seed, |pid, rng| consensus.decide(pid, pid as u64 % 2, rng))
                 .expect("bounded consensus must terminate under faults");

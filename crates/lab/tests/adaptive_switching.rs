@@ -8,7 +8,7 @@ use std::sync::Arc;
 
 use mc_lab::Lab;
 use mc_model::{OpKind, ProcessId, RegisterId, Value};
-use mc_runtime::{AdaptiveConsensus, AdaptiveOptions, CoinKind, ConciliatorChoice, Consensus};
+use mc_runtime::{AdaptiveOptions, CoinKind, ConciliatorChoice, Consensus};
 use mc_sim::{Adversary, Capability, View};
 use mc_telemetry::{
     AggregatingRecorder, ConciliatorKind, JsonlRecorder, MultiRecorder, Recorder, Tally,
@@ -189,15 +189,13 @@ fn hostile_schedule_switches_to_the_coin_and_announces_it() {
     ]));
 
     let mut lab = Lab::new(n, Box::new(DegradingScheduler::new(4)), &[], 500_000);
-    let mut consensus = AdaptiveConsensus::from_consensus(
-        Consensus::builder()
-            .n(n)
-            .memory(lab.memory())
-            .conciliator(ConciliatorChoice::Adaptive(options))
-            .recorder(recorder)
-            .build(),
-    );
-    assert_eq!(consensus.selected(), ConciliatorKind::Impatient);
+    let mut consensus = Consensus::builder()
+        .n(n)
+        .memory(lab.memory())
+        .conciliator(ConciliatorChoice::Adaptive(options))
+        .recorder(recorder)
+        .build();
+    assert_eq!(consensus.selected_conciliator(), ConciliatorKind::Impatient);
 
     let mut switched_at = None;
     for epoch in 0..12u64 {
@@ -214,7 +212,7 @@ fn hostile_schedule_switches_to_the_coin_and_announces_it() {
         );
         consensus.reset();
         lab.reset_epoch(Box::new(DegradingScheduler::new(4)), &[]);
-        if consensus.selected() == ConciliatorKind::Coin {
+        if consensus.selected_conciliator() == ConciliatorKind::Coin {
             switched_at = Some(epoch);
             break;
         }
@@ -222,7 +220,9 @@ fn hostile_schedule_switches_to_the_coin_and_announces_it() {
     let switched_at = switched_at.unwrap_or_else(|| {
         panic!(
             "δ̂ window never degraded past the threshold; last estimate {:?}",
-            consensus.delta_hat()
+            consensus
+                .telemetry()
+                .delta_hat_over(options.window, options.min_samples)
         )
     });
     // The flip required a full window, never a thin one.

@@ -23,16 +23,15 @@
 
 use std::sync::Arc;
 
-use mc_telemetry::{Recorder, StageKind};
 use rand::Rng;
 
-use crate::conciliator::ConciliatorChoice;
-use crate::consensus::{Consensus, ConsensusOptions, Stage};
+use crate::consensus::{Consensus, Exit};
 use crate::register::{AtomicMemory, SharedMemory, SharedRegister};
-use crate::telemetry::{CounterKey, RuntimeTelemetry};
+use crate::telemetry::RuntimeTelemetry;
 
 /// Default conciliator bound `f` when
-/// [`ConsensusOptions::max_conciliator_rounds`] is `None`.
+/// [`ConsensusBuilder::max_conciliator_rounds`](crate::ConsensusBuilder::max_conciliator_rounds)
+/// is not set.
 ///
 /// With the paper's worst-case δ ≈ 0.0553 (Theorem 7) this gives a
 /// fallback probability of about `0.9447¹⁶ ≈ 0.40` per fully adversarial
@@ -172,116 +171,20 @@ pub struct BoundedConsensus<M: SharedMemory = AtomicMemory, F: Fallback = Leader
     rounds: u32,
 }
 
-impl BoundedConsensus {
-    /// Binary bounded consensus for up to `n` threads with the default
-    /// bound and leader fallback.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0`.
-    pub fn binary(n: usize) -> BoundedConsensus {
-        BoundedConsensus::binary_in(AtomicMemory, n)
-    }
-}
-
-impl<M: SharedMemory> BoundedConsensus<M> {
-    /// Binary bounded consensus whose registers live in `memory`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0`.
-    pub fn binary_in(memory: M, n: usize) -> BoundedConsensus<M> {
-        let fallback = LeaderFallback::new_in(&memory, n);
-        BoundedConsensus::with_fallback_in(
-            memory,
-            ConsensusOptions {
-                n,
-                scheme: Arc::new(mc_quorums::BinaryScheme::new()),
-                schedule: mc_core::conciliator::WriteSchedule::impatient(),
-                fast_path: true,
-                max_conciliator_rounds: None,
-                conciliator: ConciliatorChoice::Impatient,
-            },
-            fallback,
-        )
-    }
-
-    /// `m`-valued bounded consensus whose registers live in `memory`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0` or `m < 2`.
-    pub fn multivalued_in(memory: M, n: usize, m: u64) -> BoundedConsensus<M> {
-        let fallback = LeaderFallback::new_in(&memory, n);
-        BoundedConsensus::with_fallback_in(memory, Consensus::multivalued_options(n, m), fallback)
-    }
-
-    /// Bounded consensus with explicit options whose registers live in
-    /// `memory`, with the leader fallback.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `options.n == 0`.
-    pub fn with_options_in(memory: M, options: ConsensusOptions) -> BoundedConsensus<M> {
-        let fallback = LeaderFallback::new_in(&memory, options.n);
-        BoundedConsensus::with_fallback_in(memory, options, fallback)
-    }
-
-    /// Bounded consensus over `memory` with telemetry events going to
-    /// `recorder` and the leader fallback.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `options.n == 0`.
-    pub fn with_recorder_in(
-        memory: M,
-        options: ConsensusOptions,
-        recorder: Arc<dyn Recorder>,
-    ) -> BoundedConsensus<M> {
-        let fallback = LeaderFallback::new_in(&memory, options.n);
-        let telemetry = Arc::new(RuntimeTelemetry::new(options.n, recorder));
-        BoundedConsensus {
-            rounds: options
-                .max_conciliator_rounds
-                .unwrap_or(DEFAULT_MAX_CONCILIATOR_ROUNDS),
-            chain: Consensus::with_telemetry_in(memory, Arc::new(options), telemetry),
-            fallback,
-        }
-    }
-}
-
 impl<M: SharedMemory, F: Fallback> BoundedConsensus<M, F> {
-    /// Bounded consensus with an explicit fallback protocol `K`.
-    ///
-    /// The bound `f` is `options.max_conciliator_rounds`, defaulting to
-    /// [`DEFAULT_MAX_CONCILIATOR_ROUNDS`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `options.n == 0`.
-    pub fn with_fallback_in(
-        memory: M,
-        options: ConsensusOptions,
-        fallback: F,
-    ) -> BoundedConsensus<M, F> {
-        BoundedConsensus::from_parts(
-            Consensus::with_shared_options_in(memory, Arc::new(options)),
-            fallback,
-        )
-    }
-
-    /// Composes an already-built chain with its fallback `K`; the bound `f`
-    /// comes from the chain's options. This is the seam
+    /// Composes an already-built chain with its fallback `K` and the bound
+    /// `f`. This is the seam
     /// [`ConsensusBuilder::build_bounded_with`](crate::ConsensusBuilder::build_bounded_with)
     /// uses after wiring telemetry into the chain.
-    pub(crate) fn from_parts(chain: Consensus<M>, fallback: F) -> BoundedConsensus<M, F> {
+    pub(crate) fn from_parts(
+        chain: Consensus<M>,
+        fallback: F,
+        rounds: u32,
+    ) -> BoundedConsensus<M, F> {
         BoundedConsensus {
-            rounds: chain
-                .options()
-                .max_conciliator_rounds
-                .unwrap_or(DEFAULT_MAX_CONCILIATOR_ROUNDS),
             chain,
             fallback,
+            rounds,
         }
     }
 
@@ -337,53 +240,20 @@ impl<M: SharedMemory, F: Fallback> BoundedConsensus<M, F> {
     ///
     /// Panics if `value ≥ capacity()` or `pid ≥ n`.
     pub fn decide(&self, pid: usize, value: u64, rng: &mut dyn Rng) -> u64 {
-        assert!(
-            value < self.capacity(),
-            "value {value} exceeds consensus capacity {}",
-            self.capacity()
-        );
-        let n = self.chain.options().n;
-        assert!(pid < n, "pid {pid} out of range for n = {n}");
-        let telemetry = Arc::clone(self.chain.telemetry_handle());
-        telemetry.add(CounterKey::DecideCalls, 1);
-        let started = telemetry.decide_clock();
-        let fast_prefix = if self.chain.options().fast_path { 2 } else { 0 };
-        let total_stages = fast_prefix + 2 * self.rounds as usize;
-        let mut current = value;
-        let mut conciliator_stages = 0u64;
-        for ix in 0..total_stages {
-            match &*self.chain.stage(ix) {
-                Stage::Ratifier(r) => {
-                    telemetry.on_stage_entered(ix as u64, StageKind::Ratifier);
-                    let d = r.ratify(current);
-                    telemetry.on_ratifier_verdict(ix as u64, d.is_decided(), d.value());
-                    if d.is_decided() {
-                        // Let late fallback entrants learn the decision.
-                        self.fallback.publish(pid, d.value());
-                        let fast_path = ix < fast_prefix;
-                        self.chain.on_decided(
-                            d.value(),
-                            ix,
-                            fast_path,
-                            conciliator_stages,
-                            started,
-                        );
-                        return d.value();
-                    }
-                    current = d.value();
-                }
-                Stage::Conciliator(c) => {
-                    telemetry.on_stage_entered(ix as u64, StageKind::Conciliator);
-                    conciliator_stages += 1;
-                    current = c.propose(pid, current, rng);
-                }
+        let limit = self.chain.prefix() + 2 * self.rounds as usize;
+        self.chain.walk(pid, value, limit, rng, |exit| match exit {
+            Exit::Decided(value) => {
+                // Let late fallback entrants learn the decision.
+                self.fallback.publish(pid, value);
+                value
             }
-        }
-        telemetry.on_fallback_taken(u64::from(self.rounds));
-        let decided = self.fallback.decide(pid, current);
-        self.chain
-            .on_decided(decided, total_stages, false, conciliator_stages, started);
-        decided
+            Exit::Exhausted(value) => {
+                self.chain
+                    .telemetry()
+                    .on_fallback_taken(u64::from(self.rounds));
+                self.fallback.decide(pid, value)
+            }
+        })
     }
 }
 
@@ -401,6 +271,8 @@ mod tests {
     use super::*;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
+
+    use crate::telemetry::CounterKey;
 
     fn run_bounded(consensus: Arc<BoundedConsensus>, proposals: Vec<u64>, seed: u64) -> Vec<u64> {
         let handles: Vec<_> = proposals
@@ -420,7 +292,7 @@ mod tests {
     #[test]
     fn binary_agreement_and_validity() {
         for trial in 0..100 {
-            let c = Arc::new(BoundedConsensus::binary(6));
+            let c = Arc::new(Consensus::builder().n(6).build_bounded());
             let proposals: Vec<u64> = (0..6).map(|t| (t as u64 + trial) % 2).collect();
             let results = run_bounded(c, proposals.clone(), trial);
             let first = results[0];
@@ -436,15 +308,13 @@ mod tests {
     fn zero_round_bound_always_falls_back_and_still_agrees() {
         // f = 0, no fast path: every call goes straight to K.
         for trial in 0..50 {
-            let options = ConsensusOptions {
-                n: 4,
-                scheme: Arc::new(mc_quorums::BinaryScheme::new()),
-                schedule: mc_core::conciliator::WriteSchedule::impatient(),
-                fast_path: false,
-                max_conciliator_rounds: Some(0),
-                conciliator: ConciliatorChoice::Impatient,
-            };
-            let c = Arc::new(BoundedConsensus::with_options_in(AtomicMemory, options));
+            let c = Arc::new(
+                Consensus::builder()
+                    .n(4)
+                    .fast_path(false)
+                    .max_conciliator_rounds(0)
+                    .build_bounded(),
+            );
             let proposals: Vec<u64> = (0..4).map(|t| (t + trial) % 2).collect();
             let telemetry_check = Arc::clone(&c);
             let results = run_bounded(c, proposals.clone(), trial);
@@ -465,7 +335,7 @@ mod tests {
 
     #[test]
     fn single_process_decides_its_own_value() {
-        let c = BoundedConsensus::binary(1);
+        let c = Consensus::builder().n(1).build_bounded();
         let mut rng = SmallRng::seed_from_u64(1);
         assert_eq!(c.decide(0, 1, &mut rng), 1);
         assert_eq!(c.telemetry().count(CounterKey::FallbacksTaken), 0);
@@ -501,7 +371,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of range")]
     fn oversized_pid_rejected() {
-        let c = BoundedConsensus::binary(2);
+        let c = Consensus::builder().n(2).build_bounded();
         let mut rng = SmallRng::seed_from_u64(0);
         c.decide(2, 0, &mut rng);
     }
@@ -510,15 +380,11 @@ mod tests {
     fn reset_bounded_clears_chain_and_fallback() {
         // f = 0, no fast path: every call is served by the fallback, so a
         // stale published decision would be adopted if reset leaked it.
-        let options = ConsensusOptions {
-            n: 1,
-            scheme: Arc::new(mc_quorums::BinaryScheme::new()),
-            schedule: mc_core::conciliator::WriteSchedule::impatient(),
-            fast_path: false,
-            max_conciliator_rounds: Some(0),
-            conciliator: ConciliatorChoice::Impatient,
-        };
-        let mut c = BoundedConsensus::with_options_in(AtomicMemory, options);
+        let mut c = Consensus::builder()
+            .n(1)
+            .fast_path(false)
+            .max_conciliator_rounds(0)
+            .build_bounded();
         let mut rng = SmallRng::seed_from_u64(0);
         assert_eq!(c.decide(0, 1, &mut rng), 1);
         c.reset();

@@ -25,7 +25,7 @@ use mc_core::conciliator::WriteSchedule;
 use mc_quorums::{BinaryScheme, BinomialScheme, QuorumScheme};
 use mc_telemetry::Recorder;
 
-use crate::bounded::{BoundedConsensus, Fallback, LeaderFallback};
+use crate::bounded::{BoundedConsensus, Fallback, LeaderFallback, DEFAULT_MAX_CONCILIATOR_ROUNDS};
 use crate::conciliator::ConciliatorChoice;
 use crate::consensus::{Consensus, ConsensusOptions};
 use crate::engine::{ConsensusEngine, EngineOptions};
@@ -38,7 +38,8 @@ use crate::telemetry::RuntimeTelemetry;
 ///
 /// Required: [`n`](ConsensusBuilder::n). Everything else defaults to the
 /// paper's binary protocol: 2 values, impatient write schedule, fast path
-/// on, unbounded conciliator rounds, plain atomics, no event recorder.
+/// on, plain atomics, no event recorder; a bounded object stops after
+/// [`DEFAULT_MAX_CONCILIATOR_ROUNDS`] conciliator stages.
 #[derive(Clone)]
 pub struct ConsensusBuilder<M: SharedMemory = AtomicMemory> {
     memory: M,
@@ -47,7 +48,7 @@ pub struct ConsensusBuilder<M: SharedMemory = AtomicMemory> {
     scheme: Option<Arc<dyn QuorumScheme>>,
     schedule: WriteSchedule,
     fast_path: bool,
-    max_conciliator_rounds: Option<u32>,
+    max_conciliator_rounds: u32,
     conciliator: ConciliatorChoice,
     recorder: Option<Arc<dyn Recorder>>,
 }
@@ -61,7 +62,7 @@ impl Default for ConsensusBuilder {
             scheme: None,
             schedule: WriteSchedule::impatient(),
             fast_path: true,
-            max_conciliator_rounds: None,
+            max_conciliator_rounds: DEFAULT_MAX_CONCILIATOR_ROUNDS,
             conciliator: ConciliatorChoice::Impatient,
             recorder: None,
         }
@@ -118,10 +119,12 @@ impl<M: SharedMemory> ConsensusBuilder<M> {
     }
 
     /// Bound `f` on conciliator stages for
-    /// [`build_bounded`](ConsensusBuilder::build_bounded) (Theorem 5).
+    /// [`build_bounded`](ConsensusBuilder::build_bounded) (Theorem 5;
+    /// default [`DEFAULT_MAX_CONCILIATOR_ROUNDS`]). The unbounded
+    /// [`build`](ConsensusBuilder::build) ignores it.
     #[must_use]
     pub fn max_conciliator_rounds(mut self, rounds: u32) -> Self {
-        self.max_conciliator_rounds = Some(rounds);
+        self.max_conciliator_rounds = rounds;
         self
     }
 
@@ -188,7 +191,6 @@ impl<M: SharedMemory> ConsensusBuilder<M> {
             scheme,
             schedule: self.schedule,
             fast_path: self.fast_path,
-            max_conciliator_rounds: self.max_conciliator_rounds,
             conciliator: self.conciliator.clone(),
         }
     }
@@ -233,6 +235,7 @@ impl<M: SharedMemory> ConsensusBuilder<M> {
         BoundedConsensus::from_parts(
             Consensus::with_telemetry_in(self.memory, Arc::new(options), telemetry),
             fallback,
+            self.max_conciliator_rounds,
         )
     }
 }
@@ -396,7 +399,6 @@ mod tests {
         assert_eq!(options.n, 4);
         assert_eq!(options.scheme.capacity(), 2);
         assert!(options.fast_path);
-        assert_eq!(options.max_conciliator_rounds, None);
         assert_eq!(options.conciliator, ConciliatorChoice::Impatient);
     }
 

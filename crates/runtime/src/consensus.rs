@@ -26,11 +26,6 @@ pub struct ConsensusOptions {
     pub schedule: WriteSchedule,
     /// Whether to run the `R₋₁; R₀` fast path before the first conciliator.
     pub fast_path: bool,
-    /// Bound `f` on conciliator stages for
-    /// [`BoundedConsensus`](crate::BoundedConsensus) (§4.1.2 / Theorem 5).
-    /// `None` means unbounded: [`Consensus::decide`] always ignores this
-    /// field, and `BoundedConsensus` substitutes its default bound.
-    pub max_conciliator_rounds: Option<u32>,
     /// Which conciliator implementation the `C₁; C₂; …` stages instantiate
     /// (§5.1 / §5.2 / Theorem 6). Non-impatient choices are binary only.
     pub conciliator: ConciliatorChoice,
@@ -43,7 +38,6 @@ impl std::fmt::Debug for ConsensusOptions {
             .field("scheme", &self.scheme.name())
             .field("schedule", &self.schedule)
             .field("fast_path", &self.fast_path)
-            .field("max_conciliator_rounds", &self.max_conciliator_rounds)
             .field("conciliator", &self.conciliator)
             .finish()
     }
@@ -67,7 +61,7 @@ impl ActiveConciliator {
     }
 }
 
-pub(crate) enum Stage<M: SharedMemory> {
+enum Stage<M: SharedMemory> {
     Ratifier(AtomicRatifier<M>),
     Conciliator(Box<dyn Conciliator<M>>),
 }
@@ -80,6 +74,15 @@ impl<M: SharedMemory> Stage<M> {
             Stage::Conciliator(c) => c.reset(),
         }
     }
+}
+
+/// How a [`Consensus::walk`] over the chain ended.
+pub(crate) enum Exit {
+    /// A ratifier decided this value.
+    Decided(u64),
+    /// No stage before the walk's limit decided; this is the value the
+    /// last stage carried out.
+    Exhausted(u64),
 }
 
 /// A one-shot randomized consensus object for up to `n` threads: the
@@ -145,18 +148,8 @@ impl Consensus {
             scheme: Arc::new(BinomialScheme::for_capacity(m).expect("m ≥ 2")),
             schedule: WriteSchedule::impatient(),
             fast_path: true,
-            max_conciliator_rounds: None,
             conciliator: ConciliatorChoice::Impatient,
         }
-    }
-
-    /// Consensus with explicit options.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `options.n == 0`.
-    pub fn with_options(options: ConsensusOptions) -> Consensus {
-        Consensus::with_shared_options_in(AtomicMemory, Arc::new(options))
     }
 }
 
@@ -257,10 +250,6 @@ impl<M: SharedMemory> Consensus<M> {
         self.generation
     }
 
-    pub(crate) fn options(&self) -> &ConsensusOptions {
-        &self.options
-    }
-
     /// The shared options handle; instances built from the same `Arc`
     /// report `Arc::ptr_eq` — the per-slot setup cost is a pointer bump.
     pub fn options_handle(&self) -> &Arc<ConsensusOptions> {
@@ -339,7 +328,7 @@ impl<M: SharedMemory> Consensus<M> {
         &self.telemetry
     }
 
-    pub(crate) fn stage(&self, ix: usize) -> Arc<Stage<M>> {
+    fn stage(&self, ix: usize) -> Arc<Stage<M>> {
         if let Some(stage) = self
             .stages
             .read()
@@ -356,8 +345,17 @@ impl<M: SharedMemory> Consensus<M> {
         Arc::clone(&stages[ix])
     }
 
+    /// Stages before the first conciliator: the `R₋₁; R₀` fast path, or none.
+    pub(crate) fn prefix(&self) -> usize {
+        if self.options.fast_path {
+            2
+        } else {
+            0
+        }
+    }
+
     fn make_stage(&self, ix: usize) -> Stage<M> {
-        let prefix = if self.options.fast_path { 2 } else { 0 };
+        let prefix = self.prefix();
         let is_ratifier = ix < prefix || (ix - prefix) % 2 == 1;
         if is_ratifier {
             Stage::Ratifier(AtomicRatifier::with_scheme_in(
@@ -395,7 +393,7 @@ impl<M: SharedMemory> Consensus<M> {
     /// [`RuntimeTelemetry::decide_clock`]). Only an adaptive instance feeds
     /// the δ̂ window: adaptive selection is its one reader, and a
     /// fixed-choice decide then takes no lock at all.
-    pub(crate) fn on_decided(
+    fn on_decided(
         &self,
         value: u64,
         stage: usize,
@@ -442,6 +440,30 @@ impl<M: SharedMemory> Consensus<M> {
     ///
     /// Panics if `pid ≥ n` or `value ≥ capacity()`.
     pub fn decide_as(&self, pid: usize, value: u64, rng: &mut dyn Rng) -> u64 {
+        self.walk(pid, value, usize::MAX, rng, |exit| match exit {
+            Exit::Decided(value) => value,
+            Exit::Exhausted(_) => unreachable!("an unbounded walk ends only at a decision"),
+        })
+    }
+
+    /// The one walk over the chain `R₋₁; R₀; C₁; R₁; …` (§4.1): proposes
+    /// `value` as `pid` to stages `0..limit` in turn, each stage's output
+    /// being the next one's input, until a ratifier decides. `finish` maps
+    /// how the walk ended to the decision, which is then recorded, so
+    /// whatever `finish` does (publishing to a fallback, or running it) is
+    /// part of the timed decide.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pid ≥ n` or `value ≥ capacity()`.
+    pub(crate) fn walk(
+        &self,
+        pid: usize,
+        value: u64,
+        limit: usize,
+        rng: &mut dyn Rng,
+        finish: impl FnOnce(Exit) -> u64,
+    ) -> u64 {
         assert!(
             pid < self.options.n,
             "pid {pid} out of range for {} threads",
@@ -454,11 +476,10 @@ impl<M: SharedMemory> Consensus<M> {
         );
         self.telemetry.add(CounterKey::DecideCalls, 1);
         let started = self.telemetry.decide_clock();
-        let fast_prefix = if self.options.fast_path { 2 } else { 0 };
+        let prefix = self.prefix();
         let mut current = value;
         let mut conciliator_stages = 0u64;
-        let mut ix = 0;
-        loop {
+        for ix in 0..limit {
             match &*self.stage(ix) {
                 Stage::Ratifier(r) => {
                     self.telemetry
@@ -467,14 +488,9 @@ impl<M: SharedMemory> Consensus<M> {
                     self.telemetry
                         .on_ratifier_verdict(ix as u64, d.is_decided(), d.value());
                     if d.is_decided() {
-                        self.on_decided(
-                            d.value(),
-                            ix,
-                            ix < fast_prefix,
-                            conciliator_stages,
-                            started,
-                        );
-                        return d.value();
+                        let decided = finish(Exit::Decided(d.value()));
+                        self.on_decided(decided, ix, ix < prefix, conciliator_stages, started);
+                        return decided;
                     }
                     current = d.value();
                 }
@@ -485,8 +501,10 @@ impl<M: SharedMemory> Consensus<M> {
                     current = c.propose(pid, current, rng);
                 }
             }
-            ix += 1;
         }
+        let decided = finish(Exit::Exhausted(current));
+        self.on_decided(decided, limit, false, conciliator_stages, started);
+        decided
     }
 }
 
@@ -496,115 +514,6 @@ impl<M: SharedMemory> std::fmt::Debug for Consensus<M> {
             .field("options", &self.options)
             .field("stages_used", &self.stages_used())
             .finish()
-    }
-}
-
-/// A [`Consensus`] object under [`ConciliatorChoice::Adaptive`], with the
-/// selection state surfaced: which portfolio member the current instance
-/// runs and what δ̂ the telemetry window reads.
-///
-/// The wrapper is thin — every consensus operation delegates to the inner
-/// object, and [`reset`](AdaptiveConsensus::reset) is where the policy gets
-/// to switch: each recycle re-reads the sliding window and falls back from
-/// the impatient conciliator to the configured coin when measured δ̂ has
-/// degraded past the threshold (and back, when it recovers).
-pub struct AdaptiveConsensus<M: SharedMemory = AtomicMemory> {
-    inner: Consensus<M>,
-    adaptive: AdaptiveOptions,
-}
-
-impl AdaptiveConsensus {
-    /// Binary adaptive consensus for up to `n` threads with the given
-    /// policy tuning.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0`.
-    pub fn new(n: usize, options: AdaptiveOptions) -> AdaptiveConsensus {
-        AdaptiveConsensus::from_consensus(
-            Consensus::builder()
-                .n(n)
-                .conciliator(ConciliatorChoice::Adaptive(options))
-                .build(),
-        )
-    }
-}
-
-impl<M: SharedMemory> AdaptiveConsensus<M> {
-    /// Wraps an already-built consensus object (any substrate, any
-    /// recorder), surfacing its adaptive selection state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `inner` was not built with [`ConciliatorChoice::Adaptive`].
-    pub fn from_consensus(inner: Consensus<M>) -> AdaptiveConsensus<M> {
-        let ConciliatorChoice::Adaptive(adaptive) = inner.options().conciliator else {
-            panic!("AdaptiveConsensus requires ConciliatorChoice::Adaptive");
-        };
-        AdaptiveConsensus { inner, adaptive }
-    }
-
-    /// The policy tuning this object adapts under.
-    pub fn adaptive_options(&self) -> AdaptiveOptions {
-        self.adaptive
-    }
-
-    /// Which portfolio member the current instance selected.
-    pub fn selected(&self) -> ConciliatorKind {
-        self.inner.selected_conciliator()
-    }
-
-    /// The sliding-window δ̂ estimate the *next* selection would see, or
-    /// `None` while the window holds fewer than `min_samples` decides.
-    pub fn delta_hat(&self) -> Option<f64> {
-        self.inner
-            .telemetry
-            .delta_hat_over(self.adaptive.window, self.adaptive.min_samples)
-    }
-
-    /// Proposes `value`; see [`Consensus::decide`].
-    pub fn decide(&self, value: u64, rng: &mut dyn Rng) -> u64 {
-        self.inner.decide(value, rng)
-    }
-
-    /// Proposes `value` as thread `pid`; see [`Consensus::decide_as`].
-    pub fn decide_as(&self, pid: usize, value: u64, rng: &mut dyn Rng) -> u64 {
-        self.inner.decide_as(pid, value, rng)
-    }
-
-    /// Recycles for a fresh instance, re-running the adaptive selection;
-    /// see [`Consensus::reset`].
-    pub fn reset(&mut self) {
-        self.inner.reset();
-    }
-
-    /// Live metrics; see [`Consensus::telemetry`].
-    pub fn telemetry(&self) -> &RuntimeTelemetry {
-        self.inner.telemetry()
-    }
-
-    /// Recycle count; see [`Consensus::generation`].
-    pub fn generation(&self) -> u64 {
-        self.inner.generation()
-    }
-
-    /// The wrapped consensus object.
-    pub fn inner(&self) -> &Consensus<M> {
-        &self.inner
-    }
-
-    /// Unwraps back into the plain consensus object.
-    pub fn into_inner(self) -> Consensus<M> {
-        self.inner
-    }
-}
-
-impl<M: SharedMemory> std::fmt::Debug for AdaptiveConsensus<M> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("AdaptiveConsensus")
-            .field("selected", &self.selected().as_str())
-            .field("adaptive", &self.adaptive)
-            .finish_non_exhaustive()
     }
 }
 
@@ -800,57 +709,71 @@ mod tests {
         assert_eq!(results[0], results[1]);
     }
 
+    fn adaptive(n: usize, options: AdaptiveOptions) -> Consensus {
+        Consensus::builder()
+            .n(n)
+            .conciliator(ConciliatorChoice::Adaptive(options))
+            .build()
+    }
+
     #[test]
     fn adaptive_starts_impatient_on_empty_window() {
-        let a = AdaptiveConsensus::new(2, AdaptiveOptions::default());
-        assert_eq!(a.selected(), ConciliatorKind::Impatient);
-        assert_eq!(a.delta_hat(), None, "no samples, no estimate");
+        let options = AdaptiveOptions::default();
+        let c = adaptive(2, options);
+        assert_eq!(c.selected_conciliator(), ConciliatorKind::Impatient);
+        assert_eq!(
+            c.telemetry()
+                .delta_hat_over(options.window, options.min_samples),
+            None,
+            "no samples, no estimate"
+        );
         // The selection itself was announced (counted), but never as a coin.
-        assert_eq!(a.telemetry().count(CounterKey::ConciliatorSelections), 1);
-        assert_eq!(a.telemetry().count(CounterKey::CoinSelections), 0);
+        assert_eq!(c.telemetry().count(CounterKey::ConciliatorSelections), 1);
+        assert_eq!(c.telemetry().count(CounterKey::CoinSelections), 0);
     }
 
     #[test]
     fn adaptive_never_switches_on_empty_window() {
-        let mut a = AdaptiveConsensus::new(2, AdaptiveOptions::default());
+        let mut c = adaptive(2, AdaptiveOptions::default());
         for _ in 0..5 {
-            a.reset();
-            assert_eq!(a.selected(), ConciliatorKind::Impatient);
+            c.reset();
+            assert_eq!(c.selected_conciliator(), ConciliatorKind::Impatient);
         }
-        assert_eq!(a.telemetry().count(CounterKey::CoinSelections), 0);
+        assert_eq!(c.telemetry().count(CounterKey::CoinSelections), 0);
     }
 
     #[test]
     fn adaptive_switches_when_measured_delta_degrades() {
-        let mut a = AdaptiveConsensus::new(
-            2,
-            AdaptiveOptions {
-                window: 8,
-                min_samples: 4,
-                delta_threshold: 0.5,
-                ..AdaptiveOptions::default()
-            },
-        );
+        let options = AdaptiveOptions {
+            window: 8,
+            min_samples: 4,
+            delta_threshold: 0.5,
+            ..AdaptiveOptions::default()
+        };
+        let mut c = adaptive(2, options);
         // Simulate a hostile regime: decides burning 10 conciliator stages
         // each (δ̂ = 0.1, far below the 0.5 threshold).
         for _ in 0..4 {
-            a.inner().telemetry.on_conciliator_stages(10);
+            c.telemetry().on_conciliator_stages(10);
         }
-        let d = a.delta_hat().unwrap();
+        let d = c
+            .telemetry()
+            .delta_hat_over(options.window, options.min_samples)
+            .unwrap();
         assert!((d - 0.1).abs() < 1e-9, "δ̂ {d}");
-        a.reset();
-        assert_eq!(a.selected(), ConciliatorKind::Coin);
-        assert_eq!(a.telemetry().count(CounterKey::CoinSelections), 1);
+        c.reset();
+        assert_eq!(c.selected_conciliator(), ConciliatorKind::Coin);
+        assert_eq!(c.telemetry().count(CounterKey::CoinSelections), 1);
         // The impatient stages could not be recycled across the flip.
-        assert_eq!(a.inner().stages_used(), 0);
+        assert_eq!(c.stages_used(), 0);
         // A decide on the switched instance still works end to end.
         let mut rng = SmallRng::seed_from_u64(12);
-        assert!(a.decide(1, &mut rng) <= 1);
+        assert!(c.decide(1, &mut rng) <= 1);
     }
 
     #[test]
     fn adaptive_recovers_back_to_impatient() {
-        let mut a = AdaptiveConsensus::new(
+        let mut c = adaptive(
             2,
             AdaptiveOptions {
                 window: 4,
@@ -860,22 +783,16 @@ mod tests {
             },
         );
         for _ in 0..4 {
-            a.inner().telemetry.on_conciliator_stages(10);
+            c.telemetry().on_conciliator_stages(10);
         }
-        a.reset();
-        assert_eq!(a.selected(), ConciliatorKind::Coin);
+        c.reset();
+        assert_eq!(c.selected_conciliator(), ConciliatorKind::Coin);
         // Healthy regime: decides resolving in one conciliator stage.
         for _ in 0..4 {
-            a.inner().telemetry.on_conciliator_stages(1);
+            c.telemetry().on_conciliator_stages(1);
         }
-        a.reset();
-        assert_eq!(a.selected(), ConciliatorKind::Impatient);
-    }
-
-    #[test]
-    #[should_panic(expected = "requires ConciliatorChoice::Adaptive")]
-    fn adaptive_wrapper_rejects_fixed_choice() {
-        AdaptiveConsensus::from_consensus(Consensus::builder().n(2).build());
+        c.reset();
+        assert_eq!(c.selected_conciliator(), ConciliatorKind::Impatient);
     }
 
     #[test]

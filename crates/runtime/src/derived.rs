@@ -10,7 +10,7 @@ use std::sync::Arc;
 use rand::Rng;
 
 use crate::consensus::Consensus;
-use crate::register::{AtomicMemory, SharedMemory};
+use crate::register::AtomicMemory;
 
 /// One-shot leader election among up to `n` threads: every participant
 /// learns the same winner id, and the winner is some participant.
@@ -38,8 +38,8 @@ use crate::register::{AtomicMemory, SharedMemory};
 /// assert!(winners[0] < 3);
 /// ```
 #[derive(Debug)]
-pub struct Election<M: SharedMemory = AtomicMemory> {
-    consensus: Consensus<M>,
+pub struct Election {
+    consensus: Consensus,
 }
 
 impl Election {
@@ -49,22 +49,11 @@ impl Election {
     ///
     /// Panics if `n == 0`.
     pub fn new(n: usize) -> Election {
-        Election::new_in(AtomicMemory, n)
-    }
-}
-
-impl<M: SharedMemory> Election<M> {
-    /// Creates an election whose registers live in `memory`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0`.
-    pub fn new_in(memory: M, n: usize) -> Election<M> {
         // Candidate ids are 0..n; consensus capacity must cover them. The
         // degenerate n = 1 still needs a 2-value object.
         Election {
             consensus: Consensus::with_shared_options_in(
-                memory,
+                AtomicMemory,
                 Arc::new(Consensus::multivalued_options(n, (n as u64).max(2))),
             ),
         }
@@ -91,8 +80,8 @@ impl<M: SharedMemory> Election<M> {
 ///
 /// Internally an [`Election`] on caller ids.
 #[derive(Debug)]
-pub struct TestAndSet<M: SharedMemory = AtomicMemory> {
-    election: Election<M>,
+pub struct TestAndSet {
+    election: Election,
 }
 
 impl TestAndSet {
@@ -102,19 +91,8 @@ impl TestAndSet {
     ///
     /// Panics if `n == 0`.
     pub fn new(n: usize) -> TestAndSet {
-        TestAndSet::new_in(AtomicMemory, n)
-    }
-}
-
-impl<M: SharedMemory> TestAndSet<M> {
-    /// Creates a test-and-set whose registers live in `memory`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0`.
-    pub fn new_in(memory: M, n: usize) -> TestAndSet<M> {
         TestAndSet {
-            election: Election::new_in(memory, n),
+            election: Election::new(n),
         }
     }
 

@@ -366,7 +366,7 @@ impl FaultState {
 /// A fault-injecting [`SharedMemory`] layer over any substrate.
 ///
 /// Composes over [`AtomicMemory`](crate::AtomicMemory) and `mc-lab`'s
-/// `LabMemory` alike; pass it to any runtime object's `*_in` constructor.
+/// `LabMemory` alike; pass it to a builder's `memory` call.
 /// See [`FaultPlan`] for the fault model and DESIGN.md §7 for its safety
 /// reasoning.
 pub struct FaultyMemory<M: SharedMemory> {

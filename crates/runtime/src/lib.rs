@@ -60,7 +60,7 @@ pub use bounded::{BoundedConsensus, Fallback, LeaderFallback, DEFAULT_MAX_CONCIL
 pub use builder::{ConsensusBuilder, EngineBuilder};
 pub use coin::{CoinConciliator, CoinKind, LocalCoin, VotingCoin, WeakSharedCoin};
 pub use conciliator::{AdaptiveOptions, Conciliator, ConciliatorChoice, ImpatientConciliator};
-pub use consensus::{AdaptiveConsensus, Consensus, ConsensusOptions};
+pub use consensus::{Consensus, ConsensusOptions};
 pub use derived::{Election, TestAndSet};
 pub use engine::{ConsensusEngine, EngineOptions};
 pub use error::EngineError;

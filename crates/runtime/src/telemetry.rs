@@ -991,7 +991,12 @@ mod tests {
         fixed.decide(1, &mut rng);
         assert_eq!(fixed.telemetry().count(CounterKey::Decisions), 1);
         assert_eq!(fixed.telemetry().delta_samples(), 0);
-        let adaptive = crate::AdaptiveConsensus::new(1, crate::AdaptiveOptions::default());
+        let adaptive = crate::Consensus::builder()
+            .n(1)
+            .conciliator(crate::ConciliatorChoice::Adaptive(
+                crate::AdaptiveOptions::default(),
+            ))
+            .build();
         adaptive.decide(1, &mut rng);
         assert_eq!(adaptive.telemetry().delta_samples(), 1);
     }

@@ -136,7 +136,6 @@ impl<T: ValueCode, M: SharedMemory> TypedConsensus<T, M> {
                     scheme: Arc::new(BitVectorScheme::with_bits(T::BITS.clamp(1, 63))),
                     schedule: WriteSchedule::impatient(),
                     fast_path: true,
-                    max_conciliator_rounds: None,
                     conciliator: crate::ConciliatorChoice::Impatient,
                 }),
             ),

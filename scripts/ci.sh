@@ -38,7 +38,9 @@ echo "== store on one CPU (5x) =="
 # missed release-then-recheck would show: callers drive the store, a
 # descheduled driver holds what it holds until it runs again, and a lost
 # wake-up has no second core to paper over it. The sequential oracle
-# (check_store_conformance) runs pinned too.
+# (check_store_conformance) runs pinned too, and so does the park pin
+# (crates/store/tests/parks.rs), which asserts its bound on voluntary
+# context switches per call only on one CPU.
 if command -v taskset > /dev/null; then
     for round in 1 2 3 4 5; do
         taskset -c 0 cargo test --release -p mc-store

@@ -104,12 +104,11 @@ pub mod prelude {
     };
     pub use mc_model::{properties, Decision, ObjectSpec, ProcessId, Value};
     pub use mc_runtime::{
-        AdaptiveConsensus, AdaptiveOptions, BoundedConsensus, ChaosPlan, CoinKind,
-        ConciliatorChoice, Consensus, ConsensusEngine, ConsensusService, CounterKey,
-        DecisionHandle, Election, EngineBuilder, EngineError, EngineOptions, FaultPlan,
-        FaultyMemory, GaugeKey, HistKey, LeaderFallback, LocalCoin, ReplicatedLog, ResetScope,
-        RingHealth, RuntimeTelemetry, ServiceBuilder, SupervisorOptions, TestAndSet,
-        TypedConsensus, ValueCode, VotingCoin,
+        AdaptiveOptions, BoundedConsensus, ChaosPlan, CoinKind, ConciliatorChoice, Consensus,
+        ConsensusEngine, ConsensusService, CounterKey, DecisionHandle, Election, EngineBuilder,
+        EngineError, EngineOptions, FaultPlan, FaultyMemory, GaugeKey, HistKey, LeaderFallback,
+        LocalCoin, ReplicatedLog, ResetScope, RingHealth, RuntimeTelemetry, ServiceBuilder,
+        SupervisorOptions, TestAndSet, TypedConsensus, ValueCode, VotingCoin,
     };
     pub use mc_sim::{adversary, harness, observe, sched, EngineConfig};
     pub use mc_store::{

@@ -159,7 +159,6 @@ fn faulted_bounded_run(
 ) {
     use modular_consensus::lab::Lab;
     use modular_consensus::quorums::BinaryScheme;
-    use modular_consensus::runtime::ConsensusOptions;
     use std::sync::Arc;
 
     let lab = Lab::new(
@@ -174,15 +173,13 @@ fn faulted_bounded_run(
         .delayed_writes(0.2, 3)
         .register_resets(0.05);
     let memory = FaultyMemory::new(lab.memory(), plan);
-    let options = ConsensusOptions {
-        n,
-        scheme: Arc::new(BinaryScheme::new()),
-        schedule: WriteSchedule::impatient(),
-        fast_path: true,
-        max_conciliator_rounds: Some(2),
-        conciliator: mc_runtime::ConciliatorChoice::Impatient,
-    };
-    let consensus = BoundedConsensus::with_recorder_in(memory.clone(), options, recorder);
+    let consensus = Consensus::builder()
+        .n(n)
+        .scheme(Arc::new(BinaryScheme::new()))
+        .max_conciliator_rounds(2)
+        .recorder(recorder)
+        .memory(memory.clone())
+        .build_bounded();
     let memory = memory.observed_by(Arc::clone(consensus.telemetry_handle()));
     lab.run(seed, |pid, rng| consensus.decide(pid, pid as u64 % 2, rng))
         .expect("bounded run over faulty memory terminates");

@@ -14,7 +14,6 @@ use modular_consensus::analysis::theory;
 use modular_consensus::lab::Lab;
 use modular_consensus::prelude::*;
 use modular_consensus::quorums::BinaryScheme;
-use modular_consensus::runtime::ConsensusOptions;
 use modular_consensus::sim::adversary::RandomScheduler;
 
 const N: usize = 3;
@@ -49,15 +48,12 @@ fn sweep_runtime(f: u32) -> Sweep {
     let mut sweep = Sweep::default();
     for seed in 0..SEEDS {
         let lab = Lab::new(N, Box::new(RandomScheduler::new(seed)), &[], 400_000);
-        let options = ConsensusOptions {
-            n: N,
-            scheme: Arc::new(BinaryScheme::new()),
-            schedule: WriteSchedule::impatient(),
-            fast_path: true,
-            max_conciliator_rounds: Some(f),
-            conciliator: mc_runtime::ConciliatorChoice::Impatient,
-        };
-        let consensus = BoundedConsensus::with_options_in(lab.memory(), options);
+        let consensus = Consensus::builder()
+            .n(N)
+            .scheme(Arc::new(BinaryScheme::new()))
+            .max_conciliator_rounds(f)
+            .memory(lab.memory())
+            .build_bounded();
         let report = lab
             .run(seed, |pid, rng| consensus.decide(pid, pid as u64 % 2, rng))
             .unwrap_or_else(|e| panic!("f={f} seed={seed}: bounded run must terminate: {e}"));
