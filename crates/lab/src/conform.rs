@@ -1090,14 +1090,16 @@ mod tests {
         // operation, so every plan replays as exactly as a fault-free run.
         // A decision taken before the grant would race on the first
         // operations, which all workers reach at once, and move a
-        // stale-read run's first differing event from run to run.
+        // stale-read run's first differing event from run to run. A stale
+        // read here is a read invoked before the writer moved on and
+        // granted after the write took effect.
         let lost = |seed| FaultPlan::seeded(seed).lost_prob_writes(0.5);
         let stale = |seed| FaultPlan::seeded(seed).stale_reads(0.3);
         // (seed, plan, the trace event it diverges at, or None for decisions)
         let cases = [
             (24, lost(24), None),
             (0, lost(0), Some(19)),
-            (18, stale(18), None),
+            (9, stale(9), None),
             (10, stale(10), Some(17)),
         ];
         for (seed, plan, trace_at) in cases {

@@ -162,6 +162,35 @@ mod tests {
     }
 
     #[test]
+    fn a_chain_opening_with_a_conciliator_replays_under_lost_writes() {
+        use mc_runtime::{Consensus, FaultPlan, FaultyMemory};
+
+        // The lost-write draw precedes a conciliator's probabilistic write;
+        // it stays in the thread's exclusive window as the conciliator
+        // reads first.
+        let run = |seed: u64| {
+            let lab = Lab::new(3, Box::new(RandomScheduler::new(seed)), &[], 400_000);
+            let plan = FaultPlan::seeded(seed).lost_prob_writes(0.5);
+            let memory = FaultyMemory::new(lab.memory(), plan);
+            let counts = memory.clone();
+            let chain = Consensus::builder()
+                .n(3)
+                .fast_path(false)
+                .memory(memory)
+                .build();
+            let report = lab.run(seed, |pid, rng| chain.decide_as(pid, pid as u64 % 2, rng));
+            (Execution::from(report.unwrap()), counts.fault_counts())
+        };
+        for seed in [0, 5, 9] {
+            let (execution, counts) = run(seed);
+            assert!(counts.lost_prob_writes > 0, "seed {seed}");
+            let (replay, replay_counts) = run(seed);
+            compare_executions(&execution, &replay).unwrap_or_else(|d| panic!("seed {seed}: {d}"));
+            assert_eq!(counts, replay_counts, "seed {seed}");
+        }
+    }
+
+    #[test]
     fn recycled_typed_consensus_matches_fresh_on_lab_memory() {
         use mc_runtime::TypedConsensus;
         use mc_sim::adversary::RandomScheduler;

@@ -11,14 +11,14 @@
 //!   probabilistic-write in the Chor–Israeli–Li model).
 //! * **Stale reads** — regular-register semantics in the sense of
 //!   Hadzilacos–Hu–Toueg: a read *concurrent with a write* may return the
-//!   register's previous value. Staleness is window-bounded: a write's
-//!   visibility window closes as soon as the writer performs its next
-//!   operation, so a write that completed before a read began is always
-//!   observed — exactly the regularity condition, and the reason the
-//!   ratifier's safety survives this class.
+//!   register's previous value. A write completes by its writer's next
+//!   invocation, stamped before that operation reaches the substrate, and
+//!   only a read invoked before that stamp may miss it: a write that
+//!   completed before a read began is always observed — exactly the
+//!   regularity condition, and why the ratifier's safety survives this class.
 //! * **Delayed visibility** — a write commits up to `k` operations late:
-//!   until the window expires (or the writer moves on), every other
-//!   process still observes the previous value.
+//!   until the window expires, every other process whose read overlaps
+//!   the write (as above) still observes the previous value.
 //! * **Register reset** — a crash-recovery wipe back to ⊥. By default
 //!   ([`ResetScope::ConciliatorOnly`]) only registers that have received a
 //!   probabilistic write (conciliator registers) are eligible: wiping a
@@ -37,10 +37,12 @@
 //! operation, so under `mc-lab` it falls in the calling thread's exclusive
 //! window between its grant and its next operation — on its first
 //! operation too — and a lab run with faults is still a pure function of
-//! (adversary, seed, plan). The one decision that must precede the
-//! operation is whether a probabilistic write is lost (a lost write never
-//! reaches the substrate); no protocol opens with a probabilistic write,
-//! so that decision, too, follows an earlier grant.
+//! (adversary, seed, plan). Before the operation the layer only stamps the
+//! invocation, which on a first operation races but changes no decision.
+//! The one decision that must precede the operation is whether a
+//! probabilistic write is lost (a lost write never reaches the substrate);
+//! no protocol opens with a probabilistic write, since every conciliator
+//! reads before its first one, so that decision, too, follows a grant.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
@@ -203,17 +205,29 @@ impl FaultCounts {
     }
 }
 
-/// An open visibility window: the most recent write to a register whose
-/// writer has not yet moved on to its next operation.
+/// A visibility window: the most recent write to a register, which reads
+/// invoked before its writer moved on to its next operation may still miss.
 struct Window {
     writer: ThreadId,
     prev: Option<u64>,
+    /// Invocation stamp of the writer's next operation, once it has begun.
+    /// The write's response falls no later than that invocation, so only a
+    /// read invoked earlier overlaps the write and may miss it.
+    closed_at: Option<u64>,
     /// For delayed-visibility windows: the layer-operation count at which
     /// the write commits regardless of the writer's progress.
     expires_at: Option<u64>,
     /// Delayed windows hide the new value from every other process;
     /// stale windows only do so when the per-read coin fires.
     delayed: bool,
+}
+
+impl Window {
+    /// Whether a read by `reader`, invoked at `stamp`, overlaps this write.
+    /// A writer always observes its own write.
+    fn overlaps(&self, reader: ThreadId, stamp: u64) -> bool {
+        self.writer != reader && self.closed_at.is_none_or(|c| stamp < c)
+    }
 }
 
 #[derive(Default)]
@@ -231,8 +245,14 @@ struct FaultState {
     rng: SmallRng,
     /// Layer operation counter ("step" in fault events).
     ops: u64,
+    /// Operation invocation counter: each operation takes the next stamp
+    /// before it reaches the substrate.
+    invoked: u64,
+    /// Stamps of the operations invoked and not yet returned.
+    in_flight: Vec<u64>,
     regs: Vec<RegState>,
-    /// Indices of registers with an open window (kept tiny).
+    /// Indices of registers with a window (kept tiny: a window is dropped
+    /// once no operation in flight overlaps it).
     open_windows: Vec<usize>,
     /// Indices eligible for resets under [`ResetScope::ConciliatorOnly`].
     prob_targets: Vec<usize>,
@@ -276,22 +296,50 @@ impl FaultShared {
 }
 
 impl FaultState {
-    /// Advances the layer clock and closes every window owned by the
-    /// calling thread (its write has completed: it moved on) or past its
-    /// delay bound.
-    fn tick(&mut self, me: ThreadId) -> u64 {
+    /// Stamps an operation of the calling thread before it reaches the
+    /// substrate. The caller is moving on, so its previous write has
+    /// completed: its windows close to every read invoked from now on.
+    /// Under the lab, only first operations race here; they close no
+    /// window, and their stamps are below every stamp taken after a grant,
+    /// which is all a stamp is ever compared with.
+    fn invoke(&mut self, me: ThreadId) -> u64 {
+        self.invoked += 1;
+        let stamp = self.invoked;
+        for &ri in &self.open_windows {
+            if let Some(w) = &mut self.regs[ri].window {
+                if w.writer == me && w.closed_at.is_none() {
+                    w.closed_at = Some(stamp);
+                }
+            }
+        }
+        self.in_flight.push(stamp);
+        stamp
+    }
+
+    /// Advances the layer clock as the operation invoked at `stamp`
+    /// returns, and drops every window past its delay bound or closed
+    /// before the oldest operation in flight (this one included) was
+    /// invoked: no read, present or future, overlaps it.
+    fn tick(&mut self, stamp: u64) -> u64 {
         self.ops += 1;
         let now = self.ops;
+        let oldest = self.in_flight.iter().copied().min().unwrap_or(stamp);
+        if let Some(i) = self.in_flight.iter().position(|&s| s == stamp) {
+            self.in_flight.swap_remove(i);
+        }
         let regs = &mut self.regs;
         self.open_windows.retain(|&ri| {
-            let close = match &regs[ri].window {
-                Some(w) => w.writer == me || w.expires_at.is_some_and(|e| now >= e),
+            let shut = match &regs[ri].window {
+                Some(w) => {
+                    w.expires_at.is_some_and(|e| now >= e)
+                        || w.closed_at.is_some_and(|c| c <= oldest)
+                }
                 None => true,
             };
-            if close {
+            if shut {
                 regs[ri].window = None;
             }
-            !close
+            !shut
         });
         now
     }
@@ -351,6 +399,7 @@ impl FaultState {
         reg.window = (delayed || plan.stale_read > 0.0).then(|| Window {
             writer,
             prev,
+            closed_at: None,
             expires_at: delayed.then_some(now + plan.delay_ops),
             delayed,
         });
@@ -402,6 +451,8 @@ impl<M: SharedMemory> FaultyMemory<M> {
                 state: Mutex::new(FaultState {
                     rng: SmallRng::seed_from_u64(plan.seed),
                     ops: 0,
+                    invoked: 0,
+                    in_flight: Vec::new(),
                     regs: Vec::new(),
                     open_windows: Vec::new(),
                     prob_targets: Vec::new(),
@@ -484,8 +535,8 @@ impl<M: SharedMemory> SharedMemory for FaultyMemory<M> {
 }
 
 /// One register of a [`FaultyMemory`]: passthrough to the wrapped
-/// substrate's register, with fault decisions drawn from the shared plan
-/// stream after each operation.
+/// substrate's register, with each operation's invocation stamped before
+/// it and its fault decisions drawn from the shared plan stream after it.
 pub struct FaultyRegister<R: SharedRegister> {
     inner: R,
     shared: Option<Arc<FaultShared>>,
@@ -533,15 +584,16 @@ impl<R: SharedRegister> SharedRegister for FaultyRegister<R> {
         let Some(shared) = &self.shared else {
             return self.inner.read();
         };
-        // The substrate operation first, then the decisions: under the lab
-        // they fall in this thread's exclusive window after its grant, even
-        // on its first operation, so faulted runs stay deterministic.
-        let observed = self.inner.read();
         let me = std::thread::current().id();
+        let stamp = shared.lock().invoke(me);
+        // The substrate operation, then the decisions: under the lab they
+        // fall in this thread's exclusive window after its grant, even on
+        // its first operation, so faulted runs stay deterministic.
+        let observed = self.inner.read();
         let mut faults: Vec<(FaultClass, u64)> = Vec::new();
         let (override_value, step): (Option<Option<u64>>, u64) = {
             let mut state = shared.lock();
-            let now = state.tick(me);
+            let now = state.tick(stamp);
             if let Some(victim) = state.maybe_reset(&shared.plan) {
                 faults.push((FaultClass::RegisterReset, victim as u64));
             }
@@ -551,8 +603,8 @@ impl<R: SharedRegister> SharedRegister for FaultyRegister<R> {
                 Some(None)
             } else {
                 match &reg.window {
-                    Some(w) if w.writer != me && w.delayed => Some(w.prev),
-                    Some(w) if w.writer != me && plan_stale > 0.0 => {
+                    Some(w) if w.overlaps(me, stamp) && w.delayed => Some(w.prev),
+                    Some(w) if w.overlaps(me, stamp) && plan_stale > 0.0 => {
                         let prev = w.prev;
                         if state.rng.random_bool(plan_stale) {
                             faults.push((FaultClass::StaleRead, self.index as u64));
@@ -576,12 +628,13 @@ impl<R: SharedRegister> SharedRegister for FaultyRegister<R> {
         let Some(shared) = &self.shared else {
             return self.inner.write(value);
         };
-        self.inner.write(value);
         let me = std::thread::current().id();
+        let stamp = shared.lock().invoke(me);
+        self.inner.write(value);
         let mut faults: Vec<(FaultClass, u64)> = Vec::new();
         let step = {
             let mut state = shared.lock();
-            let now = state.tick(me);
+            let now = state.tick(stamp);
             if let Some(victim) = state.maybe_reset(&shared.plan) {
                 faults.push((FaultClass::RegisterReset, victim as u64));
             }
@@ -600,13 +653,18 @@ impl<R: SharedRegister> SharedRegister for FaultyRegister<R> {
             return self.inner.prob_write(value, prob, rng);
         };
         let plan = shared.plan;
+        let me = std::thread::current().id();
         // A lost write never reaches the substrate, so whether it is lost is
-        // the one decision taken before the operation. Under the lab it
-        // falls in the thread's exclusive window as long as a probabilistic
-        // write is not the thread's first operation, which it is in no
-        // protocol here: every chain opens with a ratifier.
-        let lose =
-            plan.lost_prob_write > 0.0 && shared.lock().rng.random_bool(plan.lost_prob_write);
+        // the one draw taken before the operation. Under the lab it falls in
+        // the thread's exclusive window unless the thread opens with a
+        // probabilistic write, which no protocol here does: every
+        // conciliator reads before its first one.
+        let (stamp, lose) = {
+            let mut state = shared.lock();
+            let stamp = state.invoke(me);
+            let lose = plan.lost_prob_write > 0.0 && state.rng.random_bool(plan.lost_prob_write);
+            (stamp, lose)
+        };
         let fired = if lose {
             // The write fires per the schedule — one coin from the caller's
             // rng, exactly as the substrate would draw — but never lands.
@@ -614,11 +672,10 @@ impl<R: SharedRegister> SharedRegister for FaultyRegister<R> {
         } else {
             self.inner.prob_write(value, prob, rng)
         };
-        let me = std::thread::current().id();
         let mut faults: Vec<(FaultClass, u64)> = Vec::new();
         let step = {
             let mut state = shared.lock();
-            let now = state.tick(me);
+            let now = state.tick(stamp);
             if let Some(victim) = state.maybe_reset(&plan) {
                 faults.push((FaultClass::RegisterReset, victim as u64));
             }
@@ -726,6 +783,65 @@ mod tests {
         .unwrap();
         assert_eq!(reg.read(), None, "stale read sees the pre-write ⊥");
         assert_eq!(mem.fault_counts().stale_reads, 1);
+    }
+
+    /// Atomic registers whose reads run an armed hook, once, right after
+    /// the substrate read and before the fault layer sees it return.
+    #[derive(Clone, Default)]
+    struct HookedMemory(Arc<Mutex<Option<Hook>>>);
+    type Hook = Box<dyn FnOnce() + Send>;
+
+    struct HookedRegister(crate::register::AtomicRegister, HookedMemory);
+
+    impl SharedMemory for HookedMemory {
+        type Reg = HookedRegister;
+
+        fn alloc_in_generation(&self, generation: u64) -> HookedRegister {
+            HookedRegister(AtomicMemory.alloc_in_generation(generation), self.clone())
+        }
+    }
+
+    impl SharedRegister for HookedRegister {
+        fn read(&self) -> Option<u64> {
+            let value = self.0.read();
+            let hook = self.1 .0.lock().unwrap().take();
+            if let Some(hook) = hook {
+                hook();
+            }
+            value
+        }
+
+        fn write(&self, value: u64) {
+            self.0.write(value);
+        }
+
+        fn prob_write(&self, value: u64, prob: Probability, rng: &mut dyn Rng) -> bool {
+            self.0.prob_write(value, prob, rng)
+        }
+
+        fn retire_to(&mut self, generation: u64) {
+            self.0.retire_to(generation);
+        }
+    }
+
+    #[test]
+    fn a_write_is_seen_once_its_writer_has_moved_on() {
+        let substrate = HookedMemory::default();
+        let mem = FaultyMemory::new(substrate.clone(), FaultPlan::seeded(2).stale_reads(1.0));
+        let (x, y) = (Arc::new(mem.alloc()), mem.alloc());
+        x.write(1);
+        // Another thread reads `x` after this thread's next operation has
+        // taken effect in the substrate, but before that operation returns
+        // through the fault layer. The write to `x` completed before the
+        // read began, so a regular register must return it.
+        let (reader_x, seen) = (Arc::clone(&x), Arc::new(Mutex::new(None)));
+        let reader_seen = Arc::clone(&seen);
+        *substrate.0.lock().unwrap() = Some(Box::new(move || {
+            *reader_seen.lock().unwrap() = std::thread::spawn(move || reader_x.read()).join().ok();
+        }));
+        assert_eq!(y.read(), None);
+        assert_eq!(*seen.lock().unwrap(), Some(Some(1)));
+        assert_eq!(mem.fault_counts().stale_reads, 0);
     }
 
     #[test]

@@ -8,10 +8,11 @@
 //! (`voluntary_ctxt_switches` in `/proc/thread-self/status`) sees it as a
 //! number that grows with the calls.
 //!
-//! The bound is asserted only where the convoy forms, on one CPU:
+//! The test runs only where the convoy forms, on one CPU:
 //! `taskset -c 0 cargo test --release -p mc-store`, which `scripts/ci.sh`
 //! runs five times. With a second CPU a caller may park legitimately while
-//! its peer applies, so there the counts are printed, not judged.
+//! its peer applies, so there is nothing to judge and the test returns at
+//! once.
 
 use std::sync::Barrier;
 
@@ -41,6 +42,11 @@ fn voluntary_switches() -> Option<u64> {
 
 #[test]
 fn two_closed_loop_clients_do_not_convoy() {
+    let cpus = std::thread::available_parallelism().map_or(0, usize::from);
+    if cpus != 1 {
+        eprintln!("{cpus} CPU(s): the convoy forms on one; run under `taskset -c 0` to judge");
+        return;
+    }
     if voluntary_switches().is_none() {
         eprintln!("no voluntary_ctxt_switches in /proc/thread-self/status: nothing to count");
         return;
@@ -74,18 +80,15 @@ fn two_closed_loop_clients_do_not_convoy() {
     assert_eq!(store.applied_commands(), 2 * CALLS);
     store.shutdown();
     let total: u64 = switches.iter().sum();
-    let cpus = std::thread::available_parallelism().map_or(0, usize::from);
     eprintln!(
-        "{total} voluntary switches ({switches:?}) over {} calls on {cpus} CPU(s)",
+        "{total} voluntary switches ({switches:?}) over {} calls on one CPU",
         2 * CALLS
     );
     let bound = 2 * CALLS / 1_000 * MAX_SWITCHES_PER_1000_CALLS;
-    if cpus == 1 {
-        assert!(
-            total <= bound,
-            "{total} voluntary switches ({switches:?}) over {} closed-loop calls on one CPU; \
-             at most {bound} expected: the callers are convoying",
-            2 * CALLS
-        );
-    }
+    assert!(
+        total <= bound,
+        "{total} voluntary switches ({switches:?}) over {} closed-loop calls on one CPU; \
+         at most {bound} expected: the callers are convoying",
+        2 * CALLS
+    );
 }
