@@ -14,13 +14,6 @@ pub struct Fit {
     pub r_squared: f64,
 }
 
-impl Fit {
-    /// Predicted `y` at feature value `g(x)`.
-    pub fn predict_feature(&self, feature: f64) -> f64 {
-        self.slope * feature + self.intercept
-    }
-}
-
 impl fmt::Display for Fit {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -168,7 +161,6 @@ mod tests {
         assert!((fit.slope - 2.0).abs() < 1e-12);
         assert!((fit.intercept - 1.0).abs() < 1e-12);
         assert!((fit.r_squared - 1.0).abs() < 1e-12);
-        assert!((fit.predict_feature(10.0) - 21.0).abs() < 1e-12);
     }
 
     #[test]

@@ -52,14 +52,6 @@ impl Histogram {
         self.total
     }
 
-    /// The count in the bin containing `sample`.
-    pub fn count_for(&self, sample: u64) -> u64 {
-        self.counts
-            .get(usize::try_from(sample / self.bin_width).expect("bin index fits"))
-            .copied()
-            .unwrap_or(0)
-    }
-
     /// `(lower bound, count)` for each non-empty trailing-trimmed bin.
     pub fn bins(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
         self.counts
@@ -109,10 +101,8 @@ mod tests {
     fn records_into_bins() {
         let h = Histogram::of(&[0, 1, 2, 5, 9, 10], 5);
         assert_eq!(h.total(), 6);
-        assert_eq!(h.count_for(0), 3); // 0,1,2
-        assert_eq!(h.count_for(7), 2); // 5,9
-        assert_eq!(h.count_for(10), 1);
-        assert_eq!(h.count_for(99), 0);
+        // 0,1,2 | 5,9 | 10, and nothing past the last sample's bin.
+        assert_eq!(h.bins().collect::<Vec<_>>(), vec![(0, 3), (5, 2), (10, 1)]);
     }
 
     #[test]

@@ -70,23 +70,6 @@ impl Summary {
         let floats: Vec<f64> = xs.iter().map(|&x| x as f64).collect();
         Summary::of(&floats)
     }
-
-    /// A 95% normal-theory confidence interval for the mean.
-    pub fn mean_ci(&self) -> ConfidenceInterval {
-        if self.n < 2 {
-            return ConfidenceInterval {
-                center: self.mean,
-                low: self.mean,
-                high: self.mean,
-            };
-        }
-        let half = 1.96 * self.sd / (self.n as f64).sqrt();
-        ConfidenceInterval {
-            center: self.mean,
-            low: self.mean - half,
-            high: self.mean + half,
-        }
-    }
 }
 
 impl fmt::Display for Summary {
@@ -169,21 +152,12 @@ mod tests {
         let s = Summary::of(&[7.0]);
         assert_eq!(s.mean, 7.0);
         assert_eq!(s.sd, 0.0);
-        assert_eq!(s.mean_ci().low, 7.0);
     }
 
     #[test]
     fn counts_conversion() {
         let s = Summary::of_counts(&[2, 4, 6]);
         assert_eq!(s.mean, 4.0);
-    }
-
-    #[test]
-    fn ci_shrinks_with_sample_size() {
-        let small = Summary::of(&[1.0, 2.0].repeat(5)).mean_ci();
-        let large = Summary::of(&[1.0, 2.0].repeat(500)).mean_ci();
-        assert!(large.high - large.low < small.high - small.low);
-        assert!(large.contains(1.5));
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //! `(adversary, seed)` executed on a freshly built object and re-executed on
 //! that object after `reset()` over a rearmed register file; the two runs
 //! must be identical in decisions, trace, schedule/coin script, and
-//! `WorkMetrics`. Any divergence means a recycled generation-tagged object
-//! is distinguishable from a fresh one, and fails the campaign.
+//! `WorkMetrics`. Any divergence means a recycled object is
+//! distinguishable from a fresh one, and fails the campaign.
 //!
 //! ```text
 //! lab_explore [--seeds <K>] [--n <procs>]

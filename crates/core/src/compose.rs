@@ -22,7 +22,7 @@
 //! above is stated over the executions of a single instance, so "reuse"
 //! in the model is simply instantiating a fresh [`ObjectSpec`] session.
 //! The thread runtime's recycled objects (`mc-runtime`'s
-//! generation-tagged `reset`) are sound for exactly this reason: after a
+//! register-clearing `reset`) are sound for exactly this reason: after a
 //! reset, every register of the instance reads as initial, making the
 //! recycled instance extensionally equal to a fresh instantiation of its
 //! spec — which is what the lab's recycled-vs-fresh conformance check

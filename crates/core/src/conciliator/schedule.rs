@@ -79,12 +79,6 @@ impl WriteSchedule {
         let k = ((n / self.base).ln() / self.ratio.ln()).ceil().max(0.0);
         Some(k as u32)
     }
-
-    /// True for schedules whose probability grows without bound (these give
-    /// the `O(log n)` individual-work guarantee).
-    pub fn is_escalating(&self) -> bool {
-        self.ratio > 1.0
-    }
 }
 
 impl fmt::Display for WriteSchedule {
@@ -124,7 +118,6 @@ mod tests {
     #[test]
     fn fixed_never_escalates() {
         let s = WriteSchedule::fixed(1.0);
-        assert!(!s.is_escalating());
         assert_eq!(s.probability(0, 8).get(), 0.125);
         assert_eq!(s.probability(100, 8).get(), 0.125);
         assert_eq!(s.saturation_point(8), None);

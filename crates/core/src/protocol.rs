@@ -48,7 +48,6 @@ pub struct ConsensusBuilder {
     ratifier: Arc<dyn ObjectSpec>,
     fast_path: bool,
     rounds_before_fallback: Option<usize>,
-    fallback: Option<Arc<dyn ObjectSpec>>,
     probe: Option<Arc<ChainProbe>>,
     label: String,
 }
@@ -68,7 +67,6 @@ impl ConsensusBuilder {
             ratifier,
             fast_path: true,
             rounds_before_fallback: None,
-            fallback: None,
             probe: None,
             label,
         }
@@ -121,9 +119,9 @@ impl ConsensusBuilder {
     }
 
     /// Truncates after `rounds` conciliator/ratifier pairs, then runs the
-    /// fallback protocol `K` (Theorem 5). The default `K` is a CIL-style
-    /// racing consensus — a self-contained first-mover protocol with fixed
-    /// write probabilities and no fast path.
+    /// fallback protocol `K` (Theorem 5): a CIL-style racing consensus — a
+    /// self-contained first-mover protocol with fixed write probabilities
+    /// and no fast path.
     ///
     /// # Panics
     ///
@@ -131,14 +129,6 @@ impl ConsensusBuilder {
     pub fn bounded(mut self, rounds: usize) -> ConsensusBuilder {
         assert!(rounds > 0, "at least one round before fallback");
         self.rounds_before_fallback = Some(rounds);
-        self
-    }
-
-    /// Overrides the fallback protocol used by [`bounded`](Self::bounded).
-    ///
-    /// The spec must itself be a full consensus object (always decides).
-    pub fn fallback_with(mut self, fallback: Arc<dyn ObjectSpec>) -> ConsensusBuilder {
-        self.fallback = Some(fallback);
         self
     }
 
@@ -157,11 +147,8 @@ impl ConsensusBuilder {
         let fallback_start = self
             .rounds_before_fallback
             .map(|rounds| prefix + 2 * rounds);
-        let fallback: Option<Arc<dyn ObjectSpec>> = match (fallback_start, self.fallback) {
-            (Some(_), Some(f)) => Some(f),
-            (Some(_), None) => Some(Arc::new(default_fallback(Arc::clone(&ratifier)))),
-            (None, _) => None,
-        };
+        let fallback: Option<Arc<dyn ObjectSpec>> = fallback_start
+            .map(|_| Arc::new(default_fallback(Arc::clone(&ratifier))) as Arc<dyn ObjectSpec>);
         let mut label = self.label;
         if self.fast_path {
             label.push_str("+fast");
@@ -204,7 +191,7 @@ impl std::fmt::Debug for ConsensusBuilder {
     }
 }
 
-/// The default fallback `K`: a self-contained CIL-style racing consensus —
+/// The fallback `K`: a self-contained CIL-style racing consensus —
 /// unbounded alternation of fixed-probability first-mover conciliators with
 /// the given ratifier, no fast path.
 ///

@@ -93,7 +93,7 @@ impl Protocol {
 
     /// The runtime-side object over a register substrate: the lab's
     /// [`Lab::memory`], or that memory wrapped in a [`FaultyMemory`] layer.
-    pub fn runtime_in<M: SharedMemory>(&self, memory: M, n: usize) -> Consensus<M> {
+    pub(crate) fn runtime_in<M: SharedMemory>(&self, memory: M, n: usize) -> Consensus<M> {
         let builder = Consensus::builder().n(n).values(self.capacity());
         match *self {
             Protocol::Coin { quorum_factor } => builder
@@ -513,8 +513,8 @@ fn check_conformance_wrapped<M: SharedMemory>(
 /// *same* object after [`Consensus::reset`], over a register file rearmed
 /// by [`Lab::reset_epoch`] (subject). The two executions must be identical
 /// in every observable the execution comparator reads, which is the ground
-/// truth that a recycled generation-tagged object is indistinguishable from
-/// a fresh one: every stale register reads as initial, so the adversary
+/// truth that a recycled object is indistinguishable from a fresh one:
+/// every cleared register reads as initial, so the adversary
 /// sees the same views and makes the same choices.
 ///
 /// A fresh run that hits the step limit returns

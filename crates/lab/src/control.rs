@@ -178,7 +178,7 @@ impl LabController {
         id
     }
 
-    /// Clears a retired register's mirror cell. Like allocation, retirement
+    /// Clears a recycled register's mirror cell. Like allocation, clearing
     /// is not an operation in the model (it happens between instances, with
     /// exclusive access to the register), so it does not yield.
     pub(crate) fn retire(&self, reg: RegisterId) {
@@ -423,14 +423,13 @@ impl LabMemory {
 impl SharedMemory for LabMemory {
     type Reg = LabRegister;
 
-    fn alloc_in_generation(&self, generation: u64) -> LabRegister {
+    fn alloc(&self) -> LabRegister {
         // Allocation is not an operation in the model (BlockAlloc just
         // bumps a counter), so it does not yield; it only claims the next
         // sequential id — the same ids the model's allocator hands out.
         LabRegister {
             ctrl: Arc::clone(&self.ctrl),
             reg: self.ctrl.alloc(),
-            generation,
         }
     }
 }
@@ -440,29 +439,14 @@ impl SharedMemory for LabMemory {
 pub struct LabRegister {
     ctrl: Arc<LabController>,
     reg: RegisterId,
-    /// Pool generation ([`SharedRegister::generation`]). The mirror cell is
-    /// physically cleared on [`retire_to`](SharedRegister::retire_to), so
-    /// stale-read masking needs no tag check here; the field only carries
-    /// the recycle count for the pooling layer.
-    generation: u64,
 }
 
 impl SharedRegister for LabRegister {
-    fn generation(&self) -> u64 {
-        self.generation
-    }
-
-    fn retire_to(&mut self, generation: u64) {
-        debug_assert!(
-            generation > self.generation,
-            "generation must strictly increase on retire ({} -> {generation})",
-            self.generation
-        );
+    fn clear(&mut self) {
         // Exclusive access means no operation on this register is pending;
         // clearing the mirror makes the recycled register read as ⊥ — an
         // initial read — exactly like a fresh allocation.
         self.ctrl.retire(self.reg);
-        self.generation = generation;
     }
 
     fn read(&self) -> Option<u64> {

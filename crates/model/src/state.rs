@@ -84,11 +84,6 @@ impl StateSink {
         self.unsupported = true;
     }
 
-    /// Whether any session marked the snapshot unsupported.
-    pub fn is_unsupported(&self) -> bool {
-        self.unsupported
-    }
-
     /// The collected atoms, or `None` if the snapshot is unsupported.
     pub fn finish(self) -> Option<Vec<StateAtom>> {
         if self.unsupported {
@@ -192,7 +187,6 @@ mod tests {
         let mut sink = StateSink::new();
         sink.push_raw(1);
         sink.mark_unsupported();
-        assert!(sink.is_unsupported());
         assert_eq!(sink.finish(), None);
     }
 

@@ -139,11 +139,10 @@ impl<M: SharedMemory> Fallback for LeaderFallback<M> {
     }
 
     fn reset(&mut self) {
-        let next = self.decision.generation() + 1;
         for slot in &mut self.slots {
-            slot.retire_to(next);
+            slot.clear();
         }
-        self.decision.retire_to(next);
+        self.decision.clear();
     }
 
     fn name(&self) -> &'static str {
@@ -209,14 +208,9 @@ impl<M: SharedMemory, F: Fallback> BoundedConsensus<M, F> {
         self.rounds
     }
 
-    /// The fallback protocol's name.
-    pub fn fallback_name(&self) -> &'static str {
-        self.fallback.name()
-    }
-
     /// Recycles this one-shot object for a fresh instance: the truncated
-    /// chain and the fallback both retire their registers into the next
-    /// generation (see [`Consensus::reset`]).
+    /// chain and the fallback both clear their registers (see
+    /// [`Consensus::reset`]).
     ///
     /// # Panics
     ///

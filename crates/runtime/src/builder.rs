@@ -21,7 +21,6 @@
 
 use std::sync::Arc;
 
-use mc_core::conciliator::WriteSchedule;
 use mc_quorums::{BinaryScheme, BinomialScheme, QuorumScheme};
 use mc_telemetry::Recorder;
 
@@ -37,7 +36,7 @@ use crate::telemetry::RuntimeTelemetry;
 /// [`BoundedConsensus`]). Obtain one from [`Consensus::builder`].
 ///
 /// Required: [`n`](ConsensusBuilder::n). Everything else defaults to the
-/// paper's binary protocol: 2 values, impatient write schedule, fast path
+/// paper's binary protocol: 2 values, impatient conciliator, fast path
 /// on, plain atomics, no event recorder; a bounded object stops after
 /// [`DEFAULT_MAX_CONCILIATOR_ROUNDS`] conciliator stages.
 #[derive(Clone)]
@@ -46,7 +45,6 @@ pub struct ConsensusBuilder<M: SharedMemory = AtomicMemory> {
     n: usize,
     values: u64,
     scheme: Option<Arc<dyn QuorumScheme>>,
-    schedule: WriteSchedule,
     fast_path: bool,
     max_conciliator_rounds: u32,
     conciliator: ConciliatorChoice,
@@ -60,7 +58,6 @@ impl Default for ConsensusBuilder {
             n: 0,
             values: 2,
             scheme: None,
-            schedule: WriteSchedule::impatient(),
             fast_path: true,
             max_conciliator_rounds: DEFAULT_MAX_CONCILIATOR_ROUNDS,
             conciliator: ConciliatorChoice::Impatient,
@@ -100,14 +97,6 @@ impl<M: SharedMemory> ConsensusBuilder<M> {
     #[must_use]
     pub fn scheme(mut self, scheme: Arc<dyn QuorumScheme>) -> Self {
         self.scheme = Some(scheme);
-        self
-    }
-
-    /// Write-probability schedule for the conciliators (default
-    /// [`WriteSchedule::impatient`]).
-    #[must_use]
-    pub fn schedule(mut self, schedule: WriteSchedule) -> Self {
-        self.schedule = schedule;
         self
     }
 
@@ -158,7 +147,6 @@ impl<M: SharedMemory> ConsensusBuilder<M> {
             n: self.n,
             values: self.values,
             scheme: self.scheme,
-            schedule: self.schedule,
             fast_path: self.fast_path,
             max_conciliator_rounds: self.max_conciliator_rounds,
             conciliator: self.conciliator,
@@ -189,7 +177,6 @@ impl<M: SharedMemory> ConsensusBuilder<M> {
         ConsensusOptions {
             n: self.n,
             scheme,
-            schedule: self.schedule,
             fast_path: self.fast_path,
             conciliator: self.conciliator.clone(),
         }
@@ -300,13 +287,6 @@ impl<M: SharedMemory> EngineBuilder<M> {
     #[must_use]
     pub fn scheme(mut self, scheme: Arc<dyn QuorumScheme>) -> Self {
         self.consensus = self.consensus.scheme(scheme);
-        self
-    }
-
-    /// Conciliator write schedule; see [`ConsensusBuilder::schedule`].
-    #[must_use]
-    pub fn schedule(mut self, schedule: WriteSchedule) -> Self {
-        self.consensus = self.consensus.schedule(schedule);
         self
     }
 

@@ -234,8 +234,7 @@ impl<M: SharedMemory> WeakSharedCoin<M> for VotingCoin<M> {
 
     fn reset(&mut self) {
         for reg in &mut self.tallies {
-            let next = reg.generation() + 1;
-            reg.retire_to(next);
+            reg.clear();
         }
     }
 
@@ -356,8 +355,7 @@ where
 
     fn reset(&mut self) {
         for reg in &mut self.announce {
-            let next = reg.generation() + 1;
-            reg.retire_to(next);
+            reg.clear();
         }
         self.coin.reset();
     }

@@ -116,7 +116,6 @@ impl Default for AdaptiveOptions {
 pub struct ImpatientConciliator<M: SharedMemory = AtomicMemory> {
     reg: M::Reg,
     n: usize,
-    schedule: WriteSchedule,
     telemetry: Option<Arc<RuntimeTelemetry>>,
 }
 
@@ -128,16 +127,7 @@ impl ImpatientConciliator {
     ///
     /// Panics if `n == 0`.
     pub fn new(n: usize) -> ImpatientConciliator {
-        ImpatientConciliator::with_schedule(n, WriteSchedule::impatient())
-    }
-
-    /// Creates a conciliator with an explicit write-probability schedule.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0`.
-    pub fn with_schedule(n: usize, schedule: WriteSchedule) -> ImpatientConciliator {
-        ImpatientConciliator::with_schedule_in(&AtomicMemory, n, schedule)
+        ImpatientConciliator::new_in(&AtomicMemory, n)
     }
 }
 
@@ -147,16 +137,11 @@ impl<M: SharedMemory> ImpatientConciliator<M> {
     /// # Panics
     ///
     /// Panics if `n == 0`.
-    pub fn with_schedule_in(
-        memory: &M,
-        n: usize,
-        schedule: WriteSchedule,
-    ) -> ImpatientConciliator<M> {
+    pub(crate) fn new_in(memory: &M, n: usize) -> ImpatientConciliator<M> {
         assert!(n > 0, "need at least one thread");
         ImpatientConciliator {
             reg: memory.alloc(),
             n,
-            schedule,
             telemetry: None,
         }
     }
@@ -169,13 +154,11 @@ impl<M: SharedMemory> ImpatientConciliator<M> {
     }
 
     /// Recycles this one-shot object for a fresh instance: the register is
-    /// retired into the next generation, after which it is indistinguishable
-    /// from a fresh allocation (a stale-generation read is an initial read).
+    /// cleared, after which it is indistinguishable from a fresh allocation.
     ///
     /// Exclusive access (`&mut`) guarantees no `propose` call is in flight.
     pub fn reset(&mut self) {
-        let next = self.reg.generation() + 1;
-        self.reg.retire_to(next);
+        self.reg.clear();
     }
 
     /// Runs the conciliator: returns a value that equals every other
@@ -192,7 +175,7 @@ impl<M: SharedMemory> ImpatientConciliator<M> {
                 }
                 return winner;
             }
-            let p = self.schedule.probability(k, self.n);
+            let p = WriteSchedule::impatient().probability(k, self.n);
             if let Some(t) = &self.telemetry {
                 t.on_conciliator_round(u64::from(k), p.get());
             }
@@ -229,7 +212,6 @@ impl<M: SharedMemory> std::fmt::Debug for ImpatientConciliator<M> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ImpatientConciliator")
             .field("n", &self.n)
-            .field("schedule", &self.schedule)
             .finish()
     }
 }

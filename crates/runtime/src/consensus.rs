@@ -4,8 +4,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, PoisonError, RwLock};
 use std::time::Instant;
 
-use mc_core::conciliator::WriteSchedule;
-use mc_quorums::{BinomialScheme, QuorumScheme};
+use mc_quorums::QuorumScheme;
 use mc_telemetry::{ConciliatorKind, StageKind};
 use rand::Rng;
 
@@ -22,8 +21,6 @@ pub struct ConsensusOptions {
     pub n: usize,
     /// Quorum scheme for the ratifiers (determines the value capacity).
     pub scheme: Arc<dyn QuorumScheme>,
-    /// Write-probability schedule for the conciliators.
-    pub schedule: WriteSchedule,
     /// Whether to run the `R₋₁; R₀` fast path before the first conciliator.
     pub fast_path: bool,
     /// Which conciliator implementation the `C₁; C₂; …` stages instantiate
@@ -36,7 +33,6 @@ impl std::fmt::Debug for ConsensusOptions {
         f.debug_struct("ConsensusOptions")
             .field("n", &self.n)
             .field("scheme", &self.scheme.name())
-            .field("schedule", &self.schedule)
             .field("fast_path", &self.fast_path)
             .field("conciliator", &self.conciliator)
             .finish()
@@ -67,7 +63,7 @@ enum Stage<M: SharedMemory> {
 }
 
 impl<M: SharedMemory> Stage<M> {
-    /// Retires the stage's registers into their next generation.
+    /// Clears the stage's registers.
     fn reset(&mut self) {
         match self {
             Stage::Ratifier(r) => r.reset(),
@@ -140,33 +136,9 @@ impl Consensus {
     pub fn builder() -> crate::ConsensusBuilder {
         crate::ConsensusBuilder::new()
     }
-
-    pub(crate) fn multivalued_options(n: usize, m: u64) -> ConsensusOptions {
-        assert!(m >= 2, "consensus needs at least 2 values");
-        ConsensusOptions {
-            n,
-            scheme: Arc::new(BinomialScheme::for_capacity(m).expect("m ≥ 2")),
-            schedule: WriteSchedule::impatient(),
-            fast_path: true,
-            conciliator: ConciliatorChoice::Impatient,
-        }
-    }
 }
 
 impl<M: SharedMemory> Consensus<M> {
-    /// Consensus whose options are *shared by reference*: repeated instance
-    /// setup (a pooling engine, one instance per log slot) clones only the
-    /// `Arc`, so the quorum scheme inside is validated exactly once, at
-    /// options construction.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `options.n == 0`.
-    pub fn with_shared_options_in(memory: M, options: Arc<ConsensusOptions>) -> Consensus<M> {
-        let telemetry = Arc::new(RuntimeTelemetry::noop(options.n));
-        Consensus::with_telemetry_in(memory, options, telemetry)
-    }
-
     pub(crate) fn with_telemetry_in(
         memory: M,
         options: Arc<ConsensusOptions>,
@@ -258,12 +230,12 @@ impl<M: SharedMemory> Consensus<M> {
 
     /// Recycles this one-shot object for a fresh instance.
     ///
-    /// Every materialized stage keeps its registers but retires them into
-    /// the next generation, so each reads as ⊥ again: by the stale-read-as-
-    /// initial contract ([`SharedRegister::retire_to`]) the recycled object
-    /// is indistinguishable from a freshly constructed one — the lab
-    /// conformance suite proves a recycled run is decision-, trace-, and
-    /// work-identical to a fresh run at the same (adversary, seed).
+    /// Every materialized stage keeps its registers but clears them
+    /// ([`SharedRegister::clear`]), so each reads as ⊥ again and the
+    /// recycled object is indistinguishable from a freshly constructed one
+    /// — the lab conformance suite proves a recycled run is decision-,
+    /// trace-, and work-identical to a fresh run at the same (adversary,
+    /// seed).
     ///
     /// Stages stay materialized (that is the point: no reallocation), and
     /// cumulative telemetry is deliberately preserved across instances.
@@ -275,7 +247,7 @@ impl<M: SharedMemory> Consensus<M> {
     /// deviation from the no-reallocation contract, taken only on an actual
     /// regime change.
     ///
-    /// [`SharedRegister::retire_to`]: crate::SharedRegister::retire_to
+    /// [`SharedRegister::clear`]: crate::SharedRegister::clear
     ///
     /// # Panics
     ///
@@ -365,12 +337,8 @@ impl<M: SharedMemory> Consensus<M> {
         } else {
             let conciliator: Box<dyn Conciliator<M>> = match self.active {
                 ActiveConciliator::Impatient => Box::new(
-                    ImpatientConciliator::with_schedule_in(
-                        &self.memory,
-                        self.options.n,
-                        self.options.schedule,
-                    )
-                    .observed_by(Arc::clone(&self.telemetry)),
+                    ImpatientConciliator::new_in(&self.memory, self.options.n)
+                        .observed_by(Arc::clone(&self.telemetry)),
                 ),
                 ActiveConciliator::Coin(CoinKind::Local) => Box::new(
                     CoinConciliator::with_coin_in(&self.memory, |_| LocalCoin::new())
@@ -797,9 +765,12 @@ mod tests {
 
     #[test]
     fn shared_options_are_not_recloned_per_instance() {
-        let options = Arc::new(Consensus::multivalued_options(2, 8));
-        let a = Consensus::with_shared_options_in(AtomicMemory, Arc::clone(&options));
-        let b = Consensus::with_shared_options_in(AtomicMemory, Arc::clone(&options));
+        let options = Arc::new(Consensus::builder().n(2).values(8).options());
+        let instance = || {
+            let telemetry = Arc::new(RuntimeTelemetry::noop(2));
+            Consensus::with_telemetry_in(AtomicMemory, Arc::clone(&options), telemetry)
+        };
+        let (a, b) = (instance(), instance());
         assert!(Arc::ptr_eq(a.options_handle(), b.options_handle()));
         assert!(Arc::ptr_eq(
             &a.options_handle().scheme,

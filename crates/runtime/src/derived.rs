@@ -7,10 +7,10 @@
 
 use std::sync::Arc;
 
+use mc_quorums::BinomialScheme;
 use rand::Rng;
 
 use crate::consensus::Consensus;
-use crate::register::AtomicMemory;
 
 /// One-shot leader election among up to `n` threads: every participant
 /// learns the same winner id, and the winner is some participant.
@@ -50,12 +50,14 @@ impl Election {
     /// Panics if `n == 0`.
     pub fn new(n: usize) -> Election {
         // Candidate ids are 0..n; consensus capacity must cover them. The
-        // degenerate n = 1 still needs a 2-value object.
+        // degenerate n = 1 still needs a 2-value object, and it stays
+        // binomial: `values(2)` would pick the binary scheme.
+        let m = (n as u64).max(2);
         Election {
-            consensus: Consensus::with_shared_options_in(
-                AtomicMemory,
-                Arc::new(Consensus::multivalued_options(n, (n as u64).max(2))),
-            ),
+            consensus: Consensus::builder()
+                .n(n)
+                .scheme(Arc::new(BinomialScheme::for_capacity(m).expect("m ≥ 2")))
+                .build(),
         }
     }
 
@@ -163,6 +165,17 @@ mod tests {
                 1,
                 "trial {trial}: {wins:?}"
             );
+        }
+    }
+
+    #[test]
+    fn small_elections_stay_binomial() {
+        // `values(2)` would pick the binary scheme: n ≤ 2 keeps the
+        // binomial one the election has always run, and its register ids.
+        for n in 1..=2 {
+            let election = Election::new(n);
+            let scheme = &election.consensus.options_handle().scheme;
+            assert_eq!(scheme.name(), "binomial(k=2)", "n = {n}");
         }
     }
 

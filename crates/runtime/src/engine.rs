@@ -5,11 +5,11 @@
 //! workload — a stream of log slots, transactions, leases — needs a fresh
 //! instance per decision. Allocating each one from scratch grows memory
 //! without bound and hammers the allocator. [`ConsensusEngine`] turns the
-//! generation-tagged recycle path ([`Consensus::reset`]) into a service:
-//! instances are sharded by id across per-core shards, each shard keeps a
-//! free-list of reset objects, and a bounded number of instances may be
-//! live per shard at once (backpressure), so steady-state memory is flat
-//! no matter how many decisions flow through.
+//! recycle path ([`Consensus::reset`], which clears every register) into a
+//! service: instances are sharded by id across per-core shards, each shard
+//! keeps a free-list of reset objects, and a bounded number of instances
+//! may be live per shard at once (backpressure), so steady-state memory is
+//! flat no matter how many decisions flow through.
 //!
 //! The pool holds the `Arc` each instance is shared through: retirement
 //! resets the instance in place (`Arc::get_mut`, the sole owner once every

@@ -513,7 +513,7 @@ impl<M: SharedMemory> FaultyMemory<M> {
 impl<M: SharedMemory> SharedMemory for FaultyMemory<M> {
     type Reg = FaultyRegister<M::Reg>;
 
-    fn alloc_in_generation(&self, generation: u64) -> FaultyRegister<M::Reg> {
+    fn alloc(&self) -> FaultyRegister<M::Reg> {
         let index = match &self.shared {
             Some(shared) => {
                 let mut state = shared.lock();
@@ -523,14 +523,10 @@ impl<M: SharedMemory> SharedMemory for FaultyMemory<M> {
             None => 0,
         };
         FaultyRegister {
-            inner: self.inner.alloc_in_generation(generation),
+            inner: self.inner.alloc(),
             shared: self.shared.clone(),
             index,
         }
-    }
-
-    fn retire_generation(&self, generation: u64) {
-        self.inner.retire_generation(generation);
     }
 }
 
@@ -553,13 +549,9 @@ impl<R: SharedRegister> std::fmt::Debug for FaultyRegister<R> {
 }
 
 impl<R: SharedRegister> SharedRegister for FaultyRegister<R> {
-    fn generation(&self) -> u64 {
-        self.inner.generation()
-    }
-
-    fn retire_to(&mut self, generation: u64) {
-        // The fault layer's mirror state must forget the retired instance
-        // too, or a recycled register could observe pre-retirement windows,
+    fn clear(&mut self) {
+        // The fault layer's mirror state must forget the cleared instance
+        // too, or a recycled register could observe pre-recycle windows,
         // pending wipes, or reset eligibility a fresh register never has.
         if let Some(shared) = &self.shared {
             let mut state = shared.lock();
@@ -577,7 +569,7 @@ impl<R: SharedRegister> SharedRegister for FaultyRegister<R> {
                 state.prob_targets.retain(|&ri| ri != index);
             }
         }
-        self.inner.retire_to(generation);
+        self.inner.clear();
     }
 
     fn read(&self) -> Option<u64> {
@@ -796,8 +788,8 @@ mod tests {
     impl SharedMemory for HookedMemory {
         type Reg = HookedRegister;
 
-        fn alloc_in_generation(&self, generation: u64) -> HookedRegister {
-            HookedRegister(AtomicMemory.alloc_in_generation(generation), self.clone())
+        fn alloc(&self) -> HookedRegister {
+            HookedRegister(AtomicMemory.alloc(), self.clone())
         }
     }
 
@@ -819,8 +811,8 @@ mod tests {
             self.0.prob_write(value, prob, rng)
         }
 
-        fn retire_to(&mut self, generation: u64) {
-            self.0.retire_to(generation);
+        fn clear(&mut self) {
+            self.0.clear();
         }
     }
 
@@ -920,7 +912,7 @@ mod tests {
     }
 
     #[test]
-    fn retired_faulty_register_reads_as_fresh() {
+    fn cleared_faulty_register_reads_as_fresh() {
         let mem = FaultyMemory::new(AtomicMemory, FaultPlan::seeded(2).stale_reads(1.0));
         let mem2 = mem.clone();
         let mut reg = mem.alloc();
@@ -928,8 +920,8 @@ mod tests {
         let mut conc = mem2.alloc();
         let mut rng = SmallRng::seed_from_u64(0);
         assert!(conc.prob_write(6, p(1.0), &mut rng));
-        reg.retire_to(1);
-        conc.retire_to(1);
+        reg.clear();
+        conc.clear();
         // Both the substrate value and the fault layer's mirror (windows,
         // reset eligibility) are gone: the recycled registers are fresh.
         assert_eq!(reg.read(), None);

@@ -68,7 +68,7 @@ pub use faults::{FaultCounts, FaultPlan, FaultyMemory, FaultyRegister, ResetScop
 pub use hash::{FastHasher, FastMap};
 pub use log::ReplicatedLog;
 pub use ratifier::AtomicRatifier;
-pub use register::{AtomicMemory, AtomicRegister, SharedMemory, SharedRegister, GENERATION_0};
+pub use register::{AtomicMemory, AtomicRegister, SharedMemory, SharedRegister};
 pub use service::{
     ChaosPlan, ConsensusService, DecisionHandle, RingHealth, ServiceBuilder, SupervisorOptions,
 };

@@ -105,17 +105,15 @@ impl<M: SharedMemory> AtomicRatifier<M> {
     }
 
     /// Recycles this one-shot object for a fresh instance: every pool slot
-    /// and the proposal register are retired into the next generation, after
-    /// which the object is indistinguishable from a freshly built ratifier
-    /// over the same scheme (stale-generation reads are initial reads).
+    /// and the proposal register are cleared, after which the object is
+    /// indistinguishable from a freshly built ratifier over the same scheme.
     ///
     /// Exclusive access (`&mut`) guarantees no `ratify` call is in flight.
     pub fn reset(&mut self) {
-        let next = self.proposal.generation() + 1;
         for slot in &mut self.pool {
-            slot.retire_to(next);
+            slot.clear();
         }
-        self.proposal.retire_to(next);
+        self.proposal.clear();
     }
 
     /// Runs the ratifier with proposal `value`.

@@ -2,32 +2,26 @@
 //! abstraction that lets the same algorithms run on other register
 //! substrates (notably `mc-lab`'s deterministically scheduled backend).
 //!
-//! # Generations and recycling
+//! # Recycling is clearing
 //!
 //! Every deciding object in the paper is one-shot (§2), so a naive runtime
-//! allocates registers per instance and leaks them forever. The generation
-//! API makes registers recyclable without giving up one-shot semantics:
-//! each register carries a *generation* tag, and a value written under an
-//! earlier generation is invisible — a stale-generation read behaves
-//! exactly like an initial read of a fresh register (⊥). Retiring a
-//! register into a new generation ([`SharedRegister::retire_to`]) therefore
-//! makes it indistinguishable from a newly allocated one, which is the
-//! contract the pooled [`ConsensusEngine`](crate::ConsensusEngine) and the
-//! recycled-vs-fresh lab conformance leg rely on.
+//! allocates registers per instance and leaks them forever. Recycling needs
+//! nothing more than for each register to read ⊥ again:
+//! [`SharedRegister::clear`] puts the initial value back in the cell, and a
+//! cleared register is a fresh regular register, indistinguishable from a
+//! new allocation. That is the contract the pooled
+//! [`ConsensusEngine`](crate::ConsensusEngine) and the recycled-vs-fresh lab
+//! conformance leg rely on.
 //!
-//! Retirement requires exclusive access (`&mut`): recycling happens only
+//! Clearing requires exclusive access (`&mut`): recycling happens only
 //! *between* one-shot instances, never concurrently with operations, so
-//! implementations physically clear the retired value with plain
-//! (non-atomic) writes. Code that never recycles pays nothing per
-//! operation — the engine-off path is a structural passthrough.
+//! implementations clear the value with plain (non-atomic) writes. Code
+//! that never recycles pays nothing per operation.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use mc_model::Probability;
 use rand::{Rng, RngExt};
-
-/// The generation fresh registers are born into.
-pub const GENERATION_0: u64 = 0;
 
 /// One shared multiwriter register as the runtime algorithms see it.
 ///
@@ -37,13 +31,9 @@ pub const GENERATION_0: u64 = 0;
 /// committing to the operation.
 pub trait SharedRegister: Send + Sync {
     /// Reads the register: `None` is ⊥.
-    ///
-    /// A value written under an earlier generation than the register's
-    /// current one is *not* observable: the read behaves as an initial
-    /// read of a fresh register and returns `None`.
     fn read(&self) -> Option<u64>;
 
-    /// Writes `value` under the register's current generation.
+    /// Writes `value`.
     fn write(&self, value: u64);
 
     /// Probabilistic write: with probability `prob` the register takes
@@ -51,28 +41,17 @@ pub trait SharedRegister: Send + Sync {
     /// `rng` and is resolved only as part of the operation itself.
     fn prob_write(&self, value: u64, prob: Probability, rng: &mut dyn Rng) -> bool;
 
-    /// The allocation generation this register currently belongs to.
-    fn generation(&self) -> u64 {
-        GENERATION_0
-    }
-
-    /// Moves the register into `generation`, invalidating every value
-    /// written under an earlier generation: the next read behaves as an
-    /// initial read (⊥), making the recycled register indistinguishable
-    /// from a fresh allocation.
+    /// Puts ⊥ back in the register: the next read behaves as an initial
+    /// read, making the recycled register indistinguishable from a fresh
+    /// allocation.
     ///
     /// Exclusive access (`&mut`) is the synchronization: one-shot objects
-    /// are retired only between instances, when no operation can be in
-    /// flight, so implementations clear the retired value with plain
-    /// writes and need no atomics. The value must be *physically* cleared,
-    /// not masked behind a separate tag a concurrent reader could observe
-    /// out of step with the cell.
-    ///
-    /// # Panics
-    ///
-    /// Implementations must `debug_assert` that `generation` strictly
-    /// increases — retiring backwards would resurrect stale values.
-    fn retire_to(&mut self, generation: u64);
+    /// are recycled only between instances, when no operation can be in
+    /// flight, so implementations clear the value with plain writes and
+    /// need no atomics. The value must be *physically* cleared, not masked
+    /// behind a separate tag a concurrent reader could observe out of step
+    /// with the cell.
+    fn clear(&mut self);
 }
 
 /// A register substrate: allocates fresh shared registers.
@@ -86,33 +65,12 @@ pub trait SharedMemory: Clone + Send + Sync + 'static {
     /// The register type this substrate allocates.
     type Reg: SharedRegister;
 
-    /// Allocates one fresh register holding ⊥, in [`GENERATION_0`].
+    /// Allocates one fresh register holding ⊥.
     ///
     /// Allocation order is observable to instrumented substrates (register
     /// ids are assigned sequentially), so objects must allocate in a
     /// deterministic order — the same order the model-side objects use.
-    fn alloc(&self) -> Self::Reg {
-        self.alloc_in_generation(GENERATION_0)
-    }
-
-    /// Allocates one fresh register holding ⊥, tagged with `generation`.
-    ///
-    /// A pooling engine allocates each instance's registers in the
-    /// instance's generation so that recycling the whole instance is one
-    /// [`retire_to`](SharedRegister::retire_to) sweep. For substrates with
-    /// no per-generation state the tag is carried by the register itself.
-    fn alloc_in_generation(&self, generation: u64) -> Self::Reg;
-
-    /// Declares every register allocated under `generation` retired.
-    ///
-    /// This is a bookkeeping hook for substrates that keep per-generation
-    /// state (accounting, debug ledgers); the visibility change itself is
-    /// enacted register-by-register via
-    /// [`retire_to`](SharedRegister::retire_to), so the default is a
-    /// no-op.
-    fn retire_generation(&self, generation: u64) {
-        let _ = generation;
-    }
+    fn alloc(&self) -> Self::Reg;
 }
 
 /// The default substrate: lock-free `AtomicU64` registers.
@@ -122,8 +80,8 @@ pub struct AtomicMemory;
 impl SharedMemory for AtomicMemory {
     type Reg = AtomicRegister;
 
-    fn alloc_in_generation(&self, generation: u64) -> AtomicRegister {
-        AtomicRegister::in_generation(generation)
+    fn alloc(&self) -> AtomicRegister {
+        AtomicRegister::new()
     }
 }
 
@@ -134,43 +92,23 @@ impl SharedMemory for AtomicMemory {
 /// paper's model is atomic registers with interleaving semantics, and SeqCst
 /// is the faithful (and simplest) mapping.
 ///
-/// # Generation recycling
-///
-/// The register's current generation is a plain field, mutated only under
-/// `&mut` in [`retire_to`](SharedRegister::retire_to), which also
-/// physically clears the value cell back to ⊥. Clearing — rather than
-/// masking the stale value behind a separate generation tag — keeps every
-/// operation a single atomic access: there is no (value, tag) pair a
-/// concurrent reader could observe half-updated, so a torn read can never
-/// surface a retired instance's value as current, and reads/writes cost
-/// exactly what an unpooled register's do.
+/// The register is one word. [`clear`](SharedRegister::clear) stores ⊥
+/// under `&mut`; there is no (value, tag) pair a concurrent reader could
+/// observe half-updated, so a torn read can never surface a recycled
+/// instance's value as current, and reads and writes cost exactly what an
+/// unpooled register's do.
 #[derive(Debug)]
-pub struct AtomicRegister {
-    cell: AtomicU64,
-    /// The register's current generation. Plain field: mutated only via
-    /// `retire_to(&mut self)`, when exclusive access rules out readers.
-    generation: u64,
-}
+pub struct AtomicRegister(AtomicU64);
 
 const EMPTY: u64 = u64::MAX;
 
 impl AtomicRegister {
-    /// Creates a register holding ⊥ in generation 0.
+    /// Creates a register holding ⊥.
     pub fn new() -> AtomicRegister {
-        AtomicRegister::in_generation(GENERATION_0)
+        AtomicRegister(AtomicU64::new(EMPTY))
     }
 
-    /// Creates a register holding ⊥ in `generation`.
-    pub fn in_generation(generation: u64) -> AtomicRegister {
-        AtomicRegister {
-            cell: AtomicU64::new(EMPTY),
-            generation,
-        }
-    }
-
-    /// Reads the register: `None` is ⊥. Retiring physically clears the
-    /// cell, so a recycled register reads as ⊥ until its first
-    /// current-generation write — exactly like a fresh register.
+    /// Reads the register: `None` is ⊥.
     #[inline]
     pub fn read(&self) -> Option<u64> {
         // SeqCst, paired with `write`'s: the paper's registers are atomic,
@@ -179,13 +117,13 @@ impl AtomicRegister {
         // across two locations needs one total order over every access;
         // Acquire/Release would let two proposers each miss the other's
         // announcement and decide different values, breaking coherence.
-        match self.cell.load(Ordering::SeqCst) {
+        match self.0.load(Ordering::SeqCst) {
             EMPTY => None,
             v => Some(v),
         }
     }
 
-    /// Writes `value` under the current generation.
+    /// Writes `value`.
     ///
     /// # Panics
     ///
@@ -194,7 +132,7 @@ impl AtomicRegister {
     pub fn write(&self, value: u64) {
         assert_ne!(value, EMPTY, "u64::MAX is reserved for the null value");
         // SeqCst: see `read`.
-        self.cell.store(value, Ordering::SeqCst);
+        self.0.store(value, Ordering::SeqCst);
     }
 }
 
@@ -218,28 +156,9 @@ impl SharedRegister for AtomicRegister {
         landed
     }
 
-    fn generation(&self) -> u64 {
-        self.generation
-    }
-
-    fn retire_to(&mut self, generation: u64) {
-        debug_assert!(
-            generation > self.generation,
-            "generation must strictly increase: {} -> {generation}",
-            self.generation
-        );
-        // Physically clear the stale value. Masking it behind a (cell, tag)
-        // pair instead would take two atomic loads per read, and a torn
-        // read — old cell, tag stored by the new generation's first write —
-        // would surface the retired instance's value as current. Exclusive
-        // access makes the plain store safe.
-        *self.cell.get_mut() = EMPTY;
-        self.generation = generation;
-        debug_assert_eq!(
-            AtomicRegister::read(self),
-            None,
-            "a retired register must be indistinguishable from a fresh one"
-        );
+    fn clear(&mut self) {
+        // Exclusive access makes the plain store safe.
+        *self.0.get_mut() = EMPTY;
     }
 }
 
@@ -316,68 +235,47 @@ mod tests {
     }
 
     #[test]
-    fn retired_register_reads_as_fresh() {
+    fn register_is_one_word() {
+        // A (cell, tag) pair could be read torn: old cell, tag of the next
+        // instance's first write. One word rules that out.
+        assert_eq!(size_of::<AtomicRegister>(), size_of::<AtomicU64>());
+    }
+
+    #[test]
+    fn cleared_register_reads_as_fresh() {
         let mut r = AtomicMemory.alloc();
         r.write(7);
         assert_eq!(SharedRegister::read(&r), Some(7));
-        r.retire_to(1);
-        assert_eq!(r.generation(), 1);
-        // The stale-generation value is invisible: an initial read.
+        r.clear();
+        // The previous instance's value is gone: an initial read.
         assert_eq!(SharedRegister::read(&r), None);
-        // A post-retire write is visible under the new generation.
+        // A post-clear write is visible.
         r.write(9);
         assert_eq!(SharedRegister::read(&r), Some(9));
-        r.retire_to(2);
+        r.clear();
         assert_eq!(SharedRegister::read(&r), None);
     }
 
     #[test]
-    fn retire_physically_clears_the_cell() {
-        // The recycled-reads-as-fresh contract must hold by physical
-        // clearing, not by masking: a masked-but-present stale value could
-        // leak through a torn (cell, tag) read once a new-generation write
-        // races a reader. Pin the cell itself to ⊥ after retirement.
+    fn clear_physically_clears_the_cell() {
+        // Reads-as-fresh must hold by physical clearing, not by masking: a
+        // masked-but-present stale value could leak through a torn
+        // (cell, tag) read once a new write races a reader. Pin the cell
+        // itself to ⊥ after clearing.
         let mut r = AtomicMemory.alloc();
         r.write(7);
-        r.retire_to(1);
-        assert_eq!(r.cell.load(Ordering::SeqCst), EMPTY);
+        r.clear();
+        assert_eq!(r.0.load(Ordering::SeqCst), EMPTY);
     }
 
     #[test]
-    fn alloc_in_generation_starts_fresh() {
-        let r = AtomicMemory.alloc_in_generation(5);
-        assert_eq!(r.generation(), 5);
-        assert_eq!(SharedRegister::read(&r), None);
-        r.write(3);
-        assert_eq!(SharedRegister::read(&r), Some(3));
-    }
-
-    #[test]
-    fn retire_generation_hook_is_a_noop_by_default() {
-        // The default substrate keeps no per-generation state; the hook
-        // must be callable with no observable effect on live registers.
-        let r = AtomicMemory.alloc_in_generation(1);
-        r.write(4);
-        AtomicMemory.retire_generation(1);
-        assert_eq!(SharedRegister::read(&r), Some(4));
-    }
-
-    #[test]
-    fn prob_write_lands_in_current_generation() {
+    fn prob_write_lands_after_clear() {
         let mut r = AtomicMemory.alloc();
         let mut rng = SmallRng::seed_from_u64(0);
         assert!(r.prob_write(5, Probability::ONE, &mut rng));
-        r.retire_to(1);
+        r.clear();
         assert_eq!(SharedRegister::read(&r), None);
         assert!(r.prob_write(6, Probability::ONE, &mut rng));
         assert_eq!(SharedRegister::read(&r), Some(6));
-    }
-
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "strictly increase")]
-    fn retiring_backwards_is_rejected() {
-        let mut r = AtomicMemory.alloc_in_generation(3);
-        r.retire_to(3);
     }
 }

@@ -148,8 +148,8 @@ metric_keys! {
         /// Largest probability-doubling round index any call reached. Only
         /// its maximum moves; the current value stays 0.
         MaxConciliatorRound => "max_conciliator_round",
-        /// Latest δ̂ published by an adaptive selection, in millionths; see
-        /// [`RuntimeTelemetry::observed_delta_hat`].
+        /// Latest δ̂ published by an adaptive selection, in millionths; 0
+        /// before any selection had enough samples to estimate one.
         ObservedDeltaHatPpm => "observed_delta_hat_ppm",
         /// Instances currently live; derived on read, see
         /// [`RuntimeTelemetry::live_instances`].
@@ -637,15 +637,6 @@ impl RuntimeTelemetry {
         )
     }
 
-    /// Latest δ̂ published by an adaptive selection, or `None` before any
-    /// selection had enough samples to estimate one.
-    pub fn observed_delta_hat(&self) -> Option<f64> {
-        match self.gauge(GaugeKey::ObservedDeltaHatPpm) {
-            0 => None,
-            ppm => Some(ppm as f64 / DELTA_HAT_SCALE),
-        }
-    }
-
     /// Number of per-decide samples currently in the δ̂ sliding window.
     pub fn delta_samples(&self) -> u64 {
         self.delta_window
@@ -1038,13 +1029,12 @@ mod tests {
     fn conciliator_selection_counts_emits_and_gauges() {
         let agg = Arc::new(AggregatingRecorder::new());
         let t = RuntimeTelemetry::new(2, Arc::clone(&agg) as Arc<dyn Recorder>);
-        assert_eq!(t.observed_delta_hat(), None);
+        assert_eq!(t.gauge(GaugeKey::ObservedDeltaHatPpm), 0);
         t.on_conciliator_selected(1, ConciliatorKind::Impatient, None, 0);
         t.on_conciliator_selected(2, ConciliatorKind::Coin, Some(0.125), 16);
         assert_eq!(t.count(CounterKey::ConciliatorSelections), 2);
         assert_eq!(t.count(CounterKey::CoinSelections), 1);
-        let d = t.observed_delta_hat().unwrap();
-        assert!((d - 0.125).abs() < 1e-6, "δ̂ {d}");
+        assert_eq!(t.gauge(GaugeKey::ObservedDeltaHatPpm), 125_000);
         assert_eq!(agg.count(Tally::ConciliatorSelections), 2);
         assert_eq!(agg.count(Tally::CoinSelections), 1);
         let snap = t.snapshot();

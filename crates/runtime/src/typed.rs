@@ -3,11 +3,10 @@
 use std::marker::PhantomData;
 use std::sync::Arc;
 
-use mc_core::conciliator::WriteSchedule;
 use mc_quorums::BitVectorScheme;
 use rand::Rng;
 
-use crate::consensus::{Consensus, ConsensusOptions};
+use crate::consensus::Consensus;
 use crate::register::{AtomicMemory, SharedMemory};
 
 /// A value type usable with [`TypedConsensus`]: a fixed-width bijection with
@@ -129,16 +128,11 @@ impl<T: ValueCode, M: SharedMemory> TypedConsensus<T, M> {
     /// Panics if `n == 0`.
     pub fn new_in(memory: M, n: usize) -> TypedConsensus<T, M> {
         TypedConsensus {
-            inner: Consensus::with_shared_options_in(
-                memory,
-                Arc::new(ConsensusOptions {
-                    n,
-                    scheme: Arc::new(BitVectorScheme::with_bits(T::BITS.clamp(1, 63))),
-                    schedule: WriteSchedule::impatient(),
-                    fast_path: true,
-                    conciliator: crate::ConciliatorChoice::Impatient,
-                }),
-            ),
+            inner: Consensus::builder()
+                .n(n)
+                .scheme(Arc::new(BitVectorScheme::with_bits(T::BITS.clamp(1, 63))))
+                .memory(memory)
+                .build(),
             _marker: PhantomData,
         }
     }
@@ -164,9 +158,9 @@ impl<T: ValueCode, M: SharedMemory> TypedConsensus<T, M> {
     }
 
     /// Recycles this one-shot object for a fresh instance (see
-    /// [`Consensus::reset`]): stages keep their registers but retire them
-    /// into the next generation, after which the object is
-    /// indistinguishable from a freshly constructed one.
+    /// [`Consensus::reset`]): stages keep their registers but clear them,
+    /// after which the object is indistinguishable from a freshly
+    /// constructed one.
     ///
     /// # Panics
     ///

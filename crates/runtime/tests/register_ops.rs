@@ -39,21 +39,17 @@ impl SharedRegister for CountingRegister {
         SharedRegister::prob_write(&self.inner, value, prob, rng)
     }
 
-    fn generation(&self) -> u64 {
-        SharedRegister::generation(&self.inner)
-    }
-
-    fn retire_to(&mut self, generation: u64) {
-        self.inner.retire_to(generation);
+    fn clear(&mut self) {
+        self.inner.clear();
     }
 }
 
 impl SharedMemory for CountingMemory {
     type Reg = CountingRegister;
 
-    fn alloc_in_generation(&self, generation: u64) -> CountingRegister {
+    fn alloc(&self) -> CountingRegister {
         CountingRegister {
-            inner: AtomicMemory.alloc_in_generation(generation),
+            inner: AtomicMemory.alloc(),
             ops: Arc::clone(&self.0),
         }
     }

@@ -52,18 +52,6 @@ impl<A: Adversary> CrashingAdversary<A> {
         }
     }
 
-    /// The processes this wrapper will have crashed by `step`.
-    pub fn crashed_by(&self, step: u64) -> Vec<ProcessId> {
-        let mut out: Vec<ProcessId> = self
-            .crash_at
-            .iter()
-            .filter(|(_, &s)| s <= step)
-            .map(|(&pid, _)| pid)
-            .collect();
-        out.sort_unstable();
-        out
-    }
-
     /// All processes scheduled for a crash (at any step).
     pub fn doomed(&self) -> Vec<ProcessId> {
         let mut out: Vec<ProcessId> = self.crash_at.keys().copied().collect();
@@ -159,7 +147,6 @@ mod tests {
             memory: None,
         };
         assert_eq!(adv.choose(&late), ProcessId(1));
-        assert_eq!(adv.crashed_by(10), vec![ProcessId(0)]);
         assert_eq!(adv.doomed(), vec![ProcessId(0)]);
     }
 

@@ -171,11 +171,6 @@ impl TrialStats {
     pub fn max_individual_work(&self) -> u64 {
         self.individual_work.iter().copied().max().unwrap_or(0)
     }
-
-    /// Worst total work seen in any trial.
-    pub fn max_total_work(&self) -> u64 {
-        self.total_work.iter().copied().max().unwrap_or(0)
-    }
 }
 
 fn mean(xs: &[u64]) -> f64 {

@@ -20,7 +20,7 @@ use crate::metrics::WorkMetrics;
 use crate::trace::Trace;
 
 /// Maps the simulator's operation kind onto the telemetry vocabulary.
-pub fn op_class(kind: OpKind) -> OpClass {
+fn op_class(kind: OpKind) -> OpClass {
     match kind {
         OpKind::Read => OpClass::Read,
         OpKind::Write => OpClass::Write,
@@ -35,7 +35,7 @@ pub fn op_class(kind: OpKind) -> OpClass {
 /// For probabilistic writes the trace's `observed` field (1 = the coin
 /// landed) becomes the event's `performed` flag; every other operation is
 /// unconditionally `performed`.
-pub fn replay_trace(trace: &Trace, recorder: &dyn Recorder) -> u64 {
+fn replay_trace(trace: &Trace, recorder: &dyn Recorder) -> u64 {
     if !recorder.enabled() {
         return 0;
     }
@@ -58,7 +58,7 @@ pub fn replay_trace(trace: &Trace, recorder: &dyn Recorder) -> u64 {
 }
 
 /// Emits one [`TelemetryEvent::WorkSummary`] mirroring `metrics`.
-pub fn emit_summary(seed: u64, metrics: &WorkMetrics, recorder: &dyn Recorder) {
+fn emit_summary(seed: u64, metrics: &WorkMetrics, recorder: &dyn Recorder) {
     if !recorder.enabled() {
         return;
     }

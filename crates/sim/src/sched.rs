@@ -9,17 +9,16 @@ use rand::{Rng, RngExt, SeedableRng};
 
 use crate::adversary::{Adversary, Capability, View};
 
-/// The noisy scheduler: each process has a planned step cadence fixed in
-/// advance, perturbed by random timing errors that accumulate over time.
+/// The noisy scheduler: every process plans one step per unit of virtual
+/// time, perturbed by random timing errors that accumulate over time.
 ///
 /// Process `p` takes its `i`-th step at virtual time
-/// `t_p(i) = Σ_{j≤i} (rate_p + ε_{p,j})` with i.i.d. noise
+/// `t_p(i) = Σ_{j≤i} (1 + ε_{p,j})` with i.i.d. noise
 /// `ε ~ N(0, σ²)`; steps execute in virtual-time order. Over time the
 /// accumulated noise drives some process ahead of all others, which is what
 /// makes the ratifier-only protocol `R₁; R₂; …` terminate (§4.2).
 #[derive(Debug)]
 pub struct NoisyScheduler {
-    rates: Vec<f64>,
     sigma: f64,
     next_time: Vec<f64>,
     rng: SmallRng,
@@ -33,31 +32,12 @@ impl NoisyScheduler {
     ///
     /// Panics if `sigma` is negative or not finite.
     pub fn new(n: usize, sigma: f64, seed: u64) -> NoisyScheduler {
-        NoisyScheduler::with_rates(vec![1.0; n], sigma, seed)
-    }
-
-    /// Creates a noisy scheduler with per-process cadences (`rates[p]` is
-    /// the planned gap between consecutive steps of process `p`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sigma` is negative/not finite or any rate is
-    /// non-positive/not finite.
-    pub fn with_rates(rates: Vec<f64>, sigma: f64, seed: u64) -> NoisyScheduler {
         assert!(sigma.is_finite() && sigma >= 0.0, "sigma must be ≥ 0");
-        assert!(
-            rates.iter().all(|r| r.is_finite() && *r > 0.0),
-            "rates must be positive"
-        );
         let mut rng = SmallRng::seed_from_u64(seed);
         // Stagger initial offsets uniformly within one cadence so processes
         // don't start in lockstep.
-        let next_time = rates
-            .iter()
-            .map(|r| r * rng.random_range(0.0..1.0))
-            .collect();
+        let next_time = (0..n).map(|_| rng.random_range(0.0..1.0)).collect();
         NoisyScheduler {
-            rates,
             sigma,
             next_time,
             rng,
@@ -101,7 +81,7 @@ impl Adversary for NoisyScheduler {
         // Accumulate: errors compound over time rather than averaging out,
         // matching the noisy-scheduler model. Keep increments positive so
         // virtual time advances.
-        let increment = (self.rates[ix] + noise).max(self.rates[ix] * 1e-3);
+        let increment = (1.0 + noise).max(1e-3);
         self.next_time[ix] += increment;
         choice
     }

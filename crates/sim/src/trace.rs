@@ -65,11 +65,6 @@ impl Trace {
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
     }
-
-    /// Events taken by one process, in order.
-    pub fn by_process(&self, pid: ProcessId) -> impl Iterator<Item = &Event> {
-        self.events.iter().filter(move |e| e.pid == pid)
-    }
 }
 
 impl fmt::Display for Trace {
@@ -106,7 +101,6 @@ mod tests {
             observed: None,
         });
         assert_eq!(t.len(), 2);
-        assert_eq!(t.by_process(ProcessId(1)).count(), 1);
         let rendered = t.to_string();
         assert!(rendered.contains("p0 read(r0) -> 4"), "{rendered}");
     }

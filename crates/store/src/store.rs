@@ -710,22 +710,11 @@ impl<S: StateMachine, M: SharedMemory> ReplicatedStore<S, M> {
 
     /// A fresh client session with a store-unique client id.
     pub fn client(&self) -> StoreClient<S, M> {
-        // Relaxed: the RMW alone makes ids unique, and an id publishes
-        // nothing.
-        let id = self.inner.next_client.fetch_add(1, Ordering::Relaxed);
-        self.client_with_id(id)
-    }
-
-    /// A session with an explicit client id — for tests and benchmarks
-    /// that simulate many sessions, and for a client resuming an id it
-    /// used before (the session table remembers its last sequence
-    /// number). Two *concurrent* sessions sharing an id violate the
-    /// sequential-session model and will see each other's commands as
-    /// duplicates or stale.
-    pub fn client_with_id(&self, client: u64) -> StoreClient<S, M> {
         StoreClient {
             inner: Arc::clone(&self.inner),
-            client,
+            // Relaxed: the RMW alone makes ids unique, and an id publishes
+            // nothing.
+            client: self.inner.next_client.fetch_add(1, Ordering::Relaxed),
             seq: 0,
         }
     }
@@ -1079,7 +1068,7 @@ mod tests {
         let per_client = 40u64;
         let handles: Vec<_> = (0..clients)
             .map(|c| {
-                let mut session = store.client_with_id(100 + c);
+                let mut session = store.client();
                 std::thread::spawn(move || {
                     for i in 0..per_client {
                         let resp = session
@@ -1503,9 +1492,9 @@ mod tests {
     impl SharedMemory for HookedMemory {
         type Reg = HookedRegister;
 
-        fn alloc_in_generation(&self, generation: u64) -> HookedRegister {
+        fn alloc(&self) -> HookedRegister {
             HookedRegister {
-                cell: AtomicRegister::in_generation(generation),
+                cell: AtomicRegister::new(),
                 memory: self.clone(),
             }
         }
@@ -1530,12 +1519,8 @@ mod tests {
             SharedRegister::prob_write(&self.cell, value, prob, rng)
         }
 
-        fn generation(&self) -> u64 {
-            SharedRegister::generation(&self.cell)
-        }
-
-        fn retire_to(&mut self, generation: u64) {
-            self.cell.retire_to(generation);
+        fn clear(&mut self) {
+            self.cell.clear();
         }
     }
 

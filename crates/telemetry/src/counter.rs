@@ -24,12 +24,18 @@ impl Counter {
     /// Adds `n`.
     #[inline]
     pub fn add(&self, n: u64) {
+        // Relaxed: read-modify-writes on one atomic are totally ordered
+        // whatever their ordering, so every increment lands; the count
+        // publishes no other memory, so nothing needs to pair with it.
         self.value.fetch_add(n, Ordering::Relaxed);
     }
 
     /// The current count.
     #[inline]
     pub fn get(&self) -> u64 {
+        // Relaxed: a lone tally, ordered against nothing else (see `add`).
+        // Read after joining the writers it is exact; read live it is some
+        // value the counter held.
         self.value.load(Ordering::Relaxed)
     }
 }
@@ -53,6 +59,10 @@ impl Gauge {
     /// Sets the current value (also advances the maximum).
     #[inline]
     pub fn set(&self, v: u64) {
+        // Relaxed, both: the value and the maximum are two independent
+        // tallies. A reader may see the new value before the maximum has
+        // caught up; nothing reads them as one snapshot, and the
+        // `fetch_max` itself never loses a larger value.
         self.value.store(v, Ordering::Relaxed);
         self.max.fetch_max(v, Ordering::Relaxed);
     }
@@ -60,6 +70,7 @@ impl Gauge {
     /// Advances the current value to `v` if it is larger.
     #[inline]
     pub fn record_max(&self, v: u64) {
+        // Relaxed: a read-modify-write on the maximum alone (see `set`).
         self.max.fetch_max(v, Ordering::Relaxed);
     }
 
@@ -70,6 +81,10 @@ impl Gauge {
     /// writer wins.
     #[inline]
     pub fn add(&self, delta: u64) {
+        // Relaxed, both: the `fetch_add` returns this writer's own place in
+        // the value's modification order, so `now` is a value the gauge
+        // really held, and the maximum records it whatever else races;
+        // no other memory hangs on either (see `set`).
         let now = self.value.fetch_add(delta, Ordering::Relaxed) + delta;
         self.max.fetch_max(now, Ordering::Relaxed);
     }
@@ -77,6 +92,9 @@ impl Gauge {
     /// Subtracts `delta` from the current value, saturating at zero.
     #[inline]
     pub fn sub(&self, delta: u64) {
+        // Relaxed, both: the compare-exchange loop retries until it swaps
+        // the value it read, so no concurrent `add` is lost, and the gauge
+        // orders nothing else (see `set`).
         let _ = self
             .value
             .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| {
@@ -87,12 +105,14 @@ impl Gauge {
     /// The current value.
     #[inline]
     pub fn get(&self) -> u64 {
+        // Relaxed: one tally, read on its own (see `set`).
         self.value.load(Ordering::Relaxed)
     }
 
     /// The largest value ever set or recorded.
     #[inline]
     pub fn max(&self) -> u64 {
+        // Relaxed: one tally, read on its own (see `set`).
         self.max.load(Ordering::Relaxed)
     }
 }
@@ -137,15 +157,11 @@ impl ShardedCounter {
     /// Adds `n` to the shard owned by `pid`.
     #[inline]
     pub fn add(&self, pid: usize, n: u64) {
+        // Relaxed: as `Counter::add`, per shard; a shard publishes nothing
+        // but its own count.
         self.shards[pid % self.shards.len()]
             .value
             .fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Adds one to the shard owned by `pid`.
-    #[inline]
-    pub fn incr(&self, pid: usize) {
-        self.add(pid, 1);
     }
 
     /// Adds `n` to the calling thread's shard (for call sites that have no
@@ -157,6 +173,7 @@ impl ShardedCounter {
 
     /// The count in `pid`'s shard.
     pub fn shard(&self, pid: usize) -> u64 {
+        // Relaxed: one shard's tally, read on its own (see `add`).
         self.shards[pid % self.shards.len()]
             .value
             .load(Ordering::Relaxed)
@@ -164,34 +181,23 @@ impl ShardedCounter {
 
     /// The sum over all shards.
     pub fn total(&self) -> u64 {
+        // Relaxed: each shard is read on its own, so a live total is not a
+        // snapshot (a shard may be read before a write that another shard
+        // already shows); after the writers are joined it is exact, and
+        // that is when the totals are compared.
         self.shards
             .iter()
             .map(|s| s.value.load(Ordering::Relaxed))
             .sum()
-    }
-
-    /// Per-shard counts, indexed by shard.
-    pub fn per_shard(&self) -> Vec<u64> {
-        self.shards
-            .iter()
-            .map(|s| s.value.load(Ordering::Relaxed))
-            .collect()
-    }
-
-    /// The largest single-shard count (per-process "individual work" when
-    /// shards map 1:1 to processes).
-    pub fn max_shard(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.value.load(Ordering::Relaxed))
-            .max()
-            .unwrap_or(0)
     }
 }
 
 static NEXT_THREAD_SHARD: AtomicUsize = AtomicUsize::new(0);
 
 thread_local! {
+    // Relaxed: the ticket only has to be distinct per thread, which the
+    // read-modify-write's total order on one atomic gives; it publishes
+    // nothing.
     static THREAD_SHARD: usize = NEXT_THREAD_SHARD.fetch_add(1, Ordering::Relaxed);
 }
 
@@ -251,8 +257,8 @@ mod tests {
         c.add(5, 10); // wraps to shard 1
         assert_eq!(c.shard(1), 12);
         assert_eq!(c.total(), 13);
-        assert_eq!(c.max_shard(), 12);
-        assert_eq!(c.per_shard(), vec![1, 12, 0, 0]);
+        let per_shard: Vec<u64> = (0..4).map(|pid| c.shard(pid)).collect();
+        assert_eq!(per_shard, vec![1, 12, 0, 0]);
     }
 
     #[test]
@@ -271,7 +277,7 @@ mod tests {
                 let c = Arc::clone(&c);
                 std::thread::spawn(move || {
                     for _ in 0..10_000 {
-                        c.incr(pid);
+                        c.add(pid, 1);
                     }
                 })
             })

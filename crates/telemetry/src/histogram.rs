@@ -57,6 +57,10 @@ impl Histogram {
     /// Records one observation.
     #[inline]
     pub fn record(&self, v: u64) {
+        // Relaxed, all four: each is a read-modify-write on its own tally,
+        // so no observation is lost, and none publishes other memory. A
+        // live reader may see the bucket before the count (the four are not
+        // one snapshot); after the writers are joined they agree exactly.
         self.buckets[bucket_of(v)].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(v, Ordering::Relaxed);
@@ -65,16 +69,19 @@ impl Histogram {
 
     /// Number of observations.
     pub fn count(&self) -> u64 {
+        // Relaxed: one tally, read on its own (see `record`).
         self.count.load(Ordering::Relaxed)
     }
 
     /// Sum of observations (wrapping on overflow).
     pub fn sum(&self) -> u64 {
+        // Relaxed: one tally, read on its own (see `record`).
         self.sum.load(Ordering::Relaxed)
     }
 
     /// Largest observation.
     pub fn max(&self) -> u64 {
+        // Relaxed: one tally, read on its own (see `record`).
         self.max.load(Ordering::Relaxed)
     }
 
@@ -93,6 +100,9 @@ impl Histogram {
     pub fn snapshot(&self) -> HistogramSnapshot {
         let mut buckets = Vec::new();
         for (k, bucket) in self.buckets.iter().enumerate() {
+            // Relaxed: a live snapshot is approximate by contract (a bucket
+            // may lead the count by the observations in flight); joined
+            // writers make it exact.
             let n = bucket.load(Ordering::Relaxed);
             if n > 0 {
                 buckets.push((bucket_upper(k), n));

@@ -678,6 +678,8 @@ impl AggregatingRecorder {
 
     /// The current value of one tally.
     pub fn count(&self, key: Tally) -> u64 {
+        // Relaxed: one tally, read on its own (see `add`); the
+        // reconciliations compare tallies after the run has finished.
         self.cell(key).load(Ordering::Relaxed)
     }
 
@@ -686,6 +688,8 @@ impl AggregatingRecorder {
     }
 
     fn add(&self, key: Tally, n: u64) {
+        // Relaxed: a read-modify-write on one tally lands whatever its
+        // ordering, and a tally publishes no other memory.
         self.cell(key).fetch_add(n, Ordering::Relaxed);
     }
 
@@ -721,6 +725,7 @@ impl Recorder for AggregatingRecorder {
             TelemetryEvent::FastPathHit { .. } => self.add(Tally::FastPathHits, 1),
             TelemetryEvent::ConciliatorRound { round, .. } => {
                 self.add(Tally::ConciliatorRounds, 1);
+                // Relaxed: as `add`; `fetch_max` never loses a larger round.
                 self.cell(Tally::MaxRound)
                     .fetch_max(*round, Ordering::Relaxed);
             }

@@ -5,10 +5,12 @@
 # (bench/src, read only). A simplification should lower them; a feature
 # should be able to say what it cost.
 #
-# The default mode prints the figures and fails when rust_lines or
-# api_declarations exceed the ones tracked in docs/size.txt, so growth is a
-# reviewed diff like the API surface: after an intended change, in either
-# direction, run `scripts/size.sh --update` and commit the result.
+# The default mode prints the figures and fails when any of them differs
+# from the ones tracked in docs/size.txt, so every change in size, growth
+# or shrinkage, is a reviewed diff like the API surface: a shrink left
+# untracked would be slack a later change could grow back into unseen.
+# After an intended change run `scripts/size.sh --update` and commit the
+# result.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -36,14 +38,10 @@ check)
     fi
     now=$(measure)
     echo "$now"
-    grown=$(awk 'NR == FNR { tracked[$1] = $2; next }
-        ($1 == "rust_lines" || $1 == "api_declarations") && $2 > tracked[$1] {
-            printf "%s %d > %d tracked\n", $1, $2, tracked[$1] }' "$TRACKED" <(echo "$now"))
-    if [[ -n "$grown" ]]; then
+    if ! diff -u "$TRACKED" <(echo "$now") >&2; then
         echo >&2
-        echo "size: grew past $TRACKED:" >&2
-        echo "$grown" >&2
-        echo "If the growth is intended, run scripts/size.sh --update and commit it." >&2
+        echo "size: the tree no longer matches $TRACKED." >&2
+        echo "If the change is intended, run scripts/size.sh --update and commit it." >&2
         exit 1
     fi
     ;;
