@@ -24,12 +24,6 @@ pub fn impatient_total_work_bound(n: u64) -> u64 {
     6 * n
 }
 
-/// §6.2 item 1: operations of the binary ratifier.
-pub const BINARY_RATIFIER_OPS: u64 = 4;
-
-/// §6.2 item 1: registers of the binary ratifier.
-pub const BINARY_RATIFIER_REGISTERS: u64 = 3;
-
 /// §6.2 item 3: registers of the bit-vector `m`-valued ratifier,
 /// `2⌈lg m⌉ + 1` (including the proposal register).
 pub fn bitvector_ratifier_registers(m: u64) -> u64 {
@@ -76,7 +70,7 @@ pub fn local_coin_delta(n: u64) -> f64 {
 
 /// Upper tail of the standard normal, `P(Z ≥ z)`, via the
 /// Abramowitz–Stegun 7.1.26 erf approximation (absolute error < 1.5·10⁻⁷).
-pub fn normal_upper_tail(z: f64) -> f64 {
+fn normal_upper_tail(z: f64) -> f64 {
     assert!(z >= 0.0, "tail is taken at z ≥ 0");
     let x = z / std::f64::consts::SQRT_2;
     let t = 1.0 / (1.0 + 0.327_591_1 * x);

@@ -23,9 +23,7 @@ use std::time::Instant;
 use mc_check::{
     CheckConfig, Explorer, GraphConfig, GraphExplorer, GraphReport, PathEvent, Verdict,
 };
-use mc_core::{
-    BoundedChain, Chain, CollectRatifier, ConsensusBuilder, FirstMoverConciliator, Ratifier,
-};
+use mc_core::{Chain, CollectRatifier, ConsensusBuilder, FirstMoverConciliator, Ratifier};
 use mc_lab::{Lab, RacyConsensus, RacySpec};
 use mc_model::{ObjectSpec, Value};
 use mc_telemetry::json::Obj;
@@ -89,8 +87,8 @@ fn matrix() -> Vec<Entry> {
             path_oracle: true,
         },
         Entry {
-            spec: Arc::new(BoundedChain::new(
-                "campaign-bounded",
+            spec: Arc::new(Chain::bounded(
+                "campaign-bounded[f=1; K=ratifier(binary)]",
                 move |_| Arc::new(FirstMoverConciliator::impatient()) as Arc<dyn ObjectSpec>,
                 1,
                 Arc::new(Ratifier::binary()),

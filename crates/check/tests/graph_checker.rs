@@ -17,9 +17,7 @@
 use std::sync::Arc;
 
 use mc_check::{CheckConfig, Explorer, GraphConfig, GraphExplorer, Verdict};
-use mc_core::{
-    BoundedChain, Chain, CollectRatifier, ConsensusBuilder, FirstMoverConciliator, Ratifier,
-};
+use mc_core::{Chain, CollectRatifier, ConsensusBuilder, FirstMoverConciliator, Ratifier};
 use mc_model::{ObjectSpec, Value};
 
 /// One protocol under check: a spec plus the configuration both engines
@@ -75,8 +73,8 @@ fn matrix() -> Vec<Entry> {
             expect_exhaustive: true,
         },
         Entry {
-            spec: Arc::new(BoundedChain::new(
-                "checked-bounded",
+            spec: Arc::new(Chain::bounded(
+                "checked-bounded[f=1; K=ratifier(binary)]",
                 move |_| Arc::new(FirstMoverConciliator::impatient()) as Arc<dyn ObjectSpec>,
                 1,
                 Arc::new(Ratifier::binary()),

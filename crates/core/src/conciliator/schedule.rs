@@ -70,7 +70,7 @@ impl WriteSchedule {
     ///
     /// For the impatient schedule this is `⌈lg n⌉ + 1` attempts, which is
     /// what bounds individual work at `2⌈lg n⌉ + O(1)` operations.
-    pub fn saturation_point(&self, n: usize) -> Option<u32> {
+    pub(crate) fn saturation_point(&self, n: usize) -> Option<u32> {
         if self.ratio <= 1.0 {
             return (self.base >= n.max(1) as f64).then_some(0);
         }

@@ -20,8 +20,9 @@
 //!   Aspnes–Herlihy (works against the adaptive adversary) and an adapter
 //!   deriving a coin from any conciliator.
 //! * [`compose`] — the composition operator `(X; Y)` of §3.2 with its
-//!   exception-like skip-on-decide semantics, finite [`compose::Chain`]s
-//!   and the lazily instantiated unbounded [`compose::LazyChain`].
+//!   exception-like skip-on-decide semantics: one lazily instantiated
+//!   [`compose::Chain`] for finite, unbounded and bounded (Theorem 5)
+//!   stage sequences.
 //! * [`protocol`] — the three consensus constructions of §4: the unbounded
 //!   alternation `R₋₁; R₀; C₁; R₁; C₂; R₂; …` with fast path, the bounded
 //!   truncation with a fallback protocol (Theorem 5), and the ratifier-only
@@ -58,7 +59,7 @@ pub mod protocol;
 pub mod ratifier;
 
 pub use coin::{ConciliatorCoin, InvalidQuorumFactor, VotingSharedCoin};
-pub use compose::{BoundedChain, Chain, ChainProbe, LazyChain};
+pub use compose::{Chain, ChainProbe};
 pub use conciliator::{
     CoinConciliator, DummyWriteConciliator, FirstMoverConciliator, WriteSchedule,
 };

@@ -19,7 +19,7 @@ use std::sync::Arc;
 
 use mc_model::ObjectSpec;
 
-use crate::compose::{ChainProbe, LazyChain};
+use crate::compose::{Chain, ChainProbe};
 use crate::conciliator::FirstMoverConciliator;
 use crate::ratifier::Ratifier;
 
@@ -140,15 +140,10 @@ impl ConsensusBuilder {
     }
 
     /// Builds the consensus object as a lazily instantiated chain.
-    pub fn build(self) -> LazyChain {
+    pub fn build(self) -> Chain {
         let conciliator = self.conciliator;
         let ratifier = self.ratifier;
         let prefix = if self.fast_path { 2 } else { 0 };
-        let fallback_start = self
-            .rounds_before_fallback
-            .map(|rounds| prefix + 2 * rounds);
-        let fallback: Option<Arc<dyn ObjectSpec>> = fallback_start
-            .map(|_| Arc::new(default_fallback(Arc::clone(&ratifier))) as Arc<dyn ObjectSpec>);
         let mut label = self.label;
         if self.fast_path {
             label.push_str("+fast");
@@ -156,23 +151,26 @@ impl ConsensusBuilder {
         if let Some(k) = self.rounds_before_fallback {
             label.push_str(&format!("+bounded({k})"));
         }
-        let chain = LazyChain::new(label, move |stage| {
-            if let Some(start) = fallback_start {
-                if stage >= start {
-                    return Arc::clone(fallback.as_ref().expect("fallback configured"));
-                }
-            }
+        // Theorem 5's fallback `K` is the stage after `C_f; R_f`.
+        let fallback = self
+            .rounds_before_fallback
+            .map(|rounds| (prefix + 2 * rounds, default_fallback(Arc::clone(&ratifier))));
+        let stage = move |stage: usize| {
             if stage < prefix {
                 // The fast path R₋₁; R₀.
                 return Arc::clone(&ratifier);
             }
             // Alternating C_i; R_i after the prefix.
-            if (stage - prefix) % 2 == 0 {
+            if (stage - prefix).is_multiple_of(2) {
                 Arc::clone(&conciliator)
             } else {
                 Arc::clone(&ratifier)
             }
-        });
+        };
+        let chain = match fallback {
+            Some((rounds, k)) => Chain::bounded(label, stage, rounds, Arc::new(k)),
+            None => Chain::unbounded(label, stage),
+        };
         match self.probe {
             Some(p) => chain.with_probe(p),
             None => chain,
@@ -200,8 +198,8 @@ impl std::fmt::Debug for ConsensusBuilder {
 /// this one lives in the same probabilistic-write model. Its register
 /// *count* is bounded per round and the expected number of rounds is
 /// constant; see DESIGN.md for the substitution note.
-fn default_fallback(ratifier: Arc<dyn ObjectSpec>) -> LazyChain {
-    LazyChain::new("cil-racing-fallback", move |stage| {
+fn default_fallback(ratifier: Arc<dyn ObjectSpec>) -> Chain {
+    Chain::unbounded("cil-racing-fallback", move |stage| {
         if stage % 2 == 0 {
             Arc::new(FirstMoverConciliator::fixed(1.0)) as Arc<dyn ObjectSpec>
         } else {
@@ -236,9 +234,9 @@ fn default_fallback(ratifier: Arc<dyn ObjectSpec>) -> LazyChain {
 /// // The highest-priority process runs solo and drags everyone along.
 /// assert!(outcome.outputs.iter().all(|d| d.is_decided()));
 /// ```
-pub fn ratifier_only(ratifier: Arc<dyn ObjectSpec>) -> LazyChain {
+pub fn ratifier_only(ratifier: Arc<dyn ObjectSpec>) -> Chain {
     let label = format!("ratifier-only[{}]", ratifier.name());
-    LazyChain::new(label, move |_| Arc::clone(&ratifier))
+    Chain::unbounded(label, move |_| Arc::clone(&ratifier))
 }
 
 #[cfg(test)]

@@ -254,9 +254,9 @@ impl QuorumScheme for BinaryScheme {
 /// `k = ⌈lg m⌉ + Θ(log log m)`, which Bollobás's theorem (Theorem 9) shows
 /// is the best possible for any scheme with `|W| + |R| = k`.
 ///
-/// Any `u64` capacity needs `k ≤ 68` ([`BinomialScheme::MAX_POOL`]), so a
-/// value's quorums fit a `u128` mask, and unranking `W_v` reads its
-/// binomials from a table computed at compile time.
+/// Any `u64` capacity needs `k ≤ 68`, so a value's quorums fit a `u128`
+/// mask, and unranking `W_v` reads its binomials from a table computed at
+/// compile time.
 #[derive(Debug, Clone, Copy)]
 pub struct BinomialScheme {
     k: u64,
@@ -268,7 +268,7 @@ impl BinomialScheme {
     /// The largest pool: `C(67, 33) < u64::MAX ≤ C(68, 34)`, so no `u64`
     /// capacity needs more registers, and the binomials a rank is peeled
     /// by, `C(c, t)` for `c < 68`, all fit a `u64`.
-    pub const MAX_POOL: u64 = 68;
+    const MAX_POOL: u64 = 68;
 
     /// Creates the smallest binomial scheme supporting at least `m` values.
     ///
@@ -288,11 +288,11 @@ impl BinomialScheme {
     }
 
     /// Creates the scheme with an explicit pool size
-    /// `2 ≤ k ≤ MAX_POOL`, supporting `C(k, ⌊k/2⌋)` values.
+    /// `2 ≤ k ≤ 68`, supporting `C(k, ⌊k/2⌋)` values.
     ///
     /// # Panics
     ///
-    /// Panics if `k < 2` or `k > MAX_POOL`.
+    /// Panics if `k < 2` or `k > 68`.
     pub fn with_pool(k: u64) -> BinomialScheme {
         assert!(k >= 2, "pool must have at least 2 registers");
         assert!(

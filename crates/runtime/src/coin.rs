@@ -175,7 +175,7 @@ impl<M: SharedMemory> VotingCoin<M> {
     /// # Panics
     ///
     /// Panics if `n == 0` or `factor == 0`.
-    pub fn with_quorum_factor_in(memory: &M, n: usize, factor: u32) -> VotingCoin<M> {
+    pub(crate) fn with_quorum_factor_in(memory: &M, n: usize, factor: u32) -> VotingCoin<M> {
         assert!(n > 0, "need at least one thread");
         assert!(factor > 0, "quorum factor must be positive");
         VotingCoin {
@@ -303,7 +303,10 @@ where
     /// The allocation order matters on instrumented substrates: the
     /// model-side spec allocates its announce block first and its coin's
     /// registers second, and lab conformance compares register ids.
-    pub fn with_coin_in(memory: &M, make_coin: impl FnOnce(&M) -> C) -> CoinConciliator<C, M> {
+    pub(crate) fn with_coin_in(
+        memory: &M,
+        make_coin: impl FnOnce(&M) -> C,
+    ) -> CoinConciliator<C, M> {
         let announce = [memory.alloc(), memory.alloc()];
         CoinConciliator {
             announce,

@@ -85,7 +85,7 @@ impl<M: SharedMemory> AtomicRatifier<M> {
     /// # Panics
     ///
     /// Panics if the scheme's pool exceeds [`MAX_MASK_POOL`] registers.
-    pub fn with_scheme_in(memory: &M, scheme: Arc<dyn QuorumScheme>) -> AtomicRatifier<M> {
+    pub(crate) fn with_scheme_in(memory: &M, scheme: Arc<dyn QuorumScheme>) -> AtomicRatifier<M> {
         let pool = scheme.pool_size();
         assert!(
             pool <= MAX_MASK_POOL,

@@ -319,6 +319,8 @@ impl<S: StateMachine, M: SharedMemory> StoreInner<S, M> {
     }
 
     fn lock_intake(&self) -> MutexGuard<'_, Intake<S, M>> {
+        #[cfg(test)]
+        tests::INTAKE_LOCKS.with(|locks| locks.set(locks.get() + 1));
         self.intake.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
@@ -949,6 +951,11 @@ mod tests {
     use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::time::Duration;
 
+    thread_local! {
+        /// Intake critical sections this thread has entered.
+        pub(super) static INTAKE_LOCKS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    }
+
     /// Every wait in the tests below is bounded by this: a lost wake-up
     /// fails its test instead of hanging tier-1.
     const PATIENCE: Duration = Duration::from_secs(10);
@@ -987,6 +994,31 @@ mod tests {
             done.send(()).unwrap();
         });
         joined.recv_timeout(PATIENCE).expect("shutdown returns");
+    }
+
+    #[test]
+    fn a_closed_loop_call_enters_the_intake_five_times() {
+        // One client alone: `submit` enqueues (1); its handle drives (2),
+        // proposes and learns its own win (3), and the apply retires the
+        // slot (4) and takes back the batch's buffers once answered (5).
+        // Nothing else may take the intake mutex on a warm call.
+        let mut store = ReplicatedStore::<KvStore>::builder()
+            .snapshot_every(0)
+            .build();
+        let mut client = store.client();
+        for value in 1..=100 {
+            client.call(KvCommand::Put { key: 1, value }).unwrap();
+        }
+        let before = INTAKE_LOCKS.with(|locks| locks.get());
+        for value in 101..=1_100 {
+            assert_eq!(
+                client.call(KvCommand::Put { key: 1, value }).unwrap(),
+                KvResponse::Stored(Some(value - 1))
+            );
+        }
+        let locks = INTAKE_LOCKS.with(|locks| locks.get()) - before;
+        assert_eq!(locks, 5 * 1_000, "intake critical sections per call");
+        store.shutdown();
     }
 
     #[test]

@@ -65,12 +65,16 @@ cargo run -p mc-bench --release --bin experiments -- all --quick > /dev/null
 
 echo "== telemetry smoke =="
 # The simulate CLI's JSONL export, end to end: a recorder attached through
-# the CLI must leave, byte for byte, the 55 lines tracked as the fixture
+# the CLI must leave, byte for byte, the lines tracked as the fixtures
 # (deterministic at the default seed), so a drift of the event schema or of
-# the run behind it fails here. After an intended change, copy the new
-# output over the fixture and review the diff.
+# the run behind it fails here. Two chain shapes are pinned: the binary
+# consensus chain (55 lines) and the ratifier-only chain under a quantum
+# scheduler (36 lines). After an intended change, copy the new output over
+# the fixture and review the diff.
 cargo run -p mc-bench --release --bin simulate -- --protocol binary --n 4 --trials 2 --telemetry target/telemetry_smoke.jsonl > /dev/null
 cmp target/telemetry_smoke.jsonl tests/fixtures/telemetry_smoke.jsonl
+cargo run -p mc-bench --release --bin simulate -- --protocol ratifier-only --adversary quantum:4 --inputs 0,1,0 --trials 2 --telemetry target/telemetry_ratifier_only.jsonl > /dev/null
+cmp target/telemetry_ratifier_only.jsonl tests/fixtures/telemetry_ratifier_only.jsonl
 
 echo "== lab conformance (fixed-seed campaign) =="
 # Sim engine vs real-thread lab runtime vs mc-check replay: 10^4 seeds per

@@ -94,8 +94,8 @@ struct ReadmeDoctests;
 pub mod prelude {
     pub use mc_core::protocol::ConsensusBuilder;
     pub use mc_core::{
-        BoundedChain, Chain, ChainProbe, CoinConciliator, CollectRatifier, ConciliatorCoin,
-        FirstMoverConciliator, LazyChain, Ratifier, VotingSharedCoin, WriteSchedule,
+        Chain, ChainProbe, CoinConciliator, CollectRatifier, ConciliatorCoin,
+        FirstMoverConciliator, Ratifier, VotingSharedCoin, WriteSchedule,
     };
     pub use mc_lab::{
         check_chaos_conformance, check_conformance, check_conformance_with_plan,
