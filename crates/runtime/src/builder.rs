@@ -119,8 +119,8 @@ impl<M: SharedMemory> ConsensusBuilder<M> {
 
     /// Which conciliator the `C` stages instantiate (default
     /// [`ConciliatorChoice::Impatient`]): the impatient probabilistic-write
-    /// racer, the Theorem 6 coin wrapper, or the telemetry-fed adaptive
-    /// policy. Non-impatient choices require binary capacity.
+    /// racer, or the Theorem 6 coin wrapper, which requires binary
+    /// capacity.
     #[must_use]
     pub fn conciliator(mut self, choice: ConciliatorChoice) -> Self {
         self.conciliator = choice;
@@ -297,14 +297,6 @@ impl<M: SharedMemory> EngineBuilder<M> {
         self
     }
 
-    /// Conciliator portfolio choice for every pooled instance; see
-    /// [`ConsensusBuilder::conciliator`].
-    #[must_use]
-    pub fn conciliator(mut self, choice: ConciliatorChoice) -> Self {
-        self.consensus = self.consensus.conciliator(choice);
-        self
-    }
-
     /// Telemetry event sink; see [`ConsensusBuilder::recorder`].
     #[must_use]
     pub fn recorder(mut self, recorder: Arc<dyn Recorder>) -> Self {
@@ -383,7 +375,7 @@ mod tests {
     }
 
     #[test]
-    fn conciliator_choice_flows_through_all_builders() {
+    fn conciliator_choice_flows_into_the_options() {
         use crate::coin::CoinKind;
         let choice = ConciliatorChoice::Coin(CoinKind::voting());
         let options = Consensus::builder()
@@ -391,19 +383,11 @@ mod tests {
             .conciliator(choice.clone())
             .options();
         assert_eq!(options.conciliator, choice);
-        let (engine_opts, _) = ConsensusEngine::builder()
-            .n(2)
-            .conciliator(choice.clone())
-            .options();
-        assert_eq!(engine_opts.conciliator, choice);
-        // And the built object actually runs on the coin path.
+        // The built object decides; that its stages are coin stages is
+        // checked by `coin_choice_builds_coin_stages_before_and_after_reset`.
         let c = Consensus::builder().n(1).conciliator(choice).build();
         let mut rng = SmallRng::seed_from_u64(0);
         assert_eq!(c.decide(1, &mut rng), 1);
-        assert_eq!(
-            c.selected_conciliator(),
-            mc_telemetry::ConciliatorKind::Coin
-        );
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Runtime conciliators: the [`Conciliator`] trait, the impatient
-//! first-mover implementation on real atomics, and the portfolio
-//! [`ConciliatorChoice`] consumed by the consensus stack.
+//! first-mover implementation on real atomics, and the
+//! [`ConciliatorChoice`] a consensus chain is built with.
 
 use std::sync::Arc;
 
@@ -50,10 +50,10 @@ pub trait Conciliator<M: SharedMemory>: Send + Sync {
 ///
 /// The default is [`Impatient`](ConciliatorChoice::Impatient) — the paper's
 /// headline probabilistic-write conciliator (Theorem 7). Under schedulers
-/// that exploit impatience (degrading its effective `δ̂`), the Theorem 6
-/// coin wrapper over an adaptive-adversary-robust coin is the better trade;
-/// [`Adaptive`](ConciliatorChoice::Adaptive) makes that call per instance
-/// from the telemetry window.
+/// that exploit impatience, the Theorem 6 coin wrapper over an
+/// adaptive-adversary-robust coin is the better trade. The choice is fixed
+/// when the chain is built and holds for every instance it is recycled
+/// into.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub enum ConciliatorChoice {
     /// The impatient first-mover conciliator (§5.2, the default).
@@ -62,42 +62,6 @@ pub enum ConciliatorChoice {
     /// The Theorem 6 [`CoinConciliator`](crate::CoinConciliator) over the
     /// given coin. Binary values only.
     Coin(CoinKind),
-    /// Start impatient; per instance, fall back to the coin conciliator
-    /// when the telemetry window's δ̂ estimate degrades past the threshold.
-    /// Binary values only (the coin path is binary).
-    Adaptive(AdaptiveOptions),
-}
-
-/// Tuning for [`ConciliatorChoice::Adaptive`].
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct AdaptiveOptions {
-    /// How many recent decides the δ̂ estimate looks back over.
-    pub window: usize,
-    /// Minimum number of sampled decides before switching is even
-    /// considered — an empty or thin window never triggers a switch.
-    pub min_samples: usize,
-    /// Switch to the coin when the window estimate δ̂ falls below this.
-    ///
-    /// Theorem 7 guarantees δ ≈ 0.055 for the impatient conciliator against
-    /// the worst adversary; benign schedulers measure far higher, so a
-    /// threshold above the theoretical floor detects a hostile regime while
-    /// a healthy one stays impatient.
-    pub delta_threshold: f64,
-    /// The coin to fall back to. The default is the voting coin, the
-    /// portfolio member built for exactly the adversarial regime that
-    /// degrades δ̂.
-    pub coin: CoinKind,
-}
-
-impl Default for AdaptiveOptions {
-    fn default() -> Self {
-        AdaptiveOptions {
-            window: 32,
-            min_samples: 8,
-            delta_threshold: 0.2,
-            coin: CoinKind::voting(),
-        }
-    }
 }
 
 /// Procedure ImpatientFirstMoverConciliator (§5.2) as a thread-safe object:

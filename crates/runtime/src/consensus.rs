@@ -5,11 +5,11 @@ use std::sync::{Arc, PoisonError, RwLock};
 use std::time::Instant;
 
 use mc_quorums::QuorumScheme;
-use mc_telemetry::{ConciliatorKind, StageKind};
+use mc_telemetry::StageKind;
 use rand::Rng;
 
 use crate::coin::{CoinConciliator, CoinKind, LocalCoin, VotingCoin};
-use crate::conciliator::{AdaptiveOptions, Conciliator, ConciliatorChoice, ImpatientConciliator};
+use crate::conciliator::{Conciliator, ConciliatorChoice, ImpatientConciliator};
 use crate::ratifier::AtomicRatifier;
 use crate::register::{AtomicMemory, SharedMemory};
 use crate::telemetry::{CounterKey, RuntimeTelemetry};
@@ -36,24 +36,6 @@ impl std::fmt::Debug for ConsensusOptions {
             .field("fast_path", &self.fast_path)
             .field("conciliator", &self.conciliator)
             .finish()
-    }
-}
-
-/// The conciliator implementation a [`Consensus`] instance settled on for
-/// its current generation — a fixed choice resolved once, or the adaptive
-/// policy's per-instance verdict.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum ActiveConciliator {
-    Impatient,
-    Coin(CoinKind),
-}
-
-impl ActiveConciliator {
-    fn kind(self) -> ConciliatorKind {
-        match self {
-            ActiveConciliator::Impatient => ConciliatorKind::Impatient,
-            ActiveConciliator::Coin(_) => ConciliatorKind::Coin,
-        }
     }
 }
 
@@ -108,14 +90,6 @@ pub struct Consensus<M: SharedMemory = AtomicMemory> {
     options: Arc<ConsensusOptions>,
     memory: M,
     stages: RwLock<Vec<Arc<Stage<M>>>>,
-    /// How many times this object has been recycled via
-    /// [`reset`](Consensus::reset); fresh objects are in generation 0.
-    generation: u64,
-    /// The conciliator implementation this instance's `C` stages use —
-    /// resolved from `options.conciliator` at construction and re-resolved
-    /// on every [`reset`](Consensus::reset) (where the adaptive policy gets
-    /// to change its mind between instances).
-    active: ActiveConciliator,
     /// Hands each plain [`decide`](Consensus::decide) caller a distinct
     /// thread slot; under one-shot semantics (≤ `n` calls per instance) the
     /// slots are unique, which is what per-thread coin registers require.
@@ -151,49 +125,12 @@ impl<M: SharedMemory> Consensus<M> {
             "coin conciliators are binary: capacity {} exceeds 2",
             options.scheme.capacity()
         );
-        let active = Consensus::<M>::resolve_choice(&options.conciliator, 0, &telemetry);
         Consensus {
             options,
             memory,
             stages: RwLock::new(Vec::new()),
-            generation: 0,
-            active,
             ticket: AtomicUsize::new(0),
             telemetry,
-        }
-    }
-
-    /// Resolves the portfolio choice for the instance entering `generation`.
-    ///
-    /// Fixed choices are immediate. The adaptive policy consults the
-    /// telemetry window's δ̂ estimate: with enough samples and an estimate
-    /// below the threshold it selects the coin conciliator; otherwise (in
-    /// particular on an empty or thin window) it stays impatient. Adaptive
-    /// resolutions are announced via the `conciliator_selected` event.
-    fn resolve_choice(
-        choice: &ConciliatorChoice,
-        generation: u64,
-        telemetry: &RuntimeTelemetry,
-    ) -> ActiveConciliator {
-        match choice {
-            ConciliatorChoice::Impatient => ActiveConciliator::Impatient,
-            ConciliatorChoice::Coin(kind) => ActiveConciliator::Coin(*kind),
-            ConciliatorChoice::Adaptive(opts) => {
-                let AdaptiveOptions {
-                    window,
-                    min_samples,
-                    delta_threshold,
-                    coin,
-                } = *opts;
-                let estimate = telemetry.delta_hat_over(window, min_samples);
-                let samples = telemetry.delta_samples().min(window as u64);
-                let active = match estimate {
-                    Some(d) if d < delta_threshold => ActiveConciliator::Coin(coin),
-                    _ => ActiveConciliator::Impatient,
-                };
-                telemetry.on_conciliator_selected(generation, active.kind(), estimate, samples);
-                active
-            }
         }
     }
 
@@ -216,12 +153,6 @@ impl<M: SharedMemory> Consensus<M> {
             .len()
     }
 
-    /// How many times this object has been recycled via
-    /// [`reset`](Consensus::reset). Fresh objects report 0.
-    pub fn generation(&self) -> u64 {
-        self.generation
-    }
-
     /// The shared options handle; instances built from the same `Arc`
     /// report `Arc::ptr_eq` — the per-slot setup cost is a pointer bump.
     pub fn options_handle(&self) -> &Arc<ConsensusOptions> {
@@ -240,13 +171,6 @@ impl<M: SharedMemory> Consensus<M> {
     /// Stages stay materialized (that is the point: no reallocation), and
     /// cumulative telemetry is deliberately preserved across instances.
     ///
-    /// Under [`ConciliatorChoice::Adaptive`] the portfolio choice is
-    /// re-resolved for the next instance; if the verdict flips, the old
-    /// conciliator stages cannot be reused and the stage vector is cleared
-    /// instead (the next instance re-materializes lazily) — an accepted
-    /// deviation from the no-reallocation contract, taken only on an actual
-    /// regime change.
-    ///
     /// [`SharedRegister::clear`]: crate::SharedRegister::clear
     ///
     /// # Panics
@@ -254,43 +178,19 @@ impl<M: SharedMemory> Consensus<M> {
     /// Panics if any `decide` call is still in flight (a stage handle is
     /// still borrowed); recycling is only legal between instances.
     pub fn reset(&mut self) {
-        let next_generation = self.generation + 1;
-        let next = Consensus::<M>::resolve_choice(
-            &self.options.conciliator,
-            next_generation,
-            &self.telemetry,
-        );
         let stages = self
             .stages
             .get_mut()
             .unwrap_or_else(PoisonError::into_inner);
-        if next == self.active {
-            for stage in stages.iter_mut() {
-                Arc::get_mut(stage)
-                    .expect("reset with a decide call in flight")
-                    .reset();
-            }
-        } else {
-            assert!(
-                stages.iter_mut().all(|stage| Arc::get_mut(stage).is_some()),
-                "reset with a decide call in flight"
-            );
-            stages.clear();
-            self.active = next;
+        for stage in stages.iter_mut() {
+            Arc::get_mut(stage)
+                .expect("reset with a decide call in flight")
+                .reset();
         }
-        self.generation = next_generation;
         // Relaxed: `&mut self` rules out a decide in flight, and whatever
         // hands the object to the next instance's callers (a mutex, a spawn
         // or a join) orders this store before their tickets.
         self.ticket.store(0, Ordering::Relaxed);
-    }
-
-    /// Which conciliator implementation the current instance's `C` stages
-    /// use: the fixed choice, or — under
-    /// [`ConciliatorChoice::Adaptive`] — the verdict resolved at the last
-    /// construction/[`reset`](Consensus::reset).
-    pub fn selected_conciliator(&self) -> ConciliatorKind {
-        self.active.kind()
     }
 
     /// Shared handle to this object's telemetry, for wiring observers that
@@ -335,16 +235,16 @@ impl<M: SharedMemory> Consensus<M> {
                 Arc::clone(&self.options.scheme),
             ))
         } else {
-            let conciliator: Box<dyn Conciliator<M>> = match self.active {
-                ActiveConciliator::Impatient => Box::new(
+            let conciliator: Box<dyn Conciliator<M>> = match self.options.conciliator {
+                ConciliatorChoice::Impatient => Box::new(
                     ImpatientConciliator::new_in(&self.memory, self.options.n)
                         .observed_by(Arc::clone(&self.telemetry)),
                 ),
-                ActiveConciliator::Coin(CoinKind::Local) => Box::new(
+                ConciliatorChoice::Coin(CoinKind::Local) => Box::new(
                     CoinConciliator::with_coin_in(&self.memory, |_| LocalCoin::new())
                         .observed_by(Arc::clone(&self.telemetry)),
                 ),
-                ActiveConciliator::Coin(CoinKind::Voting { quorum_factor }) => Box::new(
+                ConciliatorChoice::Coin(CoinKind::Voting { quorum_factor }) => Box::new(
                     CoinConciliator::with_coin_in(&self.memory, |memory| {
                         VotingCoin::with_quorum_factor_in(memory, self.options.n, quorum_factor)
                             .observed_by(Arc::clone(&self.telemetry))
@@ -356,22 +256,9 @@ impl<M: SharedMemory> Consensus<M> {
         }
     }
 
-    /// Records a decide that finished at stage `stage` after entering
-    /// `conciliator_stages` conciliators, timed if `started` (from
-    /// [`RuntimeTelemetry::decide_clock`]). Only an adaptive instance feeds
-    /// the δ̂ window: adaptive selection is its one reader, and a
-    /// fixed-choice decide then takes no lock at all.
-    fn on_decided(
-        &self,
-        value: u64,
-        stage: usize,
-        fast_path: bool,
-        conciliator_stages: u64,
-        started: Option<Instant>,
-    ) {
-        if matches!(self.options.conciliator, ConciliatorChoice::Adaptive(_)) {
-            self.telemetry.on_conciliator_stages(conciliator_stages);
-        }
+    /// Records a decide that finished at stage `stage`, timed if `started`
+    /// (from [`RuntimeTelemetry::decide_clock`]).
+    fn on_decided(&self, value: u64, stage: usize, fast_path: bool, started: Option<Instant>) {
         let latency_ns = started.map(|t| u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX));
         self.telemetry
             .on_decided(value, stage as u64, fast_path, latency_ns);
@@ -446,7 +333,6 @@ impl<M: SharedMemory> Consensus<M> {
         let started = self.telemetry.decide_clock();
         let prefix = self.prefix();
         let mut current = value;
-        let mut conciliator_stages = 0u64;
         for ix in 0..limit {
             match &*self.stage(ix) {
                 Stage::Ratifier(r) => {
@@ -457,7 +343,7 @@ impl<M: SharedMemory> Consensus<M> {
                         .on_ratifier_verdict(ix as u64, d.is_decided(), d.value());
                     if d.is_decided() {
                         let decided = finish(Exit::Decided(d.value()));
-                        self.on_decided(decided, ix, ix < prefix, conciliator_stages, started);
+                        self.on_decided(decided, ix, ix < prefix, started);
                         return decided;
                     }
                     current = d.value();
@@ -465,13 +351,12 @@ impl<M: SharedMemory> Consensus<M> {
                 Stage::Conciliator(c) => {
                     self.telemetry
                         .on_stage_entered(ix as u64, StageKind::Conciliator);
-                    conciliator_stages += 1;
                     current = c.propose(pid, current, rng);
                 }
             }
         }
         let decided = finish(Exit::Exhausted(current));
-        self.on_decided(decided, limit, false, conciliator_stages, started);
+        self.on_decided(decided, limit, false, started);
         decided
     }
 }
@@ -488,6 +373,7 @@ impl<M: SharedMemory> std::fmt::Debug for Consensus<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::telemetry::HistKey;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
@@ -581,10 +467,8 @@ mod tests {
         let mut c = Consensus::builder().n(1).values(16).build();
         let mut rng = SmallRng::seed_from_u64(1);
         assert_eq!(c.decide(11, &mut rng), 11);
-        assert_eq!(c.generation(), 0);
         let stages_before = c.stages_used();
         c.reset();
-        assert_eq!(c.generation(), 1);
         // Stages are kept (no reallocation) but the old decision is gone.
         assert_eq!(c.stages_used(), stages_before);
         let mut rng = SmallRng::seed_from_u64(1);
@@ -625,7 +509,6 @@ mod tests {
                         .conciliator(ConciliatorChoice::Coin(kind))
                         .build(),
                 );
-                assert_eq!(c.selected_conciliator(), ConciliatorKind::Coin);
                 let proposals: Vec<u64> = (0..3).map(|t| (t as u64 + trial) % 2).collect();
                 let results = run_consensus(c, proposals.clone(), trial);
                 assert!(
@@ -638,17 +521,36 @@ mod tests {
     }
 
     #[test]
-    fn coin_choice_survives_reset() {
-        let mut c = Consensus::builder()
-            .n(1)
-            .conciliator(ConciliatorChoice::Coin(CoinKind::voting()))
-            .build();
-        let mut rng = SmallRng::seed_from_u64(9);
-        assert_eq!(c.decide(1, &mut rng), 1);
-        c.reset();
-        assert_eq!(c.selected_conciliator(), ConciliatorKind::Coin);
-        let mut rng = SmallRng::seed_from_u64(9);
-        assert_eq!(c.decide(0, &mut rng), 0);
+    fn coin_choice_builds_coin_stages_before_and_after_reset() {
+        // No fast path, so every decide enters C₁. Two callers in turn with
+        // opposite proposals: the second finds the first's announcement
+        // and defers to the coin. An impatient stage would have attempted a
+        // probabilistic write; a coin stage never does, and only the voting
+        // coin records coin rounds. The first caller's bit flips between
+        // instances, so a recycled stage that kept a register would show.
+        for kind in [CoinKind::voting(), CoinKind::Local] {
+            let mut c = Consensus::builder()
+                .n(2)
+                .fast_path(false)
+                .conciliator(ConciliatorChoice::Coin(kind))
+                .build();
+            for instance in 1..=2 {
+                let mut rng = SmallRng::seed_from_u64(instance);
+                let bit = instance % 2;
+                let first = c.decide_as(0, bit, &mut rng);
+                assert_eq!(first, bit, "{kind:?}: a solo caller keeps its value");
+                assert_eq!(c.decide_as(1, 1 - bit, &mut rng), bit, "{kind:?}");
+                let t = c.telemetry();
+                assert_eq!(t.count(CounterKey::ProbWritesAttempted), 0, "{kind:?}");
+                let flips = t.hist(HistKey::CoinRounds).count();
+                let expected = match kind {
+                    CoinKind::Voting { .. } => instance,
+                    CoinKind::Local => 0,
+                };
+                assert_eq!(flips, expected, "{kind:?} instance {instance}");
+                c.reset();
+            }
+        }
     }
 
     #[test]
@@ -675,92 +577,6 @@ mod tests {
         );
         let results = run_consensus(Arc::clone(&c), vec![0, 1], 11);
         assert_eq!(results[0], results[1]);
-    }
-
-    fn adaptive(n: usize, options: AdaptiveOptions) -> Consensus {
-        Consensus::builder()
-            .n(n)
-            .conciliator(ConciliatorChoice::Adaptive(options))
-            .build()
-    }
-
-    #[test]
-    fn adaptive_starts_impatient_on_empty_window() {
-        let options = AdaptiveOptions::default();
-        let c = adaptive(2, options);
-        assert_eq!(c.selected_conciliator(), ConciliatorKind::Impatient);
-        assert_eq!(
-            c.telemetry()
-                .delta_hat_over(options.window, options.min_samples),
-            None,
-            "no samples, no estimate"
-        );
-        // The selection itself was announced (counted), but never as a coin.
-        assert_eq!(c.telemetry().count(CounterKey::ConciliatorSelections), 1);
-        assert_eq!(c.telemetry().count(CounterKey::CoinSelections), 0);
-    }
-
-    #[test]
-    fn adaptive_never_switches_on_empty_window() {
-        let mut c = adaptive(2, AdaptiveOptions::default());
-        for _ in 0..5 {
-            c.reset();
-            assert_eq!(c.selected_conciliator(), ConciliatorKind::Impatient);
-        }
-        assert_eq!(c.telemetry().count(CounterKey::CoinSelections), 0);
-    }
-
-    #[test]
-    fn adaptive_switches_when_measured_delta_degrades() {
-        let options = AdaptiveOptions {
-            window: 8,
-            min_samples: 4,
-            delta_threshold: 0.5,
-            ..AdaptiveOptions::default()
-        };
-        let mut c = adaptive(2, options);
-        // Simulate a hostile regime: decides burning 10 conciliator stages
-        // each (δ̂ = 0.1, far below the 0.5 threshold).
-        for _ in 0..4 {
-            c.telemetry().on_conciliator_stages(10);
-        }
-        let d = c
-            .telemetry()
-            .delta_hat_over(options.window, options.min_samples)
-            .unwrap();
-        assert!((d - 0.1).abs() < 1e-9, "δ̂ {d}");
-        c.reset();
-        assert_eq!(c.selected_conciliator(), ConciliatorKind::Coin);
-        assert_eq!(c.telemetry().count(CounterKey::CoinSelections), 1);
-        // The impatient stages could not be recycled across the flip.
-        assert_eq!(c.stages_used(), 0);
-        // A decide on the switched instance still works end to end.
-        let mut rng = SmallRng::seed_from_u64(12);
-        assert!(c.decide(1, &mut rng) <= 1);
-    }
-
-    #[test]
-    fn adaptive_recovers_back_to_impatient() {
-        let mut c = adaptive(
-            2,
-            AdaptiveOptions {
-                window: 4,
-                min_samples: 2,
-                delta_threshold: 0.5,
-                ..AdaptiveOptions::default()
-            },
-        );
-        for _ in 0..4 {
-            c.telemetry().on_conciliator_stages(10);
-        }
-        c.reset();
-        assert_eq!(c.selected_conciliator(), ConciliatorKind::Coin);
-        // Healthy regime: decides resolving in one conciliator stage.
-        for _ in 0..4 {
-            c.telemetry().on_conciliator_stages(1);
-        }
-        c.reset();
-        assert_eq!(c.selected_conciliator(), ConciliatorKind::Impatient);
     }
 
     #[test]

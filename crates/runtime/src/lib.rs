@@ -59,7 +59,7 @@ mod typed;
 pub use bounded::{BoundedConsensus, Fallback, LeaderFallback, DEFAULT_MAX_CONCILIATOR_ROUNDS};
 pub use builder::{ConsensusBuilder, EngineBuilder};
 pub use coin::{CoinConciliator, CoinKind, LocalCoin, VotingCoin, WeakSharedCoin};
-pub use conciliator::{AdaptiveOptions, Conciliator, ConciliatorChoice, ImpatientConciliator};
+pub use conciliator::{Conciliator, ConciliatorChoice, ImpatientConciliator};
 pub use consensus::{Consensus, ConsensusOptions};
 pub use derived::{Election, TestAndSet};
 pub use engine::{ConsensusEngine, EngineOptions};

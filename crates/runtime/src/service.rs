@@ -1171,14 +1171,6 @@ impl<M: SharedMemory> ServiceBuilder<M> {
         self
     }
 
-    /// Conciliator portfolio choice for every pooled instance; see
-    /// [`ConsensusBuilder::conciliator`](crate::ConsensusBuilder::conciliator).
-    #[must_use]
-    pub fn conciliator(mut self, choice: crate::ConciliatorChoice) -> Self {
-        self.engine = self.engine.conciliator(choice);
-        self
-    }
-
     /// Telemetry event sink; see
     /// [`ConsensusBuilder::recorder`](crate::ConsensusBuilder::recorder).
     #[must_use]

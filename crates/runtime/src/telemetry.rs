@@ -20,23 +20,14 @@
 //! its count says how many decides were sampled.
 
 use std::cell::Cell;
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
 use std::time::Instant;
 
 use mc_telemetry::{
-    metric_keys, thread_shard, ConciliatorKind, Counter, FaultClass, Gauge, Histogram,
-    NoopRecorder, Recorder, ShardedCounter, Snapshot, StageKind, TelemetryEvent,
+    metric_keys, thread_shard, Counter, FaultClass, Gauge, Histogram, NoopRecorder, Recorder,
+    ShardedCounter, Snapshot, StageKind, TelemetryEvent,
 };
-
-/// Hard cap on the δ̂ sliding window: samples older than this many decides
-/// are discarded regardless of the window a caller asks for.
-const DELTA_WINDOW_CAP: usize = 256;
-
-/// Fixed-point scale for the `observed_delta_hat_ppm` gauge (δ̂ in
-/// millionths).
-const DELTA_HAT_SCALE: f64 = 1_000_000.0;
 
 /// While per-decide events are amortized, one decide in this many per
 /// thread is timed into [`HistKey::DecideLatencyNs`]: two clock reads cost
@@ -86,10 +77,6 @@ metric_keys! {
         /// Bounded-consensus calls that exhausted every conciliator stage and
         /// fell back to the backup protocol `K`.
         FallbacksTaken => "fallbacks_taken",
-        /// Adaptive conciliator selections resolved (any outcome).
-        ConciliatorSelections => "conciliator_selections",
-        /// Adaptive selections that chose the coin conciliator.
-        CoinSelections => "coin_selections",
         /// Proposals accepted into a service intake ring.
         ProposalsEnqueued => "proposals_enqueued",
         /// Proposals refused at admission because their intake ring was
@@ -148,9 +135,6 @@ metric_keys! {
         /// Largest probability-doubling round index any call reached. Only
         /// its maximum moves; the current value stays 0.
         MaxConciliatorRound => "max_conciliator_round",
-        /// Latest δ̂ published by an adaptive selection, in millionths; 0
-        /// before any selection had enough samples to estimate one.
-        ObservedDeltaHatPpm => "observed_delta_hat_ppm",
         /// Instances currently live; derived on read, see
         /// [`RuntimeTelemetry::live_instances`].
         LiveInstances => "live_instances",
@@ -201,10 +185,6 @@ pub struct RuntimeTelemetry {
     sharded: [ShardedCounter; CounterKey::SHARDED],
     gauges: [Gauge; GaugeKey::COUNT],
     hists: [Histogram; HistKey::COUNT],
-    /// Conciliator stages entered per completed decide of an adaptive
-    /// instance, newest at the back. Feeds the sliding-window δ̂ estimate
-    /// adaptive selection reads; a fixed-choice decide never locks it.
-    delta_window: Mutex<VecDeque<u64>>,
 }
 
 /// Keeps a [`RuntimeTelemetry`] in amortized recorder mode while alive;
@@ -214,6 +194,8 @@ pub struct AmortizedEvents(Arc<RuntimeTelemetry>);
 
 impl Drop for AmortizedEvents {
     fn drop(&mut self) {
+        // Relaxed: as in `amortized`, a read-modify-write on the count
+        // lands whatever its ordering, and the count publishes no memory.
         self.0
             .decide_event_amortizers
             .fetch_sub(1, Ordering::Relaxed);
@@ -262,7 +244,6 @@ impl RuntimeTelemetry {
             sharded: std::array::from_fn(|_| ShardedCounter::new(n)),
             gauges: std::array::from_fn(|_| Gauge::new()),
             hists: std::array::from_fn(|_| Histogram::new()),
-            delta_window: Mutex::new(VecDeque::new()),
         }
     }
 
@@ -281,6 +262,14 @@ impl RuntimeTelemetry {
     /// batching service has this telemetry in amortized mode, where the
     /// recorder sees one `BatchDrained` summary per batch instead.
     pub fn decide_events_on(&self) -> bool {
+        // Relaxed: the count only chooses between a per-decide event and
+        // none, and publishes no memory; the recorder orders its own
+        // writes under its mutex. A decide that races a guard taken or
+        // dropped emits or skips its events on either side of the change,
+        // and each side is a valid stream. A guard taken before the
+        // deciders start (the service's, before it spawns its workers;
+        // the store's, before its callers get it) is ordered before them
+        // by that hand-off.
         self.events_on && self.decide_event_amortizers.load(Ordering::Relaxed) == 0
     }
 
@@ -294,6 +283,10 @@ impl RuntimeTelemetry {
     /// Reference-counted: per-decide events resume once every guard is
     /// gone.
     pub fn amortized(self: &Arc<Self>) -> AmortizedEvents {
+        // Relaxed: read-modify-writes on one atomic are totally ordered
+        // whatever their ordering, so no guard's increment or decrement
+        // is lost, and the count publishes no memory (see
+        // `decide_events_on` for its readers).
         self.decide_event_amortizers.fetch_add(1, Ordering::Relaxed);
         AmortizedEvents(Arc::clone(self))
     }
@@ -484,47 +477,6 @@ impl RuntimeTelemetry {
         }
     }
 
-    /// An adaptive instance's decide completed after entering `stages`
-    /// conciliator stages; feeds the sliding window behind
-    /// [`delta_hat_over`](Self::delta_hat_over).
-    pub(crate) fn on_conciliator_stages(&self, stages: u64) {
-        let mut window = self
-            .delta_window
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        if window.len() == DELTA_WINDOW_CAP {
-            window.pop_front();
-        }
-        window.push_back(stages);
-    }
-
-    /// A consensus instance resolved its conciliator portfolio choice.
-    /// Emitted only on the adaptive path — fixed choices are not news.
-    pub(crate) fn on_conciliator_selected(
-        &self,
-        generation: u64,
-        choice: ConciliatorKind,
-        delta_hat: Option<f64>,
-        samples: u64,
-    ) {
-        self.add(CounterKey::ConciliatorSelections, 1);
-        if choice == ConciliatorKind::Coin {
-            self.add(CounterKey::CoinSelections, 1);
-        }
-        if let Some(d) = delta_hat {
-            self.gauges[GaugeKey::ObservedDeltaHatPpm as usize]
-                .set((d.clamp(0.0, 1.0) * DELTA_HAT_SCALE) as u64);
-        }
-        if self.events_on {
-            self.recorder.record(&TelemetryEvent::ConciliatorSelected {
-                generation,
-                choice,
-                delta_hat,
-                samples,
-            });
-        }
-    }
-
     #[inline]
     pub(crate) fn on_fault_injected(&self, class: FaultClass, register: u64, step: u64) {
         self.add(CounterKey::FaultsInjected, 1);
@@ -637,41 +589,6 @@ impl RuntimeTelemetry {
         )
     }
 
-    /// Number of per-decide samples currently in the δ̂ sliding window.
-    pub fn delta_samples(&self) -> u64 {
-        self.delta_window
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .len() as u64
-    }
-
-    /// Sliding-window estimate of the per-stage agreement probability δ̂
-    /// over the most recent `window` decides.
-    ///
-    /// Each decide that entered `k ≥ 1` conciliator stages is a geometric
-    /// sample with success probability δ, so the maximum-likelihood
-    /// estimate over the window is `#decides / Σ stages`. Returns `None`
-    /// when fewer than `max(min_samples, 1)` decides have been observed —
-    /// an empty or thin window never produces an estimate (and therefore
-    /// never triggers an adaptive switch). Decides that never entered a
-    /// conciliator (pure fast path) contribute zero stages; a window of
-    /// only those yields `Some(1.0)`.
-    pub fn delta_hat_over(&self, window: usize, min_samples: usize) -> Option<f64> {
-        let guard = self
-            .delta_window
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        let take = window.min(guard.len());
-        if take < min_samples.max(1) {
-            return None;
-        }
-        let total: u64 = guard.iter().rev().take(take).sum();
-        if total == 0 {
-            return Some(1.0);
-        }
-        Some(take as f64 / total as f64)
-    }
-
     /// Instance activations: every one is a pool hit or a pool miss.
     pub(crate) fn activations(&self) -> u64 {
         self.count(CounterKey::PoolHits) + self.count(CounterKey::PoolMisses)
@@ -720,6 +637,7 @@ fn rate(part: u64, whole: u64) -> f64 {
 mod tests {
     use super::*;
     use mc_telemetry::{AggregatingRecorder, Tally};
+    use std::sync::Mutex;
 
     #[test]
     fn noop_telemetry_still_counts() {
@@ -975,75 +893,6 @@ mod tests {
     }
 
     #[test]
-    fn only_adaptive_decides_feed_the_delta_window() {
-        use rand::{rngs::SmallRng, SeedableRng};
-        let mut rng = SmallRng::seed_from_u64(0);
-        let fixed = crate::Consensus::builder().n(1).build();
-        fixed.decide(1, &mut rng);
-        assert_eq!(fixed.telemetry().count(CounterKey::Decisions), 1);
-        assert_eq!(fixed.telemetry().delta_samples(), 0);
-        let adaptive = crate::Consensus::builder()
-            .n(1)
-            .conciliator(crate::ConciliatorChoice::Adaptive(
-                crate::AdaptiveOptions::default(),
-            ))
-            .build();
-        adaptive.decide(1, &mut rng);
-        assert_eq!(adaptive.telemetry().delta_samples(), 1);
-    }
-
-    #[test]
-    fn delta_window_estimates_and_guards_thin_samples() {
-        let t = RuntimeTelemetry::noop(2);
-        // Empty window: never an estimate, regardless of min_samples.
-        assert_eq!(t.delta_hat_over(32, 0), None);
-        assert_eq!(t.delta_samples(), 0);
-        // Four decides taking 2 stages each: δ̂ = 4 / 8 = 0.5.
-        for _ in 0..4 {
-            t.on_conciliator_stages(2);
-        }
-        assert_eq!(t.delta_samples(), 4);
-        assert_eq!(t.delta_hat_over(32, 8), None, "below min_samples");
-        let d = t.delta_hat_over(32, 4).unwrap();
-        assert!((d - 0.5).abs() < 1e-9, "δ̂ {d}");
-        // A narrower window only sees the most recent samples.
-        t.on_conciliator_stages(10);
-        let recent = t.delta_hat_over(1, 1).unwrap();
-        assert!((recent - 0.1).abs() < 1e-9, "δ̂ {recent}");
-        // All-fast-path windows read as perfect agreement.
-        let t2 = RuntimeTelemetry::noop(2);
-        t2.on_conciliator_stages(0);
-        assert_eq!(t2.delta_hat_over(8, 1), Some(1.0));
-    }
-
-    #[test]
-    fn delta_window_is_bounded() {
-        let t = RuntimeTelemetry::noop(2);
-        for _ in 0..(super::DELTA_WINDOW_CAP + 10) {
-            t.on_conciliator_stages(1);
-        }
-        assert_eq!(t.delta_samples(), super::DELTA_WINDOW_CAP as u64);
-    }
-
-    #[test]
-    fn conciliator_selection_counts_emits_and_gauges() {
-        let agg = Arc::new(AggregatingRecorder::new());
-        let t = RuntimeTelemetry::new(2, Arc::clone(&agg) as Arc<dyn Recorder>);
-        assert_eq!(t.gauge(GaugeKey::ObservedDeltaHatPpm), 0);
-        t.on_conciliator_selected(1, ConciliatorKind::Impatient, None, 0);
-        t.on_conciliator_selected(2, ConciliatorKind::Coin, Some(0.125), 16);
-        assert_eq!(t.count(CounterKey::ConciliatorSelections), 2);
-        assert_eq!(t.count(CounterKey::CoinSelections), 1);
-        assert_eq!(t.gauge(GaugeKey::ObservedDeltaHatPpm), 125_000);
-        assert_eq!(agg.count(Tally::ConciliatorSelections), 2);
-        assert_eq!(agg.count(Tally::CoinSelections), 1);
-        let snap = t.snapshot();
-        assert_eq!(snap.counter_value("conciliator_selections"), Some(2));
-        assert_eq!(snap.counter_value("coin_selections"), Some(1));
-        mc_telemetry::json::validate(&snap.to_json()).unwrap();
-    }
-
-    #[test]
     fn coin_rounds_histogram_records() {
         let t = RuntimeTelemetry::noop(2);
         t.record(HistKey::CoinRounds, 9);
@@ -1074,22 +923,24 @@ mod tests {
     /// The exported names and their order at the commit before the metric
     /// table existed, less `appends` and `slot_conflicts` (gone with
     /// `ReplicatedLog::append`), `lease_grants` (gone with the read
-    /// lease), and `proposals_shed` and `circuit_state` (gone with the
-    /// service's shedding and circuit breaker); the benchmark and any
-    /// scraper read them by string.
+    /// lease), `proposals_shed` and `circuit_state` (gone with the
+    /// service's shedding and circuit breaker), and
+    /// `conciliator_selections`, `coin_selections` and
+    /// `observed_delta_hat_ppm` (gone with the adaptive conciliator
+    /// portfolio); the benchmark and any scraper read them by string.
     const COUNTERS: &str = "decide_calls decisions fast_path_hits stage_entries \
         prob_writes_attempted prob_writes_performed pool_hits pool_misses \
         instances_retired faults_injected faults_lost_prob_writes faults_stale_reads \
-        faults_delayed_commits faults_register_resets fallbacks_taken conciliator_selections \
-        coin_selections proposals_enqueued proposals_rejected batches_drained \
+        faults_delayed_commits faults_register_resets fallbacks_taken proposals_enqueued \
+        proposals_rejected batches_drained \
         worker_restarts resubmitted_cells commands_applied sessions_created duplicates_served \
         stale_commands fast_reads store_snapshots";
-    const GAUGES: &str = "applied_index max_conciliator_round \
-        observed_delta_hat_ppm live_instances queue_depth";
+    const GAUGES: &str = "applied_index max_conciliator_round live_instances queue_depth";
     const HISTOGRAMS: &str = "rounds_to_decide decide_latency_ns conciliator_rounds coin_rounds \
         service_wait_ns worker_recovery_ns";
-    /// `to_json()` of the hook script below, captured at that same commit.
-    const SCRIPT_JSON: &str = r#"{"counters":{"decide_calls":1,"decisions":1,"fast_path_hits":1,"stage_entries":1,"prob_writes_attempted":2,"prob_writes_performed":1,"pool_hits":2,"pool_misses":1,"instances_retired":1,"faults_injected":1,"faults_lost_prob_writes":0,"faults_stale_reads":1,"faults_delayed_commits":0,"faults_register_resets":0,"fallbacks_taken":1,"conciliator_selections":1,"coin_selections":1,"proposals_enqueued":2,"proposals_rejected":1,"batches_drained":1,"worker_restarts":1,"resubmitted_cells":1,"commands_applied":5,"sessions_created":1,"duplicates_served":1,"stale_commands":1,"fast_reads":1,"store_snapshots":1},"gauges":{"applied_index":{"value":5,"max":5},"max_conciliator_round":{"value":0,"max":3},"observed_delta_hat_ppm":{"value":125000,"max":125000},"live_instances":{"value":2,"max":2},"queue_depth":{"value":1,"max":2}},"histograms":{"rounds_to_decide":{"count":1,"sum":2,"max":2,"mean":2.0,"p50":2,"p99":2,"buckets":[[3,1]]},"decide_latency_ns":{"count":1,"sum":500,"max":500,"mean":500.0,"p50":500,"p99":500,"buckets":[[511,1]]},"conciliator_rounds":{"count":1,"sum":4,"max":4,"mean":4.0,"p50":4,"p99":4,"buckets":[[7,1]]},"coin_rounds":{"count":1,"sum":9,"max":9,"mean":9.0,"p50":9,"p99":9,"buckets":[[15,1]]},"service_wait_ns":{"count":1,"sum":5000,"max":5000,"mean":5000.0,"p50":5000,"p99":5000,"buckets":[[8191,1]]},"worker_recovery_ns":{"count":1,"sum":7000,"max":7000,"mean":7000.0,"p50":7000,"p99":7000,"buckets":[[8191,1]]}}}"#;
+    /// `to_json()` of the hook script below, captured at that same commit,
+    /// less the three removed metrics' fields.
+    const SCRIPT_JSON: &str = r#"{"counters":{"decide_calls":1,"decisions":1,"fast_path_hits":1,"stage_entries":1,"prob_writes_attempted":2,"prob_writes_performed":1,"pool_hits":2,"pool_misses":1,"instances_retired":1,"faults_injected":1,"faults_lost_prob_writes":0,"faults_stale_reads":1,"faults_delayed_commits":0,"faults_register_resets":0,"fallbacks_taken":1,"proposals_enqueued":2,"proposals_rejected":1,"batches_drained":1,"worker_restarts":1,"resubmitted_cells":1,"commands_applied":5,"sessions_created":1,"duplicates_served":1,"stale_commands":1,"fast_reads":1,"store_snapshots":1},"gauges":{"applied_index":{"value":5,"max":5},"max_conciliator_round":{"value":0,"max":3},"live_instances":{"value":2,"max":2},"queue_depth":{"value":1,"max":2}},"histograms":{"rounds_to_decide":{"count":1,"sum":2,"max":2,"mean":2.0,"p50":2,"p99":2,"buckets":[[3,1]]},"decide_latency_ns":{"count":1,"sum":500,"max":500,"mean":500.0,"p50":500,"p99":500,"buckets":[[511,1]]},"conciliator_rounds":{"count":1,"sum":4,"max":4,"mean":4.0,"p50":4,"p99":4,"buckets":[[7,1]]},"coin_rounds":{"count":1,"sum":9,"max":9,"mean":9.0,"p50":9,"p99":9,"buckets":[[15,1]]},"service_wait_ns":{"count":1,"sum":5000,"max":5000,"mean":5000.0,"p50":5000,"p99":5000,"buckets":[[8191,1]]},"worker_recovery_ns":{"count":1,"sum":7000,"max":7000,"mean":7000.0,"p50":7000,"p99":7000,"buckets":[[8191,1]]}}}"#;
 
     #[test]
     fn snapshot_covers_the_metric_set() {
@@ -1113,7 +964,7 @@ mod tests {
             HistKey::ALL.iter().map(|key| key.name()).collect(),
         ];
         assert_eq!(table, names);
-        assert_eq!(table.each_ref().map(Vec::len), [28, 5, 6]);
+        assert_eq!(table.each_ref().map(Vec::len), [26, 4, 6]);
 
         // A fixed script over every hook and every kind of bump exports
         // what the hand-written metric set exported, byte for byte.
@@ -1126,7 +977,6 @@ mod tests {
         t.on_prob_write(false, 0.5);
         t.record(HistKey::ConciliatorRounds, 4);
         t.record(HistKey::CoinRounds, 9);
-        t.on_conciliator_selected(2, ConciliatorKind::Coin, Some(0.125), 16);
         t.on_fault_injected(FaultClass::StaleRead, 1, 11);
         t.on_fallback_taken(6);
         t.on_decided(1, 2, true, Some(500));

@@ -146,12 +146,6 @@ impl<T: ValueCode, M: SharedMemory> TypedConsensus<T, M> {
             .expect("agreed code decodes: validity guarantees it was some thread's proposal")
     }
 
-    /// How many times this object has been recycled via
-    /// [`reset`](TypedConsensus::reset). Fresh objects report 0.
-    pub fn generation(&self) -> u64 {
-        self.inner.generation()
-    }
-
     /// Number of stages materialized so far (diagnostics).
     pub fn stages_used(&self) -> usize {
         self.inner.stages_used()
@@ -217,13 +211,10 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(0);
         let mut c = TypedConsensus::<u16>::new(1);
         assert_eq!(c.decide(0xBEEF, &mut rng), 0xBEEF);
-        assert_eq!(c.generation(), 0);
         c.reset();
-        assert_eq!(c.generation(), 1);
         assert_eq!(c.decide(0x0042, &mut rng), 0x0042);
         c.reset();
         assert_eq!(c.decide(0x7777, &mut rng), 0x7777);
-        assert_eq!(c.generation(), 2);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 
-use mc_runtime::{AtomicMemory, ConciliatorChoice, EngineBuilder, SharedMemory};
+use mc_runtime::{AtomicMemory, EngineBuilder, SharedMemory};
 use mc_telemetry::Recorder;
 
 use crate::machine::StateMachine;
@@ -47,8 +47,8 @@ impl Default for StoreOptions {
 }
 
 /// Builds a [`ReplicatedStore`]: store knobs here, everything beneath
-/// (conciliator choice, memory substrate, recorder) passed through to the wrapped [`EngineBuilder`] — one fluent chain from coin
-/// flips to KV responses.
+/// (memory substrate, recorder) passed through to the wrapped
+/// [`EngineBuilder`] — one fluent chain from coin flips to KV responses.
 ///
 /// ```
 /// use mc_store::{KvStore, ReplicatedStore};
@@ -136,13 +136,6 @@ impl<S: StateMachine, M: SharedMemory> StoreBuilder<S, M> {
     }
 
     // ---- engine/consensus passthroughs -------------------------------
-
-    /// Conciliator powering each slot's consensus; see
-    /// [`EngineBuilder::conciliator`].
-    pub fn conciliator(mut self, choice: ConciliatorChoice) -> Self {
-        self.engine = self.engine.conciliator(choice);
-        self
-    }
 
     /// Telemetry recorder threaded down the whole stack.
     pub fn recorder(mut self, recorder: Arc<dyn Recorder>) -> Self {

@@ -37,7 +37,7 @@ mod snapshot;
 pub use counter::{thread_shard, Counter, Gauge, ShardedCounter};
 pub use histogram::{Histogram, HistogramSnapshot};
 pub use recorder::{
-    AggregatingRecorder, ConciliatorKind, FaultClass, JsonlRecorder, MultiRecorder, NoopRecorder,
-    OpClass, Recorder, StageKind, Tally, TelemetryEvent,
+    AggregatingRecorder, FaultClass, JsonlRecorder, NoopRecorder, OpClass, Recorder, StageKind,
+    Tally, TelemetryEvent,
 };
 pub use snapshot::Snapshot;

@@ -34,26 +34,6 @@ impl StageKind {
     }
 }
 
-/// Which conciliator implementation an adaptive consensus instance selected
-/// (the `choice` field of `conciliator_selected` events).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ConciliatorKind {
-    /// The impatient first-mover probabilistic-write conciliator.
-    Impatient,
-    /// The Theorem 6 wrapper over a weak shared coin.
-    Coin,
-}
-
-impl ConciliatorKind {
-    /// Stable lowercase name used in JSON output.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            ConciliatorKind::Impatient => "impatient",
-            ConciliatorKind::Coin => "coin",
-        }
-    }
-}
-
 /// Which register-level fault a fault-injection layer delivered.
 ///
 /// The classes mirror `mc-runtime`'s `FaultPlan`: the probabilistic-write
@@ -195,21 +175,6 @@ pub enum TelemetryEvent {
         /// The fault layer's operation counter when the fault fired.
         step: u64,
     },
-    /// An adaptive consensus instance resolved which conciliator its
-    /// chain will use, from the sliding-window δ̂ estimate.
-    ConciliatorSelected {
-        /// Recycling generation of the instance the selection applies to
-        /// (0 for a fresh object).
-        generation: u64,
-        /// The conciliator selected.
-        choice: ConciliatorKind,
-        /// The window's δ̂ estimate driving the selection; `None` when the
-        /// window held fewer than the minimum samples (in which case the
-        /// selection always stays impatient).
-        delta_hat: Option<f64>,
-        /// Number of decides the estimate was computed over.
-        samples: u64,
-    },
     /// A bounded consensus exhausted its conciliator budget and fell back
     /// to the backup protocol `K` (Theorem 5).
     FallbackTaken {
@@ -274,7 +239,6 @@ impl TelemetryEvent {
             TelemetryEvent::Decided { .. } => "decided",
             TelemetryEvent::Op { .. } => "op",
             TelemetryEvent::FaultInjected { .. } => "fault_injected",
-            TelemetryEvent::ConciliatorSelected { .. } => "conciliator_selected",
             TelemetryEvent::FallbackTaken { .. } => "fallback_taken",
             TelemetryEvent::BatchDrained { .. } => "batch_drained",
             TelemetryEvent::WorkerRestarted { .. } => "worker_restarted",
@@ -369,19 +333,6 @@ impl TelemetryEvent {
                 obj.str_field("class", class.as_str())
                     .u64_field("register", *register)
                     .u64_field("step", *step);
-            }
-            TelemetryEvent::ConciliatorSelected {
-                generation,
-                choice,
-                delta_hat,
-                samples,
-            } => {
-                obj.u64_field("generation", *generation)
-                    .str_field("choice", choice.as_str());
-                if let Some(delta_hat) = delta_hat {
-                    obj.f64_field("delta_hat", *delta_hat);
-                }
-                obj.u64_field("samples", *samples);
             }
             TelemetryEvent::FallbackTaken {
                 pid,
@@ -618,10 +569,6 @@ crate::metric_keys! {
         Collects => "collects",
         /// `fault_injected` events seen.
         FaultsInjected => "faults_injected",
-        /// `conciliator_selected` events seen.
-        ConciliatorSelections => "conciliator_selections",
-        /// `conciliator_selected` events that picked the coin conciliator.
-        CoinSelections => "coin_selections",
         /// `fallback_taken` events seen.
         FallbacksTaken => "fallbacks_taken",
         /// `batch_drained` events seen.
@@ -770,12 +717,6 @@ impl Recorder for AggregatingRecorder {
                 }
             }
             TelemetryEvent::FaultInjected { .. } => self.add(Tally::FaultsInjected, 1),
-            TelemetryEvent::ConciliatorSelected { choice, .. } => {
-                self.add(Tally::ConciliatorSelections, 1);
-                if *choice == ConciliatorKind::Coin {
-                    self.add(Tally::CoinSelections, 1);
-                }
-            }
             TelemetryEvent::FallbackTaken { .. } => self.add(Tally::FallbacksTaken, 1),
             TelemetryEvent::BatchDrained { batch, .. } => {
                 self.add(Tally::BatchesDrained, 1);
@@ -787,48 +728,6 @@ impl Recorder for AggregatingRecorder {
             }
             TelemetryEvent::WorkSummary { .. } => {}
         }
-    }
-}
-
-/// Fans each event out to several recorders.
-#[derive(Default)]
-pub struct MultiRecorder {
-    sinks: Vec<Arc<dyn Recorder>>,
-}
-
-impl std::fmt::Debug for MultiRecorder {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MultiRecorder")
-            .field("sinks", &self.sinks.len())
-            .finish()
-    }
-}
-
-impl MultiRecorder {
-    /// A fan-out over the given sinks.
-    pub fn new(sinks: Vec<Arc<dyn Recorder>>) -> MultiRecorder {
-        MultiRecorder { sinks }
-    }
-}
-
-impl Recorder for MultiRecorder {
-    fn enabled(&self) -> bool {
-        self.sinks.iter().any(|s| s.enabled())
-    }
-
-    fn record(&self, event: &TelemetryEvent) {
-        for sink in &self.sinks {
-            if sink.enabled() {
-                sink.record(event);
-            }
-        }
-    }
-
-    fn flush(&self) -> io::Result<()> {
-        for sink in &self.sinks {
-            sink.flush()?;
-        }
-        Ok(())
     }
 }
 
@@ -889,12 +788,6 @@ mod tests {
                 register: 4,
                 step: 17,
             },
-            TelemetryEvent::ConciliatorSelected {
-                generation: 2,
-                choice: ConciliatorKind::Coin,
-                delta_hat: Some(0.125),
-                samples: 16,
-            },
             TelemetryEvent::FallbackTaken {
                 pid: 2,
                 conciliator_stages: 6,
@@ -909,12 +802,6 @@ mod tests {
                 attempt: 1,
                 resubmitted: 3,
                 recovery_ns: 2_000,
-            },
-            TelemetryEvent::ConciliatorSelected {
-                generation: 0,
-                choice: ConciliatorKind::Impatient,
-                delta_hat: None,
-                samples: 2,
             },
             TelemetryEvent::WorkSummary {
                 seed: 7,
@@ -967,9 +854,9 @@ mod tests {
     /// `to_json(Some(seq))` of `sample_events()` then `edge_events()`,
     /// captured from the renderer this one replaced (commit 4e4eb71): the
     /// schema is these bytes, and any drift must show up as a diff here.
-    /// The [`RETIRED_SEQ`] stamps belonged to the `circuit_transition` and
-    /// `read_lease` events, since removed; the lines after them keep their
-    /// stamps.
+    /// The [`RETIRED_SEQ`] stamps belonged to events since removed (a
+    /// circuit transition, a read lease and two conciliator selections);
+    /// the lines after them keep their stamps.
     const GOLDEN: &[&str] = &[
         r#"{"ev":"stage_entered","seq":0,"pid":0,"stage":0,"kind":"ratifier"}"#,
         r#"{"ev":"fast_path_hit","seq":1,"pid":0,"stage":1}"#,
@@ -981,11 +868,9 @@ mod tests {
         r#"{"ev":"op","seq":7,"step":0,"pid":0,"class":"read","performed":true}"#,
         r#"{"ev":"op","seq":8,"step":1,"pid":2,"class":"prob_write","performed":false}"#,
         r#"{"ev":"fault_injected","seq":9,"class":"stale_read","register":4,"step":17}"#,
-        r#"{"ev":"conciliator_selected","seq":10,"generation":2,"choice":"coin","delta_hat":0.125,"samples":16}"#,
         r#"{"ev":"fallback_taken","seq":11,"pid":2,"conciliator_stages":6}"#,
         r#"{"ev":"batch_drained","seq":12,"shard":1,"batch":8,"queue_depth":2}"#,
         r#"{"ev":"worker_restarted","seq":13,"ring":0,"attempt":1,"resubmitted":3,"recovery_ns":2000}"#,
-        r#"{"ev":"conciliator_selected","seq":16,"generation":0,"choice":"impatient","samples":2}"#,
         r#"{"ev":"work_summary","seq":17,"seed":7,"total_work":2,"individual_work":1,"prob_writes_attempted":1,"prob_writes_performed":0,"registers_allocated":3,"registers_touched":2,"per_process":[1,0,1]}"#,
         r#"{"ev":"decided","seq":18,"pid":0,"value":18446744073709551615,"stage":9,"latency_ns":18446744073709551614}"#,
         r#"{"ev":"conciliator_round","seq":19,"pid":0,"round":18446744073709551615,"p":0.1}"#,
@@ -996,7 +881,7 @@ mod tests {
         r#"{"ev":"work_summary","seq":24,"seed":18446744073709551615,"total_work":0,"individual_work":10,"prob_writes_attempted":99,"prob_writes_performed":100,"registers_allocated":12345,"registers_touched":1000000,"per_process":[0,1009,4036,9081,16144,25225,36324,49441,64576,81729,100900,122089,145296,170521,197764,227025,258304,291601,326916,364249,403600,444969,488356,533761,581184,630625,682084,735561,791056,848569,908100,969649]}"#,
     ];
 
-    const RETIRED_SEQ: [u64; 2] = [14, 15];
+    const RETIRED_SEQ: [u64; 4] = [10, 14, 15, 16];
 
     #[test]
     fn every_line_matches_its_golden_bytes() {
@@ -1104,10 +989,8 @@ mod tests {
             agg.record(&event);
         }
         let expected = [
-            (Tally::Events, 16),
+            (Tally::Events, 14),
             (Tally::FaultsInjected, 1),
-            (Tally::ConciliatorSelections, 2),
-            (Tally::CoinSelections, 1),
             (Tally::FallbacksTaken, 1),
             (Tally::BatchesDrained, 1),
             (Tally::BatchedProposals, 8),
@@ -1139,21 +1022,5 @@ mod tests {
         assert!(!noop.enabled());
         noop.record(&TelemetryEvent::FastPathHit { pid: 0, stage: 0 });
         noop.flush().unwrap();
-    }
-
-    #[test]
-    fn multi_recorder_fans_out_to_enabled_sinks() {
-        let agg = Arc::new(AggregatingRecorder::new());
-        let multi = MultiRecorder::new(vec![
-            Arc::new(NoopRecorder) as Arc<dyn Recorder>,
-            Arc::clone(&agg) as Arc<dyn Recorder>,
-        ]);
-        assert!(multi.enabled());
-        multi.record(&TelemetryEvent::FastPathHit { pid: 0, stage: 0 });
-        multi.flush().unwrap();
-        assert_eq!(agg.count(Tally::FastPathHits), 1);
-
-        let empty = MultiRecorder::new(vec![Arc::new(NoopRecorder) as Arc<dyn Recorder>]);
-        assert!(!empty.enabled());
     }
 }

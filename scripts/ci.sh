@@ -100,7 +100,7 @@ cargo run -p mc-bench --release --bin chaos_campaign -- --seeds 5 > chaos_campai
 test -s chaos_campaign.jsonl
 test -s BENCH_chaos_recovery.json
 
-echo "== coin campaign (portfolio δ̂ reconciliation) =="
+echo "== coin campaign (coin δ bounds and coin certificates) =="
 # Shared-coin portfolio x adversary-class matrix: every voting-coin cell's
 # measured agreement rate must clear twice the per-side theory δ lower
 # bound (Wilson 95%), the local coin must reproduce its exact 2^{1-n}

@@ -395,10 +395,10 @@ fn any_width() -> impl Strategy<Value = u64> {
 /// Any event variant over random field values; `p` is sometimes
 /// non-finite, `per_process` sometimes empty.
 fn any_event() -> impl Strategy<Value = TelemetryEvent> {
-    use modular_consensus::telemetry::{ConciliatorKind, FaultClass, OpClass, StageKind};
+    use modular_consensus::telemetry::{FaultClass, OpClass, StageKind};
 
     (
-        (0usize..13, any_width(), any_width(), any_width()),
+        (0usize..12, any_width(), any_width(), any_width()),
         (any_width(), any::<bool>(), -1.0f64..2.0),
         proptest::collection::vec(any_width(), 0..40),
     )
@@ -454,22 +454,16 @@ fn any_event() -> impl Strategy<Value = TelemetryEvent> {
                     register: a,
                     step: b,
                 },
-                8 => TelemetryEvent::ConciliatorSelected {
-                    generation: a,
-                    choice: [ConciliatorKind::Impatient, ConciliatorKind::Coin][flag as usize],
-                    delta_hat: (c % 2 == 0).then_some(p),
-                    samples: b,
-                },
-                9 => TelemetryEvent::FallbackTaken {
+                8 => TelemetryEvent::FallbackTaken {
                     pid: a,
                     conciliator_stages: b,
                 },
-                10 => TelemetryEvent::BatchDrained {
+                9 => TelemetryEvent::BatchDrained {
                     shard: a,
                     batch: b,
                     queue_depth: c,
                 },
-                11 => TelemetryEvent::WorkerRestarted {
+                10 => TelemetryEvent::WorkerRestarted {
                     ring: a,
                     attempt: b,
                     resubmitted: c,
