@@ -279,7 +279,6 @@ where
     /// `announce[v]` is the binary register `r_v`.
     announce: [M::Reg; 2],
     coin: C,
-    telemetry: Option<Arc<RuntimeTelemetry>>,
 }
 
 impl<C: WeakSharedCoin<AtomicMemory>> CoinConciliator<C> {
@@ -288,7 +287,6 @@ impl<C: WeakSharedCoin<AtomicMemory>> CoinConciliator<C> {
         CoinConciliator {
             announce: [AtomicMemory.alloc(), AtomicMemory.alloc()],
             coin,
-            telemetry: None,
         }
     }
 }
@@ -311,20 +309,7 @@ where
         CoinConciliator {
             announce,
             coin: make_coin(memory),
-            telemetry: None,
         }
-    }
-
-    /// Reports propose completions to `telemetry`.
-    #[must_use]
-    pub fn observed_by(mut self, telemetry: Arc<RuntimeTelemetry>) -> CoinConciliator<C, M> {
-        self.telemetry = Some(telemetry);
-        self
-    }
-
-    /// The wrapped coin.
-    pub fn coin(&self) -> &C {
-        &self.coin
     }
 }
 
@@ -342,18 +327,11 @@ where
     fn propose(&self, pid: usize, value: u64, rng: &mut dyn Rng) -> u64 {
         assert!(value <= 1, "CoinConciliator is binary; got input {value}");
         self.announce[value as usize].write(1);
-        let deferred = self.announce[1 - value as usize].read().is_some();
-        let out = if deferred {
+        if self.announce[1 - value as usize].read().is_some() {
             self.coin.flip(pid, rng)
         } else {
             value
-        };
-        if let Some(t) = &self.telemetry {
-            // The wrapper itself is round-free: 0 extra rounds when the
-            // opposite camp is empty, 1 coin invocation otherwise.
-            t.record(HistKey::ConciliatorRounds, u64::from(deferred));
         }
-        out
     }
 
     fn reset(&mut self) {
@@ -365,10 +343,6 @@ where
 
     fn register_count(&self) -> u64 {
         2 + self.coin.register_count()
-    }
-
-    fn name(&self) -> &'static str {
-        "coin-conciliator"
     }
 }
 

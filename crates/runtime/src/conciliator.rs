@@ -40,9 +40,6 @@ pub trait Conciliator<M: SharedMemory>: Send + Sync {
     /// Theorem 6 cost bound (+2 registers over the wrapped coin) is checked
     /// against.
     fn register_count(&self) -> u64;
-
-    /// Stable display name for telemetry and diagnostics.
-    fn name(&self) -> &'static str;
 }
 
 /// Which conciliator implementation a consensus chain instantiates for its
@@ -165,10 +162,6 @@ impl<M: SharedMemory> Conciliator<M> for ImpatientConciliator<M> {
 
     fn register_count(&self) -> u64 {
         1
-    }
-
-    fn name(&self) -> &'static str {
-        "impatient"
     }
 }
 

@@ -1,7 +1,7 @@
 //! The full consensus object on real threads.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, PoisonError, RwLock};
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use mc_quorums::QuorumScheme;
@@ -44,12 +44,59 @@ enum Stage<M: SharedMemory> {
     Conciliator(Box<dyn Conciliator<M>>),
 }
 
-impl<M: SharedMemory> Stage<M> {
-    /// Clears the stage's registers.
+/// Stage cells per chunk of the stage table: the fast-path prefix
+/// `R₋₁; R₀`, where every uncontended decide ends.
+const CHUNK_STAGES: usize = 2;
+
+/// The chain's stages, each built once, on first entry, into a cell that
+/// never moves, so a walk borrows a stage with no lock and no refcount. The
+/// first chunk lives inline; the unbounded rest is a list of chunks boxed
+/// as a walk first reaches them.
+///
+/// `OnceLock` synchronises: its builder completes a cell with a release
+/// store that every later `get` acquires, so a borrowed stage is fully
+/// built, and racing builders wait for the first, so each stage is built
+/// once. The stage's registers order their own operations.
+struct StageTable<M: SharedMemory> {
+    cells: [OnceLock<Stage<M>>; CHUNK_STAGES],
+    next: OnceLock<Box<StageTable<M>>>,
+}
+
+impl<M: SharedMemory> StageTable<M> {
+    fn new() -> StageTable<M> {
+        StageTable {
+            cells: Default::default(),
+            next: OnceLock::new(),
+        }
+    }
+
+    /// Cell `ix`, boxing the chunks on the way to it.
+    fn cell(&self, ix: usize) -> &OnceLock<Stage<M>> {
+        let mut chunk = self;
+        for _ in 0..ix / CHUNK_STAGES {
+            chunk = chunk.next.get_or_init(|| Box::new(StageTable::new()));
+        }
+        &chunk.cells[ix % CHUNK_STAGES]
+    }
+
+    /// The built stages, in index order. Cells are built in index order,
+    /// so the built ones are a prefix of the table.
+    fn built(&self) -> impl Iterator<Item = &Stage<M>> {
+        std::iter::successors(Some(self), |chunk| chunk.next.get().map(|next| &**next))
+            .flat_map(|chunk| &chunk.cells)
+            .map_while(OnceLock::get)
+    }
+
+    /// Clears every built stage's registers in place.
     fn reset(&mut self) {
-        match self {
-            Stage::Ratifier(r) => r.reset(),
-            Stage::Conciliator(c) => c.reset(),
+        for stage in self.cells.iter_mut().filter_map(OnceLock::get_mut) {
+            match stage {
+                Stage::Ratifier(r) => r.reset(),
+                Stage::Conciliator(c) => c.reset(),
+            }
+        }
+        if let Some(next) = self.next.get_mut() {
+            next.reset();
         }
     }
 }
@@ -72,9 +119,10 @@ pub(crate) enum Exit {
 /// proposal, with probability 1 in finite expected time (`O(log n)` expected
 /// register operations per thread, `O(n log m)` total).
 ///
-/// Stage materialization takes a short [`RwLock`] write lock;
-/// everything on the hot path is lock-free loads/stores. Strictly speaking
-/// this makes the implementation lock-based at stage boundaries — the price
+/// Each stage is built once, by the first thread to enter it; entering a
+/// built stage is one acquire load, with no lock and no reference count. A
+/// thread that enters a stage while another builds it waits, so strictly
+/// speaking the implementation blocks at a stage's first entry — the price
 /// of unbounded lazily-allocated stages in a practical runtime.
 ///
 /// The register substrate is the type parameter `M`, defaulted to
@@ -89,7 +137,7 @@ pub struct Consensus<M: SharedMemory = AtomicMemory> {
     /// quorum-scheme re-validation.
     options: Arc<ConsensusOptions>,
     memory: M,
-    stages: RwLock<Vec<Arc<Stage<M>>>>,
+    stages: StageTable<M>,
     /// Hands each plain [`decide`](Consensus::decide) caller a distinct
     /// thread slot; under one-shot semantics (≤ `n` calls per instance) the
     /// slots are unique, which is what per-thread coin registers require.
@@ -128,7 +176,7 @@ impl<M: SharedMemory> Consensus<M> {
         Consensus {
             options,
             memory,
-            stages: RwLock::new(Vec::new()),
+            stages: StageTable::new(),
             ticket: AtomicUsize::new(0),
             telemetry,
         }
@@ -147,10 +195,7 @@ impl<M: SharedMemory> Consensus<M> {
 
     /// Number of stages materialized so far (diagnostics).
     pub fn stages_used(&self) -> usize {
-        self.stages
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .len()
+        self.stages.built().count()
     }
 
     /// The shared options handle; instances built from the same `Arc`
@@ -172,21 +217,8 @@ impl<M: SharedMemory> Consensus<M> {
     /// cumulative telemetry is deliberately preserved across instances.
     ///
     /// [`SharedRegister::clear`]: crate::SharedRegister::clear
-    ///
-    /// # Panics
-    ///
-    /// Panics if any `decide` call is still in flight (a stage handle is
-    /// still borrowed); recycling is only legal between instances.
     pub fn reset(&mut self) {
-        let stages = self
-            .stages
-            .get_mut()
-            .unwrap_or_else(PoisonError::into_inner);
-        for stage in stages.iter_mut() {
-            Arc::get_mut(stage)
-                .expect("reset with a decide call in flight")
-                .reset();
-        }
+        self.stages.reset();
         // Relaxed: `&mut self` rules out a decide in flight, and whatever
         // hands the object to the next instance's callers (a mutex, a spawn
         // or a join) orders this store before their tickets.
@@ -200,21 +232,11 @@ impl<M: SharedMemory> Consensus<M> {
         &self.telemetry
     }
 
-    fn stage(&self, ix: usize) -> Arc<Stage<M>> {
-        if let Some(stage) = self
-            .stages
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .get(ix)
-        {
-            return Arc::clone(stage);
-        }
-        let mut stages = self.stages.write().unwrap_or_else(PoisonError::into_inner);
-        while stages.len() <= ix {
-            let next = stages.len();
-            stages.push(Arc::new(self.make_stage(next)));
-        }
-        Arc::clone(&stages[ix])
+    /// Stage `ix`, built on first entry. A walk enters stages in index
+    /// order, so they are built in index order and allocate their
+    /// registers in the same order on every substrate.
+    fn stage(&self, ix: usize) -> &Stage<M> {
+        self.stages.cell(ix).get_or_init(|| self.make_stage(ix))
     }
 
     /// Stages before the first conciliator: the `R₋₁; R₀` fast path, or none.
@@ -240,17 +262,15 @@ impl<M: SharedMemory> Consensus<M> {
                     ImpatientConciliator::new_in(&self.memory, self.options.n)
                         .observed_by(Arc::clone(&self.telemetry)),
                 ),
-                ConciliatorChoice::Coin(CoinKind::Local) => Box::new(
-                    CoinConciliator::with_coin_in(&self.memory, |_| LocalCoin::new())
-                        .observed_by(Arc::clone(&self.telemetry)),
-                ),
-                ConciliatorChoice::Coin(CoinKind::Voting { quorum_factor }) => Box::new(
-                    CoinConciliator::with_coin_in(&self.memory, |memory| {
+                ConciliatorChoice::Coin(CoinKind::Local) => {
+                    Box::new(CoinConciliator::with_coin_in(&self.memory, |_| LocalCoin))
+                }
+                ConciliatorChoice::Coin(CoinKind::Voting { quorum_factor }) => {
+                    Box::new(CoinConciliator::with_coin_in(&self.memory, |memory| {
                         VotingCoin::with_quorum_factor_in(memory, self.options.n, quorum_factor)
                             .observed_by(Arc::clone(&self.telemetry))
-                    })
-                    .observed_by(Arc::clone(&self.telemetry)),
-                ),
+                    }))
+                }
             };
             Stage::Conciliator(conciliator)
         }
@@ -334,7 +354,7 @@ impl<M: SharedMemory> Consensus<M> {
         let prefix = self.prefix();
         let mut current = value;
         for ix in 0..limit {
-            match &*self.stage(ix) {
+            match self.stage(ix) {
                 Stage::Ratifier(r) => {
                     self.telemetry
                         .on_stage_entered(ix as u64, StageKind::Ratifier);
@@ -374,6 +394,7 @@ impl<M: SharedMemory> std::fmt::Debug for Consensus<M> {
 mod tests {
     use super::*;
     use crate::telemetry::HistKey;
+    use mc_model::Decision;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
@@ -525,9 +546,10 @@ mod tests {
         // No fast path, so every decide enters C₁. Two callers in turn with
         // opposite proposals: the second finds the first's announcement
         // and defers to the coin. An impatient stage would have attempted a
-        // probabilistic write; a coin stage never does, and only the voting
-        // coin records coin rounds. The first caller's bit flips between
-        // instances, so a recycled stage that kept a register would show.
+        // probabilistic write; a coin stage never does, records no
+        // probability-doubling rounds, and only the voting coin records
+        // coin rounds. The first caller's bit flips between instances, so a
+        // recycled stage that kept a register would show.
         for kind in [CoinKind::voting(), CoinKind::Local] {
             let mut c = Consensus::builder()
                 .n(2)
@@ -542,6 +564,7 @@ mod tests {
                 assert_eq!(c.decide_as(1, 1 - bit, &mut rng), bit, "{kind:?}");
                 let t = c.telemetry();
                 assert_eq!(t.count(CounterKey::ProbWritesAttempted), 0, "{kind:?}");
+                assert_eq!(t.hist(HistKey::ConciliatorRounds).count(), 0, "{kind:?}");
                 let flips = t.hist(HistKey::CoinRounds).count();
                 let expected = match kind {
                     CoinKind::Voting { .. } => instance,
@@ -551,6 +574,45 @@ mod tests {
                 c.reset();
             }
         }
+    }
+
+    /// Runs `stage` solo with `value`: a conciliator's output goes on.
+    fn enter(stage: &Stage<AtomicMemory>, value: u64, rng: &mut SmallRng) -> Decision {
+        match stage {
+            Stage::Ratifier(r) => r.ratify(value),
+            Stage::Conciliator(c) => Decision::continue_with(c.propose(0, value, rng)),
+        }
+    }
+
+    #[test]
+    fn stage_table_builds_past_its_inline_cells_and_reset_clears_them_all() {
+        // Twelve stages, entered in index order as a walk does: the inline
+        // chunk and five boxed ones.
+        let mut c = Consensus::builder().n(2).build();
+        let mut rng = SmallRng::seed_from_u64(5);
+        let mut cells: Vec<*const Stage<AtomicMemory>> = Vec::new();
+        for ix in 0..12 {
+            let stage = c.stage(ix);
+            // R₋₁; R₀, then C₁; R₁; C₂; R₂; …: each cell holds its index's kind.
+            assert_eq!(matches!(stage, Stage::Ratifier(_)), ix < 2 || ix % 2 == 1);
+            assert_eq!(enter(stage, 1, &mut rng).value(), 1, "{ix}");
+            cells.push(stage);
+            assert_eq!(c.stages_used(), ix + 1);
+        }
+        assert!(c.stages.built().map(|s| s as *const _).eq(cells.clone()));
+        c.reset();
+        // Every stage is the same object and reads as fresh: one that kept
+        // a register would hand back 1.
+        for (ix, &cell) in cells.iter().enumerate() {
+            let stage = c.stage(ix);
+            assert!(std::ptr::eq(stage, cell), "stage {ix} moved");
+            let fresh = match stage {
+                Stage::Ratifier(_) => Decision::decide(0),
+                Stage::Conciliator(_) => Decision::continue_with(0),
+            };
+            assert_eq!(enter(stage, 0, &mut rng), fresh, "stage {ix}");
+        }
+        assert_eq!(c.stages_used(), cells.len());
     }
 
     #[test]

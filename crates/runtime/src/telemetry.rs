@@ -48,7 +48,7 @@ metric_keys! {
     pub enum CounterKey {
         /// `decide` calls started.
         DecideCalls => "decide_calls",
-        /// `decide` calls completed.
+        /// `decide` calls completed: `rounds_to_decide`'s count, on read.
         Decisions => "decisions",
         /// Decisions that never left the leading ratifier pair.
         FastPathHits => "fast_path_hits",
@@ -338,11 +338,16 @@ impl RuntimeTelemetry {
     }
 
     /// The current value of a counter (summed over shards for the sharded
-    /// keys).
+    /// keys). A decide bumps no [`CounterKey::Decisions`]: that reads
+    /// [`HistKey::RoundsToDecide`]'s count, plus what was added directly.
     pub fn count(&self, key: CounterKey) -> u64 {
-        match key.shard_slot() {
+        let cell = match key.shard_slot() {
             Some(slot) => self.sharded[slot].total(),
             None => self.counters[key as usize].get(),
+        };
+        match key {
+            CounterKey::Decisions => cell + self.hist(HistKey::RoundsToDecide).count(),
+            _ => cell,
         }
     }
 
@@ -415,8 +420,9 @@ impl RuntimeTelemetry {
         })
     }
 
-    /// A decide finished at `stage`. Every counter counts it; the latency
-    /// histogram only if it was timed (`latency_ns` from a
+    /// A decide finished at `stage`. Every counter counts it (the
+    /// decisions through the rounds histogram); the latency histogram only
+    /// if it was timed (`latency_ns` from a
     /// [`decide_clock`](Self::decide_clock) reading), and a `Decided` event
     /// carries 0 for a decide that started untimed.
     #[inline]
@@ -427,7 +433,6 @@ impl RuntimeTelemetry {
         fast_path: bool,
         latency_ns: Option<u64>,
     ) {
-        self.add(CounterKey::Decisions, 1);
         self.record(HistKey::RoundsToDecide, stage);
         if let Some(ns) = latency_ns {
             self.record(HistKey::DecideLatencyNs, ns);

@@ -27,12 +27,14 @@ fn bucket_upper(k: usize) -> u64 {
 /// question is "which power of two" (`2⌈lg n⌉ + O(1)` individual work,
 /// probability-doubling round index), so exponential buckets lose nothing.
 ///
-/// Recording is a single relaxed `fetch_add`; reading is approximate under
+/// Recording a 0 is one relaxed `fetch_add` on its bucket; a positive
+/// observation adds one more to the sum, and a third, a `fetch_max`, only
+/// when it exceeds the largest seen so far. There is no count cell: the
+/// count is the sum of the buckets. Reading is approximate under
 /// concurrency but exact once writers quiesce.
 #[derive(Debug)]
 pub struct Histogram {
-    buckets: Vec<AtomicU64>,
-    count: AtomicU64,
+    buckets: [AtomicU64; BUCKETS],
     sum: AtomicU64,
     max: AtomicU64,
 }
@@ -47,8 +49,7 @@ impl Histogram {
     /// An empty histogram.
     pub fn new() -> Histogram {
         Histogram {
-            buckets: (0..BUCKETS).map(|_| AtomicU64::new(0)).collect(),
-            count: AtomicU64::new(0),
+            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
             sum: AtomicU64::new(0),
             max: AtomicU64::new(0),
         }
@@ -57,20 +58,24 @@ impl Histogram {
     /// Records one observation.
     #[inline]
     pub fn record(&self, v: u64) {
-        // Relaxed, all four: each is a read-modify-write on its own tally,
-        // so no observation is lost, and none publishes other memory. A
-        // live reader may see the bucket before the count (the four are not
-        // one snapshot); after the writers are joined they agree exactly.
+        // Relaxed, all: each read-modify-write is on its own tally, so no
+        // observation is lost, and none publishes other memory. The maximum
+        // only grows: a load showing `v` or more leaves `fetch_max` nothing
+        // to do, and a stale one just runs it. A live reader may see the
+        // bucket before the sum; once the writers are joined they agree.
         self.buckets[bucket_of(v)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(v, Ordering::Relaxed);
-        self.max.fetch_max(v, Ordering::Relaxed);
+        if v > 0 {
+            self.sum.fetch_add(v, Ordering::Relaxed);
+            if v > self.max.load(Ordering::Relaxed) {
+                self.max.fetch_max(v, Ordering::Relaxed);
+            }
+        }
     }
 
-    /// Number of observations.
+    /// Number of observations: the sum of the buckets.
     pub fn count(&self) -> u64 {
-        // Relaxed: one tally, read on its own (see `record`).
-        self.count.load(Ordering::Relaxed)
+        // Relaxed: each bucket is a tally read on its own (see `record`).
+        self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).sum()
     }
 
     /// Sum of observations (wrapping on overflow).
@@ -101,7 +106,7 @@ impl Histogram {
         let mut buckets = Vec::new();
         for (k, bucket) in self.buckets.iter().enumerate() {
             // Relaxed: a live snapshot is approximate by contract (a bucket
-            // may lead the count by the observations in flight); joined
+            // may lead the sum by the observations in flight); joined
             // writers make it exact.
             let n = bucket.load(Ordering::Relaxed);
             if n > 0 {
@@ -109,7 +114,7 @@ impl Histogram {
             }
         }
         HistogramSnapshot {
-            count: self.count(),
+            count: buckets.iter().map(|&(_, n)| n).sum(),
             sum: self.sum(),
             max: self.max(),
             buckets,
@@ -192,6 +197,34 @@ mod tests {
         let snap = h.snapshot();
         assert_eq!(snap.buckets, vec![(0, 1), (1, 1), (3, 2), (7, 1), (127, 1)]);
         assert!((snap.mean() - 110.0 / 6.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn concurrent_records_all_land() {
+        // Mixed values, a quarter of them 0 (which touch only their bucket),
+        // from four threads at once; once joined, every figure equals the
+        // same values recorded on one thread.
+        let value = |t: u64, i: u64| match i % 4 {
+            0 => 0,
+            1 => i % 7,
+            2 => t * 1_000 + i,
+            _ => (i * 2_654_435_761) >> (i % 40),
+        };
+        let (shared, alone) = (Histogram::new(), Histogram::new());
+        std::thread::scope(|s| {
+            for t in 0..4 {
+                let shared = &shared;
+                s.spawn(move || (0..10_000).for_each(|i| shared.record(value(t, i))));
+            }
+        });
+        (0..4).for_each(|t| (0..10_000).for_each(|i| alone.record(value(t, i))));
+        let snap = shared.snapshot();
+        assert_eq!(shared.count(), 40_000);
+        assert_eq!(snap.buckets.iter().map(|&(_, n)| n).sum::<u64>(), 40_000);
+        assert_eq!(snap, alone.snapshot(), "count, sum, max and buckets");
+        for q in [0.0, 0.25, 0.5, 0.9, 0.99, 1.0] {
+            assert_eq!(shared.quantile_upper(q), alone.quantile_upper(q), "q = {q}");
+        }
     }
 
     #[test]

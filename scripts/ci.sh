@@ -53,6 +53,10 @@ if command -v taskset > /dev/null; then
     # pool, is pinned by the five -p mc-store rounds above.
     taskset -c 0 cargo test --release -p mc-runtime --test allocations
     taskset -c 0 cargo test --release -p mc-sim --test allocations
+    # The register-operation pins, and the race of two proposers into a
+    # stage nobody has built yet: on one CPU a proposer can be preempted
+    # in the middle of building it, which two free cores rarely show.
+    taskset -c 0 cargo test --release -p mc-runtime --test register_ops
 else
     echo "taskset not found: skipping the one-CPU store leg"
 fi
