@@ -182,10 +182,10 @@ impl<M: SharedMemory> ConsensusBuilder<M> {
         }
     }
 
-    pub(crate) fn telemetry(&self, options: &ConsensusOptions) -> Arc<RuntimeTelemetry> {
+    pub(crate) fn telemetry(&self) -> Arc<RuntimeTelemetry> {
         Arc::new(match &self.recorder {
-            Some(recorder) => RuntimeTelemetry::new(options.n, Arc::clone(recorder)),
-            None => RuntimeTelemetry::noop(options.n),
+            Some(recorder) => RuntimeTelemetry::new(Arc::clone(recorder)),
+            None => RuntimeTelemetry::noop(),
         })
     }
 
@@ -196,7 +196,7 @@ impl<M: SharedMemory> ConsensusBuilder<M> {
     /// As [`options`](ConsensusBuilder::options).
     pub fn build(self) -> Consensus<M> {
         let options = self.options();
-        let telemetry = self.telemetry(&options);
+        let telemetry = self.telemetry();
         Consensus::with_telemetry_in(self.memory, Arc::new(options), telemetry)
     }
 
@@ -218,7 +218,7 @@ impl<M: SharedMemory> ConsensusBuilder<M> {
     /// As [`options`](ConsensusBuilder::options).
     pub fn build_bounded_with<F: Fallback>(self, fallback: F) -> BoundedConsensus<M, F> {
         let options = self.options();
-        let telemetry = self.telemetry(&options);
+        let telemetry = self.telemetry();
         BoundedConsensus::from_parts(
             Consensus::with_telemetry_in(self.memory, Arc::new(options), telemetry),
             fallback,
@@ -353,7 +353,7 @@ impl<M: SharedMemory> EngineBuilder<M> {
     /// (`max_live_per_shard > 0`, `participants ≤ n`).
     pub fn build(self) -> ConsensusEngine<M> {
         let options = self.consensus.options();
-        let telemetry = self.consensus.telemetry(&options);
+        let telemetry = self.consensus.telemetry();
         ConsensusEngine::with_telemetry_in(self.consensus.memory, options, self.engine, telemetry)
     }
 }

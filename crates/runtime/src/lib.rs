@@ -53,6 +53,7 @@ mod log;
 mod ratifier;
 mod register;
 mod service;
+mod table;
 mod telemetry;
 mod typed;
 

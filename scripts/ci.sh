@@ -57,6 +57,11 @@ if command -v taskset > /dev/null; then
     # stage nobody has built yet: on one CPU a proposer can be preempted
     # in the middle of building it, which two free cores rarely show.
     taskset -c 0 cargo test --release -p mc-runtime --test register_ops
+    # Telemetry cells have one writer each (a plain load and store per
+    # update): joined writers sum exactly, a thread that outruns its cell
+    # cache finds its own cell again, and a live reader never sees a sum
+    # fall. On one CPU a reader can run between a writer's load and store.
+    taskset -c 0 cargo test --release -p mc-runtime --lib telemetry::tests::cells_
 else
     echo "taskset not found: skipping the one-CPU store leg"
 fi
