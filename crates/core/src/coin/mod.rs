@@ -16,13 +16,18 @@
 //! * [`VotingSharedCoin`] — majority voting over per-process tally
 //!   registers, in the style of Aspnes–Herlihy. Works against the adaptive
 //!   adversary; expensive (`Θ(n)` operations per vote, `Θ(n²)` votes).
+//! * [`LocalCoin`] — every process flips its own fair coin; no registers.
+//!   A coin only against adversaries that cannot see the flips
+//!   (`δ = 2^{-n}` per side): the zero-cost baseline.
 //! * [`ConciliatorCoin`] — drives any conciliator with a random bit input;
 //!   in the probabilistic-write model this yields a cheap coin from
 //!   [`FirstMoverConciliator`](crate::conciliator::FirstMoverConciliator)
 //!   with `δ ≥ δ_conciliator / 2`.
 
 mod conciliator_coin;
+mod local;
 mod voting;
 
 pub use conciliator_coin::ConciliatorCoin;
+pub use local::LocalCoin;
 pub use voting::{InvalidQuorumFactor, VotingSharedCoin};

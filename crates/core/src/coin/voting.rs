@@ -55,6 +55,26 @@ impl VotingSharedCoin {
             quorum_factor: factor,
         })
     }
+
+    /// Process `pid`'s flip of an instance for `n` processes (at least 1)
+    /// whose `n` tally registers start at `base`: the session an
+    /// instance's [`DecidingObject::session`] boxes, built in place, with
+    /// no allocation.
+    pub fn session_at(&self, base: RegisterId, n: usize, pid: ProcessId) -> impl Session + Send {
+        let n = n.max(1);
+        VotingSession {
+            base,
+            n,
+            quorum: u64::from(self.quorum_factor) * (n as u64) * (n as u64),
+            pid,
+            my_count: 0,
+            my_sum: 0,
+            state: State::Voting,
+            scan_ix: 0,
+            seen_count: 0,
+            seen_sum: 0,
+        }
+    }
 }
 
 /// Error from [`VotingSharedCoin::with_quorum_factor`]: the quorum factor
@@ -96,25 +116,14 @@ fn unpack(word: Value) -> (u32, i64) {
 }
 
 struct VotingObject {
+    spec: VotingSharedCoin,
     base: RegisterId,
     n: usize,
-    quorum: u64,
 }
 
 impl DecidingObject for VotingObject {
     fn session(&self, pid: ProcessId) -> Box<dyn Session + Send> {
-        Box::new(VotingSession {
-            base: self.base,
-            n: self.n,
-            quorum: self.quorum,
-            pid,
-            my_count: 0,
-            my_sum: 0,
-            state: State::Voting,
-            scan_ix: 0,
-            seen_count: 0,
-            seen_sum: 0,
-        })
+        Box::new(self.spec.session_at(self.base, self.n, pid))
     }
 }
 
@@ -207,9 +216,9 @@ impl ObjectSpec for VotingSharedCoin {
     fn instantiate(&self, ctx: &mut InstantiateCtx<'_>) -> Arc<dyn DecidingObject> {
         let n = ctx.n.max(1);
         Arc::new(VotingObject {
+            spec: *self,
             base: ctx.alloc.alloc_block(n as u64),
             n,
-            quorum: (self.quorum_factor as u64) * (n as u64) * (n as u64),
         })
     }
 

@@ -35,6 +35,27 @@ impl CoinConciliator {
     pub fn new(coin: Arc<dyn ObjectSpec>) -> CoinConciliator {
         CoinConciliator { coin }
     }
+
+    /// One process's run of this conciliator over an instance whose
+    /// registers start at `base`, in the order
+    /// [`instantiate`](ObjectSpec::instantiate) allocates them: the
+    /// announce registers `r₀, r₁`, then the coin's, from the base that
+    /// `coin` is given. `coin` builds the process's session of that coin,
+    /// which the run begins only if it defers to the coin.
+    ///
+    /// Over a coin session built in place, this is the session an
+    /// instance's [`DecidingObject::session`] boxes, with no allocation.
+    pub fn session_at<C: Session>(
+        base: RegisterId,
+        coin: impl FnOnce(RegisterId) -> C,
+    ) -> impl Session {
+        CoinConciliatorSession {
+            announce: base,
+            coin: coin(base.offset(2)),
+            input: 0,
+            state: State::Announcing,
+        }
+    }
 }
 
 impl std::fmt::Debug for CoinConciliator {
@@ -55,12 +76,42 @@ impl DecidingObject for CoinConciliatorObject {
     fn session(&self, pid: ProcessId) -> Box<dyn Session + Send> {
         Box::new(CoinConciliatorSession {
             announce: self.announce,
-            coin: Arc::clone(&self.coin),
-            pid,
+            coin: LazyCoin {
+                coin: Arc::clone(&self.coin),
+                pid,
+                session: None,
+            },
             input: 0,
             state: State::Announcing,
-            coin_session: None,
         })
+    }
+}
+
+/// The coin's session as an instance's boxed session holds it: built when
+/// the process first defers to the coin, so a process that keeps its
+/// value never boxes one.
+struct LazyCoin {
+    coin: Arc<dyn DecidingObject>,
+    pid: ProcessId,
+    session: Option<Box<dyn Session + Send>>,
+}
+
+impl Session for LazyCoin {
+    fn begin(&mut self, input: Value, ctx: &mut Ctx<'_>) -> Action {
+        self.session
+            .insert(self.coin.session(self.pid))
+            .begin(input, ctx)
+    }
+
+    fn poll(&mut self, response: Response, ctx: &mut Ctx<'_>) -> Action {
+        let session = self.session.as_mut().expect("the coin session has begun");
+        session.poll(response, ctx)
+    }
+
+    fn snapshot(&self, sink: &mut StateSink) {
+        if let Some(session) = &self.session {
+            session.snapshot(sink);
+        }
     }
 }
 
@@ -70,16 +121,16 @@ enum State {
     RunningCoin,
 }
 
-struct CoinConciliatorSession {
+/// One process's run over announce registers from `announce`, deferring
+/// to its coin session `coin`, begun on entering `State::RunningCoin`.
+struct CoinConciliatorSession<C> {
     announce: RegisterId,
-    coin: Arc<dyn DecidingObject>,
-    pid: ProcessId,
+    coin: C,
     input: Value,
     state: State,
-    coin_session: Option<Box<dyn Session + Send>>,
 }
 
-impl CoinConciliatorSession {
+impl<C> CoinConciliatorSession<C> {
     fn map_coin(action: Action) -> Action {
         match action {
             Action::Halt(d) => Action::Halt(Decision::continue_with(d.value())),
@@ -88,7 +139,7 @@ impl CoinConciliatorSession {
     }
 }
 
-impl Session for CoinConciliatorSession {
+impl<C: Session> Session for CoinConciliatorSession<C> {
     fn begin(&mut self, input: Value, _ctx: &mut Ctx<'_>) -> Action {
         assert!(input <= 1, "CoinConciliator is binary; got input {input}");
         self.input = input;
@@ -110,21 +161,12 @@ impl Session for CoinConciliatorSession {
                 if response.expect_read().is_some() {
                     // The opposite value is in play: defer to the coin.
                     self.state = State::RunningCoin;
-                    let mut session = self.coin.session(self.pid);
-                    let action = Self::map_coin(session.begin(0, ctx));
-                    self.coin_session = Some(session);
-                    action
+                    Self::map_coin(self.coin.begin(0, ctx))
                 } else {
                     Action::Halt(Decision::continue_with(self.input))
                 }
             }
-            State::RunningCoin => {
-                let session = self
-                    .coin_session
-                    .as_mut()
-                    .expect("coin session active in RunningCoin state");
-                Self::map_coin(session.poll(response, ctx))
-            }
+            State::RunningCoin => Self::map_coin(self.coin.poll(response, ctx)),
         }
     }
 
@@ -135,12 +177,11 @@ impl Session for CoinConciliatorSession {
             State::RunningCoin => 2,
         });
         sink.push_value(self.input);
-        match &self.coin_session {
-            Some(inner) => {
-                sink.push_raw(1);
-                inner.snapshot(sink);
-            }
-            None => sink.push_raw(0),
+        if let State::RunningCoin = self.state {
+            sink.push_raw(1);
+            self.coin.snapshot(sink);
+        } else {
+            sink.push_raw(0);
         }
     }
 }

@@ -115,26 +115,32 @@ impl FirstMoverConciliator {
             .saturation_point(n)
             .map(|k| 2 * (u64::from(k) + 1) + 2)
     }
-}
 
-struct FirstMoverObject {
-    reg: RegisterId,
-    n: usize,
-    schedule: WriteSchedule,
-    detect_success: bool,
-}
-
-impl DecidingObject for FirstMoverObject {
-    fn session(&self, _pid: ProcessId) -> Box<dyn Session + Send> {
-        Box::new(FirstMoverSession {
-            reg: self.reg,
-            n: self.n,
+    /// One process's run of this conciliator on register `reg`, among `n`
+    /// processes: the session an instance's [`DecidingObject::session`]
+    /// boxes, built in place, with no allocation.
+    pub fn session_at(&self, reg: RegisterId, n: usize) -> impl Session {
+        FirstMoverSession {
+            reg,
+            n,
             schedule: self.schedule,
             detect_success: self.detect_success,
             input: 0,
             k: 0,
             state: State::AwaitingRead,
-        })
+        }
+    }
+}
+
+struct FirstMoverObject {
+    spec: FirstMoverConciliator,
+    reg: RegisterId,
+    n: usize,
+}
+
+impl DecidingObject for FirstMoverObject {
+    fn session(&self, _pid: ProcessId) -> Box<dyn Session + Send> {
+        Box::new(self.spec.session_at(self.reg, self.n))
     }
 
     fn symmetry(&self) -> SymmetrySpec {
@@ -165,12 +171,14 @@ struct FirstMoverSession {
 }
 
 impl Session for FirstMoverSession {
+    #[inline]
     fn begin(&mut self, input: Value, _ctx: &mut Ctx<'_>) -> Action {
         self.input = input;
         self.state = State::AwaitingRead;
         Action::Invoke(Op::Read(self.reg))
     }
 
+    #[inline]
     fn poll(&mut self, response: Response, _ctx: &mut Ctx<'_>) -> Action {
         match self.state {
             State::AwaitingRead => {
@@ -220,10 +228,9 @@ impl Session for FirstMoverSession {
 impl ObjectSpec for FirstMoverConciliator {
     fn instantiate(&self, ctx: &mut InstantiateCtx<'_>) -> Arc<dyn DecidingObject> {
         Arc::new(FirstMoverObject {
+            spec: self.clone(),
             reg: ctx.alloc.alloc_block(1),
             n: ctx.n,
-            schedule: self.schedule,
-            detect_success: self.detect_success,
         })
     }
 

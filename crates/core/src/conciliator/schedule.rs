@@ -59,6 +59,7 @@ impl WriteSchedule {
 
     /// The probability of the `k`-th attempt among `n` processes, clamped
     /// into `[0, 1]`.
+    #[inline]
     pub fn probability(&self, k: u32, n: usize) -> Probability {
         let n = n.max(1) as f64;
         Probability::clamped(self.base * self.ratio.powi(k as i32) / n)

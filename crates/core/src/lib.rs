@@ -58,7 +58,7 @@ pub mod conciliator;
 pub mod protocol;
 pub mod ratifier;
 
-pub use coin::{ConciliatorCoin, InvalidQuorumFactor, VotingSharedCoin};
+pub use coin::{ConciliatorCoin, InvalidQuorumFactor, LocalCoin, VotingSharedCoin};
 pub use compose::{Chain, ChainProbe};
 pub use conciliator::{
     CoinConciliator, DummyWriteConciliator, FirstMoverConciliator, WriteSchedule,

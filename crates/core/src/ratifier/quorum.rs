@@ -1,5 +1,6 @@
 //! The quorum-based deterministic ratifier (Procedure Ratifier, Theorem 8).
 
+use std::ops::Deref;
 use std::sync::Arc;
 
 use mc_model::{
@@ -115,12 +116,25 @@ impl Ratifier {
 
     /// Registers used: the announcement pool plus the proposal register.
     pub fn register_count(&self) -> u64 {
-        self.masks.scheme.pool_size() + 1
+        self.masks.pool + 1
     }
 
     /// Worst-case operations per process.
     pub fn individual_work_bound(&self) -> u64 {
         self.masks.scheme.individual_work_bound()
+    }
+
+    /// One process's run of this ratifier over an instance whose registers
+    /// start at `base`, in the order [`instantiate`](ObjectSpec::instantiate)
+    /// allocates them: the announcement pool, then the proposal register.
+    ///
+    /// The session borrows this ratifier's quorums, so building one takes
+    /// no reference count and allocates nothing; an instance's
+    /// [`DecidingObject::session`] boxes the same session over an owned
+    /// handle.
+    pub fn session_at(&self, base: RegisterId) -> impl Session + '_ {
+        let proposal = base.offset(self.masks.pool);
+        RatifierSession::new(&*self.masks, base, proposal)
     }
 }
 
@@ -145,6 +159,8 @@ fn masks_of(scheme: &dyn QuorumScheme, v: Value) -> (u128, u128) {
 /// A ratifier's quorums, shared by all of its instances, runs and sessions.
 struct Masks {
     scheme: Arc<dyn QuorumScheme>,
+    /// The scheme's announcement pool size.
+    pool: u64,
     capacity: u64,
     /// `masks_of(v)` at index `v` for every value when the capacity is at
     /// most the table capacity the masks were built with; empty otherwise.
@@ -166,12 +182,14 @@ impl Masks {
         };
         Masks {
             scheme,
+            pool,
             capacity,
             table,
         }
     }
 
     /// `(W_v, R_v)` of a value `v < capacity`.
+    #[inline]
     fn of(&self, v: Value) -> (u128, u128) {
         match usize::try_from(v).ok().and_then(|ix| self.table.get(ix)) {
             Some(&masks) => masks,
@@ -189,16 +207,11 @@ struct RatifierObject {
 
 impl DecidingObject for RatifierObject {
     fn session(&self, _pid: ProcessId) -> Box<dyn Session + Send> {
-        Box::new(RatifierSession {
-            masks: Arc::clone(&self.masks),
-            pool: self.pool,
-            proposal: self.proposal,
-            input: 0,
-            preference: 0,
-            unvisited: 0,
-            ix: 0,
-            state: State::Announcing,
-        })
+        Box::new(RatifierSession::new(
+            Arc::clone(&self.masks),
+            self.pool,
+            self.proposal,
+        ))
     }
 
     fn symmetry(&self) -> SymmetrySpec {
@@ -230,8 +243,11 @@ enum State {
     Scanning,
 }
 
-struct RatifierSession {
-    masks: Arc<Masks>,
+/// A session over a handle `P` on the ratifier's quorums: `&Masks` when
+/// a caller drives it in place ([`Ratifier::session_at`]), `Arc<Masks>`
+/// when the simulator boxes it.
+struct RatifierSession<P> {
+    masks: P,
     pool: RegisterId,
     proposal: RegisterId,
     input: Value,
@@ -244,7 +260,20 @@ struct RatifierSession {
     state: State,
 }
 
-impl RatifierSession {
+impl<P: Deref<Target = Masks>> RatifierSession<P> {
+    fn new(masks: P, pool: RegisterId, proposal: RegisterId) -> RatifierSession<P> {
+        RatifierSession {
+            masks,
+            pool,
+            proposal,
+            input: 0,
+            preference: 0,
+            unvisited: 0,
+            ix: 0,
+            state: State::Announcing,
+        }
+    }
+
     /// Starts walking `quorum`; returns its first register, if any.
     fn walk(&mut self, quorum: u128) -> Option<RegisterId> {
         self.unvisited = quorum;
@@ -275,7 +304,8 @@ impl RatifierSession {
     }
 }
 
-impl Session for RatifierSession {
+impl<P: Deref<Target = Masks>> Session for RatifierSession<P> {
+    #[inline]
     fn begin(&mut self, input: Value, _ctx: &mut Ctx<'_>) -> Action {
         let capacity = self.masks.capacity;
         assert!(
@@ -289,6 +319,7 @@ impl Session for RatifierSession {
         Action::Invoke(Op::Write { reg, value: 1 })
     }
 
+    #[inline]
     fn poll(&mut self, response: Response, _ctx: &mut Ctx<'_>) -> Action {
         match self.state {
             State::Announcing => {
@@ -355,7 +386,7 @@ impl Session for RatifierSession {
 
 impl ObjectSpec for Ratifier {
     fn instantiate(&self, ctx: &mut InstantiateCtx<'_>) -> Arc<dyn DecidingObject> {
-        let pool = ctx.alloc.alloc_block(self.masks.scheme.pool_size());
+        let pool = ctx.alloc.alloc_block(self.masks.pool);
         let proposal = ctx.alloc.alloc_block(1);
         Arc::new(RatifierObject {
             masks: Arc::clone(&self.masks),

@@ -2,7 +2,11 @@
 //!
 //! The same protocol, the same inputs, the same adversary construction, the
 //! same seed — run once on `mc-sim`'s model engine and once on `mc-runtime`'s
-//! real threads under the lab scheduler. Because both substrates draw
+//! real threads under the lab scheduler. Both legs run the same `mc-core`
+//! sessions: the runtime drives each stage's session on its registers, so
+//! what is compared is the substrate (engine vs threads, model memory vs
+//! lab registers, the runtime's chain walk vs `mc-core`'s `Chain`), not
+//! two implementations of the paper's objects. Because both substrates draw
 //! per-process coins from `mix_seed(seed, pid)` streams and both let the
 //! adversary pick from the identical pending-operation views, the two
 //! executions must be *literally equal*: same decision per process, same
@@ -18,9 +22,8 @@
 //! **counter-ledger reconciliation** (telemetry counters vs what the check
 //! submitted) for the chaos and store checks.
 //!
-//! Any inequality is a bug in one of the substrates (or a real divergence
-//! between the model protocol and the runtime implementation) and is
-//! reported as a [`Divergence`].
+//! Any inequality is a bug in one of the substrates (or in the runtime's
+//! walk over the chain) and is reported as a [`Divergence`].
 
 use std::error::Error;
 use std::fmt;
@@ -60,9 +63,9 @@ pub enum Protocol {
     /// 3-register binary ratifier. Unlike the impatient protocols, the coin
     /// draws session-local randomness (its ±1 votes), which every substrate
     /// takes from the same per-process `mix_seed(seed, pid)` streams, so the
-    /// runtime's [`CoinConciliator`](mc_runtime::CoinConciliator) +
-    /// [`VotingCoin`](mc_runtime::VotingCoin) must match the model's specs
-    /// operation for operation and replay under [`CoinPolicy::Fixed`].
+    /// runtime's coin stages (the same sessions, driven on lab registers)
+    /// must match the model run operation for operation and replay under
+    /// [`CoinPolicy::Fixed`].
     Coin {
         /// Vote quorum as a multiple of `n²`. Must be positive.
         quorum_factor: u32,

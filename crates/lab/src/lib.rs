@@ -3,10 +3,10 @@
 //! `mc-runtime` runs the paper's protocols on real threads over real atomic
 //! registers — which makes its interleavings whatever the OS scheduler
 //! happens to produce. This crate closes that gap: it runs the *same*
-//! runtime objects (same `Consensus`, same `AtomicRatifier`, same code
-//! paths) with their registers swapped for an instrumented substrate in
-//! which **every** load, store, and probabilistic write is a yield point
-//! controlled by a seeded adversarial scheduler.
+//! runtime objects (same `Consensus`, driving the same `mc-core` sessions,
+//! same code paths) with their registers swapped for an instrumented
+//! substrate in which **every** load, store, and probabilistic write is a
+//! yield point controlled by a seeded adversarial scheduler.
 //!
 //! Concretely, [`Lab`] spawns one real thread per process. A thread that
 //! touches a [`LabRegister`] posts the operation and blocks; once every

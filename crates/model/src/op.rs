@@ -148,6 +148,7 @@ impl Response {
     /// Panics if this is not a [`Response::Read`]; sessions call this only
     /// when their own state machine guarantees the pending op was a read.
     #[track_caller]
+    #[inline]
     pub fn expect_read(self) -> RegContents {
         match self {
             Response::Read(contents) => contents,

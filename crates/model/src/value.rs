@@ -74,6 +74,7 @@ impl Probability {
     ///
     /// This is the natural constructor for write-probability schedules like
     /// the paper's `2^k / n`, which intentionally saturate at 1.
+    #[inline]
     pub fn clamped(p: f64) -> Probability {
         if p.is_nan() {
             Probability(0.0)

@@ -97,27 +97,6 @@ pub trait QuorumScheme: Send + Sync {
         registers(self.read_mask(v)).collect()
     }
 
-    /// Calls `register` on each register of `W_v`, ascending, without
-    /// allocating.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v ≥ capacity()`.
-    fn for_each_write(&self, v: u64, register: &mut dyn FnMut(u64)) {
-        registers(self.write_mask(v)).for_each(register);
-    }
-
-    /// Whether `hit` holds for some register of `R_v`, visited ascending
-    /// and stopping at the first hit — a ratifier's scan, which reads no
-    /// register past its first conflict. Allocates nothing.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v ≥ capacity()`.
-    fn any_read(&self, v: u64, hit: &mut dyn FnMut(u64) -> bool) -> bool {
-        registers(self.read_mask(v)).any(hit)
-    }
-
     /// Worst-case operations a ratifier built on this scheme performs:
     /// `|W_v| + |R_v|` plus one proposal read and at most one proposal
     /// write.
@@ -504,7 +483,7 @@ mod tests {
     }
 
     #[test]
-    fn walks_visit_the_quorums_in_order_and_scans_stop_at_the_first_hit() {
+    fn masks_and_quorums_match_each_schemes_definition() {
         // Each scheme beside its quorums spelled out from its definition,
         // not from its masks.
         type Spelled<'a> = Box<dyn Fn(u64) -> (Vec<u64>, Vec<u64>) + 'a>;
@@ -559,22 +538,6 @@ mod tests {
                 assert_eq!(bits(s.read_mask(v)), read, "{} R_{v}", s.name());
                 assert_eq!(s.write_quorum(v), write, "{} W_{v}", s.name());
                 assert_eq!(s.read_quorum(v), read, "{} R_{v}", s.name());
-                let mut written = Vec::new();
-                s.for_each_write(v, &mut |slot| written.push(slot));
-                assert_eq!(written, write, "{} W_{v}", s.name());
-                let mut scanned = Vec::new();
-                assert!(!s.any_read(v, &mut |slot| {
-                    scanned.push(slot);
-                    false
-                }));
-                assert_eq!(scanned, read, "{} R_{v}", s.name());
-                // A hit on the first register ends the scan there.
-                let mut visits = 0;
-                assert!(s.any_read(v, &mut |_| {
-                    visits += 1;
-                    true
-                }));
-                assert_eq!(visits, 1);
             }
         }
     }

@@ -21,12 +21,12 @@
 
 use std::sync::Arc;
 
+use mc_core::Ratifier;
 use mc_quorums::{BinaryScheme, BinomialScheme, QuorumScheme};
 use mc_telemetry::Recorder;
 
 use crate::bounded::{BoundedConsensus, Fallback, LeaderFallback, DEFAULT_MAX_CONCILIATOR_ROUNDS};
-use crate::conciliator::ConciliatorChoice;
-use crate::consensus::{Consensus, ConsensusOptions};
+use crate::consensus::{ConciliatorChoice, Consensus, ConsensusOptions};
 use crate::engine::{ConsensusEngine, EngineOptions};
 use crate::register::{AtomicMemory, SharedMemory};
 use crate::telemetry::RuntimeTelemetry;
@@ -176,6 +176,7 @@ impl<M: SharedMemory> ConsensusBuilder<M> {
         };
         ConsensusOptions {
             n: self.n,
+            ratifier: Ratifier::with_scheme(Arc::clone(&scheme)),
             scheme,
             fast_path: self.fast_path,
             conciliator: self.conciliator.clone(),
@@ -376,7 +377,7 @@ mod tests {
 
     #[test]
     fn conciliator_choice_flows_into_the_options() {
-        use crate::coin::CoinKind;
+        use crate::consensus::CoinKind;
         let choice = ConciliatorChoice::Coin(CoinKind::voting());
         let options = Consensus::builder()
             .n(2)

@@ -3,16 +3,16 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
+use mc_core::{CoinConciliator, FirstMoverConciliator, LocalCoin, Ratifier, VotingSharedCoin};
+use mc_model::{BlockAlloc, Decision, InstantiateCtx, ObjectSpec, ProcessId, RegisterId};
 use mc_quorums::QuorumScheme;
 use mc_telemetry::StageKind;
 use rand::Rng;
 
-use crate::coin::{CoinConciliator, CoinKind, LocalCoin, VotingCoin};
-use crate::conciliator::{Conciliator, ConciliatorChoice, ImpatientConciliator};
-use crate::ratifier::AtomicRatifier;
-use crate::register::{AtomicMemory, SharedMemory};
+use crate::drive::drive;
+use crate::register::{AtomicMemory, SharedMemory, SharedRegister};
 use crate::table::Table;
-use crate::telemetry::{CounterKey, RuntimeTelemetry};
+use crate::telemetry::{CounterKey, HistKey, LocalTelemetry, RuntimeTelemetry};
 
 /// Configuration for a thread-runtime [`Consensus`] object.
 #[derive(Clone)]
@@ -23,9 +23,12 @@ pub struct ConsensusOptions {
     pub scheme: Arc<dyn QuorumScheme>,
     /// Whether to run the `R₋₁; R₀` fast path before the first conciliator.
     pub fast_path: bool,
-    /// Which conciliator implementation the `C₁; C₂; …` stages instantiate
-    /// (§5.1 / §5.2 / Theorem 6). Non-impatient choices are binary only.
+    /// Which conciliator the `C₁; C₂; …` stages instantiate (§5.1 / §5.2 /
+    /// Theorem 6). Non-impatient choices are binary only.
     pub conciliator: ConciliatorChoice,
+    /// The ratifier stages' spec over `scheme`: its quorum table is built
+    /// once here and shared by every instance these options build.
+    pub(crate) ratifier: Ratifier,
 }
 
 impl std::fmt::Debug for ConsensusOptions {
@@ -39,9 +42,86 @@ impl std::fmt::Debug for ConsensusOptions {
     }
 }
 
+/// Which conciliator a consensus chain instantiates for its `C₁; C₂; …`
+/// stages.
+///
+/// The default is [`Impatient`](ConciliatorChoice::Impatient) — the paper's
+/// headline probabilistic-write conciliator (Theorem 7). Under schedulers
+/// that exploit impatience, the Theorem 6 coin wrapper over an
+/// adaptive-adversary-robust coin is the better trade. The choice is fixed
+/// when the chain is built and holds for every instance it is recycled
+/// into.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub enum ConciliatorChoice {
+    /// `mc_core::FirstMoverConciliator::impatient()` (§5.2, the default).
+    #[default]
+    Impatient,
+    /// `mc_core::CoinConciliator` (Theorem 6) over the given coin. Binary
+    /// values only.
+    Coin(CoinKind),
+}
+
+/// Which weak shared coin a [`ConciliatorChoice::Coin`] stage runs under
+/// Procedure CoinConciliator.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum CoinKind {
+    /// `mc_core::LocalCoin`: each thread flips its own coin; free, but a
+    /// coin only against adversaries that cannot see the flips.
+    Local,
+    /// `mc_core::VotingSharedCoin` with quorum `quorum_factor · n²`:
+    /// adaptive-adversary robust at `Θ(n³)` total work.
+    Voting {
+        /// Vote quorum as a multiple of `n²`. Must be positive.
+        quorum_factor: u32,
+    },
+}
+
+impl CoinKind {
+    /// The default voting coin (quorum `4·n²`), matching
+    /// `VotingSharedCoin::new()`.
+    pub fn voting() -> CoinKind {
+        CoinKind::Voting { quorum_factor: 4 }
+    }
+
+    /// Procedure CoinConciliator over this coin: the spec a coin stage
+    /// instantiates.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a voting coin's quorum factor is 0.
+    fn conciliator(self) -> CoinConciliator {
+        let coin: Arc<dyn ObjectSpec> = match self {
+            CoinKind::Local => Arc::new(LocalCoin),
+            CoinKind::Voting { quorum_factor } => Arc::new(
+                VotingSharedCoin::with_quorum_factor(quorum_factor)
+                    .expect("quorum factor must be positive"),
+            ),
+        };
+        CoinConciliator::new(coin)
+    }
+}
+
+/// One stage of the chain: the registers its `mc-core` spec's instance
+/// allocates, in allocation order (so the spec's `RegisterId(i)` is the
+/// `i`-th), and what runs on them through [`drive`].
 enum Stage<M: SharedMemory> {
-    Ratifier(AtomicRatifier<M>),
-    Conciliator(Box<dyn Conciliator<M>>),
+    /// [`ConsensusOptions::ratifier`]: the announcement pool, then the
+    /// proposal register.
+    Ratifier(Box<[M::Reg]>),
+    /// `FirstMoverConciliator::impatient()`: its one register.
+    Impatient(M::Reg),
+    /// A [`CoinKind::conciliator`] instance: the two announce registers,
+    /// then the coin's.
+    Coin(Box<[M::Reg]>),
+}
+
+impl<M: SharedMemory> Stage<M> {
+    fn registers_mut(&mut self) -> &mut [M::Reg] {
+        match self {
+            Stage::Ratifier(regs) | Stage::Coin(regs) => regs,
+            Stage::Impatient(reg) => std::slice::from_mut(reg),
+        }
+    }
 }
 
 /// Stage cells per chunk of the stage table: the fast-path prefix
@@ -71,6 +151,12 @@ pub(crate) enum Exit {
 /// proposal, with probability 1 in finite expected time (`O(log n)` expected
 /// register operations per thread, `O(n log m)` total).
 ///
+/// Every stage runs an `mc-core` session — the code `mc-sim` samples and
+/// `mc-check` certifies — on the stage's own registers: `mc_core::Ratifier`
+/// for the ratifiers, and for the conciliators
+/// `FirstMoverConciliator::impatient()` or `CoinConciliator` over the
+/// chosen coin. The runtime adds no protocol step of its own.
+///
 /// Each stage is built once, by the first thread to enter it; entering a
 /// built stage is one acquire load, with no lock and no reference count. A
 /// thread that enters a stage while another builds it waits, so strictly
@@ -85,7 +171,7 @@ pub(crate) enum Exit {
 /// [`AtomicMemory`] (plain `AtomicU64`s, zero overhead). `mc-lab`
 /// substitutes an instrumented substrate to run the *same* object under a
 /// deterministic scheduler. Stages materialize in index order and each
-/// stage allocates its registers in a fixed order, so register ids are
+/// stage allocates its registers in its spec's order, so register ids are
 /// identical across substrates under identical interleavings.
 pub struct Consensus<M: SharedMemory = AtomicMemory> {
     /// Shared, not cloned: a pooling engine hands every instance the same
@@ -174,9 +260,11 @@ impl<M: SharedMemory> Consensus<M> {
     ///
     /// [`SharedRegister::clear`]: crate::SharedRegister::clear
     pub fn reset(&mut self) {
-        self.stages.for_each_built_mut(|stage| match stage {
-            Stage::Ratifier(r) => r.reset(),
-            Stage::Conciliator(c) => c.reset(),
+        self.stages.for_each_built_mut(|stage| {
+            stage
+                .registers_mut()
+                .iter_mut()
+                .for_each(SharedRegister::clear);
         });
         // Relaxed: `&mut self` rules out a decide in flight, and whatever
         // hands the object to the next instance's callers (a mutex, a spawn
@@ -207,32 +295,26 @@ impl<M: SharedMemory> Consensus<M> {
         }
     }
 
+    /// Builds stage `ix` (see [`Stage`]): its spec's instance, laid out
+    /// from `RegisterId(0)`, and that many fresh registers.
     fn make_stage(&self, ix: usize) -> Stage<M> {
         let prefix = self.prefix();
-        let is_ratifier = ix < prefix || (ix - prefix) % 2 == 1;
-        if is_ratifier {
-            Stage::Ratifier(AtomicRatifier::with_scheme_in(
-                &self.memory,
-                Arc::clone(&self.options.scheme),
-            ))
-        } else {
-            let conciliator: Box<dyn Conciliator<M>> = match self.options.conciliator {
-                ConciliatorChoice::Impatient => Box::new(
-                    ImpatientConciliator::new_in(&self.memory, self.options.n)
-                        .observed_by(Arc::clone(&self.telemetry)),
-                ),
-                ConciliatorChoice::Coin(CoinKind::Local) => {
-                    Box::new(CoinConciliator::with_coin_in(&self.memory, |_| LocalCoin))
-                }
-                ConciliatorChoice::Coin(CoinKind::Voting { quorum_factor }) => {
-                    Box::new(CoinConciliator::with_coin_in(&self.memory, |memory| {
-                        VotingCoin::with_quorum_factor_in(memory, self.options.n, quorum_factor)
-                            .observed_by(Arc::clone(&self.telemetry))
-                    }))
-                }
-            };
-            Stage::Conciliator(conciliator)
+        if ix < prefix || (ix - prefix) % 2 == 1 {
+            return Stage::Ratifier(self.registers(self.options.ratifier.register_count()));
         }
+        match self.options.conciliator {
+            ConciliatorChoice::Impatient => Stage::Impatient(self.memory.alloc()),
+            ConciliatorChoice::Coin(kind) => {
+                let mut alloc = BlockAlloc::new();
+                kind.conciliator()
+                    .instantiate(&mut InstantiateCtx::new(self.options.n, &mut alloc));
+                Stage::Coin(self.registers(alloc.allocated()))
+            }
+        }
+    }
+
+    fn registers(&self, count: u64) -> Box<[M::Reg]> {
+        (0..count).map(|_| self.memory.alloc()).collect()
     }
 
     /// Proposes `value` and returns the agreed decision.
@@ -313,23 +395,89 @@ impl<M: SharedMemory> Consensus<M> {
             decided
         };
         for ix in 0..limit {
-            match self.stage(ix) {
-                Stage::Ratifier(r) => {
-                    telemetry.on_stage_entered(ix as u64, StageKind::Ratifier);
-                    let d = r.ratify(current);
-                    telemetry.on_ratifier_verdict(ix as u64, d.is_decided(), d.value());
-                    if d.is_decided() {
-                        return decided_at(finish(Exit::Decided(d.value())), ix, ix < prefix);
-                    }
-                    current = d.value();
-                }
-                Stage::Conciliator(c) => {
-                    telemetry.on_stage_entered(ix as u64, StageKind::Conciliator);
-                    current = c.propose(pid, current, rng);
-                }
+            let d = self.enter(ix, pid, current, rng, &telemetry);
+            if d.is_decided() {
+                return decided_at(finish(Exit::Decided(d.value())), ix, ix < prefix);
             }
+            current = d.value();
         }
         decided_at(finish(Exit::Exhausted(current)), limit, false)
+    }
+
+    /// Enters stage `ix` as `pid` with `value`: drives the stage's session
+    /// on its registers, and records what the stage's kind and the
+    /// session's operations say — a ratifier's verdict, an impatient
+    /// call's probabilistic writes as its rounds, a coin call's vote
+    /// writes (all its writes past the announcement) as its coin rounds.
+    fn enter(
+        &self,
+        ix: usize,
+        pid: usize,
+        value: u64,
+        rng: &mut dyn Rng,
+        telemetry: &LocalTelemetry<'_>,
+    ) -> Decision {
+        let stage = self.stage(ix);
+        let kind = match stage {
+            Stage::Ratifier(_) => StageKind::Ratifier,
+            Stage::Impatient(_) | Stage::Coin(_) => StageKind::Conciliator,
+        };
+        telemetry.on_stage_entered(ix as u64, kind);
+        match stage {
+            Stage::Ratifier(regs) => {
+                let mut session = self.options.ratifier.session_at(RegisterId(0));
+                let (d, _) = drive(&mut session, regs, value, rng, telemetry);
+                telemetry.on_ratifier_verdict(ix as u64, d.is_decided(), d.value());
+                d
+            }
+            Stage::Impatient(reg) => {
+                let mut session =
+                    FirstMoverConciliator::impatient().session_at(RegisterId(0), self.options.n);
+                let regs = std::slice::from_ref(reg);
+                let (d, ops) = drive(&mut session, regs, value, rng, telemetry);
+                telemetry.record(HistKey::ConciliatorRounds, ops.prob_writes);
+                d
+            }
+            Stage::Coin(regs) => self.enter_coin(pid, regs, value, rng, telemetry),
+        }
+    }
+
+    /// [`enter`](Consensus::enter)'s coin stage: Procedure CoinConciliator
+    /// over the chosen coin, its session and the coin's built in place.
+    /// Out of line, so the ratifier and impatient stages' code does not
+    /// grow by the coins' two session types.
+    #[inline(never)]
+    fn enter_coin(
+        &self,
+        pid: usize,
+        regs: &[M::Reg],
+        value: u64,
+        rng: &mut dyn Rng,
+        telemetry: &LocalTelemetry<'_>,
+    ) -> Decision {
+        let ConciliatorChoice::Coin(kind) = self.options.conciliator else {
+            unreachable!("coin stages are built for a coin choice only")
+        };
+        let (d, ops) = match kind {
+            CoinKind::Local => {
+                let mut session =
+                    CoinConciliator::session_at(RegisterId(0), |_| LocalCoin.session());
+                drive(&mut session, regs, value, rng, telemetry)
+            }
+            CoinKind::Voting { quorum_factor } => {
+                let coin = VotingSharedCoin::with_quorum_factor(quorum_factor)
+                    .expect("quorum factor must be positive");
+                let (n, pid) = (self.options.n, ProcessId(pid));
+                let mut session = CoinConciliator::session_at(RegisterId(0), |base| {
+                    coin.session_at(base, n, pid)
+                });
+                drive(&mut session, regs, value, rng, telemetry)
+            }
+        };
+        if ops.writes > 1 {
+            telemetry.record(HistKey::CoinRounds, ops.writes - 1);
+        }
+        d
     }
 }
 
@@ -345,8 +493,6 @@ impl<M: SharedMemory> std::fmt::Debug for Consensus<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::telemetry::HistKey;
-    use mc_model::Decision;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
@@ -528,12 +674,47 @@ mod tests {
         }
     }
 
-    /// Runs `stage` solo with `value`: a conciliator's output goes on.
-    fn enter(stage: &Stage<AtomicMemory>, value: u64, rng: &mut SmallRng) -> Decision {
-        match stage {
-            Stage::Ratifier(r) => r.ratify(value),
-            Stage::Conciliator(c) => Decision::continue_with(c.propose(0, value, rng)),
-        }
+    /// Runs stage `ix` solo as pid 0 with `value`.
+    fn enter(c: &Consensus, ix: usize, value: u64, rng: &mut SmallRng) -> Decision {
+        c.enter(ix, 0, value, rng, &c.telemetry.local())
+    }
+
+    /// Runs stage `ix` once on OS threads, thread `t` as pid `t` proposing
+    /// `proposals[t]`, and tells whether every thread carried out the same
+    /// value.
+    fn stage_agrees(c: &Consensus, ix: usize, proposals: &[u64], seed: u64) -> bool {
+        let outputs: Vec<u64> = std::thread::scope(|s| {
+            let handles: Vec<_> = proposals
+                .iter()
+                .enumerate()
+                .map(|(t, &v)| {
+                    s.spawn(move || {
+                        let mut rng = SmallRng::seed_from_u64(seed * 100 + t as u64);
+                        c.enter(ix, t, v, &mut rng, &c.telemetry.local()).value()
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        outputs.windows(2).all(|w| w[0] == w[1])
+    }
+
+    #[test]
+    fn impatient_stage_agrees_often_under_os_scheduling() {
+        // C₁ on 8 threads with opposed inputs, its probabilistic writes on
+        // `AtomicRegister`s. Theorem 7 guarantees ≥ 5.5% against the worst
+        // adversary; an OS scheduler should be nowhere near adversarial.
+        let trials = 100;
+        let agreements = (0..trials)
+            .filter(|&trial| {
+                let c = Consensus::builder().n(8).fast_path(false).build();
+                stage_agrees(&c, 0, &[0, 1, 0, 1, 0, 1, 0, 1], trial)
+            })
+            .count();
+        assert!(
+            agreements * 10 >= trials as usize,
+            "{agreements}/{trials} agreements"
+        );
     }
 
     #[test]
@@ -547,7 +728,7 @@ mod tests {
             let stage = c.stage(ix);
             // R₋₁; R₀, then C₁; R₁; C₂; R₂; …: each cell holds its index's kind.
             assert_eq!(matches!(stage, Stage::Ratifier(_)), ix < 2 || ix % 2 == 1);
-            assert_eq!(enter(stage, 1, &mut rng).value(), 1, "{ix}");
+            assert_eq!(enter(&c, ix, 1, &mut rng).value(), 1, "{ix}");
             cells.push(stage);
             assert_eq!(c.stages_used(), ix + 1);
         }
@@ -564,9 +745,9 @@ mod tests {
             assert!(std::ptr::eq(stage, cell), "stage {ix} moved");
             let fresh = match stage {
                 Stage::Ratifier(_) => Decision::decide(0),
-                Stage::Conciliator(_) => Decision::continue_with(0),
+                _ => Decision::continue_with(0),
             };
-            assert_eq!(enter(stage, 0, &mut rng), fresh, "stage {ix}");
+            assert_eq!(enter(&c, ix, 0, &mut rng), fresh, "stage {ix}");
         }
         assert_eq!(c.stages_used(), cells.len());
     }

@@ -2,8 +2,10 @@
 //!
 //! `mc-sim` runs the paper's algorithms in the abstract model, where
 //! operation counts and adversaries are exact. This crate runs the *same
-//! algorithms* as ordinary multi-threaded Rust: registers are
-//! [`AtomicU64`](std::sync::atomic::AtomicU64)s, processes are threads, and
+//! code* as ordinary multi-threaded Rust: each stage of a [`Consensus`]
+//! drives an `mc-core` session — the one `mc-sim` samples and `mc-check`
+//! certifies — performing its operations on registers that are
+//! [`AtomicU64`](std::sync::atomic::AtomicU64)s; processes are threads, and
 //! the scheduler is whatever your OS does.
 //!
 //! The probabilistic-write model's assumption — that the scheduler cannot
@@ -41,16 +43,14 @@
 mod bounded;
 mod builder;
 pub mod clock;
-mod coin;
-mod conciliator;
 mod consensus;
 mod derived;
+mod drive;
 mod engine;
 mod error;
 mod faults;
 mod hash;
 mod log;
-mod ratifier;
 mod register;
 mod service;
 mod table;
@@ -59,16 +59,13 @@ mod typed;
 
 pub use bounded::{BoundedConsensus, Fallback, LeaderFallback, DEFAULT_MAX_CONCILIATOR_ROUNDS};
 pub use builder::{ConsensusBuilder, EngineBuilder};
-pub use coin::{CoinConciliator, CoinKind, LocalCoin, VotingCoin, WeakSharedCoin};
-pub use conciliator::{Conciliator, ConciliatorChoice, ImpatientConciliator};
-pub use consensus::{Consensus, ConsensusOptions};
+pub use consensus::{CoinKind, ConciliatorChoice, Consensus, ConsensusOptions};
 pub use derived::{Election, TestAndSet};
 pub use engine::{ConsensusEngine, EngineOptions};
 pub use error::EngineError;
 pub use faults::{FaultCounts, FaultPlan, FaultyMemory, FaultyRegister, ResetScope};
 pub use hash::{FastHasher, FastMap};
 pub use log::ReplicatedLog;
-pub use ratifier::AtomicRatifier;
 pub use register::{AtomicMemory, AtomicRegister, SharedMemory, SharedRegister};
 pub use service::{
     ChaosPlan, ConsensusService, DecisionHandle, RingHealth, ServiceBuilder, SupervisorOptions,

@@ -137,14 +137,17 @@ impl AtomicRegister {
 }
 
 impl SharedRegister for AtomicRegister {
+    #[inline]
     fn read(&self) -> Option<u64> {
         AtomicRegister::read(self)
     }
 
+    #[inline]
     fn write(&self, value: u64) {
         AtomicRegister::write(self, value);
     }
 
+    #[inline]
     fn prob_write(&self, value: u64, prob: Probability, rng: &mut dyn Rng) -> bool {
         // The Chor–Israeli–Li assumption: a local coin followed immediately
         // by a plain store, with no observable gap the OS scheduler could

@@ -55,7 +55,7 @@ use crate::engine::{shard_index, ConsensusEngine};
 use crate::error::EngineError;
 use crate::faults::FaultPlan;
 use crate::register::{AtomicMemory, SharedMemory};
-use crate::telemetry::{AmortizedEvents, CounterKey, GaugeKey, HistKey, RuntimeTelemetry};
+use crate::telemetry::{AmortizedEvents, CounterKey, HistKey, RuntimeTelemetry};
 
 /// Worker supervision knobs: how many panics a ring's worker survives and
 /// how its restarts are paced.
@@ -810,9 +810,7 @@ impl<M: SharedMemory> ConsensusService<M> {
             // re-accounting.
             ring.lock_inflight().clear();
             drop(state);
-            self.engine
-                .telemetry()
-                .lower(GaugeKey::QueueDepth, orphaned as u64);
+            self.engine.telemetry().lower_queue_depth(orphaned as u64);
         }
         // Hand per-decide recorder events back: the engine outlives the
         // service and its direct `submit` path must emit again.
@@ -852,7 +850,7 @@ fn terminal_poison(ring: &Ring, telemetry: &RuntimeTelemetry) {
     // Settle the depth gauge BEFORE dropping the orphans: dropping a
     // still-Waiting Pending poisons its cell and wakes its waiters, and a
     // woken waiter must observe a consistent ledger.
-    telemetry.lower(GaugeKey::QueueDepth, orphaned.len() as u64);
+    telemetry.lower_queue_depth(orphaned.len() as u64);
     drop(orphaned);
     drop(stash);
     ring.to_producers.notify_all();
@@ -1097,7 +1095,7 @@ fn drain_loop<M: SharedMemory>(
             // The drained proposals left the ring the moment `drain` took
             // them — account for them now, not at batch completion, so the
             // aggregate gauge stays honest even if a decide panics.
-            telemetry.lower(GaugeKey::QueueDepth, take as u64);
+            telemetry.lower_queue_depth(take as u64);
             // Room freed: wake producers blocked under `Block`.
             ring.to_producers.notify_all();
         }
@@ -1255,6 +1253,7 @@ impl<M: SharedMemory> ServiceBuilder<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::telemetry::GaugeKey;
     use mc_telemetry::{AggregatingRecorder, Tally};
 
     fn single_worker_service() -> ConsensusService {

@@ -7,7 +7,9 @@
 //! read-modify-write; a read sums the cells. A locked `fetch_add` costs
 //! about 9 ns on one pinned core of the reference VM, most of a register
 //! operation's ≈ 13 ns, which a shared counter paid on every update.
-//! Gauges stay shared cells. Structured [`TelemetryEvent`] emission is
+//! Gauges are read off one source each: `queue_depth` is a shared cell,
+//! `applied_index` one word its serialized writer stores, and the others
+//! are derived on read. Structured [`TelemetryEvent`] emission is
 //! gated on the attached [`Recorder`]: with the default [`NoopRecorder`]
 //! the `events_on` flag is `false` and no event is ever constructed.
 //!
@@ -173,10 +175,14 @@ metric_keys! {
     /// [`RuntimeTelemetry::gauge_max`].
     pub enum GaugeKey {
         /// Length of the store's contiguous applied prefix (entries applied
-        /// to the state machine).
+        /// to the state machine). It only grows, so its maximum is its
+        /// value.
         AppliedIndex => "applied_index",
-        /// Largest probability-doubling round index any call reached. Only
-        /// its maximum moves; the current value stays 0.
+        /// Largest probability-doubling round index any call reached:
+        /// derived on read, as [`HistKey::ConciliatorRounds`]' exact
+        /// maximum less one (a call of `k` rounds reached index `k − 1`),
+        /// or 0 when no call ran a round. Only its maximum moves; the
+        /// current value stays 0.
         MaxConciliatorRound => "max_conciliator_round",
         /// Instances currently live; derived on read, see
         /// [`RuntimeTelemetry::live_instances`].
@@ -263,9 +269,9 @@ impl ThreadCell {
 /// a real recorder with `.recorder(...)` on any builder.
 ///
 /// The metric set is the three key enums: every thread's cell holds
-/// arrays indexed by `key as usize`, gauges are one shared array, and
-/// [`snapshot`](Self::snapshot) walks the same tables, so a metric is
-/// declared once.
+/// arrays indexed by `key as usize`, [`gauge`](Self::gauge) reads each
+/// gauge from its one source, and [`snapshot`](Self::snapshot) walks the
+/// same tables, so a metric is declared once.
 pub struct RuntimeTelemetry {
     recorder: Arc<dyn Recorder>,
     events_on: bool,
@@ -278,7 +284,11 @@ pub struct RuntimeTelemetry {
     claimed: AtomicUsize,
     /// Every thread's cell, at the index it claimed.
     cells: Table<Box<ThreadCell>, CHUNK_CELLS>,
-    gauges: [Gauge; GaugeKey::COUNT],
+    /// [`GaugeKey::QueueDepth`], the one gauge that moves both ways.
+    queue_depth: Gauge,
+    /// [`GaugeKey::AppliedIndex`], one word: see
+    /// [`on_commands_applied`](Self::on_commands_applied).
+    applied_index: AtomicU64,
 }
 
 /// The calling thread's cell in one [`RuntimeTelemetry`], found once and
@@ -347,7 +357,8 @@ impl RuntimeTelemetry {
             id: NEXT_TELEMETRY_ID.fetch_add(1, Ordering::Relaxed),
             claimed: AtomicUsize::new(0),
             cells: Table::new(),
-            gauges: std::array::from_fn(|_| Gauge::new()),
+            queue_depth: Gauge::new(),
+            applied_index: AtomicU64::new(0),
         }
     }
 
@@ -511,13 +522,12 @@ impl RuntimeTelemetry {
         self.local().record(key, v);
     }
 
-    /// Lowers a gauge by `n`, saturating at zero. The one gauge move that
-    /// happens on its own: proposals leaving the intake rings — drained
-    /// into a worker's batch, or cleared (and poisoned) by shutdown or a
-    /// dying worker — take [`GaugeKey::QueueDepth`] down.
+    /// Lowers [`GaugeKey::QueueDepth`] by `n`, saturating at zero:
+    /// proposals leaving the intake rings — drained into a worker's batch,
+    /// or cleared (and poisoned) by shutdown or a dying worker.
     #[inline]
-    pub(crate) fn lower(&self, key: GaugeKey, n: u64) {
-        self.gauges[key as usize].sub(n);
+    pub(crate) fn lower_queue_depth(&self, n: u64) {
+        self.queue_depth.sub(n);
     }
 
     /// The current value of a counter, summed over every thread's cell. A
@@ -538,17 +548,30 @@ impl RuntimeTelemetry {
     pub fn gauge(&self, key: GaugeKey) -> u64 {
         match key {
             GaugeKey::LiveInstances => self.live_instances(),
-            _ => self.gauges[key as usize].get(),
+            GaugeKey::AppliedIndex => self.applied_index(),
+            GaugeKey::MaxConciliatorRound => 0,
+            GaugeKey::QueueDepth => self.queue_depth.get(),
         }
     }
 
-    /// The largest value a gauge ever held (for the derived
-    /// [`GaugeKey::LiveInstances`], its current value).
+    /// The largest value a gauge ever held (for
+    /// [`GaugeKey::LiveInstances`] and [`GaugeKey::AppliedIndex`], their
+    /// current value).
     pub fn gauge_max(&self, key: GaugeKey) -> u64 {
         match key {
             GaugeKey::LiveInstances => self.live_instances(),
-            _ => self.gauges[key as usize].max(),
+            GaugeKey::AppliedIndex => self.applied_index(),
+            GaugeKey::MaxConciliatorRound => self
+                .hist(HistKey::ConciliatorRounds)
+                .max()
+                .saturating_sub(1),
+            GaugeKey::QueueDepth => self.queue_depth.max(),
         }
+    }
+
+    fn applied_index(&self) -> u64 {
+        // Relaxed: one word, read on its own (see `on_commands_applied`).
+        self.applied_index.load(Ordering::Relaxed)
     }
 
     /// A histogram merged over every thread's cell, for its count, max,
@@ -565,34 +588,6 @@ impl RuntimeTelemetry {
     // --- emission hooks (crate-internal): every update that emits an
     // event or moves more than one metric; a decide's own are on
     // `LocalTelemetry` ---
-
-    #[inline]
-    pub(crate) fn on_conciliator_round(&self, round: u64, probability: f64) {
-        self.gauges[GaugeKey::MaxConciliatorRound as usize].record_max(round);
-        if self.decide_events_on() {
-            self.recorder.record(&TelemetryEvent::ConciliatorRound {
-                pid: Self::pid(),
-                round,
-                probability,
-            });
-        }
-    }
-
-    #[inline]
-    pub(crate) fn on_prob_write(&self, performed: bool, probability: f64) {
-        let local = self.local();
-        local.add(CounterKey::ProbWritesAttempted, 1);
-        if performed {
-            local.add(CounterKey::ProbWritesPerformed, 1);
-        }
-        if self.decide_events_on() {
-            self.recorder.record(&TelemetryEvent::ProbWrite {
-                pid: Self::pid(),
-                performed,
-                probability,
-            });
-        }
-    }
 
     #[inline]
     pub(crate) fn on_fault_injected(&self, class: FaultClass, register: u64, step: u64) {
@@ -641,7 +636,7 @@ impl RuntimeTelemetry {
     #[inline]
     pub(crate) fn on_proposal_enqueued(&self) {
         self.add(CounterKey::ProposalsEnqueued, 1);
-        self.gauges[GaugeKey::QueueDepth as usize].add(1);
+        self.queue_depth.add(1);
     }
 
     /// A shard worker drained one batch of `batch` proposals; `queue_depth`
@@ -667,7 +662,7 @@ impl RuntimeTelemetry {
     #[inline]
     pub(crate) fn on_proposals_requeued(&self, count: u64) {
         self.add(CounterKey::ResubmittedCells, count);
-        self.gauges[GaugeKey::QueueDepth as usize].add(count);
+        self.queue_depth.add(count);
     }
 
     /// A supervised worker recovered from a panic and restarted its drain
@@ -695,7 +690,16 @@ impl RuntimeTelemetry {
     #[inline]
     pub fn on_commands_applied(&self, count: u64, applied_index: u64) {
         self.add(CounterKey::CommandsApplied, count);
-        self.gauges[GaugeKey::AppliedIndex as usize].set(applied_index);
+        // Relaxed, and a store rather than a read-modify-write: the store
+        // calls this only from its applier, and appliers are serialized —
+        // each raises the `applying` flag and lowers it under the intake
+        // mutex, and calls this in between. The mutex orders one
+        // applier's store before the next applier's, so the stores reach
+        // the word in applied order, and since the prefix only grows, the
+        // last store is the largest: the value is the maximum. A reader
+        // sees some prefix length the store really had; no other memory
+        // hangs on the word.
+        self.applied_index.store(applied_index, Ordering::Relaxed);
     }
 
     // --- derived readers ---
@@ -765,6 +769,37 @@ impl LocalTelemetry<'_> {
                 pid: RuntimeTelemetry::pid(),
                 stage,
                 kind,
+            });
+        }
+    }
+
+    /// A conciliator stage is about to run probabilistic-write round
+    /// `round` (0-based) with write probability `probability`.
+    #[inline]
+    pub(crate) fn on_conciliator_round(&self, round: u64, probability: f64) {
+        let t = self.telemetry;
+        if t.decide_events_on() {
+            t.recorder.record(&TelemetryEvent::ConciliatorRound {
+                pid: RuntimeTelemetry::pid(),
+                round,
+                probability,
+            });
+        }
+    }
+
+    /// A probabilistic write ran; `performed` is whether its coin landed.
+    #[inline]
+    pub(crate) fn on_prob_write(&self, performed: bool, probability: f64) {
+        self.add(CounterKey::ProbWritesAttempted, 1);
+        if performed {
+            self.add(CounterKey::ProbWritesPerformed, 1);
+        }
+        let t = self.telemetry;
+        if t.decide_events_on() {
+            t.recorder.record(&TelemetryEvent::ProbWrite {
+                pid: RuntimeTelemetry::pid(),
+                performed,
+                probability,
             });
         }
     }
@@ -863,7 +898,7 @@ mod tests {
         assert!(!t.events_on());
         t.add(CounterKey::DecideCalls, 1);
         t.local().on_stage_entered(0, StageKind::Ratifier);
-        t.on_prob_write(true, 0.5);
+        t.local().on_prob_write(true, 0.5);
         t.local().on_decided(1, 2, false, Some(500));
         assert_eq!(t.count(CounterKey::DecideCalls), 1);
         assert_eq!(t.count(CounterKey::Decisions), 1);
@@ -880,8 +915,8 @@ mod tests {
         let t = RuntimeTelemetry::new(Arc::clone(&agg) as Arc<dyn Recorder>);
         assert!(t.events_on());
         t.local().on_stage_entered(0, StageKind::Conciliator);
-        t.on_conciliator_round(3, 0.25);
-        t.on_prob_write(false, 0.25);
+        t.local().on_conciliator_round(3, 0.25);
+        t.local().on_prob_write(false, 0.25);
         t.local().on_decided(0, 4, true, Some(1_000));
         assert_eq!(agg.count(Tally::StageEntries), 1);
         assert_eq!(agg.count(Tally::ConciliatorRounds), 1);
@@ -985,7 +1020,7 @@ mod tests {
         t.on_proposal_enqueued();
         t.on_proposal_enqueued();
         t.add(CounterKey::ProposalsRejected, 1);
-        t.lower(GaugeKey::QueueDepth, 2);
+        t.lower_queue_depth(2);
         t.on_batch_drained(0, 2, 0);
         t.record(HistKey::ServiceWaitNs, 5_000);
         t.record(HistKey::ServiceWaitNs, 9_000);
@@ -1009,7 +1044,7 @@ mod tests {
         let t = RuntimeTelemetry::new(Arc::clone(&agg) as Arc<dyn Recorder>);
         // Requeue puts depth back without touching proposals_enqueued.
         t.on_proposal_enqueued();
-        t.lower(GaugeKey::QueueDepth, 1);
+        t.lower_queue_depth(1);
         t.on_proposals_requeued(1);
         assert_eq!(t.count(CounterKey::ProposalsEnqueued), 1);
         assert_eq!(t.gauge(GaugeKey::QueueDepth), 1);
@@ -1353,9 +1388,9 @@ mod tests {
         assert!(!t.events_on(), "the no-op recorder still counts");
         t.add(CounterKey::DecideCalls, 1);
         t.local().on_stage_entered(0, StageKind::Ratifier);
-        t.on_conciliator_round(3, 0.25);
-        t.on_prob_write(true, 0.5);
-        t.on_prob_write(false, 0.5);
+        t.local().on_conciliator_round(3, 0.25);
+        t.local().on_prob_write(true, 0.5);
+        t.local().on_prob_write(false, 0.5);
         t.record(HistKey::ConciliatorRounds, 4);
         t.record(HistKey::CoinRounds, 9);
         t.on_fault_injected(FaultClass::StaleRead, 1, 11);
@@ -1367,7 +1402,7 @@ mod tests {
         t.on_proposal_enqueued();
         t.on_proposal_enqueued();
         t.add(CounterKey::ProposalsRejected, 1);
-        t.lower(GaugeKey::QueueDepth, 2);
+        t.lower_queue_depth(2);
         t.on_proposals_requeued(1);
         t.on_batch_drained(0, 2, 0);
         t.record(HistKey::ServiceWaitNs, 5_000);

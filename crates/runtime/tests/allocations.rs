@@ -1,13 +1,14 @@
 //! A slot's lifecycle on the engine — checkout, decide, retirement —
 //! allocates nothing once the pool is warm, counted rather than asserted in
 //! prose: the quorum walks, the pooled `Arc`s and the live map all reuse
-//! what the warm-up left behind. A counting global allocator watches the
-//! one thread that makes both participants' submits.
+//! what the warm-up left behind; nor does a warm coin chain's decide. A
+//! counting global allocator watches the one thread that makes both
+//! participants' calls.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use mc_runtime::ConsensusEngine;
+use mc_runtime::{CoinKind, ConciliatorChoice, Consensus, ConsensusEngine};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -73,5 +74,35 @@ fn a_warm_slot_lifecycle_allocates_nothing() {
             "m = {values}: {count} allocations in 10 000 slots"
         );
         assert_eq!(engine.live_instances(), 0);
+    }
+}
+
+/// Allocations made by `instances` instances of `consensus`, each decided
+/// by two callers in turn with opposite proposals and then reset.
+fn allocations_of_instances(consensus: &mut Consensus, rng: &mut SmallRng, instances: u64) -> u64 {
+    let before = ALLOCATIONS.with(Cell::get);
+    for instance in 0..instances {
+        let bit = instance % 2;
+        assert_eq!(consensus.decide_as(0, bit, rng), bit);
+        assert_eq!(consensus.decide_as(1, 1 - bit, rng), bit);
+        consensus.reset();
+    }
+    ALLOCATIONS.with(Cell::get) - before
+}
+
+#[test]
+fn a_warm_coin_chain_decide_allocates_nothing() {
+    // No fast path, so every decide starts in C₁, where the second caller
+    // finds the first's announcement and runs the coin.
+    for kind in [CoinKind::Local, CoinKind::voting()] {
+        let mut consensus = Consensus::builder()
+            .n(2)
+            .fast_path(false)
+            .conciliator(ConciliatorChoice::Coin(kind))
+            .build();
+        let mut rng = SmallRng::seed_from_u64(3);
+        allocations_of_instances(&mut consensus, &mut rng, 100);
+        let count = allocations_of_instances(&mut consensus, &mut rng, 1_000);
+        assert_eq!(count, 0, "{kind:?}: {count} allocations in 1 000 instances");
     }
 }

@@ -1,7 +1,7 @@
 //! Thread-runtime stress tests: many threads, many instances, scoped
 //! spawning (no Arc juggling).
 
-use mc_runtime::{Consensus, Election, ImpatientConciliator, TestAndSet, TypedConsensus};
+use mc_runtime::{Consensus, Election, TestAndSet, TypedConsensus};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::thread;
@@ -40,16 +40,23 @@ fn sixteen_thread_consensus_storm() {
 
 #[test]
 fn conciliator_under_heavy_contention_is_always_valid() {
+    // Without the fast path every decide starts in C₁, the impatient
+    // conciliator, so twelve threads race its register at once; whatever
+    // it hands on, each decision is some thread's proposal.
     let threads = 12;
     for instance in 0..100u64 {
-        let conciliator = ImpatientConciliator::new(threads);
+        let consensus = Consensus::builder()
+            .n(threads)
+            .values(threads as u64)
+            .fast_path(false)
+            .build();
         let results = thread::scope(|s| {
             let handles: Vec<_> = (0..threads as u64)
                 .map(|t| {
-                    let c = &conciliator;
+                    let c = &consensus;
                     s.spawn(move || {
                         let mut rng = SmallRng::seed_from_u64(instance * 31 + t);
-                        c.propose(t, &mut rng)
+                        c.decide(t, &mut rng)
                     })
                 })
                 .collect();

@@ -606,7 +606,7 @@ mod tests {
         let run = |seed| {
             let mut adv = RoundRobin::new();
             Engine::new(
-                &crate::testutil::CoinFlipSpec,
+                &mc_core::LocalCoin,
                 &[0, 0, 0, 0],
                 &mut adv,
                 seed,
@@ -621,12 +621,12 @@ mod tests {
 
     #[test]
     fn different_process_streams_differ() {
-        // With CoinFlipSpec every process halts with its own coin flip; over
+        // With the local coin every process halts with its own coin flip; over
         // 16 processes the flips should not all match (probability 2^-15 per
         // seed; seed chosen to pass).
         let mut adv = RoundRobin::new();
         let out = Engine::new(
-            &crate::testutil::CoinFlipSpec,
+            &mc_core::LocalCoin,
             &[0; 16],
             &mut adv,
             3,

@@ -7,7 +7,6 @@ use mc_model::{
     Action, Ctx, DecidingObject, Decision, InstantiateCtx, ObjectSpec, Op, ProcessId, RegisterId,
     Response, Session,
 };
-use rand::RngExt;
 
 /// Every process writes its input to one shared register, reads the
 /// register, and returns whatever it read (decision bit 0).
@@ -175,42 +174,6 @@ impl ObjectSpec for CollectOnceSpec {
     }
 }
 
-/// Halts immediately with a private fair coin flip (0 or 1) — exercises the
-/// per-process coin streams without touching memory.
-#[derive(Debug, Clone, Copy)]
-pub struct CoinFlipSpec;
-
-struct CoinFlip;
-
-impl DecidingObject for CoinFlip {
-    fn session(&self, _pid: ProcessId) -> Box<dyn Session + Send> {
-        Box::new(CoinFlipSession)
-    }
-}
-
-struct CoinFlipSession;
-
-impl Session for CoinFlipSession {
-    fn begin(&mut self, _input: u64, ctx: &mut Ctx<'_>) -> Action {
-        let bit = u64::from(ctx.rng.random_bool(0.5));
-        Action::Halt(Decision::continue_with(bit))
-    }
-
-    fn poll(&mut self, _response: Response, _ctx: &mut Ctx<'_>) -> Action {
-        unreachable!("coin flip halts at begin")
-    }
-}
-
-impl ObjectSpec for CoinFlipSpec {
-    fn instantiate(&self, _ctx: &mut InstantiateCtx<'_>) -> Arc<dyn DecidingObject> {
-        Arc::new(CoinFlip)
-    }
-
-    fn name(&self) -> String {
-        "coin-flip".to_string()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -221,7 +184,6 @@ mod tests {
         assert_eq!(WriteThenReadSpec.name(), "write-then-read");
         assert_eq!(SpinSpec.name(), "spin");
         assert_eq!(CollectOnceSpec.name(), "collect-once");
-        assert_eq!(CoinFlipSpec.name(), "coin-flip");
     }
 
     #[test]

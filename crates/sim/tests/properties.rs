@@ -3,6 +3,7 @@
 
 use std::sync::{Arc, Mutex};
 
+use mc_core::LocalCoin;
 use mc_model::{
     Action, Ctx, DecidingObject, Decision, InstantiateCtx, ObjectSpec, Op, OpKind, Probability,
     ProcessId, RegisterId, Response, Session,
@@ -12,7 +13,7 @@ use mc_sim::adversary::{
     SplitKeeper, View,
 };
 use mc_sim::harness::{self, inputs};
-use mc_sim::testutil::{CoinFlipSpec, CollectOnceSpec, WriteThenReadSpec};
+use mc_sim::testutil::{CollectOnceSpec, WriteThenReadSpec};
 use mc_sim::{observe_pending, Engine, EngineConfig, Memory};
 use proptest::prelude::*;
 
@@ -95,7 +96,7 @@ proptest! {
     fn coin_streams_vary_with_seed(base in 0u64..1_000_000) {
         let flip = |seed: u64| {
             harness::run_object(
-                &CoinFlipSpec,
+                &LocalCoin,
                 &[0; 16],
                 &mut RandomScheduler::new(0),
                 seed,

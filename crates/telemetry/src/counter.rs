@@ -65,35 +65,18 @@ impl Gauge {
         }
     }
 
-    /// Sets the current value (also advances the maximum).
-    #[inline]
-    pub fn set(&self, v: u64) {
-        // Relaxed, both: the value and the maximum are two independent
-        // tallies. A reader may see the new value before the maximum has
-        // caught up; nothing reads them as one snapshot, and the
-        // `fetch_max` itself never loses a larger value.
-        self.value.store(v, Ordering::Relaxed);
-        self.max.fetch_max(v, Ordering::Relaxed);
-    }
-
-    /// Advances the current value to `v` if it is larger.
-    #[inline]
-    pub fn record_max(&self, v: u64) {
-        // Relaxed: a read-modify-write on the maximum alone (see `set`).
-        self.max.fetch_max(v, Ordering::Relaxed);
-    }
-
     /// Adds `delta` to the current value (also advances the maximum).
     ///
     /// With `add`/[`sub`](Gauge::sub) the gauge composes across concurrent
-    /// writers as an aggregate — unlike [`set`](Gauge::set), where the last
-    /// writer wins.
+    /// writers as an aggregate.
     #[inline]
     pub fn add(&self, delta: u64) {
-        // Relaxed, both: the `fetch_add` returns this writer's own place in
-        // the value's modification order, so `now` is a value the gauge
-        // really held, and the maximum records it whatever else races;
-        // no other memory hangs on either (see `set`).
+        // Relaxed, both: the value and the maximum are two independent
+        // tallies, and nothing reads them as one snapshot. The `fetch_add`
+        // returns this writer's own place in the value's modification
+        // order, so `now` is a value the gauge really held, and the
+        // `fetch_max` records it whatever else races; no other memory
+        // hangs on either.
         let now = self.value.fetch_add(delta, Ordering::Relaxed) + delta;
         self.max.fetch_max(now, Ordering::Relaxed);
     }
@@ -103,7 +86,7 @@ impl Gauge {
     pub fn sub(&self, delta: u64) {
         // Relaxed, both: the compare-exchange loop retries until it swaps
         // the value it read, so no concurrent `add` is lost, and the gauge
-        // orders nothing else (see `set`).
+        // orders nothing else (see `add`).
         let _ = self
             .value
             .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| {
@@ -114,14 +97,14 @@ impl Gauge {
     /// The current value.
     #[inline]
     pub fn get(&self) -> u64 {
-        // Relaxed: one tally, read on its own (see `set`).
+        // Relaxed: one tally, read on its own (see `add`).
         self.value.load(Ordering::Relaxed)
     }
 
-    /// The largest value ever set or recorded.
+    /// The largest value the gauge ever held.
     #[inline]
     pub fn max(&self) -> u64 {
-        // Relaxed: one tally, read on its own (see `set`).
+        // Relaxed: one tally, read on its own (see `add`).
         self.max.load(Ordering::Relaxed)
     }
 }
@@ -162,13 +145,10 @@ mod tests {
     #[test]
     fn gauge_tracks_max() {
         let g = Gauge::new();
-        g.set(7);
-        g.set(3);
+        g.add(7);
+        g.sub(4);
         assert_eq!(g.get(), 3);
         assert_eq!(g.max(), 7);
-        g.record_max(10);
-        assert_eq!(g.max(), 10);
-        assert_eq!(g.get(), 3);
     }
 
     #[test]

@@ -11,6 +11,12 @@ echo "== api surface =="
 # snapshot is refreshed with scripts/api_surface.sh --update.
 scripts/api_surface.sh
 
+echo "== unused api =="
+# Public declarations that nothing outside their own file reaches except
+# tests, found lexically from the snapshot above; any such name that
+# docs/api-intended.txt does not keep, with a reason, fails here.
+scripts/unused_api.sh
+
 echo "== size =="
 # Rust lines, API declarations, lock packages and bench/ lines, tracked like
 # throughput: the triple goes in the CHANGES.md line of any PR that moves

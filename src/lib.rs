@@ -95,7 +95,7 @@ pub mod prelude {
     pub use mc_core::protocol::ConsensusBuilder;
     pub use mc_core::{
         Chain, ChainProbe, CoinConciliator, CollectRatifier, ConciliatorCoin,
-        FirstMoverConciliator, Ratifier, VotingSharedCoin, WriteSchedule,
+        FirstMoverConciliator, LocalCoin, Ratifier, VotingSharedCoin, WriteSchedule,
     };
     pub use mc_lab::{
         check_chaos_conformance, check_conformance, check_conformance_with_plan,
@@ -106,9 +106,9 @@ pub mod prelude {
     pub use mc_runtime::{
         BoundedConsensus, ChaosPlan, CoinKind, ConciliatorChoice, Consensus, ConsensusEngine,
         ConsensusService, CounterKey, DecisionHandle, Election, EngineBuilder, EngineError,
-        EngineOptions, FaultPlan, FaultyMemory, GaugeKey, HistKey, LeaderFallback, LocalCoin,
-        ReplicatedLog, ResetScope, RingHealth, RuntimeTelemetry, ServiceBuilder, SupervisorOptions,
-        TestAndSet, TypedConsensus, ValueCode, VotingCoin,
+        EngineOptions, FaultPlan, FaultyMemory, GaugeKey, HistKey, LeaderFallback, ReplicatedLog,
+        ResetScope, RingHealth, RuntimeTelemetry, ServiceBuilder, SupervisorOptions, TestAndSet,
+        TypedConsensus, ValueCode,
     };
     pub use mc_sim::{adversary, harness, observe, sched, EngineConfig};
     pub use mc_store::{

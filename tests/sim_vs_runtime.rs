@@ -2,8 +2,9 @@
 //! algorithms are the same protocols, so both must satisfy the same
 //! contracts, and their cost shapes must match.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
+use mc_quorums::BitVectorScheme;
 use modular_consensus::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -55,38 +56,85 @@ fn both_substrates_satisfy_consensus() {
 
 #[test]
 fn runtime_conciliator_matches_sim_validity_contract() {
-    // Thread conciliator: result is always someone's proposal.
+    // No fast path, so every decide starts in C₁, the impatient
+    // conciliator, on threads: whatever it hands the rest of the chain,
+    // the decision is always someone's proposal.
     for trial in 0..40 {
-        let c = Arc::new(mc_runtime::ImpatientConciliator::new(4));
+        let c = Arc::new(
+            Consensus::builder()
+                .n(4)
+                .values(16)
+                .fast_path(false)
+                .build(),
+        );
         let handles: Vec<_> = (0..4u64)
             .map(|t| {
                 let c = Arc::clone(&c);
                 std::thread::spawn(move || {
                     let mut rng = SmallRng::seed_from_u64(trial * 7 + t);
-                    c.propose(t + 10, &mut rng)
+                    c.decide(t + 10, &mut rng)
                 })
             })
             .collect();
-        for h in handles {
-            let v = h.join().unwrap();
-            assert!((10..14).contains(&v));
+        let values: Vec<u64> = handles.into_iter().map(|h| h.join().unwrap()).collect();
+        assert!(values.iter().all(|v| (10..14).contains(v)), "{values:?}");
+        assert!(values.windows(2).all(|w| w[0] == w[1]), "{values:?}");
+    }
+}
+
+/// Keeps the verdicts of the chain's first ratifier, `R₋₁`.
+#[derive(Default)]
+struct FirstVerdicts(Mutex<Vec<Decision>>);
+
+impl Recorder for FirstVerdicts {
+    fn record(&self, event: &TelemetryEvent) {
+        if let TelemetryEvent::RatifierVerdict {
+            stage: 0,
+            decided,
+            value,
+            ..
+        } = *event
+        {
+            let verdict = if decided {
+                Decision::decide(value)
+            } else {
+                Decision::continue_with(value)
+            };
+            self.0.lock().unwrap().push(verdict);
         }
     }
 }
 
 #[test]
 fn runtime_ratifier_coherence_matches_model_checker() {
+    // Five threads enter `R₋₁` over the bit-vector scheme at once; its
+    // verdicts, as the recorder sees them, are coherent and valid.
     for trial in 0..100 {
-        let r = Arc::new(mc_runtime::AtomicRatifier::bitvector(8));
-        let handles: Vec<_> = (0..5u64)
-            .map(|t| {
-                let r = Arc::clone(&r);
-                std::thread::spawn(move || r.ratify((t + trial) % 8))
+        let verdicts = Arc::new(FirstVerdicts::default());
+        let c = Arc::new(
+            Consensus::builder()
+                .n(5)
+                .scheme(Arc::new(BitVectorScheme::for_capacity(8).unwrap()))
+                .recorder(Arc::clone(&verdicts) as Arc<dyn Recorder>)
+                .build(),
+        );
+        let inputs: Vec<u64> = (0..5u64).map(|t| (t + trial) % 8).collect();
+        let handles: Vec<_> = inputs
+            .iter()
+            .enumerate()
+            .map(|(t, &v)| {
+                let c = Arc::clone(&c);
+                std::thread::spawn(move || {
+                    c.decide(v, &mut SmallRng::seed_from_u64(trial * 5 + t as u64))
+                })
             })
             .collect();
-        let outs: Vec<Decision> = handles.into_iter().map(|h| h.join().unwrap()).collect();
+        for h in handles {
+            h.join().unwrap();
+        }
+        let outs = verdicts.0.lock().unwrap().clone();
+        assert_eq!(outs.len(), 5);
         properties::check_coherence(&outs).unwrap_or_else(|e| panic!("trial {trial}: {e}"));
-        let inputs: Vec<u64> = (0..5u64).map(|t| (t + trial) % 8).collect();
         properties::check_validity(&inputs, &outs).unwrap();
     }
 }

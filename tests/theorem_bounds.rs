@@ -172,13 +172,13 @@ fn theorem10_binary_ratifier_exact_bound_exhaustively() {
 
 /// Theorem 6 at its exact cost bound: the coin→conciliator construction
 /// adds exactly 2 registers and 2 operations per process over the
-/// underlying weak shared coin — in the model allocator's accounting, in an
-/// exhaustive checker sweep of every n = 2 schedule, and in the runtime's
-/// register accounting for both coins in the portfolio.
+/// underlying weak shared coin — in the model allocator's accounting and in
+/// an exhaustive checker sweep of every n = 2 schedule. A runtime coin
+/// stage allocates exactly the registers this spec's instance does, so it
+/// has no accounting of its own to check.
 #[test]
 fn theorem6_coin_conciliator_exact_overhead() {
     use modular_consensus::check::{CoinPolicy, GraphConfig, GraphExplorer};
-    use modular_consensus::runtime::{self as rt, Conciliator as _, WeakSharedCoin as _};
     use std::sync::Arc;
 
     let coin = || Arc::new(VotingSharedCoin::with_quorum_factor(1).expect("positive factor"));
@@ -255,23 +255,6 @@ fn theorem6_coin_conciliator_exact_overhead() {
         bare.max_individual_ops + theory::COIN_CONCILIATOR_EXTRA_OPS,
         "bare worst case {} ops",
         bare.max_individual_ops
-    );
-
-    // Runtime register accounting mirrors Theorem 6 for both portfolio
-    // coins: +2 over the voting coin's n tallies, +2 over the local coin's
-    // zero shared registers.
-    for n in [2usize, 3, 8] {
-        let voting = rt::VotingCoin::new(n);
-        let coin_regs = voting.register_count();
-        assert_eq!(
-            rt::CoinConciliator::new(voting).register_count(),
-            coin_regs + theory::COIN_CONCILIATOR_EXTRA_REGISTERS,
-            "n={n}"
-        );
-    }
-    assert_eq!(
-        rt::CoinConciliator::new(rt::LocalCoin).register_count(),
-        theory::COIN_CONCILIATOR_EXTRA_REGISTERS
     );
 }
 
