@@ -134,13 +134,6 @@ pub struct PowerFit {
     pub r_squared: f64,
 }
 
-impl PowerFit {
-    /// Predicted `y` at `x`.
-    pub fn predict(&self, x: f64) -> f64 {
-        self.coefficient * x.powf(self.exponent)
-    }
-}
-
 impl fmt::Display for PowerFit {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -172,7 +165,6 @@ mod tests {
         assert!((fit.exponent - 3.0).abs() < 1e-9, "{fit}");
         assert!((fit.coefficient - 3.0).abs() < 1e-6);
         assert!((fit.r_squared - 1.0).abs() < 1e-9);
-        assert!((fit.predict(10.0) - 3000.0).abs() < 1e-6);
     }
 
     #[test]

@@ -53,7 +53,7 @@ impl Histogram {
     }
 
     /// `(lower bound, count)` for each non-empty trailing-trimmed bin.
-    pub fn bins(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+    fn bins(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
         self.counts
             .iter()
             .enumerate()

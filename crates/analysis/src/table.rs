@@ -110,21 +110,6 @@ impl Series {
         self.points.push((x, y));
         self
     }
-
-    /// The collected points.
-    pub fn points(&self) -> &[(f64, f64)] {
-        &self.points
-    }
-
-    /// The x values.
-    pub fn xs(&self) -> Vec<f64> {
-        self.points.iter().map(|p| p.0).collect()
-    }
-
-    /// The y values.
-    pub fn ys(&self) -> Vec<f64> {
-        self.points.iter().map(|p| p.1).collect()
-    }
 }
 
 impl fmt::Display for Series {
@@ -164,9 +149,7 @@ mod tests {
     fn series_accumulates_points() {
         let mut s = Series::new("work", "n", "ops");
         s.push(2.0, 8.0).push(4.0, 16.0);
-        assert_eq!(s.points().len(), 2);
-        assert_eq!(s.xs(), vec![2.0, 4.0]);
-        assert_eq!(s.ys(), vec![8.0, 16.0]);
+        assert_eq!(s.points, vec![(2.0, 8.0), (4.0, 16.0)]);
         let rendered = s.to_string();
         assert!(rendered.contains("# work — ops vs n"));
     }

@@ -36,12 +36,3 @@ pub struct StateSnapshot {
     /// Per-process snapshots, indexed by process id.
     pub procs: Vec<ProcSnapshot>,
 }
-
-impl StateSnapshot {
-    /// The inputs are not part of the snapshot, but the per-process
-    /// decision vector is; this returns it for property checking on
-    /// terminal states.
-    pub fn decisions(&self) -> Option<Vec<Decision>> {
-        self.procs.iter().map(|p| p.decision).collect()
-    }
-}

@@ -158,13 +158,12 @@ impl ObjectSpec for Chain {
     }
 }
 
-/// Observation hooks for chain executions: how deep did the chain go, and
-/// where did each process halt. Shared across the processes of a run (and
-/// across runs, unless [`reset`](ChainProbe::reset)).
+/// Observation hook for chain executions: how deep did the chain go.
+/// Shared across the processes of a run (and across runs, unless
+/// [`reset`](ChainProbe::reset)).
 #[derive(Debug, Default)]
 pub struct ChainProbe {
     max_stage: AtomicUsize,
-    halts: Mutex<Vec<(usize, bool)>>,
 }
 
 impl ChainProbe {
@@ -177,27 +176,14 @@ impl ChainProbe {
         self.max_stage.fetch_max(stage, Ordering::Relaxed);
     }
 
-    fn record_halt(&self, stage: usize, decided: bool) {
-        self.halts
-            .lock()
-            .expect("probe lock")
-            .push((stage, decided));
-    }
-
     /// The deepest stage index any process entered.
     pub fn max_stage(&self) -> usize {
         self.max_stage.load(Ordering::Relaxed)
     }
 
-    /// For each halted session: (stage index at halt, decided?).
-    pub fn halts(&self) -> Vec<(usize, bool)> {
-        self.halts.lock().expect("probe lock").clone()
-    }
-
     /// Clears recorded data (for reuse across runs).
     pub fn reset(&self) {
         self.max_stage.store(0, Ordering::Relaxed);
-        self.halts.lock().expect("probe lock").clear();
     }
 }
 
@@ -281,11 +267,7 @@ impl StagedSession {
             match action {
                 Action::Invoke(_) => return action,
                 Action::Halt(d) => {
-                    let probe = self.table.probe.as_deref();
                     if d.is_decided() {
-                        if let Some(probe) = probe {
-                            probe.record_halt(self.cur, true);
-                        }
                         return Action::Halt(d);
                     }
                     // Move to the next stage, if any.
@@ -293,12 +275,9 @@ impl StagedSession {
                     let Some(mut session) = self.table.session(self.cur, self.pid, ctx) else {
                         // Finite chain exhausted: its output is the last
                         // stage's output.
-                        if let Some(probe) = probe {
-                            probe.record_halt(self.cur - 1, false);
-                        }
                         return Action::Halt(d);
                     };
-                    if let Some(probe) = probe {
+                    if let Some(probe) = self.table.probe.as_deref() {
                         probe.record_stage(self.cur);
                     }
                     action = session.begin(d.value(), ctx);
@@ -454,7 +433,6 @@ mod tests {
         assert_eq!(probe.max_stage(), 0);
         // Stage 0's registers only: 3 for a binary ratifier.
         assert_eq!(out.metrics.registers_allocated, 3);
-        assert_eq!(probe.halts(), vec![(0, true); 4]);
     }
 
     #[test]
@@ -568,10 +546,8 @@ mod tests {
     fn probe_reset_clears_state() {
         let probe = ChainProbe::new();
         probe.record_stage(5);
-        probe.record_halt(5, true);
         probe.reset();
         assert_eq!(probe.max_stage(), 0);
-        assert!(probe.halts().is_empty());
     }
 
     #[test]

@@ -98,11 +98,6 @@ impl FirstMoverConciliator {
         self
     }
 
-    /// The schedule in use.
-    pub fn schedule(&self) -> WriteSchedule {
-        self.schedule
-    }
-
     /// Worst-case individual work for `n` processes, or `None` for
     /// non-escalating schedules (whose worst case is unbounded, though
     /// expectation is finite).

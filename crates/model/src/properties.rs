@@ -226,7 +226,7 @@ pub fn check_acceptance(inputs: &[Value], outputs: &[Decision]) -> Result<(), Pr
 /// # Errors
 ///
 /// Returns the first [`PropertyViolation::Undecided`] found.
-pub fn check_all_decided(outputs: &[Decision]) -> Result<(), PropertyViolation> {
+fn check_all_decided(outputs: &[Decision]) -> Result<(), PropertyViolation> {
     for (ix, out) in outputs.iter().enumerate() {
         if !out.is_decided() {
             return Err(PropertyViolation::Undecided {

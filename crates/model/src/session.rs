@@ -62,27 +62,3 @@ pub trait Session {
         sink.mark_unsupported();
     }
 }
-
-impl Action {
-    /// Extracts the halt decision, if this action halts.
-    pub fn halted(&self) -> Option<Decision> {
-        match self {
-            Action::Halt(d) => Some(*d),
-            Action::Invoke(_) => None,
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::RegisterId;
-
-    #[test]
-    fn halted_extracts_decision() {
-        let a = Action::Halt(Decision::decide(1));
-        assert_eq!(a.halted(), Some(Decision::decide(1)));
-        let b = Action::Invoke(Op::Read(RegisterId(0)));
-        assert_eq!(b.halted(), None);
-    }
-}

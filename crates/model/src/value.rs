@@ -41,8 +41,6 @@ impl Error for ProbabilityError {}
 impl Probability {
     /// The never-happens probability.
     pub const ZERO: Probability = Probability(0.0);
-    /// The always-happens probability.
-    pub const ONE: Probability = Probability(1.0);
 
     /// Creates a probability, rejecting values outside `[0, 1]` (including
     /// NaN).
@@ -122,7 +120,7 @@ mod tests {
 
     #[test]
     fn clamped_saturates() {
-        assert_eq!(Probability::clamped(3.0), Probability::ONE);
+        assert_eq!(Probability::clamped(3.0).get(), 1.0);
         assert_eq!(Probability::clamped(-3.0), Probability::ZERO);
         assert_eq!(Probability::clamped(f64::NAN), Probability::ZERO);
         assert_eq!(Probability::clamped(0.5).get(), 0.5);
@@ -130,7 +128,7 @@ mod tests {
 
     #[test]
     fn certainty() {
-        assert!(Probability::ONE.is_certain());
+        assert!(Probability::clamped(1.0).is_certain());
         assert!(!Probability::clamped(0.999).is_certain());
     }
 

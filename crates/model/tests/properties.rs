@@ -54,9 +54,8 @@ proptest! {
     ) {
         let inputs: Vec<Value> = vec![v; n];
         if outputs.len() == n && properties::check_acceptance(&inputs, &outputs).is_ok() {
-            prop_assert!(properties::check_agreement(&outputs).is_ok());
-            prop_assert!(properties::check_all_decided(&outputs).is_ok());
-            prop_assert!(properties::check_validity(&inputs, &outputs).is_ok());
+            // Everyone decided, validly, in agreement.
+            prop_assert!(properties::check_consensus(&inputs, &outputs).is_ok());
         }
     }
 
@@ -84,7 +83,6 @@ proptest! {
         let _ = properties::check_agreement(&outputs);
         let _ = properties::check_coherence(&outputs);
         let _ = properties::check_acceptance(&inputs, &outputs);
-        let _ = properties::check_all_decided(&outputs);
         let _ = properties::check_consensus(&inputs, &outputs);
         let _ = properties::check_weak_consensus(&inputs, &outputs);
     }

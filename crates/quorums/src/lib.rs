@@ -48,7 +48,6 @@ mod table;
 pub mod verify;
 
 pub use binomial::{binomial, central_binomial, optimal_pool_size};
-pub use ranking::{rank_of_subset, subset_of_rank};
 pub use scheme::{
     BinaryScheme, BinomialScheme, BitVectorScheme, QuorumScheme, SchemeError, MAX_MASK_POOL,
 };

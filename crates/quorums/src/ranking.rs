@@ -1,5 +1,9 @@
 //! Ranking and unranking of fixed-size subsets (the combinatorial number
 //! system), used to assign each value a distinct `⌊k/2⌋`-subset write quorum.
+//!
+//! The schemes unrank through [`peel_subset_of_rank`]; the allocating
+//! `subset_of_rank` and its inverse `rank_of_subset` spell the definition
+//! out for the tests.
 
 use crate::binomial::binomial;
 
@@ -13,15 +17,8 @@ use crate::binomial::binomial;
 /// # Panics
 ///
 /// Panics if `t > k` or `rank ≥ C(k, t)`.
-///
-/// # Example
-///
-/// ```
-/// use mc_quorums::subset_of_rank;
-/// assert_eq!(subset_of_rank(4, 2, 0), vec![0, 1]);
-/// assert_eq!(subset_of_rank(4, 2, 5), vec![2, 3]);
-/// ```
-pub fn subset_of_rank(k: u64, t: u64, rank: u64) -> Vec<u64> {
+#[cfg(test)]
+pub(crate) fn subset_of_rank(k: u64, t: u64, rank: u64) -> Vec<u64> {
     assert!(t <= k, "subset size {t} exceeds universe size {k}");
     assert!(
         rank < binomial(k, t),
@@ -61,15 +58,8 @@ pub(crate) fn peel_subset_of_rank(k: u64, t: u64, rank: u64, mut element: impl F
 ///
 /// Panics if the subset is not strictly increasing or contains an element
 /// `≥ k`.
-///
-/// # Example
-///
-/// ```
-/// use mc_quorums::rank_of_subset;
-/// assert_eq!(rank_of_subset(4, &[0, 1]), 0);
-/// assert_eq!(rank_of_subset(4, &[2, 3]), 5);
-/// ```
-pub fn rank_of_subset(k: u64, subset: &[u64]) -> u64 {
+#[cfg(test)]
+pub(crate) fn rank_of_subset(k: u64, subset: &[u64]) -> u64 {
     let mut rank = 0;
     let mut prev: Option<u64> = None;
     for (i, &c) in subset.iter().enumerate() {
@@ -86,6 +76,20 @@ pub fn rank_of_subset(k: u64, subset: &[u64]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        /// Unranking then ranking any valid rank is the identity.
+        #[test]
+        fn ranking_roundtrip(k in 1u64..16, t_frac in 0u64..100, rank_frac in 0u64..1000) {
+            let t = t_frac % (k + 1);
+            let total = binomial(k, t);
+            let rank = rank_frac % total;
+            let subset = subset_of_rank(k, t, rank);
+            prop_assert_eq!(subset.len() as u64, t);
+            prop_assert_eq!(rank_of_subset(k, &subset), rank);
+        }
+    }
 
     #[test]
     fn colex_order_for_4_choose_2() {

@@ -378,7 +378,8 @@ impl QuorumScheme for BitVectorScheme {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{subset_of_rank, TableScheme};
+    use crate::ranking::{rank_of_subset, subset_of_rank};
+    use crate::TableScheme;
 
     #[test]
     fn binary_scheme_matches_paper() {
@@ -548,7 +549,7 @@ mod tests {
         assert_eq!(s.pool_size(), BinomialScheme::MAX_POOL);
         for v in [0, u64::MAX / 2, u64::MAX - 1] {
             let w = s.write_quorum(v);
-            assert_eq!(crate::rank_of_subset(s.pool_size(), &w), v);
+            assert_eq!(rank_of_subset(s.pool_size(), &w), v);
         }
     }
 

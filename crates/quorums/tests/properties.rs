@@ -1,22 +1,9 @@
-//! Property-based tests for quorum schemes and subset ranking.
+//! Property-based tests for quorum schemes.
 
-use mc_quorums::{
-    binomial, rank_of_subset, subset_of_rank, verify, BinomialScheme, BitVectorScheme, QuorumScheme,
-};
+use mc_quorums::{verify, BinomialScheme, BitVectorScheme, QuorumScheme};
 use proptest::prelude::*;
 
 proptest! {
-    /// Unranking then ranking any valid rank is the identity.
-    #[test]
-    fn ranking_roundtrip(k in 1u64..16, t_frac in 0u64..100, rank_frac in 0u64..1000) {
-        let t = t_frac % (k + 1);
-        let total = binomial(k, t);
-        let rank = rank_frac % total;
-        let subset = subset_of_rank(k, t, rank);
-        prop_assert_eq!(subset.len() as u64, t);
-        prop_assert_eq!(rank_of_subset(k, &subset), rank);
-    }
-
     /// Every pair of distinct values in a binomial scheme collides, and no
     /// value collides with itself.
     #[test]

@@ -18,8 +18,7 @@
 //! schedule, trading the unbounded chain's probability-1 termination for a
 //! worst-case bound with an exponentially rare slow path.
 //!
-//! The fallback is pluggable via the [`Fallback`] trait;
-//! [`LeaderFallback`] is the provided `K`.
+//! `K` is `LeaderFallback`, a designated-leader scan.
 
 use std::sync::Arc;
 
@@ -39,38 +38,7 @@ use crate::telemetry::RuntimeTelemetry;
 /// is far higher and the fallback is vanishingly rare.
 pub const DEFAULT_MAX_CONCILIATOR_ROUNDS: u32 = 16;
 
-/// A deterministic backup consensus protocol `K` for [`BoundedConsensus`].
-///
-/// `decide` must be a correct consensus protocol on its own (validity +
-/// agreement among fallback callers) and must additionally accept any
-/// value published by [`publish`](Fallback::publish): when a process
-/// decides `v` inside the chain, the ratifier coherence argument
-/// guarantees every value still flowing through later stages equals `v`,
-/// so a published value and the fallback callers' inputs never disagree.
-pub trait Fallback: Send + Sync {
-    /// Decides deterministically; `value` is the caller's current chain
-    /// value, `pid` its process id in `0..n`.
-    fn decide(&self, pid: usize, value: u64) -> u64;
-
-    /// Called when `pid` decides `value` *inside* the chain, before its
-    /// `decide` call returns, so late fallback entrants can learn the
-    /// decision.
-    fn publish(&self, pid: usize, value: u64);
-
-    /// Recycles the fallback for a fresh consensus instance: any state left
-    /// by the previous instance (announcements, a published decision) must
-    /// become invisible, exactly as if the object were freshly built.
-    ///
-    /// Exclusive access (`&mut`) guarantees no `decide` call is in flight.
-    fn reset(&mut self);
-
-    /// Short name for diagnostics.
-    fn name(&self) -> &'static str {
-        "fallback"
-    }
-}
-
-/// The provided `K`: an O(n)-scan designated-leader protocol.
+/// Theorem 5's `K`: an O(n)-scan designated-leader protocol.
 ///
 /// Registers: one announcement slot per process plus a single-writer
 /// decision register written **only by process 0**, which makes the
@@ -93,7 +61,15 @@ pub trait Fallback: Send + Sync {
 /// register starves fallback entrants — the classic cost of a designated
 /// leader, which Theorem 5 tolerates because `K` is only required to be
 /// a correct protocol for the model at hand).
-pub struct LeaderFallback<M: SharedMemory> {
+///
+/// Besides being a consensus protocol on its own (validity and agreement
+/// among fallback callers), it accepts any value [`publish`]ed: when a
+/// process decides `v` inside the chain, the ratifier coherence argument
+/// guarantees every value still flowing through later stages equals `v`,
+/// so a published value and the fallback callers' inputs never disagree.
+///
+/// [`publish`]: LeaderFallback::publish
+pub(crate) struct LeaderFallback<M: SharedMemory> {
     slots: Vec<M::Reg>,
     decision: M::Reg,
 }
@@ -101,16 +77,16 @@ pub struct LeaderFallback<M: SharedMemory> {
 impl<M: SharedMemory> LeaderFallback<M> {
     /// Allocates the fallback's registers (`n` slots + decision) in
     /// `memory`, in a fixed order.
-    pub fn new_in(memory: &M, n: usize) -> LeaderFallback<M> {
+    pub(crate) fn new_in(memory: &M, n: usize) -> LeaderFallback<M> {
         assert!(n > 0, "need at least one process");
         LeaderFallback {
             slots: (0..n).map(|_| memory.alloc()).collect(),
             decision: memory.alloc(),
         }
     }
-}
 
-impl<M: SharedMemory> Fallback for LeaderFallback<M> {
+    /// Decides deterministically; `value` is the caller's current chain
+    /// value, `pid` its process id in `0..n`.
     fn decide(&self, pid: usize, value: u64) -> u64 {
         assert!(pid < self.slots.len(), "pid {pid} out of range");
         self.slots[pid].write(value);
@@ -132,21 +108,22 @@ impl<M: SharedMemory> Fallback for LeaderFallback<M> {
         }
     }
 
+    /// Called when `pid` decides `value` *inside* the chain, before its
+    /// `decide` call returns, so late fallback entrants can learn the
+    /// decision.
     fn publish(&self, pid: usize, value: u64) {
         if pid == 0 {
             self.decision.write(value);
         }
     }
 
+    /// Clears every register, so nothing of the previous instance (an
+    /// announcement, a published decision) is visible to the next.
     fn reset(&mut self) {
         for slot in &mut self.slots {
             slot.clear();
         }
         self.decision.clear();
-    }
-
-    fn name(&self) -> &'static str {
-        "leader_scan"
     }
 }
 
@@ -164,22 +141,22 @@ impl<M: SharedMemory> Fallback for LeaderFallback<M> {
 /// distinct `pid` in `0..n`. The fallback's registers are allocated
 /// eagerly at construction (before any lazy chain stage), keeping
 /// register allocation order deterministic across substrates.
-pub struct BoundedConsensus<M: SharedMemory = AtomicMemory, F: Fallback = LeaderFallback<M>> {
+pub struct BoundedConsensus<M: SharedMemory = AtomicMemory> {
     chain: Consensus<M>,
-    fallback: F,
+    fallback: LeaderFallback<M>,
     rounds: u32,
 }
 
-impl<M: SharedMemory, F: Fallback> BoundedConsensus<M, F> {
+impl<M: SharedMemory> BoundedConsensus<M> {
     /// Composes an already-built chain with its fallback `K` and the bound
     /// `f`. This is the seam
-    /// [`ConsensusBuilder::build_bounded_with`](crate::ConsensusBuilder::build_bounded_with)
+    /// [`ConsensusBuilder::build_bounded`](crate::ConsensusBuilder::build_bounded)
     /// uses after wiring telemetry into the chain.
     pub(crate) fn from_parts(
         chain: Consensus<M>,
-        fallback: F,
+        fallback: LeaderFallback<M>,
         rounds: u32,
-    ) -> BoundedConsensus<M, F> {
+    ) -> BoundedConsensus<M> {
         BoundedConsensus {
             chain,
             fallback,
@@ -223,9 +200,9 @@ impl<M: SharedMemory, F: Fallback> BoundedConsensus<M, F> {
     /// Proposes `value` as process `pid` and returns the agreed decision.
     ///
     /// Runs the truncated chain; if all `f` conciliator stages fail to
-    /// ratify, takes the deterministic fallback `K`. Always terminates
-    /// (given every process eventually runs — see [`LeaderFallback`] for
-    /// its leader dependence).
+    /// ratify, takes the deterministic fallback `K`. Always terminates,
+    /// given every process eventually runs: `K` waits on process 0, its
+    /// designated leader.
     ///
     /// One-shot semantics: each process calls this at most once, with a
     /// distinct `pid`.
@@ -251,11 +228,10 @@ impl<M: SharedMemory, F: Fallback> BoundedConsensus<M, F> {
     }
 }
 
-impl<M: SharedMemory, F: Fallback> std::fmt::Debug for BoundedConsensus<M, F> {
+impl<M: SharedMemory> std::fmt::Debug for BoundedConsensus<M> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("BoundedConsensus")
             .field("rounds", &self.rounds)
-            .field("fallback", &self.fallback.name())
             .finish_non_exhaustive()
     }
 }

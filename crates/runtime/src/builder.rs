@@ -2,7 +2,7 @@
 //!
 //! The runtime accreted four ways to build an object — `Consensus::binary`,
 //! `with_recorder`, the `*_in` memory-injected constructors, and bare
-//! [`ConsensusOptions`]/[`EngineOptions`] structs. The builders collapse
+//! [`ConsensusOptions`]/`EngineOptions` structs. The builders collapse
 //! them into one fluent seam:
 //!
 //! ```
@@ -25,7 +25,7 @@ use mc_core::Ratifier;
 use mc_quorums::{BinaryScheme, BinomialScheme, QuorumScheme};
 use mc_telemetry::Recorder;
 
-use crate::bounded::{BoundedConsensus, Fallback, LeaderFallback, DEFAULT_MAX_CONCILIATOR_ROUNDS};
+use crate::bounded::{BoundedConsensus, LeaderFallback, DEFAULT_MAX_CONCILIATOR_ROUNDS};
 use crate::consensus::{ConciliatorChoice, Consensus, ConsensusOptions};
 use crate::engine::{ConsensusEngine, EngineOptions};
 use crate::register::{AtomicMemory, SharedMemory};
@@ -154,14 +154,14 @@ impl<M: SharedMemory> ConsensusBuilder<M> {
         }
     }
 
-    /// The [`ConsensusOptions`] this builder resolves to, for callers that
-    /// need the options value itself (an engine, a service, a test matrix).
+    /// The [`ConsensusOptions`] this builder resolves to, for the builds
+    /// below and the engine's.
     ///
     /// # Panics
     ///
     /// Panics if `n` was never set, or if `values < 2` with no explicit
     /// scheme.
-    pub fn options(&self) -> ConsensusOptions {
+    pub(crate) fn options(&self) -> ConsensusOptions {
         assert!(self.n > 0, "ConsensusBuilder::n is required (and nonzero)");
         let scheme = match &self.scheme {
             Some(scheme) => Arc::clone(scheme),
@@ -194,7 +194,8 @@ impl<M: SharedMemory> ConsensusBuilder<M> {
     ///
     /// # Panics
     ///
-    /// As [`options`](ConsensusBuilder::options).
+    /// Panics if `n` was never set, or if `values < 2` with no explicit
+    /// scheme.
     pub fn build(self) -> Consensus<M> {
         let options = self.options();
         let telemetry = self.telemetry();
@@ -206,18 +207,10 @@ impl<M: SharedMemory> ConsensusBuilder<M> {
     ///
     /// # Panics
     ///
-    /// As [`options`](ConsensusBuilder::options).
+    /// Panics if `n` was never set, or if `values < 2` with no explicit
+    /// scheme.
     pub fn build_bounded(self) -> BoundedConsensus<M> {
         let fallback = LeaderFallback::new_in(&self.memory, self.n.max(1));
-        self.build_bounded_with(fallback)
-    }
-
-    /// Builds the bounded object with an explicit fallback protocol `K`.
-    ///
-    /// # Panics
-    ///
-    /// As [`options`](ConsensusBuilder::options).
-    pub fn build_bounded_with<F: Fallback>(self, fallback: F) -> BoundedConsensus<M, F> {
         let options = self.options();
         let telemetry = self.telemetry();
         BoundedConsensus::from_parts(
@@ -244,7 +237,7 @@ impl<M: SharedMemory> std::fmt::Debug for ConsensusBuilder<M> {
 /// [`ConsensusEngine::builder`].
 ///
 /// Wraps a [`ConsensusBuilder`] (all its knobs apply to every pooled
-/// instance) plus the engine's own sharding/backpressure tuning.
+/// instance) plus the engine's own sharding and participant count.
 #[derive(Clone, Debug)]
 pub struct EngineBuilder<M: SharedMemory = AtomicMemory> {
     consensus: ConsensusBuilder<M>,
@@ -322,13 +315,6 @@ impl<M: SharedMemory> EngineBuilder<M> {
         self
     }
 
-    /// Maximum instances live at once per shard (default 64).
-    #[must_use]
-    pub fn max_live_per_shard(mut self, bound: usize) -> Self {
-        self.engine.max_live_per_shard = bound;
-        self
-    }
-
     /// Submits each instance receives before it is retired (default: `n`,
     /// every participant).
     #[must_use]
@@ -337,21 +323,12 @@ impl<M: SharedMemory> EngineBuilder<M> {
         self
     }
 
-    /// The resolved `(ConsensusOptions, EngineOptions)` pair.
-    ///
-    /// # Panics
-    ///
-    /// As [`ConsensusBuilder::options`].
-    pub fn options(&self) -> (ConsensusOptions, EngineOptions) {
-        (self.consensus.options(), self.engine)
-    }
-
     /// Builds the engine.
     ///
     /// # Panics
     ///
-    /// As [`ConsensusBuilder::options`], plus the engine's own validation
-    /// (`max_live_per_shard > 0`, `participants ≤ n`).
+    /// As [`ConsensusBuilder::build`], plus the engine's own validation
+    /// (`participants ≤ n`).
     pub fn build(self) -> ConsensusEngine<M> {
         let options = self.consensus.options();
         let telemetry = self.consensus.telemetry();
@@ -408,7 +385,7 @@ mod tests {
             .n(1)
             .recorder(Arc::clone(&agg) as Arc<dyn Recorder>)
             .build();
-        assert!(c.telemetry().events_on());
+        assert!(format!("{:?}", c.telemetry()).contains("events_on: true"));
         let mut rng = SmallRng::seed_from_u64(0);
         c.decide(1, &mut rng);
         assert_eq!(agg.count(mc_telemetry::Tally::Decisions), 1);

@@ -28,38 +28,26 @@ use rand::Rng;
 
 use crate::builder::EngineBuilder;
 use crate::consensus::{Consensus, ConsensusOptions};
-use crate::error::EngineError;
 use crate::hash::FastMap;
 use crate::register::{AtomicMemory, SharedMemory};
 use crate::telemetry::{CounterKey, RuntimeTelemetry};
 
-/// Tuning for a [`ConsensusEngine`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EngineOptions {
+/// Maximum instances live at once per shard: a `submit` that would
+/// activate one more blocks until an instance retires.
+const MAX_LIVE_PER_SHARD: usize = 64;
+
+/// Tuning for a [`ConsensusEngine`], set through its [`EngineBuilder`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct EngineOptions {
     /// Number of shards instances are hashed across. `0` means one per
     /// available core.
     pub shards: usize,
-    /// Maximum instances live at once per shard; a `submit` that would
-    /// activate one more blocks until an instance retires
-    /// ([`try_submit`](ConsensusEngine::try_submit) returns
-    /// [`EngineError::Saturated`] instead).
-    pub max_live_per_shard: usize,
     /// How many `submit` calls each instance receives. When the last one
     /// returns, the instance is reset and pooled. `0` means
     /// `ConsensusOptions::n` (every participant submits). Must not exceed
     /// `ConsensusOptions::n` — an instance admits at most the `n`
     /// concurrent callers its quorum scheme was sized for.
     pub participants: usize,
-}
-
-impl Default for EngineOptions {
-    fn default() -> EngineOptions {
-        EngineOptions {
-            shards: 0,
-            max_live_per_shard: 64,
-            participants: 0,
-        }
-    }
 }
 
 /// A live instance: the shared object plus how many of its participants
@@ -142,9 +130,9 @@ pub(crate) fn shard_index(instance_id: u64, len: usize) -> usize {
 /// # Contract
 ///
 /// Each instance id must receive **exactly**
-/// [`EngineOptions::participants`] submits, and ids must not be reused
-/// after completion — a reused id would silently activate a fresh
-/// instance, which can decide differently. Under-submitted instances stay
+/// [`participants`](ConsensusEngine::participants) submits, and ids must
+/// not be reused after completion — a reused id would silently activate a
+/// fresh instance, which can decide differently. Under-submitted instances stay
 /// live forever and eat into their shard's backpressure budget. A caller
 /// that knows better when an instance is finished keeps its own
 /// instances, built by [`fresh_instance`](ConsensusEngine::fresh_instance)
@@ -152,16 +140,13 @@ pub(crate) fn shard_index(instance_id: u64, len: usize) -> usize {
 ///
 /// # Backpressure
 ///
-/// At most [`EngineOptions::max_live_per_shard`] instances are live per
-/// shard; `submit` blocks (and [`try_submit`](ConsensusEngine::try_submit)
-/// refuses) activations past that, bounding memory at
-/// `shards × max_live_per_shard` instances plus the pooled free-lists —
-/// flat no matter how many decisions stream through.
+/// At most 64 instances are live per shard; `submit` blocks activations
+/// past that, bounding memory at `shards × 64` instances plus the pooled
+/// free-lists — flat no matter how many decisions stream through.
 pub struct ConsensusEngine<M: SharedMemory = AtomicMemory> {
     memory: M,
     options: Arc<ConsensusOptions>,
     participants: usize,
-    max_live_per_shard: usize,
     shards: Vec<Shard<M>>,
     telemetry: Arc<RuntimeTelemetry>,
 }
@@ -187,10 +172,6 @@ impl<M: SharedMemory> ConsensusEngine<M> {
         telemetry: Arc<RuntimeTelemetry>,
     ) -> ConsensusEngine<M> {
         assert!(options.n > 0, "need at least one participant");
-        assert!(
-            engine.max_live_per_shard > 0,
-            "need room for at least one live instance per shard"
-        );
         let shard_count = if engine.shards == 0 {
             std::thread::available_parallelism().map_or(1, usize::from)
         } else {
@@ -213,7 +194,6 @@ impl<M: SharedMemory> ConsensusEngine<M> {
             memory,
             options: Arc::new(options),
             participants,
-            max_live_per_shard: engine.max_live_per_shard,
             shards: (0..shard_count)
                 .map(|_| Shard {
                     state: Mutex::new(ShardState {
@@ -262,7 +242,7 @@ impl<M: SharedMemory> ConsensusEngine<M> {
     }
 
     /// Reset instances parked for reuse across all shards.
-    pub fn pooled_instances(&self) -> usize {
+    fn pooled_instances(&self) -> usize {
         self.shards.iter().map(|s| s.lock().free.len()).sum()
     }
 
@@ -299,7 +279,7 @@ impl<M: SharedMemory> ConsensusEngine<M> {
             entry.remaining -= 1;
             return Some(Arc::clone(&entry.instance));
         }
-        if bounded && state.live.len() >= self.max_live_per_shard {
+        if bounded && state.live.len() >= MAX_LIVE_PER_SHARD {
             return None;
         }
         let instance = match state.free.pop() {
@@ -394,32 +374,6 @@ impl<M: SharedMemory> ConsensusEngine<M> {
             }
         };
         self.decide_and_release(shard, instance, instance_id, proposal, rng)
-    }
-
-    /// Non-blocking [`submit`](ConsensusEngine::submit): refuses with
-    /// [`EngineError::Saturated`] instead of waiting when the shard is at
-    /// its live-instance bound.
-    ///
-    /// # Errors
-    ///
-    /// [`EngineError::Saturated`] when activating the instance would
-    /// exceed `max_live_per_shard` (joining an already-live instance never
-    /// saturates).
-    ///
-    /// # Panics
-    ///
-    /// As [`submit`](ConsensusEngine::submit).
-    pub fn try_submit(
-        &self,
-        instance_id: u64,
-        proposal: u64,
-        rng: &mut dyn Rng,
-    ) -> Result<u64, EngineError> {
-        let shard = self.shard_of(instance_id);
-        let instance = self
-            .checkout(&mut shard.lock(), instance_id, true)
-            .ok_or(EngineError::Saturated)?;
-        Ok(self.decide_and_release(shard, instance, instance_id, proposal, rng))
     }
 
     /// [`submit`](ConsensusEngine::submit) minus the live-instance bound:
@@ -535,7 +489,6 @@ impl<M: SharedMemory> std::fmt::Debug for ConsensusEngine<M> {
         f.debug_struct("ConsensusEngine")
             .field("shards", &self.shard_count())
             .field("participants", &self.participants)
-            .field("max_live_per_shard", &self.max_live_per_shard)
             .field("live_instances", &self.live_instances())
             .field("pooled_instances", &self.pooled_instances())
             .finish()
@@ -636,58 +589,42 @@ mod tests {
     }
 
     #[test]
-    fn try_submit_refuses_when_the_shard_is_saturated() {
+    fn submit_blocks_until_a_live_slot_frees_up() {
         let engine = ConsensusEngine::builder()
             .n(2)
             .values(8)
             .shards(1)
-            .max_live_per_shard(1)
             .participants(2)
             .build();
         let mut rng = SmallRng::seed_from_u64(0);
-        // First participant of instance 0: decides, instance stays live
-        // awaiting its second participant.
-        assert_eq!(engine.submit(0, 3, &mut rng), 3);
-        assert_eq!(engine.live_instances(), 1);
-        // Activating instance 1 would exceed the bound.
-        assert_eq!(
-            engine.try_submit(1, 5, &mut rng),
-            Err(EngineError::Saturated)
-        );
-        // Joining the live instance is always allowed — and agrees.
-        assert_eq!(engine.try_submit(0, 7, &mut rng), Ok(3));
-        assert_eq!(engine.live_instances(), 0);
-        // The bound has room again.
-        assert_eq!(engine.try_submit(1, 5, &mut rng), Ok(5));
-    }
-
-    #[test]
-    fn submit_blocks_until_a_live_slot_frees_up() {
-        let engine = Arc::new(
-            ConsensusEngine::builder()
-                .n(2)
-                .values(8)
-                .shards(1)
-                .max_live_per_shard(1)
-                .participants(2)
-                .build(),
-        );
-        let mut rng = SmallRng::seed_from_u64(0);
-        assert_eq!(engine.submit(0, 1, &mut rng), 1);
-        let blocked = {
-            let engine = Arc::clone(&engine);
-            std::thread::spawn(move || {
+        // One participant each: every instance stays live awaiting its
+        // second, until the shard is at its bound.
+        for id in 0..MAX_LIVE_PER_SHARD as u64 {
+            assert_eq!(engine.submit(id, id % 8, &mut rng), id % 8);
+        }
+        assert_eq!(engine.live_instances(), MAX_LIVE_PER_SHARD);
+        let next = MAX_LIVE_PER_SHARD as u64;
+        std::thread::scope(|scope| {
+            let blocked = scope.spawn(|| {
                 let mut rng = SmallRng::seed_from_u64(1);
-                // Blocks: shard full until instance 0 completes.
-                engine.submit(1, 6, &mut rng)
-            })
-        };
-        // Complete instance 0, releasing the shard slot.
-        assert_eq!(engine.submit(0, 2, &mut rng), 1);
-        assert_eq!(blocked.join().unwrap(), 6);
-        // Instance 1 is still awaiting its second participant.
-        assert_eq!(engine.live_instances(), 1);
-        assert_eq!(engine.submit(1, 4, &mut rng), 6);
+                // Blocks: the shard is full until an instance retires.
+                engine.submit(next, 6, &mut rng)
+            });
+            while engine.shards[0].lock().blocked == 0 {
+                std::thread::yield_now();
+            }
+            assert!(!blocked.is_finished());
+            assert_eq!(engine.live_instances(), MAX_LIVE_PER_SHARD);
+            // Complete instance 0, retiring it and freeing a live slot.
+            assert_eq!(engine.submit(0, 2, &mut rng), 0);
+            assert_eq!(blocked.join().unwrap(), 6);
+        });
+        // The new instance took the freed slot, awaiting its second
+        // participant.
+        assert_eq!(engine.live_instances(), MAX_LIVE_PER_SHARD);
+        for id in 1..=next {
+            engine.submit(id, 4, &mut rng);
+        }
         assert_eq!(engine.live_instances(), 0);
     }
 
@@ -704,16 +641,6 @@ mod tests {
         // Engine + each pooled instance hold the same Arc.
         let held = Arc::strong_count(engine.options_handle());
         assert_eq!(held, 1 + engine.pooled_instances());
-    }
-
-    #[test]
-    #[should_panic(expected = "need room for at least one live instance")]
-    fn zero_live_bound_rejected() {
-        ConsensusEngine::builder()
-            .n(1)
-            .values(8)
-            .max_live_per_shard(0)
-            .build();
     }
 
     #[test]

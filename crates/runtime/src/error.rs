@@ -1,8 +1,8 @@
 //! The one error type for the engine/service submission surface.
 //!
-//! The engine's bounded submit can find a shard saturated; the batching
-//! service layer adds a closed-ring refusal (`Rejected`), handle-wait
-//! timeouts, and worker-death poisoning. Rather
+//! The engine's submit blocks rather than fail; the batching service
+//! layer refuses on a closed ring (`Rejected`), times out handle waits,
+//! and poisons the handles of a dead worker. Rather
 //! than grow a zoo of per-layer error enums, every way a proposal can fail
 //! to produce a decision is one payload-free variant of [`EngineError`],
 //! hand-rolled over `std` only.
@@ -18,10 +18,6 @@ use std::fmt;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum EngineError {
-    /// The instance's engine shard is at its `max_live_per_shard` bound;
-    /// retry after some instance retires, or use the blocking
-    /// [`submit`](crate::ConsensusEngine::submit).
-    Saturated,
     /// The service's intake ring is closed — the service was shut down,
     /// or the ring's worker is
     /// [`RingHealth::Poisoned`](crate::RingHealth::Poisoned); the proposal
@@ -40,7 +36,6 @@ pub enum EngineError {
 impl fmt::Display for EngineError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            EngineError::Saturated => write!(f, "shard is at its live-instance bound"),
             EngineError::Rejected => write!(f, "intake ring is closed"),
             EngineError::Timeout => write!(f, "timed out waiting for the decision"),
             EngineError::Poisoned => write!(f, "the shard worker died before deciding"),
@@ -61,7 +56,6 @@ mod tests {
     /// fails the distinct-count assertion.
     fn every_variant() -> Vec<EngineError> {
         vec![
-            EngineError::Saturated,
             EngineError::Rejected,
             EngineError::Timeout,
             EngineError::Poisoned,

@@ -19,13 +19,11 @@
 //! * **Delayed visibility** — a write commits up to `k` operations late:
 //!   until the window expires, every other process whose read overlaps
 //!   the write (as above) still observes the previous value.
-//! * **Register reset** — a crash-recovery wipe back to ⊥. By default
-//!   ([`ResetScope::ConciliatorOnly`]) only registers that have received a
-//!   probabilistic write (conciliator registers) are eligible: wiping a
-//!   conciliator register destroys agreement *progress* (a δ/liveness
-//!   hit), while wiping ratifier bookkeeping could forge agreement
-//!   detection and violate coherence — [`ResetScope::AllRegisters`] exists
-//!   precisely to demonstrate that negative control.
+//! * **Register reset** — a crash-recovery wipe back to ⊥. Only registers
+//!   that have received a probabilistic write (conciliator registers) are
+//!   eligible: wiping a conciliator register destroys agreement *progress*
+//!   (a δ/liveness hit), while wiping ratifier bookkeeping could forge
+//!   agreement detection and violate coherence.
 //!
 //! Fault decisions come from the plan's own seeded stream and **never
 //! consume the caller's rng**, so the one-coin-per-probabilistic-write
@@ -56,21 +54,6 @@ use rand::{Rng, RngExt, SeedableRng};
 use crate::register::{SharedMemory, SharedRegister};
 use crate::telemetry::RuntimeTelemetry;
 
-/// Which registers a [`FaultClass::RegisterReset`] may target.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ResetScope {
-    /// Only registers that have received a probabilistic write — i.e.
-    /// conciliator registers. Wipes then cost agreement progress (δ and
-    /// round counts degrade) but cannot break ratifier safety.
-    #[default]
-    ConciliatorOnly,
-    /// Any allocated register, including ratifier announcement pools and
-    /// proposal registers. **This can violate coherence** — a wiped
-    /// announcement lets two ratifier callers miss each other — and is
-    /// provided as a negative control, not as part of the safe sweep.
-    AllRegisters,
-}
-
 /// A seeded, deterministic fault schedule for [`FaultyMemory`].
 ///
 /// Rates are per-operation probabilities in `[0, 1]`, drawn from the
@@ -89,10 +72,9 @@ pub struct FaultPlan {
     pub delayed_visibility: f64,
     /// Maximum lateness of a delayed write, in layer operations.
     pub delay_ops: u64,
-    /// Per-operation probability of a register reset.
+    /// Per-operation probability of a register reset. Only registers
+    /// that have received a probabilistic write are targeted.
     pub register_reset: f64,
-    /// Which registers resets may target.
-    pub reset_scope: ResetScope,
 }
 
 impl FaultPlan {
@@ -105,7 +87,6 @@ impl FaultPlan {
             delayed_visibility: 0.0,
             delay_ops: 3,
             register_reset: 0.0,
-            reset_scope: ResetScope::ConciliatorOnly,
         }
     }
 
@@ -166,13 +147,6 @@ impl FaultPlan {
     pub fn register_resets(mut self, rate: f64) -> FaultPlan {
         assert!((0.0..=1.0).contains(&rate), "rate must be in [0, 1]");
         self.register_reset = rate;
-        self
-    }
-
-    /// Sets which registers resets may target.
-    #[must_use]
-    pub fn reset_scope(mut self, scope: ResetScope) -> FaultPlan {
-        self.reset_scope = scope;
         self
     }
 
@@ -254,7 +228,8 @@ struct FaultState {
     /// Indices of registers with a window (kept tiny: a window is dropped
     /// once no operation in flight overlaps it).
     open_windows: Vec<usize>,
-    /// Indices eligible for resets under [`ResetScope::ConciliatorOnly`].
+    /// Indices eligible for resets: registers a probabilistic write
+    /// reached.
     prob_targets: Vec<usize>,
 }
 
@@ -350,20 +325,11 @@ impl FaultState {
         if plan.register_reset == 0.0 || !self.rng.random_bool(plan.register_reset) {
             return None;
         }
-        let victim = match plan.reset_scope {
-            ResetScope::ConciliatorOnly => {
-                if self.prob_targets.is_empty() {
-                    return None;
-                }
-                self.prob_targets[(self.rng.next_u64() % self.prob_targets.len() as u64) as usize]
-            }
-            ResetScope::AllRegisters => {
-                if self.regs.is_empty() {
-                    return None;
-                }
-                (self.rng.next_u64() % self.regs.len() as u64) as usize
-            }
-        };
+        if self.prob_targets.is_empty() {
+            return None;
+        }
+        let victim =
+            self.prob_targets[(self.rng.next_u64() % self.prob_targets.len() as u64) as usize];
         let reg = &mut self.regs[victim];
         if reg.cur.is_none() && !reg.reset {
             // Wiping an empty register is a no-op; don't count it.

@@ -57,13 +57,13 @@ mod table;
 mod telemetry;
 mod typed;
 
-pub use bounded::{BoundedConsensus, Fallback, LeaderFallback, DEFAULT_MAX_CONCILIATOR_ROUNDS};
+pub use bounded::{BoundedConsensus, DEFAULT_MAX_CONCILIATOR_ROUNDS};
 pub use builder::{ConsensusBuilder, EngineBuilder};
 pub use consensus::{CoinKind, ConciliatorChoice, Consensus, ConsensusOptions};
 pub use derived::{Election, TestAndSet};
-pub use engine::{ConsensusEngine, EngineOptions};
+pub use engine::ConsensusEngine;
 pub use error::EngineError;
-pub use faults::{FaultCounts, FaultPlan, FaultyMemory, FaultyRegister, ResetScope};
+pub use faults::{FaultCounts, FaultPlan, FaultyMemory, FaultyRegister};
 pub use hash::{FastHasher, FastMap};
 pub use log::ReplicatedLog;
 pub use register::{AtomicMemory, AtomicRegister, SharedMemory, SharedRegister};

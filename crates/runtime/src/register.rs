@@ -219,7 +219,7 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(0);
         assert!(!r.prob_write(5, Probability::ZERO, &mut rng));
         assert_eq!(r.read(), None);
-        assert!(r.prob_write(5, Probability::ONE, &mut rng));
+        assert!(r.prob_write(5, Probability::clamped(1.0), &mut rng));
         assert_eq!(r.read(), Some(5));
     }
 
@@ -275,10 +275,10 @@ mod tests {
     fn prob_write_lands_after_clear() {
         let mut r = AtomicMemory.alloc();
         let mut rng = SmallRng::seed_from_u64(0);
-        assert!(r.prob_write(5, Probability::ONE, &mut rng));
+        assert!(r.prob_write(5, Probability::clamped(1.0), &mut rng));
         r.clear();
         assert_eq!(SharedRegister::read(&r), None);
-        assert!(r.prob_write(6, Probability::ONE, &mut rng));
+        assert!(r.prob_write(6, Probability::clamped(1.0), &mut rng));
         assert_eq!(SharedRegister::read(&r), Some(6));
     }
 }

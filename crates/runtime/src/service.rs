@@ -555,7 +555,7 @@ impl<M: SharedMemory> ConsensusService<M> {
     /// traffic: per-decide events are suppressed in favor of one
     /// `batch_drained` summary per batch (counters and histograms keep
     /// their per-operation fidelity) — see
-    /// [`RuntimeTelemetry::decide_events_on`]. The suppression lasts while
+    /// `RuntimeTelemetry::decide_events_on`. The suppression lasts while
     /// any service is attached; [`shutdown`](ConsensusService::shutdown)
     /// (and drop) hands per-decide events back, so direct
     /// [`submit`](ConsensusEngine::submit) calls after the service is gone
@@ -605,12 +605,12 @@ impl<M: SharedMemory> ConsensusService<M> {
     }
 
     /// Worker threads (= intake rings) this service runs.
-    pub fn worker_count(&self) -> usize {
+    fn worker_count(&self) -> usize {
         self.rings.len()
     }
 
     /// Proposals currently enqueued across all rings.
-    pub fn queue_depth(&self) -> usize {
+    fn queue_depth(&self) -> usize {
         self.rings.iter().map(|r| r.lock().queue.len()).sum()
     }
 
@@ -618,7 +618,7 @@ impl<M: SharedMemory> ConsensusService<M> {
     ///
     /// # Panics
     ///
-    /// Panics if `ring >= self.worker_count()`.
+    /// Panics if `ring` is not below the service's worker count.
     pub fn ring_health(&self, ring: usize) -> RingHealth {
         self.rings[ring].lock().health
     }

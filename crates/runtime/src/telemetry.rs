@@ -164,8 +164,6 @@ metric_keys! {
         StaleCommands => "stale_commands",
         /// Reads served from the applied state (no log slot consumed).
         FastReads => "fast_reads",
-        /// State-machine snapshots captured (each rides a `compact_below`).
-        StoreSnapshots => "store_snapshots",
     }
 }
 
@@ -367,11 +365,6 @@ impl RuntimeTelemetry {
         RuntimeTelemetry::new(Arc::new(NoopRecorder))
     }
 
-    /// Whether structured events are being recorded.
-    pub fn events_on(&self) -> bool {
-        self.events_on
-    }
-
     /// Whether per-decide events (`StageEntered`, `Decided`, …) reach the
     /// recorder. `false` either when no recorder is attached or while a
     /// batching service has this telemetry in amortized mode, where the
@@ -379,7 +372,7 @@ impl RuntimeTelemetry {
     /// Inlined: a decide asks up to four times, and an out-of-line call
     /// from the generic walk costs more than the two loads.
     #[inline]
-    pub fn decide_events_on(&self) -> bool {
+    pub(crate) fn decide_events_on(&self) -> bool {
         // Relaxed: the count only chooses between a per-decide event and
         // none, and publishes no memory; the recorder orders its own
         // writes under its mutex. A decide that races a guard taken or
@@ -557,7 +550,7 @@ impl RuntimeTelemetry {
     /// The largest value a gauge ever held (for
     /// [`GaugeKey::LiveInstances`] and [`GaugeKey::AppliedIndex`], their
     /// current value).
-    pub fn gauge_max(&self, key: GaugeKey) -> u64 {
+    pub(crate) fn gauge_max(&self, key: GaugeKey) -> u64 {
         match key {
             GaugeKey::LiveInstances => self.live_instances(),
             GaugeKey::AppliedIndex => self.applied_index(),
@@ -703,14 +696,6 @@ impl RuntimeTelemetry {
     }
 
     // --- derived readers ---
-
-    /// Fraction of decisions that used only the fast path (0 when none).
-    pub fn fast_path_rate(&self) -> f64 {
-        rate(
-            self.count(CounterKey::FastPathHits),
-            self.count(CounterKey::Decisions),
-        )
-    }
 
     /// Instance activations: every one is a pool hit or a pool miss.
     pub(crate) fn activations(&self) -> u64 {
@@ -895,7 +880,7 @@ mod tests {
     #[test]
     fn noop_telemetry_still_counts() {
         let t = RuntimeTelemetry::noop();
-        assert!(!t.events_on());
+        assert!(!t.events_on);
         t.add(CounterKey::DecideCalls, 1);
         t.local().on_stage_entered(0, StageKind::Ratifier);
         t.local().on_prob_write(true, 0.5);
@@ -913,7 +898,7 @@ mod tests {
     fn events_flow_to_recorder() {
         let agg = Arc::new(AggregatingRecorder::new());
         let t = RuntimeTelemetry::new(Arc::clone(&agg) as Arc<dyn Recorder>);
-        assert!(t.events_on());
+        assert!(t.events_on);
         t.local().on_stage_entered(0, StageKind::Conciliator);
         t.local().on_conciliator_round(3, 0.25);
         t.local().on_prob_write(false, 0.25);
@@ -933,7 +918,7 @@ mod tests {
         let t = Arc::new(RuntimeTelemetry::new(Arc::clone(&agg) as Arc<dyn Recorder>));
         assert!(t.decide_events_on());
         let guard = t.amortized();
-        assert!(t.events_on(), "batch-level events stay live");
+        assert!(t.events_on, "batch-level events stay live");
         assert!(!t.decide_events_on());
         t.add(CounterKey::DecideCalls, 1);
         t.local().on_stage_entered(0, StageKind::Ratifier);
@@ -1034,7 +1019,7 @@ mod tests {
         let snap = t.snapshot();
         assert_eq!(snap.counter_value("proposals_enqueued"), Some(2));
         assert_eq!(snap.counter_value("batches_drained"), Some(1));
-        assert_eq!(snap.histogram_value("service_wait_ns").unwrap().count, 2);
+        assert!(snap.to_prometheus().contains("\nservice_wait_ns_count 2\n"));
         mc_telemetry::json::validate(&snap.to_json()).unwrap();
     }
 
@@ -1058,7 +1043,9 @@ mod tests {
         let snap = t.snapshot();
         assert_eq!(snap.counter_value("worker_restarts"), Some(1));
         assert_eq!(snap.counter_value("resubmitted_cells"), Some(1));
-        assert_eq!(snap.histogram_value("worker_recovery_ns").unwrap().count, 1);
+        assert!(snap
+            .to_prometheus()
+            .contains("\nworker_recovery_ns_count 1\n"));
         mc_telemetry::json::validate(&snap.to_json()).unwrap();
     }
 
@@ -1343,20 +1330,21 @@ mod tests {
     /// service's shedding and circuit breaker), and
     /// `conciliator_selections`, `coin_selections` and
     /// `observed_delta_hat_ppm` (gone with the adaptive conciliator
-    /// portfolio); the benchmark and any scraper read them by string.
+    /// portfolio), and `store_snapshots` (gone with the store's
+    /// snapshots); the benchmark and any scraper read them by string.
     const COUNTERS: &str = "decide_calls decisions fast_path_hits stage_entries \
         prob_writes_attempted prob_writes_performed pool_hits pool_misses \
         instances_retired faults_injected faults_lost_prob_writes faults_stale_reads \
         faults_delayed_commits faults_register_resets fallbacks_taken proposals_enqueued \
         proposals_rejected batches_drained \
         worker_restarts resubmitted_cells commands_applied sessions_created duplicates_served \
-        stale_commands fast_reads store_snapshots";
+        stale_commands fast_reads";
     const GAUGES: &str = "applied_index max_conciliator_round live_instances queue_depth";
     const HISTOGRAMS: &str = "rounds_to_decide decide_latency_ns conciliator_rounds coin_rounds \
         service_wait_ns worker_recovery_ns";
     /// `to_json()` of the hook script below, captured at that same commit,
-    /// less the three removed metrics' fields.
-    const SCRIPT_JSON: &str = r#"{"counters":{"decide_calls":1,"decisions":1,"fast_path_hits":1,"stage_entries":1,"prob_writes_attempted":2,"prob_writes_performed":1,"pool_hits":2,"pool_misses":1,"instances_retired":1,"faults_injected":1,"faults_lost_prob_writes":0,"faults_stale_reads":1,"faults_delayed_commits":0,"faults_register_resets":0,"fallbacks_taken":1,"proposals_enqueued":2,"proposals_rejected":1,"batches_drained":1,"worker_restarts":1,"resubmitted_cells":1,"commands_applied":5,"sessions_created":1,"duplicates_served":1,"stale_commands":1,"fast_reads":1,"store_snapshots":1},"gauges":{"applied_index":{"value":5,"max":5},"max_conciliator_round":{"value":0,"max":3},"live_instances":{"value":2,"max":2},"queue_depth":{"value":1,"max":2}},"histograms":{"rounds_to_decide":{"count":1,"sum":2,"max":2,"mean":2.0,"p50":2,"p99":2,"buckets":[[3,1]]},"decide_latency_ns":{"count":1,"sum":500,"max":500,"mean":500.0,"p50":500,"p99":500,"buckets":[[511,1]]},"conciliator_rounds":{"count":1,"sum":4,"max":4,"mean":4.0,"p50":4,"p99":4,"buckets":[[7,1]]},"coin_rounds":{"count":1,"sum":9,"max":9,"mean":9.0,"p50":9,"p99":9,"buckets":[[15,1]]},"service_wait_ns":{"count":1,"sum":5000,"max":5000,"mean":5000.0,"p50":5000,"p99":5000,"buckets":[[8191,1]]},"worker_recovery_ns":{"count":1,"sum":7000,"max":7000,"mean":7000.0,"p50":7000,"p99":7000,"buckets":[[8191,1]]}}}"#;
+    /// less the removed metrics' fields.
+    const SCRIPT_JSON: &str = r#"{"counters":{"decide_calls":1,"decisions":1,"fast_path_hits":1,"stage_entries":1,"prob_writes_attempted":2,"prob_writes_performed":1,"pool_hits":2,"pool_misses":1,"instances_retired":1,"faults_injected":1,"faults_lost_prob_writes":0,"faults_stale_reads":1,"faults_delayed_commits":0,"faults_register_resets":0,"fallbacks_taken":1,"proposals_enqueued":2,"proposals_rejected":1,"batches_drained":1,"worker_restarts":1,"resubmitted_cells":1,"commands_applied":5,"sessions_created":1,"duplicates_served":1,"stale_commands":1,"fast_reads":1},"gauges":{"applied_index":{"value":5,"max":5},"max_conciliator_round":{"value":0,"max":3},"live_instances":{"value":2,"max":2},"queue_depth":{"value":1,"max":2}},"histograms":{"rounds_to_decide":{"count":1,"sum":2,"max":2,"mean":2.0,"p50":2,"p99":2,"buckets":[[3,1]]},"decide_latency_ns":{"count":1,"sum":500,"max":500,"mean":500.0,"p50":500,"p99":500,"buckets":[[511,1]]},"conciliator_rounds":{"count":1,"sum":4,"max":4,"mean":4.0,"p50":4,"p99":4,"buckets":[[7,1]]},"coin_rounds":{"count":1,"sum":9,"max":9,"mean":9.0,"p50":9,"p99":9,"buckets":[[15,1]]},"service_wait_ns":{"count":1,"sum":5000,"max":5000,"mean":5000.0,"p50":5000,"p99":5000,"buckets":[[8191,1]]},"worker_recovery_ns":{"count":1,"sum":7000,"max":7000,"mean":7000.0,"p50":7000,"p99":7000,"buckets":[[8191,1]]}}}"#;
 
     #[test]
     fn snapshot_covers_the_metric_set() {
@@ -1366,7 +1354,9 @@ mod tests {
         let snap = t.snapshot();
         assert_eq!(snap.counter_value("decide_calls"), Some(1));
         assert_eq!(snap.counter_value("fast_path_hits"), Some(1));
-        assert_eq!(snap.histogram_value("rounds_to_decide").unwrap().count, 1);
+        assert!(snap
+            .to_prometheus()
+            .contains("\nrounds_to_decide_count 1\n"));
         mc_telemetry::json::validate(&snap.to_json()).unwrap();
 
         // The table is the metric set: names and order are the parent's.
@@ -1380,12 +1370,12 @@ mod tests {
             HistKey::ALL.iter().map(|key| key.name()).collect(),
         ];
         assert_eq!(table, names);
-        assert_eq!(table.each_ref().map(Vec::len), [26, 4, 6]);
+        assert_eq!(table.each_ref().map(Vec::len), [25, 4, 6]);
 
         // A fixed script over every hook and every kind of bump exports
         // what the hand-written metric set exported, byte for byte.
         let t = RuntimeTelemetry::noop();
-        assert!(!t.events_on(), "the no-op recorder still counts");
+        assert!(!t.events_on, "the no-op recorder still counts");
         t.add(CounterKey::DecideCalls, 1);
         t.local().on_stage_entered(0, StageKind::Ratifier);
         t.local().on_conciliator_round(3, 0.25);
@@ -1412,12 +1402,10 @@ mod tests {
         t.add(CounterKey::DuplicatesServed, 1);
         t.add(CounterKey::StaleCommands, 1);
         t.add(CounterKey::FastReads, 1);
-        t.add(CounterKey::StoreSnapshots, 1);
         let snap = t.snapshot();
         assert_eq!(snap.to_json(), SCRIPT_JSON);
-        // The derived readers: 2 hits in 3 activations, 1 fast decision in 1.
+        // The derived reader: 2 hits in 3 activations.
         assert!((t.pool_hit_rate() - 2.0 / 3.0).abs() < 1e-9);
-        assert_eq!(t.fast_path_rate(), 1.0);
         mc_telemetry::json::validate(&snap.to_json()).unwrap();
 
         // Every key is exported exactly once, under a unique non-empty name.

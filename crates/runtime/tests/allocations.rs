@@ -50,8 +50,8 @@ fn allocations_of_slots(
     let before = ALLOCATIONS.with(Cell::get);
     for slot in first..first + slots {
         let proposal = slot % 2;
-        assert_eq!(engine.try_submit(slot, proposal, rng), Ok(proposal));
-        assert_eq!(engine.try_submit(slot, 1 - proposal, rng), Ok(proposal));
+        assert_eq!(engine.submit(slot, proposal, rng), proposal);
+        assert_eq!(engine.submit(slot, 1 - proposal, rng), proposal);
     }
     ALLOCATIONS.with(Cell::get) - before
 }

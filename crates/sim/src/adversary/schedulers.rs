@@ -131,16 +131,6 @@ impl ScriptedAdversary {
             fallback: RoundRobin::new(),
         }
     }
-
-    /// Extracts the schedule from a recorded trace.
-    pub fn from_trace(trace: &crate::trace::Trace) -> ScriptedAdversary {
-        ScriptedAdversary::new(trace.events().iter().map(|e| e.pid).collect())
-    }
-
-    /// How many scripted steps were consumed so far.
-    pub fn consumed(&self) -> usize {
-        self.cursor.min(self.script.len())
-    }
 }
 
 impl Adversary for ScriptedAdversary {
@@ -290,7 +280,7 @@ mod tests {
         assert_eq!(adv.choose(&v), ProcessId(1));
         assert_eq!(adv.choose(&v), ProcessId(1));
         assert_eq!(adv.choose(&v), ProcessId(0));
-        assert_eq!(adv.consumed(), 3);
+        assert_eq!(adv.cursor, 3);
         // Script exhausted: round-robin fallback from process 0.
         assert_eq!(adv.choose(&v), ProcessId(0));
         assert_eq!(adv.choose(&v), ProcessId(1));

@@ -226,7 +226,7 @@ impl<'a> Engine<'a> {
     }
 
     /// True once every process has halted.
-    pub fn is_complete(&self) -> bool {
+    fn is_complete(&self) -> bool {
         self.pending_buf.is_empty()
     }
 
@@ -251,7 +251,7 @@ impl<'a> Engine<'a> {
     /// # Panics
     ///
     /// Panics if called when [`is_complete`](Engine::is_complete) is true.
-    pub fn step(&mut self) -> Result<(), RunError> {
+    fn step(&mut self) -> Result<(), RunError> {
         if self.step >= self.config.max_steps {
             return Err(RunError::StepLimitExceeded {
                 limit: self.config.max_steps,
@@ -354,7 +354,9 @@ impl<'a> Engine<'a> {
     ///
     /// # Errors
     ///
-    /// Propagates any [`RunError`] from [`step`](Engine::step).
+    /// Propagates any [`RunError`] of a step: an adversary that
+    /// misbehaves, a session that uses a disallowed operation, or the step
+    /// limit.
     pub fn run_until(
         mut self,
         mut stop: impl FnMut(&Engine<'_>) -> bool,
@@ -375,7 +377,8 @@ impl<'a> Engine<'a> {
     ///
     /// # Errors
     ///
-    /// Propagates any [`RunError`] from [`step`](Engine::step).
+    /// Propagates any [`RunError`] of a step, as
+    /// [`run_until`](Engine::run_until).
     pub fn run(self) -> Result<RunOutcome, RunError> {
         let done = self.run_until(|_| false)?;
         Ok(RunOutcome {

@@ -114,38 +114,42 @@ struct Allocations {
     /// ... and what they cost beside their first session: the object, the
     /// chain's cache slot and room for the registers.
     instance_extra: u64,
-    /// By `Engine::run` collecting the outputs.
+    /// By the last step and `Engine::run_until` collecting the outputs.
     outputs: u64,
 }
 
 const N: usize = 32;
 
-/// Runs `spec` at `seed` one step at a time, checks what each step
-/// allocated against the stages it entered, and totals the run.
+/// Runs `spec` at `seed`, checks what each step allocated against the
+/// stages it entered, and totals the run. `run_until` asks its `stop`
+/// before every step, so the allocations between two asks are one step's;
+/// the last step's are counted with the outputs.
 fn run(spec: &dyn ObjectSpec, tally: &Tally, seed: u64) -> Allocations {
     let ins = inputs::random(N, 8, seed);
     let mut adversary = RandomScheduler::new(seed);
     let start = allocations();
-    let mut engine = Engine::new(spec, &ins, &mut adversary, seed, EngineConfig::default());
+    let engine = Engine::new(spec, &ins, &mut adversary, seed, EngineConfig::default());
     let setup = allocations() - start;
     let (entries_at_setup, instances_at_setup) = tally.read();
     let mut instance_extra = 0;
-    while !engine.is_complete() {
-        let (entries, instances) = tally.read();
-        let before = allocations();
-        engine.step().expect("multivalued(8) completes");
-        let made = allocations() - before;
-        let (now_entries, now_instances) = tally.read();
-        match (now_entries - entries, now_instances - instances) {
-            (0, 0) => assert_eq!(made, 0, "seed {seed}: a step that entered no stage"),
-            (1, 0) => assert_eq!(made, 1, "seed {seed}: a step that entered a stage"),
-            (1, 1) => instance_extra += made - 1,
-            other => panic!("seed {seed}: one step made (entries, instances) {other:?}"),
-        }
-    }
-    let before = allocations();
-    let out = engine.run().expect("a complete run");
-    let outputs = allocations() - before;
+    let mut last = (allocations(), tally.read());
+    let out = engine
+        .run_until(|_| {
+            let now = (allocations(), tally.read());
+            let made = now.0 - last.0;
+            let ((entries, instances), (now_entries, now_instances)) = (last.1, now.1);
+            match (now_entries - entries, now_instances - instances) {
+                (0, 0) => assert_eq!(made, 0, "seed {seed}: a step that entered no stage"),
+                (1, 0) => assert_eq!(made, 1, "seed {seed}: a step that entered a stage"),
+                (1, 1) => instance_extra += made - 1,
+                other => panic!("seed {seed}: one step made (entries, instances) {other:?}"),
+            }
+            last = now;
+            false
+        })
+        .expect("multivalued(8) completes");
+    let outputs = allocations() - last.0;
+    assert!(out.decisions.iter().all(Option::is_some), "seed {seed}");
     let (entries, instances) = tally.read();
     Allocations {
         total_work: out.metrics.total_work(),

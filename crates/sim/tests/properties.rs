@@ -122,9 +122,8 @@ proptest! {
             seed,
             &EngineConfig::default().with_trace(),
         ).unwrap();
-        let mut replayer = mc_sim::adversary::ScriptedAdversary::from_trace(
-            original.trace.as_ref().unwrap(),
-        );
+        let schedule = original.trace.as_ref().unwrap().events().iter().map(|e| e.pid).collect();
+        let mut replayer = mc_sim::adversary::ScriptedAdversary::new(schedule);
         let replayed = harness::run_object(
             &WriteThenReadSpec,
             &ins,

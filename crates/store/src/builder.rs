@@ -22,10 +22,6 @@ pub(crate) struct StoreOptions {
     /// gathered from whole submissions; a single larger submission is a
     /// batch of its own. Default 512.
     pub batch_commands: usize,
-    /// Capture a state-machine snapshot every this many applied slots
-    /// (by the caller that applies that slot). `0` disables snapshots.
-    /// Default 1024.
-    pub snapshot_every: u64,
     /// Capacity hint for the session table; see
     /// [`StoreBuilder::expected_sessions`]. Default 0.
     pub expected_sessions: usize,
@@ -39,7 +35,6 @@ impl Default for StoreOptions {
         StoreOptions {
             proposers: 2,
             batch_commands: 512,
-            snapshot_every: 1024,
             expected_sessions: 0,
             seed: 0x5EED,
         }
@@ -104,12 +99,6 @@ impl<S: StateMachine, M: SharedMemory> StoreBuilder<S, M> {
         self
     }
 
-    /// Snapshot cadence in applied slots (`0` disables). Default 1024.
-    pub fn snapshot_every(mut self, slots: u64) -> Self {
-        self.options.snapshot_every = slots;
-        self
-    }
-
     /// Pre-sizes the session table for workloads with a known client
     /// population. Workloads that open sessions by the million (one per
     /// client id) otherwise pay a full-table rehash every time the map
@@ -117,13 +106,6 @@ impl<S: StateMachine, M: SharedMemory> StoreBuilder<S, M> {
     /// starts empty and grows on demand.
     pub fn expected_sessions(mut self, sessions: usize) -> Self {
         self.options.expected_sessions = sessions;
-        self
-    }
-
-    /// Starts the machine from a snapshot — [`StateMachine::restore`]'s
-    /// builder-side entry point.
-    pub fn restore_from(mut self, snapshot: &S::Snapshot) -> Self {
-        self.initial = S::restore(snapshot);
         self
     }
 
@@ -176,7 +158,6 @@ mod tests {
         let options = StoreOptions::default();
         assert_eq!(options.proposers, 2);
         assert_eq!(options.batch_commands, 512);
-        assert_eq!(options.snapshot_every, 1024);
         assert_eq!(options.expected_sessions, 0);
         assert_eq!(options.seed, 0x5EED);
     }
@@ -186,28 +167,11 @@ mod tests {
         let mut store = StoreBuilder::<KvStore>::new()
             .proposers(0)
             .batch_commands(0)
-            .snapshot_every(0)
             .build();
         let mut client = store.client();
         assert_eq!(
             client.call(KvCommand::Put { key: 1, value: 1 }).unwrap(),
             KvResponse::Stored(None)
-        );
-        store.shutdown();
-    }
-
-    #[test]
-    fn restore_from_resumes_a_snapshotted_machine() {
-        let snapshot = vec![(1u64, 10u64), (2, 20)];
-        let mut store = StoreBuilder::<KvStore>::new()
-            .restore_from(&snapshot)
-            .proposers(1)
-            .build();
-        assert_eq!(store.read_with(|kv| kv.get(2)), Some(20));
-        let mut client = store.client();
-        assert_eq!(
-            client.call(KvCommand::Get { key: 1 }).unwrap(),
-            KvResponse::Value(Some(10))
         );
         store.shutdown();
     }

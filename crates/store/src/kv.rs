@@ -95,9 +95,6 @@ impl KvStore {
 impl StateMachine for KvStore {
     type Command = KvCommand;
     type Response = KvResponse;
-    /// Sorted key/value pairs: deterministic, directly comparable in
-    /// round-trip tests.
-    type Snapshot = Vec<(u64, u64)>;
 
     fn apply(&mut self, command: &KvCommand) -> KvResponse {
         match *command {
@@ -112,18 +109,6 @@ impl StateMachine for KvStore {
                 KvResponse::Swapped { applied, actual }
             }
             KvCommand::Delete { key } => KvResponse::Removed(self.map.remove(&key)),
-        }
-    }
-
-    fn snapshot(&self) -> Vec<(u64, u64)> {
-        let mut pairs: Vec<(u64, u64)> = self.map.iter().map(|(&k, &v)| (k, v)).collect();
-        pairs.sort_unstable();
-        pairs
-    }
-
-    fn restore(snapshot: &Vec<(u64, u64)>) -> KvStore {
-        KvStore {
-            map: snapshot.iter().copied().collect(),
         }
     }
 }
@@ -178,26 +163,5 @@ mod tests {
             KvResponse::Removed(None)
         );
         assert!(kv.is_empty());
-    }
-
-    #[test]
-    fn snapshot_restore_round_trips() {
-        let mut kv = KvStore::new();
-        for k in 0..100 {
-            kv.apply(&KvCommand::Put {
-                key: k,
-                value: k * 3,
-            });
-        }
-        kv.apply(&KvCommand::Delete { key: 50 });
-        let snap = kv.snapshot();
-        let mut restored = KvStore::restore(&snap);
-        assert_eq!(restored, kv);
-        // And the restored machine behaves identically going forward.
-        assert_eq!(
-            restored.apply(&KvCommand::Get { key: 49 }),
-            kv.apply(&KvCommand::Get { key: 49 })
-        );
-        assert_eq!(restored.snapshot(), kv.snapshot());
     }
 }

@@ -12,7 +12,8 @@
 //!
 //! # The pieces
 //!
-//! - [`StateMachine`]: deterministic `apply`, plus snapshot/restore hooks.
+//! - [`StateMachine`]: a deterministic `apply`, the one method a machine
+//!   implements.
 //! - [`KvStore`]: the reference machine — a linearizable `u64 → u64` map
 //!   with `get`/`put`/`cas`/`delete`.
 //! - [`ReplicatedStore`]: runs no thread. A caller waiting for a response

@@ -8,7 +8,7 @@
 //! and proposes its pid on it on its own thread (the objects are
 //! wait-free), learns each decision into the slot table, and applies the
 //! learned prefix unless another caller is applying — each winner's batch
-//! through the session table, then snapshot and pop the slot, whose
+//! through the session table, then pop the slot, whose
 //! instance goes back to the store's pool once its last holder leaves,
 //! and only then, holding nothing, answer each submission once.
 //! Consensus agrees on *who* won a slot, so the value space is
@@ -307,7 +307,6 @@ struct StoreInner<S: StateMachine, M: SharedMemory> {
     options: StoreOptions,
     intake: Mutex<Intake<S, M>>,
     state: Mutex<Applied<S>>,
-    latest_snapshot: Mutex<Option<(u64, S::Snapshot)>>,
     /// A driver unwound; raised under the intake mutex.
     poisoned: AtomicBool,
     next_client: AtomicU64,
@@ -453,15 +452,6 @@ impl<S: StateMachine, M: SharedMemory> StoreInner<S, M> {
             drop(intake);
             // If this unwinds, `applying` stays up; see `Intake::applying`.
             let commands = before + self.apply_batch(&mut batch, &mut responses, before);
-            let every = self.options.snapshot_every;
-            if every > 0 && (slot + 1).is_multiple_of(every) {
-                let snapshot = self.lock_state().machine.snapshot();
-                *self
-                    .latest_snapshot
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner) = Some((commands, snapshot));
-                self.telemetry().add(CounterKey::StoreSnapshots, 1);
-            }
             intake = self.lock_intake();
             let entry = intake
                 .slots
@@ -703,7 +693,6 @@ impl<S: StateMachine, M: SharedMemory> ReplicatedStore<S, M> {
                 sessions,
                 torn: false,
             }),
-            latest_snapshot: Mutex::new(None),
             poisoned: AtomicBool::new(false),
             next_client: AtomicU64::new(1),
         });
@@ -805,17 +794,6 @@ impl<S: StateMachine, M: SharedMemory> ReplicatedStore<S, M> {
         self.inner.read_with(f)
     }
 
-    /// The latest state-machine snapshot apply captured, with the number
-    /// of commands applied when it was taken. `None` before the first
-    /// snapshot cadence elapses.
-    pub fn latest_snapshot(&self) -> Option<(u64, S::Snapshot)> {
-        self.inner
-            .latest_snapshot
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clone()
-    }
-
     /// Aggregate metrics: the applied-index gauge, session-table
     /// counters, fast reads, plus everything the underlying engine
     /// counts.
@@ -829,7 +807,7 @@ impl<S: StateMachine, M: SharedMemory> ReplicatedStore<S, M> {
     }
 
     /// Commands applied to the state machine so far (duplicates excluded).
-    pub fn applied_commands(&self) -> u64 {
+    pub(crate) fn applied_commands(&self) -> u64 {
         self.telemetry().count(CounterKey::CommandsApplied)
     }
 
@@ -974,7 +952,6 @@ mod tests {
         ReplicatedStore::<KvStore>::builder()
             .proposers(2)
             .batch_commands(8)
-            .snapshot_every(4)
             .build()
     }
 
@@ -1002,9 +979,7 @@ mod tests {
         // proposes and learns its own win (3), and the apply retires the
         // slot (4) and takes back the batch's buffers once answered (5).
         // Nothing else may take the intake mutex on a warm call.
-        let mut store = ReplicatedStore::<KvStore>::builder()
-            .snapshot_every(0)
-            .build();
+        let mut store = ReplicatedStore::<KvStore>::builder().build();
         let mut client = store.client();
         for value in 1..=100 {
             client.call(KvCommand::Put { key: 1, value }).unwrap();
@@ -1147,8 +1122,11 @@ mod tests {
             // every identity.
             let values = proposers.max(2) as u64;
             let scheme = &engine.options_handle().scheme;
-            let selected = mc_runtime::Consensus::builder().n(proposers).values(values);
-            assert_eq!(scheme.name(), selected.options().scheme.name());
+            let selected = mc_runtime::Consensus::builder()
+                .n(proposers)
+                .values(values)
+                .build();
+            assert_eq!(scheme.name(), selected.options_handle().scheme.name());
             assert!(scheme.capacity() >= values);
         }
     }
@@ -1302,32 +1280,6 @@ mod tests {
             });
         });
         assert_eq!(store.read_with(|kv| kv.get(1)), Some(N));
-        store.shutdown();
-    }
-
-    #[test]
-    fn snapshots_ride_compaction_at_the_configured_cadence() {
-        let mut store = ReplicatedStore::<KvStore>::builder()
-            .proposers(1)
-            .batch_commands(1)
-            .snapshot_every(2)
-            .build();
-        let mut client = store.client();
-        for i in 0..20 {
-            client.call(KvCommand::Put { key: i, value: i }).unwrap();
-        }
-        assert!(store.telemetry().count(CounterKey::StoreSnapshots) >= 1);
-        let (applied_at, snapshot) = store.latest_snapshot().expect("cadence elapsed");
-        assert!(applied_at >= 2);
-        assert_eq!(snapshot.len() as u64, applied_at);
-        // Retention stays bounded: the slot table has dropped the applied
-        // slots.
-        let intake = store.inner.lock_intake();
-        assert!(intake.applied > 0 && intake.slots.is_empty());
-        drop(intake);
-        // Restore is snapshot's inverse.
-        let restored = KvStore::restore(&snapshot);
-        assert_eq!(restored.snapshot(), snapshot);
         store.shutdown();
     }
 
@@ -1491,7 +1443,7 @@ mod tests {
         // Amortized mode, as under the service the store used to sit on:
         // the recorder is attached and the counters count, but no decide
         // pays a recorder call.
-        assert!(store.telemetry().events_on());
+        assert!(format!("{:?}", store.telemetry()).contains("events_on: true"));
         assert!(store.telemetry().count(CounterKey::Decisions) >= 1_000);
         assert_eq!(recorder.count(Tally::Decisions), 0);
         assert_eq!(recorder.count(Tally::StageEntries), 0);
@@ -1607,20 +1559,11 @@ mod tests {
     impl StateMachine for Brittle {
         type Command = u64;
         type Response = u64;
-        type Snapshot = u64;
 
         fn apply(&mut self, command: &u64) -> u64 {
             assert!(*command != 13, "brittle machine broke on command 13");
             self.0 += 1;
             self.0
-        }
-
-        fn snapshot(&self) -> u64 {
-            self.0
-        }
-
-        fn restore(snapshot: &u64) -> Brittle {
-            Brittle(*snapshot)
         }
     }
 
@@ -1779,23 +1722,21 @@ mod tests {
     static STALLED: AtomicBool = AtomicBool::new(false);
     /// Lets the stalled apply finish.
     static OPEN: AtomicBool = AtomicBool::new(false);
-    /// Raised while the snapshot of [`Gated::SNAPSHOT_STALL`] commands is
-    /// being taken.
-    static SNAPSHOTTING: AtomicBool = AtomicBool::new(false);
-    /// Lets the stalled snapshot finish.
-    static SNAPSHOT_OPEN: AtomicBool = AtomicBool::new(false);
+    /// Raised while command [`Gated::STALL_AGAIN`] is being applied.
+    static STALLED_AGAIN: AtomicBool = AtomicBool::new(false);
+    /// Lets the second stalled apply finish.
+    static OPEN_AGAIN: AtomicBool = AtomicBool::new(false);
 
     /// Counts its commands, and stalls applying [`Gated::STALL`] until
-    /// [`OPEN`] is raised, and snapshotting at [`Gated::SNAPSHOT_STALL`]
-    /// commands until [`SNAPSHOT_OPEN`] is (or until [`PATIENCE`] runs
-    /// out). Only `a_stalled_applier_applies_what_others_learn_meanwhile`
-    /// builds it.
+    /// [`OPEN`] is raised and [`Gated::STALL_AGAIN`] until [`OPEN_AGAIN`]
+    /// is (or until [`PATIENCE`] runs out). Only
+    /// `a_stalled_applier_applies_what_others_learn_meanwhile` builds it.
     #[derive(Default)]
     struct Gated(u64);
 
     impl Gated {
         const STALL: u64 = 0;
-        const SNAPSHOT_STALL: u64 = 3;
+        const STALL_AGAIN: u64 = 8;
 
         fn stall(raised: &AtomicBool, open: &AtomicBool) {
             raised.store(true, Ordering::SeqCst);
@@ -1809,25 +1750,15 @@ mod tests {
     impl StateMachine for Gated {
         type Command = u64;
         type Response = u64;
-        type Snapshot = u64;
 
         fn apply(&mut self, command: &u64) -> u64 {
-            if *command == Gated::STALL {
-                Gated::stall(&STALLED, &OPEN);
+            match *command {
+                Gated::STALL => Gated::stall(&STALLED, &OPEN),
+                Gated::STALL_AGAIN => Gated::stall(&STALLED_AGAIN, &OPEN_AGAIN),
+                _ => {}
             }
             self.0 += 1;
             self.0
-        }
-
-        fn snapshot(&self) -> u64 {
-            if self.0 == Gated::SNAPSHOT_STALL {
-                Gated::stall(&SNAPSHOTTING, &SNAPSHOT_OPEN);
-            }
-            self.0
-        }
-
-        fn restore(snapshot: &u64) -> Gated {
-            Gated(*snapshot)
         }
     }
 
@@ -1836,22 +1767,21 @@ mod tests {
     /// slot 1 meanwhile and left to A, and B parks on it. Once the gate
     /// opens, A re-reads `learned` after it lowers the flag and answers
     /// slot 0, so it applies slot 1 before its own call returns. B is
-    /// answered only after that: not while A, flag up, snapshots slot 1,
-    /// so a woken caller never finds its applier's flag in the way of its
-    /// next slot.
+    /// answered only after that: not while A, flag up, waits for the
+    /// intake mutex after applying slot 1 (held here), so a woken caller
+    /// never finds its applier's flag in the way of its next slot.
     #[test]
     fn a_stalled_applier_applies_what_others_learn_meanwhile() {
         let mut store = ReplicatedStore::<Gated>::builder()
             .proposers(2)
             .batch_commands(1)
-            .snapshot_every(2)
             .build();
         let mut a = store.client();
         let inner = &store.inner;
         std::thread::scope(|scope| {
             let stalled = scope.spawn(move || a.call(Gated::STALL));
             eventually("A stalls in apply", || STALLED.load(Ordering::SeqCst));
-            let mut handles = store.submit_batch([(1_000, 1, 7), (1_000, 2, 7)]);
+            let mut handles = store.submit_batch([(1_000, 1, 7), (1_000, 2, Gated::STALL_AGAIN)]);
             let (watched, waited) = (handles.pop().unwrap(), handles.pop().unwrap());
             let parked = scope.spawn(move || {
                 let answer = waited.wait_timeout(PATIENCE);
@@ -1865,9 +1795,17 @@ mod tests {
             drop(intake);
             assert_eq!(store.applied_commands(), 0);
             OPEN.store(true, Ordering::SeqCst);
-            eventually("A snapshots slot 1", || SNAPSHOTTING.load(Ordering::SeqCst));
+            eventually("A stalls in slot 1's apply", || {
+                STALLED_AGAIN.load(Ordering::SeqCst)
+            });
+            let intake = store.inner.lock_intake();
+            assert!(intake.applying && intake.applied == 1);
+            OPEN_AGAIN.store(true, Ordering::SeqCst);
+            // The apply holds the state mutex: once this reads 3, slot 1 is
+            // applied, and A waits for the intake mutex with the flag up.
+            eventually("A applies slot 1", || store.read_with(|m| m.0) == 3);
             assert_eq!(watched.poll(), None, "answered with `applying` up");
-            SNAPSHOT_OPEN.store(true, Ordering::SeqCst);
+            drop(intake);
             assert_eq!(stalled.join().unwrap(), Ok(1));
             // A returned only after applying what B learned.
             let intake = store.inner.lock_intake();

@@ -62,11 +62,9 @@ fn allocations_of_a_batch(store: &ReplicatedStore<KvStore>, len: u64, round: u64
 
 #[test]
 fn a_batch_allocates_per_submission_not_per_command() {
-    // One slot per submission (a batch fits in `batch_commands`), and no
-    // snapshot to take.
+    // One slot per submission (a batch fits in `batch_commands`).
     let mut store = ReplicatedStore::<KvStore>::builder()
         .batch_commands(LARGEST as usize)
-        .snapshot_every(0)
         .build();
     // Warm-up: every session, key and table the measured rounds touch
     // exists and has reached its size, and the engine's pool is full.
@@ -119,9 +117,7 @@ fn allocations_of_a_call(client: &mut StoreClient<KvStore>, value: u64) -> u64 {
 
 #[test]
 fn a_call_allocates_its_block_only() {
-    let mut store = ReplicatedStore::<KvStore>::builder()
-        .snapshot_every(0)
-        .build();
+    let mut store = ReplicatedStore::<KvStore>::builder().build();
     let mut client = store.client();
     for value in 0..1_000 {
         allocations_of_a_call(&mut client, value);
@@ -141,9 +137,7 @@ fn a_call_allocates_its_block_only() {
 
 #[test]
 fn a_fast_read_allocates_nothing() {
-    let mut store = ReplicatedStore::<KvStore>::builder()
-        .snapshot_every(0)
-        .build();
+    let mut store = ReplicatedStore::<KvStore>::builder().build();
     let mut writer = store.client();
     writer.call(KvCommand::Put { key: 1, value: 7 }).unwrap();
     for _ in 0..100 {

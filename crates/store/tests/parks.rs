@@ -16,6 +16,7 @@
 
 use std::sync::Barrier;
 
+use mc_runtime::CounterKey;
 use mc_store::{KvCommand, KvResponse, KvStore, ReplicatedStore};
 
 /// Calls per client. A convoy starts when a tick preempts an applier
@@ -51,9 +52,7 @@ fn two_closed_loop_clients_do_not_convoy() {
         eprintln!("no voluntary_ctxt_switches in /proc/thread-self/status: nothing to count");
         return;
     }
-    let mut store = ReplicatedStore::<KvStore>::builder()
-        .snapshot_every(0)
-        .build();
+    let mut store = ReplicatedStore::<KvStore>::builder().build();
     let start = Barrier::new(2);
     let switches: Vec<u64> = std::thread::scope(|scope| {
         let workers: Vec<_> = (0..2)
@@ -77,7 +76,8 @@ fn two_closed_loop_clients_do_not_convoy() {
             .collect();
         workers.into_iter().map(|w| w.join().unwrap()).collect()
     });
-    assert_eq!(store.applied_commands(), 2 * CALLS);
+    let applied = store.telemetry().count(CounterKey::CommandsApplied);
+    assert_eq!(applied, 2 * CALLS);
     store.shutdown();
     let total: u64 = switches.iter().sum();
     eprintln!(

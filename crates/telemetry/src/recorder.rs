@@ -9,7 +9,7 @@
 
 use std::io::{self, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 use crate::histogram::Histogram;
 use crate::json::Obj;
@@ -259,7 +259,7 @@ impl TelemetryEvent {
     /// Appends what [`to_json`](TelemetryEvent::to_json) returns to `out`:
     /// the one renderer of the event schema. It allocates only if `out`
     /// must grow, so a recorder that reuses its buffer allocates nothing.
-    pub fn write_json(&self, seq: Option<u64>, out: &mut String) {
+    pub(crate) fn write_json(&self, seq: Option<u64>, out: &mut String) {
         let mut obj = Obj::append_to(out);
         obj.str_field("ev", self.name());
         if let Some(seq) = seq {
@@ -477,14 +477,6 @@ impl JsonlRecorder {
         Ok(JsonlRecorder::new(Box::new(io::BufWriter::new(file))))
     }
 
-    /// Streams to a shared in-memory buffer; the returned handle can be
-    /// read back after recording (used by tests).
-    pub fn in_memory() -> (JsonlRecorder, Arc<Mutex<Vec<u8>>>) {
-        let buf = Arc::new(Mutex::new(Vec::new()));
-        let recorder = JsonlRecorder::new(Box::new(SharedBuf(Arc::clone(&buf))));
-        (recorder, buf)
-    }
-
     /// Number of events written so far.
     pub fn events_written(&self) -> u64 {
         self.sink().seq
@@ -515,24 +507,6 @@ impl Recorder for JsonlRecorder {
         let mut sink = self.sink();
         let flushed = sink.out.flush();
         sink.error.take().map_or(flushed, Err)
-    }
-}
-
-/// `Write` over a shared byte buffer (backing store for
-/// [`JsonlRecorder::in_memory`]).
-struct SharedBuf(Arc<Mutex<Vec<u8>>>);
-
-impl Write for SharedBuf {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        self.0
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .extend_from_slice(buf);
-        Ok(buf.len())
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        Ok(())
     }
 }
 
@@ -735,6 +709,32 @@ impl Recorder for AggregatingRecorder {
 mod tests {
     use super::*;
     use crate::json;
+    use std::sync::Arc;
+
+    /// A recorder streaming to a shared in-memory buffer, read back after
+    /// recording.
+    fn in_memory() -> (JsonlRecorder, Arc<Mutex<Vec<u8>>>) {
+        let buf = Arc::new(Mutex::new(Vec::new()));
+        let recorder = JsonlRecorder::new(Box::new(SharedBuf(Arc::clone(&buf))));
+        (recorder, buf)
+    }
+
+    /// `Write` over a shared byte buffer (backing store for [`in_memory`]).
+    struct SharedBuf(Arc<Mutex<Vec<u8>>>);
+
+    impl Write for SharedBuf {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.0
+                .lock()
+                .unwrap_or_else(|e| e.into_inner())
+                .extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
 
     fn sample_events() -> Vec<TelemetryEvent> {
         vec![
@@ -912,7 +912,7 @@ mod tests {
 
     #[test]
     fn jsonl_recorder_writes_one_line_per_event() {
-        let (recorder, buf) = JsonlRecorder::in_memory();
+        let (recorder, buf) = in_memory();
         for event in sample_events() {
             recorder.record(&event);
         }
@@ -961,7 +961,7 @@ mod tests {
     fn concurrent_writers_leave_lines_in_seq_order() {
         const THREADS: u64 = 4;
         const EVENTS: u64 = 2_000;
-        let (recorder, buf) = JsonlRecorder::in_memory();
+        let (recorder, buf) = in_memory();
         let start = std::sync::Barrier::new(THREADS as usize);
         std::thread::scope(|scope| {
             for pid in 0..THREADS {

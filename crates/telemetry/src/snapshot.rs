@@ -50,14 +50,6 @@ impl Snapshot {
             .map(|&(_, v)| v)
     }
 
-    /// Looks up a histogram by name.
-    pub fn histogram_value(&self, name: &str) -> Option<&HistogramSnapshot> {
-        self.histograms
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map(|(_, h)| h)
-    }
-
     /// True when nothing has been added.
     pub fn is_empty(&self) -> bool {
         self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()
@@ -249,7 +241,9 @@ mod tests {
         let snap = sample();
         assert_eq!(snap.counter_value("ops_total"), Some(42));
         assert!(snap.counter_value("missing").is_none());
-        assert_eq!(snap.histogram_value("rounds_to_decide").unwrap().count, 4);
+        assert!(snap
+            .to_prometheus()
+            .contains("\nrounds_to_decide_count 4\n"));
         assert!(!snap.is_empty());
         assert!(Snapshot::new().is_empty());
     }

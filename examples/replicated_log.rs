@@ -32,20 +32,17 @@ struct Machine {
 impl StateMachine for Machine {
     type Command = SetCmd;
     type Response = usize;
-    type Snapshot = Vec<SetCmd>;
 
     fn apply(&mut self, cmd: &SetCmd) -> usize {
         self.regs[cmd.key as usize] = cmd.value;
         self.log.push(*cmd);
         self.log.len() - 1
     }
+}
 
-    fn snapshot(&self) -> Vec<SetCmd> {
-        self.log.clone()
-    }
-
+impl Machine {
     /// A replica catching up: replay the agreed order on a fresh machine.
-    fn restore(log: &Vec<SetCmd>) -> Machine {
+    fn replay(log: &[SetCmd]) -> Machine {
         let mut machine = Machine::default();
         for cmd in log {
             machine.apply(cmd);
@@ -87,7 +84,7 @@ fn main() {
 
     // Every command landed: the machine's log holds all of them in one
     // agreed order.
-    let (ordered, regs) = store.read_with(|m| (m.snapshot(), m.regs));
+    let (ordered, regs) = store.read_with(|m| (m.log.clone(), m.regs));
     println!(
         "replicated log across {clients} clients ({} commands total):\n",
         ordered.len()
@@ -113,10 +110,10 @@ fn main() {
 
     // Replaying the agreed order on fresh machines produces identical state
     // everywhere — the whole point of the exercise.
-    let reference = Machine::restore(&ordered);
+    let reference = Machine::replay(&ordered);
     assert_eq!(reference.regs, regs);
     for _ in 0..clients {
-        assert_eq!(Machine::restore(&ordered), reference);
+        assert_eq!(Machine::replay(&ordered), reference);
     }
     println!("\nfinal registers: {:?}", reference.regs);
     println!("all {clients} replicas converge to the same state ✓");

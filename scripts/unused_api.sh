@@ -21,7 +21,9 @@
 #
 # It then checks the list against docs/api-intended.txt, the allowlist
 # (`<file> <name>: <reason>`, one reason per entry), and fails on any
-# listed declaration the allowlist does not name.
+# listed declaration the allowlist does not name, and on any allowlist
+# entry the list does not name (its declaration was deleted, or non-test
+# code now reaches it), so a reason cannot outlive its name.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -101,12 +103,30 @@ missing=$(echo "$found" | awk -v allow="$ALLOWLIST" '
         }
     }
     NF == 3 && !(($2 " " $3) in kept) { print }')
+stale=$(echo "$found" | awk -v allow="$ALLOWLIST" '
+    NF == 3 { listed[$2 " " $3] = 1 }
+    END {
+        while ((getline line < allow) > 0) {
+            if (line ~ /^[[:space:]]*(#|$)/) continue
+            entry = line; sub(/:.*/, "", entry)
+            if (!(entry in listed)) print line
+        }
+    }')
 if [[ -n "$missing" ]]; then
     echo >&2
     echo "unused api: these public declarations have no user outside tests," >&2
     echo "and $ALLOWLIST does not keep them:" >&2
     echo "$missing" >&2
     echo "Delete them, make them crate-private, or add them to $ALLOWLIST with a reason." >&2
+fi
+if [[ -n "$stale" ]]; then
+    echo >&2
+    echo "unused api: these $ALLOWLIST entries name a declaration the list" >&2
+    echo "above no longer reports (deleted, or reached outside tests now):" >&2
+    echo "$stale" >&2
+    echo "Delete the entries." >&2
+fi
+if [[ -n "$missing" || -n "$stale" ]]; then
     exit 1
 fi
 echo "unused api: every listed declaration is kept on purpose ($(echo "$found" | grep -c .) entries)"

@@ -106,9 +106,8 @@ pub mod prelude {
     pub use mc_runtime::{
         BoundedConsensus, ChaosPlan, CoinKind, ConciliatorChoice, Consensus, ConsensusEngine,
         ConsensusService, CounterKey, DecisionHandle, Election, EngineBuilder, EngineError,
-        EngineOptions, FaultPlan, FaultyMemory, GaugeKey, HistKey, LeaderFallback, ReplicatedLog,
-        ResetScope, RingHealth, RuntimeTelemetry, ServiceBuilder, SupervisorOptions, TestAndSet,
-        TypedConsensus, ValueCode,
+        FaultPlan, FaultyMemory, GaugeKey, HistKey, ReplicatedLog, RingHealth, RuntimeTelemetry,
+        ServiceBuilder, SupervisorOptions, TestAndSet, TypedConsensus, ValueCode,
     };
     pub use mc_sim::{adversary, harness, observe, sched, EngineConfig};
     pub use mc_store::{

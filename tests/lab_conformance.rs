@@ -67,8 +67,8 @@ fn bounded_matrix_sim_and_lab_agree_exactly() {
 fn exhaustive_checker_agrees_at_n2() {
     use modular_consensus::core::protocol::ConsensusBuilder;
 
-    // The same construction `Protocol::Binary.spec()` wraps, held
-    // concretely so the explorer can own it.
+    // The construction the lab's `Protocol::Binary` runs, held concretely
+    // so the explorer can own it.
     let spec = ConsensusBuilder::binary().build();
     let report = Explorer::new(spec, vec![0, 1])
         .with_config(CheckConfig {
@@ -98,14 +98,15 @@ fn exhaustive_checker_agrees_at_n2() {
 
 #[test]
 fn crash_injection_matches_sim_crash_harness_decisions() {
+    use modular_consensus::core::protocol::ConsensusBuilder;
     use modular_consensus::sim::harness::run_with_crashes;
     use modular_consensus::sim::EngineConfig;
 
     let crashes = [(ProcessId(1), 6)];
     for seed in 0..10 {
-        let spec = Protocol::Binary.spec();
+        let spec = ConsensusBuilder::binary().build();
         let sim = run_with_crashes(
-            spec.as_ref(),
+            &spec,
             &[0, 1, 1],
             RandomScheduler::new(seed),
             &crashes,

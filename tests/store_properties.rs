@@ -1,9 +1,9 @@
 //! Properties of the replicated store (`mc-store`): duplicated and
 //! reordered client retries must be observationally identical to a
-//! deduplicated sequential history (exactly-once), snapshot/restore
-//! must round-trip — both for the bare state machine and through a store
-//! resumed from a snapshot — and concurrent sessions appending to a log
-//! machine each get a position of their own in one agreed order.
+//! deduplicated sequential history (exactly-once), copies a session resends
+//! while the original is in flight apply once, and concurrent sessions
+//! appending to a log machine each get a position of their own in one
+//! agreed order.
 
 use modular_consensus::runtime::CounterKey;
 use modular_consensus::store::{
@@ -65,7 +65,6 @@ proptest! {
         let mut store = ReplicatedStore::<KvStore>::builder()
             .proposers(proposers)
             .batch_commands(4)
-            .snapshot_every(8)
             .build();
         let mut reference = KvStore::new();
         // Per-client last sequence number and its reference response —
@@ -125,43 +124,55 @@ proptest! {
         prop_assert_eq!(telemetry.count(CounterKey::CommandsApplied), distinct);
         prop_assert_eq!(telemetry.count(CounterKey::DuplicatesServed), dup_copies);
         prop_assert_eq!(telemetry.count(CounterKey::StaleCommands), stale_copies);
-        let final_state = store.read_with(|kv| kv.snapshot());
-        prop_assert_eq!(final_state, reference.snapshot());
+        let final_state = store.read_with(KvStore::clone);
+        prop_assert_eq!(final_state, reference);
         store.shutdown();
     }
 
-    /// `S::restore(&s.snapshot())` is behaviorally identical to `s`: the
-    /// restored machine answers an arbitrary command tail exactly like
-    /// the original — directly, and when the snapshot seeds a fresh
-    /// [`ReplicatedStore`] via `restore_from`.
+    /// The session API's retry path: copies of a command that a session
+    /// `resend`s under its `last_seq` from other threads, while the
+    /// original is still in flight, land in the log beside it. Whichever
+    /// copy is applied first applies the command; the original and every
+    /// copy resolve with that one response, `duplicates_served` counts
+    /// the copies, and the final state equals the sequential replay.
     #[test]
-    fn snapshot_restore_round_trips_through_machine_and_store(
-        history in prop::collection::vec((0u8..4, 0u64..8, 0u64..50, 0u8..3), 0..40),
-        tail in prop::collection::vec((0u8..4, 0u64..8, 0u64..50, 0u8..3), 1..16),
+    fn in_flight_resends_apply_once_and_share_the_response(
+        clients in 1usize..4,
+        script in prop::collection::vec((0u8..4, 0u64..6, 0u64..50, 0u8..3, 0usize..3), 1..16),
+        proposers in 1usize..4,
     ) {
-        let mut original = KvStore::new();
-        for &spec in &history {
-            let command = build_command(spec, &original);
-            original.apply(&command);
-        }
-        let snapshot = original.snapshot();
-        let mut restored = KvStore::restore(&snapshot);
-        prop_assert_eq!(restored.snapshot(), snapshot.clone());
-
         let mut store = ReplicatedStore::<KvStore>::builder()
-            .proposers(2)
-            .restore_from(&snapshot)
+            .proposers(proposers)
+            .batch_commands(4)
             .build();
-        let mut session = store.client();
-        for &spec in &tail {
-            let command = build_command(spec, &restored);
-            let expected_original = original.apply(&command);
-            let expected_restored = restored.apply(&command);
-            prop_assert_eq!(expected_original, expected_restored);
-            prop_assert_eq!(settle(&store, &session.submit(command)), Ok(expected_restored));
+        let mut sessions: Vec<_> = (0..clients).map(|_| store.client()).collect();
+        let mut reference = KvStore::new();
+        let mut copies = 0u64;
+
+        for (i, &(op, key, value, expect_sel, dups)) in script.iter().enumerate() {
+            let session = &mut sessions[i % clients];
+            let command = build_command((op, key, value, expect_sel), &reference);
+            let expected = reference.apply(&command);
+            let original = session.submit(command);
+            let (seq, session) = (session.last_seq(), &*session);
+            let resent: Vec<_> = std::thread::scope(|scope| {
+                let racers: Vec<_> = (0..dups)
+                    .map(|_| scope.spawn(move || session.resend(seq, command)))
+                    .collect();
+                racers.into_iter().map(|r| r.join().unwrap()).collect()
+            });
+            copies += dups as u64;
+            prop_assert_eq!(settle(&store, &original), Ok(expected), "command {} original", i);
+            for handle in &resent {
+                prop_assert_eq!(settle(&store, handle), Ok(expected), "command {} copy", i);
+            }
         }
-        prop_assert_eq!(original.snapshot(), restored.snapshot());
-        prop_assert_eq!(store.read_with(|kv| kv.snapshot()), restored.snapshot());
+
+        let telemetry = store.telemetry();
+        prop_assert_eq!(telemetry.count(CounterKey::CommandsApplied), script.len() as u64);
+        prop_assert_eq!(telemetry.count(CounterKey::DuplicatesServed), copies);
+        prop_assert_eq!(telemetry.count(CounterKey::StaleCommands), 0);
+        prop_assert_eq!(store.read_with(KvStore::clone), reference);
         store.shutdown();
     }
 }
@@ -174,19 +185,10 @@ struct AppendLog(Vec<u64>);
 impl StateMachine for AppendLog {
     type Command = u64;
     type Response = usize;
-    type Snapshot = Vec<u64>;
 
     fn apply(&mut self, command: &u64) -> usize {
         self.0.push(*command);
         self.0.len() - 1
-    }
-
-    fn snapshot(&self) -> Vec<u64> {
-        self.0.clone()
-    }
-
-    fn restore(snapshot: &Vec<u64>) -> AppendLog {
-        AppendLog(snapshot.clone())
     }
 }
 
@@ -220,7 +222,7 @@ fn concurrent_appends_each_get_a_position_of_their_own() {
                 .collect();
             sessions.into_iter().map(|s| s.join().unwrap()).collect()
         });
-        let history = store.read_with(|log| log.snapshot());
+        let history = store.read_with(|log| log.0.clone());
         let mut positions: Vec<usize> = placed.iter().flatten().map(|&(p, _)| p).collect();
         positions.sort_unstable();
         assert_eq!(positions, (0..100).collect::<Vec<_>>(), "seed {seed}");
@@ -230,7 +232,7 @@ fn concurrent_appends_each_get_a_position_of_their_own() {
         }
         let mut replica = AppendLog::default();
         let replayed: Vec<usize> = history.iter().map(|c| replica.apply(c)).collect();
-        assert_eq!((replayed, replica.snapshot()), (positions, history));
+        assert_eq!((replayed, replica.0), (positions, history));
         assert!(store.learned_slots() >= 25, "seed {seed}: {store:?}");
         store.shutdown();
     }
