@@ -207,15 +207,6 @@ impl<S: ObjectSpec> Explorer<S> {
         Ok(report)
     }
 
-    fn check_leaf(&self, outputs: &[Decision]) -> Result<(), PropertyViolation> {
-        properties::check_validity(&self.inputs, outputs)?;
-        properties::check_coherence(outputs)?;
-        if self.config.check_acceptance {
-            properties::check_acceptance(&self.inputs, outputs)?;
-        }
-        Ok(())
-    }
-
     fn dfs_safety(
         &self,
         path: &mut Vec<PathEvent>,
@@ -237,7 +228,10 @@ impl<S: ObjectSpec> Explorer<S> {
             self.config.coin_policy,
             self.config.max_steps,
             path,
-        ) {
+            false,
+        )
+        .0
+        {
             Need::Done(outputs) => {
                 report.complete_paths += 1;
                 let mut per_pid = vec![0u64; self.inputs.len()];
@@ -248,7 +242,9 @@ impl<S: ObjectSpec> Explorer<S> {
                 }
                 let busiest = per_pid.iter().copied().max().unwrap_or(0);
                 report.max_individual_ops = report.max_individual_ops.max(busiest);
-                if let Err(violation) = self.check_leaf(&outputs) {
+                if let Err(violation) =
+                    check_leaf(&self.inputs, self.config.check_acceptance, &outputs)
+                {
                     report.violation = Some((path.clone(), violation));
                 }
                 Ok(())
@@ -319,7 +315,10 @@ impl<S: ObjectSpec> Explorer<S> {
             self.config.coin_policy,
             self.config.max_steps,
             path,
-        ) {
+            false,
+        )
+        .0
+        {
             Need::Done(outputs) => {
                 stats.complete_paths += 1;
                 Ok(f64::from(u8::from(
@@ -357,76 +356,25 @@ impl<S: ObjectSpec> Explorer<S> {
     }
 }
 
+/// The safety properties both engines check on every complete execution:
+/// validity and coherence, plus acceptance if `check_acceptance` is set.
+pub(crate) fn check_leaf(
+    inputs: &[Value],
+    check_acceptance: bool,
+    outputs: &[Decision],
+) -> Result<(), PropertyViolation> {
+    properties::check_validity(inputs, outputs)?;
+    properties::check_coherence(outputs)?;
+    if check_acceptance {
+        properties::check_acceptance(inputs, outputs)?;
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mc_model::{
-        Action, Ctx, DecidingObject, InstantiateCtx, Op, ProcessId, RegisterId, Response, Session,
-    };
-    use std::sync::Arc;
-
-    /// Always halts immediately with its input, never deciding.
-    struct CopySpec;
-    struct CopyObj;
-    struct CopySession;
-
-    impl DecidingObject for CopyObj {
-        fn session(&self, _pid: ProcessId) -> Box<dyn Session + Send> {
-            Box::new(CopySession)
-        }
-    }
-    impl Session for CopySession {
-        fn begin(&mut self, input: u64, _ctx: &mut Ctx<'_>) -> Action {
-            Action::Halt(Decision::continue_with(input))
-        }
-        fn poll(&mut self, _r: Response, _ctx: &mut Ctx<'_>) -> Action {
-            unreachable!()
-        }
-    }
-    impl ObjectSpec for CopySpec {
-        fn instantiate(&self, _ctx: &mut InstantiateCtx<'_>) -> Arc<dyn DecidingObject> {
-            Arc::new(CopyObj)
-        }
-    }
-
-    /// A broken object: decides its own input unconditionally — violates
-    /// coherence on split inputs.
-    struct BrokenSpec;
-    struct BrokenObj {
-        reg: RegisterId,
-    }
-    struct BrokenSession {
-        reg: RegisterId,
-        input: u64,
-    }
-
-    impl DecidingObject for BrokenObj {
-        fn session(&self, _pid: ProcessId) -> Box<dyn Session + Send> {
-            Box::new(BrokenSession {
-                reg: self.reg,
-                input: 0,
-            })
-        }
-    }
-    impl Session for BrokenSession {
-        fn begin(&mut self, input: u64, _ctx: &mut Ctx<'_>) -> Action {
-            self.input = input;
-            Action::Invoke(Op::Write {
-                reg: self.reg,
-                value: input,
-            })
-        }
-        fn poll(&mut self, _r: Response, _ctx: &mut Ctx<'_>) -> Action {
-            Action::Halt(Decision::decide(self.input))
-        }
-    }
-    impl ObjectSpec for BrokenSpec {
-        fn instantiate(&self, ctx: &mut InstantiateCtx<'_>) -> Arc<dyn DecidingObject> {
-            Arc::new(BrokenObj {
-                reg: ctx.alloc.alloc_block(1),
-            })
-        }
-    }
+    use crate::fixtures::{BrokenSpec, BusySpec, CopySpec};
 
     #[test]
     fn copy_object_passes_safety_trivially() {
@@ -455,54 +403,6 @@ mod tests {
         let (path, violation) = report.violation.expect("violation found");
         assert!(matches!(violation, PropertyViolation::Coherence { .. }));
         assert!(!path.is_empty());
-    }
-
-    /// Benign multi-op object: write input to own register, read it back
-    /// twice, halt without deciding. Many interleavings, no violations.
-    struct BusySpec;
-    struct BusyObj {
-        base: RegisterId,
-    }
-    struct BusySession {
-        base: RegisterId,
-        pid: ProcessId,
-        input: u64,
-        reads: u8,
-    }
-
-    impl DecidingObject for BusyObj {
-        fn session(&self, pid: ProcessId) -> Box<dyn Session + Send> {
-            Box::new(BusySession {
-                base: self.base,
-                pid,
-                input: 0,
-                reads: 0,
-            })
-        }
-    }
-    impl Session for BusySession {
-        fn begin(&mut self, input: u64, _ctx: &mut Ctx<'_>) -> Action {
-            self.input = input;
-            Action::Invoke(Op::Write {
-                reg: self.base.offset(self.pid.index() as u64),
-                value: input,
-            })
-        }
-        fn poll(&mut self, _r: Response, _ctx: &mut Ctx<'_>) -> Action {
-            if self.reads < 2 {
-                self.reads += 1;
-                Action::Invoke(Op::Read(self.base.offset(self.pid.index() as u64)))
-            } else {
-                Action::Halt(Decision::continue_with(self.input))
-            }
-        }
-    }
-    impl ObjectSpec for BusySpec {
-        fn instantiate(&self, ctx: &mut InstantiateCtx<'_>) -> Arc<dyn DecidingObject> {
-            Arc::new(BusyObj {
-                base: ctx.alloc.alloc_block(8),
-            })
-        }
     }
 
     #[test]

@@ -27,11 +27,11 @@
 
 use std::collections::{HashSet, VecDeque};
 
-use mc_model::{properties, Decision, ObjectSpec, PropertyViolation, SymmetrySpec, Value};
+use mc_model::{ObjectSpec, PropertyViolation, SymmetrySpec, Value};
 
 use crate::canon::{encode_state, SymmetryGroup};
-use crate::explore::{CheckError, Verdict};
-use crate::replay::{run_path_capture, CoinPolicy, Need, PathEvent};
+use crate::explore::{check_leaf, CheckError, Verdict};
+use crate::replay::{run_path, CoinPolicy, Need, PathEvent};
 
 /// Exploration limits and policies for the graph engine.
 #[derive(Debug, Clone)]
@@ -152,15 +152,6 @@ impl<S: ObjectSpec> GraphExplorer<S> {
         self
     }
 
-    fn check_leaf(&self, outputs: &[Decision]) -> Result<(), PropertyViolation> {
-        properties::check_validity(&self.inputs, outputs)?;
-        properties::check_coherence(outputs)?;
-        if self.config.check_acceptance {
-            properties::check_acceptance(&self.inputs, outputs)?;
-        }
-        Ok(())
-    }
-
     /// Checks validity and coherence on every reachable terminal state —
     /// plus acceptance if [`GraphConfig::check_acceptance`] is set.
     ///
@@ -210,12 +201,13 @@ impl<S: ObjectSpec> GraphExplorer<S> {
                         nodes: &mut Vec<Node>|
          -> Result<Option<usize>, CheckError> {
             report.transitions += 1;
-            let (need, captured) = run_path_capture(
+            let (need, captured) = run_path(
                 &self.spec,
                 &self.inputs,
                 self.config.coin_policy,
                 self.config.max_steps,
                 &path,
+                true,
             );
             if matches!(need, Need::LocalCoinUsed) {
                 return Err(CheckError::LocalCoinUsed);
@@ -269,7 +261,9 @@ impl<S: ObjectSpec> GraphExplorer<S> {
                         .max()
                         .unwrap_or(0);
                     report.max_individual_ops = report.max_individual_ops.max(busiest);
-                    if let Err(violation) = self.check_leaf(&outputs) {
+                    if let Err(violation) =
+                        check_leaf(&self.inputs, self.config.check_acceptance, &outputs)
+                    {
                         report.violation = Some((path, violation));
                     }
                     Vec::new()
@@ -332,141 +326,12 @@ impl<S: ObjectSpec> GraphExplorer<S> {
         }
         Ok(report)
     }
-
-    /// The inputs this explorer checks against (handy for reporting).
-    pub fn inputs(&self) -> &[Value] {
-        &self.inputs
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mc_model::{
-        Action, Ctx, DecidingObject, InstantiateCtx, Op, ProcessId, RegisterId, Response, Session,
-        StateSink,
-    };
-    use std::sync::Arc;
-
-    /// Snapshot-capable twin of the path engine's BrokenSpec: write own
-    /// input, then decide it unconditionally — violates coherence on split
-    /// inputs.
-    struct BrokenSpec;
-    struct BrokenObj {
-        reg: RegisterId,
-    }
-    struct BrokenSession {
-        input: u64,
-        reg: RegisterId,
-    }
-
-    impl DecidingObject for BrokenObj {
-        fn session(&self, _pid: ProcessId) -> Box<dyn Session + Send> {
-            Box::new(BrokenSession {
-                input: 0,
-                reg: self.reg,
-            })
-        }
-        fn symmetry(&self) -> SymmetrySpec {
-            SymmetrySpec {
-                pid_oblivious: true,
-                value_symmetric: true,
-                value_registers: vec![(self.reg, 1)],
-                ..SymmetrySpec::default()
-            }
-        }
-    }
-    impl Session for BrokenSession {
-        fn begin(&mut self, input: u64, _ctx: &mut Ctx<'_>) -> Action {
-            self.input = input;
-            Action::Invoke(Op::Write {
-                reg: self.reg,
-                value: input,
-            })
-        }
-        fn poll(&mut self, _r: Response, _ctx: &mut Ctx<'_>) -> Action {
-            Action::Halt(Decision::decide(self.input))
-        }
-        fn snapshot(&self, sink: &mut StateSink) {
-            sink.push_value(self.input);
-        }
-    }
-    impl ObjectSpec for BrokenSpec {
-        fn instantiate(&self, ctx: &mut InstantiateCtx<'_>) -> Arc<dyn DecidingObject> {
-            Arc::new(BrokenObj {
-                reg: ctx.alloc.alloc_block(1),
-            })
-        }
-        fn name(&self) -> String {
-            "broken".into()
-        }
-    }
-
-    /// Snapshot-capable busy object: write input to a per-pid register,
-    /// read it back twice, halt without deciding.
-    struct BusySpec;
-    struct BusyObj {
-        base: RegisterId,
-        n: usize,
-    }
-    struct BusySession {
-        base: RegisterId,
-        pid: ProcessId,
-        input: u64,
-        reads: u8,
-    }
-
-    impl DecidingObject for BusyObj {
-        fn session(&self, pid: ProcessId) -> Box<dyn Session + Send> {
-            Box::new(BusySession {
-                base: self.base,
-                pid,
-                input: 0,
-                reads: 0,
-            })
-        }
-        fn symmetry(&self) -> SymmetrySpec {
-            SymmetrySpec {
-                pid_oblivious: true,
-                value_symmetric: true,
-                value_registers: vec![(self.base, self.n as u64)],
-                pid_blocks: vec![self.base],
-                ..SymmetrySpec::default()
-            }
-        }
-    }
-    impl Session for BusySession {
-        fn begin(&mut self, input: u64, _ctx: &mut Ctx<'_>) -> Action {
-            self.input = input;
-            Action::Invoke(Op::Write {
-                reg: self.base.offset(self.pid.index() as u64),
-                value: input,
-            })
-        }
-        fn poll(&mut self, _r: Response, _ctx: &mut Ctx<'_>) -> Action {
-            if self.reads < 2 {
-                self.reads += 1;
-                Action::Invoke(Op::Read(self.base.offset(self.pid.index() as u64)))
-            } else {
-                Action::Halt(Decision::continue_with(self.input))
-            }
-        }
-        fn snapshot(&self, sink: &mut StateSink) {
-            sink.push_value(self.input);
-            sink.push_raw(u64::from(self.reads));
-        }
-    }
-    impl ObjectSpec for BusySpec {
-        fn instantiate(&self, ctx: &mut InstantiateCtx<'_>) -> Arc<dyn DecidingObject> {
-            Arc::new(BusyObj {
-                base: ctx.alloc.alloc_block(ctx.n as u64),
-                n: ctx.n,
-            })
-        }
-        fn name(&self) -> String {
-            "busy".into()
-        }
-    }
+    use crate::fixtures::{BrokenSpec, BusySpec, CopySpec};
 
     #[test]
     fn graph_engine_finds_minimal_coherence_witness() {
@@ -546,31 +411,7 @@ mod tests {
 
     #[test]
     fn snapshotless_objects_are_rejected() {
-        struct Opaque;
-        struct OpaqueObj;
-        struct OpaqueSession;
-        impl DecidingObject for OpaqueObj {
-            fn session(&self, _pid: ProcessId) -> Box<dyn Session + Send> {
-                Box::new(OpaqueSession)
-            }
-        }
-        impl Session for OpaqueSession {
-            fn begin(&mut self, input: u64, _ctx: &mut Ctx<'_>) -> Action {
-                Action::Halt(Decision::continue_with(input))
-            }
-            fn poll(&mut self, _r: Response, _ctx: &mut Ctx<'_>) -> Action {
-                unreachable!()
-            }
-        }
-        impl ObjectSpec for Opaque {
-            fn instantiate(&self, _ctx: &mut InstantiateCtx<'_>) -> Arc<dyn DecidingObject> {
-                Arc::new(OpaqueObj)
-            }
-            fn name(&self) -> String {
-                "opaque".into()
-            }
-        }
-        let err = GraphExplorer::new(Opaque, vec![0, 1])
+        let err = GraphExplorer::new(CopySpec, vec![0, 1])
             .verify_safety()
             .unwrap_err();
         assert!(matches!(err, CheckError::SnapshotUnsupported { .. }));

@@ -67,6 +67,8 @@
 
 pub mod canon;
 mod explore;
+#[cfg(test)]
+mod fixtures;
 mod graph;
 mod replay;
 mod state;

@@ -10,8 +10,8 @@ use std::convert::Infallible;
 use std::fmt;
 
 use mc_model::{
-    mix_seed, Action, BlockAlloc, Ctx, Decision, InstantiateCtx, ObjectSpec, Op, ProcessId,
-    RegContents, Response, Session, StateSink, SymmetrySpec, Value,
+    mix_seed, Action, BlockAlloc, Ctx, Decision, InstantiateCtx, Memory, ObjectSpec, Op, ProcessId,
+    Session, StateSink, SymmetrySpec, Value,
 };
 use rand::rngs::SmallRng;
 use rand::{SeedableRng, TryRng};
@@ -98,7 +98,7 @@ pub fn replay_to_completion(
     max_steps: usize,
     path: &[PathEvent],
 ) -> Result<Vec<Decision>, ReplayError> {
-    match run_path(spec, inputs, policy, max_steps, path) {
+    match run_path(spec, inputs, policy, max_steps, path, false).0 {
         Need::Done(outputs) => Ok(outputs),
         Need::Sched(_) | Need::Coin { .. } => Err(ReplayError::ScriptTooShort),
         Need::OutOfSteps => Err(ReplayError::OutOfSteps),
@@ -125,59 +125,53 @@ pub(crate) enum Need {
     LocalCoinUsed,
 }
 
-/// An RNG that records (or rejects) any use of session-local randomness.
-enum CheckRng {
-    Forbid { used: bool },
-    Fixed(SmallRng),
+/// An RNG that records any use of session-local randomness. Under
+/// [`CoinPolicy::Forbid`] it has no stream: a draw reads zeros and counts
+/// as a local coin used.
+struct CheckRng {
+    stream: Option<SmallRng>,
+    used: bool,
 }
 
 impl TryRng for CheckRng {
     type Error = Infallible;
 
     fn try_next_u32(&mut self) -> Result<u32, Infallible> {
-        match self {
-            CheckRng::Forbid { used } => {
-                *used = true;
-                Ok(0)
-            }
-            CheckRng::Fixed(rng) => rng.try_next_u32(),
-        }
+        self.used = true;
+        self.stream.as_mut().map_or(Ok(0), SmallRng::try_next_u32)
     }
 
     fn try_next_u64(&mut self) -> Result<u64, Infallible> {
-        match self {
-            CheckRng::Forbid { used } => {
-                *used = true;
-                Ok(0)
-            }
-            CheckRng::Fixed(rng) => rng.try_next_u64(),
-        }
+        self.used = true;
+        self.stream.as_mut().map_or(Ok(0), SmallRng::try_next_u64)
     }
 
     fn try_fill_bytes(&mut self, dst: &mut [u8]) -> Result<(), Infallible> {
-        match self {
-            CheckRng::Forbid { used } => {
-                *used = true;
+        self.used = true;
+        match &mut self.stream {
+            Some(rng) => rng.try_fill_bytes(dst),
+            None => {
                 dst.fill(0);
                 Ok(())
             }
-            CheckRng::Fixed(rng) => rng.try_fill_bytes(dst),
         }
     }
 }
 
 impl CheckRng {
     fn new(policy: CoinPolicy, pid: usize) -> CheckRng {
-        match policy {
-            CoinPolicy::Forbid => CheckRng::Forbid { used: false },
-            CoinPolicy::Fixed(seed) => {
-                CheckRng::Fixed(SmallRng::seed_from_u64(mix_seed(seed, pid as u64)))
-            }
+        let stream = match policy {
+            CoinPolicy::Forbid => None,
+            CoinPolicy::Fixed(seed) => Some(SmallRng::seed_from_u64(mix_seed(seed, pid as u64))),
+        };
+        CheckRng {
+            stream,
+            used: false,
         }
     }
 
     fn local_coin_used(&self) -> bool {
-        matches!(self, CheckRng::Forbid { used: true })
+        self.used && self.stream.is_none()
     }
 }
 
@@ -197,44 +191,9 @@ pub(crate) struct Captured {
     pub symmetry: SymmetrySpec,
 }
 
-/// Replays `path` against a fresh instance of `spec` and reports where the
-/// execution stands afterwards.
-///
-/// Sparse memory is kept in a sorted vec (register ids are tiny here).
-///
-/// # Panics
-///
-/// Panics if `path` is inconsistent with the execution it scripts (e.g. a
-/// `Sched` of a halted process, or a `Coin` where none is pending) — the
-/// explorer only extends paths with alternatives the replay itself
-/// reported, so this indicates an explorer bug.
-pub(crate) fn run_path(
-    spec: &dyn ObjectSpec,
-    inputs: &[Value],
-    policy: CoinPolicy,
-    max_steps: usize,
-    path: &[PathEvent],
-) -> Need {
-    run_inner(spec, inputs, policy, max_steps, path, false).0
-}
-
-/// Like [`run_path`], but additionally captures a [`StateSnapshot`] of the
-/// configuration at the stopping point (for every outcome except
-/// [`Need::LocalCoinUsed`]). Returns `None` for the capture when any
-/// session does not support snapshots.
-pub(crate) fn run_path_capture(
-    spec: &dyn ObjectSpec,
-    inputs: &[Value],
-    policy: CoinPolicy,
-    max_steps: usize,
-    path: &[PathEvent],
-) -> (Need, Option<Captured>) {
-    run_inner(spec, inputs, policy, max_steps, path, true)
-}
-
 fn capture_state(
     object: &dyn mc_model::DecidingObject,
-    memory: &[(u64, Value)],
+    memory: &Memory,
     procs: &[Proc],
     pending_coin: Option<usize>,
 ) -> Option<Captured> {
@@ -252,14 +211,29 @@ fn capture_state(
     }
     Some(Captured {
         snapshot: StateSnapshot {
-            memory: memory.to_vec(),
+            memory: memory
+                .iter()
+                .filter_map(|(reg, contents)| Some((reg.raw(), contents?)))
+                .collect(),
             procs: snapped,
         },
         symmetry: object.symmetry(),
     })
 }
 
-fn run_inner(
+/// Replays `path` against a fresh instance of `spec` and reports where the
+/// execution stands afterwards. With `capture`, it also captures a
+/// [`StateSnapshot`] of the configuration at the stopping point (for every
+/// outcome except [`Need::LocalCoinUsed`]), or `None` when any session
+/// does not support snapshots.
+///
+/// # Panics
+///
+/// Panics if `path` is inconsistent with the execution it scripts (e.g. a
+/// `Sched` of a halted process, or a `Coin` where none is pending) — the
+/// explorer only extends paths with alternatives the replay itself
+/// reported, so this indicates an explorer bug.
+pub(crate) fn run_path(
     spec: &dyn ObjectSpec,
     inputs: &[Value],
     policy: CoinPolicy,
@@ -270,19 +244,8 @@ fn run_inner(
     let n = inputs.len();
     let mut alloc = BlockAlloc::new();
     let object = spec.instantiate(&mut InstantiateCtx::new(n, &mut alloc));
-    let mut memory: Vec<(u64, Value)> = Vec::new();
-    let read = |memory: &Vec<(u64, Value)>, reg: u64| -> RegContents {
-        memory
-            .binary_search_by_key(&reg, |&(r, _)| r)
-            .ok()
-            .map(|ix| memory[ix].1)
-    };
-    let write = |memory: &mut Vec<(u64, Value)>, reg: u64, value: Value| match memory
-        .binary_search_by_key(&reg, |&(r, _)| r)
-    {
-        Ok(ix) => memory[ix].1 = value,
-        Err(ix) => memory.insert(ix, (reg, value)),
-    };
+    let mut memory = Memory::new();
+    memory.reserve(alloc.allocated());
 
     let mut procs: Vec<Proc> = Vec::with_capacity(n);
     for (ix, &input) in inputs.iter().enumerate() {
@@ -310,41 +273,8 @@ fn run_inner(
 
     let mut steps = 0usize;
     let mut events = path.iter().copied();
-    // A scheduled probabilistic write waiting for its coin outcome.
-    let mut pending_coin: Option<(usize, u64, Value)> = None;
-
-    loop {
-        if let Some((pid, reg, value)) = pending_coin {
-            // Resolve the coin with the next scripted event, or yield.
-            let Some(event) = events.next() else {
-                let proc = &procs[pid];
-                let Some(Op::ProbWrite { prob, .. }) = &proc.pending else {
-                    unreachable!("pending coin implies a pending probwrite");
-                };
-                let need = Need::Coin { prob: prob.get() };
-                let cap = capture
-                    .then(|| capture_state(&*object, &memory, &procs, Some(pid)))
-                    .flatten();
-                return (need, cap);
-            };
-            let PathEvent::Coin(performed) = event else {
-                panic!("path scripted {event:?} where a coin outcome was needed");
-            };
-            if performed {
-                write(&mut memory, reg, value);
-            }
-            pending_coin = None;
-            advance(
-                &mut procs[pid],
-                Response::ProbWrite { performed: None },
-                &mut alloc,
-            );
-            if procs[pid].rng.local_coin_used() {
-                return (Need::LocalCoinUsed, None);
-            }
-            continue;
-        }
-
+    // Where the replay stopped, and whose scheduled coin is pending there.
+    let (need, pending_coin) = loop {
         let live: Vec<ProcessId> = procs
             .iter()
             .enumerate()
@@ -356,22 +286,13 @@ fn run_inner(
                 .iter()
                 .map(|p| p.decision.expect("halted process has a decision"))
                 .collect();
-            let cap = capture
-                .then(|| capture_state(&*object, &memory, &procs, None))
-                .flatten();
-            return (Need::Done(outputs), cap);
+            break (Need::Done(outputs), None);
         }
         if steps >= max_steps {
-            let cap = capture
-                .then(|| capture_state(&*object, &memory, &procs, None))
-                .flatten();
-            return (Need::OutOfSteps, cap);
+            break (Need::OutOfSteps, None);
         }
         let Some(event) = events.next() else {
-            let cap = capture
-                .then(|| capture_state(&*object, &memory, &procs, None))
-                .flatten();
-            return (Need::Sched(live), cap);
+            break (Need::Sched(live), None);
         };
         let PathEvent::Sched(pid) = event else {
             panic!("path scripted {event:?} where a scheduling choice was needed");
@@ -380,55 +301,45 @@ fn run_inner(
         steps += 1;
         let ix = pid.index();
         procs[ix].ops += 1;
-        let op = procs[ix].pending.take().expect("scheduled process is live");
-        let response = match op {
-            Op::Read(reg) => Response::Read(read(&memory, reg.raw())),
-            Op::Write { reg, value } => {
-                write(&mut memory, reg.raw(), value);
-                Response::Write
+        // A genuinely random coin branches: its outcome is the next
+        // scripted event, or the replay stops here, the write scheduled and
+        // its coin pending. Degenerate probabilities resolve themselves.
+        let mut scripted = None;
+        if let Some(Op::ProbWrite { prob, .. }) = procs[ix].pending {
+            if prob.get() > 0.0 && !prob.is_certain() {
+                let Some(event) = events.next() else {
+                    break (Need::Coin { prob: prob.get() }, Some(ix));
+                };
+                let PathEvent::Coin(landed) = event else {
+                    panic!("path scripted {event:?} where a coin outcome was needed");
+                };
+                scripted = Some(landed);
             }
-            Op::ProbWrite { reg, value, prob } => {
-                if prob.get() <= 0.0 {
-                    Response::ProbWrite { performed: None }
-                } else if prob.is_certain() {
-                    write(&mut memory, reg.raw(), value);
-                    Response::ProbWrite { performed: None }
-                } else {
-                    // Keep the op pending so a resumed replay can re-read
-                    // its probability, and branch on the coin.
-                    procs[ix].pending = Some(Op::ProbWrite { reg, value, prob });
-                    pending_coin = Some((ix, reg.raw(), value));
-                    continue;
-                }
-            }
-            Op::Collect { base, len } => {
-                Response::Collect((0..len).map(|d| read(&memory, base.raw() + d)).collect())
-            }
-        };
-        advance(&mut procs[ix], response, &mut alloc);
-        if procs[ix].rng.local_coin_used() {
+        }
+        let proc = &mut procs[ix];
+        let op = proc.pending.take().expect("scheduled process is live");
+        let (response, _) = memory.perform(&op, |prob| scripted.unwrap_or(prob.is_certain()));
+        match proc
+            .session
+            .poll(response, &mut Ctx::new(&mut proc.rng, &mut alloc))
+        {
+            Action::Invoke(next) => proc.pending = Some(next),
+            Action::Halt(d) => proc.decision = Some(d),
+        }
+        if proc.rng.local_coin_used() {
             return (Need::LocalCoinUsed, None);
         }
-    }
-}
-
-fn advance(proc: &mut Proc, response: Response, alloc: &mut BlockAlloc) {
-    // Clear any coin-pending op left in place.
-    proc.pending = None;
-    let action = {
-        let mut ctx = Ctx::new(&mut proc.rng, alloc);
-        proc.session.poll(response, &mut ctx)
     };
-    match action {
-        Action::Invoke(op) => proc.pending = Some(op),
-        Action::Halt(d) => proc.decision = Some(d),
-    }
+    let captured = capture
+        .then(|| capture_state(&*object, &memory, &procs, pending_coin))
+        .flatten();
+    (need, captured)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mc_model::DecidingObject;
+    use mc_model::{DecidingObject, Response};
     use std::sync::Arc;
 
     /// A deterministic two-op object: write own input to own register,
@@ -485,7 +396,7 @@ mod tests {
 
     #[test]
     fn empty_path_reports_initial_choice() {
-        let need = run_path(&PairSpec, &[7, 9], CoinPolicy::Forbid, 100, &[]);
+        let need = run_path(&PairSpec, &[7, 9], CoinPolicy::Forbid, 100, &[], false).0;
         match need {
             Need::Sched(live) => assert_eq!(live, vec![ProcessId(0), ProcessId(1)]),
             other => panic!("unexpected {other:?}"),
@@ -499,7 +410,7 @@ mod tests {
         let p1 = ProcessId(1);
         // p0 runs both ops first, then p1.
         let path = [Sched(p0), Sched(p0), Sched(p1), Sched(p1)];
-        let need = run_path(&PairSpec, &[7, 9], CoinPolicy::Forbid, 100, &path);
+        let need = run_path(&PairSpec, &[7, 9], CoinPolicy::Forbid, 100, &path, false).0;
         match need {
             Need::Done(outputs) => {
                 // p0 read before p1 wrote: keeps 7. p1 reads p0's 7.
@@ -521,7 +432,9 @@ mod tests {
                 PathEvent::Sched(ProcessId(0)),
                 PathEvent::Sched(ProcessId(0)),
             ],
-        );
+            false,
+        )
+        .0;
         assert!(matches!(need, Need::OutOfSteps));
     }
 
@@ -531,6 +444,6 @@ mod tests {
         use PathEvent::Sched;
         let p0 = ProcessId(0);
         let path = [Sched(p0), Sched(p0), Sched(p0)];
-        run_path(&PairSpec, &[7, 9], CoinPolicy::Forbid, 100, &path);
+        run_path(&PairSpec, &[7, 9], CoinPolicy::Forbid, 100, &path, false);
     }
 }

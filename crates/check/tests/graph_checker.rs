@@ -1,7 +1,7 @@
 //! The graph engine against the paper's composed protocols — and against
 //! the path engine, which serves as its cross-validation oracle.
 //!
-//! Three layers of guarantees:
+//! Four layers of guarantees:
 //!
 //! * **Cross-engine agreement.** On every protocol in the matrix and every
 //!   binary input vector at n = 2, the path engine (script enumeration)
@@ -13,6 +13,9 @@
 //!   verified exhaustively for every composed protocol under check.
 //! * **Theorem 10 pin.** The binary ratifier's 4-operation individual
 //!   bound is certified *exactly* by both engines at n ∈ {2, 3}.
+//! * **State-count pin.** Exact state, transition and dedup counts for two
+//!   small configurations, so a change in how states are keyed fails a
+//!   test instead of only moving the `check_campaign` figures.
 
 use std::sync::Arc;
 
@@ -267,4 +270,36 @@ fn conciliator_coin_branches_are_explored() {
     // collapsed some of those branches.
     assert!(report.transitions > report.distinct_states);
     assert!(report.dedup_hits > 0);
+}
+
+/// The graph engine's (states, transitions, dedup hits) for two small
+/// configurations, summed over every binary input vector: a drift in how a
+/// configuration is keyed (its memory, its sessions, its canonical form)
+/// moves them even where no verdict moves. The ratifier's figures are the
+/// `ratifier(binary)` row of the `check_campaign` n = 3 sweep.
+#[test]
+fn state_counts_are_pinned() {
+    let ratifier: Arc<dyn ObjectSpec> = Arc::new(Ratifier::binary());
+    let impatient: Arc<dyn ObjectSpec> = Arc::new(FirstMoverConciliator::impatient());
+    let pins = [
+        (ratifier, 3, true, (1456, 2756, 1300)),
+        (impatient, 2, false, (204, 288, 84)),
+    ];
+    for (spec, n, check_acceptance, pinned) in pins {
+        let mut counts = (0, 0, 0);
+        for inputs in binary_vectors(n) {
+            let report = GraphExplorer::new(Arc::clone(&spec), inputs)
+                .with_config(GraphConfig {
+                    check_acceptance,
+                    ..GraphConfig::default()
+                })
+                .verify_safety()
+                .unwrap();
+            assert!(report.is_exhaustive_pass(), "{}", spec.name());
+            counts.0 += report.distinct_states;
+            counts.1 += report.transitions;
+            counts.2 += report.dedup_hits;
+        }
+        assert_eq!(counts, pinned, "{} at n = {n}", spec.name());
+    }
 }

@@ -17,9 +17,9 @@ use std::fmt;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 use mc_check::PathEvent;
-use mc_model::{Op, ProcessId, RegisterId};
+use mc_model::{Memory, Op, ProcessId, RegisterId};
 use mc_runtime::{SharedMemory, SharedRegister};
-use mc_sim::{observe_pending, Adversary, Capability, Event, Memory, Trace, View, WorkMetrics};
+use mc_sim::{charge_step, observe_pending, visible_memory, Adversary, Trace, View, WorkMetrics};
 use rand::{Rng, RngExt};
 
 thread_local! {
@@ -76,7 +76,6 @@ struct LabState {
     adversary: Box<dyn Adversary + Send>,
     /// Posted-but-not-executed operation per process.
     pending: Vec<Option<Op>>,
-    ops_done: Vec<u64>,
     finished: Vec<bool>,
     doomed: Vec<bool>,
     /// The process currently allowed to execute its pending operation.
@@ -116,7 +115,6 @@ impl LabState {
         LabState {
             adversary,
             pending: vec![None; n],
-            ops_done: vec![0; n],
             finished: vec![false; n],
             doomed,
             granted: None,
@@ -246,53 +244,34 @@ impl LabController {
         let op = state.pending[pid]
             .take()
             .expect("granted process has an op");
-        let observed = match &op {
-            Op::Read(reg) => state.memory.read(*reg),
-            Op::Write { reg, value } => {
-                state.memory.write(*reg, *value);
-                None
+        // One coin per probabilistic write, drawn exactly like the engine's,
+        // so coin streams stay aligned across substrates. A replay script
+        // pre-empts the rng for genuinely random outcomes only, and only
+        // those are a coin event in mc-check's replay vocabulary.
+        let (forced_coins, path) = (&mut state.forced_coins, &mut state.path);
+        let (_, observed) = state.memory.perform(&op, |prob| {
+            let p = prob.get();
+            let random = p > 0.0 && p < 1.0;
+            let landed = match random.then(|| forced_coins.pop_front()).flatten() {
+                Some(forced) => forced,
+                None => rng
+                    .expect("probabilistic write carries the caller's rng")
+                    .random_bool(p),
+            };
+            if random {
+                path.push(PathEvent::Coin(landed));
             }
-            Op::ProbWrite { reg, value, prob } => {
-                // The adversary committed to this operation before the coin
-                // resolves — the probabilistic-write guarantee. One
-                // `random_bool` per attempt, exactly like the engine, so
-                // coin streams stay aligned across substrates. A replay
-                // script pre-empts the rng for genuinely random outcomes
-                // only; degenerate probabilities keep drawing so streams
-                // stay aligned with the engine's.
-                let p = prob.get();
-                let random = p > 0.0 && p < 1.0;
-                let scripted = random.then(|| state.forced_coins.pop_front()).flatten();
-                let performed = match scripted {
-                    Some(forced) => forced,
-                    None => {
-                        let rng = rng.expect("probabilistic write carries the caller's rng");
-                        rng.random_bool(p)
-                    }
-                };
-                state.metrics.prob_writes_attempted += 1;
-                if performed {
-                    state.memory.write(*reg, *value);
-                    state.metrics.prob_writes_performed += 1;
-                }
-                // mc-check's replay vocabulary: a coin event follows the
-                // schedule event only when the outcome is genuinely random.
-                if random {
-                    state.path.push(PathEvent::Coin(performed));
-                }
-                Some(u64::from(performed))
-            }
-            Op::Collect { .. } => unreachable!("runtime objects never issue collects"),
-        };
-        state.trace.push(Event {
-            step: state.step,
-            pid: ProcessId(pid),
+            landed
+        });
+        let (metrics, trace) = (&mut state.metrics, Some(&mut state.trace));
+        charge_step(
+            metrics,
+            trace,
+            &mut state.step,
+            ProcessId(pid),
             op,
             observed,
-        });
-        state.ops_done[pid] += 1;
-        state.metrics.per_process[pid] += 1;
-        state.step += 1;
+        );
         observed
     }
 
@@ -348,7 +327,7 @@ impl LabController {
         let LabState {
             adversary,
             pending,
-            ops_done,
+            metrics,
             memory,
             step,
             path,
@@ -361,18 +340,15 @@ impl LabController {
         let mut infos = Vec::with_capacity(posted);
         for (ix, slot) in pending.iter().enumerate() {
             if let Some(op) = slot {
-                infos.push(observe_pending(ProcessId(ix), ops_done[ix], op, capability));
+                let ops_done = metrics.per_process[ix];
+                infos.push(observe_pending(ProcessId(ix), ops_done, op, capability));
             }
         }
         let view = View {
             step: *step,
             n: self.n,
             pending: &infos,
-            memory: matches!(
-                capability,
-                Capability::LocationOblivious | Capability::Adaptive
-            )
-            .then_some(&*memory),
+            memory: visible_memory(capability, memory),
         };
         let pid = adversary.choose(&view);
         if pending.get(pid.index()).map(Option::is_some) != Some(true) {

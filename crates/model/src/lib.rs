@@ -19,7 +19,9 @@
 //! Protocols are expressed as [`Session`] state machines: the simulator (or
 //! any other driver) repeatedly executes the session's pending operation and
 //! feeds back the [`Response`], until the session halts with a
-//! [`Decision`] `(d, v)` — the *deciding object* interface of §3.
+//! [`Decision`] `(d, v)` — the *deciding object* interface of §3. Every
+//! execution substrate performs an operation through one rule,
+//! [`Memory::perform`], over the register file [`Memory`].
 //!
 //! The consensus correctness properties (validity, agreement, coherence,
 //! acceptance, probabilistic agreement) are checkable via the
@@ -50,6 +52,7 @@
 
 mod decision;
 mod ids;
+mod memory;
 mod object;
 mod op;
 pub mod properties;
@@ -59,6 +62,7 @@ mod value;
 
 pub use decision::Decision;
 pub use ids::{mix_seed, ProcessId, RegisterId};
+pub use memory::Memory;
 pub use object::{BlockAlloc, DecidingObject, InstantiateCtx, ObjectSpec, RegisterAlloc};
 pub use op::{Op, OpKind, Response};
 pub use properties::PropertyViolation;

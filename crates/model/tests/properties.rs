@@ -1,8 +1,10 @@
-//! Property-based tests of the correctness-property checkers themselves:
-//! the logical implications between the paper's properties must hold for
-//! arbitrary input/output vectors.
+//! Property-based tests of the model itself: the register file's step rule
+//! against a reference map, and the logical implications between the
+//! paper's correctness properties on arbitrary input/output vectors.
 
-use mc_model::{properties, Decision, Value};
+use std::collections::HashMap;
+
+use mc_model::{properties, Decision, Memory, Op, RegisterId, Response, Value};
 use proptest::prelude::*;
 
 fn arb_decision() -> impl Strategy<Value = Decision> {
@@ -16,6 +18,27 @@ fn arb_decision() -> impl Strategy<Value = Decision> {
 }
 
 proptest! {
+    /// The register file agrees with a reference map under arbitrary
+    /// write/read sequences (last write wins, ⊥ until first write).
+    #[test]
+    fn memory_matches_reference_model(ops in prop::collection::vec((0u64..32, 0u64..1000), 0..200)) {
+        let mut memory = Memory::new();
+        let mut reference = HashMap::new();
+        let read = |memory: &mut Memory, reg| {
+            memory.perform(&Op::Read(RegisterId(reg)), |_| unreachable!()).0
+        };
+        for (reg, value) in ops {
+            // Interleave a read check before each write.
+            prop_assert_eq!(read(&mut memory, reg), Response::Read(reference.get(&reg).copied()));
+            memory.perform(&Op::Write { reg: RegisterId(reg), value }, |_| unreachable!());
+            reference.insert(reg, value);
+        }
+        for reg in 0..32 {
+            prop_assert_eq!(read(&mut memory, reg), Response::Read(reference.get(&reg).copied()));
+        }
+        prop_assert_eq!(memory.written_count(), reference.len());
+    }
+
     /// Full consensus implies weak consensus.
     #[test]
     fn consensus_implies_weak_consensus(

@@ -198,8 +198,20 @@ impl Adversary for WriteBlocker {
 mod tests {
     use super::*;
     use crate::adversary::PendingInfo;
-    use crate::memory::Memory;
-    use mc_model::RegisterId;
+    use mc_model::{Memory, Op, RegisterId};
+
+    /// A register file holding `value` in register `reg` for each pair.
+    fn memory_with(cells: &[(u64, u64)]) -> Memory {
+        let mut mem = Memory::new();
+        for &(reg, value) in cells {
+            let op = Op::Write {
+                reg: RegisterId(reg),
+                value,
+            };
+            mem.perform(&op, |_| unreachable!("a write flips no coin"));
+        }
+        mem
+    }
 
     fn info(pid: usize, ops: u64, kind: OpKind, value: Option<u64>) -> PendingInfo {
         PendingInfo {
@@ -215,7 +227,7 @@ mod tests {
     #[test]
     fn exploiter_cycles_while_memory_empty() {
         let mut adv = ImpatienceExploiter::new();
-        let mem = Memory::new();
+        let mem = memory_with(&[]);
         let pending = vec![
             info(0, 4, OpKind::ProbWrite, Some(1)),
             info(1, 2, OpKind::Read, None),
@@ -233,8 +245,7 @@ mod tests {
     #[test]
     fn exploiter_fires_most_impatient_writer_once_memory_written() {
         let mut adv = ImpatienceExploiter::new();
-        let mut mem = Memory::new();
-        mem.write(RegisterId(0), 9);
+        let mem = memory_with(&[(0, 9)]);
         let pending = vec![
             info(0, 2, OpKind::ProbWrite, Some(1)),
             info(1, 7, OpKind::ProbWrite, Some(2)),
@@ -252,10 +263,7 @@ mod tests {
     #[test]
     fn split_keeper_prefers_minority_value_write() {
         let mut adv = SplitKeeper::new(0);
-        let mut mem = Memory::new();
-        mem.write(RegisterId(0), 1);
-        mem.write(RegisterId(1), 1);
-        mem.write(RegisterId(2), 2);
+        let mem = memory_with(&[(0, 1), (1, 1), (2, 2)]);
         let pending = vec![
             info(0, 0, OpKind::Write, Some(1)),
             info(1, 0, OpKind::Write, Some(2)),

@@ -30,7 +30,7 @@ pub use schedulers::{FixedOrder, RandomScheduler, RoundRobin, ScriptedAdversary}
 
 use mc_model::{OpKind, ProcessId, RegisterId, Value};
 
-use crate::memory::Memory;
+use mc_model::Memory;
 
 /// How much of the execution an adversary class may observe (§2.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

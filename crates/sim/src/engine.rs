@@ -4,15 +4,14 @@ use std::error::Error;
 use std::fmt;
 
 use mc_model::{
-    mix_seed, Action, BlockAlloc, Ctx, Decision, InstantiateCtx, ObjectSpec, Op, OpKind, ProcessId,
-    Response, Session, Value,
+    mix_seed, Action, BlockAlloc, Ctx, Decision, InstantiateCtx, Memory, ObjectSpec, Op, OpKind,
+    ProcessId, RegContents, Response, Session, Value,
 };
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
 
 use crate::adversary::{Adversary, Capability, PendingInfo, View};
 use crate::harness::RunOutcome;
-use crate::memory::Memory;
 use crate::metrics::WorkMetrics;
 use crate::trace::{Event, Trace};
 
@@ -235,11 +234,6 @@ impl<'a> Engine<'a> {
         self.pending_buf.iter().map(|p| p.pid)
     }
 
-    /// The register file (for inspection in tests and tools).
-    pub fn memory(&self) -> &Memory {
-        &self.memory
-    }
-
     /// Executes a single scheduling step: the adversary picks a live
     /// process, its pending operation applies, and its session advances.
     ///
@@ -270,49 +264,15 @@ impl<'a> Engine<'a> {
             .take()
             .expect("chosen process has a pending op");
 
-        // Apply the operation to memory.
-        let (response, observed) = match &op {
-            Op::Read(reg) => {
-                let contents = self.memory.read(*reg);
-                (Response::Read(contents), contents)
+        let rng = &mut self.procs[ix].rng;
+        let (mut response, observed) = self.memory.perform(&op, |p| rng.random_bool(p.get()));
+        if self.config.detect_prob_writes {
+            if let Response::ProbWrite { performed } = &mut response {
+                *performed = observed.map(|landed| landed == 1);
             }
-            Op::Write { reg, value } => {
-                self.memory.write(*reg, *value);
-                (Response::Write, None)
-            }
-            Op::ProbWrite { reg, value, prob } => {
-                // The adversary committed to this operation before the coin
-                // resolves — the probabilistic-write guarantee.
-                let performed = self.procs[ix].rng.random_bool(prob.get());
-                if performed {
-                    self.memory.write(*reg, *value);
-                }
-                self.metrics.prob_writes_attempted += 1;
-                if performed {
-                    self.metrics.prob_writes_performed += 1;
-                }
-                let visible = self.config.detect_prob_writes.then_some(performed);
-                (
-                    Response::ProbWrite { performed: visible },
-                    Some(u64::from(performed)),
-                )
-            }
-            Op::Collect { base, len } => {
-                (Response::Collect(self.memory.collect(*base, *len)), None)
-            }
-        };
-
-        if let Some(trace) = &mut self.trace {
-            trace.push(Event {
-                step: self.step,
-                pid,
-                op: op.clone(),
-                observed,
-            });
         }
-
-        self.metrics.per_process[ix] += 1;
-        self.step += 1;
+        let trace = self.trace.as_mut();
+        charge_step(&mut self.metrics, trace, &mut self.step, pid, op, observed);
 
         // Advance the session.
         let proc = &mut self.procs[ix];
@@ -401,15 +361,11 @@ impl<'a> Engine<'a> {
             self.capability,
             "an adversary's capability is constant"
         );
-        let memory = match self.capability {
-            Capability::LocationOblivious | Capability::Adaptive => Some(&self.memory),
-            Capability::Oblivious | Capability::ValueOblivious => None,
-        };
         let view = View {
             step: self.step,
             n: self.procs.len(),
             pending: &self.pending_buf,
-            memory,
+            memory: visible_memory(self.capability, &self.memory),
         };
         let pid = self.adversary.choose(&view);
         // A halted pid's slot is stale: it is accepted only while the entry
@@ -421,6 +377,46 @@ impl<'a> Engine<'a> {
             _ => Err(RunError::AdversaryChoseInvalid { pid }),
         }
     }
+}
+
+/// The register file as an adversary of `capability` may see it:
+/// location-oblivious and adaptive adversaries read memory, oblivious and
+/// value-oblivious ones do not (§2.1).
+pub fn visible_memory(capability: Capability, memory: &Memory) -> Option<&Memory> {
+    match capability {
+        Capability::LocationOblivious | Capability::Adaptive => Some(memory),
+        Capability::Oblivious | Capability::ValueOblivious => None,
+    }
+}
+
+/// Charges one performed operation to `pid`: a unit of its work, a
+/// probabilistic write's attempt (and landing, if `observed` says it
+/// landed), and, if a trace is kept, the event at `*step`, which then
+/// advances. `observed` is what [`Memory::perform`] returned for `op`.
+///
+/// Public so the lab's controller charges its steps by the engine's rule.
+pub fn charge_step(
+    metrics: &mut WorkMetrics,
+    trace: Option<&mut Trace>,
+    step: &mut u64,
+    pid: ProcessId,
+    op: Op,
+    observed: RegContents,
+) {
+    metrics.per_process[pid.index()] += 1;
+    if let Op::ProbWrite { .. } = op {
+        metrics.prob_writes_attempted += 1;
+        metrics.prob_writes_performed += u64::from(observed == Some(1));
+    }
+    if let Some(trace) = trace {
+        trace.push(Event {
+            step: *step,
+            pid,
+            op,
+            observed,
+        });
+    }
+    *step += 1;
 }
 
 /// Builds the view of one pending operation permitted to `capability`.

@@ -3,11 +3,10 @@
 //!
 //! This crate is the substrate on which the paper's model (§2) runs:
 //!
-//! * [`Memory`] — a flat array of atomic multiwriter registers with
-//!   interleaving semantics (each read returns the last value written).
 //! * [`Engine`] — executes a set of [`Session`](mc_model::Session) state
 //!   machines, one pending operation per live process, with the interleaving
-//!   chosen by an [`Adversary`].
+//!   chosen by an [`Adversary`], over `mc-model`'s register file
+//!   ([`Memory`](mc_model::Memory)) and its one step rule.
 //! * [`adversary`] — the adversary-class hierarchy of §2.1 (oblivious,
 //!   value-oblivious, location-oblivious, adaptive), concrete schedulers,
 //!   and attack adversaries that try to break the paper's algorithms.
@@ -51,7 +50,6 @@
 pub mod adversary;
 mod engine;
 pub mod harness;
-mod memory;
 mod metrics;
 pub mod observe;
 pub mod sched;
@@ -60,9 +58,8 @@ pub mod testutil;
 mod trace;
 
 pub use adversary::{Adversary, Capability, PendingInfo, View};
-pub use engine::{observe_pending, Engine, EngineConfig, RunError};
+pub use engine::{charge_step, observe_pending, visible_memory, Engine, EngineConfig, RunError};
 pub use harness::{run_object, RunOutcome};
 pub use mc_model::mix_seed;
-pub use memory::Memory;
 pub use metrics::WorkMetrics;
 pub use trace::{Event, Trace};

@@ -1,5 +1,5 @@
-//! Property-based tests of the simulator itself: the memory model, run
-//! determinism, work accounting, and adversary-view information hiding.
+//! Property-based tests of the simulator itself: run determinism, work
+//! accounting, and adversary-view information hiding.
 
 use std::sync::{Arc, Mutex};
 
@@ -14,28 +14,10 @@ use mc_sim::adversary::{
 };
 use mc_sim::harness::{self, inputs};
 use mc_sim::testutil::{CollectOnceSpec, WriteThenReadSpec};
-use mc_sim::{observe_pending, Engine, EngineConfig, Memory};
+use mc_sim::{observe_pending, Engine, EngineConfig};
 use proptest::prelude::*;
 
 proptest! {
-    /// The register file agrees with a reference map under arbitrary
-    /// write/read sequences (last write wins, ⊥ until first write).
-    #[test]
-    fn memory_matches_reference_model(ops in prop::collection::vec((0u64..32, 0u64..1000), 0..200)) {
-        let mut memory = Memory::new();
-        let mut reference = std::collections::HashMap::new();
-        for (reg, value) in ops {
-            // Interleave a read check before each write.
-            prop_assert_eq!(memory.read(RegisterId(reg)), reference.get(&reg).copied());
-            memory.write(RegisterId(reg), value);
-            reference.insert(reg, value);
-        }
-        for reg in 0..32 {
-            prop_assert_eq!(memory.read(RegisterId(reg)), reference.get(&reg).copied());
-        }
-        prop_assert_eq!(memory.written_count(), reference.len());
-    }
-
     /// Runs are pure functions of (spec, inputs, adversary seed, run seed).
     #[test]
     fn runs_are_deterministic(n in 1usize..10, seed in 0u64..10_000) {

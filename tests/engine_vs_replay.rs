@@ -2,9 +2,9 @@
 //! `mc-sim` engine, when re-executed by the `mc-check` replayer from its
 //! trace, must produce byte-identical outputs.
 //!
-//! This pins both implementations to the same operational semantics of the
-//! model (§2): if either engine's interleaving, probabilistic-write, or
-//! session-stepping logic drifted, these tests would diverge.
+//! Both call the one register rule (`mc_model::Memory::perform`), so this
+//! pins the rest of each engine: scheduling, coin scripting and session
+//! stepping; if either drifted, these tests would diverge.
 
 use std::sync::Arc;
 
