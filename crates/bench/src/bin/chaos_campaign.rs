@@ -35,8 +35,8 @@ use mc_runtime::{
     AtomicMemory, ChaosPlan, ConsensusService, CounterKey, FaultPlan, FaultyMemory, GaugeKey,
     HistKey, SupervisorOptions,
 };
-use mc_telemetry::json::Obj;
 use mc_telemetry::HistogramSnapshot;
+use mc_telemetry::{json::Obj, json_key};
 
 const WORKERS: usize = 2;
 /// Proposals per chaos run: enough to spread over both rings and force
@@ -324,19 +324,22 @@ fn run(seeds: u64, out_path: &str) -> Result<(), String> {
             all_recovery.push(recovery.clone());
 
             let mut line = Obj::new();
-            line.str_field("bench", "chaos_campaign")
-                .str_field("plan", cell.label)
-                .str_field("policy", policy.label)
-                .u64_field("seeds", stats.runs)
-                .u64_field("lost", stats.lost)
-                .u64_field("duplicate_ledgers", stats.duplicates)
-                .u64_field("worker_restarts", stats.restarts)
-                .u64_field("resubmitted_cells", stats.resubmitted)
-                .u64_field("over_budget_runs", stats.poisoned_runs)
-                .u64_field("recovery_count", recovery.count)
-                .u64_field("recovery_p50_ns", recovery.quantile_upper(0.50))
-                .u64_field("recovery_p99_ns", recovery.quantile_upper(0.99))
-                .str_field("verdict", if cell_ok { "exactly-once" } else { "VIOLATED" });
+            line.str_field(json_key!({ "bench" }), "chaos_campaign")
+                .str_field(json_key!("plan"), cell.label)
+                .str_field(json_key!("policy"), policy.label)
+                .u64_field(json_key!("seeds"), stats.runs)
+                .u64_field(json_key!("lost"), stats.lost)
+                .u64_field(json_key!("duplicate_ledgers"), stats.duplicates)
+                .u64_field(json_key!("worker_restarts"), stats.restarts)
+                .u64_field(json_key!("resubmitted_cells"), stats.resubmitted)
+                .u64_field(json_key!("over_budget_runs"), stats.poisoned_runs)
+                .u64_field(json_key!("recovery_count"), recovery.count)
+                .u64_field(json_key!("recovery_p50_ns"), recovery.quantile_upper(0.50))
+                .u64_field(json_key!("recovery_p99_ns"), recovery.quantile_upper(0.99))
+                .str_field(
+                    json_key!("verdict"),
+                    if cell_ok { "exactly-once" } else { "VIOLATED" },
+                );
             println!("{}", line.finish());
             eprintln!(
                 "{:<13} / {:<5} restarts={:<3} resubmitted={:<4} lost={} dup={} {}",
@@ -354,21 +357,21 @@ fn run(seeds: u64, out_path: &str) -> Result<(), String> {
     let pooled = merge_histograms(&all_recovery);
     let mut summary = Obj::new();
     summary
-        .str_field("bench", "chaos_recovery")
-        .u64_field("plans", PLANS.len() as u64)
-        .u64_field("policies", POLICIES.len() as u64)
-        .u64_field("seeds_per_cell", seeds)
-        .u64_field("workers", WORKERS as u64)
-        .u64_field("proposals_per_run", CHAOS_OPS)
-        .u64_field("decisions_lost", total_lost)
-        .u64_field("duplicate_ledgers", total_duplicates)
-        .u64_field("worker_restarts", total_restarts)
-        .u64_field("resubmitted_cells", total_resubmitted)
-        .u64_field("recovery_count", pooled.count)
-        .u64_field("recovery_p50_ns", pooled.quantile_upper(0.50))
-        .u64_field("recovery_p99_ns", pooled.quantile_upper(0.99))
-        .u64_field("recovery_max_ns", pooled.max)
-        .bool_field("pass", pass);
+        .str_field(json_key!({ "bench" }), "chaos_recovery")
+        .u64_field(json_key!("plans"), PLANS.len() as u64)
+        .u64_field(json_key!("policies"), POLICIES.len() as u64)
+        .u64_field(json_key!("seeds_per_cell"), seeds)
+        .u64_field(json_key!("workers"), WORKERS as u64)
+        .u64_field(json_key!("proposals_per_run"), CHAOS_OPS)
+        .u64_field(json_key!("decisions_lost"), total_lost)
+        .u64_field(json_key!("duplicate_ledgers"), total_duplicates)
+        .u64_field(json_key!("worker_restarts"), total_restarts)
+        .u64_field(json_key!("resubmitted_cells"), total_resubmitted)
+        .u64_field(json_key!("recovery_count"), pooled.count)
+        .u64_field(json_key!("recovery_p50_ns"), pooled.quantile_upper(0.50))
+        .u64_field(json_key!("recovery_p99_ns"), pooled.quantile_upper(0.99))
+        .u64_field(json_key!("recovery_max_ns"), pooled.max)
+        .bool_field(json_key!("pass"), pass);
     let json = summary.finish();
     println!("{json}");
     std::fs::write(out_path, format!("{json}\n"))

@@ -26,7 +26,7 @@ use mc_check::{
 use mc_core::{Chain, CollectRatifier, ConsensusBuilder, FirstMoverConciliator, Ratifier};
 use mc_lab::{Lab, RacyConsensus, RacySpec};
 use mc_model::{ObjectSpec, Value};
-use mc_telemetry::json::Obj;
+use mc_telemetry::{json::Obj, json_key};
 
 struct Entry {
     spec: Arc<dyn ObjectSpec>,
@@ -311,19 +311,19 @@ fn main() -> ExitCode {
         let states_per_sec = states as f64 / elapsed.max(1e-9);
         let dedup_ratio = dedup_hits as f64 / (dedup_hits + states).max(1) as f64;
         let mut row = Obj::new();
-        row.str_field("protocol", &name)
-            .u64_field("n3_states", states)
-            .u64_field("n3_transitions", transitions)
-            .u64_field("n3_dedup_hits", dedup_hits)
-            .u64_field("n3_truncated", truncated)
-            .u64_field("n3_max_depth", max_depth)
-            .u64_field("group_size", group_size)
-            .u64_field("violations", violations)
-            .f64_field("states_per_sec", states_per_sec)
-            .f64_field("dedup_ratio", dedup_ratio)
-            .f64_field("symmetry_savings", savings)
-            .bool_field("path_oracle_checked", entry.path_oracle)
-            .bool_field("path_oracle_agreed", oracle_agreed);
+        row.str_field(json_key!({ "protocol" }), &name)
+            .u64_field(json_key!("n3_states"), states)
+            .u64_field(json_key!("n3_transitions"), transitions)
+            .u64_field(json_key!("n3_dedup_hits"), dedup_hits)
+            .u64_field(json_key!("n3_truncated"), truncated)
+            .u64_field(json_key!("n3_max_depth"), max_depth)
+            .u64_field(json_key!("group_size"), group_size)
+            .u64_field(json_key!("violations"), violations)
+            .f64_field(json_key!("states_per_sec"), states_per_sec)
+            .f64_field(json_key!("dedup_ratio"), dedup_ratio)
+            .f64_field(json_key!("symmetry_savings"), savings)
+            .bool_field(json_key!("path_oracle_checked"), entry.path_oracle)
+            .bool_field(json_key!("path_oracle_agreed"), oracle_agreed);
         let row = row.finish();
         println!("{row}");
         rows.push(row);
@@ -342,18 +342,18 @@ fn main() -> ExitCode {
 
     let mut report = Obj::new();
     report
-        .str_field("bench", "check_campaign")
-        .u64_field("state_budget", budget as u64)
-        .u64_field("total_states", total_states)
-        .u64_field("total_transitions", total_transitions)
-        .u64_field("total_dedup_hits", total_dedup)
-        .f64_field("elapsed_secs", started.elapsed().as_secs_f64())
+        .str_field(json_key!({ "bench" }), "check_campaign")
+        .u64_field(json_key!("state_budget"), budget as u64)
+        .u64_field(json_key!("total_states"), total_states)
+        .u64_field(json_key!("total_transitions"), total_transitions)
+        .u64_field(json_key!("total_dedup_hits"), total_dedup)
+        .f64_field(json_key!("elapsed_secs"), started.elapsed().as_secs_f64())
         .u64_field(
-            "counterexample_len",
+            json_key!("counterexample_len"),
             control.as_ref().map(|&l| l as u64).unwrap_or(0),
         )
-        .raw_field("protocols", &format!("[{}]", rows.join(",")))
-        .bool_field("pass", pass);
+        .raw_field(json_key!("protocols"), &format!("[{}]", rows.join(",")))
+        .bool_field(json_key!("pass"), pass);
     let json = report.finish();
     if let Err(e) = std::fs::write(&out_path, format!("{json}\n")) {
         eprintln!("cannot write {out_path}: {e}");

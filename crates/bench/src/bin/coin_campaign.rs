@@ -39,7 +39,7 @@ use mc_sim::adversary::{RandomScheduler, RoundRobin, SplitKeeper};
 use mc_sim::harness::{self, inputs};
 use mc_sim::sched::PctScheduler;
 use mc_sim::{Adversary, EngineConfig};
-use mc_telemetry::json::Obj;
+use mc_telemetry::{json::Obj, json_key};
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
 
@@ -132,18 +132,21 @@ fn voting_cell(
     let pass = total_ok && sides_ok;
 
     let mut row = Obj::new();
-    row.str_field("cell", "voting")
-        .u64_field("quorum_factor", u64::from(quorum_factor))
-        .str_field("adversary", class.name)
-        .bool_field("adaptive", class.adaptive)
-        .u64_field("trials", trials as u64)
-        .u64_field("zero_agreements", zeros as u64)
-        .u64_field("one_agreements", ones as u64)
-        .f64_field("agreement_rate", agreement.center)
-        .f64_field("agreement_low", agreement.low)
-        .f64_field("theory_delta", bound)
-        .f64_field("mean_total_work", total_work as f64 / trials.max(1) as f64)
-        .bool_field("pass", pass);
+    row.str_field(json_key!({ "cell" }), "voting")
+        .u64_field(json_key!("quorum_factor"), u64::from(quorum_factor))
+        .str_field(json_key!("adversary"), class.name)
+        .bool_field(json_key!("adaptive"), class.adaptive)
+        .u64_field(json_key!("trials"), trials as u64)
+        .u64_field(json_key!("zero_agreements"), zeros as u64)
+        .u64_field(json_key!("one_agreements"), ones as u64)
+        .f64_field(json_key!("agreement_rate"), agreement.center)
+        .f64_field(json_key!("agreement_low"), agreement.low)
+        .f64_field(json_key!("theory_delta"), bound)
+        .f64_field(
+            json_key!("mean_total_work"),
+            total_work as f64 / trials.max(1) as f64,
+        )
+        .bool_field(json_key!("pass"), pass);
     if !pass {
         eprintln!(
             "GATE FAILED voting qf={quorum_factor} vs {}: δ̂={} per-side [{}, {}] vs theory δ≥{bound:.4}",
@@ -177,12 +180,12 @@ fn local_cell(trials: usize, seed_base: u64) -> CellOutcome {
     let measured = wilson_interval(agreements, trials);
     let pass = measured.contains(exact);
     let mut row = Obj::new();
-    row.str_field("cell", "local")
-        .u64_field("trials", trials as u64)
-        .u64_field("agreements", agreements as u64)
-        .f64_field("agreement_rate", measured.center)
-        .f64_field("exact_agreement", exact)
-        .bool_field("pass", pass);
+    row.str_field(json_key!({ "cell" }), "local")
+        .u64_field(json_key!("trials"), trials as u64)
+        .u64_field(json_key!("agreements"), agreements as u64)
+        .f64_field(json_key!("agreement_rate"), measured.center)
+        .f64_field(json_key!("exact_agreement"), exact)
+        .bool_field(json_key!("pass"), pass);
     if !pass {
         eprintln!("GATE FAILED local coin: measured {measured} vs exact {exact:.4}");
     }
@@ -239,13 +242,13 @@ fn certificate(
         }
     }
     let mut row = Obj::new();
-    row.str_field("cell", "certificate")
-        .str_field("spec", &name)
-        .u64_field("n", n as u64)
-        .u64_field("coin_seed", seed)
-        .u64_field("distinct_states", states)
-        .f64_field("elapsed_secs", t0.elapsed().as_secs_f64())
-        .bool_field("pass", pass);
+    row.str_field(json_key!({ "cell" }), "certificate")
+        .str_field(json_key!("spec"), &name)
+        .u64_field(json_key!("n"), n as u64)
+        .u64_field(json_key!("coin_seed"), seed)
+        .u64_field(json_key!("distinct_states"), states)
+        .f64_field(json_key!("elapsed_secs"), t0.elapsed().as_secs_f64())
+        .bool_field(json_key!("pass"), pass);
     CellOutcome {
         row: row.finish(),
         pass,
@@ -325,12 +328,12 @@ fn main() -> ExitCode {
     let rows: Vec<&str> = cells.iter().map(|c| c.row.as_str()).collect();
     let mut report = Obj::new();
     report
-        .str_field("bench", "coin_campaign")
-        .u64_field("trials", trials as u64)
-        .u64_field("state_budget", budget as u64)
-        .f64_field("elapsed_secs", started.elapsed().as_secs_f64())
-        .raw_field("cells", &format!("[{}]", rows.join(",")))
-        .bool_field("pass", pass);
+        .str_field(json_key!({ "bench" }), "coin_campaign")
+        .u64_field(json_key!("trials"), trials as u64)
+        .u64_field(json_key!("state_budget"), budget as u64)
+        .f64_field(json_key!("elapsed_secs"), started.elapsed().as_secs_f64())
+        .raw_field(json_key!("cells"), &format!("[{}]", rows.join(",")))
+        .bool_field(json_key!("pass"), pass);
     let json = report.finish();
     if let Err(e) = std::fs::write(&out_path, format!("{json}\n")) {
         eprintln!("cannot write {out_path}: {e}");

@@ -43,7 +43,7 @@ use mc_runtime::{Consensus, CounterKey, FaultPlan, FaultyMemory, HistKey};
 use mc_sim::adversary::{RandomScheduler, RoundRobin};
 use mc_sim::sched::QuantumScheduler;
 use mc_sim::Adversary;
-use mc_telemetry::json::Obj;
+use mc_telemetry::{json::Obj, json_key};
 
 const MAX_STEPS: u64 = 400_000;
 
@@ -385,23 +385,32 @@ fn main() -> ExitCode {
             };
 
             let mut line = Obj::new();
-            line.str_field("bench", "fault_campaign")
-                .str_field("protocol", &proto.name())
-                .str_field("cell", cell.label)
-                .u64_field("seeds", stats.runs)
-                .u64_field("rounds", u64::from(rounds))
-                .u64_field("validity_violations", stats.validity_violations)
-                .u64_field("coherence_violations", stats.coherence_violations)
-                .u64_field("termination_failures", stats.termination_failures)
-                .u64_field("entered_c1", stats.entered_c1)
-                .u64_field("fell_back", stats.fell_back)
-                .u64_field("faults_injected", stats.faults_injected)
-                .f64_field("delta_hat", delta_hat.unwrap_or(f64::NAN))
-                .f64_field("predicted_fallback", predicted)
-                .f64_field("measured_fallback", measured)
-                .str_field("delta", delta_class)
-                .str_field("fallback", fallback_class)
-                .str_field("safety", if safety_ok { "holds" } else { "VIOLATED" });
+            line.str_field(json_key!({ "bench" }), "fault_campaign")
+                .str_field(json_key!("protocol"), &proto.name())
+                .str_field(json_key!("cell"), cell.label)
+                .u64_field(json_key!("seeds"), stats.runs)
+                .u64_field(json_key!("rounds"), u64::from(rounds))
+                .u64_field(json_key!("validity_violations"), stats.validity_violations)
+                .u64_field(
+                    json_key!("coherence_violations"),
+                    stats.coherence_violations,
+                )
+                .u64_field(
+                    json_key!("termination_failures"),
+                    stats.termination_failures,
+                )
+                .u64_field(json_key!("entered_c1"), stats.entered_c1)
+                .u64_field(json_key!("fell_back"), stats.fell_back)
+                .u64_field(json_key!("faults_injected"), stats.faults_injected)
+                .f64_field(json_key!("delta_hat"), delta_hat.unwrap_or(f64::NAN))
+                .f64_field(json_key!("predicted_fallback"), predicted)
+                .f64_field(json_key!("measured_fallback"), measured)
+                .str_field(json_key!("delta"), delta_class)
+                .str_field(json_key!("fallback"), fallback_class)
+                .str_field(
+                    json_key!("safety"),
+                    if safety_ok { "holds" } else { "VIOLATED" },
+                );
             println!("{}", line.finish());
 
             eprintln!(
@@ -418,11 +427,11 @@ fn main() -> ExitCode {
 
     let mut summary = Obj::new();
     summary
-        .str_field("bench", "fault_campaign_summary")
-        .u64_field("cells", cells_run)
-        .u64_field("seeds_per_cell", seeds)
-        .u64_field("total_faults_injected", total_faults)
-        .bool_field("pass", pass);
+        .str_field(json_key!({ "bench" }), "fault_campaign_summary")
+        .u64_field(json_key!("cells"), cells_run)
+        .u64_field(json_key!("seeds_per_cell"), seeds)
+        .u64_field(json_key!("total_faults_injected"), total_faults)
+        .bool_field(json_key!("pass"), pass);
     println!("{}", summary.finish());
 
     if pass {

@@ -25,7 +25,7 @@ use mc_sim::harness::{self, inputs};
 use mc_sim::observe;
 use mc_sim::sched::{NoisyScheduler, PriorityScheduler, QuantumScheduler};
 use mc_sim::EngineConfig;
-use mc_telemetry::{json::Obj, JsonlRecorder, NoopRecorder, Recorder};
+use mc_telemetry::{json::Obj, json_key, JsonlRecorder, NoopRecorder, Recorder};
 
 const HELP: &str = "\
 simulate — run modular-consensus protocols in the model
@@ -303,22 +303,22 @@ fn run(opts: &Options) -> Result<(), String> {
     let mean = |v: &[u64]| v.iter().map(|&x| x as f64).sum::<f64>() / v.len().max(1) as f64;
     let mut summary = Obj::new();
     summary
-        .str_field("ev", "simulate_summary")
-        .str_field("protocol", &spec.name())
-        .u64_field("n", n as u64)
-        .str_field("adversary", &opts.adversary)
-        .u64_field("seed", opts.seed)
-        .u64_field("trials", opts.trials as u64)
-        .u64_field("agreements", agreements as u64)
-        .u64_field("all_decided", decided as u64)
-        .f64_field("mean_total_work", mean(&total_work))
-        .f64_field("mean_individual_work", mean(&individual_work))
+        .str_field(json_key!({ "ev" }), "simulate_summary")
+        .str_field(json_key!("protocol"), &spec.name())
+        .u64_field(json_key!("n"), n as u64)
+        .str_field(json_key!("adversary"), &opts.adversary)
+        .u64_field(json_key!("seed"), opts.seed)
+        .u64_field(json_key!("trials"), opts.trials as u64)
+        .u64_field(json_key!("agreements"), agreements as u64)
+        .u64_field(json_key!("all_decided"), decided as u64)
+        .f64_field(json_key!("mean_total_work"), mean(&total_work))
+        .f64_field(json_key!("mean_individual_work"), mean(&individual_work))
         .u64_field(
-            "max_individual_work",
+            json_key!("max_individual_work"),
             individual_work.iter().copied().max().unwrap_or(0),
         );
     if let Some(path) = &opts.telemetry {
-        summary.str_field("telemetry", path);
+        summary.str_field(json_key!("telemetry"), path);
     }
     println!("{}", summary.finish());
     Ok(())

@@ -8,25 +8,17 @@
 use std::borrow::BorrowMut;
 use std::fmt::Write as _;
 
-/// Appends `s` to `out` as a JSON string literal (with quotes).
+/// Appends `s` to `out` as a JSON string literal (with quotes). The scan
+/// for bytes that need escaping has no early exit so that it unrolls.
 pub fn write_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    write_escaped_body(out, s);
-    out.push('"');
-}
-
-/// [`write_escaped`] without the quotes, which its callers merge into the
-/// appends around it: the appends are what rendering costs. Inlined so
-/// that over a literal (every key) the scan folds away and the bytes are
-/// stored as immediates; it has no early exit so that it unrolls.
-#[inline(always)]
-fn write_escaped_body(out: &mut String, s: &str) {
     let clean = |ok, b| ok & (b >= 0x20) & (b != b'"') & (b != b'\\');
+    out.push('"');
     if s.bytes().fold(true, clean) {
         out.push_str(s);
     } else {
         write_escaping(out, s);
     }
+    out.push('"');
 }
 
 fn write_escaping(out: &mut String, s: &str) {
@@ -48,7 +40,7 @@ fn write_escaping(out: &mut String, s: &str) {
 /// Appends `value` in decimal: the one integer formatter of the event
 /// path, at under half the cost of `core::fmt`'s. Two digits per append, and
 /// each append of constant length (a computed length is a `memcpy` call).
-fn write_u64(out: &mut String, value: u64) {
+pub(crate) fn write_u64(out: &mut String, value: u64) {
     const PAIRS: &str = "\
         00010203040506070809101112131415161718192021222324\
         25262728293031323334353637383940414243444546474849\
@@ -65,100 +57,178 @@ fn write_u64(out: &mut String, value: u64) {
     }
 }
 
-/// An in-progress JSON object, rendered field by field into its own
-/// buffer ([`Obj::new`]) or onto the end of the caller's ([`Obj::append_to`]).
+/// A key known at compile time, as the one literal that goes before its
+/// value: `,"name":`, or `{"name":` for an object's first field, so a field
+/// costs one append for its key and the rest for its value. A key may also
+/// carry fields whose values are literals, such as `,"class":"read"`. Made
+/// by [`json_key!`](crate::json_key).
+#[derive(Debug, Clone, Copy)]
+pub struct Key(&'static str);
+
+impl Key {
+    /// `literal`, built by [`json_key!`](crate::json_key) from `parts`.
+    /// Evaluated at compile time, where it fails the build if a part needs
+    /// escaping: the literal goes out as it is.
+    #[doc(hidden)]
+    pub const fn new(literal: &'static str, parts: &[&str]) -> Key {
+        let mut i = 0;
+        while i < parts.len() {
+            let bytes = parts[i].as_bytes();
+            let mut j = 0;
+            while j < bytes.len() {
+                let b = bytes[j];
+                assert!(
+                    b >= 0x20 && b != b'"' && b != b'\\',
+                    "a json_key! literal needs escaping"
+                );
+                j += 1;
+            }
+            i += 1;
+        }
+        Key(literal)
+    }
+}
+
+/// Builds a [`json::Key`](crate::json::Key), one literal:
+///
+/// - `json_key!("name")` is `,"name":`;
+/// - `json_key!("name": "value")` is `,"name":"value"`, a field whose value
+///   is a literal, and `json_key!("name": "value", "next")` is that field
+///   and the key after it, `,"name":"value","next":`;
+/// - `json_key!({ ... })` is the same with `{` in place of the leading
+///   comma, and starts an object.
+///
+/// Every name and value is checked at compile time to need no escaping:
+///
+/// ```compile_fail
+/// let key = mc_telemetry::json_key!("needs \"escaping\"");
+/// ```
 ///
 /// ```
-/// let mut obj = mc_telemetry::json::Obj::new();
-/// obj.str_field("ev", "decided").u64_field("pid", 3);
+/// use mc_telemetry::{json::Obj, json_key};
+///
+/// let mut obj = Obj::new();
+/// obj.u64_field(json_key!({"ev": "op", "pid"}), 3)
+///     .bool_field(json_key!("class": "read", "performed"), true);
+/// assert_eq!(
+///     obj.finish(),
+///     r#"{"ev":"op","pid":3,"class":"read","performed":true}"#
+/// );
+/// ```
+#[macro_export]
+macro_rules! json_key {
+    ({ $($key:tt)+ }) => {
+        $crate::json_key!(@ "{" $($key)+)
+    };
+    (@ $open:literal $name:literal $(: $value:literal $(, $next:literal)?)?) => {{
+        const KEY: $crate::json::Key = $crate::json::Key::new(
+            concat!(
+                $open, "\"", $name, "\":"
+                $(, "\"", $value, "\"" $(, ",\"", $next, "\":")?)?
+            ),
+            &[$name $(, $value $(, $next)?)?],
+        );
+        KEY
+    }};
+    ($($key:tt)+) => {
+        $crate::json_key!(@ "," $($key)+)
+    };
+}
+
+/// An in-progress JSON object, rendered field by field into its own
+/// buffer ([`Obj::new`]) or onto the end of the caller's ([`Obj::append_to`]).
+/// Every key is a [`Key`]: the first field's opens the object (`{"name":`)
+/// and each later one carries the comma before it (`,"name":`), so an
+/// object has at least one field, and [`finish`](Obj::finish) appends `}`.
+/// Keys known only at runtime, such as metric names, are escaped on a
+/// separate path (`Snapshot::to_json`).
+///
+/// ```
+/// use mc_telemetry::{json::Obj, json_key};
+///
+/// let mut obj = Obj::new();
+/// obj.str_field(json_key!({"ev"}), "decided")
+///     .u64_field(json_key!("pid"), 3);
 /// assert_eq!(obj.finish(), r#"{"ev":"decided","pid":3}"#);
 /// ```
 #[derive(Debug, Default)]
 pub struct Obj<B = String> {
-    /// `{`, then each field with a comma after it (no "first field?" flag to
-    /// carry); [`finish`](Obj::finish) turns the last comma into `}`.
     buf: B,
 }
 
 impl Obj {
-    /// Starts an empty object.
+    /// Starts an object in a buffer of its own.
     pub fn new() -> Obj {
-        Obj {
-            buf: String::from("{"),
-        }
+        Obj::default()
     }
 }
 
 impl<'a> Obj<&'a mut String> {
-    /// Starts an empty object at the end of `out`: a caller that reuses
-    /// `out` renders without allocating.
+    /// Starts an object at the end of `out`: a caller that reuses `out`
+    /// renders without allocating.
     #[inline]
     pub fn append_to(out: &'a mut String) -> Self {
-        out.push('{');
         Obj { buf: out }
     }
 }
 
 impl<B: BorrowMut<String>> Obj<B> {
     #[inline(always)]
-    fn key(&mut self, key: &str) -> &mut String {
+    fn key(&mut self, key: Key) -> &mut String {
         let buf = self.buf.borrow_mut();
-        buf.push('"');
-        write_escaped_body(buf, key);
-        buf.push_str("\":");
+        buf.push_str(key.0);
         buf
     }
 
-    /// Adds a string field.
+    /// Adds the fields `key` carries with their values
+    /// (`json_key!("kind": "ratifier")`).
     #[inline(always)]
-    pub fn str_field(&mut self, key: &str, value: &str) -> &mut Self {
-        let buf = self.key(key);
-        buf.push('"');
-        write_escaped_body(buf, value);
-        buf.push_str("\",");
+    pub(crate) fn fields(&mut self, key: Key) -> &mut Self {
+        self.key(key);
+        self
+    }
+
+    /// Adds a string field.
+    pub fn str_field(&mut self, key: Key, value: &str) -> &mut Self {
+        write_escaped(self.key(key), value);
         self
     }
 
     /// Adds an unsigned integer field.
     #[inline(always)]
-    pub fn u64_field(&mut self, key: &str, value: u64) -> &mut Self {
-        let buf = self.key(key);
-        write_u64(buf, value);
-        buf.push(',');
+    pub fn u64_field(&mut self, key: Key, value: u64) -> &mut Self {
+        write_u64(self.key(key), value);
         self
     }
 
     /// Adds a float field (`null` for non-finite values).
-    pub fn f64_field(&mut self, key: &str, value: f64) -> &mut Self {
+    pub fn f64_field(&mut self, key: Key, value: f64) -> &mut Self {
         let buf = self.key(key);
         if value.is_finite() {
             // `{:?}` keeps a decimal point or exponent so the value reads
             // back as a float.
-            let _ = write!(buf, "{value:?},");
+            let _ = write!(buf, "{value:?}");
         } else {
-            buf.push_str("null,");
+            buf.push_str("null");
         }
         self
     }
 
     /// Adds a boolean field.
     #[inline(always)]
-    pub fn bool_field(&mut self, key: &str, value: bool) -> &mut Self {
-        self.key(key)
-            .push_str(if value { "true," } else { "false," });
+    pub fn bool_field(&mut self, key: Key, value: bool) -> &mut Self {
+        self.key(key).push_str(if value { "true" } else { "false" });
         self
     }
 
     /// Adds a field whose value is already-rendered JSON.
-    pub fn raw_field(&mut self, key: &str, json: &str) -> &mut Self {
-        let buf = self.key(key);
-        buf.push_str(json);
-        buf.push(',');
+    pub fn raw_field(&mut self, key: Key, json: &str) -> &mut Self {
+        self.key(key).push_str(json);
         self
     }
 
     /// Adds an array of unsigned integers.
-    pub fn u64_array_field(&mut self, key: &str, values: &[u64]) -> &mut Self {
+    pub fn u64_array_field(&mut self, key: Key, values: &[u64]) -> &mut Self {
         let buf = self.key(key);
         buf.push('[');
         for (i, v) in values.iter().enumerate() {
@@ -167,20 +237,38 @@ impl<B: BorrowMut<String>> Obj<B> {
             }
             write_u64(buf, *v);
         }
-        buf.push_str("],");
+        buf.push(']');
         self
     }
 
     /// Closes the object and returns the buffer it was rendered into.
     #[inline]
     pub fn finish(mut self) -> B {
-        let buf = self.buf.borrow_mut();
-        if buf.ends_with(',') {
-            buf.pop();
-        }
-        buf.push('}');
+        self.buf.borrow_mut().push('}');
         self.buf
     }
+}
+
+/// Appends an object whose keys are only known at runtime, such as metric
+/// names: `{"name":value,...}`, each name escaped and each value appended
+/// by `value`, or `{}` when there are none.
+pub(crate) fn write_map<T>(
+    out: &mut String,
+    entries: impl IntoIterator<Item = (&'static str, T)>,
+    mut value: impl FnMut(&mut String, T),
+) {
+    let mut sep = '{';
+    for (name, entry) in entries {
+        out.push(sep);
+        write_escaped(out, name);
+        out.push(':');
+        value(out, entry);
+        sep = ',';
+    }
+    if sep == '{' {
+        out.push('{');
+    }
+    out.push('}');
 }
 
 /// Checks that `input` is exactly one valid JSON value.
@@ -362,24 +450,36 @@ mod tests {
     #[test]
     fn objects_render_compactly() {
         let mut obj = Obj::new();
-        obj.str_field("ev", "op")
-            .u64_field("pid", 2)
-            .bool_field("ok", true)
-            .f64_field("p", 0.5)
-            .u64_array_field("per", &[1, 2, 3]);
+        obj.str_field(json_key!({ "ev" }), "op")
+            .u64_field(json_key!("pid"), 2)
+            .bool_field(json_key!("ok"), true)
+            .f64_field(json_key!("p"), 0.5)
+            .u64_array_field(json_key!("per"), &[1, 2, 3])
+            .u64_array_field(json_key!("none"), &[])
+            .bool_field(json_key!("class": "read", "performed"), false)
+            .fields(json_key!("kind": "ratifier"));
         let json = obj.finish();
         assert_eq!(
             json,
-            r#"{"ev":"op","pid":2,"ok":true,"p":0.5,"per":[1,2,3]}"#
+            r#"{"ev":"op","pid":2,"ok":true,"p":0.5,"per":[1,2,3],"none":[],"class":"read","performed":false,"kind":"ratifier"}"#
         );
         validate(&json).unwrap();
     }
 
     #[test]
     fn empty_object_is_valid() {
-        let json = Obj::new().finish();
-        assert_eq!(json, "{}");
-        validate(&json).unwrap();
+        let mut out = String::new();
+        write_map(&mut out, Vec::<(&str, u64)>::new(), write_u64);
+        assert_eq!(out, "{}");
+        validate(&out).unwrap();
+    }
+
+    #[test]
+    fn runtime_keys_are_escaped() {
+        let mut out = String::new();
+        write_map(&mut out, [("a\"b", 1), ("c", 2)], write_u64);
+        assert_eq!(out, r#"{"a\"b":1,"c":2}"#);
+        validate(&out).unwrap();
     }
 
     #[test]
@@ -443,18 +543,22 @@ mod tests {
     #[test]
     fn append_to_keeps_what_the_buffer_holds() {
         let mut out = String::from("[");
-        Obj::append_to(&mut out).finish().push(',');
         let mut obj = Obj::append_to(&mut out);
-        obj.raw_field("a", "[1,2]").str_field("b", ",");
+        obj.u64_field(json_key!({ "n" }), 1);
+        obj.finish().push(',');
+        let mut obj = Obj::append_to(&mut out);
+        obj.raw_field(json_key!({ "a" }), "[1,2]")
+            .str_field(json_key!("b"), ",");
         obj.finish().push(']');
-        assert_eq!(out, r#"[{},{"a":[1,2],"b":","}]"#);
+        assert_eq!(out, r#"[{"n":1},{"a":[1,2],"b":","}]"#);
         validate(&out).unwrap();
     }
 
     #[test]
     fn floats_read_back_as_floats() {
         let mut obj = Obj::new();
-        obj.f64_field("x", 2.0).f64_field("bad", f64::NAN);
+        obj.f64_field(json_key!({ "x" }), 2.0)
+            .f64_field(json_key!("bad"), f64::NAN);
         let json = obj.finish();
         assert_eq!(json, r#"{"x":2.0,"bad":null}"#);
         validate(&json).unwrap();

@@ -24,6 +24,8 @@
 //!   text-exposition formats.
 //! * [`metric_keys!`] — declares a metric set once: a key enum whose
 //!   variants carry their exported names ([`Tally`] is one).
+//! * [`json_key!`] — a JSON key as one compile-time literal, for
+//!   [`json::Obj`], the writer every event line and snapshot goes through.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

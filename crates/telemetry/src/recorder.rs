@@ -12,7 +12,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use crate::histogram::Histogram;
-use crate::json::Obj;
+use crate::json::{Key, Obj};
+use crate::json_key;
 
 /// Which kind of stage a process entered in the alternating
 /// ratifier/conciliator pipeline.
@@ -25,11 +26,11 @@ pub enum StageKind {
 }
 
 impl StageKind {
-    /// Stable lowercase name used in JSON output.
-    pub fn as_str(self) -> &'static str {
+    /// This kind as the `kind` field of a `stage_entered` line.
+    fn kind_field(self) -> Key {
         match self {
-            StageKind::Ratifier => "ratifier",
-            StageKind::Conciliator => "conciliator",
+            StageKind::Ratifier => json_key!("kind": "ratifier"),
+            StageKind::Conciliator => json_key!("kind": "conciliator"),
         }
     }
 }
@@ -54,13 +55,14 @@ pub enum FaultClass {
 }
 
 impl FaultClass {
-    /// Stable lowercase name used in JSON output.
-    pub fn as_str(self) -> &'static str {
+    /// This class as the `class` field of a `fault_injected` line, with
+    /// the key after it.
+    fn class_field(self) -> Key {
         match self {
-            FaultClass::LostProbWrite => "lost_prob_write",
-            FaultClass::StaleRead => "stale_read",
-            FaultClass::DelayedVisibility => "delayed_visibility",
-            FaultClass::RegisterReset => "register_reset",
+            FaultClass::LostProbWrite => json_key!("class": "lost_prob_write", "register"),
+            FaultClass::StaleRead => json_key!("class": "stale_read", "register"),
+            FaultClass::DelayedVisibility => json_key!("class": "delayed_visibility", "register"),
+            FaultClass::RegisterReset => json_key!("class": "register_reset", "register"),
         }
     }
 }
@@ -79,13 +81,14 @@ pub enum OpClass {
 }
 
 impl OpClass {
-    /// Stable lowercase name used in JSON output.
-    pub fn as_str(self) -> &'static str {
+    /// This class as the `class` field of an `op` line, with the key after
+    /// it.
+    fn class_field(self) -> Key {
         match self {
-            OpClass::Read => "read",
-            OpClass::Write => "write",
-            OpClass::ProbWrite => "prob_write",
-            OpClass::Collect => "collect",
+            OpClass::Read => json_key!("class": "read", "performed"),
+            OpClass::Write => json_key!("class": "write", "performed"),
+            OpClass::ProbWrite => json_key!("class": "prob_write", "performed"),
+            OpClass::Collect => json_key!("class": "collect", "performed"),
         }
     }
 }
@@ -246,51 +249,45 @@ impl TelemetryEvent {
         }
     }
 
-    /// Renders the event as one JSON object (no trailing newline).
-    ///
-    /// `seq` is an optional monotone sequence number stamped by the
-    /// recorder so consumers can detect truncated streams.
-    pub fn to_json(&self, seq: Option<u64>) -> String {
-        let mut line = String::new();
-        self.write_json(seq, &mut line);
-        line
-    }
-
-    /// Appends what [`to_json`](TelemetryEvent::to_json) returns to `out`:
-    /// the one renderer of the event schema. It allocates only if `out`
-    /// must grow, so a recorder that reuses its buffer allocates nothing.
-    pub(crate) fn write_json(&self, seq: Option<u64>, out: &mut String) {
+    /// Appends the event to `out` as one JSON object stamped with `seq`
+    /// (no trailing newline): the one renderer of the event schema. Each
+    /// part of the line is one append: the head (`{"ev":"op","seq":`), each
+    /// key with the comma before it, each enum-valued field with its key
+    /// (and the key after it), each value. It allocates only if `out` must
+    /// grow, so a recorder that reuses its buffer allocates nothing.
+    pub(crate) fn write_json(&self, seq: u64, out: &mut String) {
         let mut obj = Obj::append_to(out);
-        obj.str_field("ev", self.name());
-        if let Some(seq) = seq {
-            obj.u64_field("seq", seq);
-        }
         match self {
             TelemetryEvent::StageEntered { pid, stage, kind } => {
-                obj.u64_field("pid", *pid)
-                    .u64_field("stage", *stage)
-                    .str_field("kind", kind.as_str());
+                obj.u64_field(json_key!({"ev": "stage_entered", "seq"}), seq)
+                    .u64_field(json_key!("pid"), *pid)
+                    .u64_field(json_key!("stage"), *stage)
+                    .fields(kind.kind_field());
             }
             TelemetryEvent::FastPathHit { pid, stage } => {
-                obj.u64_field("pid", *pid).u64_field("stage", *stage);
+                obj.u64_field(json_key!({"ev": "fast_path_hit", "seq"}), seq)
+                    .u64_field(json_key!("pid"), *pid)
+                    .u64_field(json_key!("stage"), *stage);
             }
             TelemetryEvent::ConciliatorRound {
                 pid,
                 round,
                 probability,
             } => {
-                obj.u64_field("pid", *pid)
-                    .u64_field("round", *round)
-                    .f64_field("p", *probability);
+                obj.u64_field(json_key!({"ev": "conciliator_round", "seq"}), seq)
+                    .u64_field(json_key!("pid"), *pid)
+                    .u64_field(json_key!("round"), *round)
+                    .f64_field(json_key!("p"), *probability);
             }
             TelemetryEvent::ProbWrite {
                 pid,
                 performed,
                 probability,
             } => {
-                obj.u64_field("pid", *pid)
-                    .bool_field("performed", *performed)
-                    .f64_field("p", *probability);
+                obj.u64_field(json_key!({"ev": "prob_write", "seq"}), seq)
+                    .u64_field(json_key!("pid"), *pid)
+                    .bool_field(json_key!("performed"), *performed)
+                    .f64_field(json_key!("p"), *probability);
             }
             TelemetryEvent::RatifierVerdict {
                 pid,
@@ -298,10 +295,11 @@ impl TelemetryEvent {
                 decided,
                 value,
             } => {
-                obj.u64_field("pid", *pid)
-                    .u64_field("stage", *stage)
-                    .bool_field("decided", *decided)
-                    .u64_field("value", *value);
+                obj.u64_field(json_key!({"ev": "ratifier_verdict", "seq"}), seq)
+                    .u64_field(json_key!("pid"), *pid)
+                    .u64_field(json_key!("stage"), *stage)
+                    .bool_field(json_key!("decided"), *decided)
+                    .u64_field(json_key!("value"), *value);
             }
             TelemetryEvent::Decided {
                 pid,
@@ -309,10 +307,11 @@ impl TelemetryEvent {
                 stage,
                 latency_ns,
             } => {
-                obj.u64_field("pid", *pid)
-                    .u64_field("value", *value)
-                    .u64_field("stage", *stage)
-                    .u64_field("latency_ns", *latency_ns);
+                obj.u64_field(json_key!({"ev": "decided", "seq"}), seq)
+                    .u64_field(json_key!("pid"), *pid)
+                    .u64_field(json_key!("value"), *value)
+                    .u64_field(json_key!("stage"), *stage)
+                    .u64_field(json_key!("latency_ns"), *latency_ns);
             }
             TelemetryEvent::Op {
                 step,
@@ -320,35 +319,37 @@ impl TelemetryEvent {
                 class,
                 performed,
             } => {
-                obj.u64_field("step", *step)
-                    .u64_field("pid", *pid)
-                    .str_field("class", class.as_str())
-                    .bool_field("performed", *performed);
+                obj.u64_field(json_key!({"ev": "op", "seq"}), seq)
+                    .u64_field(json_key!("step"), *step)
+                    .u64_field(json_key!("pid"), *pid)
+                    .bool_field(class.class_field(), *performed);
             }
             TelemetryEvent::FaultInjected {
                 class,
                 register,
                 step,
             } => {
-                obj.str_field("class", class.as_str())
-                    .u64_field("register", *register)
-                    .u64_field("step", *step);
+                obj.u64_field(json_key!({"ev": "fault_injected", "seq"}), seq)
+                    .u64_field(class.class_field(), *register)
+                    .u64_field(json_key!("step"), *step);
             }
             TelemetryEvent::FallbackTaken {
                 pid,
                 conciliator_stages,
             } => {
-                obj.u64_field("pid", *pid)
-                    .u64_field("conciliator_stages", *conciliator_stages);
+                obj.u64_field(json_key!({"ev": "fallback_taken", "seq"}), seq)
+                    .u64_field(json_key!("pid"), *pid)
+                    .u64_field(json_key!("conciliator_stages"), *conciliator_stages);
             }
             TelemetryEvent::BatchDrained {
                 shard,
                 batch,
                 queue_depth,
             } => {
-                obj.u64_field("shard", *shard)
-                    .u64_field("batch", *batch)
-                    .u64_field("queue_depth", *queue_depth);
+                obj.u64_field(json_key!({"ev": "batch_drained", "seq"}), seq)
+                    .u64_field(json_key!("shard"), *shard)
+                    .u64_field(json_key!("batch"), *batch)
+                    .u64_field(json_key!("queue_depth"), *queue_depth);
             }
             TelemetryEvent::WorkerRestarted {
                 ring,
@@ -356,10 +357,11 @@ impl TelemetryEvent {
                 resubmitted,
                 recovery_ns,
             } => {
-                obj.u64_field("ring", *ring)
-                    .u64_field("attempt", *attempt)
-                    .u64_field("resubmitted", *resubmitted)
-                    .u64_field("recovery_ns", *recovery_ns);
+                obj.u64_field(json_key!({"ev": "worker_restarted", "seq"}), seq)
+                    .u64_field(json_key!("ring"), *ring)
+                    .u64_field(json_key!("attempt"), *attempt)
+                    .u64_field(json_key!("resubmitted"), *resubmitted)
+                    .u64_field(json_key!("recovery_ns"), *recovery_ns);
             }
             TelemetryEvent::WorkSummary {
                 seed,
@@ -371,14 +373,15 @@ impl TelemetryEvent {
                 registers_touched,
                 per_process,
             } => {
-                obj.u64_field("seed", *seed)
-                    .u64_field("total_work", *total_work)
-                    .u64_field("individual_work", *individual_work)
-                    .u64_field("prob_writes_attempted", *prob_writes_attempted)
-                    .u64_field("prob_writes_performed", *prob_writes_performed)
-                    .u64_field("registers_allocated", *registers_allocated)
-                    .u64_field("registers_touched", *registers_touched)
-                    .u64_array_field("per_process", per_process);
+                obj.u64_field(json_key!({"ev": "work_summary", "seq"}), seq)
+                    .u64_field(json_key!("seed"), *seed)
+                    .u64_field(json_key!("total_work"), *total_work)
+                    .u64_field(json_key!("individual_work"), *individual_work)
+                    .u64_field(json_key!("prob_writes_attempted"), *prob_writes_attempted)
+                    .u64_field(json_key!("prob_writes_performed"), *prob_writes_performed)
+                    .u64_field(json_key!("registers_allocated"), *registers_allocated)
+                    .u64_field(json_key!("registers_touched"), *registers_touched)
+                    .u64_array_field(json_key!("per_process"), per_process);
             }
         }
         obj.finish();
@@ -428,11 +431,11 @@ impl Recorder for NoopRecorder {
 
 /// Streams events as JSON lines to any writer.
 ///
-/// Each line is one [`TelemetryEvent::to_json`] object stamped with a
+/// Each line is one event rendered as a JSON object stamped with a
 /// monotone `seq` field, assigned under the mutex that orders the writes,
 /// so line *i* carries `"seq":i`. The line is rendered into a buffer kept
 /// beside the writer and reused: in steady state an event allocates
-/// nothing and costs ~70 ns, against a budget of 120 (DESIGN.md §6).
+/// nothing and costs ~50 ns, against a budget of 120 (DESIGN.md §6).
 pub struct JsonlRecorder {
     sink: Mutex<JsonlSink>,
 }
@@ -493,7 +496,7 @@ impl Recorder for JsonlRecorder {
     fn record(&self, event: &TelemetryEvent) {
         let sink = &mut *self.sink();
         sink.line.clear();
-        event.write_json(Some(sink.seq), &mut sink.line);
+        event.write_json(sink.seq, &mut sink.line);
         sink.line.push('\n');
         sink.seq += 1;
         // Telemetry must never take the protocol down: latch the error for
@@ -851,7 +854,7 @@ mod tests {
         ]
     }
 
-    /// `to_json(Some(seq))` of `sample_events()` then `edge_events()`,
+    /// `write_json(seq, _)` of `sample_events()` then `edge_events()`,
     /// captured from the renderer this one replaced (commit 4e4eb71): the
     /// schema is these bytes, and any drift must show up as a diff here.
     /// The [`RETIRED_SEQ`] stamps belonged to events since removed (a
@@ -891,22 +894,21 @@ mod tests {
         // One dirty buffer for all: `write_json` appends and disturbs nothing.
         let mut reused = String::from("dirty");
         for ((seq, event), golden) in stamps.zip(&events).zip(GOLDEN) {
-            assert_eq!(event.to_json(Some(seq)), *golden);
             reused.truncate("dirty".len());
-            event.write_json(Some(seq), &mut reused);
+            event.write_json(seq, &mut reused);
             assert_eq!(reused.strip_prefix("dirty"), Some(*golden));
             json::validate(golden).unwrap_or_else(|e| panic!("{golden}: {e}"));
         }
-        let unstamped = TelemetryEvent::FastPathHit { pid: 0, stage: 1 }.to_json(None);
-        assert_eq!(unstamped, r#"{"ev":"fast_path_hit","pid":0,"stage":1}"#);
     }
 
     #[test]
     fn every_event_renders_valid_json() {
         for (i, event) in sample_events().iter().enumerate() {
-            let line = event.to_json(Some(i as u64));
+            let mut line = String::new();
+            event.write_json(i as u64, &mut line);
             json::validate(&line).unwrap_or_else(|e| panic!("{line}: {e}"));
-            assert!(line.contains(&format!(r#""ev":"{}""#, event.name())));
+            let head = format!(r#"{{"ev":"{}","seq":{i},"#, event.name());
+            assert!(line.starts_with(&head), "{line} lacks {head}");
         }
     }
 

@@ -3,7 +3,8 @@
 use std::fmt::Write as _;
 
 use crate::histogram::HistogramSnapshot;
-use crate::json::Obj;
+use crate::json::{self, Obj};
+use crate::json_key;
 
 /// A named, frozen view of a set of counters, gauges, and histograms.
 ///
@@ -85,24 +86,31 @@ impl Snapshot {
     /// Renders one JSON object:
     /// `{"counters":{...},"gauges":{...},"histograms":{...}}`.
     pub fn to_json(&self) -> String {
-        let mut counters = Obj::new();
-        for (name, value) in &self.counters {
-            counters.u64_field(name, *value);
-        }
-        let mut gauges = Obj::new();
-        for (name, value, max) in &self.gauges {
-            let mut gauge = Obj::new();
-            gauge.u64_field("value", *value).u64_field("max", *max);
-            gauges.raw_field(name, &gauge.finish());
-        }
-        let mut histograms = Obj::new();
-        for (name, hist) in &self.histograms {
-            histograms.raw_field(name, &histogram_json(hist));
-        }
+        let mut counters = String::new();
+        json::write_map(
+            &mut counters,
+            self.counters.iter().copied(),
+            json::write_u64,
+        );
+        let mut gauges = String::new();
+        let gauge_values = self
+            .gauges
+            .iter()
+            .map(|&(name, value, max)| (name, (value, max)));
+        json::write_map(&mut gauges, gauge_values, |out, (value, max)| {
+            let mut gauge = Obj::append_to(out);
+            gauge
+                .u64_field(json_key!({ "value" }), value)
+                .u64_field(json_key!("max"), max);
+            gauge.finish();
+        });
+        let mut histograms = String::new();
+        let hists = self.histograms.iter().map(|(name, hist)| (*name, hist));
+        json::write_map(&mut histograms, hists, histogram_json);
         let mut obj = Obj::new();
-        obj.raw_field("counters", &counters.finish())
-            .raw_field("gauges", &gauges.finish())
-            .raw_field("histograms", &histograms.finish());
+        obj.raw_field(json_key!({ "counters" }), &counters)
+            .raw_field(json_key!("gauges"), &gauges)
+            .raw_field(json_key!("histograms"), &histograms);
         obj.finish()
     }
 
@@ -161,14 +169,7 @@ fn sanitize_metric_name(name: &str) -> String {
     out
 }
 
-fn histogram_json(hist: &HistogramSnapshot) -> String {
-    let mut obj = Obj::new();
-    obj.u64_field("count", hist.count)
-        .u64_field("sum", hist.sum)
-        .u64_field("max", hist.max)
-        .f64_field("mean", hist.mean())
-        .u64_field("p50", hist.quantile_upper(0.50))
-        .u64_field("p99", hist.quantile_upper(0.99));
+fn histogram_json(out: &mut String, hist: &HistogramSnapshot) {
     let mut buckets = String::from("[");
     for (i, &(upper, n)) in hist.buckets.iter().enumerate() {
         if i > 0 {
@@ -177,14 +178,20 @@ fn histogram_json(hist: &HistogramSnapshot) -> String {
         let _ = write!(buckets, "[{upper},{n}]");
     }
     buckets.push(']');
-    obj.raw_field("buckets", &buckets);
-    obj.finish()
+    let mut obj = Obj::append_to(out);
+    obj.u64_field(json_key!({ "count" }), hist.count)
+        .u64_field(json_key!("sum"), hist.sum)
+        .u64_field(json_key!("max"), hist.max)
+        .f64_field(json_key!("mean"), hist.mean())
+        .u64_field(json_key!("p50"), hist.quantile_upper(0.50))
+        .u64_field(json_key!("p99"), hist.quantile_upper(0.99))
+        .raw_field(json_key!("buckets"), &buckets);
+    obj.finish();
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json;
     use crate::Histogram;
 
     fn sample() -> Snapshot {

@@ -509,31 +509,117 @@ fn any_event() -> impl Strategy<Value = TelemetryEvent> {
         })
 }
 
+/// The line `core::fmt` writes for an `op` event stamped `seq`: the
+/// reference the renderer is checked against field by field.
+fn op_reference(seq: u64, event: &TelemetryEvent) -> Option<String> {
+    use modular_consensus::telemetry::OpClass;
+
+    let TelemetryEvent::Op {
+        step,
+        pid,
+        class,
+        performed,
+    } = event
+    else {
+        return None;
+    };
+    let class = match class {
+        OpClass::Read => "read",
+        OpClass::Write => "write",
+        OpClass::ProbWrite => "prob_write",
+        OpClass::Collect => "collect",
+    };
+    Some(format!(
+        r#"{{"ev":"op","seq":{seq},"step":{step},"pid":{pid},"class":"{class}","performed":{performed}}}"#
+    ))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
-    /// `to_json` renders a valid JSON line. Its head, every field of a
-    /// `decided` event and the array of a `work_summary` also equal text
-    /// built by `core::fmt`: the hand-written integer formatter against the
-    /// standard one.
+    /// A recorded event is one valid JSON line, stamped `"seq":0` by a
+    /// fresh recorder. Every field of a `decided` and of an `op` event and
+    /// the array of a `work_summary` also equal text built by `core::fmt`:
+    /// the hand-written integer formatter against the standard one.
     #[test]
-    fn to_json_lines_are_valid_and_match_core_fmt(event in any_event(), seq in any_width(), stamped in any::<bool>()) {
-        let seq = stamped.then_some(seq);
-        let line = event.to_json(seq);
-        json::validate(&line).unwrap_or_else(|e| panic!("{line}: {e}"));
+    fn to_json_lines_are_valid_and_match_core_fmt(event in any_event()) {
+        let (recorder, buf) = in_memory();
+        recorder.record(&event);
+        let text = String::from_utf8(buf.lock().unwrap().clone()).expect("JSONL is UTF-8");
+        let line = text.strip_suffix('\n').expect("one line");
+        json::validate(line).unwrap_or_else(|e| panic!("{line}: {e}"));
 
-        let stamp = seq.map_or(String::new(), |seq| format!(r#""seq":{seq},"#));
-        let head = format!(r#"{{"ev":"{}",{stamp}"#, event.name());
+        let head = format!(r#"{{"ev":"{}","seq":0,"#, event.name());
         prop_assert!(line.starts_with(&head), "{} lacks {}", line, head);
         if let TelemetryEvent::Decided { pid, value, stage, latency_ns } = &event {
             let tail = format!(
                 r#""pid":{pid},"value":{value},"stage":{stage},"latency_ns":{latency_ns}}}"#
             );
             prop_assert_eq!(line, head + &tail);
+        } else if let Some(reference) = op_reference(0, &event) {
+            prop_assert_eq!(line, reference);
         } else if let TelemetryEvent::WorkSummary { per_process, .. } = &event {
             let list: Vec<String> = per_process.iter().map(u64::to_string).collect();
             let tail = format!(r#","per_process":[{}]}}"#, list.join(","));
             prop_assert!(line.ends_with(&tail), "{} lacks {}", line, tail);
         }
     }
+}
+
+/// Keeps every event it is given, for comparison with what a
+/// `JsonlRecorder` wrote of the same stream.
+#[derive(Default)]
+struct Collect(Mutex<Vec<TelemetryEvent>>);
+
+impl Recorder for Collect {
+    fn record(&self, event: &TelemetryEvent) {
+        self.0.lock().unwrap().push(event.clone());
+    }
+}
+
+/// The benchmark's export, line for line: three fixed-seed
+/// `multivalued(8)` runs at n = 32 through an in-memory `JsonlRecorder`
+/// that has already written a million lines, so `seq` has seven digits.
+/// Every `op` line equals its `core::fmt` rendering; the runs reach
+/// three-digit steps and write probabilistic writes that did not land.
+#[test]
+fn benchmark_shaped_op_lines_match_core_fmt() {
+    const PRIMED: u64 = 1_000_000;
+    let (recorder, buf) = in_memory();
+    for stage in 0..PRIMED {
+        recorder.record(&TelemetryEvent::FastPathHit { pid: 0, stage });
+        if stage % 10_000 == 0 {
+            buf.lock().unwrap().clear();
+        }
+    }
+    buf.lock().unwrap().clear();
+
+    let collected = Collect::default();
+    for seed in [1, 2, 3] {
+        let out = traced_run(32, 8, seed);
+        observe::export_run(seed, out.trace.as_ref(), &out.metrics, &recorder);
+        observe::export_run(seed, out.trace.as_ref(), &out.metrics, &collected);
+    }
+    let events = collected.0.into_inner().unwrap();
+    let text = String::from_utf8(buf.lock().unwrap().clone()).expect("JSONL is UTF-8");
+    let lines: Vec<&str> = text.lines().collect();
+    assert_eq!(lines.len(), events.len());
+
+    let (mut ops, mut not_performed, mut max_step) = (0usize, 0, 0);
+    for (seq, (line, event)) in (PRIMED..).zip(lines.iter().zip(&events)) {
+        if let Some(reference) = op_reference(seq, event) {
+            assert_eq!(*line, reference);
+            ops += 1;
+        }
+        if let TelemetryEvent::Op {
+            step, performed, ..
+        } = event
+        {
+            not_performed += u64::from(!performed);
+            max_step = max_step.max(*step);
+        }
+    }
+    assert_eq!(ops, events.len() - 3);
+    assert!(not_performed > 0, "no prob_write missed its coin");
+    assert!(max_step >= 100, "steps stayed under three digits");
 }
