@@ -30,13 +30,18 @@
 //! execution for execution. Nothing in the composition lemmas needs a
 //! cross-instance argument, so no new proof obligation arises here.
 
+use std::any::Any;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use mc_model::{
-    Action, Ctx, DecidingObject, InstantiateCtx, ObjectSpec, ProcessId, Response, Session,
-    StateSink, SymmetrySpec, Value,
+    Action, Ctx, DecidingObject, Decision, InstantiateCtx, ObjectSpec, ProcessId, Response,
+    Session, StateSink, SymmetrySpec, Value,
 };
+
+use crate::conciliator::{FirstMoverObject, FirstMoverSession};
+use crate::ratifier::{Masks, RatifierObject, RatifierSession};
+use crate::Table;
 
 /// Supplies the spec of stage `i`.
 type Generator = Arc<dyn Fn(usize) -> Arc<dyn ObjectSpec> + Send + Sync>;
@@ -149,7 +154,7 @@ impl ObjectSpec for Chain {
             last: self.last,
             n: ctx.n,
             probe: self.probe.clone(),
-            stages: Mutex::new(Vec::new()),
+            stages: Table::default(),
         })))
     }
 
@@ -187,6 +192,10 @@ impl ChainProbe {
     }
 }
 
+/// Stage cells per chunk of a chain instance's stage table: the fast path
+/// `R₋₁; R₀` and the first round `C₁; R₁`, where a run usually ends.
+const CHUNK_STAGES: usize = 4;
+
 /// One instance of a [`Chain`]: the stages instantiated so far, shared by
 /// the sessions of every process.
 struct StageTable {
@@ -194,29 +203,31 @@ struct StageTable {
     last: Option<usize>,
     n: usize,
     probe: Option<Arc<ChainProbe>>,
-    stages: Mutex<Vec<Arc<dyn DecidingObject>>>,
+    /// Stage `i` in cell `i`, built on first entry (see [`Table`]).
+    stages: Table<Arc<dyn DecidingObject>, CHUNK_STAGES>,
 }
 
 impl StageTable {
     /// A new session of stage `i` for `pid`, or `None` past the end of a
-    /// finite chain. The stage (and any gap before it) is instantiated on
-    /// first demand, and the session is created under the table's lock, so
-    /// entering a stage clones no `Arc`.
-    fn session(
-        &self,
-        i: usize,
-        pid: ProcessId,
-        ctx: &mut Ctx<'_>,
-    ) -> Option<Box<dyn Session + Send>> {
+    /// finite chain. The stage is instantiated on first entry; finding a
+    /// built stage is one acquire load, with no lock and no reference
+    /// count taken on it, and the session of a quorum-ratifier or
+    /// first-mover stage is built inline, with no allocation (see
+    /// [`StageSession`]). A process enters stage `i` only after halting in
+    /// stage `i − 1`, so stages are built in index order and register ids
+    /// follow stage order.
+    fn session(&self, i: usize, pid: ProcessId, ctx: &mut Ctx<'_>) -> Option<StageSession> {
         if self.last.is_some_and(|last| i > last) {
             return None;
         }
-        let mut stages = self.stages.lock().expect("chain stage lock");
-        while stages.len() <= i {
-            let spec = (self.generator)(stages.len());
-            stages.push(spec.instantiate(&mut InstantiateCtx::new(self.n, ctx.alloc)));
+        let stage = self.stages.cell(i).get_or_init(|| {
+            debug_assert!(i == 0 || self.stages.cell(i - 1).get().is_some());
+            (self.generator)(i).instantiate(&mut InstantiateCtx::new(self.n, ctx.alloc))
+        });
+        if let Some(probe) = self.probe.as_deref() {
+            probe.record_stage(i);
         }
-        Some(stages[i].session(pid))
+        Some(StageSession::of(&**stage, pid))
     }
 }
 
@@ -228,7 +239,7 @@ impl DecidingObject for ChainObject {
             table: Arc::clone(&self.0),
             pid,
             cur: 0,
-            inner: None,
+            inner: StageSession::Idle,
         })
     }
 
@@ -236,16 +247,69 @@ impl DecidingObject for ChainObject {
         // A composite has exactly the symmetries every stage has; register
         // declarations accumulate since each stage owns disjoint registers.
         // Only instantiated stages can have contributed to the current
-        // configuration. Gap-filling instantiation makes the watermark a
-        // function of the configuration itself (it equals the deepest
-        // stage any process has entered), so equal configurations always
-        // carry equal certificates.
-        let stages = self.0.stages.lock().expect("chain stage lock");
+        // configuration. Stages are built in index order, as processes
+        // enter them, so the built stages are the ones up to the deepest
+        // stage any process has entered: a function of the configuration
+        // itself, and equal configurations carry equal certificates.
         let mut spec = SymmetrySpec::fully_symmetric();
-        for stage in stages.iter() {
+        for (_, stage) in self.0.stages.built() {
             spec.merge(&stage.symmetry());
         }
         spec
+    }
+}
+
+/// The session of the stage a process is in: held inline for the paper's
+/// two objects, so a step through them makes no virtual call and entering
+/// one allocates nothing, and boxed for any other stage object.
+enum StageSession {
+    /// Before the chain's `begin`.
+    Idle,
+    Ratifier(RatifierSession<Arc<Masks>>),
+    FirstMover(FirstMoverSession),
+    Boxed(Box<dyn Session + Send>),
+}
+
+impl StageSession {
+    /// `pid`'s session of `stage`.
+    fn of(stage: &dyn DecidingObject, pid: ProcessId) -> StageSession {
+        let object: &dyn Any = stage;
+        if let Some(ratifier) = object.downcast_ref::<RatifierObject>() {
+            StageSession::Ratifier(ratifier.stage_session())
+        } else if let Some(conciliator) = object.downcast_ref::<FirstMoverObject>() {
+            StageSession::FirstMover(conciliator.stage_session())
+        } else {
+            StageSession::Boxed(stage.session(pid))
+        }
+    }
+
+    #[inline]
+    fn begin(&mut self, input: Value, ctx: &mut Ctx<'_>) -> Action {
+        match self {
+            StageSession::Idle => unreachable!("a stage session is begun once entered"),
+            StageSession::Ratifier(session) => session.begin(input, ctx),
+            StageSession::FirstMover(session) => session.begin(input, ctx),
+            StageSession::Boxed(session) => session.begin(input, ctx),
+        }
+    }
+
+    #[inline]
+    fn poll(&mut self, response: Response, ctx: &mut Ctx<'_>) -> Action {
+        match self {
+            StageSession::Idle => unreachable!("a chain is polled only once begun"),
+            StageSession::Ratifier(session) => session.poll(response, ctx),
+            StageSession::FirstMover(session) => session.poll(response, ctx),
+            StageSession::Boxed(session) => session.poll(response, ctx),
+        }
+    }
+
+    fn snapshot(&self, sink: &mut StateSink) {
+        match self {
+            StageSession::Idle => unreachable!("an idle stage session has no state"),
+            StageSession::Ratifier(session) => session.snapshot(sink),
+            StageSession::FirstMover(session) => session.snapshot(sink),
+            StageSession::Boxed(session) => session.snapshot(sink),
+        }
     }
 }
 
@@ -254,35 +318,32 @@ struct StagedSession {
     table: Arc<StageTable>,
     pid: ProcessId,
     cur: usize,
-    inner: Option<Box<dyn Session + Send>>,
+    inner: StageSession,
 }
 
 impl StagedSession {
-    /// Handles a stage's action: pass through operations; on halt, either
-    /// finish (decided, or chain exhausted) or start the next stage with the
-    /// halted value as input. Loops because a freshly begun stage may halt
-    /// immediately.
-    fn advance(&mut self, mut action: Action, ctx: &mut Ctx<'_>) -> Action {
+    /// Handles the current stage's halt with `d`: finish (decided, or
+    /// chain exhausted) or start the next stage with the halted value as
+    /// input. Loops because a freshly begun stage may halt immediately.
+    /// Out of line, so a step that only passes an operation through stays
+    /// small.
+    #[inline(never)]
+    fn halted(&mut self, mut d: Decision, ctx: &mut Ctx<'_>) -> Action {
         loop {
-            match action {
-                Action::Invoke(_) => return action,
-                Action::Halt(d) => {
-                    if d.is_decided() {
-                        return Action::Halt(d);
-                    }
-                    // Move to the next stage, if any.
-                    self.cur += 1;
-                    let Some(mut session) = self.table.session(self.cur, self.pid, ctx) else {
-                        // Finite chain exhausted: its output is the last
-                        // stage's output.
-                        return Action::Halt(d);
-                    };
-                    if let Some(probe) = self.table.probe.as_deref() {
-                        probe.record_stage(self.cur);
-                    }
-                    action = session.begin(d.value(), ctx);
-                    self.inner = Some(session);
-                }
+            if d.is_decided() {
+                return Action::Halt(d);
+            }
+            // Move to the next stage, if any.
+            self.cur += 1;
+            let Some(session) = self.table.session(self.cur, self.pid, ctx) else {
+                // Finite chain exhausted: its output is the last stage's
+                // output.
+                return Action::Halt(d);
+            };
+            self.inner = session;
+            match self.inner.begin(d.value(), ctx) {
+                Action::Halt(next) => d = next,
+                invoke => return invoke,
             }
         }
     }
@@ -290,22 +351,21 @@ impl StagedSession {
 
 impl Session for StagedSession {
     fn begin(&mut self, input: Value, ctx: &mut Ctx<'_>) -> Action {
-        let mut session = self
+        self.inner = self
             .table
             .session(0, self.pid, ctx)
             .expect("chains have at least one stage");
-        if let Some(probe) = &self.table.probe {
-            probe.record_stage(0);
+        match self.inner.begin(input, ctx) {
+            Action::Halt(d) => self.halted(d, ctx),
+            invoke => invoke,
         }
-        let action = session.begin(input, ctx);
-        self.inner = Some(session);
-        self.advance(action, ctx)
     }
 
     fn poll(&mut self, response: Response, ctx: &mut Ctx<'_>) -> Action {
-        let session = self.inner.as_mut().expect("active stage session");
-        let action = session.poll(response, ctx);
-        self.advance(action, ctx)
+        match self.inner.poll(response, ctx) {
+            Action::Halt(d) => self.halted(d, ctx),
+            invoke => invoke,
+        }
     }
 
     fn snapshot(&self, sink: &mut StateSink) {
@@ -313,11 +373,11 @@ impl Session for StagedSession {
         // atom sequences from different stages can never collide.
         sink.push_raw(self.cur as u64);
         match &self.inner {
-            Some(inner) => {
+            StageSession::Idle => sink.push_raw(0),
+            inner => {
                 sink.push_raw(1);
                 inner.snapshot(sink);
             }
-            None => sink.push_raw(0),
         }
     }
 }

@@ -115,6 +115,12 @@ impl FirstMoverConciliator {
     /// processes: the session an instance's [`DecidingObject::session`]
     /// boxes, built in place, with no allocation.
     pub fn session_at(&self, reg: RegisterId, n: usize) -> impl Session {
+        self.session_on(reg, n)
+    }
+
+    /// [`session_at`](Self::session_at) under its concrete type, which a
+    /// chain holds inline.
+    fn session_on(&self, reg: RegisterId, n: usize) -> FirstMoverSession {
         FirstMoverSession {
             reg,
             n,
@@ -127,15 +133,23 @@ impl FirstMoverConciliator {
     }
 }
 
-struct FirstMoverObject {
+pub(crate) struct FirstMoverObject {
     spec: FirstMoverConciliator,
     reg: RegisterId,
     n: usize,
 }
 
+impl FirstMoverObject {
+    /// One process's session of this instance (sessions ignore the pid):
+    /// what [`DecidingObject::session`] boxes and a chain holds inline.
+    pub(crate) fn stage_session(&self) -> FirstMoverSession {
+        self.spec.session_on(self.reg, self.n)
+    }
+}
+
 impl DecidingObject for FirstMoverObject {
     fn session(&self, _pid: ProcessId) -> Box<dyn Session + Send> {
-        Box::new(self.spec.session_at(self.reg, self.n))
+        Box::new(self.stage_session())
     }
 
     fn symmetry(&self) -> SymmetrySpec {
@@ -155,7 +169,7 @@ enum State {
     AwaitingWrite,
 }
 
-struct FirstMoverSession {
+pub(crate) struct FirstMoverSession {
     reg: RegisterId,
     n: usize,
     schedule: WriteSchedule,

@@ -23,4 +23,5 @@ mod schedule;
 pub use coin_conciliator::CoinConciliator;
 pub use dummy_write::DummyWriteConciliator;
 pub use first_mover::FirstMoverConciliator;
+pub(crate) use first_mover::{FirstMoverObject, FirstMoverSession};
 pub use schedule::WriteSchedule;

@@ -57,6 +57,7 @@ pub mod compose;
 pub mod conciliator;
 pub mod protocol;
 pub mod ratifier;
+mod table;
 
 pub use coin::{ConciliatorCoin, InvalidQuorumFactor, LocalCoin, VotingSharedCoin};
 pub use compose::{Chain, ChainProbe};
@@ -65,3 +66,4 @@ pub use conciliator::{
 };
 pub use protocol::ConsensusBuilder;
 pub use ratifier::{CollectRatifier, Ratifier};
+pub use table::Table;

@@ -11,3 +11,4 @@ mod quorum;
 
 pub use collect::CollectRatifier;
 pub use quorum::Ratifier;
+pub(crate) use quorum::{Masks, RatifierObject, RatifierSession};

@@ -131,7 +131,7 @@ impl Ratifier {
     /// The session borrows this ratifier's quorums, so building one takes
     /// no reference count and allocates nothing; an instance's
     /// [`DecidingObject::session`] boxes the same session over an owned
-    /// handle.
+    /// handle, and a chain holds that one inline.
     pub fn session_at(&self, base: RegisterId) -> impl Session + '_ {
         let proposal = base.offset(self.masks.pool);
         RatifierSession::new(&*self.masks, base, proposal)
@@ -157,7 +157,7 @@ fn masks_of(scheme: &dyn QuorumScheme, v: Value) -> (u128, u128) {
 }
 
 /// A ratifier's quorums, shared by all of its instances, runs and sessions.
-struct Masks {
+pub(crate) struct Masks {
     scheme: Arc<dyn QuorumScheme>,
     /// The scheme's announcement pool size.
     pool: u64,
@@ -198,20 +198,25 @@ impl Masks {
     }
 }
 
-struct RatifierObject {
+pub(crate) struct RatifierObject {
     masks: Arc<Masks>,
     /// Announcement pool base; slot `i` of the scheme is `pool.offset(i)`.
     pool: RegisterId,
     proposal: RegisterId,
 }
 
+impl RatifierObject {
+    /// One process's session of this instance (sessions never look at the
+    /// pid): what [`DecidingObject::session`] boxes and a chain holds
+    /// inline.
+    pub(crate) fn stage_session(&self) -> RatifierSession<Arc<Masks>> {
+        RatifierSession::new(Arc::clone(&self.masks), self.pool, self.proposal)
+    }
+}
+
 impl DecidingObject for RatifierObject {
     fn session(&self, _pid: ProcessId) -> Box<dyn Session + Send> {
-        Box::new(RatifierSession::new(
-            Arc::clone(&self.masks),
-            self.pool,
-            self.proposal,
-        ))
+        Box::new(self.stage_session())
     }
 
     fn symmetry(&self) -> SymmetrySpec {
@@ -245,8 +250,8 @@ enum State {
 
 /// A session over a handle `P` on the ratifier's quorums: `&Masks` when
 /// a caller drives it in place ([`Ratifier::session_at`]), `Arc<Masks>`
-/// when the simulator boxes it.
-struct RatifierSession<P> {
+/// when an instance's session owns it.
+pub(crate) struct RatifierSession<P> {
     masks: P,
     pool: RegisterId,
     proposal: RegisterId,

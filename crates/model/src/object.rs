@@ -1,5 +1,6 @@
 //! Deciding objects and their factories.
 
+use std::any::Any;
 use std::sync::Arc;
 
 use crate::{ProcessId, RegisterId, Session, SymmetrySpec};
@@ -66,8 +67,12 @@ impl<'a> InstantiateCtx<'a> {
 /// Each process obtains its own [`Session`] via [`session`]; the object
 /// itself holds no per-process state.
 ///
+/// The `Any` supertrait lets a composite recognise a stage object it can
+/// drive in place; every implementor is `'static`, as an
+/// `Arc<dyn DecidingObject>` requires anyway.
+///
 /// [`session`]: DecidingObject::session
-pub trait DecidingObject: Send + Sync {
+pub trait DecidingObject: Any + Send + Sync {
     /// Creates the per-process state machine for process `pid`.
     fn session(&self, pid: ProcessId) -> Box<dyn Session + Send>;
 

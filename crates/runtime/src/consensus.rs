@@ -3,7 +3,9 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use mc_core::{CoinConciliator, FirstMoverConciliator, LocalCoin, Ratifier, VotingSharedCoin};
+use mc_core::{
+    CoinConciliator, FirstMoverConciliator, LocalCoin, Ratifier, Table, VotingSharedCoin,
+};
 use mc_model::{BlockAlloc, Decision, InstantiateCtx, ObjectSpec, ProcessId, RegisterId};
 use mc_quorums::QuorumScheme;
 use mc_telemetry::StageKind;
@@ -11,7 +13,6 @@ use rand::Rng;
 
 use crate::drive::drive;
 use crate::register::{AtomicMemory, SharedMemory, SharedRegister};
-use crate::table::Table;
 use crate::telemetry::{CounterKey, HistKey, LocalTelemetry, RuntimeTelemetry};
 
 /// Configuration for a thread-runtime [`Consensus`] object.
@@ -218,7 +219,7 @@ impl<M: SharedMemory> Consensus<M> {
         Consensus {
             options,
             memory,
-            stages: StageTable::new(),
+            stages: StageTable::default(),
             ticket: AtomicUsize::new(0),
             telemetry,
         }

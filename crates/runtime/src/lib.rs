@@ -53,7 +53,6 @@ mod hash;
 mod log;
 mod register;
 mod service;
-mod table;
 mod telemetry;
 mod typed;
 

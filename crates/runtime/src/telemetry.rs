@@ -30,12 +30,11 @@ use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
+use mc_core::Table;
 use mc_telemetry::{
     metric_keys, thread_shard, Counter, FaultClass, Gauge, Histogram, NoopRecorder, Recorder,
     Snapshot, StageKind, TelemetryEvent,
 };
-
-use crate::table::Table;
 
 /// While per-decide events are amortized, one decide in this many per
 /// thread is timed into [`HistKey::DecideLatencyNs`]: two clock reads cost
@@ -354,7 +353,7 @@ impl RuntimeTelemetry {
             // read-modify-write's total order on one atomic gives.
             id: NEXT_TELEMETRY_ID.fetch_add(1, Ordering::Relaxed),
             claimed: AtomicUsize::new(0),
-            cells: Table::new(),
+            cells: Table::default(),
             queue_depth: Gauge::new(),
             applied_index: AtomicU64::new(0),
         }

@@ -1,10 +1,13 @@
 //! What a simulated run allocates, counted. Once a protocol is built and
-//! warm, a step that enters no stage allocates nothing, and a step that
-//! enters a stage some process already instantiated allocates exactly that
-//! stage's session. A multivalued(8) run at n = 32 therefore makes its
-//! set-up allocations (`Engine::new`: the instance, every process's session
-//! and first stage), one per later stage entry, what the stage instances it
-//! creates cost, and its outputs, pinned below per seed. A counting global
+//! warm, a step that enters no stage allocates nothing. A chain holds the
+//! session of a quorum ratifier or first-mover conciliator stage inline, so
+//! a step that enters such a stage some process already instantiated
+//! allocates nothing either; the session of any other stage object is
+//! boxed, one allocation per entry. A multivalued(8) run at n = 32
+//! therefore makes its set-up allocations (`Engine::new`: the instance,
+//! every process's session and first stage), what the stage instances it
+//! creates cost, and its outputs, pinned below per seed, and one more per
+//! later stage entry when its stages are wrapped. A counting global
 //! allocator watches the one thread that runs the engine.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -107,12 +110,13 @@ struct Allocations {
     total_work: u64,
     /// By `Engine::new`.
     setup: u64,
-    /// Stage entries after set-up: one allocation each, the session.
+    /// Stage entries after set-up: one allocation each when the stage's
+    /// session is boxed, none when the chain holds it inline.
     entries: u64,
     /// Stage instances created after set-up, ...
     instances: u64,
-    /// ... and what they cost beside their first session: the object, the
-    /// chain's cache slot and room for the registers.
+    /// ... and what they cost beside their first session: the object (two
+    /// for a wrapped stage) and room for the registers.
     instance_extra: u64,
     /// By the last step and `Engine::run_until` collecting the outputs.
     outputs: u64,
@@ -121,67 +125,100 @@ struct Allocations {
 const N: usize = 32;
 
 /// Runs `spec` at `seed`, checks what each step allocated against the
-/// stages it entered, and totals the run. `run_until` asks its `stop`
-/// before every step, so the allocations between two asks are one step's;
-/// the last step's are counted with the outputs.
-fn run(spec: &dyn ObjectSpec, tally: &Tally, seed: u64) -> Allocations {
+/// stages it entered, as `entered` reports them (entries, instances), and
+/// totals the run. `entered` is asked once after set-up, which enters
+/// every process's first stage, and then before each step. A stage entry
+/// allocates `per_entry`. `run_until` asks
+/// its `stop` before every step, so the allocations between two asks are
+/// one step's; the last step's, which halts and enters no stage, are
+/// counted with the outputs.
+fn run(
+    spec: &dyn ObjectSpec,
+    seed: u64,
+    per_entry: u64,
+    mut entered: impl FnMut() -> (u64, u64),
+) -> Allocations {
     let ins = inputs::random(N, 8, seed);
     let mut adversary = RandomScheduler::new(seed);
     let start = allocations();
     let engine = Engine::new(spec, &ins, &mut adversary, seed, EngineConfig::default());
     let setup = allocations() - start;
-    let (entries_at_setup, instances_at_setup) = tally.read();
-    let mut instance_extra = 0;
-    let mut last = (allocations(), tally.read());
+    entered();
+    let (mut entries, mut instances, mut instance_extra) = (0, 0, 0);
+    let mut last = allocations();
     let out = engine
         .run_until(|_| {
-            let now = (allocations(), tally.read());
-            let made = now.0 - last.0;
-            let ((entries, instances), (now_entries, now_instances)) = (last.1, now.1);
-            match (now_entries - entries, now_instances - instances) {
+            let now = allocations();
+            let made = now - last;
+            let step = entered();
+            match step {
                 (0, 0) => assert_eq!(made, 0, "seed {seed}: a step that entered no stage"),
-                (1, 0) => assert_eq!(made, 1, "seed {seed}: a step that entered a stage"),
-                (1, 1) => instance_extra += made - 1,
+                (1, 0) => assert_eq!(made, per_entry, "seed {seed}: a step that entered a stage"),
+                (1, 1) => instance_extra += made - per_entry,
                 other => panic!("seed {seed}: one step made (entries, instances) {other:?}"),
             }
+            entries += step.0;
+            instances += step.1;
             last = now;
             false
         })
         .expect("multivalued(8) completes");
-    let outputs = allocations() - last.0;
+    let outputs = allocations() - last;
     assert!(out.decisions.iter().all(Option::is_some), "seed {seed}");
-    let (entries, instances) = tally.read();
     Allocations {
         total_work: out.metrics.total_work(),
         setup,
-        entries: entries - entries_at_setup,
-        instances: instances - instances_at_setup,
+        entries,
+        instances,
         instance_extra,
         outputs,
     }
 }
 
-#[test]
-fn a_run_allocates_its_set_up_and_one_session_per_stage_entry() {
-    let tally = Arc::new(Tally::default());
+/// `ConsensusBuilder::multivalued(8)` with its two stages wrapped in
+/// [`Counted`], which makes the chain box each stage session.
+fn counted_multivalued(tally: &Arc<Tally>) -> Arc<dyn ObjectSpec> {
     let counted = |stage: Arc<dyn ObjectSpec>| -> Arc<dyn ObjectSpec> {
         Arc::new(Counted {
             stage,
-            tally: Arc::clone(&tally),
+            tally: Arc::clone(tally),
         })
     };
-    // `ConsensusBuilder::multivalued(8)`, its two stages counted.
-    let spec = ConsensusBuilder::new(
-        counted(Arc::new(FirstMoverConciliator::impatient())),
-        counted(Arc::new(Ratifier::binomial(8))),
+    Arc::new(
+        ConsensusBuilder::new(
+            counted(Arc::new(FirstMoverConciliator::impatient())),
+            counted(Arc::new(Ratifier::binomial(8))),
+        )
+        .build(),
     )
-    .build();
+}
+
+/// Runs the counted chain at `seed`; returns what it allocated and, per
+/// `stop` ask, the (entries, instances) of the step before.
+fn run_counted(spec: &dyn ObjectSpec, tally: &Tally, seed: u64) -> (Allocations, Vec<(u64, u64)>) {
+    // Room for every step, so recording one allocates nothing.
+    let mut steps = Vec::with_capacity(1 << 12);
+    let mut last = tally.read();
+    let allocated = run(spec, seed, 1, || {
+        let now = tally.read();
+        let step = (now.0 - last.0, now.1 - last.1);
+        last = now;
+        steps.push(step);
+        step
+    });
+    (allocated, steps)
+}
+
+#[test]
+fn a_run_allocates_its_set_up_and_one_session_per_stage_entry() {
+    let tally = Arc::new(Tally::default());
+    let spec = counted_multivalued(&tally);
     // Warm-up: whatever is initialised on first use.
-    run(&spec, &tally, 7);
-    let runs = [7, 8, 9].map(|seed| run(&spec, &tally, seed));
+    run_counted(&*spec, &tally, 7);
+    let runs = [7, 8, 9].map(|seed| run_counted(&*spec, &tally, seed).0);
     let pinned = |total_work, entries, instances, instance_extra| Allocations {
         total_work,
-        setup: 74,
+        setup: 73,
         entries,
         instances,
         instance_extra,
@@ -193,6 +230,41 @@ fn a_run_allocates_its_set_up_and_one_session_per_stage_entry() {
             pinned(326, 32, 1, 3),
             pinned(522, 96, 3, 8),
             pinned(610, 96, 3, 8),
+        ]
+    );
+}
+
+#[test]
+fn entering_a_built_stage_of_the_unwrapped_chain_allocates_nothing() {
+    // The counted chain takes the unwrapped chain's schedule, so its tally
+    // says which steps of the unwrapped run enter a stage.
+    let tally = Arc::new(Tally::default());
+    let counted = counted_multivalued(&tally);
+    let spec = ConsensusBuilder::multivalued(8).build();
+    let run_at = |seed| {
+        let (_, steps) = run_counted(&*counted, &tally, seed);
+        let mut steps = steps.into_iter();
+        let allocated = run(&spec, seed, 0, || steps.next().expect("the same schedule"));
+        assert_eq!(steps.next(), None, "seed {seed}: the same schedule");
+        allocated
+    };
+    // Warm-up: whatever is initialised on first use.
+    run_at(7);
+    let runs = [7, 8, 9].map(run_at);
+    let pinned = |total_work, entries, instances, instance_extra| Allocations {
+        total_work,
+        setup: 40,
+        entries,
+        instances,
+        instance_extra,
+        outputs: 1,
+    };
+    assert_eq!(
+        runs,
+        [
+            pinned(326, 32, 1, 2),
+            pinned(522, 96, 3, 5),
+            pinned(610, 96, 3, 5),
         ]
     );
 }
